@@ -40,7 +40,7 @@ func main() {
 		out        = flag.String("out", "", "output .gcsr file (required)")
 		lcc        = flag.Bool("lcc", true, "extract the largest connected component before packing")
 		keepIDs    = flag.Bool("keep-ids", false, "preserve source node IDs (embedded in v2, .gids sidecar for v1)")
-		blockBytes = flag.Int("block-bytes", 0, "v2 target encoded block size (0 = default 64 KiB)")
+		blockBytes = flag.Int("block-bytes", 0, "v2 target encoded block size, the checksum and I/O unit (0 = default 64 KiB; readers decode ~8 KiB pages at any setting)")
 		verify     = flag.Bool("verify", false, "re-open the output via mmap and validate it")
 	)
 	flag.Parse()

@@ -9,6 +9,18 @@ import (
 	"repro/internal/graph"
 )
 
+// renderEstimate runs a 6000-step estimate of cfg on g and formats it
+// exactly (hex floats): byte-identical, not almost-equal.
+func renderEstimate(t *testing.T, g *Graph, cfg Config) string {
+	t.Helper()
+	res, err := Estimate(NewClient(g), cfg, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x|%x|%v|%d|%d",
+		res.Concentration(), res.Weights, res.TypeCounts, res.Steps, res.ValidSamples)
+}
+
 // The acceptance property of the binary CSR store: an estimation over a
 // builder-loaded graph must be byte-identical to the same estimation over
 // the .gcsr portable-load and mmap'd graphs — and over the block-compressed
@@ -70,15 +82,7 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.MethodName(), func(t *testing.T) {
-			render := func(g *Graph) string {
-				res, err := Estimate(NewClient(g), cfg, 6000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Exact float formatting: byte-identical, not almost-equal.
-				return fmt.Sprintf("%x|%x|%v|%d|%d",
-					res.Concentration(), res.Weights, res.TypeCounts, res.Steps, res.ValidSamples)
-			}
+			render := func(g *Graph) string { return renderEstimate(t, g, cfg) }
 			want := render(built)
 			if got := render(loaded); got != want {
 				t.Errorf("Load path diverged:\nbuilt:  %s\nloaded: %s", want, got)
@@ -94,4 +98,34 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 			}
 		})
 	}
+
+	// The same property where pages are cut inside blocks: a graph big
+	// enough that its default 64 KiB-block file holds several pages per
+	// block, behind a cache a few pages short of holding them all, so the
+	// walk keeps evicting and re-decoding pages from the middle of a block.
+	t.Run("64KiB-blocks-under-eviction", func(t *testing.T) {
+		big, _ := LargestComponent(gen.HolmeKim(12000, 4, 0.6, 78))
+		path := filepath.Join(dir, "g3.gcsr")
+		if err := graph.SaveOpts(path, big, graph.SaveOptions{Version: 2}); err != nil {
+			t.Fatal(err)
+		}
+		decoded := int64(big.NumNodes()+2*int(big.NumEdges())) * 4
+		paged, err := graph.OpenMappedOpts(path, graph.OpenOptions{BlockCacheBytes: decoded * 9 / 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer paged.Close()
+		for _, cfg := range []Config{
+			{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4},
+			{K: 5, D: 3, NB: true, Seed: 7},
+		} {
+			if want, got := renderEstimate(t, big, cfg), renderEstimate(t, paged, cfg); got != want {
+				t.Errorf("%s diverged:\nbuilt: %s\npaged: %s", cfg.MethodName(), want, got)
+			}
+		}
+		st, _ := paged.BlockCacheStats()
+		if int64(st.Blocks) < 3*(decoded/4/(64<<10)+1) || st.Evictions == 0 {
+			t.Errorf("want several pages per block under eviction, got %+v", st)
+		}
+	})
 }

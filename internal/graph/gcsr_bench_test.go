@@ -259,6 +259,39 @@ func BenchmarkNeighborsV2(b *testing.B) {
 	sinkInt = s
 }
 
+// BenchmarkNeighborsV2Miss times the other end of the decode cache: a
+// one-byte budget keeps a single page resident, so nearly every random row
+// read verifies its block's CRC and decodes a page. us/miss is what a walk
+// pays each time it leaves its cached working set; enc-B/miss is the mean
+// encoded page size, the bytes that miss decodes — the page target, whatever
+// BlockBytes the file was written with.
+func BenchmarkNeighborsV2Miss(b *testing.B) {
+	path := fixtureV2(b)
+	g, err := graph.OpenMappedOpts(path, graph.OpenOptions{BlockCacheBytes: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	rng := rand.New(rand.NewSource(5))
+	nodes := make([]int32, 1024)
+	for i := range nodes {
+		nodes[i] = int32(rng.Intn(g.NumNodes()))
+	}
+	before, _ := g.BlockCacheStats()
+	b.ResetTimer()
+	s := 0
+	for i := 0; i < b.N; i++ {
+		s += len(g.Neighbors(nodes[i&1023]))
+	}
+	b.StopTimer()
+	sinkInt = s
+	after, _ := g.BlockCacheStats()
+	if misses := after.Misses - before.Misses; misses > 0 {
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(misses), "us/miss")
+		b.ReportMetric(float64(fileSize(b, path))/float64(after.Blocks), "enc-B/miss")
+	}
+}
+
 func BenchmarkRandomEdge(b *testing.B) {
 	_, _, g := fixture(b)
 	rng := rand.New(rand.NewSource(3))

@@ -8,9 +8,12 @@ package graph
 // graphs. Version 2 halves that: sorted neighbor rows are delta+varint
 // encoded into fixed-target-size blocks (DefaultBlockBytes of encoded rows),
 // each carrying its own CRC-32C, with a block index mapping contiguous node
-// ranges to block extents. Reads go through a bounded decoded-block cache
-// (blockcache.go) so warm walk steps stay allocation-free; the degree/off
-// array is reconstructed on the heap at open time so Degree stays O(1).
+// ranges to block extents. A block is the unit of I/O and checksumming; reads
+// go through a bounded cache of decoded pages (blockcache.go) — runs of whole
+// rows of about 8 KiB encoded, cut inside each block when the file is opened
+// — so warm walk steps stay allocation-free and a miss decodes a page, not a
+// block. The degree/off array is reconstructed on the heap at open time so
+// Degree stays O(1).
 //
 // Layout (all integers little-endian):
 //
@@ -40,11 +43,11 @@ package graph
 //	                                     every gap is >= 1
 //
 // The metadata tail CRC is verified at open; each block's CRC is verified
-// when the block is decoded (including once per block during the open-time
-// validation sweep, so a corrupt file fails loudly at open, not mid-walk).
-// decodeV2Block bounds-checks every varint and rejects out-of-range,
-// unsorted or self-loop neighbors and trailing bytes, mirroring the repo's
-// other binary codecs (GEST/GDPA).
+// whenever any of its rows are decoded (including once per block during the
+// open-time validation sweep, so a corrupt file fails loudly at open, not
+// mid-walk, and again on every page miss). decodeRows bounds-checks every
+// varint and rejects out-of-range, unsorted or self-loop neighbors and
+// trailing bytes, mirroring the repo's other binary codecs (GEST/GDPA).
 
 import (
 	"bufio"
@@ -64,13 +67,15 @@ const (
 	gcsrV2FlagIDs    = 1 << 0
 	gcsrV2KnownFlags = gcsrV2FlagIDs
 
-	// DefaultBlockBytes is the target encoded size of one adjacency block:
-	// large enough to amortize per-block index and CRC overhead, small
-	// enough that one decode miss stays cheap and the cache can hold a
-	// working set at fine granularity.
+	// DefaultBlockBytes is the target encoded size of one adjacency block,
+	// the unit of I/O and checksumming: large enough to amortize the
+	// per-block index entry and CRC. It does not set read granularity — an
+	// opened graph decodes and caches pages cut inside each block
+	// (blockcache.go), so a miss costs the same at any block size from a
+	// page upwards.
 	DefaultBlockBytes = 64 << 10
 
-	// DefaultBlockCacheBytes bounds the decoded-block cache of one opened
+	// DefaultBlockCacheBytes bounds the decoded-page cache of one opened
 	// v2 graph when OpenOptions.BlockCacheBytes is zero.
 	DefaultBlockCacheBytes = 64 << 20
 )
@@ -92,7 +97,7 @@ type SaveOptions struct {
 
 // OpenOptions tunes OpenMappedOpts.
 type OpenOptions struct {
-	// BlockCacheBytes bounds the decoded-block cache of a version-2 graph
+	// BlockCacheBytes bounds the decoded-page cache of a version-2 graph
 	// (0 means DefaultBlockCacheBytes). Ignored for version-1 files, whose
 	// mmap path needs no decode cache.
 	BlockCacheBytes int64
@@ -360,60 +365,114 @@ func parseV2(data []byte) (v2Layout, error) {
 	return lay, nil
 }
 
+// checkBlockCRC verifies one block's encoded payload against its indexed
+// CRC-32C.
+func checkBlockCRC(data []byte, bm blockMeta) error {
+	if got := crc32.Checksum(data, castagnoli); got != bm.crc {
+		return fmt.Errorf("gcsr: block at node %d: checksum %08x != stored %08x (file corrupted)", bm.first, got, bm.crc)
+	}
+	return nil
+}
+
 // decodeV2Block decodes one block's rows into freshly allocated local
 // off/adj arrays, verifying the CRC and every structural invariant the walk
-// depends on (degrees summing to the indexed arc count, neighbors in range,
-// strictly ascending, no self loops, no trailing bytes).
+// depends on (see decodeRows).
 func decodeV2Block(data []byte, bm blockMeta, n int64) (off, adj []int32, err error) {
-	if got := crc32.Checksum(data, castagnoli); got != bm.crc {
-		return nil, nil, fmt.Errorf("gcsr: block at node %d: checksum %08x != stored %08x (file corrupted)", bm.first, got, bm.crc)
+	if err := checkBlockCRC(data, bm); err != nil {
+		return nil, nil, err
 	}
 	off = make([]int32, bm.count+1)
 	adj = make([]int32, bm.arcs)
-	pos := 0
-	total := int32(0)
-	for i := int32(0); i < bm.count; i++ {
-		v := int64(bm.first) + int64(i)
-		d, p, ok := readUvarint(data, pos)
-		if !ok || d > uint64(n) {
-			return nil, nil, fmt.Errorf("gcsr: node %d: bad degree varint", v)
-		}
-		pos = p
-		if int64(total)+int64(d) > int64(bm.arcs) {
-			return nil, nil, fmt.Errorf("gcsr: block at node %d: degrees exceed indexed arc count %d", bm.first, bm.arcs)
-		}
-		prev := int64(-1)
-		for j := uint64(0); j < d; j++ {
-			g, p, ok := readUvarint(data, pos)
-			if !ok {
-				return nil, nil, fmt.Errorf("gcsr: node %d: bad neighbor varint", v)
-			}
-			pos = p
-			var u int64
-			if j == 0 {
-				u = int64(g)
-			} else {
-				u = prev + 1 + int64(g)
-			}
-			if u >= n {
-				return nil, nil, fmt.Errorf("gcsr: node %d: neighbor %d out of range [0,%d)", v, u, n)
-			}
-			if u == v {
-				return nil, nil, fmt.Errorf("gcsr: node %d: self loop", v)
-			}
-			adj[total] = int32(u)
-			total++
-			prev = u
-		}
-		off[i+1] = total
-	}
-	if total != bm.arcs {
-		return nil, nil, fmt.Errorf("gcsr: block at node %d: %d arcs decoded, index promises %d", bm.first, total, bm.arcs)
-	}
-	if pos != len(data) {
-		return nil, nil, fmt.Errorf("gcsr: block at node %d: %d trailing bytes", bm.first, len(data)-pos)
+	if err := decodeRows(data, bm.first, n, off, adj, nil); err != nil {
+		return nil, nil, err
 	}
 	return off, adj, nil
+}
+
+// decodeV2Page decodes one page of block bm out of the file image, after
+// verifying the whole block's CRC (the file carries no finer checksum; it
+// costs a few percent of the row decode).
+func decodeV2Page(image []byte, bm blockMeta, pm pageMeta, n int64) (*decodedPage, error) {
+	data := image[bm.off : bm.off+int64(bm.encLen)]
+	if err := checkBlockCRC(data, bm); err != nil {
+		return nil, err
+	}
+	// One allocation holds both arrays; it is what the cache charges for.
+	buf := make([]int32, int(pm.count)+1+int(pm.arcs))
+	pg := &decodedPage{
+		first: pm.first,
+		off:   buf[:pm.count+1],
+		adj:   buf[pm.count+1:],
+		bytes: int64(len(buf))*4 + 48,
+	}
+	if err := decodeRows(data[pm.start:pm.end], pm.first, n, pg.off, pg.adj, nil); err != nil {
+		return nil, err
+	}
+	return pg, nil
+}
+
+// decodeRows is the one row decoder: it decodes the len(off)-1 rows of
+// nodes first, first+1, ... that data holds into local offsets off and
+// neighbors adj, and requires the rows to fill adj and to end on data's
+// last byte. Every varint is bounds-checked and out-of-range, unsorted or
+// self-loop neighbors are rejected, so whatever calls it — a whole block,
+// the open-time sweep, one page on a cache miss — applies the same checks.
+// ends, when non-nil, receives the byte offset just past each row.
+func decodeRows(data []byte, first int32, n int64, off, adj, ends []int32) error {
+	pos, total := 0, 0
+	off[0] = 0
+	for i := range off[1:] {
+		v := int64(first) + int64(i)
+		d, p, ok := readUvarint(data, pos)
+		if !ok || d > uint64(n) {
+			return fmt.Errorf("gcsr: node %d: bad degree varint", v)
+		}
+		if d > uint64(len(adj)-total) {
+			return fmt.Errorf("gcsr: rows at node %d: degrees exceed indexed arc count %d", first, len(adj))
+		}
+		var err error
+		if pos, err = decodeNeighbors(data, p, v, n, adj[total:total+int(d)]); err != nil {
+			return err
+		}
+		total += int(d)
+		off[i+1] = int32(total)
+		if ends != nil {
+			ends[i] = int32(pos)
+		}
+	}
+	if total != len(adj) {
+		return fmt.Errorf("gcsr: rows at node %d: %d arcs decoded, index promises %d", first, total, len(adj))
+	}
+	if pos != len(data) {
+		return fmt.Errorf("gcsr: rows at node %d: %d trailing bytes", first, len(data)-pos)
+	}
+	return nil
+}
+
+// decodeNeighbors fills row with node v's neighbors from data[pos:] and
+// returns the offset just past them. It is decodeRows' inner loop, kept a
+// function of its own (too large to inline) so that the loop's few variables
+// stay in registers: written into decodeRows it ran 5% slower than the
+// decoder it replaced.
+func decodeNeighbors(data []byte, pos int, v, n int64, row []int32) (int, error) {
+	prev := int64(-1) // the first neighbor is absolute: a gap-1 past -1
+	for j := range row {
+		g, p, ok := readUvarint(data, pos)
+		if !ok {
+			return pos, fmt.Errorf("gcsr: node %d: bad neighbor varint", v)
+		}
+		pos = p
+		u := prev + 1 + int64(g)
+		if u >= n {
+			return pos, fmt.Errorf("gcsr: node %d: neighbor %d out of range [0,%d)", v, u, n)
+		}
+		if u == v {
+			return pos, fmt.Errorf("gcsr: node %d: self loop", v)
+		}
+		row[j] = int32(u)
+		prev = u
+	}
+	return pos, nil
 }
 
 // readUvarint decodes a uvarint at data[pos:], bounding the value below
@@ -492,38 +551,52 @@ func aliasInt64(raw []byte) []int64 {
 	return unsafe.Slice((*int64)(unsafe.Pointer(&raw[0])), len(raw)/8)
 }
 
-// buildV2Graph builds the block-cached read path over a version-2 file
+// buildV2Graph builds the page-cached read path over a version-2 file
 // image: the layout is parsed, every block is decoded once (validating CRCs
-// and row invariants and reconstructing the heap off array so Degree stays
-// O(1)), and subsequent row reads go through the bounded decode cache. The
-// caller owns data's lifetime (an mmap for OpenMapped); ids, when present,
-// alias it.
+// and row invariants, reconstructing the heap off array so Degree stays
+// O(1), and recording where the block's pages are cut), and subsequent row
+// reads go through the bounded decode cache. The sweep keeps no decoded
+// rows, so one scratch set sized for the largest block serves every block.
+// The caller owns data's lifetime (an mmap for OpenMapped); ids, when
+// present, alias it.
 func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 	lay, err := parseV2(data)
 	if err != nil {
 		return nil, err
 	}
 	h := lay.h
-	off := make([]int64, h.n+1)
-	maxDeg := int64(0)
+	maxRows, maxArcs := int32(0), int32(0)
 	for _, bm := range lay.metas {
-		boff, _, err := decodeV2Block(data[bm.off:bm.off+int64(bm.encLen)], bm, h.n)
-		if err != nil {
+		maxRows, maxArcs = max(maxRows, bm.count), max(maxArcs, bm.arcs)
+	}
+	// parseV2 bounded count and arcs by the block's encoded length, so the
+	// scratch is no larger than the file.
+	boff := make([]int32, int(maxRows)+1)
+	badj := make([]int32, maxArcs)
+	ends := make([]int32, maxRows)
+	off := make([]int64, h.n+1)
+	var pages []pageMeta
+	maxDeg := int64(0)
+	for b, bm := range lay.metas {
+		enc := data[bm.off : bm.off+int64(bm.encLen)]
+		if err := checkBlockCRC(enc, bm); err != nil {
+			return nil, err
+		}
+		boff, ends := boff[:bm.count+1], ends[:bm.count]
+		if err := decodeRows(enc, bm.first, h.n, boff, badj[:bm.arcs], ends); err != nil {
 			return nil, err
 		}
 		base := off[bm.first]
 		for i := int32(0); i < bm.count; i++ {
-			d := int64(boff[i+1] - boff[i])
-			if d > maxDeg {
-				maxDeg = d
-			}
+			maxDeg = max(maxDeg, int64(boff[i+1]-boff[i]))
 			off[int64(bm.first)+int64(i)+1] = base + int64(boff[i+1])
 		}
+		pages = appendPages(pages, int32(b), bm, boff, ends, pageBytes)
 	}
 	if maxDeg != h.maxDeg {
 		return nil, fmt.Errorf("gcsr: stored max degree %d != scanned %d", h.maxDeg, maxDeg)
 	}
-	store := newBlockStore(data, lay, o.BlockCacheBytes)
+	store := newBlockStore(data, lay, pages, o.BlockCacheBytes)
 	g := &Graph{off: off, m: h.m, maxDeg: int(h.maxDeg), blocks: store}
 	if h.flags&gcsrV2FlagIDs != 0 {
 		raw := data[h.idsStart():h.blocksStart()]

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -135,54 +136,207 @@ func TestGCSRV2StatsAndProbes(t *testing.T) {
 	}
 }
 
+// pagedTestGraph builds a graph whose v2 file at the default BlockBytes has
+// several pages in every block and the page shapes the small fixtures cannot
+// give: hub's row alone is larger than a page, so it is cut out of the middle
+// of a block as a page of its own, and the two nodes on either side of it are
+// isolated, which puts degree-0 rows at both edges of both cuts.
+func pagedTestGraph() (g *Graph, hub int32) {
+	const n = 20000
+	hub = 5000
+	isolated := func(v int32) bool { return v != hub && v >= hub-2 && v <= hub+2 }
+	b := NewBuilder(n)
+	for v := int32(0); v < n; v++ {
+		if v != hub && !isolated(v) {
+			b.AddEdge(hub, v)
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 60000; i++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if !isolated(u) && !isolated(v) {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build(), hub
+}
+
+// TestGCSRV2Pages opens a default-BlockBytes file whose blocks each hold
+// several pages and checks the page table the open-time sweep recorded and
+// every row served through it, with everything resident, with a handful of
+// pages resident, and with one.
+func TestGCSRV2Pages(t *testing.T) {
+	g, hub := pagedTestGraph()
+	path := saveV2(t, t.TempDir(), "paged", g, SaveOptions{})
+	for _, cacheBytes := range []int64{0, 128 << 10, 1} {
+		got, err := OpenMappedOpts(path, OpenOptions{BlockCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := got.blocks
+		perBlock := make([]int, len(s.metas))
+		hubPage := -1
+		for p, pm := range s.pages {
+			bm := s.metas[pm.block]
+			prev := pageMeta{first: bm.first, block: pm.block} // p opens its block
+			if p > 0 && s.pages[p-1].block == pm.block {
+				prev = s.pages[p-1]
+			}
+			if pm.first != prev.first+prev.count || pm.start != prev.end || pm.count <= 0 || pm.end <= pm.start {
+				t.Fatalf("page %d %+v does not continue %+v", p, pm, prev)
+			}
+			last := p+1 == len(s.pages) || s.pages[p+1].block != pm.block
+			if last && (pm.end != bm.encLen || pm.first+pm.count != bm.first+bm.count) {
+				t.Fatalf("last page %+v of block %+v stops short", pm, bm)
+			}
+			if pm.count > 1 && pm.end-pm.start > pageBytes {
+				t.Fatalf("page %+v holds %d rows in %d bytes", pm, pm.count, pm.end-pm.start)
+			}
+			if int64(pm.arcs) != got.off[pm.first+pm.count]-got.off[pm.first] {
+				t.Fatalf("page %+v arc count disagrees with the degrees", pm)
+			}
+			perBlock[pm.block]++
+			if pm.first == hub {
+				hubPage = p
+			}
+		}
+		for b, c := range perBlock[:len(perBlock)-1] {
+			if c < 3 {
+				t.Fatalf("block %d has %d pages, want >= 3", b, c)
+			}
+		}
+		if hubPage < 1 || hubPage+1 >= len(s.pages) {
+			t.Fatalf("no interior page starts at the hub row (page %d of %d)", hubPage, len(s.pages))
+		}
+		hp, before, after := s.pages[hubPage], s.pages[hubPage-1], s.pages[hubPage+1]
+		if hp.count != 1 || hp.end-hp.start <= pageBytes {
+			t.Fatalf("hub row is not an oversized page of its own: %+v", hp)
+		}
+		if before.block != hp.block || after.block != hp.block {
+			t.Fatalf("hub page is not cut inside a block: %+v %+v %+v", before, hp, after)
+		}
+		if after.first != hub+1 || got.Degree(hub-1) != 0 || got.Degree(hub+1) != 0 {
+			t.Fatal("the cuts around the hub page are not flanked by degree-0 rows")
+		}
+
+		graphsEqual(t, g, got)
+		st, _ := got.BlockCacheStats()
+		if st.Blocks != len(s.pages) || st.Hits+st.Misses == 0 {
+			t.Fatalf("stats do not count pages: %+v for %d pages", st, len(s.pages))
+		}
+		switch cacheBytes {
+		case 0:
+			if st.Evictions != 0 || st.Misses > uint64(len(s.pages)) {
+				t.Fatalf("roomy cache evicted or decoded a page twice: %+v", st)
+			}
+		case 1:
+			if st.Evictions == 0 || st.ResidentBlocks != 1 {
+				t.Fatalf("1-byte cache should hold exactly one page: %+v", st)
+			}
+		default:
+			if st.Evictions == 0 || st.ResidentBytes > cacheBytes {
+				t.Fatalf("tight cache over budget or never evicted: %+v", st)
+			}
+		}
+		got.Close()
+	}
+}
+
 // TestGCSRV2CacheConcurrent hammers one thrashing cache from many
 // goroutines; run under -race this doubles as the publication-safety test,
 // and the row checks verify evicted buffers are never recycled under
-// readers' feet.
+// readers' feet. The second case has pages cut inside blocks.
 func TestGCSRV2CacheConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := randomTestGraph(rng, 400, 3000)
-	dir := t.TempDir()
-	path := saveV2(t, dir, "conc", g, SaveOptions{BlockBytes: 128})
-	got, err := OpenMappedOpts(path, OpenOptions{BlockCacheBytes: 256})
+	paged, _ := pagedTestGraph()
+	for _, tc := range []struct {
+		name       string
+		g          *Graph
+		save       SaveOptions
+		cacheBytes int64
+		reads      int
+	}{
+		{"page-per-block", randomTestGraph(rand.New(rand.NewSource(11)), 400, 3000), SaveOptions{BlockBytes: 128}, 256, 5000},
+		{"pages-in-blocks", paged, SaveOptions{}, 256 << 10, 1500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			path := saveV2(t, t.TempDir(), "conc", g, tc.save)
+			got, err := OpenMappedOpts(path, OpenOptions{BlockCacheBytes: tc.cacheBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < tc.reads; i++ {
+						v := int32(rng.Intn(g.NumNodes()))
+						want, row := g.Neighbors(v), got.Neighbors(v)
+						if len(want) != len(row) {
+							errs <- fmt.Errorf("node %d: degree %d vs %d", v, len(row), len(want))
+							return
+						}
+						for j := range want {
+							if want[j] != row[j] {
+								errs <- fmt.Errorf("node %d: neighbor[%d] = %d, want %d", v, j, row[j], want[j])
+								return
+							}
+						}
+					}
+				}(int64(w))
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			st, _ := got.BlockCacheStats()
+			if st.Misses == 0 || st.Hits == 0 || st.Evictions == 0 {
+				t.Fatalf("degenerate cache traffic: %+v", st)
+			}
+			if st.ResidentBytes < 0 {
+				t.Fatalf("negative resident bytes: %+v", st)
+			}
+			// Every read is one or the other (the open-time hub index adds
+			// a few of its own).
+			if st.Hits+st.Misses < uint64(8*tc.reads) {
+				t.Fatalf("per-page hit counters lost reads: %+v for %d reads", st, 8*tc.reads)
+			}
+		})
+	}
+}
+
+// TestGCSRV2CorruptionAfterOpen flips a byte of a heap-backed image after
+// the open-time sweep accepted it: every page miss re-verifies its block's
+// CRC, so the next read of an uncached row must fail loudly instead of
+// serving rows decoded from the changed bytes.
+func TestGCSRV2CorruptionAfterOpen(t *testing.T) {
+	g, _ := pagedTestGraph()
+	img := v2Image(t, g, SaveOptions{})
+	got, err := buildV2Graph(img, OpenOptions{BlockCacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 5000; i++ {
-				v := int32(rng.Intn(g.NumNodes()))
-				want, row := g.Neighbors(v), got.Neighbors(v)
-				if len(want) != len(row) {
-					errs <- fmt.Errorf("node %d: degree %d vs %d", v, len(row), len(want))
-					return
-				}
-				for j := range want {
-					if want[j] != row[j] {
-						errs <- fmt.Errorf("node %d: neighbor[%d] = %d, want %d", v, j, row[j], want[j])
-						return
-					}
-				}
-			}
-		}(int64(w))
+	pages := got.blocks.pages
+	a, b := pages[len(pages)-2], pages[len(pages)-1]
+	if a.block != b.block {
+		t.Fatal("fixture's last block has a single page")
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	st, _ := got.BlockCacheStats()
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Fatalf("degenerate cache traffic: %+v", st)
-	}
-	if st.ResidentBytes < 0 {
-		t.Fatalf("negative resident bytes: %+v", st)
+	img[len(img)-1] ^= 0x01 // the last byte of the last block
+	// With one resident page, at most one of the block's pages a and b is
+	// still cached; the other read is a miss.
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		got.Neighbors(a.first)
+		got.Neighbors(b.first)
+	}()
+	if !strings.Contains(msg, "backing file modified?") || !strings.Contains(msg, "checksum") {
+		t.Fatalf("reads of a block changed after open: recovered %q, want the loud decode panic", msg)
 	}
 }
 
@@ -527,15 +681,21 @@ func FuzzGCSRV2Read(f *testing.F) {
 	})
 }
 
-// FuzzGCSRV2Block fuzzes the block decoder directly with adversarial index
+// FuzzGCSRV2Block fuzzes the row decoder directly with adversarial index
 // metadata: whatever the mutated count/arc claims, it must stay in bounds
-// and reject inconsistencies instead of panicking.
+// and reject inconsistencies instead of panicking. An accepted block is then
+// cut into pages of target bytes and decoded page by page, which must give
+// the same rows; and because a page miss trusts cuts recorded at open time,
+// the block is changed at one byte (flip) under those cuts, where the pages
+// must be at least as strict as the whole-block decode: if it rejects the
+// changed block, so does one of the pages (a row check, or the check that
+// the page ends on its recorded byte).
 func FuzzGCSRV2Block(f *testing.F) {
 	row := appendEncodedRow(nil, []int32{1, 2, 9})
 	row = appendEncodedRow(row, []int32{0, 2})
-	f.Add(row, int32(0), int32(2), int32(5), int64(10))
-	f.Add([]byte{}, int32(0), int32(1), int32(0), int64(1))
-	f.Fuzz(func(t *testing.T, data []byte, first, count, arcs int32, n int64) {
+	f.Add(row, int32(0), int32(2), int32(5), int64(10), uint8(3), uint32(1)<<24|2)
+	f.Add([]byte{}, int32(0), int32(1), int32(0), int64(1), uint8(0), uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, first, count, arcs int32, n int64, target uint8, flip uint32) {
 		if count < 0 || count > int32(len(data)) || arcs < 0 || arcs > int32(len(data)) {
 			return // parseV2 bounds these before any decode
 		}
@@ -566,6 +726,53 @@ func FuzzGCSRV2Block(f *testing.F) {
 					t.Fatalf("row %d: not strictly ascending", i)
 				}
 			}
+		}
+		if count == 0 {
+			return // parseV2 admits no empty block, so none is ever cut
+		}
+
+		// decodePages decodes img through the cuts; the pages' rows laid
+		// end to end are the block's.
+		decodePages := func(img []byte, bm blockMeta, pages []pageMeta) ([]int32, []int32, error) {
+			poff, padj := []int32{0}, []int32(nil)
+			for _, pm := range pages {
+				pg, err := decodeV2Page(img, bm, pm, n)
+				if err != nil {
+					return nil, nil, err
+				}
+				for _, o := range pg.off[1:] {
+					poff = append(poff, int32(len(padj))+o)
+				}
+				padj = append(padj, pg.adj...)
+			}
+			return poff, padj, nil
+		}
+		ends := make([]int32, count)
+		if err := decodeRows(data, first, n, off, adj, ends); err != nil {
+			t.Fatalf("second decode of an accepted block: %v", err)
+		}
+		pages := appendPages(nil, 0, bm, off, ends, int32(target))
+		poff, padj, err := decodePages(data, bm, pages)
+		if err != nil {
+			t.Fatalf("accepted block rejected page by page (%d pages): %v", len(pages), err)
+		}
+		if !slices.Equal(poff, off) || !slices.Equal(padj, adj) {
+			t.Fatalf("page-by-page rows differ from the whole-block decode (%d pages)", len(pages))
+		}
+
+		changed := bytes.Clone(data)
+		changed[int(flip&0xffffff)%len(changed)] ^= byte(flip>>24) | 1
+		bm.crc = crc32.Checksum(changed, castagnoli)
+		poff, padj, err = decodePages(changed, bm, pages)
+		if err != nil {
+			return
+		}
+		off, adj, err = decodeV2Block(changed, bm, n)
+		if err != nil {
+			t.Fatalf("pages accepted a changed block the whole-block decode rejects: %v", err)
+		}
+		if !slices.Equal(poff, off) || !slices.Equal(padj, adj) {
+			t.Fatal("pages and whole-block decode disagree on a changed block")
 		}
 	})
 }

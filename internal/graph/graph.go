@@ -44,9 +44,10 @@ type Graph struct {
 	arcSrc  []int32
 
 	// blocks serves neighbor rows of a block-compressed (.gcsr v2) graph
-	// through the bounded decode cache; nil for raw-CSR graphs, whose rows
-	// come straight from adj. When blocks is non-nil, adj is nil and off is
-	// a heap-synthesized prefix-sum array (Degree stays O(1) either way).
+	// through the bounded decoded-page cache; nil for raw-CSR graphs, whose
+	// rows come straight from adj. When blocks is non-nil, adj is nil and
+	// off is a heap-synthesized prefix-sum array (Degree stays O(1) either
+	// way).
 	blocks *blockStore
 
 	// origIDs maps dense node IDs back to the source IDs they were packed
@@ -70,8 +71,9 @@ func (g *Graph) Degree(v int32) int {
 
 // Neighbors returns the sorted neighbor list of v. The returned slice aliases
 // internal storage and must not be modified. For block-compressed graphs the
-// row is served from the decode cache; a warm row costs one atomic load more
-// than the raw-CSR slice expression and allocates nothing.
+// row is served from the decode cache; a warm row costs a page lookup, an
+// atomic load and an atomic add on the page's own counter more than the
+// raw-CSR slice expression, and allocates nothing.
 func (g *Graph) Neighbors(v int32) []int32 {
 	if g.blocks != nil {
 		return g.blocks.row(v)
@@ -274,7 +276,7 @@ func (g *Graph) MaxDegree() int { return g.maxDeg }
 // block-compressed (.gcsr v2) backing through the decode cache.
 func (g *Graph) BlockCompressed() bool { return g.blocks != nil }
 
-// BlockCacheStats returns a snapshot of the decoded-block cache. ok is
+// BlockCacheStats returns a snapshot of the decoded-page cache. ok is
 // false for graphs without a block-compressed backing.
 func (g *Graph) BlockCacheStats() (stats BlockCacheStats, ok bool) {
 	if g.blocks == nil {

@@ -212,14 +212,19 @@ func TestDistributedJobFailover(t *testing.T) {
 // then aborts it when the gate closes at cleanup: the panic hits the
 // engine's per-walker guard and becomes an error frame, so stranded
 // partition handlers drain instantly instead of walking out the budget.
+// The walkers flip stall themselves, the first time one of them sees
+// freeze report true: they ask on every call, so the walk cannot run past
+// the moment freeze names, however late the test goroutine is scheduled.
 type abortClient struct {
 	access.Client
-	stall *atomic.Bool
-	gate  <-chan struct{}
+	stall  *atomic.Bool
+	gate   <-chan struct{}
+	freeze func() bool
 }
 
 func (c abortClient) Degree(v int32) int {
-	if c.stall.Load() {
+	if c.stall.Load() || c.freeze() {
+		c.stall.Store(true)
 		<-c.gate
 		panic("dist test: walk aborted at cleanup")
 	}
@@ -242,16 +247,31 @@ func TestDistributedCoordinatorRecovery(t *testing.T) {
 	base.Nodes = 0
 	want := runToResult(t, localMgr, base)
 
-	// Worker nodes whose crawl clients freeze when stall flips; the gate is
-	// closed at cleanup so their stranded partition handlers abort and drain
-	// (cleanups run LIFO, so this happens before the servers shut down).
+	// Worker nodes whose crawl clients freeze the fleet as soon as the
+	// coordinator has journaled a fleet-wide sync of 4000 steps or more
+	// (progress and the checkpoint record are written under one hold of the
+	// coordinator's lock); the gate is closed at cleanup so their stranded
+	// partition handlers abort and drain (cleanups run LIFO, so this happens
+	// before the servers shut down).
 	var stall atomic.Bool
+	var coord atomic.Pointer[Manager]
+	synced := func() bool {
+		m := coord.Load()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, j := range m.jobs {
+			if j.progress.Steps >= 4000 {
+				return true
+			}
+		}
+		return false
+	}
 	gate := make(chan struct{})
 	peers := make([]string, 2)
 	for i := range peers {
 		wmgr := newTestManager(t, reg, Options{
 			NewClient: func(g *graph.Graph) access.Client {
-				return abortClient{Client: access.NewGraphClient(g), stall: &stall, gate: gate}
+				return abortClient{Client: access.NewGraphClient(g), stall: &stall, gate: gate, freeze: synced}
 			},
 		})
 		t.Cleanup(wmgr.Close)
@@ -269,31 +289,29 @@ func TestDistributedCoordinatorRecovery(t *testing.T) {
 		DistBackoff:   time.Millisecond,
 		DataDir:       dir,
 	})
+	coord.Store(mgr)
 	view, err := mgr.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Progress past a couple of fleet-wide syncs, then freeze the fleet and
-	// abandon the coordinator (no Close → no terminal record).
+	// The fleet freezes itself past a couple of fleet-wide syncs; once it
+	// has, nothing moves any more, so this wait races nothing. Then abandon
+	// the coordinator (no Close → no terminal record).
 	deadline := time.Now().Add(60 * time.Second)
-	for {
+	for !stall.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("job never reached a fleet sync")
 		}
-		jv, ok := mgr.Get(view.ID)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if jv.State.terminal() {
+		if jv, ok := mgr.Get(view.ID); !ok || jv.State.terminal() {
 			t.Fatalf("job finished before the crash: %+v", jv)
 		}
-		if jv.Progress.Steps >= 4000 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(time.Millisecond)
 	}
-	stall.Store(true)
-	mgr.syncJournal()
+	// Flush what is queued and stop the journal writer, as dead as a killed
+	// process: a frame still in flight when the fleet froze must not append
+	// to the log while the restarted coordinator reads it.
+	mgr.jq.close()
+	mgr.jnlWg.Wait()
 
 	// Restart with no fleet: the combined snapshot is a plain full-ensemble
 	// state, so the job resumes locally through the existing machinery.

@@ -135,15 +135,15 @@ func newServiceMetrics(reg *obs.Registry, graphs *Registry) *serviceMetrics {
 		graphs: reg.GaugeVec("graphletd_graphs",
 			"Registered graphs by source (dataset, file, gcsr, inline).", "source"),
 		blockHits: reg.Gauge("graphletd_blockcache_hits",
-			"Neighbor-row reads served from decoded-block caches, across registered v2 graphs."),
+			"Neighbor-row reads served from decoded-page caches, across registered v2 graphs."),
 		blockMisses: reg.Gauge("graphletd_blockcache_misses",
-			"Neighbor-row reads that decoded a block, across registered v2 graphs."),
+			"Neighbor-row reads that decoded a page (about 8 KiB of encoded rows), across registered v2 graphs."),
 		blockEvictions: reg.Gauge("graphletd_blockcache_evictions",
-			"Decoded blocks dropped by the clock hand, across registered v2 graphs."),
+			"Decoded pages dropped by the clock hand, across registered v2 graphs."),
 		blockResBytes: reg.Gauge("graphletd_blockcache_resident_bytes",
-			"Bytes of decoded blocks currently cached, across registered v2 graphs."),
+			"Bytes of decoded pages currently cached, across registered v2 graphs."),
 		blockResBlocks: reg.Gauge("graphletd_blockcache_resident_blocks",
-			"Decoded blocks currently cached, across registered v2 graphs."),
+			"Decoded pages currently cached, across registered v2 graphs (the cache unit is a page cut from a file block; the name predates pages)."),
 		dist: dist.NewMetrics(reg),
 	}
 	m.journal = &journal.Metrics{

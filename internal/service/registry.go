@@ -183,7 +183,7 @@ func (r *Registry) instrument(g *obs.GaugeVec) {
 	}
 }
 
-// BlockCacheStats aggregates the decoded-block cache counters of every
+// BlockCacheStats aggregates the decoded-page cache counters of every
 // registered block-compressed (.gcsr v2) graph; raw-CSR graphs contribute
 // nothing. The metrics collector exposes the aggregate at scrape time.
 func (r *Registry) BlockCacheStats() graph.BlockCacheStats {
