@@ -16,14 +16,14 @@ import (
 func TestWalkStepZeroAllocs(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 4, 21)
 	client := access.NewGraphClient(g)
-	// CSS configurations are excluded: a valid CSS window re-enumerates the
-	// sampling-probability chains (graphlet.EnumerateChains), which builds
-	// its connected-subset table per call — a re-weighting cost outside the
-	// neighbor kernel's zero-alloc contract.
 	for _, cfg := range []Config{
 		{K: 4, D: 3},
 		{K: 5, D: 3},
 		{K: 5, D: 4, NB: true},
+		{K: 3, D: 1, CSS: true, NB: true},
+		{K: 4, D: 2, CSS: true},
+		{K: 5, D: 2, CSS: true},
+		{K: 5, D: 3, CSS: true},
 	} {
 		t.Run(cfg.MethodName(), func(t *testing.T) {
 			wk := newWalker(client, cfg, 1)
@@ -44,5 +44,25 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 				t.Errorf("%v allocs per warm step, want 0", allocs)
 			}
 		})
+	}
+}
+
+// The shared-walk engine holds the same fence: a warm multiWalker advances
+// every size by one window — CSS re-weighting included — without allocating.
+func TestMultiWalkStepZeroAllocs(t *testing.T) {
+	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
+	wk := newMultiWalker(client, MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}, 1)
+	wk.reset()
+	ctx := context.Background()
+	if err := wk.run(ctx, 3000); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := wk.run(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per warm step, want 0", allocs)
 	}
 }

@@ -20,6 +20,10 @@
 //   - merge (Result.Merge): sums walker accumulators in walker-index order,
 //     exact because Equation 4 is linear in the accumulated weights, and
 //     schedule-independent by construction.
+//
+// CSS weights on the step path are read from the per-(k, d) chain tables of
+// internal/graphlet (samplingProbabilityWith); the generic per-window
+// enumeration survives as the exported SamplingProbability, their oracle.
 package core
 
 import (
@@ -398,27 +402,25 @@ func (e *Estimator) merged() *Result {
 }
 
 // SamplingProbability computes the CSS weight p̃ = 2|R(d)|·p for the subgraph
-// induced by the given k distinct nodes (Algorithm 3). It is exposed for the
-// Table 4 reproduction and for external verification.
+// induced by the given k distinct nodes (Algorithm 3) with the generic chain
+// enumerator, probing every node pair through client.HasEdge. It is exposed
+// for the Table 4 reproduction and for external verification, and it is the
+// oracle the walkers' table-driven samplingProbabilityWith is tested against.
 func SamplingProbability(client access.Client, k, d int, nb bool, nodes []int32) float64 {
-	var scratch []int32
-	return samplingProbabilityWith(client, walk.NewSpace(client, d), k, d, nb, nodes, &scratch)
+	hasEdge := func(i, j int) bool { return client.HasEdge(nodes[i], nodes[j]) }
+	return enumeratedSamplingProbability(walk.NewSpace(client, d), k, d, nb, nodes, hasEdge)
 }
 
-func samplingProbabilityWith(client access.Client, space walk.Space, k, d int, nb bool, nodes []int32, scratch *[]int32) float64 {
-	hasEdge := func(i, j int) bool { return client.HasEdge(nodes[i], nodes[j]) }
+// enumeratedSamplingProbability sums Π 1/deg over the interior states of
+// every chain graphlet.EnumerateChains emits for the k nodes under hasEdge.
+func enumeratedSamplingProbability(space walk.Space, k, d int, nb bool, nodes []int32, hasEdge func(i, j int) bool) float64 {
 	total := 0.0
 	graphlet.EnumerateChains(k, d, hasEdge, func(chain []uint8) bool {
 		w := 1.0
 		// Interior states only (indices 1..l-2); for l = 1 the weight is the
 		// state's degree, but CSS is never used with l <= 2.
 		for i := 1; i < len(chain)-1; i++ {
-			st := maskToState(nodes, chain[i], scratch)
-			deg := space.StateDegree(st)
-			if nb {
-				deg = nominal(deg)
-			}
-			w *= 1 / float64(deg)
+			w *= 1 / float64(interiorDegree(space, nb, nodes, chain[i]))
 		}
 		total += w
 		return true
@@ -426,13 +428,47 @@ func samplingProbabilityWith(client access.Client, space walk.Space, k, d int, n
 	return total
 }
 
-func maskToState(nodes []int32, mask uint8, scratch *[]int32) walk.State {
-	buf := (*scratch)[:0]
-	for b := 0; b < len(nodes); b++ {
+// samplingProbabilityWith is the step-path form of SamplingProbability for a
+// window whose adjacency code is already known: the chains come from the
+// (k, d) table in internal/graphlet instead of a fresh enumeration, so no
+// HasEdge probe and no allocation happens here, and each distinct interior
+// state's degree is computed once per window. The table keeps
+// EnumerateChains' emission order and the factors are the same 1/float64(deg)
+// multiplied in the same order, so the result equals SamplingProbability's
+// bit for bit — which every byte-identity test of the engine relies on.
+func samplingProbabilityWith(space walk.Space, chains *graphlet.ChainTable, nb bool, nodes []int32, code uint16) float64 {
+	// inv[mask] caches 1/deg of the interior state with that node mask; a
+	// computed factor is never 0, so 0 marks "not computed yet".
+	var inv [1 << graphlet.MaxK]float64
+	masks := chains.Interiors(code)
+	total := 0.0
+	for n := chains.Interior; len(masks) >= n; masks = masks[n:] {
+		w := 1.0
+		for _, m := range masks[:n] {
+			if inv[m] == 0 {
+				inv[m] = 1 / float64(interiorDegree(space, nb, nodes, m))
+			}
+			w *= inv[m]
+		}
+		total += w
+	}
+	return total
+}
+
+// interiorDegree returns the G(d) degree (nominal under NB) of the chain
+// state holding the nodes selected by mask.
+func interiorDegree(space walk.Space, nb bool, nodes []int32, mask uint8) int {
+	var buf [graphlet.MaxK]int32
+	n := 0
+	for b, x := range nodes {
 		if mask&(1<<uint(b)) != 0 {
-			buf = append(buf, nodes[b])
+			buf[n] = x
+			n++
 		}
 	}
-	*scratch = buf
-	return walk.StateOf(buf...)
+	deg := space.StateDegree(walk.StateOf(buf[:n]...))
+	if nb {
+		deg = nominal(deg)
+	}
+	return deg
 }

@@ -376,18 +376,22 @@ func TestCSSMatchesTable4K3(t *testing.T) {
 	wk := est.walkers[0]
 	wk.reset()
 	wk.start()
+	pTilde := func(nodes []int32) float64 {
+		code := graphlet.CodeOf(3, func(i, j int) bool { return client.HasEdge(nodes[i], nodes[j]) })
+		return samplingProbabilityWith(wk.space, wk.chains, false, nodes, code)
+	}
 
 	// Triangle {0,1,2}: degrees 3,2,3 -> p̃ = 2(1/3+1/2+1/3).
 	nodes := []int32{0, 1, 2}
 	want := 2 * (1.0/3 + 1.0/2 + 1.0/3)
-	if got := wk.samplingProbability(nodes); math.Abs(got-want) > 1e-12 {
+	if got := pTilde(nodes); math.Abs(got-want) > 1e-12 {
 		t.Errorf("triangle p̃ = %f, want %f", got, want)
 	}
 	// Wedge {1,0,3}: center 0 (degree 3): only Hamilton path is 1-0-3, both
 	// directions -> p̃ = 2·(1/d₀) = 2/3.
 	nodes = []int32{0, 1, 3}
 	want = 2.0 / 3
-	if got := wk.samplingProbability(nodes); math.Abs(got-want) > 1e-12 {
+	if got := pTilde(nodes); math.Abs(got-want) > 1e-12 {
 		t.Errorf("wedge p̃ = %f, want %f", got, want)
 	}
 }

@@ -315,9 +315,10 @@ type multiWalker struct {
 	css    bool
 	nb     bool
 
-	sizes []int
-	ls    []int // l_k = k-d+1 per size
-	maxL  int
+	sizes  []int
+	ls     []int                  // l_k = k-d+1 per size
+	chains []*graphlet.ChainTable // per size; nil unless CSS and l_k > 2
+	maxL   int
 
 	// Ring of the last maxL states and their degrees; state j at slot j%maxL.
 	win    []walk.State
@@ -329,7 +330,6 @@ type multiWalker struct {
 	curStart int
 
 	scratchNodes []int32
-	scratchChain []int32
 
 	res    *MultiResult
 	seeded bool
@@ -339,10 +339,14 @@ type multiWalker struct {
 func newMultiWalker(client access.Client, cfg MultiConfig, seed int64) *multiWalker {
 	maxL := 0
 	ls := make([]int, len(cfg.Sizes))
+	chains := make([]*graphlet.ChainTable, len(cfg.Sizes))
 	for i, k := range cfg.Sizes {
 		ls[i] = k - cfg.D + 1
 		if ls[i] > maxL {
 			maxL = ls[i]
+		}
+		if cfg.CSS && ls[i] > 2 {
+			chains[i] = graphlet.Chains(k, cfg.D)
 		}
 	}
 	return &multiWalker{
@@ -355,6 +359,7 @@ func newMultiWalker(client access.Client, cfg MultiConfig, seed int64) *multiWal
 		nb:     cfg.NB,
 		sizes:  append([]int(nil), cfg.Sizes...),
 		ls:     ls,
+		chains: chains,
 		maxL:   maxL,
 		win:    make([]walk.State, maxL),
 		degs:   make([]int, maxL),
@@ -511,8 +516,8 @@ func (m *multiWalker) accumulateSize(i int) error {
 	res.TypeCounts[typ]++
 
 	var weight float64
-	if m.css && l > 2 {
-		p := samplingProbabilityWith(m.client, m.space, k, m.d, m.nb, nodes, &m.scratchChain)
+	if m.chains[i] != nil {
+		p := samplingProbabilityWith(m.space, m.chains[i], m.nb, nodes, code)
 		if p <= 0 {
 			return fmt.Errorf("core: multi zero sampling probability")
 		}

@@ -27,8 +27,9 @@ type walker struct {
 	seed   int64      // walker-specific seed (walkerSeed); rebuilds rng on restore
 	rng    *walk.Rand // position-counted so checkpoints can snapshot the stream
 
-	l     int
-	alpha []int64 // α per type (paper order)
+	l      int
+	alpha  []int64              // α per type (paper order)
+	chains *graphlet.ChainTable // CSS chains per adjacency code; nil unless CSS and l > 2
 
 	// Sliding window of the last l states with their G(d) degrees.
 	win    []walk.State
@@ -36,9 +37,8 @@ type walker struct {
 	winLen int
 	ring   int // index of the oldest window entry
 
-	// Scratch buffers.
+	// Scratch buffer.
 	unionNodes []int32
-	chainNodes []int32
 
 	// res is the walker-private accumulator; merged by the ensemble.
 	res    *Result
@@ -55,7 +55,7 @@ func newWalker(client access.Client, cfg Config, seed int64) *walker {
 	for i := range cat {
 		alpha[i] = cat[i].Alpha[cfg.D]
 	}
-	return &walker{
+	wk := &walker{
 		cfg:    cfg,
 		client: client,
 		space:  walk.NewSpace(client, cfg.D),
@@ -66,6 +66,10 @@ func newWalker(client access.Client, cfg Config, seed int64) *walker {
 		win:    make([]walk.State, l),
 		degs:   make([]int, l),
 	}
+	if cfg.CSS && l > 2 {
+		wk.chains = graphlet.Chains(cfg.K, cfg.D)
+	}
+	return wk
 }
 
 // reset prepares the walker for a fresh run: a new private Result and a
@@ -215,8 +219,8 @@ func (wk *walker) accumulate(res *Result) error {
 	res.TypeCounts[typ]++
 
 	var weight float64
-	if wk.cfg.CSS && wk.l > 2 {
-		p := wk.samplingProbability(nodes)
+	if wk.chains != nil {
+		p := samplingProbabilityWith(wk.space, wk.chains, wk.cfg.NB, nodes, code)
 		if p <= 0 {
 			return fmt.Errorf("core: zero sampling probability for type %d", typ+1)
 		}
@@ -266,12 +270,6 @@ func nominal(d int) int {
 		return 1
 	}
 	return d - 1
-}
-
-// samplingProbability computes p̃(X^(l)) = 2|R(d)|·p(X^(l)) (Definition 4,
-// Algorithm 3) for the walker's configuration.
-func (wk *walker) samplingProbability(nodes []int32) float64 {
-	return samplingProbabilityWith(wk.client, wk.space, wk.cfg.K, wk.cfg.D, wk.cfg.NB, nodes, &wk.chainNodes)
 }
 
 // snapshot exports the walker's complete resumable state. Only safe while

@@ -83,6 +83,12 @@ func subsetsAdjacent(d int, a, b subsetInfo, hasEdge func(i, j int) bool) bool {
 // covers all k nodes. The chain is passed as a slice of node-index bitmasks;
 // it is reused between calls and must not be retained. Enumeration stops
 // early if fn returns false. For d = k the single chain is the full node set.
+//
+// This is the generic enumerator: it rebuilds the subset list per call and is
+// meant for table construction (computeAlpha, the per-(k,d) ChainTable of
+// chains.go), reports and tests. The estimator's step path reads the
+// ChainTable, which stores the chains in exactly the order emitted here so
+// that CSS weights stay bit-identical to a direct pass over this function.
 func EnumerateChains(k, d int, hasEdge func(i, j int) bool, fn func(chain []uint8) bool) {
 	if d < 1 || d > k {
 		panic("graphlet: EnumerateChains: d out of range")

@@ -3,7 +3,9 @@
 // non-isomorphic k-node graphlets for k = 3, 4, 5, O(1) isomorphism
 // classification via precomputed code tables, the state-corresponding
 // coefficients α (Algorithm 2), and the chain enumeration shared with the
-// corresponding-state-sampling optimization (Algorithm 3).
+// corresponding-state-sampling optimization (Algorithm 3), both as the
+// generic EnumerateChains and compiled per (k, d) into a ChainTable indexed
+// by adjacency code (chains.go), which is what the estimator reads per step.
 //
 // A k-node induced subgraph is encoded as a bitmask ("code") over the
 // k(k-1)/2 unordered node pairs in lexicographic order. The canonical code of

@@ -282,3 +282,32 @@ func ExampleCatalog() {
 	// g3_1 wedge edges=2
 	// g3_2 triangle edges=3
 }
+
+// TestChainTableShape: for every (k, d) with interior states, each connected
+// code's table row holds exactly α chains of l-2 masks and each disconnected
+// code's row is empty (so the estimator's zero-probability error still fires
+// for it). The order within a row is pinned, to the bit, by internal/core's
+// TestSamplingProbabilityTableMatchesEnumerator.
+func TestChainTableShape(t *testing.T) {
+	for k := 3; k <= MaxK; k++ {
+		for d := 1; k-d+1 > 2; d++ {
+			tab := Chains(k, d)
+			if tab.Interior != k-d-1 {
+				t.Fatalf("k=%d d=%d: Interior = %d, want %d", k, d, tab.Interior, k-d-1)
+			}
+			for code := range ki(k).classify {
+				got := tab.Interiors(uint16(code))
+				typ := ClassifyCode(k, uint16(code))
+				if typ < 0 {
+					if len(got) != 0 {
+						t.Errorf("k=%d d=%d disconnected code %#x has %d masks", k, d, code, len(got))
+					}
+					continue
+				}
+				if want := int(Alpha(k, d, typ+1)) * tab.Interior; len(got) != want {
+					t.Errorf("k=%d d=%d code %#x (type %d): %d masks, want α·(l-2) = %d", k, d, code, typ+1, len(got), want)
+				}
+			}
+		}
+	}
+}

@@ -5,14 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 )
 
 // startWorkerNodes brings up n graphletd-style worker nodes sharing the
@@ -207,30 +204,6 @@ func TestDistributedJobFailover(t *testing.T) {
 	}
 }
 
-// abortClient freezes the walk once stall flips (the job looks SIGKILLed:
-// no more frames reach the coordinator, no terminal record is journaled),
-// then aborts it when the gate closes at cleanup: the panic hits the
-// engine's per-walker guard and becomes an error frame, so stranded
-// partition handlers drain instantly instead of walking out the budget.
-// The walkers flip stall themselves, the first time one of them sees
-// freeze report true: they ask on every call, so the walk cannot run past
-// the moment freeze names, however late the test goroutine is scheduled.
-type abortClient struct {
-	access.Client
-	stall  *atomic.Bool
-	gate   <-chan struct{}
-	freeze func() bool
-}
-
-func (c abortClient) Degree(v int32) int {
-	if c.stall.Load() || c.freeze() {
-		c.stall.Store(true)
-		<-c.gate
-		panic("dist test: walk aborted at cleanup")
-	}
-	return c.Client.Degree(v)
-}
-
 // TestDistributedCoordinatorRecovery crashes the coordinator between fleet
 // syncs (SIGKILL-style: the fleet freezes, the manager is abandoned without
 // a Close) and restarts it with no peers at all: the journaled combined
@@ -248,32 +221,14 @@ func TestDistributedCoordinatorRecovery(t *testing.T) {
 	want := runToResult(t, localMgr, base)
 
 	// Worker nodes whose crawl clients freeze the fleet as soon as the
-	// coordinator has journaled a fleet-wide sync of 4000 steps or more
-	// (progress and the checkpoint record are written under one hold of the
-	// coordinator's lock); the gate is closed at cleanup so their stranded
-	// partition handlers abort and drain (cleanups run LIFO, so this happens
-	// before the servers shut down).
-	var stall atomic.Bool
-	var coord atomic.Pointer[Manager]
-	synced := func() bool {
-		m := coord.Load()
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for _, j := range m.jobs {
-			if j.progress.Steps >= 4000 {
-				return true
-			}
-		}
-		return false
-	}
-	gate := make(chan struct{})
+	// coordinator has journaled a fleet-wide sync of 4000 steps or more; the
+	// gate is closed at cleanup so their stranded partition handlers abort
+	// and drain (cleanups run LIFO, so this happens before the servers shut
+	// down).
+	crash := newCrashPoint(4000)
 	peers := make([]string, 2)
 	for i := range peers {
-		wmgr := newTestManager(t, reg, Options{
-			NewClient: func(g *graph.Graph) access.Client {
-				return abortClient{Client: access.NewGraphClient(g), stall: &stall, gate: gate, freeze: synced}
-			},
-		})
+		wmgr := newTestManager(t, reg, Options{NewClient: crash.client})
 		t.Cleanup(wmgr.Close)
 		srv := NewServer(reg, wmgr)
 		srv.Partitions = &dist.Handler{Lookup: wmgr.PartitionLookup()}
@@ -281,7 +236,7 @@ func TestDistributedCoordinatorRecovery(t *testing.T) {
 		t.Cleanup(hs.Close)
 		peers[i] = hs.URL
 	}
-	t.Cleanup(func() { close(gate) })
+	t.Cleanup(func() { close(crash.gate) })
 
 	mgr := newTestManager(t, reg, Options{
 		SnapshotEvery: 2000,
@@ -289,24 +244,14 @@ func TestDistributedCoordinatorRecovery(t *testing.T) {
 		DistBackoff:   time.Millisecond,
 		DataDir:       dir,
 	})
-	coord.Store(mgr)
+	crash.mgr.Store(mgr)
 	view, err := mgr.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fleet freezes itself past a couple of fleet-wide syncs; once it
-	// has, nothing moves any more, so this wait races nothing. Then abandon
-	// the coordinator (no Close → no terminal record).
-	deadline := time.Now().Add(60 * time.Second)
-	for !stall.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached a fleet sync")
-		}
-		if jv, ok := mgr.Get(view.ID); !ok || jv.State.terminal() {
-			t.Fatalf("job finished before the crash: %+v", jv)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Once the fleet has frozen itself, abandon the coordinator (no Close →
+	// no terminal record).
+	crash.await(t, view.ID)
 	// Flush what is queued and stop the journal writer, as dead as a killed
 	// process: a frame still in flight when the fleet froze must not append
 	// to the log while the restarted coordinator reads it.

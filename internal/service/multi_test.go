@@ -3,12 +3,8 @@ package service
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/access"
-	"repro/internal/graph"
 )
 
 // waitDone submits nothing; it waits for id to finish Done or fails the test.
@@ -228,39 +224,20 @@ func TestMultiResumeAfterCrashByteIdentical(t *testing.T) {
 	ref = waitDone(t, refMgr, ref.ID)
 	refMgr.Close()
 
-	// The crashing daemon: progress past 50%, then freeze the walkers and
-	// abandon the manager (no Close → no terminal record), SIGKILL-style.
+	// The crashing daemon: the walkers freeze themselves past 50% and the
+	// manager is abandoned (no Close → no terminal record), SIGKILL-style.
 	dir := t.TempDir()
-	var stall atomic.Bool
-	gate := make(chan struct{}) // never closed: the frozen walkers never finish
+	crash := newCrashPoint(spec.Steps / 2)
 	mgr1 := newTestManager(t, testRegistry(t), Options{
 		Workers: 1, MaxWalkers: 2, SnapshotEvery: 1000, DataDir: dir,
-		NewClient: func(g *graph.Graph) access.Client {
-			return stallClient{Client: access.NewGraphClient(g), stall: &stall, gate: gate}
-		},
+		NewClient: crash.client,
 	})
+	crash.mgr.Store(mgr1)
 	v, err := mgr1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached 50% of its budget")
-		}
-		jv, ok := mgr1.Get(v.ID)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if jv.State.terminal() {
-			t.Fatalf("job finished before the crash: %+v", jv)
-		}
-		if jv.Progress.Steps >= spec.Steps/2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stall.Store(true)
+	crash.await(t, v.ID)
 	mgr1.syncJournal() // the page cache survives a SIGKILL; the barrier stands in for it
 
 	// Restart on the same data dir with an ungated client; the job resumes

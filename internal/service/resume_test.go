@@ -13,18 +13,77 @@ import (
 	"repro/internal/service/journal"
 )
 
-// stallClient passes calls through until the switch flips, then blocks the
-// walkers mid-step forever — freezing a run at whatever checkpoint it last
-// journaled, the way a SIGKILL freezes a real daemon.
+// crashPoint freezes the walkers that crawl through its clients, the way a
+// SIGKILL freezes a real daemon, as soon as a job of the watched manager has
+// journaled a checkpoint of at least `steps` windows (progress and the
+// checkpoint record are written under one hold of the manager's lock). The
+// walkers trip it themselves — they ask on every Degree call — so a job
+// cannot run past that checkpoint's stage, let alone finish, however fast a
+// step is and however late the test goroutine is scheduled.
+type crashPoint struct {
+	steps int
+	mgr   atomic.Pointer[Manager] // whose progress is watched; stored before the first Submit
+	hit   atomic.Bool
+	gate  chan struct{} // frozen walkers wait here; closing it aborts them
+}
+
+func newCrashPoint(steps int) *crashPoint {
+	return &crashPoint{steps: steps, gate: make(chan struct{})}
+}
+
+func (c *crashPoint) reached() bool {
+	if c.hit.Load() {
+		return true
+	}
+	m := c.mgr.Load()
+	if m == nil {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, j := range m.jobs {
+		if j.progress.Steps >= c.steps {
+			c.hit.Store(true)
+			return true
+		}
+	}
+	return false
+}
+
+// client wraps g's client so that walks over it freeze at the crash point.
+func (c *crashPoint) client(g *graph.Graph) access.Client {
+	return stallClient{Client: access.NewGraphClient(g), at: c}
+}
+
+// await returns once the walkers have frozen themselves. Nothing moves after
+// that, so whatever the caller does next races nothing.
+func (c *crashPoint) await(t *testing.T, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for !c.hit.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never journaled %d steps", id, c.steps)
+		}
+		if jv, ok := c.mgr.Load().Get(id); !ok || jv.State.terminal() {
+			t.Fatalf("job finished before the crash: %+v", jv)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stallClient passes calls through until its crash point is reached, then
+// blocks the walkers mid-step. A test that must drain the stranded walks
+// closes the gate at cleanup: the panic hits the engine's per-walker guard
+// and becomes an error, so they stop instead of walking out the budget.
 type stallClient struct {
 	access.Client
-	stall *atomic.Bool
-	gate  <-chan struct{}
+	at *crashPoint
 }
 
 func (c stallClient) Degree(v int32) int {
-	if c.stall.Load() {
-		<-c.gate
+	if c.at.reached() {
+		<-c.at.gate
+		panic("service test: walk aborted at cleanup")
 	}
 	return c.Client.Degree(v)
 }
@@ -51,40 +110,21 @@ func TestResumeAfterCrashByteIdentical(t *testing.T) {
 	}
 	refMgr.Close()
 
-	// The crashing daemon: progress past 50%, then freeze the walkers and
-	// abandon the manager (no Close → no terminal record), SIGKILL-style.
+	// The crashing daemon: the walkers freeze themselves past 50% and the
+	// manager is abandoned (no Close → no terminal record), SIGKILL-style.
 	dir := t.TempDir()
 	reg1 := testRegistry(t)
-	var stall atomic.Bool
-	gate := make(chan struct{}) // never closed: the frozen walkers never finish
+	crash := newCrashPoint(spec.Steps / 2)
 	mgr1 := newTestManager(t, reg1, Options{
 		Workers: 1, MaxWalkers: 2, SnapshotEvery: 1000, DataDir: dir,
-		NewClient: func(g *graph.Graph) access.Client {
-			return stallClient{Client: access.NewGraphClient(g), stall: &stall, gate: gate}
-		},
+		NewClient: crash.client,
 	})
+	crash.mgr.Store(mgr1)
 	v, err := mgr1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached 50% of its budget")
-		}
-		jv, ok := mgr1.Get(v.ID)
-		if !ok {
-			t.Fatal("job vanished")
-		}
-		if jv.State.terminal() {
-			t.Fatalf("job finished before the crash: %+v", jv)
-		}
-		if jv.Progress.Steps >= spec.Steps/2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stall.Store(true)
+	crash.await(t, v.ID)
 	mgr1.syncJournal() // the page cache survives a SIGKILL; the barrier stands in for it
 
 	// Restart on the same data dir with an ungated client; the job resumes
@@ -140,37 +180,28 @@ func TestCompactionPreservesResume(t *testing.T) {
 	dir := t.TempDir()
 	reg1 := testRegistry(t)
 	hk, _ := reg1.Get("hk")
-	var stall atomic.Bool
-	gate := make(chan struct{})
+	long := Spec{Graph: "hk", K: 4, D: 2, CSS: true, Steps: 30000, Walkers: 1, Seed: 555}
+	crash := newCrashPoint(long.Steps / 2)
 	mgr1 := newTestManager(t, reg1, Options{
 		Workers: 2, MaxWalkers: 2, SnapshotEvery: 500, DataDir: dir,
 		SegmentBytes: 2048, CompactSegments: 2,
 		NewClient: func(g *graph.Graph) access.Client {
-			c := access.NewGraphClient(g)
 			if g == hk {
-				return stallClient{Client: c, stall: &stall, gate: gate}
+				return crash.client(g)
 			}
-			return c
+			return access.NewGraphClient(g)
 		},
 	})
-	long := Spec{Graph: "hk", K: 4, D: 2, CSS: true, Steps: 30000, Walkers: 1, Seed: 555}
+	crash.mgr.Store(mgr1)
 	v, err := mgr1.Submit(long)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("long job never reached 50%")
-		}
-		jv, _ := mgr1.Get(v.ID)
-		if jv.Progress.Steps >= long.Steps/2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The long job stays live — frozen mid-stage past 50% — for as long as
+	// the filler traffic takes.
+	crash.await(t, v.ID)
 	// Terminal traffic on the other graph: every finish may trigger a
 	// compaction, each of which must carry the live job's snapshot forward.
 	for i := 0; i < 6; i++ {
@@ -182,7 +213,6 @@ func TestCompactionPreservesResume(t *testing.T) {
 			t.Fatalf("filler job: %+v, %v", qv, err)
 		}
 	}
-	stall.Store(true)
 	mgr1.syncJournal()
 	if st := mgr1.Stats(); st.JournalErrors != 0 || st.JournalSegments > 4 {
 		t.Fatalf("pre-crash journal state: %+v, want compacted and error-free", st)
