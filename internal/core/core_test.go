@@ -397,3 +397,48 @@ func TestCSSMatchesTable4K3(t *testing.T) {
 }
 
 func stateOf2(u, v int32) walk.State { return walk.StateOf(u, v) }
+
+// TestD1WindowsProbeOnlyUntraversedPairs: consecutive nodes of a d=1 window
+// are adjacent by construction, so classification may probe only the
+// C(k,2)-(k-1) pairs the walk did not traverse — exactly, on every valid
+// window, for the single-size and the shared-walk accumulators alike.
+func TestD1WindowsProbeOnlyUntraversedPairs(t *testing.T) {
+	g := convGraph()
+	counting := access.NewCounting(access.NewGraphClient(g), g.NumNodes())
+	untraversed := func(k int) int { return k*(k-1)/2 - (k - 1) }
+	for _, cfg := range []Config{
+		{K: 3, D: 1, Seed: 5},
+		{K: 3, D: 1, CSS: true, NB: true, Seed: 5},
+		{K: 4, D: 1, CSS: true, Seed: 5},
+		{K: 5, D: 1, NB: true, Seed: 5},
+	} {
+		counting.Reset()
+		est, err := NewEstimator(counting, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := est.Run(3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := counting.Stats().EdgeProbes, int64(res.ValidSamples*untraversed(cfg.K)); got != want {
+			t.Errorf("%s k=%d: %d edge probes over %d valid windows, want %d", cfg.MethodName(), cfg.K, got, res.ValidSamples, want)
+		}
+	}
+	counting.Reset()
+	est, err := NewMultiEstimator(counting, MultiConfig{Sizes: []int{3, 4, 5}, D: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := est.Run(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for k, r := range res.Results {
+		want += int64(r.ValidSamples * untraversed(k))
+	}
+	if got := counting.Stats().EdgeProbes; got != want {
+		t.Errorf("sizes 3,4,5 d=1: %d edge probes, want %d", got, want)
+	}
+}

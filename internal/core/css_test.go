@@ -94,10 +94,13 @@ func hashResults(rs ...*Result) uint64 {
 	return h.Sum64()
 }
 
-// TestCSSResultsMatchRecordedHashes pins the CSS estimates to the bit: the
+// TestCSSResultsMatchRecordedHashes pins the estimates to the bit. The CSS
 // hashes were recorded from the commit before the chain tables replaced the
 // per-window enumeration (PR 14's parent, 23e99fa), over the four CSS slots
-// of the benchmark's M6 job mix at 200k windows.
+// of the benchmark's M6 job mix at 200k windows; the plain rows (M6's two d=3
+// slots and its d=1 slot — the test's name predates them) from the commit
+// before the d=3 short-row selection and the d=1 traversed-edge marking
+// (17fcc8c).
 func TestCSSResultsMatchRecordedHashes(t *testing.T) {
 	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
 	const windows = 200000
@@ -112,6 +115,10 @@ func TestCSSResultsMatchRecordedHashes(t *testing.T) {
 		{Config{K: 4, D: 1, CSS: true, Walkers: 2, Seed: 14}, 0x1895ed054a44cd37},
 		{Config{K: 5, D: 1, CSS: true, Walkers: 2, Seed: 14}, 0x34a3513999bc868b},
 		{Config{K: 5, D: 3, CSS: true, NB: true, Walkers: 2, Seed: 14}, 0x6be28814a41f7659},
+		// The plain M6 slots: d=3 (kernel selection) and d=1.
+		{Config{K: 4, D: 3, Walkers: 2, Seed: 14}, 0x429b370f3412e85f},
+		{Config{K: 5, D: 3, NB: true, Walkers: 2, Seed: 14}, 0xf842f69fda6f4631},
+		{Config{K: 3, D: 1, Walkers: 2, Seed: 14}, 0x491359ba75974e1c},
 	} {
 		t.Run(fmt.Sprintf("%s_k%d", tc.cfg.MethodName(), tc.cfg.K), func(t *testing.T) {
 			est, err := NewEstimator(client, tc.cfg)

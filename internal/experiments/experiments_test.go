@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/datasets"
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // The experiment drivers are exercised end-to-end at the Quick budget; these
@@ -55,9 +59,15 @@ func TestFig5Report(t *testing.T) {
 	}
 }
 
+// The report code runs unchanged, Exact column included, but over a small
+// generated graph per dataset row: ESU at k=5 on the stand-ins themselves is
+// minutes of tier-1 time (cmd/experiments and BenchmarkTable6Timing run the
+// full table).
 func TestTable6Report(t *testing.T) {
 	var sb strings.Builder
-	Table6(&sb, Params{Steps: 300, Trials: 2})
+	table6(&sb, Params{Steps: 300, Trials: 2}, func(d datasets.Dataset) *graph.Graph {
+		return gen.HolmeKim(400, 3, 0.6, int64(len(d.Name)))
+	})
 	out := sb.String()
 	for _, want := range []string{"SRW2", "SRW2CSS", "SRW3", "SRW4", "Exact", "brightkite", "facebook"} {
 		if !strings.Contains(out, want) {

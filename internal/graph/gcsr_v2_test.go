@@ -776,3 +776,88 @@ func FuzzGCSRV2Block(f *testing.F) {
 		}
 	})
 }
+
+// TestCommonNeighborsHubRowMatchesMerge: the hub-row count CommonNeighbors
+// takes when the higher-degree endpoint owns a bitset row equals a plain
+// merge of the two rows and len(CommonNeighborsInto) — over hub–hub, hub–leaf
+// and leaf–leaf pairs, in both argument orders, on a heap-built graph and on
+// the same graph opened from v1 and v2 files.
+func TestCommonNeighborsHubRowMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n, hubs = 1200, 6
+	b := NewBuilder(n)
+	for h := int32(0); h < hubs; h++ {
+		for v := int32(0); v < n; v++ {
+			if rng.Intn(10) < 2+int(h) { // hub degrees from ~0.2n to ~0.7n
+				b.AddEdge(h, v)
+			}
+		}
+	}
+	for i := 0; i < 3*n; i++ {
+		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	heap := b.Build()
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "v1"+GCSRExt)
+	if err := Save(v1, heap); err != nil {
+		t.Fatal(err)
+	}
+	v2 := saveV2(t, dir, "v2", heap, SaveOptions{BlockBytes: 512})
+	for _, tc := range []struct {
+		name string
+		open func() (*Graph, error)
+	}{
+		{"heap", func() (*Graph, error) { return heap, nil }},
+		{"v1", func() (*Graph, error) { return OpenMapped(v1) }},
+		{"v2", func() (*Graph, error) { return OpenMappedOpts(v2, OpenOptions{BlockCacheBytes: 16 << 10}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			var leaves []int32
+			for v := int32(hubs); v < n && len(leaves) < 40; v++ {
+				if g.IsHub(v) {
+					t.Fatalf("node %d (degree %d) unexpectedly a hub", v, g.Degree(v))
+				}
+				leaves = append(leaves, v)
+			}
+			nodes := leaves
+			for h := int32(0); h < hubs; h++ {
+				if !g.IsHub(h) {
+					t.Fatalf("node %d (degree %d) has no hub row", h, g.Degree(h))
+				}
+				nodes = append(nodes, h)
+			}
+			var buf []int32
+			for _, u := range nodes {
+				for _, v := range nodes {
+					if u == v {
+						continue
+					}
+					want := 0
+					a, b := g.Neighbors(u), g.Neighbors(v)
+					for i, j := 0, 0; i < len(a) && j < len(b); {
+						switch {
+						case a[i] < b[j]:
+							i++
+						case a[i] > b[j]:
+							j++
+						default:
+							want++
+							i++
+							j++
+						}
+					}
+					buf = g.CommonNeighborsInto(buf[:0], u, v)
+					if got := g.CommonNeighbors(u, v); got != want || len(buf) != want {
+						t.Fatalf("(%d,%d) degrees %d/%d: CommonNeighbors %d, CommonNeighborsInto %d, merge %d",
+							u, v, len(a), len(b), got, len(buf), want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -322,19 +322,33 @@ func (g *Graph) String() string {
 // O(|a|+|b|) while galloping is O(|a| log(|b|/|a|)).
 const gallopSkew = 16
 
-// CommonNeighbors returns the number of common neighbors of u and v: a
+// CommonNeighbors returns the number of common neighbors of u and v. When
+// the higher-degree endpoint owns a hub bitset row, the other row's elements
+// are tested against it — one load per element, and the hub's own row is
+// never read (on a block-compressed graph, never decoded). Otherwise: a
 // linear merge of the two sorted lists, or galloping search of the longer
 // list when the lengths are skewed.
 func (g *Graph) CommonNeighbors(u, v int32) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	if len(a) > len(b) {
-		a, b = b, a
+	if g.Degree(u) > g.Degree(v) {
+		u, v = v, u
 	}
+	a := g.Neighbors(u)
+	if g.hubIdx != nil {
+		if r := g.hubIdx[v]; r >= 0 {
+			row := g.hubRows[int(r)*g.hubStride : (int(r)+1)*g.hubStride]
+			c := 0
+			for _, x := range a {
+				c += int(row[x>>6] >> (uint(x) & 63) & 1)
+			}
+			return c
+		}
+	}
+	b := g.Neighbors(v)
 	if len(b) >= gallopSkew*len(a) {
 		c := 0
 		lo := 0
 		for _, x := range a {
-			lo += gallopSearch(b[lo:], x)
+			lo += GallopSearch(b[lo:], x)
 			if lo >= len(b) {
 				break
 			}
@@ -371,7 +385,7 @@ func (g *Graph) CommonNeighborsInto(dst []int32, u, v int32) []int32 {
 	if len(b) >= gallopSkew*len(a) {
 		lo := 0
 		for _, x := range a {
-			lo += gallopSearch(b[lo:], x)
+			lo += GallopSearch(b[lo:], x)
 			if lo >= len(b) {
 				break
 			}
@@ -398,11 +412,11 @@ func (g *Graph) CommonNeighborsInto(dst []int32, u, v int32) []int32 {
 	return dst
 }
 
-// gallopSearch returns the index of the first element of b >= x, probing
+// GallopSearch returns the index of the first element of b >= x, probing
 // exponentially from the front and binary-searching the final window — O(log
 // k) where k is the returned index, which is what makes skewed intersections
 // cheap when consecutive probes land close together.
-func gallopSearch(b []int32, x int32) int {
+func GallopSearch(b []int32, x int32) int {
 	if len(b) == 0 || b[0] >= x {
 		return 0
 	}

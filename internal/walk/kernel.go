@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/access"
+	"repro/internal/graph"
 )
 
 // This file is the merge-based G(d) neighbor kernel for d >= 3 (paper §5).
@@ -23,11 +24,17 @@ import (
 //     membership mask intersects every component. Connectivity becomes a
 //     handful of AND instructions; the per-candidate HasEdge storm is gone.
 //   - Nothing needs materializing: a walk step needs only the state's G(d)
-//     degree (one counting scan) and the i-th neighbor of the uniform draw
-//     (one partial scan of a single dropped-node group). The kernel caches a
-//     compact stateInfo — degree, per-group counts, internal adjacency masks
-//     — instead of neighbor *lists*, so the steady state allocates nothing
-//     and builds exactly one State per transition.
+//     degree (one counting scan; for d = 3 on free-access clients the closed
+//     form of countGroups3) and the i-th neighbor of the uniform draw. The
+//     kernel caches a compact stateInfo — degree, per-group counts, internal
+//     adjacency masks — instead of neighbor *lists*, so the steady state
+//     allocates nothing and builds exactly one State per transition.
+//   - For d = 3 the draw is a selection, not a scan (selectNth): only the
+//     shorter of the two retained rows is iterated and the longer one — under
+//     the degree-proportional stationary distribution usually a hub's — is
+//     galloped, so the step costs O(short row) rather than a merge across
+//     ~1 000 hub-row entries. For d >= 4 the draw is the (d-1)-way merge
+//     stopped at the drawn candidate.
 //
 // The canonical neighbor order (dropped nodes in state order, candidates
 // ascending within each group) is exactly the order the naive
@@ -131,8 +138,7 @@ func (s *spaceD) countGroups3(st State, fi *stateInfo) {
 }
 
 // nthNeighbor returns the i-th neighbor of st in the canonical order. The
-// group counts locate the dropped node, so only one group's rows are merged,
-// and the scan stops at the candidate — on average half a group.
+// group counts locate the dropped node, so only that group's rows are read.
 func (s *spaceD) nthNeighbor(st State, fi stateInfo, i int32) State {
 	for xi := 0; xi < st.Len(); xi++ {
 		if i < fi.cnt[xi] {
@@ -276,7 +282,9 @@ func (g *groupScan) count() int32 {
 // neighbor state. r must be below the group's count.
 func (g *groupScan) nth(r int32) State {
 	if g.n == 2 {
-		return g.nth2(r)
+		// d = 3: with one rem component any candidate of either row
+		// qualifies, with two the candidate must sit in both.
+		return stateInsert(g.rem[:g.n], selectNth(g.rows[0], g.rows[1], g.st, g.nc == 2, int(r)))
 	}
 	for {
 		y, mask, ok := g.next()
@@ -296,41 +304,63 @@ func (g *groupScan) nth(r int32) State {
 	}
 }
 
-// nth2 is nth for the two-row case (d = 3), a direct two-pointer merge: with
-// one rem component any candidate qualifies, with two the candidate must sit
-// in both rows.
-func (g *groupScan) nth2(r int32) State {
-	a, b := g.rows[0], g.rows[1]
-	needBoth := g.nc == 2
-	i, j := g.pos[0], g.pos[1]
-	for {
-		var y int32
-		var mask uint8
-		switch {
-		case i < len(a) && (j >= len(b) || a[i] < b[j]):
-			y, mask = a[i], 1
-			i++
-		case j < len(b) && (i >= len(a) || b[j] < a[i]):
-			y, mask = b[j], 2
-			j++
-		case i < len(a):
-			y, mask = a[i], 3
-			i++
-			j++
-		default:
-			panic("walk: group exhausted before the selected neighbor")
+// selectNth returns the r-th (0-based, ascending) element of (a ∪ b) \ st —
+// of (a ∩ b) \ st when both is set — for sorted rows a and b; r must be below
+// that set's size. Only the shorter row is iterated. The longer one is
+// galloped: between two consecutive short-row elements it contributes a run
+// whose candidate count is a cursor difference, so reaching the drawn index
+// costs O(min·log(max/min)) comparisons instead of a merge step per element
+// of a hub row; st's members are excluded by their positions inside a run,
+// not by a test per element. With rows of similar length the gallop
+// degenerates to about two comparisons per element.
+func selectNth(a, b []int32, st State, both bool, r int) int32 {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	lo, mi := 0, 0 // cursors into b and into st's ascending members
+	for i := 0; i <= len(a); i++ {
+		// b[lo:hi) is the run of long-row elements between a[i-1] and s (past
+		// a's end, b's tail). No node ID reaches MaxInt32.
+		s, hi := int32(math.MaxInt32), len(b)
+		if i < len(a) {
+			s = a[i]
+			hi = lo + graph.GallopSearch(b[lo:], s)
 		}
-		if needBoth && mask != 3 {
-			continue
+		if !both {
+			for ; mi < st.Len() && st.Node(mi) < s; mi++ {
+				// A member inside the run splits it; the part below the
+				// member is all candidates.
+				m := st.Node(mi)
+				if q := lo + graph.GallopSearch(b[lo:hi], m); q < hi && b[q] == m {
+					if r < q-lo {
+						return b[lo+r]
+					}
+					r -= q - lo
+					lo = q + 1
+				}
+			}
+			if r < hi-lo {
+				return b[lo+r]
+			}
+			r -= hi - lo
 		}
-		if g.st.Contains(y) {
+		if i == len(a) {
+			break
+		}
+		lo = hi
+		hit := lo < len(b) && b[lo] == s
+		if hit {
+			lo++
+		}
+		if both && !hit || st.Contains(s) {
 			continue
 		}
 		if r == 0 {
-			return stateInsert(g.rem[:g.n], y)
+			return s
 		}
 		r--
 	}
+	panic("walk: group exhausted before the selected neighbor")
 }
 
 // appendGroup scans the whole group appending every connected neighbor state

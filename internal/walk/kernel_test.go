@@ -1,7 +1,10 @@
 package walk
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/access"
@@ -15,8 +18,10 @@ import (
 // canonical order and estimates are required to stay byte-identical. The test
 // sweeps random graphs of three models and d ∈ {3, 4, 5}, exercising all
 // three kernel paths: the counting scan (StateDegree), the materializing scan
-// (neighbors), and the per-index partial scan (nthNeighbor, which also covers
-// the d=3 closed-form group counts and the two-pointer nth2 select).
+// (neighbors), and the per-index draw (nthNeighbor, which also covers the d=3
+// closed-form group counts and the short-row selection). These graphs have no
+// hub bitset row and hardly a skewed pair of rows;
+// TestKernelMatchesReferenceOnHubs and TestSelectNthMatchesMerge reach those.
 func TestKernelMatchesReferenceOrder(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":       gen.BarabasiAlbert(40, 2, 101),
@@ -104,6 +109,165 @@ func TestKernelWithoutCommonCounter(t *testing.T) {
 		st := spFree.RandomState(rng)
 		if got, want := spCrawl.StateDegree(st), spFree.StateDegree(st); got != want {
 			t.Fatalf("%v: merge count %d != closed-form count %d", st, got, want)
+		}
+	}
+}
+
+// TestKernelMatchesReferenceOnHubs repeats the equivalence check where the
+// d=3 step actually spends its time: states visited by a stationary walk on
+// a hub-heavy graph (most hold a hub, so the selection gallops a long row and
+// the group counts read hub bitset rows), heap-built and served from a
+// block-compressed file. Checked against referenceNeighbors: StateDegree,
+// nthNeighbor at every index, and the non-backtracking draw.
+func TestKernelMatchesReferenceOnHubs(t *testing.T) {
+	heap := gen.BarabasiAlbert(1500, 3, 108)
+	path := filepath.Join(t.TempDir(), "ba.gcsr")
+	if err := graph.SaveOpts(path, heap, graph.SaveOptions{Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := graph.OpenMappedOpts(path, graph.OpenOptions{BlockCacheBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	for name, g := range map[string]*graph.Graph{"heap": heap, "v2": v2} {
+		c := access.NewGraphClient(g)
+		sp := newSpaceD(c, 3)
+		rng := rand.New(rand.NewSource(109))
+		w := New(sp, false, rng)
+		w.Burn(200)
+		hubStates := 0
+		for n := 0; n < 150; n++ {
+			prev := w.Current()
+			st := w.Step()
+			for i := 0; i < st.Len(); i++ {
+				if g.IsHub(st.Node(i)) {
+					hubStates++
+					break
+				}
+			}
+			want := referenceNeighbors(c, st)
+			if got := sp.StateDegree(st); got != len(want) {
+				t.Fatalf("%s %v: StateDegree %d, want %d", name, st, got, len(want))
+			}
+			fi := sp.infoOf(st)
+			for i := range want {
+				if nth := sp.nthNeighbor(st, fi, int32(i)); nth != want[i] {
+					t.Fatalf("%s %v: nthNeighbor(%d) = %v, want %v", name, st, i, nth, want[i])
+				}
+			}
+			// The NB draw: same RNG stream, redrawn while it lands on prev.
+			seed := rng.Int63()
+			ref := rand.New(rand.NewSource(seed))
+			wantNB := want[ref.Intn(len(want))]
+			for wantNB == prev {
+				wantNB = want[ref.Intn(len(want))]
+			}
+			if got := sp.RandomNeighborAvoiding(st, prev, rand.New(rand.NewSource(seed))); got != wantNB {
+				t.Fatalf("%s %v avoiding %v: got %v, want %v", name, st, prev, got, wantNB)
+			}
+		}
+		if hubStates < 50 {
+			t.Fatalf("%s: only %d of 150 walk states hold a hub; the test no longer reaches the hub paths", name, hubStates)
+		}
+	}
+}
+
+// TestSelectNthMatchesMerge checks the short-row selection directly against
+// a materialized merge, for the union and the intersection, at every index,
+// over generated sorted rows (empty, disjoint, equal, nested, interleaved,
+// length ratios 1 to 1000) with the three state members placed inside long
+// runs, at run edges, in one row, in both and in neither.
+func TestSelectNthMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(110))
+	// sample draws n distinct ascending values from [0, span).
+	sample := func(n, span int) []int32 {
+		out := make([]int32, 0, n)
+		for _, v := range rng.Perm(span)[:n] {
+			out = append(out, int32(v))
+		}
+		slices.Sort(out)
+		return out
+	}
+	seq := func(from, n, step int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(from + i*step)
+		}
+		return out
+	}
+	type rowPair struct {
+		name string
+		a, b []int32
+	}
+	rows := []rowPair{
+		{"both empty", nil, nil},
+		{"one empty", nil, seq(3, 40, 2)},
+		{"disjoint", seq(0, 30, 1), seq(100, 30, 1)},
+		{"equal", seq(5, 50, 3), seq(5, 50, 3)},
+		{"nested", seq(40, 10, 8), seq(0, 200, 1)},
+		{"interleaved", seq(0, 60, 2), seq(1, 60, 2)},
+		{"short inside", []int32{500}, seq(0, 1000, 1)},
+		{"short before", []int32{0}, seq(1, 1000, 1)},
+		{"short after", []int32{5000}, seq(0, 1000, 1)},
+	}
+	for _, ratio := range []int{1, 2, 7, 16, 100, 1000} {
+		short := 1 + rng.Intn(6)
+		rows = append(rows, rowPair{fmt.Sprintf("ratio %d", ratio), sample(short, 3*short*ratio), sample(short*ratio, 3*short*ratio)})
+	}
+	for _, row := range rows {
+		name, a, b := row.name, row.a, row.b
+		var union, inter []int32
+		union = append(append(union, a...), b...)
+		slices.Sort(union)
+		union = slices.Compact(union)
+		for _, x := range a {
+			if _, ok := slices.BinarySearch(b, x); ok {
+				inter = append(inter, x)
+			}
+		}
+		// Member pool: every value at or next to a short-row element (run
+		// edges, in one row, both or neither), the ends of the union, and a
+		// few values from the middle of runs.
+		short, long := a, b
+		if len(short) > len(long) {
+			short, long = long, short
+		}
+		pool := []int32{1 << 20, 1 << 21, 1 << 22} // in neither row
+		for _, x := range short {
+			pool = append(pool, x-1, x, x+1)
+		}
+		if len(union) > 0 {
+			pool = append(pool, union[0], union[len(union)-1])
+		}
+		for i := 0; i < 6 && len(long) > 0; i++ {
+			pool = append(pool, long[rng.Intn(len(long))])
+		}
+		slices.Sort(pool)
+		pool = slices.Compact(pool)
+		if pool[0] < 0 {
+			pool = pool[1:]
+		}
+		for trial := 0; trial < 200; trial++ {
+			p := rng.Perm(len(pool))
+			st := StateOf(pool[p[0]], pool[p[1]], pool[p[2]])
+			for _, both := range []bool{false, true} {
+				src := union
+				if both {
+					src = inter
+				}
+				r := 0
+				for _, y := range src {
+					if st.Contains(y) {
+						continue
+					}
+					// Either argument order must select the same element.
+					if got, rev := selectNth(a, b, st, both, r), selectNth(b, a, st, both, r); got != y || rev != y {
+						t.Fatalf("%s st=%v both=%v r=%d: got %d (reversed %d), want %d", name, st, both, r, got, rev, y)
+					}
+					r++
+				}
+			}
 		}
 	}
 }

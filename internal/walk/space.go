@@ -161,8 +161,9 @@ func (s *space2) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 // candidates come from a (d-1)-way sorted merge of adjacency rows,
 // connectivity of rem ∪ {y} is decided from precomputed component masks plus
 // the merge's membership bitmask, and transitions never materialize neighbor
-// lists — a counting scan yields the degree and a partial scan of one
-// dropped-node group yields the uniformly drawn neighbor. The per-state
+// lists — a counting scan (d = 3, free access: a closed form) yields the
+// degree and a selection inside one dropped-node group (d = 3: over the
+// shorter row only) yields the uniformly drawn neighbor. The per-state
 // kernel records are cached in a bounded clock-evicting cache (see
 // infoCacheCap and infoCache).
 type spaceD struct {

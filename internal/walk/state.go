@@ -2,8 +2,9 @@
 // graph G(d) of a restricted-access graph (paper §2.1, §5). A state is a set
 // of d nodes inducing a connected subgraph of G; G(d) joins two states that
 // share d-1 nodes (G(1) is G itself). Neighbor generation is on the fly:
-// O(1) for d = 1 and d = 2, full materialization for d >= 3, exactly as the
-// paper's implementation section prescribes.
+// O(1) for d = 1 and d = 2 as the paper's implementation section prescribes,
+// and for d >= 3 the merge kernel of kernel.go, which yields the paper's
+// neighbor lists in the same order without materializing them.
 //
 // The package provides the plain simple random walk (SRW) and the
 // non-backtracking variant (NB-SRW, paper §4.2).
