@@ -1,14 +1,14 @@
 package graphletrw
 
-// Walk-kernel benchmarks on a 1M-edge Barabási–Albert graph — the
-// BENCH_pr6.json fixture. The epinion StepSRW* benchmarks above track the
+// Walk-kernel benchmarks on a 1M-edge Barabási–Albert graph — the PR-6
+// fixture (CHANGES.md). The epinion StepSRW* benchmarks above track the
 // historical trajectory; these isolate the G(d) neighbor kernel at the scale
 // the ROADMAP's walk-kernel item targets (hub-heavy degree distribution,
 // ~10 average degree, rows far larger than the d<=2 fast paths ever see).
 //
 // The fixture matches internal/graph's gcsr benchmark graph (same
-// model/size/seed) so per-step and load-path numbers in the BENCH_*.json
-// trajectory refer to one graph.
+// model/size/seed) so the per-step and load-path numbers recorded in
+// CHANGES.md refer to one graph.
 
 import (
 	"os"
@@ -89,7 +89,7 @@ func ba1mOpenWarm(b *testing.B, version int, open func(path string) (*graph.Grap
 
 // The v1-mmap vs v2-block-cached step pair: the acceptance gate for the
 // compressed store is the warm V2Cached step staying within 1.3x of V1Mmap
-// at 0 allocs/op (see BENCH_pr10.json).
+// at 0 allocs/op (CHANGES.md, PR 10).
 func BenchmarkStepSRW3K4BA1MV1Mmap(b *testing.B) {
 	g := ba1mOpenWarm(b, 1, graph.OpenMapped)
 	benchmarkWalkStepsOn(b, core.Config{K: 4, D: 3}, g)

@@ -7,7 +7,7 @@ package graphletrw
 // call, the way a polite crawler pays one round trip at a time — so a
 // single node's wall clock is latency-bound no matter how many walkers it
 // runs. Fanning the same job over three nodes buys three crawl connections;
-// the BENCH_pr9.json acceptance bar is >= 2x wall-clock at nodes=3.
+// the PR-9 acceptance bar (CHANGES.md) is >= 2x wall-clock at nodes=3.
 //
 // The full dispatch stack is exercised: binary Assignment over HTTP to
 // httptest worker nodes, Frame streams back, coordinator merge. calls/op

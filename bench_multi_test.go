@@ -1,6 +1,6 @@
 package graphletrw
 
-// Shared-walk multi-size benchmarks — the BENCH_pr8.json fixture. They
+// Shared-walk multi-size benchmarks — the PR-8 fixture (CHANGES.md). They
 // compare one MultiEstimator walk covering sizes {3,4,5} against the three
 // independent single-size runs it replaces, on the same 1M-edge BA graph as
 // the walk-kernel benchmarks (ba1mGraph).

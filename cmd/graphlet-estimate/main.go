@@ -4,7 +4,7 @@
 // Usage:
 //
 //	graphlet-estimate -graph graph.txt [-format auto] [-k 4] [-d 2] [-css] [-nb] [-steps 20000] [-walkers 1] [-seed 1] [-exact] [-counts]
-//	graphlet-estimate -graph graph.txt -sizes 3,4,5 [-d 2] [-css] [-steps 20000]
+//	graphlet-estimate -graph graph.txt -sizes 3,4,5 [-d 2] [-css] [-steps 20000] [-exact] [-counts]
 //
 // The graph file is either a text edge list ("u v" lines, '#'/'%' comments
 // allowed) or a .gcsr binary CSR file (see cmd/graphlet-pack), detected
@@ -17,8 +17,9 @@
 //
 // -sizes runs one shared random walk covering every listed size at once
 // (instead of -k): the step budget is paid once and a concentration table is
-// printed per size. The per-size estimates are byte-identical to what
-// separate -k runs with the same seed would produce.
+// printed per size, with the same -exact and -counts columns. The per-size
+// estimates are byte-identical to what separate -k runs with the same seed
+// would produce; -k itself is -sizes with one size.
 package main
 
 import (
@@ -60,37 +61,56 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges (LCC of input with %d nodes)\n",
 		lcc.NumNodes(), lcc.NumEdges(), g.NumNodes())
 
+	// -k is -sizes with one size: either way one shared walk runs, and only
+	// the header lines differ.
+	ks := []int{*k}
 	if *sizes != "" {
-		runMulti(lcc, *sizes, *d, *css, *nb, *steps, *walkers, *seed, *exact)
-		return
+		ks = ks[:0]
+		for _, f := range strings.Split(*sizes, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				fail(fmt.Errorf("bad -sizes entry %q: %v", f, err))
+			}
+			ks = append(ks, n)
+		}
 	}
-	cfg := graphletrw.Config{K: *k, D: *d, CSS: *css, NB: *nb, Walkers: *walkers, Seed: *seed}
+	if *counts && *d > 2 {
+		fail(fmt.Errorf("count estimation needs |R(d)|, available for d <= 2"))
+	}
+	cfg := graphletrw.MultiConfig{Sizes: ks, D: *d, CSS: *css, NB: *nb, Walkers: *walkers, Seed: *seed}
 	start := time.Now()
-	res, err := graphletrw.Estimate(graphletrw.NewClient(lcc), cfg, *steps)
+	res, err := graphletrw.EstimateAll(graphletrw.NewClient(lcc), cfg, *steps)
 	if err != nil {
 		fail(err)
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(start).Round(time.Millisecond)
 
-	var exactConc []float64
-	if *exact {
-		exactConc = graphletrw.ExactConcentration(lcc, *k)
+	nw := max(*walkers, 1)
+	if *sizes != "" {
+		fmt.Printf("shared walk over sizes %v: %d steps, %d walker(s), %s\n", ks, res.Steps, nw, elapsed)
 	}
-	var countEst []float64
-	if *counts {
-		if *d > 2 {
-			fail(fmt.Errorf("count estimation needs |R(d)|, available for d <= 2"))
+	for _, k := range ks {
+		r := res.Results[k]
+		if *sizes == "" {
+			fmt.Printf("method %s, %d steps, %d walker(s) (%d valid samples), %s\n\n",
+				r.Config.MethodName(), r.Steps, nw, r.ValidSamples, elapsed)
+		} else {
+			fmt.Printf("\nsize %d (%s, %d valid samples)\n", k, r.Config.MethodName(), r.ValidSamples)
 		}
-		countEst = res.Counts(graphletrw.TwoR(lcc, *d))
+		var exactConc, countEst []float64
+		if *exact {
+			exactConc = graphletrw.ExactConcentration(lcc, k)
+		}
+		if *counts {
+			countEst = r.Counts(graphletrw.TwoR(lcc, *d))
+		}
+		printTable(k, r.Concentration(), exactConc, countEst)
 	}
+}
 
-	nw := *walkers
-	if nw < 1 {
-		nw = 1
-	}
-	fmt.Printf("method %s, %d steps, %d walker(s) (%d valid samples), %s\n\n",
-		cfg.MethodName(), res.Steps, nw, res.ValidSamples, elapsed.Round(time.Millisecond))
-	conc := res.Concentration()
+// printTable prints one size's concentration table; the exact and count
+// columns appear when given.
+func printTable(k int, conc, exactConc, countEst []float64) {
 	fmt.Printf("%-22s %12s", "graphlet", "estimate")
 	if exactConc != nil {
 		fmt.Printf(" %12s", "exact")
@@ -99,8 +119,8 @@ func main() {
 		fmt.Printf(" %14s", "count est.")
 	}
 	fmt.Println()
-	for i, gl := range graphletrw.Catalog(*k) {
-		fmt.Printf("g%d_%-3d %-15s %12.6f", *k, gl.ID, gl.Name, conc[i])
+	for i, gl := range graphletrw.Catalog(k) {
+		fmt.Printf("g%d_%-3d %-15s %12.6f", k, gl.ID, gl.Name, conc[i])
 		if exactConc != nil {
 			fmt.Printf(" %12.6f", exactConc[i])
 		}
@@ -108,54 +128,6 @@ func main() {
 			fmt.Printf(" %14.1f", countEst[i])
 		}
 		fmt.Println()
-	}
-}
-
-// runMulti runs one shared walk covering every listed size and prints a
-// concentration table per size.
-func runMulti(lcc *graphletrw.Graph, sizesArg string, d int, css, nb bool, steps, walkers int, seed int64, exact bool) {
-	var ks []int
-	for _, f := range strings.Split(sizesArg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fail(fmt.Errorf("bad -sizes entry %q: %v", f, err))
-		}
-		ks = append(ks, n)
-	}
-	cfg := graphletrw.MultiConfig{Sizes: ks, D: d, CSS: css, NB: nb, Walkers: walkers, Seed: seed}
-	start := time.Now()
-	res, err := graphletrw.EstimateAll(graphletrw.NewClient(lcc), cfg, steps)
-	if err != nil {
-		fail(err)
-	}
-	elapsed := time.Since(start)
-
-	nw := walkers
-	if nw < 1 {
-		nw = 1
-	}
-	fmt.Printf("shared walk over sizes %v: %d steps, %d walker(s), %s\n",
-		ks, res.Steps, nw, elapsed.Round(time.Millisecond))
-	for _, k := range ks {
-		r := res.Results[k]
-		conc := r.Concentration()
-		var exactConc []float64
-		if exact {
-			exactConc = graphletrw.ExactConcentration(lcc, k)
-		}
-		fmt.Printf("\nsize %d (%s, %d valid samples)\n", k, r.Config.MethodName(), r.ValidSamples)
-		fmt.Printf("%-22s %12s", "graphlet", "estimate")
-		if exactConc != nil {
-			fmt.Printf(" %12s", "exact")
-		}
-		fmt.Println()
-		for i, gl := range graphletrw.Catalog(k) {
-			fmt.Printf("g%d_%-3d %-15s %12.6f", k, gl.ID, gl.Name, conc[i])
-			if exactConc != nil {
-				fmt.Printf(" %12.6f", exactConc[i])
-			}
-			fmt.Println()
-		}
 	}
 }
 

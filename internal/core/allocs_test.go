@@ -10,59 +10,46 @@ import (
 
 // The walk kernel's steady state must be allocation-free: once a walker is
 // warm — stateInfo cache map buckets sized, scratch slices at capacity — a
-// full window slide (classify + accumulate + transition) performs zero heap
-// allocations. This is the allocation half of ISSUE 6's acceptance criteria;
-// the throughput half lives in the BA1M benchmarks (bench_ba_test.go).
+// full window slide (classify + accumulate + transition, CSS re-weighting
+// and star recovery included, for every size riding the walk) performs zero
+// heap allocations. This is the allocation half of ISSUE 6's acceptance
+// criteria; the throughput half lives in the BA1M benchmarks
+// (bench_ba_test.go).
 func TestWalkStepZeroAllocs(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 4, 21)
 	client := access.NewGraphClient(g)
-	for _, cfg := range []Config{
-		{K: 4, D: 3},
-		{K: 5, D: 3},
-		{K: 5, D: 4, NB: true},
-		{K: 3, D: 1, CSS: true, NB: true},
-		{K: 4, D: 2, CSS: true},
-		{K: 5, D: 2, CSS: true},
-		{K: 5, D: 3, CSS: true},
+	for _, row := range []struct {
+		name string // one-size rows are named by method; go test numbers repeats
+		cfg  MultiConfig
+	}{
+		{"SRW3", Config{K: 4, D: 3}.multi()},
+		{"SRW3", Config{K: 5, D: 3}.multi()},
+		{"SRW4NB", Config{K: 5, D: 4, NB: true}.multi()},
+		{"SRW1CSSNB", Config{K: 3, D: 1, CSS: true, NB: true}.multi()},
+		{"SRW2CSS", Config{K: 4, D: 2, CSS: true}.multi()},
+		{"SRW2CSS", Config{K: 5, D: 2, CSS: true}.multi()},
+		{"SRW3CSS", Config{K: 5, D: 3, CSS: true}.multi()},
+		{"SRW1_stars", Config{K: 4, D: 1, RecoverStars: true}.multi()},
+		{"SRW2CSS_burnin", Config{K: 4, D: 2, CSS: true, BurnIn: 100}.multi()},
+		{"SRW2CSS_sizes345", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}},
 	} {
-		t.Run(cfg.MethodName(), func(t *testing.T) {
-			wk := newWalker(client, cfg, 1)
+		t.Run(row.name, func(t *testing.T) {
+			wk := newWalker(client, row.cfg, 1)
 			wk.reset()
+			ctx := context.Background()
 			// Warm: several cache-clear cycles (infoCacheCap) and every
 			// scratch-growth path.
-			if err := wk.run(context.Background(), 3000); err != nil {
+			if err := wk.run(ctx, 3000); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				if err := wk.accumulate(wk.res); err != nil {
+				if err := wk.run(ctx, 1); err != nil {
 					t.Fatal(err)
 				}
-				wk.advance()
-				wk.res.Steps++
 			})
 			if allocs != 0 {
 				t.Errorf("%v allocs per warm step, want 0", allocs)
 			}
 		})
-	}
-}
-
-// The shared-walk engine holds the same fence: a warm multiWalker advances
-// every size by one window — CSS re-weighting included — without allocating.
-func TestMultiWalkStepZeroAllocs(t *testing.T) {
-	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
-	wk := newMultiWalker(client, MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}, 1)
-	wk.reset()
-	ctx := context.Background()
-	if err := wk.run(ctx, 3000); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := wk.run(ctx, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs per warm step, want 0", allocs)
 	}
 }

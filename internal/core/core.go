@@ -12,14 +12,20 @@
 //
 // The engine is layered:
 //
-//   - walker (walker.go): one walk, its sliding window, and a private Result
-//     accumulator — the pure per-goroutine logic.
-//   - ensemble (ensemble.go): spawns Config.Walkers walkers with
-//     deterministically derived seeds and window budgets and runs them
-//     concurrently; each walker owns its walk.Space and RNG.
+//   - walker (walker.go): one walk on G(d), the ring of its last max(l_k)
+//     states, and one private accumulator per target size — the pure
+//     per-goroutine logic. Every size's window slides over the same walk, so
+//     a single-size run is simply a run with one size.
+//   - ensemble (multi.go, ensemble.go): MultiEstimator spawns
+//     MultiConfig.Walkers walkers with deterministically derived seeds and
+//     window budgets and runs them concurrently; each walker owns its
+//     walk.Space and RNG. Estimator is a typed one-size view over it.
 //   - merge (Result.Merge): sums walker accumulators in walker-index order,
 //     exact because Equation 4 is linear in the accumulated weights, and
 //     schedule-independent by construction.
+//   - state (state.go, partition.go): a run's complete position exports as
+//     one EnsembleState with one versioned codec, which is also the unit a
+//     distributed run ships between machines.
 //
 // CSS weights on the step path are read from the per-(k, d) chain tables of
 // internal/graphlet (samplingProbabilityWith); the generic per-window
@@ -28,7 +34,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/access"
@@ -93,25 +98,17 @@ func (c Config) MethodName() string {
 	return s
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.K < 3 || c.K > graphlet.MaxK {
-		return fmt.Errorf("core: K=%d out of range 3..%d", c.K, graphlet.MaxK)
+// multi returns the general configuration c is the one-size case of.
+func (c Config) multi() MultiConfig {
+	return MultiConfig{
+		Sizes: []int{c.K}, D: c.D, CSS: c.CSS, NB: c.NB,
+		RecoverStars: c.RecoverStars, BurnIn: c.BurnIn,
+		Walkers: c.Walkers, Seed: c.Seed,
 	}
-	if c.D < 1 || c.D > c.K {
-		return fmt.Errorf("core: D=%d out of range 1..K=%d", c.D, c.K)
-	}
-	if c.BurnIn < 0 {
-		return fmt.Errorf("core: negative BurnIn %d", c.BurnIn)
-	}
-	if c.Walkers < 0 {
-		return fmt.Errorf("core: negative Walkers %d", c.Walkers)
-	}
-	if c.RecoverStars && (c.K != 4 || c.D != 1) {
-		return fmt.Errorf("core: RecoverStars applies only to K=4, D=1")
-	}
-	return nil
 }
+
+// Validate checks the configuration.
+func (c Config) Validate() error { return c.multi().Validate() }
 
 // Result holds the outcome of one estimation run (or, after Merge, of
 // several independent runs combined).
@@ -200,61 +197,34 @@ func (r *Result) Counts(twoR float64) []float64 {
 	return out
 }
 
-// Estimator runs the framework on a restricted-access graph: an ensemble of
-// Config.Walkers independent walkers over one shared client.
+// Estimator is the typed one-size view over MultiEstimator: the same
+// ensemble with Sizes = [Config.K], returning that size's Result directly.
+// It holds no run, merge, snapshot or restore logic of its own, so an
+// Estimator and a one-size MultiEstimator of equal settings are
+// interchangeable down to their snapshot bytes.
 type Estimator struct {
-	cfg     Config
-	client  access.Client
-	walkers []*walker
-
-	// lo is the global index of walkers[0]: 0 for a full ensemble, the
-	// partition's first walker index for a NewPartitionEstimator. Quota and
-	// seed derivation always use global indices, so a partitioned run's
-	// walkers reproduce exactly the trajectories of a full local run.
-	lo int
-
-	// done is the checkpoint target reached so far (windows processed across
-	// walkers); Snapshot records it and Restore seeds it, making a run a
-	// serializable state machine.
-	done int
-	// restored marks that the next run should continue from the restored
-	// state instead of resetting the walkers.
-	restored bool
+	k int
+	m *MultiEstimator
 }
 
 // NewEstimator builds an estimator over the client. When cfg.Walkers > 1 the
 // client is used from that many goroutines concurrently during Run.
 func NewEstimator(client access.Client, cfg Config) (*Estimator, error) {
-	if err := cfg.Validate(); err != nil {
+	m, err := NewMultiEstimator(client, cfg.multi())
+	if err != nil {
 		return nil, err
 	}
-	ws := make([]*walker, walkerCount(cfg.Walkers))
-	for i := range ws {
-		ws[i] = newWalker(client, cfg, walkerSeed(cfg.Seed, i))
-	}
-	return &Estimator{cfg: cfg, client: client, walkers: ws}, nil
+	return &Estimator{k: cfg.K, m: m}, nil
 }
 
 // NewPartitionEstimator builds an estimator owning only walkers [lo, hi) of
-// the cfg.Walkers-walker ensemble — the unit of distributed execution. The
-// partition's walkers use their global seeds (walkerSeed(cfg.Seed, lo+i)) and
-// global window quotas, so running every partition of a budget n and merging
-// their accumulators in global walker-index order (CombinePartitionStates +
-// MergedResult) is byte-identical to one local NewEstimator run of the same
-// budget, at any partitioning.
+// the cfg.Walkers-walker ensemble (see NewPartitionMultiEstimator).
 func NewPartitionEstimator(client access.Client, cfg Config, lo, hi int) (*Estimator, error) {
-	if err := cfg.Validate(); err != nil {
+	m, err := NewPartitionMultiEstimator(client, cfg.multi(), lo, hi)
+	if err != nil {
 		return nil, err
 	}
-	w := walkerCount(cfg.Walkers)
-	if lo < 0 || hi > w || lo >= hi {
-		return nil, fmt.Errorf("core: partition [%d,%d) out of range for %d walkers", lo, hi, w)
-	}
-	ws := make([]*walker, hi-lo)
-	for i := range ws {
-		ws[i] = newWalker(client, cfg, walkerSeed(cfg.Seed, lo+i))
-	}
-	return &Estimator{cfg: cfg, client: client, walkers: ws, lo: lo}, nil
+	return &Estimator{k: cfg.K, m: m}, nil
 }
 
 // Run processes n windows (Algorithm 1), split across the configured
@@ -274,132 +244,26 @@ func (e *Estimator) RunCheckpoints(n, every int, fn func(step int, conc []float6
 }
 
 // RunCheckpointsCtx is RunCheckpoints with cooperative, step-granular
-// cancellation: each walker polls the context every cancelCheckEvery windows
-// inside its stage (and the ensemble checks it again at every checkpoint
-// barrier), so a cancel stops the run within a few hundred transitions even
-// when the whole budget is a single barrier-free stage. On cancellation it
-// returns the merged Result accumulated so far alongside ctx.Err(), so
-// callers can report partial progress. The cancellation polls touch no
-// walker state, so runs that complete are byte-identical to RunCheckpoints
-// at any GOMAXPROCS.
+// cancellation (MultiEstimator.RunCheckpointsCtx): on cancellation it returns
+// the merged Result accumulated so far alongside ctx.Err().
 func (e *Estimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(step int, conc []float64)) (*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: non-positive sample budget %d", n)
+	var each func(int, map[int][]float64)
+	if fn != nil {
+		each = func(step int, conc map[int][]float64) { fn(step, conc[e.k]) }
 	}
-	nw := len(e.walkers)
-	// Quotas are always computed against the full ensemble's walker count at
-	// global indices, so a partition advances its walkers exactly as a full
-	// local run would (for a full ensemble tw == nw and e.lo == 0).
-	tw := walkerCount(e.cfg.Walkers)
-	resumed := e.restored
-	e.restored = false
-	if resumed {
-		if e.done > n {
-			return nil, fmt.Errorf("core: restored state at %d windows exceeds budget %d", e.done, n)
-		}
-	} else {
-		for _, wk := range e.walkers {
-			wk.reset()
-		}
-		// Sequential seed draws: see walker.ensureSeeded.
-		for _, wk := range e.walkers {
-			wk.ensureSeeded()
-		}
-		e.done = 0
+	res, err := e.m.RunCheckpointsCtx(ctx, n, every, each)
+	if res == nil {
+		return nil, err
 	}
-	prev := e.done
-	for _, target := range checkpointTargets(n, every, fn != nil) {
-		if target <= prev {
-			continue // already covered by the restored state
-		}
-		if err := ctx.Err(); err != nil {
-			return e.merged(), err
-		}
-		lo, hi := prev, target
-		if err := runStage(nw, func(i int) error {
-			return e.walkers[i].run(ctx, walkerQuota(hi, tw, e.lo+i)-walkerQuota(lo, tw, e.lo+i))
-		}); err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				// A mid-stage cancel: the partial accumulators are intact and
-				// their merge reports the windows actually processed.
-				return e.merged(), err
-			}
-			return nil, err
-		}
-		prev = target
-		e.done = target
-		if fn != nil {
-			fn(target, e.merged().Concentration())
-		}
-	}
-	return e.merged(), nil
+	return res.Results[e.k], err
 }
 
-// Snapshot exports the run's complete resumable state. It is only valid
-// while the walkers are quiescent: from inside a RunCheckpoints callback
-// (the walkers park at the checkpoint barrier for the callback's duration)
-// or after a run returned. Snapshots are read-only — taking one changes no
-// walker state, so checkpointed runs stay byte-identical to unobserved ones.
-func (e *Estimator) Snapshot() *EnsembleState {
-	st := &EnsembleState{
-		Config:      e.cfg,
-		WindowsDone: e.done,
-		Walkers:     make([]WalkerState, len(e.walkers)),
-	}
-	for i, wk := range e.walkers {
-		st.Walkers[i] = wk.snapshot()
-	}
-	return st
-}
+// Snapshot exports the run's complete resumable state (MultiEstimator.Snapshot).
+func (e *Estimator) Snapshot() *EnsembleState { return e.m.Snapshot() }
 
-// Restore loads an exported state into the estimator: the next
-// Run/RunCheckpoints call continues the interrupted run from st.WindowsDone
-// windows instead of starting over, and — because the RNG streams, windows
-// and accumulators are reconstructed exactly — completes with a result
-// byte-identical to the uninterrupted run's, at any GOMAXPROCS. The state
-// must have been captured under an equal Config (including Walkers and
-// Seed). On error the estimator may be partially mutated and must be
-// discarded.
-func (e *Estimator) Restore(st *EnsembleState) error {
-	if st == nil {
-		return fmt.Errorf("core: nil ensemble state")
-	}
-	if st.Config != e.cfg {
-		return fmt.Errorf("core: ensemble state was captured under config %+v, estimator has %+v", st.Config, e.cfg)
-	}
-	if len(st.Walkers) != len(e.walkers) {
-		return fmt.Errorf("core: ensemble state has %d walkers, estimator has %d", len(st.Walkers), len(e.walkers))
-	}
-	tw := walkerCount(e.cfg.Walkers)
-	for i, wk := range e.walkers {
-		// The quota split is a pure function of (WindowsDone, W, global
-		// index); a state whose per-walker window counts disagree with it
-		// cannot have come from a checkpoint barrier (of this partition).
-		if want := walkerQuota(st.WindowsDone, tw, e.lo+i); st.Walkers[i].ResSteps != want {
-			return fmt.Errorf("core: walker %d processed %d windows, want %d at ensemble target %d",
-				e.lo+i, st.Walkers[i].ResSteps, want, st.WindowsDone)
-		}
-		if err := wk.restore(st.Walkers[i]); err != nil {
-			return err
-		}
-	}
-	e.done = st.WindowsDone
-	e.restored = true
-	return nil
-}
-
-// merged combines the walkers' private Results in walker-index order.
-func (e *Estimator) merged() *Result {
-	out := &Result{
-		Config:     e.cfg,
-		Weights:    make([]float64, len(e.walkers[0].alpha)),
-		TypeCounts: make([]int64, len(e.walkers[0].alpha)),
-	}
-	for _, wk := range e.walkers {
-		out.Merge(wk.res)
-	}
-	return out
-}
+// Restore loads an exported state so that the next Run continues the
+// interrupted run (MultiEstimator.Restore).
+func (e *Estimator) Restore(st *EnsembleState) error { return e.m.Restore(st) }
 
 // SamplingProbability computes the CSS weight p̃ = 2|R(d)|·p for the subgraph
 // induced by the given k distinct nodes (Algorithm 3) with the generic chain

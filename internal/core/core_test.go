@@ -284,13 +284,9 @@ func TestTwoR(t *testing.T) {
 func TestPaperExampleStationary(t *testing.T) {
 	g := gen.PaperFigure1()
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 4, D: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Manually set the window to the example's three states. Node labels in
 	// the paper are 1..4, here 0..3. The window lives in the walker layer.
-	wk := est.walkers[0]
+	wk := newWalker(client, Config{K: 4, D: 2, Seed: 1}.multi(), 1)
 	wk.reset()
 	wk.start()
 	wk.win[0] = stateOf2(0, 1)
@@ -299,8 +295,8 @@ func TestPaperExampleStationary(t *testing.T) {
 	wk.degs[0] = wk.space.StateDegree(wk.win[0])
 	wk.degs[1] = wk.space.StateDegree(wk.win[1])
 	wk.degs[2] = wk.space.StateDegree(wk.win[2])
-	wk.ring = 0
-	if got := wk.pieTilde(); math.Abs(got-0.25) > 1e-12 {
+	wk.curStart = 0
+	if got := wk.pieTilde(3); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("pieTilde = %f, want 0.25", got)
 	}
 }
@@ -369,16 +365,12 @@ func TestDeterminism(t *testing.T) {
 func TestCSSMatchesTable4K3(t *testing.T) {
 	g := gen.PaperFigure1()
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 3, D: 1, CSS: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wk := est.walkers[0]
+	wk := newWalker(client, Config{K: 3, D: 1, CSS: true, Seed: 1}.multi(), 1)
 	wk.reset()
 	wk.start()
 	pTilde := func(nodes []int32) float64 {
 		code := graphlet.CodeOf(3, func(i, j int) bool { return client.HasEdge(nodes[i], nodes[j]) })
-		return samplingProbabilityWith(wk.space, wk.chains, false, nodes, code)
+		return samplingProbabilityWith(wk.space, wk.sizes[0].chains, false, nodes, code)
 	}
 
 	// Triangle {0,1,2}: degrees 3,2,3 -> p̃ = 2(1/3+1/2+1/3).

@@ -5,15 +5,15 @@ import (
 	"sync"
 )
 
-// The ensemble layer runs Config.Walkers independent walkers concurrently and
-// merges their private Results. Three invariants make the merged output
-// byte-identical across runs and GOMAXPROCS settings:
+// The ensemble layer runs MultiConfig.Walkers independent walkers concurrently
+// and merges their private accumulators. Three invariants make the merged
+// output byte-identical across runs and GOMAXPROCS settings:
 //
-//  1. Seeds: walker i's RNG seed is a pure function of (Config.Seed, i)
+//  1. Seeds: walker i's RNG seed is a pure function of (MultiConfig.Seed, i)
 //     (walkerSeed), so every walker's trajectory is fixed up front.
 //  2. Budgets: the n-window budget is split by walkerQuota, a pure function
 //     of (n, W, i), so each walker processes a fixed window set.
-//  3. Merging: Results are summed in walker-index order (mergeResults), so
+//  3. Merging: accumulators are summed in walker-index order (addWalker), so
 //     floating-point addition order never depends on goroutine scheduling.
 
 // walkerCount normalizes Config.Walkers: 0 (the zero value) means one walker.

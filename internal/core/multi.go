@@ -7,48 +7,49 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/graphlet"
-	"repro/internal/walk"
 )
 
-// MultiEstimator estimates the concentrations of several graphlet sizes
-// simultaneously from random walks on G(d) — the joint-estimation idea
-// behind MSS [36], generalized to this framework: a window of l_k = k-d+1
-// consecutive states is maintained per target size k, and each size
-// re-weights its own samples exactly as the single-size estimator does. One
-// walk's API cost therefore buys every size's estimate at once.
+// MultiEstimator is the estimation ensemble: it estimates the concentrations
+// of every size in MultiConfig.Sizes simultaneously from random walks on
+// G(d) — the joint-estimation idea behind MSS [36], generalized to this
+// framework: a window of l_k = k-d+1 consecutive states is maintained per
+// target size k, and each size re-weights its own samples. One walk's API
+// cost therefore buys every size's estimate at once, and a single-size run
+// (Estimator) is the case of one size.
 //
 // Window scheduling is step-aligned: size k's t-th window covers walk states
-// [t, t+l_k-1], exactly the windows a single-size run over the same RNG
-// stream would process. Because the walk trajectory is a pure function of the
-// seed and accumulation draws no randomness, each size's merged Result is
-// byte-identical to the Result of a MultiEstimator configured with that size
-// alone — which is what lets a multi-size run satisfy later single-size
-// requests for any covered k.
+// [t, t+l_k-1], whatever other sizes ride the same walk. Because the walk
+// trajectory is a pure function of the seed and accumulation draws no
+// randomness, each size's merged Result is byte-identical to the Result of a
+// run configured with that size alone — which is what lets a multi-size run
+// satisfy later single-size requests for any covered k.
 //
-// Like Estimator, it is an ensemble: MultiConfig.Walkers independent
-// multi-size walkers split the window budget and their per-size Results
-// merge by summation in walker-index order. And like Estimator, a run is a
+// MultiConfig.Walkers independent walkers split the window budget and their
+// per-size accumulators merge by summation in walker-index order. A run is a
 // serializable state machine: Snapshot/Restore round-trip the complete
 // position (RNG stream, walk, state ring, per-size accumulators) through
-// MultiEnsembleState, so interrupted runs resume byte-identically.
+// EnsembleState, so interrupted runs resume byte-identically.
 type MultiEstimator struct {
 	cfg     MultiConfig
-	client  access.Client
-	walkers []*multiWalker
+	walkers []*walker
 
-	// lo is the global index of walkers[0] (see Estimator.lo): 0 for a full
-	// ensemble, the partition's first walker index otherwise.
+	// lo is the global index of walkers[0]: 0 for a full ensemble, the
+	// partition's first walker index for a NewPartitionMultiEstimator. Quota
+	// and seed derivation always use global indices, so a partitioned run's
+	// walkers reproduce exactly the trajectories of a full local run.
 	lo int
 
 	// done is the checkpoint target reached so far (windows processed per
-	// size, summed across walkers); Snapshot records it and Restore seeds it.
+	// size, summed across walkers); Snapshot records it and Restore seeds it,
+	// making a run a serializable state machine.
 	done int
 	// restored marks that the next run should continue from the restored
 	// state instead of resetting the walkers.
 	restored bool
 }
 
-// MultiConfig configures a MultiEstimator.
+// MultiConfig configures a MultiEstimator. Config is exactly its one-size
+// case.
 type MultiConfig struct {
 	// Sizes lists the target graphlet sizes, each in 3..5 and >= D, without
 	// duplicates.
@@ -58,6 +59,11 @@ type MultiConfig struct {
 	// CSS and NB enable the §4 optimizations for every size (CSS applies
 	// where l > 2).
 	CSS, NB bool
+	// RecoverStars and BurnIn are Config's fields of the same names seen
+	// through the general type; star recovery is defined only for the one
+	// size 4 at D = 1.
+	RecoverStars bool
+	BurnIn       int
 	// Walkers is the number of independent concurrent walks (0 and 1 both
 	// mean one); semantics match Config.Walkers.
 	Walkers int
@@ -85,8 +91,14 @@ func (c MultiConfig) Validate() error {
 	if c.D < 1 {
 		return fmt.Errorf("core: D=%d out of range", c.D)
 	}
+	if c.BurnIn < 0 {
+		return fmt.Errorf("core: negative BurnIn %d", c.BurnIn)
+	}
 	if c.Walkers < 0 {
 		return fmt.Errorf("core: negative Walkers %d", c.Walkers)
+	}
+	if c.RecoverStars && (len(c.Sizes) != 1 || c.Sizes[0] != 4 || c.D != 1) {
+		return fmt.Errorf("core: RecoverStars applies only to the single size 4 at D=1")
 	}
 	return nil
 }
@@ -94,8 +106,9 @@ func (c MultiConfig) Validate() error {
 // equal reports deep equality (MultiConfig holds a slice, so == is
 // unavailable); Sizes order is significant.
 func (c MultiConfig) equal(o MultiConfig) bool {
-	if len(c.Sizes) != len(o.Sizes) || c.D != o.D || c.CSS != o.CSS ||
-		c.NB != o.NB || c.Walkers != o.Walkers || c.Seed != o.Seed {
+	if len(c.Sizes) != len(o.Sizes) || c.D != o.D || c.CSS != o.CSS || c.NB != o.NB ||
+		c.RecoverStars != o.RecoverStars || c.BurnIn != o.BurnIn ||
+		c.Walkers != o.Walkers || c.Seed != o.Seed {
 		return false
 	}
 	for i := range c.Sizes {
@@ -106,22 +119,30 @@ func (c MultiConfig) equal(o MultiConfig) bool {
 	return true
 }
 
-// NewMultiEstimator builds the joint estimator.
-func NewMultiEstimator(client access.Client, cfg MultiConfig) (*MultiEstimator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// sizeConfig is the one-size Config of size k: what a merged per-size Result
+// carries, so it is structurally identical to what an Estimator configured
+// for that size alone returns.
+func (c MultiConfig) sizeConfig(k int) Config {
+	return Config{
+		K: k, D: c.D, CSS: c.CSS, NB: c.NB,
+		RecoverStars: c.RecoverStars, BurnIn: c.BurnIn,
+		Walkers: c.Walkers, Seed: c.Seed,
 	}
-	ws := make([]*multiWalker, walkerCount(cfg.Walkers))
-	for i := range ws {
-		ws[i] = newMultiWalker(client, cfg, walkerSeed(cfg.Seed, i))
-	}
-	return &MultiEstimator{cfg: cfg, client: client, walkers: ws}, nil
 }
 
-// NewPartitionMultiEstimator is NewPartitionEstimator for the multi-size
-// engine: an estimator owning walkers [lo, hi) of the cfg.Walkers-walker
-// ensemble, with global seeds and window quotas, so partitioned runs combine
-// byte-identically to a local NewMultiEstimator run.
+// NewMultiEstimator builds the ensemble over the client. When cfg.Walkers > 1
+// the client is used from that many goroutines concurrently during a run.
+func NewMultiEstimator(client access.Client, cfg MultiConfig) (*MultiEstimator, error) {
+	return NewPartitionMultiEstimator(client, cfg, 0, walkerCount(cfg.Walkers))
+}
+
+// NewPartitionMultiEstimator builds an estimator owning only walkers [lo, hi)
+// of the cfg.Walkers-walker ensemble — the unit of distributed execution. The
+// partition's walkers use their global seeds (walkerSeed(cfg.Seed, lo+i)) and
+// global window quotas, so running every partition of a budget n and merging
+// their accumulators in global walker-index order (CombinePartitionStates +
+// MergedResult) is byte-identical to one local NewMultiEstimator run of the
+// same budget, at any partitioning.
 func NewPartitionMultiEstimator(client access.Client, cfg MultiConfig, lo, hi int) (*MultiEstimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -130,11 +151,11 @@ func NewPartitionMultiEstimator(client access.Client, cfg MultiConfig, lo, hi in
 	if lo < 0 || hi > w || lo >= hi {
 		return nil, fmt.Errorf("core: partition [%d,%d) out of range for %d walkers", lo, hi, w)
 	}
-	ws := make([]*multiWalker, hi-lo)
+	ws := make([]*walker, hi-lo)
 	for i := range ws {
-		ws[i] = newMultiWalker(client, cfg, walkerSeed(cfg.Seed, lo+i))
+		ws[i] = newWalker(client, cfg, walkerSeed(cfg.Seed, lo+i))
 	}
-	return &MultiEstimator{cfg: cfg, client: client, walkers: ws, lo: lo}, nil
+	return &MultiEstimator{cfg: cfg, walkers: ws, lo: lo}, nil
 }
 
 // MultiResult holds one Result per requested size, keyed by k.
@@ -143,15 +164,6 @@ type MultiResult struct {
 	// the same window count), summed over walkers.
 	Steps   int
 	Results map[int]*Result
-}
-
-// Merge folds o into m: Steps sum, and each size's Result merges
-// (Result.Merge). Both MultiResults must come from the same MultiConfig.
-func (m *MultiResult) Merge(o *MultiResult) {
-	m.Steps += o.Steps
-	for k, r := range o.Results {
-		m.Results[k].Merge(r)
-	}
 }
 
 // Concentrations returns the per-size concentration vectors, keyed by k.
@@ -169,19 +181,28 @@ func (m *MultiEstimator) Run(n int) (*MultiResult, error) {
 	return m.RunCheckpointsCtx(context.Background(), n, 0, nil)
 }
 
-// RunCheckpointsCtx mirrors Estimator.RunCheckpointsCtx for the multi-size
-// engine: the window budget n (per size, split across walkers) runs in
-// checkpoint stages of `every` windows; at each barrier fn receives the
-// windows processed so far and the merged per-size concentration snapshot.
-// Cancellation is cooperative and step-granular; on cancel the merged
-// partial MultiResult is returned alongside ctx.Err(). Runs that complete
-// are byte-identical at any GOMAXPROCS.
+// RunCheckpointsCtx runs the window budget n (per size, split across
+// walkers) in checkpoint stages of `every` windows; at each barrier fn
+// receives the windows processed so far and the merged per-size
+// concentration snapshot. Checkpoints are ensemble-wide barriers; with
+// fn == nil the walkers run barrier-free end to end.
+//
+// Cancellation is cooperative and step-granular: each walker polls the
+// context every cancelCheckEvery transitions inside its stage (and the
+// ensemble checks it again at every checkpoint barrier), so a cancel stops
+// the run within a few hundred transitions even when the whole budget is a
+// single barrier-free stage. On cancellation it returns the merged result
+// accumulated so far alongside ctx.Err(), so callers can report partial
+// progress. The cancellation polls touch no walker state, so runs that
+// complete are byte-identical at any GOMAXPROCS.
 func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(step int, conc map[int][]float64)) (*MultiResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive sample budget %d", n)
 	}
 	nw := len(m.walkers)
-	// Global-index quotas, as in Estimator.RunCheckpointsCtx.
+	// Quotas are always computed against the full ensemble's walker count at
+	// global indices, so a partition advances its walkers exactly as a full
+	// local run would (for a full ensemble tw == nw and m.lo == 0).
 	tw := walkerCount(m.cfg.Walkers)
 	resumed := m.restored
 	m.restored = false
@@ -221,20 +242,23 @@ func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn
 		prev = target
 		m.done = target
 		if fn != nil {
-			fn(target, m.merged().Concentrations())
+			sums, _ := m.sums()
+			fn(target, concentrations(m.cfg.Sizes, sums))
 		}
 	}
 	return m.merged(), nil
 }
 
-// Snapshot exports the run's complete resumable state. Like
-// Estimator.Snapshot it is only valid while the walkers are quiescent (from
-// inside a checkpoint callback or after a run returned) and is read-only.
-func (m *MultiEstimator) Snapshot() *MultiEnsembleState {
-	st := &MultiEnsembleState{
+// Snapshot exports the run's complete resumable state. It is only valid
+// while the walkers are quiescent: from inside a checkpoint callback (the
+// walkers park at the barrier for the callback's duration) or after a run
+// returned. Snapshots are read-only — taking one changes no walker state, so
+// checkpointed runs stay byte-identical to unobserved ones.
+func (m *MultiEstimator) Snapshot() *EnsembleState {
+	st := &EnsembleState{
 		Config:      m.cfg,
 		WindowsDone: m.done,
-		Walkers:     make([]MultiWalkerState, len(m.walkers)),
+		Walkers:     make([]WalkerState, len(m.walkers)),
 	}
 	for i, wk := range m.walkers {
 		st.Walkers[i] = wk.snapshot()
@@ -242,32 +266,31 @@ func (m *MultiEstimator) Snapshot() *MultiEnsembleState {
 	return st
 }
 
-// Restore loads an exported state: the next Run call continues the
-// interrupted run from st.WindowsDone windows per size and completes with
-// per-size Results byte-identical to the uninterrupted run's, at any
-// GOMAXPROCS. The state must have been captured under an equal MultiConfig.
-// On error the estimator may be partially mutated and must be discarded.
-func (m *MultiEstimator) Restore(st *MultiEnsembleState) error {
+// Restore loads an exported state into the estimator: the next run continues
+// the interrupted one from st.WindowsDone windows per size instead of
+// starting over, and — because the RNG streams, state rings and accumulators
+// are reconstructed exactly — completes with per-size Results byte-identical
+// to the uninterrupted run's, at any GOMAXPROCS. The state must have been
+// captured under an equal MultiConfig (including Walkers and Seed). On error
+// the estimator may be partially mutated and must be discarded.
+func (m *MultiEstimator) Restore(st *EnsembleState) error {
 	if st == nil {
-		return fmt.Errorf("core: nil multi ensemble state")
+		return fmt.Errorf("core: nil ensemble state")
 	}
 	if !st.Config.equal(m.cfg) {
-		return fmt.Errorf("core: multi ensemble state was captured under config %+v, estimator has %+v", st.Config, m.cfg)
+		return fmt.Errorf("core: ensemble state was captured under config %+v, estimator has %+v", st.Config, m.cfg)
 	}
 	if len(st.Walkers) != len(m.walkers) {
-		return fmt.Errorf("core: multi ensemble state has %d walkers, estimator has %d", len(st.Walkers), len(m.walkers))
+		return fmt.Errorf("core: ensemble state has %d walkers, estimator has %d", len(st.Walkers), len(m.walkers))
 	}
 	tw := walkerCount(m.cfg.Walkers)
 	for i, wk := range m.walkers {
-		// Every size advances in lockstep across stage barriers, so each
-		// size's window count must equal the pure-function quota split (at
-		// the walker's global index).
-		want := walkerQuota(st.WindowsDone, tw, m.lo+i)
-		for j, acc := range st.Walkers[i].Accs {
-			if acc.Done != want {
-				return fmt.Errorf("core: walker %d size[%d] processed %d windows, want %d at ensemble target %d",
-					m.lo+i, j, acc.Done, want, st.WindowsDone)
-			}
+		// The quota split is a pure function of (WindowsDone, W, global
+		// index), and every size advances in lockstep across stage barriers;
+		// a state whose per-size window counts disagree with it cannot have
+		// come from a checkpoint barrier (of this partition).
+		if err := st.Walkers[i].checkQuota(walkerQuota(st.WindowsDone, tw, m.lo+i)); err != nil {
+			return fmt.Errorf("core: walker %d at ensemble target %d: %w", m.lo+i, st.WindowsDone, err)
 		}
 		if err := wk.restore(st.Walkers[i]); err != nil {
 			return err
@@ -278,413 +301,73 @@ func (m *MultiEstimator) Restore(st *MultiEnsembleState) error {
 	return nil
 }
 
-// merged combines the walkers' private MultiResults in walker-index order.
-// Each merged per-size Result carries the full equivalent single-size Config
-// (including Walkers and Seed), so it is structurally identical to what an
-// Estimator configured for that size alone would return.
-func (m *MultiEstimator) merged() *MultiResult {
-	out := m.walkers[0].emptyResult()
+// sums adds the walkers' private accumulators by size index, in walker-index
+// order, and reports the windows processed per size.
+func (m *MultiEstimator) sums() ([]Result, int) {
+	sums, steps := newSums(m.cfg), 0
 	for _, wk := range m.walkers {
-		out.Merge(wk.res)
+		steps += addWalker(sums, wk.accs, wk.starAcc)
 	}
-	for _, r := range out.Results {
-		r.Config.Walkers = m.cfg.Walkers
-		r.Config.Seed = m.cfg.Seed
-	}
-	return out
+	return sums, steps
 }
 
-// multiWalker is the per-goroutine layer of the multi-size engine: one walk
-// whose ring of the last max(l_k) states serves every target size's window.
-//
-// The scheduling invariant is index-based: pushed counts the walk states
-// seen so far (state 0 is the start state, so pushed == walk steps + 1 once
-// primed), state j lives in ring slot j % maxL, and done[i] counts the
-// windows size i has accumulated — size i's next window covers states
-// [done[i], done[i]+l_i-1] and is ready as soon as pushed >= done[i]+l_i.
-// The greedy run loop accumulates every ready window before taking a step,
-// so no size ever falls more than maxL-1 states behind and the ring always
-// retains every state a pending window needs.
-type multiWalker struct {
-	client access.Client
-	space  walk.Space
-	seed   int64      // walker-specific seed (walkerSeed); rebuilds rng on restore
-	rng    *walk.Rand // position-counted so checkpoints can snapshot the stream
-	w      *walk.Walk
-	d      int
-	css    bool
-	nb     bool
-
-	sizes  []int
-	ls     []int                  // l_k = k-d+1 per size
-	chains []*graphlet.ChainTable // per size; nil unless CSS and l_k > 2
-	maxL   int
-
-	// Ring of the last maxL states and their degrees; state j at slot j%maxL.
-	win    []walk.State
-	degs   []int
-	pushed int   // states pushed since reset/restore
-	done   []int // windows accumulated per size
-
-	// curStart parameterizes windowAt for the window being accumulated.
-	curStart int
-
-	scratchNodes []int32
-
-	res    *MultiResult
-	seeded bool
-	primed bool
+// merged combines the walkers' private accumulators in walker-index order.
+func (m *MultiEstimator) merged() *MultiResult {
+	sums, steps := m.sums()
+	return newMultiResult(m.cfg.Sizes, sums, steps)
 }
 
-func newMultiWalker(client access.Client, cfg MultiConfig, seed int64) *multiWalker {
-	maxL := 0
-	ls := make([]int, len(cfg.Sizes))
-	chains := make([]*graphlet.ChainTable, len(cfg.Sizes))
-	for i, k := range cfg.Sizes {
-		ls[i] = k - cfg.D + 1
-		if ls[i] > maxL {
-			maxL = ls[i]
-		}
-		if cfg.CSS && ls[i] > 2 {
-			chains[i] = graphlet.Chains(k, cfg.D)
-		}
-	}
-	return &multiWalker{
-		client: client,
-		space:  walk.NewSpace(client, cfg.D),
-		seed:   seed,
-		rng:    walk.NewRand(seed),
-		d:      cfg.D,
-		css:    cfg.CSS,
-		nb:     cfg.NB,
-		sizes:  append([]int(nil), cfg.Sizes...),
-		ls:     ls,
-		chains: chains,
-		maxL:   maxL,
-		win:    make([]walk.State, maxL),
-		degs:   make([]int, maxL),
-		done:   make([]int, len(cfg.Sizes)),
-	}
-}
-
-// emptyResult allocates a zeroed MultiResult shaped for the walker's sizes.
-func (m *multiWalker) emptyResult() *MultiResult {
-	out := &MultiResult{Results: map[int]*Result{}}
-	for _, k := range m.sizes {
-		out.Results[k] = &Result{
-			Config:     Config{K: k, D: m.d, CSS: m.css, NB: m.nb},
+// newSums allocates the zeroed merge target of a run under cfg: one Result
+// per size, in Sizes order, each carrying its one-size Config.
+func newSums(cfg MultiConfig) []Result {
+	sums := make([]Result, len(cfg.Sizes))
+	for j, k := range cfg.Sizes {
+		sums[j] = Result{
+			Config:     cfg.sizeConfig(k),
 			Weights:    make([]float64, graphlet.Count(k)),
 			TypeCounts: make([]int64, graphlet.Count(k)),
 		}
 	}
+	return sums
+}
+
+// addWalker folds one walker's accumulators (accs indexed like sums) into the
+// merge target and returns the walker's progress: the window count of its
+// slowest size (every size stands at the same count except after a
+// mid-stage cancel). This is the one float addition sequence — Result.Merge
+// per size, walkers in index order — that live runs, snapshots and combined
+// partition states all share, which is what makes them byte-identical.
+func addWalker(sums []Result, accs []SizeAcc, starAcc float64) int {
+	minDone := accs[0].Done
+	for j := range sums {
+		a := &accs[j]
+		part := Result{Steps: a.Done, ValidSamples: a.ValidSamples, Weights: a.Weights, TypeCounts: a.TypeCounts}
+		if j == 0 {
+			part.StarAcc = starAcc // only ever non-zero for the one size of a RecoverStars run
+		}
+		sums[j].Merge(&part)
+		if a.Done < minDone {
+			minDone = a.Done
+		}
+	}
+	return minDone
+}
+
+// newMultiResult keys the merged per-size sums by k.
+func newMultiResult(sizes []int, sums []Result, steps int) *MultiResult {
+	out := &MultiResult{Steps: steps, Results: make(map[int]*Result, len(sizes))}
+	for j, k := range sizes {
+		out.Results[k] = &sums[j]
+	}
 	return out
 }
 
-func (m *multiWalker) reset() {
-	m.res = m.emptyResult()
-	m.seeded = false
-	m.primed = false
-	m.pushed = 0
-	for i := range m.done {
-		m.done[i] = 0
+// concentrations is MultiResult.Concentrations straight off the merged sums,
+// for the barrier callback, which needs no MultiResult.
+func concentrations(sizes []int, sums []Result) map[int][]float64 {
+	out := make(map[int][]float64, len(sizes))
+	for j, k := range sizes {
+		out[k] = sums[j].Concentration()
 	}
-}
-
-// ensureSeeded mirrors walker.ensureSeeded for the multi-size engine: only
-// the start-state draw needs walker-index ordering.
-func (m *multiWalker) ensureSeeded() {
-	if !m.seeded {
-		m.w = walk.New(m.space, m.nb, m.rng.Rand)
-		m.seeded = true
-	}
-}
-
-// start primes the walker: start state drawn and pushed as state 0. Further
-// states are pushed lazily by the run loop, only when a window needs them.
-func (m *multiWalker) start() {
-	m.ensureSeeded()
-	if m.primed {
-		return
-	}
-	m.pushed = 0
-	m.push(m.w.Current())
-	m.primed = true
-}
-
-// minDone returns the slowest size's window count — the walker's overall
-// progress (every size reaches the stage target before run returns).
-func (m *multiWalker) minDone() int {
-	min := m.done[0]
-	for _, d := range m.done[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// run advances every size by `count` windows (all sizes stand at the same
-// window count when a stage starts), polling ctx every cancelCheckEvery walk
-// transitions. Windows are accumulated greedily the moment their states
-// exist, so the walk only steps when some size still needs a new state.
-func (m *multiWalker) run(ctx context.Context, count int) error {
-	m.start()
-	target := m.done[0] + count
-	done := ctx.Done()
-	steps := 0
-	for m.minDone() < target {
-		advanced := false
-		for i := range m.sizes {
-			if m.done[i] < target && m.done[i]+m.ls[i] <= m.pushed {
-				if err := m.accumulateSize(i); err != nil {
-					return err
-				}
-				m.done[i]++
-				m.res.Results[m.sizes[i]].Steps++
-				advanced = true
-			}
-		}
-		if advanced {
-			m.res.Steps = m.minDone()
-			continue
-		}
-		// Every ready window is consumed; the slowest size needs one more
-		// state.
-		if done != nil && steps%cancelCheckEvery == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		steps++
-		m.push(m.w.Step())
-	}
-	return nil
-}
-
-func (m *multiWalker) push(s walk.State) {
-	slot := m.pushed % m.maxL
-	m.win[slot] = s
-	m.degs[slot] = m.space.StateDegree(s)
-	m.pushed++
-}
-
-// windowAt returns the i-th state (0 = oldest) of the window starting at
-// curStart; the signature matches windowCode's accessor.
-func (m *multiWalker) windowAt(i int) (walk.State, int) {
-	j := (m.curStart + i) % m.maxL
-	return m.win[j], m.degs[j]
-}
-
-// accumulateSize processes size index i's next window (states
-// [done[i], done[i]+l_i-1]) into its private Result — the same math as
-// walker.accumulate, so a size's accumulator trajectory is identical to a
-// single-size run over the same walk.
-func (m *multiWalker) accumulateSize(i int) error {
-	k := m.sizes[i]
-	l := m.ls[i]
-	m.curStart = m.done[i]
-	res := m.res.Results[k]
-	nodes := m.scratchNodes[:0]
-	for i := 0; i < l; i++ {
-		s, _ := m.windowAt(i)
-		for j := 0; j < s.Len(); j++ {
-			x := s.Node(j)
-			seen := false
-			for _, y := range nodes {
-				if y == x {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				nodes = append(nodes, x)
-			}
-		}
-	}
-	m.scratchNodes = nodes
-	if len(nodes) != k {
-		return nil
-	}
-	res.ValidSamples++
-	code := windowCode(m.client, m.space, k, l, nodes, m.windowAt)
-	typ := graphlet.ClassifyCode(k, code)
-	if typ < 0 {
-		return fmt.Errorf("core: multi window %v disconnected", nodes)
-	}
-	res.TypeCounts[typ]++
-
-	var weight float64
-	if m.chains[i] != nil {
-		p := samplingProbabilityWith(m.space, m.chains[i], m.nb, nodes, code)
-		if p <= 0 {
-			return fmt.Errorf("core: multi zero sampling probability")
-		}
-		weight = 1 / p
-	} else {
-		alpha := graphlet.Alpha(k, m.d, typ+1)
-		if alpha == 0 {
-			return fmt.Errorf("core: multi walk produced type g%d_%d with alpha=0", k, typ+1)
-		}
-		pie := 1.0
-		switch {
-		case l == 1:
-			_, deg := m.windowAt(0)
-			pie = float64(deg)
-		case l > 2:
-			for i := 1; i < l-1; i++ {
-				_, deg := m.windowAt(i)
-				if m.nb {
-					deg = nominal(deg)
-				}
-				pie *= 1 / float64(deg)
-			}
-		}
-		weight = 1 / (float64(alpha) * pie)
-	}
-	res.Weights[typ] += weight
-	return nil
-}
-
-// snapshot exports the walker's complete resumable state; only safe while
-// the walker is quiescent (between ensemble stages), and read-only.
-func (m *multiWalker) snapshot() MultiWalkerState {
-	st := MultiWalkerState{
-		RNGPos: m.rng.Pos(),
-		Seeded: m.seeded,
-		Primed: m.primed,
-	}
-	st.Accs = make([]MultiSizeAcc, len(m.sizes))
-	for i, k := range m.sizes {
-		acc := MultiSizeAcc{Done: m.done[i]}
-		if m.res != nil {
-			r := m.res.Results[k]
-			acc.ValidSamples = r.ValidSamples
-			acc.Weights = append([]float64(nil), r.Weights...)
-			acc.TypeCounts = append([]int64(nil), r.TypeCounts...)
-		} else {
-			acc.Weights = make([]float64, graphlet.Count(k))
-			acc.TypeCounts = make([]int64, graphlet.Count(k))
-		}
-		st.Accs[i] = acc
-	}
-	if m.seeded {
-		ws := m.w.State()
-		st.Steps = ws.Steps
-		st.HasPrev = ws.HasPrev
-		st.Cur = ws.Cur.Nodes(nil)
-		if ws.HasPrev {
-			st.Prev = ws.Prev.Nodes(nil)
-		}
-	}
-	if m.primed {
-		// The ring holds the last min(pushed, maxL) states; export them
-		// oldest-first so restore can re-place state j at slot j % maxL.
-		n := m.pushed
-		if n > m.maxL {
-			n = m.maxL
-		}
-		st.Win = make([][]int32, n)
-		st.Degs = make([]int, n)
-		for i := 0; i < n; i++ {
-			j := m.pushed - n + i
-			slot := j % m.maxL
-			st.Win[i] = m.win[slot].Nodes(nil)
-			st.Degs[i] = m.degs[slot]
-		}
-	}
-	return st
-}
-
-// restore rebuilds the walker from an exported state: a fresh space, the RNG
-// fast-forwarded to the recorded position, the walk at its recorded
-// position, the state ring re-placed at canonical slots, and the per-size
-// accumulators. On error the walker may be left partially mutated; callers
-// discard the whole estimator then.
-func (m *multiWalker) restore(st MultiWalkerState) error {
-	if len(st.Accs) != len(m.sizes) {
-		return fmt.Errorf("core: multi restore: %d size accumulators, want %d", len(st.Accs), len(m.sizes))
-	}
-	if st.Primed && !st.Seeded {
-		return fmt.Errorf("core: multi restore: primed walker without a start state")
-	}
-	if st.Steps < 0 {
-		return fmt.Errorf("core: multi restore: negative walk steps")
-	}
-	m.res = &MultiResult{Results: map[int]*Result{}}
-	for i, k := range m.sizes {
-		acc := st.Accs[i]
-		nt := graphlet.Count(k)
-		if len(acc.Weights) != nt || len(acc.TypeCounts) != nt {
-			return fmt.Errorf("core: multi restore: size %d accumulator has %d/%d types, want %d",
-				k, len(acc.Weights), len(acc.TypeCounts), nt)
-		}
-		if acc.Done < 0 || acc.ValidSamples < 0 {
-			return fmt.Errorf("core: multi restore: negative counters for size %d", k)
-		}
-		m.done[i] = acc.Done
-		m.res.Results[k] = &Result{
-			Config:       Config{K: k, D: m.d, CSS: m.css, NB: m.nb},
-			Steps:        acc.Done,
-			ValidSamples: acc.ValidSamples,
-			Weights:      append([]float64(nil), acc.Weights...),
-			TypeCounts:   append([]int64(nil), acc.TypeCounts...),
-		}
-	}
-	m.res.Steps = m.minDone()
-	m.rng = walk.NewRandAt(m.seed, st.RNGPos)
-	m.space = walk.NewSpace(m.client, m.d)
-	m.seeded = st.Seeded
-	m.primed = st.Primed
-	m.pushed = 0
-	if !st.Seeded {
-		m.w = nil
-		return nil
-	}
-	ws := walk.WalkState{Steps: st.Steps, HasPrev: st.HasPrev}
-	var err error
-	if ws.Cur, err = stateOf(st.Cur, m.d); err != nil {
-		return fmt.Errorf("core: multi restore current state: %w", err)
-	}
-	if st.HasPrev {
-		if ws.Prev, err = stateOf(st.Prev, m.d); err != nil {
-			return fmt.Errorf("core: multi restore previous state: %w", err)
-		}
-	}
-	m.w = walk.Resume(m.space, ws, m.nb, m.rng.Rand)
-	if st.Primed {
-		m.pushed = int(st.Steps) + 1
-		n := m.pushed
-		if n > m.maxL {
-			n = m.maxL
-		}
-		if len(st.Win) != n || len(st.Degs) != n {
-			return fmt.Errorf("core: multi restore: ring of %d states/%d degrees, want %d",
-				len(st.Win), len(st.Degs), n)
-		}
-		for i := 0; i < n; i++ {
-			s, err := stateOf(st.Win[i], m.d)
-			if err != nil {
-				return fmt.Errorf("core: multi restore ring[%d]: %w", i, err)
-			}
-			if st.Degs[i] < 0 {
-				return fmt.Errorf("core: multi restore: negative degree %d", st.Degs[i])
-			}
-			j := m.pushed - n + i
-			slot := j % m.maxL
-			m.win[slot] = s
-			m.degs[slot] = st.Degs[i]
-		}
-		// Every pending window must still be coverable by the ring: size i
-		// resumes at window done[i], whose oldest state index must not
-		// precede pushed - n (the oldest retained state).
-		for i := range m.sizes {
-			if m.done[i] < m.pushed-n {
-				return fmt.Errorf("core: multi restore: size %d window %d precedes retained ring (oldest state %d)",
-					m.sizes[i], m.done[i], m.pushed-n)
-			}
-		}
-	}
-	return nil
+	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -68,6 +69,11 @@ func TestMultiByteIdenticalPerSize(t *testing.T) {
 				t.Errorf("sizes=%v d=%d k=%d: shared-walk result differs from single-size Estimator:\n got %+v\nwant %+v",
 					cfg.Sizes, cfg.D, k, got.Results[k], single)
 			}
+			// The Estimator is a view over the one-size MultiEstimator: equal
+			// settings leave equal state behind, to the snapshot byte.
+			if !bytes.Equal(est.Snapshot().Encode(), solo.Snapshot().Encode()) {
+				t.Errorf("sizes=%v d=%d k=%d: Estimator and one-size MultiEstimator snapshots differ", cfg.Sizes, cfg.D, k)
+			}
 		}
 	}
 }
@@ -103,7 +109,7 @@ func TestMultiResumeByteIdentical(t *testing.T) {
 			t.Fatalf("sizes=%v: no snapshot captured", cfg.Sizes)
 		}
 
-		st, err := DecodeMultiEnsembleState(blob)
+		st, err := DecodeEnsembleState(blob)
 		if err != nil {
 			t.Fatalf("sizes=%v: decode: %v", cfg.Sizes, err)
 		}
@@ -198,8 +204,8 @@ func TestMultiRestoreValidation(t *testing.T) {
 		t.Error("walker-count mismatch accepted")
 	}
 	skew := *good
-	skew.Walkers = append([]MultiWalkerState(nil), good.Walkers...)
-	skew.Walkers[0].Accs = append([]MultiSizeAcc(nil), good.Walkers[0].Accs...)
+	skew.Walkers = append([]WalkerState(nil), good.Walkers...)
+	skew.Walkers[0].Accs = append([]SizeAcc(nil), good.Walkers[0].Accs...)
 	skew.Walkers[0].Accs[0].Done++
 	if err := fresh().Restore(&skew); err == nil {
 		t.Error("quota-inconsistent state accepted")
@@ -226,7 +232,7 @@ func TestMultiStateDecodeRobust(t *testing.T) {
 	}
 	blob := est.Snapshot().Encode()
 
-	st, err := DecodeMultiEnsembleState(blob)
+	st, err := DecodeEnsembleState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,33 +240,20 @@ func TestMultiStateDecodeRobust(t *testing.T) {
 		t.Error("encode/decode/encode is not a fixed point")
 	}
 	for cut := 0; cut < len(blob); cut += 7 {
-		if _, err := DecodeMultiEnsembleState(blob[:cut]); err == nil {
+		if _, err := DecodeEnsembleState(blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", cut)
 		}
 	}
-	if _, err := DecodeMultiEnsembleState(append(append([]byte(nil), blob...), 0xFF)); err == nil {
+	if _, err := DecodeEnsembleState(append(append([]byte(nil), blob...), 0xFF)); err == nil {
 		t.Error("trailing garbage decoded cleanly")
-	}
-	// A single-size EnsembleState blob is a different format, not a subset.
-	single, err := NewEstimator(client, Config{K: 4, D: 2, Seed: 3, Walkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeMultiEnsembleState(single.Snapshot().Encode()); err == nil {
-		t.Error("single-size snapshot decoded as a multi snapshot")
 	}
 }
 
-// FuzzDecodeMultiEnsembleState hammers the multi decoder (and Restore on
-// whatever decodes) with arbitrary bytes: the only acceptable failure mode
-// is an error return.
+// FuzzDecodeMultiEnsembleState is FuzzDecodeEnsembleState started from
+// multi-size blobs: a current one and the GMST version 1 fixture.
 func FuzzDecodeMultiEnsembleState(f *testing.F) {
-	client := access.NewGraphClient(convGraph())
-	cfg := MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Seed: 3, Walkers: 2}
-	est, err := NewMultiEstimator(client, cfg)
+	est, err := NewMultiEstimator(access.NewGraphClient(convGraph()),
+		MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Seed: 3, Walkers: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -272,25 +265,5 @@ func FuzzDecodeMultiEnsembleState(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte("GMST"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeMultiEnsembleState(data)
-		if err != nil {
-			return
-		}
-		// Canonical round trip: whatever decodes must re-encode to a blob
-		// that decodes back to the same structure (byte equality with the
-		// input is not required — varints have non-canonical encodings).
-		st2, err := DecodeMultiEnsembleState(st.Encode())
-		if err != nil {
-			t.Fatalf("re-encoding a decoded state does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(st, st2) {
-			t.Fatal("decode/encode/decode is not stable")
-		}
-		e, err := NewMultiEstimator(client, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = e.Restore(st) // must not panic; errors are fine
-	})
+	fuzzDecodeRestore(f)
 }

@@ -2,25 +2,21 @@
 // machines and still produce bytes identical to a local run.
 //
 // The unit of distribution is a contiguous walker range [lo, hi) of the
-// ensemble (NewPartitionEstimator / NewPartitionMultiEstimator). A partition
-// snapshots exactly like a full run — its EnsembleState carries the full
-// Config and the global checkpoint target, just a subset of the walker
-// states — so the existing versioned codecs are the wire format. A
-// coordinator stitches partition states back together with
+// ensemble (NewPartitionMultiEstimator, or NewPartitionEstimator for the
+// one-size view). A partition snapshots exactly like a full run — its
+// EnsembleState carries the full MultiConfig and the global checkpoint
+// target, just a subset of the walker states — so the state codec is the
+// wire format. A coordinator stitches partition states back together with
 // CombinePartitionStates (validating order and quotas) and extracts the
-// merged Result with MergedResult, which sums the per-walker accumulators in
-// global walker-index order — the exact float addition sequence
-// Estimator.merged performs locally. Merging per-partition pre-merged
-// Results instead would NOT be byte-identical: float addition is not
-// associative, so the per-walker accumulators must cross the wire.
+// merged result with MergedResult, which sums the per-walker accumulators in
+// global walker-index order — the exact float addition sequence a live run
+// performs locally. Merging per-partition pre-merged Results instead would
+// NOT be byte-identical: float addition is not associative, so the
+// per-walker accumulators must cross the wire.
 
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/graphlet"
-)
+import "fmt"
 
 // PartitionWindows returns how many of the first `total` windows walkers
 // [lo, hi) of a `walkers`-walker ensemble own together — the walk progress a
@@ -54,9 +50,9 @@ func (st *EnsembleState) Slice(lo, hi int) (*EnsembleState, error) {
 // CombinePartitionStates stitches per-partition states — ordered by first
 // walker index, contiguous, jointly covering every walker — back into the
 // full ensemble state. All partitions must have been captured under the same
-// Config at the same checkpoint target; each walker's window count must
-// match the quota of the global index it lands on, which rejects missing,
-// duplicated, and (in general) misordered partitions.
+// MultiConfig at the same checkpoint target; every size's window count of
+// each walker must match the quota of the global index it lands on, which
+// rejects missing, duplicated, and (in general) misordered partitions.
 func CombinePartitionStates(parts []*EnsembleState) (*EnsembleState, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: no partition states to combine")
@@ -75,92 +71,6 @@ func CombinePartitionStates(parts []*EnsembleState) (*EnsembleState, error) {
 		if p == nil {
 			return nil, fmt.Errorf("core: nil partition state %d", pi)
 		}
-		if p.Config != first.Config {
-			return nil, fmt.Errorf("core: partition %d captured under config %+v, partition 0 under %+v", pi, p.Config, first.Config)
-		}
-		if p.WindowsDone != first.WindowsDone {
-			return nil, fmt.Errorf("core: partition %d at checkpoint target %d, partition 0 at %d", pi, p.WindowsDone, first.WindowsDone)
-		}
-		for i := range p.Walkers {
-			gi := len(out.Walkers) // global index this walker state lands on
-			if want := walkerQuota(p.WindowsDone, w, gi); p.Walkers[i].ResSteps != want {
-				return nil, fmt.Errorf("core: combined walker %d processed %d windows, want %d at target %d (partitions missing or out of order?)",
-					gi, p.Walkers[i].ResSteps, want, p.WindowsDone)
-			}
-			out.Walkers = append(out.Walkers, p.Walkers[i])
-		}
-	}
-	if len(out.Walkers) != w {
-		return nil, fmt.Errorf("core: partitions cover %d walkers, ensemble has %d", len(out.Walkers), w)
-	}
-	return out, nil
-}
-
-// MergedResult computes the merged Result of the walker states the snapshot
-// carries, summing accumulators in walker-index order — the identical float
-// addition sequence Estimator.merged performs, so for a full-ensemble state
-// (local or combined from partitions) the Result is byte-identical to what
-// the live run returns at the same checkpoint target.
-func (st *EnsembleState) MergedResult() (*Result, error) {
-	if st.Config.K < 3 || st.Config.K > graphlet.MaxK {
-		return nil, fmt.Errorf("core: merged result: K=%d out of range", st.Config.K)
-	}
-	nt := graphlet.Count(st.Config.K)
-	out := &Result{
-		Config:     st.Config,
-		Weights:    make([]float64, nt),
-		TypeCounts: make([]int64, nt),
-	}
-	for i := range st.Walkers {
-		w := &st.Walkers[i]
-		if len(w.Weights) != nt || len(w.TypeCounts) != nt {
-			return nil, fmt.Errorf("core: merged result: walker %d accumulator has %d/%d types, want %d",
-				i, len(w.Weights), len(w.TypeCounts), nt)
-		}
-		out.Merge(&Result{
-			Config:       st.Config,
-			Steps:        w.ResSteps,
-			ValidSamples: w.ValidSamples,
-			Weights:      w.Weights,
-			TypeCounts:   w.TypeCounts,
-			StarAcc:      w.StarAcc,
-		})
-	}
-	return out, nil
-}
-
-// Slice is EnsembleState.Slice for multi-size states.
-func (st *MultiEnsembleState) Slice(lo, hi int) (*MultiEnsembleState, error) {
-	w := walkerCount(st.Config.Walkers)
-	if len(st.Walkers) != w {
-		return nil, fmt.Errorf("core: slice of partial multi ensemble state (%d walker states, ensemble has %d)", len(st.Walkers), w)
-	}
-	if lo < 0 || hi > w || lo >= hi {
-		return nil, fmt.Errorf("core: partition [%d,%d) out of range for %d walkers", lo, hi, w)
-	}
-	return &MultiEnsembleState{Config: st.Config, WindowsDone: st.WindowsDone, Walkers: st.Walkers[lo:hi]}, nil
-}
-
-// CombineMultiPartitionStates is CombinePartitionStates for multi-size
-// states; every size's window count is quota-checked per walker.
-func CombineMultiPartitionStates(parts []*MultiEnsembleState) (*MultiEnsembleState, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("core: no partition states to combine")
-	}
-	first := parts[0]
-	if first == nil {
-		return nil, fmt.Errorf("core: nil partition state 0")
-	}
-	w := walkerCount(first.Config.Walkers)
-	out := &MultiEnsembleState{
-		Config:      first.Config,
-		WindowsDone: first.WindowsDone,
-		Walkers:     make([]MultiWalkerState, 0, w),
-	}
-	for pi, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("core: nil partition state %d", pi)
-		}
 		if !p.Config.equal(first.Config) {
 			return nil, fmt.Errorf("core: partition %d captured under config %+v, partition 0 under %+v", pi, p.Config, first.Config)
 		}
@@ -168,13 +78,10 @@ func CombineMultiPartitionStates(parts []*MultiEnsembleState) (*MultiEnsembleSta
 			return nil, fmt.Errorf("core: partition %d at checkpoint target %d, partition 0 at %d", pi, p.WindowsDone, first.WindowsDone)
 		}
 		for i := range p.Walkers {
-			gi := len(out.Walkers)
-			want := walkerQuota(p.WindowsDone, w, gi)
-			for j := range p.Walkers[i].Accs {
-				if done := p.Walkers[i].Accs[j].Done; done != want {
-					return nil, fmt.Errorf("core: combined walker %d size[%d] processed %d windows, want %d at target %d (partitions missing or out of order?)",
-						gi, j, done, want, p.WindowsDone)
-				}
+			gi := len(out.Walkers) // global index this walker state lands on
+			if err := p.Walkers[i].checkQuota(walkerQuota(p.WindowsDone, w, gi)); err != nil {
+				return nil, fmt.Errorf("core: combined walker %d at target %d: %w (partitions missing or out of order?)",
+					gi, p.WindowsDone, err)
 			}
 			out.Walkers = append(out.Walkers, p.Walkers[i])
 		}
@@ -185,62 +92,31 @@ func CombineMultiPartitionStates(parts []*MultiEnsembleState) (*MultiEnsembleSta
 	return out, nil
 }
 
-// MergedResult computes the merged MultiResult of the walker states the
-// snapshot carries, in walker-index order — the float addition sequence of
-// MultiEstimator.merged, so for a full state the per-size Results are
-// byte-identical to the live run's at the same checkpoint target.
-func (st *MultiEnsembleState) MergedResult() (*MultiResult, error) {
-	if len(st.Config.Sizes) == 0 {
-		return nil, fmt.Errorf("core: merged result: no sizes")
+// MergedResult computes the merged per-size Results of the walker states the
+// snapshot carries, summing accumulators in walker-index order — the
+// identical float addition sequence a live run performs (addWalker), so for
+// a full-ensemble state (local or combined from partitions) every Result is
+// byte-identical to what the live run returns at the same checkpoint target.
+func (st *EnsembleState) MergedResult() (*MultiResult, error) {
+	// A decoded state may carry any config; an invalid one (sizes out of
+	// range, star recovery on a size without the star types) has no merge.
+	if err := st.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("core: merged result: %w", err)
 	}
-	base := Config{D: st.Config.D, CSS: st.Config.CSS, NB: st.Config.NB}
-	out := &MultiResult{Results: make(map[int]*Result, len(st.Config.Sizes))}
-	for _, k := range st.Config.Sizes {
-		if k < 3 || k > graphlet.MaxK {
-			return nil, fmt.Errorf("core: merged result: size %d out of range", k)
-		}
-		c := base
-		c.K = k
-		out.Results[k] = &Result{
-			Config:     c,
-			Weights:    make([]float64, graphlet.Count(k)),
-			TypeCounts: make([]int64, graphlet.Count(k)),
-		}
-	}
+	sums, steps := newSums(st.Config), 0
 	for i := range st.Walkers {
-		ws := &st.Walkers[i]
-		if len(ws.Accs) != len(st.Config.Sizes) {
+		w := &st.Walkers[i]
+		if len(w.Accs) != len(sums) {
 			return nil, fmt.Errorf("core: merged result: walker %d has %d size accumulators, want %d",
-				i, len(ws.Accs), len(st.Config.Sizes))
+				i, len(w.Accs), len(sums))
 		}
-		part := &MultiResult{Results: make(map[int]*Result, len(st.Config.Sizes))}
-		minDone := ws.Accs[0].Done
-		for j, k := range st.Config.Sizes {
-			a := &ws.Accs[j]
-			nt := graphlet.Count(k)
-			if len(a.Weights) != nt || len(a.TypeCounts) != nt {
+		for j := range w.Accs {
+			if a, nt := &w.Accs[j], len(sums[j].Weights); len(a.Weights) != nt || len(a.TypeCounts) != nt {
 				return nil, fmt.Errorf("core: merged result: walker %d size %d accumulator has %d/%d types, want %d",
-					i, k, len(a.Weights), len(a.TypeCounts), nt)
-			}
-			c := base
-			c.K = k
-			part.Results[k] = &Result{
-				Config:       c,
-				Steps:        a.Done,
-				ValidSamples: a.ValidSamples,
-				Weights:      a.Weights,
-				TypeCounts:   a.TypeCounts,
-			}
-			if a.Done < minDone {
-				minDone = a.Done
+					i, st.Config.Sizes[j], len(a.Weights), len(a.TypeCounts), nt)
 			}
 		}
-		part.Steps = minDone
-		out.Merge(part)
+		steps += addWalker(sums, w.Accs, w.StarAcc)
 	}
-	for _, r := range out.Results {
-		r.Config.Walkers = st.Config.Walkers
-		r.Config.Seed = st.Config.Seed
-	}
-	return out, nil
+	return newMultiResult(st.Config.Sizes, sums, steps), nil
 }

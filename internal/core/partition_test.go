@@ -35,6 +35,7 @@ func TestPartitionByteIdentical(t *testing.T) {
 		{K: 4, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 5},
 		{K: 4, D: 1, RecoverStars: true, Seed: 31, Walkers: 3},
 		{K: 5, D: 3, CSS: true, Seed: 23, Walkers: 4},
+		{K: 4, D: 2, CSS: true, BurnIn: 150, Seed: 41, Walkers: 3},
 	} {
 		full, err := NewEstimator(client, cfg)
 		if err != nil {
@@ -47,7 +48,7 @@ func TestPartitionByteIdentical(t *testing.T) {
 		// The full local snapshot's merged result must equal the live one.
 		if got, err := full.Snapshot().MergedResult(); err != nil {
 			t.Fatalf("%s: merged result: %v", cfg.MethodName(), err)
-		} else if !reflect.DeepEqual(got, want) {
+		} else if !reflect.DeepEqual(got.Results[cfg.K], want) {
 			t.Fatalf("%s: snapshot merged result differs from live result", cfg.MethodName())
 		}
 		for _, nParts := range []int{1, 2, 3} {
@@ -75,9 +76,9 @@ func TestPartitionByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d parts: merge: %v", cfg.MethodName(), nParts, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got.Results[cfg.K], want) {
 				t.Errorf("%s/%d parts: distributed result differs from local run:\n got %+v\nwant %+v",
-					cfg.MethodName(), nParts, got, want)
+					cfg.MethodName(), nParts, got.Results[cfg.K], want)
 			}
 		}
 	}
@@ -145,8 +146,8 @@ func TestPartitionResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("failover-resumed distributed result differs from local run:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got.Results[cfg.K], want) {
+		t.Errorf("failover-resumed distributed result differs from local run:\n got %+v\nwant %+v", got.Results[cfg.K], want)
 	}
 }
 
@@ -173,7 +174,7 @@ func TestMultiPartitionByteIdentical(t *testing.T) {
 		t.Fatalf("snapshot merged result differs from live result")
 	}
 
-	var parts []*MultiEnsembleState
+	var parts []*EnsembleState
 	for pi, b := range partitionBounds(cfg.Walkers, 3) {
 		est, err := NewPartitionMultiEstimator(client, cfg, b[0], b[1])
 		if err != nil {
@@ -189,7 +190,7 @@ func TestMultiPartitionByteIdentical(t *testing.T) {
 		}
 		if pi == 1 {
 			// Fail this partition over from its mid-run snapshot.
-			st, err := DecodeMultiEnsembleState(blob)
+			st, err := DecodeEnsembleState(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,13 +206,13 @@ func TestMultiPartitionByteIdentical(t *testing.T) {
 			}
 			est = resumed
 		}
-		st, err := DecodeMultiEnsembleState(est.Snapshot().Encode())
+		st, err := DecodeEnsembleState(est.Snapshot().Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, st)
 	}
-	combined, err := CombineMultiPartitionStates(parts)
+	combined, err := CombinePartitionStates(parts)
 	if err != nil {
 		t.Fatal(err)
 	}

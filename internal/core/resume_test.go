@@ -12,8 +12,8 @@ import (
 // state machine: capture a snapshot at a mid-run checkpoint barrier (exactly
 // what the service journals), encode and decode it, restore it into a fresh
 // estimator, run to completion — the result must be byte-identical to the
-// uninterrupted run, for single- and multi-walker ensembles and every
-// accumulator variant (plain, CSS, NB, RecoverStars).
+// uninterrupted run, for single- and multi-walker ensembles, every
+// accumulator variant (plain, CSS, NB, RecoverStars) and a burnt-in walk.
 func TestResumeByteIdentical(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
@@ -24,6 +24,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		{K: 4, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 8},
 		{K: 4, D: 1, RecoverStars: true, Seed: 31, Walkers: 3},
 		{K: 5, D: 3, CSS: true, Seed: 23, Walkers: 2},
+		{K: 4, D: 2, CSS: true, BurnIn: 150, Seed: 41, Walkers: 3},
 	} {
 		full, err := NewEstimator(client, cfg)
 		if err != nil {
@@ -135,7 +136,8 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	skew := *good
 	skew.Walkers = append([]WalkerState(nil), good.Walkers...)
-	skew.Walkers[0].ResSteps++
+	skew.Walkers[0].Accs = append([]SizeAcc(nil), good.Walkers[0].Accs...)
+	skew.Walkers[0].Accs[0].Done++
 	if err := fresh().Restore(&skew); err == nil {
 		t.Error("quota-inconsistent state accepted")
 	}
@@ -180,11 +182,11 @@ func TestEnsembleStateDecodeRobust(t *testing.T) {
 
 // FuzzDecodeEnsembleState hammers the decoder (and Restore on whatever
 // decodes) with arbitrary bytes: the only acceptable failure mode is an
-// error return.
+// error return. The committed corpus under testdata/fuzz adds the blobs
+// older builds wrote (GEST version 1 here, GMST version 1 for
+// FuzzDecodeMultiEnsembleState).
 func FuzzDecodeEnsembleState(f *testing.F) {
-	client := access.NewGraphClient(convGraph())
-	cfg := Config{K: 4, D: 2, CSS: true, Seed: 3, Walkers: 2}
-	est, err := NewEstimator(client, cfg)
+	est, err := NewEstimator(access.NewGraphClient(convGraph()), Config{K: 4, D: 2, CSS: true, Seed: 3, Walkers: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -196,6 +198,14 @@ func FuzzDecodeEnsembleState(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte("GEST"))
 	f.Add([]byte{})
+	fuzzDecodeRestore(f)
+}
+
+// fuzzDecodeRestore is the body both state fuzz targets share: decode,
+// require a stable re-encoding, and restore into an estimator of the decoded
+// configuration.
+func fuzzDecodeRestore(f *testing.F) {
+	client := access.NewGraphClient(convGraph())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeEnsembleState(data)
 		if err != nil {
@@ -203,7 +213,8 @@ func FuzzDecodeEnsembleState(f *testing.F) {
 		}
 		// Canonical round trip: whatever decodes must re-encode to a blob
 		// that decodes back to the same structure (byte equality with the
-		// input is not required — varints have non-canonical encodings).
+		// input is not required — varints have non-canonical encodings, and
+		// the older formats re-encode as the current one).
 		st2, err := DecodeEnsembleState(st.Encode())
 		if err != nil {
 			t.Fatalf("re-encoding a decoded state does not decode: %v", err)
@@ -211,9 +222,20 @@ func FuzzDecodeEnsembleState(f *testing.F) {
 		if !reflect.DeepEqual(st, st2) {
 			t.Fatal("decode/encode/decode is not stable")
 		}
-		e, err := NewEstimator(client, cfg)
+		_, _ = st.MergedResult() // must not panic; errors are fine
+		// Restore costs O(walkers) allocations and an O(RNGPos) fast-forward,
+		// so only states of a plausible size get that far.
+		if len(st.Walkers) > 8 || st.Config.Walkers > 8 {
+			return
+		}
+		for i := range st.Walkers {
+			if st.Walkers[i].RNGPos > 1<<20 {
+				return
+			}
+		}
+		e, err := NewMultiEstimator(client, st.Config)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
 		_ = e.Restore(st) // must not panic; errors are fine
 	})

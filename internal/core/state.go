@@ -1,12 +1,18 @@
 // Serializable run state: an estimation run is a state machine whose
-// complete position — per-walker RNG stream position, walk position, sliding
-// window, and accumulator — can be exported at any checkpoint barrier
-// (Estimator.Snapshot), encoded to a compact versioned binary blob, and
-// restored into a fresh Estimator (Estimator.Restore) to continue the run.
-// A resumed run is byte-identical to an uninterrupted one at any GOMAXPROCS:
-// the RNG stream is reconstructed by seed + fast-forward, float64 fields
-// round-trip as IEEE-754 bits, and the ensemble's quota split is a pure
-// function of the window counts.
+// complete position — per-walker RNG stream position, walk position, state
+// ring, and one accumulator per target size — can be exported at any
+// checkpoint barrier (MultiEstimator.Snapshot, or Estimator.Snapshot for the
+// one-size view), encoded to a compact versioned binary blob, and restored
+// into a fresh estimator (Restore) to continue the run. A resumed run is
+// byte-identical to an uninterrupted one at any GOMAXPROCS: the RNG stream
+// is reconstructed by seed + fast-forward, float64 fields round-trip as
+// IEEE-754 bits, and the ensemble's quota split is a pure function of the
+// window counts.
+//
+// There is one state type and one codec. The blob format is "GMST" version
+// 2; DecodeEnsembleState also reads the two formats older builds journaled —
+// GMST version 1 (multi-size runs) and "GEST" version 1 (single-size runs) —
+// and maps both onto the same EnsembleState, decode-only.
 
 package core
 
@@ -18,70 +24,108 @@ import (
 	"repro/internal/walk"
 )
 
+// SizeAcc is one target size's private accumulator share within a walker
+// (the walker's slice of the merged per-size Result).
+type SizeAcc struct {
+	// Done is the number of windows this size has accumulated (the walker's
+	// share of Result.Steps); at a checkpoint barrier every size's Done is
+	// equal.
+	Done         int
+	ValidSamples int
+	Weights      []float64
+	TypeCounts   []int64
+}
+
 // WalkerState is the complete resumable state of one walker, captured while
 // the ensemble is quiescent at a checkpoint barrier.
 type WalkerState struct {
 	// RNGPos is the walker's RNG stream position (walk.Rand.Pos); the seed is
-	// derived from (Config.Seed, walker index), so it is not stored.
+	// derived from (MultiConfig.Seed, walker index), so it is not stored.
 	RNGPos uint64
 	// Seeded/Primed mirror the walker's lifecycle flags: start state drawn,
-	// burn-in done and window filled.
+	// burn-in done and state 0 pushed.
 	Seeded bool
 	Primed bool
 
 	// Walk position (meaningful when Seeded).
-	Steps   int64 // transitions taken
+	Steps   int64 // transitions taken, burn-in included
 	HasPrev bool
 	Cur     []int32
 	Prev    []int32
 
-	// Sliding window in walk order, oldest first (meaningful when Primed).
+	// State ring in walk order, oldest first — the last
+	// min(Steps-BurnIn+1, max l_k) states (meaningful when Primed).
 	Win  [][]int32
 	Degs []int
 
-	// Private accumulator (the walker's share of the merged Result).
-	ResSteps     int
-	ValidSamples int
-	Weights      []float64
-	TypeCounts   []int64
-	StarAcc      float64
+	// Accs holds one accumulator per target size, in MultiConfig.Sizes order.
+	Accs []SizeAcc
+	// StarAcc is the walker's share of Result.StarAcc (zero unless
+	// MultiConfig.RecoverStars).
+	StarAcc float64
 }
 
-// EnsembleState is the serializable state of a whole estimation run.
+// checkQuota reports whether every size stands at exactly `want` windows.
+func (w *WalkerState) checkQuota(want int) error {
+	for j := range w.Accs {
+		if done := w.Accs[j].Done; done != want {
+			return fmt.Errorf("size[%d] processed %d windows, want %d", j, done, want)
+		}
+	}
+	return nil
+}
+
+// EnsembleState is the serializable state of a whole estimation run (or of
+// one partition of it: the full Config and the global checkpoint target, but
+// only that partition's walker states).
 type EnsembleState struct {
 	// Config is the configuration the state was captured under; Restore
 	// refuses a mismatch (a resumed run must re-create the same trajectory).
-	Config Config
+	Config MultiConfig
 	// WindowsDone is the ensemble-wide checkpoint target reached: the number
-	// of windows processed, summed over walkers, when the snapshot was taken.
+	// of windows processed per size, summed over walkers, when the snapshot
+	// was taken.
 	WindowsDone int
 	Walkers     []WalkerState
 }
 
-// Binary layout: magic, format version, Config, WindowsDone, then each
+// Binary layout: magic, format version, MultiConfig, WindowsDone, then each
 // walker. Integers are varints (zigzag for signed), float64s are fixed
 // 8-byte IEEE-754 bits (exact round-trip), booleans are packed into flag
 // bytes. The format is version-gated: decoding a snapshot written by a
 // future format fails loudly instead of misinterpreting it.
+//
+// GMST version 2 is version 1 plus BurnIn after the config flag byte, the
+// RecoverStars bit in that byte (which version 1 rejects), and — only under
+// that bit — StarAcc after each walker's accumulators.
 const (
-	stateMagic   = "GEST"
-	stateVersion = 1
+	stateMagic   = "GMST"
+	stateVersion = 2
+
+	// legacyMagic is the pre-merge single-size format (version 1 only), whose
+	// walker carried one unnamed accumulator and always a StarAcc.
+	legacyMagic = "GEST"
 
 	// Decode-side sanity caps: a corrupt length prefix must produce an error,
-	// not an absurd allocation.
+	// not an absurd allocation. Graphlet sizes live in 3..5, so a size list
+	// past a small constant is corruption.
 	maxStateWalkers = 1 << 16
 	maxStateWindow  = 64
 	maxStateTypes   = 4096
+	maxStateSizes   = 16
 )
 
 // Encode renders the state as a versioned binary blob.
 func (st *EnsembleState) Encode() []byte {
-	buf := make([]byte, 0, 256+len(st.Walkers)*256)
+	buf := make([]byte, 0, 256+len(st.Walkers)*256*len(st.Config.Sizes))
 	buf = append(buf, stateMagic...)
 	buf = binary.AppendUvarint(buf, stateVersion)
 
 	c := st.Config
-	buf = binary.AppendVarint(buf, int64(c.K))
+	buf = binary.AppendUvarint(buf, uint64(len(c.Sizes)))
+	for _, k := range c.Sizes {
+		buf = binary.AppendVarint(buf, int64(k))
+	}
 	buf = binary.AppendVarint(buf, int64(c.D))
 	buf = append(buf, packBools(c.CSS, c.NB, c.RecoverStars))
 	buf = binary.AppendVarint(buf, int64(c.BurnIn))
@@ -91,12 +135,12 @@ func (st *EnsembleState) Encode() []byte {
 	buf = binary.AppendVarint(buf, int64(st.WindowsDone))
 	buf = binary.AppendUvarint(buf, uint64(len(st.Walkers)))
 	for i := range st.Walkers {
-		buf = st.Walkers[i].encode(buf)
+		buf = st.Walkers[i].encode(buf, c.RecoverStars)
 	}
 	return buf
 }
 
-func (w *WalkerState) encode(buf []byte) []byte {
+func (w *WalkerState) encode(buf []byte, stars bool) []byte {
 	buf = binary.AppendUvarint(buf, w.RNGPos)
 	buf = append(buf, packBools(w.Seeded, w.Primed, w.HasPrev))
 	buf = binary.AppendVarint(buf, w.Steps)
@@ -110,17 +154,23 @@ func (w *WalkerState) encode(buf []byte) []byte {
 	for _, d := range w.Degs {
 		buf = binary.AppendVarint(buf, int64(d))
 	}
-	buf = binary.AppendVarint(buf, int64(w.ResSteps))
-	buf = binary.AppendVarint(buf, int64(w.ValidSamples))
-	buf = binary.AppendUvarint(buf, uint64(len(w.Weights)))
-	for _, f := range w.Weights {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	buf = binary.AppendUvarint(buf, uint64(len(w.Accs)))
+	for i := range w.Accs {
+		a := &w.Accs[i]
+		buf = binary.AppendVarint(buf, int64(a.Done))
+		buf = binary.AppendVarint(buf, int64(a.ValidSamples))
+		buf = binary.AppendUvarint(buf, uint64(len(a.Weights)))
+		for _, f := range a.Weights {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(a.TypeCounts)))
+		for _, n := range a.TypeCounts {
+			buf = binary.AppendVarint(buf, n)
+		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(w.TypeCounts)))
-	for _, n := range w.TypeCounts {
-		buf = binary.AppendVarint(buf, n)
+	if stars {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.StarAcc))
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.StarAcc))
 	return buf
 }
 
@@ -142,25 +192,48 @@ func packBools(bs ...bool) byte {
 	return b
 }
 
-// DecodeEnsembleState parses a blob produced by Encode. Every length and
-// range is validated, so arbitrary (truncated, corrupt, adversarial) input
-// produces an error, never a panic or an absurd allocation.
+// DecodeEnsembleState parses a blob produced by Encode — or by the GMST
+// version 1 and GEST version 1 encoders of older builds, whose journals and
+// resume blobs must keep restoring. Every length and range is validated, so
+// arbitrary (truncated, corrupt, adversarial) input produces an error, never
+// a panic or an absurd allocation.
 func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	d := &stateDecoder{data: data}
-	if string(d.bytes(len(stateMagic))) != stateMagic {
+	magic := string(d.bytes(len(stateMagic)))
+	if magic != stateMagic && magic != legacyMagic {
 		return nil, fmt.Errorf("core: ensemble state: bad magic")
 	}
-	if v := d.uvarint(); d.err == nil && v != stateVersion {
-		return nil, fmt.Errorf("core: ensemble state: unsupported format version %d (have %d)", v, stateVersion)
+	legacy := magic == legacyMagic
+	version := d.uvarint()
+	if d.err == nil && (version < 1 || version > stateVersion || legacy && version != 1) {
+		return nil, fmt.Errorf("core: ensemble state: unsupported %s format version %d (have %d)", magic, version, stateVersion)
 	}
 
 	st := &EnsembleState{}
-	st.Config.K = int(d.varint())
-	st.Config.D = int(d.varint())
-	st.Config.CSS, st.Config.NB, st.Config.RecoverStars = d.unpackBools()
-	st.Config.BurnIn = int(d.varint())
-	st.Config.Walkers = int(d.varint())
-	st.Config.Seed = d.varint()
+	c := &st.Config
+	if legacy {
+		c.Sizes = []int{int(d.varint())}
+	} else {
+		nSizes := d.uvarint()
+		if d.err == nil && (nSizes == 0 || nSizes > maxStateSizes) {
+			return nil, fmt.Errorf("core: ensemble state: %d sizes out of range", nSizes)
+		}
+		if d.err == nil {
+			c.Sizes = make([]int, nSizes)
+			for i := range c.Sizes {
+				c.Sizes[i] = int(d.varint())
+			}
+		}
+	}
+	c.D = int(d.varint())
+	c.CSS, c.NB, c.RecoverStars = d.unpackBools()
+	if legacy || version >= 2 {
+		c.BurnIn = int(d.varint())
+	} else if d.err == nil && c.RecoverStars {
+		return nil, fmt.Errorf("core: ensemble state: unknown config flag")
+	}
+	c.Walkers = int(d.varint())
+	c.Seed = d.varint()
 
 	st.WindowsDone = int(d.varint())
 	n := d.uvarint()
@@ -170,7 +243,7 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	if d.err == nil {
 		st.Walkers = make([]WalkerState, n)
 		for i := range st.Walkers {
-			st.Walkers[i].decode(d)
+			st.Walkers[i].decode(d, legacy, c.RecoverStars)
 		}
 	}
 	if d.err != nil {
@@ -185,7 +258,7 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	return st, nil
 }
 
-func (w *WalkerState) decode(d *stateDecoder) {
+func (w *WalkerState) decode(d *stateDecoder, legacy, stars bool) {
 	w.RNGPos = d.uvarint()
 	w.Seeded, w.Primed, w.HasPrev = d.unpackBools()
 	w.Steps = d.varint()
@@ -193,7 +266,7 @@ func (w *WalkerState) decode(d *stateDecoder) {
 	w.Prev = d.nodes()
 	nWin := d.uvarint()
 	if d.err == nil && nWin > maxStateWindow {
-		d.fail("window length %d exceeds cap", nWin)
+		d.fail("ring length %d exceeds cap", nWin)
 	}
 	if d.err == nil && nWin > 0 {
 		w.Win = make([][]int32, nWin)
@@ -211,16 +284,42 @@ func (w *WalkerState) decode(d *stateDecoder) {
 			w.Degs[i] = int(d.varint())
 		}
 	}
-	w.ResSteps = int(d.varint())
-	w.ValidSamples = int(d.varint())
+	if legacy {
+		// A GEST walker is its one accumulator, unprefixed, then a StarAcc
+		// that is written even when unused (and is zero then).
+		w.Accs = make([]SizeAcc, 1)
+		w.Accs[0].decode(d)
+		if star := d.float64(); stars {
+			w.StarAcc = star
+		}
+		return
+	}
+	nAcc := d.uvarint()
+	if d.err == nil && nAcc > maxStateSizes {
+		d.fail("accumulator count %d exceeds cap", nAcc)
+	}
+	if d.err == nil && nAcc > 0 {
+		w.Accs = make([]SizeAcc, nAcc)
+		for i := range w.Accs {
+			w.Accs[i].decode(d)
+		}
+	}
+	if stars {
+		w.StarAcc = d.float64()
+	}
+}
+
+func (a *SizeAcc) decode(d *stateDecoder) {
+	a.Done = int(d.varint())
+	a.ValidSamples = int(d.varint())
 	nW := d.uvarint()
 	if d.err == nil && nW > maxStateTypes {
 		d.fail("weights length %d exceeds cap", nW)
 	}
 	if d.err == nil && nW > 0 {
-		w.Weights = make([]float64, nW)
-		for i := range w.Weights {
-			w.Weights[i] = d.float64()
+		a.Weights = make([]float64, nW)
+		for i := range a.Weights {
+			a.Weights[i] = d.float64()
 		}
 	}
 	nT := d.uvarint()
@@ -228,12 +327,11 @@ func (w *WalkerState) decode(d *stateDecoder) {
 		d.fail("type counts length %d exceeds cap", nT)
 	}
 	if d.err == nil && nT > 0 {
-		w.TypeCounts = make([]int64, nT)
-		for i := range w.TypeCounts {
-			w.TypeCounts[i] = d.varint()
+		a.TypeCounts = make([]int64, nT)
+		for i := range a.TypeCounts {
+			a.TypeCounts[i] = d.varint()
 		}
 	}
-	w.StarAcc = d.float64()
 }
 
 // unpackBools reads a flag byte written by packBools; unknown high bits are

@@ -10,86 +10,113 @@ import (
 )
 
 // walker is the per-goroutine layer of the estimation engine: exactly one
-// random walk on G(d), its sliding window of the last l states, and a private
-// Result accumulator. A walker owns its walk.Space instance (spaceD keeps a
-// mutable neighbor cache and scratch buffers) and its rand.Rand, so it never
-// shares mutable state with sibling walkers — the only shared object is the
-// access.Client, which is required to be safe for concurrent use.
+// random walk on G(d), a ring of its last max(l_k) states that serves every
+// target size's window, and one private accumulator per size. A walker owns
+// its walk.Space instance (spaceD keeps a mutable neighbor cache and scratch
+// buffers) and its rand.Rand, so it never shares mutable state with sibling
+// walkers — the only shared object is the access.Client, which is required
+// to be safe for concurrent use.
 //
-// The ensemble layer (ensemble.go) spawns Config.Walkers of these and merges
-// their Results in walker-index order; see Result.Merge for why summation is
-// the exact combination rule.
+// The scheduling invariant is index-based: pushed counts the walk states
+// seen so far (state 0 is the first state after burn-in, so pushed == walk
+// steps - BurnIn + 1 once primed), state j lives in ring slot j % maxL, and
+// accs[i].Done counts the windows size i has accumulated — size i's next
+// window covers states [Done, Done+l_i-1] and is ready as soon as
+// pushed >= Done+l_i. The walk is lazy: it takes a transition only when some
+// size still needs a state, so a run never steps past its last window. The
+// largest-l size consumes a window the moment it is ready and no size ever
+// trails it, so the ring always retains every state a pending window needs.
 type walker struct {
-	cfg    Config
+	cfg    MultiConfig
 	client access.Client
 	space  walk.Space
-	w      *walk.Walk
 	seed   int64      // walker-specific seed (walkerSeed); rebuilds rng on restore
 	rng    *walk.Rand // position-counted so checkpoints can snapshot the stream
+	w      *walk.Walk
 
-	l      int
-	alpha  []int64              // α per type (paper order)
-	chains *graphlet.ChainTable // CSS chains per adjacency code; nil unless CSS and l > 2
+	sizes []sizeParams // per target size, in cfg.Sizes order
+	maxL  int
 
-	// Sliding window of the last l states with their G(d) degrees.
+	// Ring of the last maxL states and their G(d) degrees; state j at slot
+	// j%maxL.
 	win    []walk.State
 	degs   []int
-	winLen int
-	ring   int // index of the oldest window entry
+	pushed int // states pushed since reset/restore
 
-	// Scratch buffer.
-	unionNodes []int32
+	// curStart parameterizes windowAt for the window being accumulated.
+	curStart int
 
-	// res is the walker-private accumulator; merged by the ensemble.
-	res    *Result
+	scratchNodes []int32
+
+	// accs are the walker-private accumulators, indexed like sizes and merged
+	// by the ensemble; starAcc is the non-induced-star functional
+	// Σ C(d_v,3)/d_v (only maintained under cfg.RecoverStars).
+	accs    []SizeAcc
+	starAcc float64
+
 	seeded bool // start state drawn
-	primed bool // burn-in done, window filled
+	primed bool // burn-in done, state 0 pushed
+}
+
+// sizeParams holds what a target size fixes up front.
+type sizeParams struct {
+	k, l   int
+	alpha  []int64              // α per type (paper order)
+	chains *graphlet.ChainTable // CSS chains per adjacency code; nil unless CSS and l > 2
 }
 
 // newWalker builds one walker with its own space and RNG. seed is the
 // walker-specific seed derived by the ensemble (walkerSeed).
-func newWalker(client access.Client, cfg Config, seed int64) *walker {
-	l := cfg.K - cfg.D + 1
-	cat := graphlet.Catalog(cfg.K)
-	alpha := make([]int64, len(cat))
-	for i := range cat {
-		alpha[i] = cat[i].Alpha[cfg.D]
-	}
+func newWalker(client access.Client, cfg MultiConfig, seed int64) *walker {
 	wk := &walker{
 		cfg:    cfg,
 		client: client,
 		space:  walk.NewSpace(client, cfg.D),
 		seed:   seed,
 		rng:    walk.NewRand(seed),
-		l:      l,
-		alpha:  alpha,
-		win:    make([]walk.State, l),
-		degs:   make([]int, l),
+		sizes:  make([]sizeParams, len(cfg.Sizes)),
+		accs:   make([]SizeAcc, len(cfg.Sizes)),
 	}
-	if cfg.CSS && l > 2 {
-		wk.chains = graphlet.Chains(cfg.K, cfg.D)
+	for i, k := range cfg.Sizes {
+		cat := graphlet.Catalog(k)
+		s := sizeParams{k: k, l: k - cfg.D + 1, alpha: make([]int64, len(cat))}
+		for t := range cat {
+			s.alpha[t] = cat[t].Alpha[cfg.D]
+		}
+		if cfg.CSS && s.l > 2 {
+			s.chains = graphlet.Chains(k, cfg.D)
+		}
+		if s.l > wk.maxL {
+			wk.maxL = s.l
+		}
+		wk.sizes[i] = s
+		wk.accs[i] = SizeAcc{Weights: make([]float64, len(cat)), TypeCounts: make([]int64, len(cat))}
 	}
+	wk.win = make([]walk.State, wk.maxL)
+	wk.degs = make([]int, wk.maxL)
 	return wk
 }
 
-// reset prepares the walker for a fresh run: a new private Result and a
-// restarted walk (the RNG stream continues, like repeated Run calls always
-// did).
+// reset prepares the walker for a fresh run: zeroed accumulators and a
+// restarted walk (the RNG stream continues across repeated runs).
 func (wk *walker) reset() {
-	wk.res = &Result{
-		Config:     wk.cfg,
-		Weights:    make([]float64, len(wk.alpha)),
-		TypeCounts: make([]int64, len(wk.alpha)),
+	for i := range wk.accs {
+		a := &wk.accs[i]
+		a.Done, a.ValidSamples = 0, 0
+		clear(a.Weights)
+		clear(a.TypeCounts)
 	}
+	wk.starAcc = 0
 	wk.seeded = false
 	wk.primed = false
+	wk.pushed = 0
 }
 
 // ensureSeeded draws the walk's start state exactly once per reset. This is
 // the only client call whose order must be walker-index-deterministic
 // (clients like the HTTP crawler draw seeds from shared server-side state),
 // so the ensemble calls it sequentially before the concurrent stages;
-// burn-in and window fill use only walker-private state and stay in the
+// burn-in and the walk itself use only walker-private state and stay in the
 // concurrent phase.
 func (wk *walker) ensureSeeded() {
 	if !wk.seeded {
@@ -98,149 +125,153 @@ func (wk *walker) ensureSeeded() {
 	}
 }
 
-// cancelCheckEvery is the step granularity of cooperative cancellation: a
-// walker polls its context once per this many windows, so a cancel stops a
-// run within a few hundred transitions even when the whole budget is one
-// barrier-free stage (e.g. a very slow crawl with no snapshot callback).
-// The poll touches no walker state — no RNG draw, no window mutation — so
-// runs that are not cancelled stay byte-identical to the unpolled engine.
-const cancelCheckEvery = 256
-
-// run processes `count` windows into the walker's private Result, polling
-// ctx every cancelCheckEvery windows. A nil-Done context (context.Background)
-// is never polled, keeping the hot loop overhead-free for plain Run calls.
-func (wk *walker) run(ctx context.Context, count int) error {
-	wk.start()
-	done := ctx.Done()
-	for j := 0; j < count; j++ {
-		if done != nil && j%cancelCheckEvery == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		if err := wk.accumulate(wk.res); err != nil {
-			return err
-		}
-		if wk.cfg.RecoverStars {
-			wk.accumulateStars()
-			wk.res.applyStarRecovery()
-		}
-		wk.advance()
-		wk.res.Steps++
-	}
-	return nil
-}
-
-// start brings the walker to a runnable state: start state drawn (if the
-// ensemble has not already done so sequentially), burn-in applied, first
-// window filled.
+// start primes the walker: start state drawn (if the ensemble has not
+// already done so sequentially), burn-in applied, and the state it ends on
+// pushed as state 0. Further states are pushed lazily by the run loop, only
+// when a window needs them.
 func (wk *walker) start() {
 	wk.ensureSeeded()
 	if wk.primed {
 		return
 	}
 	wk.w.Burn(wk.cfg.BurnIn)
-	wk.winLen = 0
-	wk.ring = 0
+	wk.pushed = 0
 	wk.push(wk.w.Current())
-	for wk.winLen < wk.l {
-		wk.push(wk.w.Step())
-	}
 	wk.primed = true
 }
 
-// advance slides the window by one walk transition.
-func (wk *walker) advance() { wk.push(wk.w.Step()) }
+// cancelCheckEvery is the step granularity of cooperative cancellation: a
+// walker polls its context once per this many transitions, so a cancel stops
+// a run within a few hundred transitions even when the whole budget is one
+// barrier-free stage (e.g. a very slow crawl with no snapshot callback).
+// The poll touches no walker state — no RNG draw, no window mutation — so
+// runs that are not cancelled stay byte-identical to the unpolled engine.
+const cancelCheckEvery = 256
 
-func (wk *walker) push(s walk.State) {
-	if wk.winLen < wk.l {
-		wk.win[wk.winLen] = s
-		wk.degs[wk.winLen] = wk.space.StateDegree(s)
-		wk.winLen++
-		return
+// run advances every size by `count` windows (all sizes stand at the same
+// window count when a stage starts), polling ctx every cancelCheckEvery walk
+// transitions. A nil-Done context (context.Background) is never polled,
+// keeping the hot loop overhead-free for plain Run calls. Each pass
+// accumulates the ready window of every size still short of the target and
+// then, if any size remains short, takes one transition.
+func (wk *walker) run(ctx context.Context, count int) error {
+	wk.start()
+	target := wk.accs[0].Done + count
+	done := ctx.Done()
+	for steps := 0; ; steps++ {
+		pending := false
+		for i := range wk.sizes {
+			a := &wk.accs[i]
+			if a.Done >= target {
+				continue
+			}
+			if s := &wk.sizes[i]; a.Done+s.l <= wk.pushed {
+				if err := wk.accumulate(s, a); err != nil {
+					return err
+				}
+				a.Done++
+			}
+			if a.Done < target {
+				pending = true
+			}
+		}
+		if !pending {
+			return nil
+		}
+		if done != nil && steps%cancelCheckEvery == 0 {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+		}
+		wk.push(wk.w.Step())
 	}
-	wk.win[wk.ring] = s
-	wk.degs[wk.ring] = wk.space.StateDegree(s)
-	wk.ring = (wk.ring + 1) % wk.l
 }
 
-// windowAt returns the i-th window entry in walk order (0 = oldest).
+func (wk *walker) push(s walk.State) {
+	slot := wk.pushed % wk.maxL
+	wk.win[slot] = s
+	wk.degs[slot] = wk.space.StateDegree(s)
+	wk.pushed++
+}
+
+// windowAt returns the i-th state (0 = oldest) of the window starting at
+// curStart, with its G(d) degree; the signature matches windowCode's
+// accessor.
 func (wk *walker) windowAt(i int) (walk.State, int) {
-	j := (wk.ring + i) % wk.l
+	j := (wk.curStart + i) % wk.maxL
 	return wk.win[j], wk.degs[j]
 }
 
-// accumulateStars adds the non-induced-star functional of the newest visited
-// node (stationary probability ∝ degree): C(d_v, 3)/d_v.
-func (wk *walker) accumulateStars() {
-	_, deg := wk.windowAt(wk.l - 1)
-	d := float64(deg) // d = 1 walk: the state degree is the node degree
-	// C(d,3)/d simplifies to (d-1)(d-2)/6.
-	wk.res.StarAcc += (d - 1) * (d - 2) / 6
-}
-
-// accumulate processes the current window: if it covers exactly k distinct
-// nodes, classify the induced subgraph and add its re-weighted contribution.
-func (wk *walker) accumulate(res *Result) error {
-	k := wk.cfg.K
-	wk.unionNodes = wk.unionNodes[:0]
-	for i := 0; i < wk.l; i++ {
-		s, _ := wk.windowAt(i)
-		for j := 0; j < s.Len(); j++ {
-			x := s.Node(j)
-			found := false
-			for _, y := range wk.unionNodes {
+// accumulate processes size s's next window (states [Done, Done+l-1]) into
+// its accumulator: if it covers exactly k distinct nodes, classify the
+// induced subgraph and add its re-weighted contribution. A size's
+// accumulator trajectory depends only on the walk, never on which other
+// sizes share it.
+func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
+	wk.curStart = a.Done
+	if wk.cfg.RecoverStars {
+		// The non-induced-star functional of the newest visited node
+		// (stationary probability ∝ degree; on a d = 1 walk the state degree
+		// is the node degree): C(d,3)/d simplifies to (d-1)(d-2)/6.
+		_, deg := wk.windowAt(s.l - 1)
+		d := float64(deg)
+		wk.starAcc += (d - 1) * (d - 2) / 6
+	}
+	nodes := wk.scratchNodes[:0]
+	for i := 0; i < s.l; i++ {
+		st, _ := wk.windowAt(i)
+		for j := 0; j < st.Len(); j++ {
+			x := st.Node(j)
+			seen := false
+			for _, y := range nodes {
 				if y == x {
-					found = true
+					seen = true
 					break
 				}
 			}
-			if !found {
-				wk.unionNodes = append(wk.unionNodes, x)
-				if len(wk.unionNodes) > k {
-					return nil // over-covering impossible; defensive
-				}
+			if !seen {
+				nodes = append(nodes, x)
 			}
 		}
 	}
-	if len(wk.unionNodes) != k {
+	wk.scratchNodes = nodes
+	if len(nodes) != s.k {
 		return nil // invalid sample (Figure 3)
 	}
-	res.ValidSamples++
+	a.ValidSamples++
 
-	nodes := wk.unionNodes
-	code := windowCode(wk.client, wk.space, k, wk.l, nodes, wk.windowAt)
-	typ := graphlet.ClassifyCode(k, code)
+	code := windowCode(wk.client, wk.space, s.k, s.l, nodes, wk.windowAt)
+	typ := graphlet.ClassifyCode(s.k, code)
 	if typ < 0 {
 		return fmt.Errorf("core: window %v classified as disconnected", nodes)
 	}
-	res.TypeCounts[typ]++
+	a.TypeCounts[typ]++
 
 	var weight float64
-	if wk.chains != nil {
-		p := samplingProbabilityWith(wk.space, wk.chains, wk.cfg.NB, nodes, code)
+	if s.chains != nil {
+		p := samplingProbabilityWith(wk.space, s.chains, wk.cfg.NB, nodes, code)
 		if p <= 0 {
-			return fmt.Errorf("core: zero sampling probability for type %d", typ+1)
+			return fmt.Errorf("core: zero sampling probability for type g%d_%d", s.k, typ+1)
 		}
 		weight = 1 / p
 	} else {
-		if wk.alpha[typ] == 0 {
-			return fmt.Errorf("core: walk produced type %d with alpha = 0 (d=%d)", typ+1, wk.cfg.D)
+		if s.alpha[typ] == 0 {
+			return fmt.Errorf("core: walk produced type g%d_%d with alpha = 0 (d=%d)", s.k, typ+1, wk.cfg.D)
 		}
-		weight = 1 / (float64(wk.alpha[typ]) * wk.pieTilde())
+		weight = 1 / (float64(s.alpha[typ]) * wk.pieTilde(s.l))
 	}
-	res.Weights[typ] += weight
+	a.Weights[typ] += weight
 	return nil
 }
 
-// pieTilde computes π̃e(X^(l)) = 2|R(d)|·πe for the current window
-// (Equation 2): deg(X_1) for l = 1, 1 for l = 2, and the product of inverse
-// degrees of the interior states for l > 2. Under NB, nominal degrees are
-// used (§4.2).
-func (wk *walker) pieTilde() float64 {
-	switch wk.l {
+// pieTilde computes π̃e(X^(l)) = 2|R(d)|·πe for the l-state window at
+// curStart (Equation 2): deg(X_1) for l = 1, 1 for l = 2, and the product of
+// inverse degrees of the interior states for l > 2. Under NB, nominal
+// degrees are used (§4.2).
+func (wk *walker) pieTilde(l int) float64 {
+	switch l {
 	case 1:
 		// Marginal state probability d_X/2|R|; NB-SRW preserves it, so the
 		// actual degree is used even under NB.
@@ -250,18 +281,14 @@ func (wk *walker) pieTilde() float64 {
 		return 1
 	}
 	p := 1.0
-	for i := 1; i < wk.l-1; i++ {
+	for i := 1; i < l-1; i++ {
 		_, d := wk.windowAt(i)
-		p *= 1 / wk.adjDeg(d)
+		if wk.cfg.NB {
+			d = nominal(d)
+		}
+		p *= 1 / float64(d)
 	}
 	return p
-}
-
-func (wk *walker) adjDeg(d int) float64 {
-	if wk.cfg.NB {
-		return float64(nominal(d))
-	}
-	return float64(d)
 }
 
 // nominal maps a state degree to the NB-SRW nominal degree.
@@ -277,19 +304,16 @@ func nominal(d int) int {
 // snapshot never perturbs the run.
 func (wk *walker) snapshot() WalkerState {
 	st := WalkerState{
-		RNGPos: wk.rng.Pos(),
-		Seeded: wk.seeded,
-		Primed: wk.primed,
+		RNGPos:  wk.rng.Pos(),
+		Seeded:  wk.seeded,
+		Primed:  wk.primed,
+		Accs:    make([]SizeAcc, len(wk.accs)),
+		StarAcc: wk.starAcc,
 	}
-	if wk.res != nil {
-		st.ResSteps = wk.res.Steps
-		st.ValidSamples = wk.res.ValidSamples
-		st.Weights = append([]float64(nil), wk.res.Weights...)
-		st.TypeCounts = append([]int64(nil), wk.res.TypeCounts...)
-		st.StarAcc = wk.res.StarAcc
-	} else {
-		st.Weights = make([]float64, len(wk.alpha))
-		st.TypeCounts = make([]int64, len(wk.alpha))
+	for i, a := range wk.accs {
+		a.Weights = append([]float64(nil), a.Weights...)
+		a.TypeCounts = append([]int64(nil), a.TypeCounts...)
+		st.Accs[i] = a
 	}
 	if wk.seeded {
 		ws := wk.w.State()
@@ -301,12 +325,15 @@ func (wk *walker) snapshot() WalkerState {
 		}
 	}
 	if wk.primed {
-		st.Win = make([][]int32, wk.l)
-		st.Degs = make([]int, wk.l)
-		for i := 0; i < wk.l; i++ {
-			s, d := wk.windowAt(i)
-			st.Win[i] = s.Nodes(nil)
-			st.Degs[i] = d
+		// The ring holds the last min(pushed, maxL) states; export them
+		// oldest-first so restore can re-place state j at slot j % maxL.
+		n := min(wk.pushed, wk.maxL)
+		st.Win = make([][]int32, n)
+		st.Degs = make([]int, n)
+		for i := 0; i < n; i++ {
+			slot := (wk.pushed - n + i) % wk.maxL
+			st.Win[i] = wk.win[slot].Nodes(nil)
+			st.Degs[i] = wk.degs[slot]
 		}
 	}
 	return st
@@ -314,36 +341,38 @@ func (wk *walker) snapshot() WalkerState {
 
 // restore rebuilds the walker from an exported state: a fresh space (its
 // caches are derived), the RNG fast-forwarded to the recorded stream
-// position, the walk at its recorded position, the window in canonical ring
-// order, and the private accumulator. On error the walker may be left
-// partially mutated; callers discard the whole estimator then.
+// position, the walk at its recorded position, the state ring re-placed at
+// canonical slots, and the per-size accumulators. On error the walker may be
+// left partially mutated; callers discard the whole estimator then.
 func (wk *walker) restore(st WalkerState) error {
-	if len(st.Weights) != len(wk.alpha) || len(st.TypeCounts) != len(wk.alpha) {
-		return fmt.Errorf("core: restore: accumulator has %d/%d types, want %d",
-			len(st.Weights), len(st.TypeCounts), len(wk.alpha))
-	}
-	if st.ResSteps < 0 || st.ValidSamples < 0 || st.Steps < 0 {
-		return fmt.Errorf("core: restore: negative counters")
+	if len(st.Accs) != len(wk.sizes) {
+		return fmt.Errorf("core: restore: %d size accumulators, want %d", len(st.Accs), len(wk.sizes))
 	}
 	if st.Primed && !st.Seeded {
 		return fmt.Errorf("core: restore: primed walker without a start state")
 	}
-	wk.res = &Result{
-		Config:       wk.cfg,
-		Steps:        st.ResSteps,
-		ValidSamples: st.ValidSamples,
-		Weights:      append([]float64(nil), st.Weights...),
-		TypeCounts:   append([]int64(nil), st.TypeCounts...),
-		StarAcc:      st.StarAcc,
+	if st.Steps < 0 {
+		return fmt.Errorf("core: restore: negative walk steps")
 	}
-	if wk.cfg.RecoverStars {
-		wk.res.applyStarRecovery()
+	for i, s := range wk.sizes {
+		acc := st.Accs[i]
+		if nt := len(s.alpha); len(acc.Weights) != nt || len(acc.TypeCounts) != nt {
+			return fmt.Errorf("core: restore: size %d accumulator has %d/%d types, want %d",
+				s.k, len(acc.Weights), len(acc.TypeCounts), nt)
+		}
+		if acc.Done < 0 || acc.ValidSamples < 0 {
+			return fmt.Errorf("core: restore: negative counters for size %d", s.k)
+		}
+		acc.Weights = append([]float64(nil), acc.Weights...)
+		acc.TypeCounts = append([]int64(nil), acc.TypeCounts...)
+		wk.accs[i] = acc
 	}
+	wk.starAcc = st.StarAcc
 	wk.rng = walk.NewRandAt(wk.seed, st.RNGPos)
 	wk.space = walk.NewSpace(wk.client, wk.cfg.D)
 	wk.seeded = st.Seeded
 	wk.primed = st.Primed
-	wk.winLen, wk.ring = 0, 0
+	wk.pushed = 0
 	if !st.Seeded {
 		wk.w = nil
 		return nil
@@ -359,26 +388,42 @@ func (wk *walker) restore(st WalkerState) error {
 		}
 	}
 	wk.w = walk.Resume(wk.space, ws, wk.cfg.NB, wk.rng.Rand)
-	if st.Primed {
-		if len(st.Win) != wk.l || len(st.Degs) != wk.l {
-			return fmt.Errorf("core: restore: window of %d states/%d degrees, want %d",
-				len(st.Win), len(st.Degs), wk.l)
+	if !st.Primed {
+		return nil
+	}
+	// State 0 is the one the burn-in ended on. A snapshot of the eager
+	// pre-merge single-size walker (a GEST blob) stands one transition
+	// further than this walker would — it holds its next window already —
+	// which the same arithmetic covers: that window is simply ready.
+	wk.pushed = int(st.Steps) - wk.cfg.BurnIn + 1
+	if wk.pushed < 1 {
+		return fmt.Errorf("core: restore: primed walker at %d steps is inside its %d-step burn-in", st.Steps, wk.cfg.BurnIn)
+	}
+	n := min(wk.pushed, wk.maxL)
+	if len(st.Win) != n || len(st.Degs) != n {
+		return fmt.Errorf("core: restore: ring of %d states/%d degrees, want %d",
+			len(st.Win), len(st.Degs), n)
+	}
+	for i := 0; i < n; i++ {
+		s, err := stateOf(st.Win[i], wk.cfg.D)
+		if err != nil {
+			return fmt.Errorf("core: restore ring[%d]: %w", i, err)
 		}
-		for i := 0; i < wk.l; i++ {
-			s, err := stateOf(st.Win[i], wk.cfg.D)
-			if err != nil {
-				return fmt.Errorf("core: restore window[%d]: %w", i, err)
-			}
-			if st.Degs[i] < 0 {
-				return fmt.Errorf("core: restore: negative degree %d", st.Degs[i])
-			}
-			wk.win[i] = s
-			wk.degs[i] = st.Degs[i]
+		if st.Degs[i] < 0 {
+			return fmt.Errorf("core: restore: negative degree %d", st.Degs[i])
 		}
-		// Canonical ring orientation: windowAt(i) = win[(ring+i)%l], so
-		// restoring oldest-first with ring = 0 reproduces the same window
-		// sequence regardless of where the original ring index stood.
-		wk.winLen, wk.ring = wk.l, 0
+		slot := (wk.pushed - n + i) % wk.maxL
+		wk.win[slot] = s
+		wk.degs[slot] = st.Degs[i]
+	}
+	// Every pending window must still be coverable by the ring: size i
+	// resumes at window Done, whose oldest state index must not precede
+	// pushed - n (the oldest retained state).
+	for i, s := range wk.sizes {
+		if wk.accs[i].Done < wk.pushed-n {
+			return fmt.Errorf("core: restore: size %d window %d precedes retained ring (oldest state %d)",
+				s.k, wk.accs[i].Done, wk.pushed-n)
+		}
 	}
 	return nil
 }

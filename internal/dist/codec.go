@@ -8,8 +8,8 @@
 // changes what it computes. A coordinator (coordinator.go) posts one
 // Assignment per partition to a worker's POST /v1/partitions endpoint
 // (worker.go); the worker streams Frames back — a snapshot of the
-// partition's EnsembleState/MultiEnsembleState at every checkpoint barrier,
-// then a final frame with the terminal state. The coordinator re-combines
+// partition's core.EnsembleState at every checkpoint barrier, then a final
+// frame with the terminal state. The coordinator re-combines
 // partition states in walker-index order (core.CombinePartitionStates), so
 // the merged result keeps the exact float addition sequence of a local run.
 // Snapshots double as failover state: a dead worker's partition resumes on a
@@ -49,7 +49,10 @@ type Assignment struct {
 	Meta  GraphMeta
 
 	// Exactly one of Single/Multi is set: the job's full engine
-	// configuration (including the global walker count and seed).
+	// configuration (including the global walker count and seed). The two
+	// fields are the wire shape (a job submitted with k travels as Single,
+	// one submitted with sizes as Multi); the engine behind them is one, and
+	// config returns what it runs.
 	Single *core.Config
 	Multi  *core.MultiConfig
 
@@ -63,9 +66,9 @@ type Assignment struct {
 	// indices.
 	Lo, Hi int
 
-	// Resume optionally carries an encoded partition state
-	// (EnsembleState/MultiEnsembleState restricted to [Lo, Hi)) to restore
-	// before running — the failover and coordinator-crash-recovery path.
+	// Resume optionally carries an encoded partition state (a
+	// core.EnsembleState restricted to [Lo, Hi)) to restore before running —
+	// the failover and coordinator-crash-recovery path.
 	Resume []byte
 }
 
@@ -83,19 +86,27 @@ const (
 	maxSizes     = 16
 )
 
+// config returns the engine configuration the assignment carries: Multi as
+// it stands, Single as its one-size case. Zero when neither is set, which
+// Validate rejects.
+func (a *Assignment) config() core.MultiConfig {
+	switch {
+	case a.Multi != nil:
+		return *a.Multi
+	case a.Single != nil:
+		c := a.Single
+		return core.MultiConfig{
+			Sizes: []int{c.K}, D: c.D, CSS: c.CSS, NB: c.NB,
+			RecoverStars: c.RecoverStars, BurnIn: c.BurnIn,
+			Walkers: c.Walkers, Seed: c.Seed,
+		}
+	}
+	return core.MultiConfig{}
+}
+
 // Walkers returns the global walker count of the assignment's ensemble.
 func (a *Assignment) Walkers() int {
-	w := 1
-	switch {
-	case a.Single != nil:
-		w = a.Single.Walkers
-	case a.Multi != nil:
-		w = a.Multi.Walkers
-	}
-	if w <= 1 {
-		return 1
-	}
-	return w
+	return max(a.config().Walkers, 1)
 }
 
 // Validate checks the assignment's structural invariants (the engine configs
@@ -106,6 +117,11 @@ func (a *Assignment) Validate() error {
 	}
 	if (a.Single == nil) == (a.Multi == nil) {
 		return fmt.Errorf("dist: assignment must set exactly one of single/multi config")
+	}
+	if a.Multi != nil && (a.Multi.RecoverStars || a.Multi.BurnIn != 0) {
+		// The Multi wire layout has no room for them, and dropping them in
+		// Encode would run a different job than the one assigned.
+		return fmt.Errorf("dist: RecoverStars and BurnIn travel only in a single config")
 	}
 	if a.Budget <= 0 {
 		return fmt.Errorf("dist: non-positive budget %d", a.Budget)
@@ -243,7 +259,7 @@ const (
 type Frame struct {
 	Kind   FrameKind
 	Target int    // global checkpoint target the state was captured at
-	State  []byte // encoded partition Ensemble/MultiEnsembleState
+	State  []byte // encoded partition core.EnsembleState
 	Msg    string // error detail (FrameError only)
 }
 

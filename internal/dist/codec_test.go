@@ -77,6 +77,19 @@ func TestAssignmentRejects(t *testing.T) {
 		}
 	}
 
+	// The multi layout carries neither BurnIn nor RecoverStars, so Validate
+	// (hence Run, before anything is encoded) refuses a config that sets them.
+	multi := *sampleAssignments()[1]
+	for name, cfg := range map[string]core.MultiConfig{
+		"multi burn-in": {Sizes: []int{3, 4}, D: 2, Walkers: 4, BurnIn: 5},
+		"multi stars":   {Sizes: []int{4}, D: 1, Walkers: 4, RecoverStars: true},
+	} {
+		multi.Multi = &cfg
+		if err := multi.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+	}
+
 	enc := base.Encode()
 	if _, err := DecodeAssignment(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated assignment accepted")

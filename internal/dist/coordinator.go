@@ -111,7 +111,7 @@ func Run(ctx context.Context, opts Options, asns []*Assignment) ([][]byte, error
 		opts:    opts,
 		httpc:   opts.HTTPClient,
 		asns:    asns,
-		tracker: newSyncTracker(len(asns), asns[0].Multi != nil, opts.OnSync),
+		tracker: newSyncTracker(len(asns), opts.OnSync),
 		finals:  make([][]byte, len(asns)),
 	}
 	if c.httpc == nil {
@@ -124,7 +124,7 @@ func Run(ctx context.Context, opts Options, asns []*Assignment) ([][]byte, error
 	// the assignment's own blob.
 	for p, asn := range asns {
 		if len(asn.Resume) > 0 {
-			t, err := stateTarget(asn, asn.Resume)
+			t, err := stateTarget(asn.Resume)
 			if err != nil {
 				return nil, fmt.Errorf("dist: partition %d resume blob: %w", p, err)
 			}
@@ -363,14 +363,7 @@ func (c *coordinator) runRemote(ctx context.Context, peer string, asn *Assignmen
 }
 
 // stateTarget extracts the checkpoint target a resume blob was captured at.
-func stateTarget(asn *Assignment, blob []byte) (int, error) {
-	if asn.Multi != nil {
-		st, err := core.DecodeMultiEnsembleState(blob)
-		if err != nil {
-			return 0, err
-		}
-		return st.WindowsDone, nil
-	}
+func stateTarget(blob []byte) (int, error) {
 	st, err := core.DecodeEnsembleState(blob)
 	if err != nil {
 		return 0, err
@@ -404,7 +397,6 @@ type syncTracker struct {
 	mu     sync.Mutex
 	parts  []partTrack
 	last   int // highest target already synced
-	multi  bool
 	onSync func(target int, combined []byte)
 }
 
@@ -414,8 +406,8 @@ type partTrack struct {
 	latestB []byte
 }
 
-func newSyncTracker(n int, multi bool, onSync func(int, []byte)) *syncTracker {
-	tr := &syncTracker{parts: make([]partTrack, n), multi: multi, onSync: onSync}
+func newSyncTracker(n int, onSync func(int, []byte)) *syncTracker {
+	tr := &syncTracker{parts: make([]partTrack, n), onSync: onSync}
 	for i := range tr.parts {
 		tr.parts[i].snaps = make(map[int][]byte)
 	}
@@ -466,7 +458,7 @@ func (tr *syncTracker) store(p, target int, blob []byte) error {
 		}
 		blobs[i] = b
 	}
-	combined, err := combineBlobs(blobs, tr.multi)
+	combined, err := combineBlobs(blobs)
 	if err != nil {
 		return fmt.Errorf("dist: combining partition snapshots at target %d: %w", cand, err)
 	}
@@ -487,22 +479,7 @@ func (tr *syncTracker) store(p, target int, blob []byte) error {
 
 // combineBlobs decodes per-partition states (in partition order) and
 // re-encodes their combination.
-func combineBlobs(blobs [][]byte, multi bool) ([]byte, error) {
-	if multi {
-		parts := make([]*core.MultiEnsembleState, len(blobs))
-		for i, b := range blobs {
-			st, err := core.DecodeMultiEnsembleState(b)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = st
-		}
-		combined, err := core.CombineMultiPartitionStates(parts)
-		if err != nil {
-			return nil, err
-		}
-		return combined.Encode(), nil
-	}
+func combineBlobs(blobs [][]byte) ([]byte, error) {
 	parts := make([]*core.EnsembleState, len(blobs))
 	for i, b := range blobs {
 		st, err := core.DecodeEnsembleState(b)

@@ -64,7 +64,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 			t.Errorf("local merged result at %d: %v", step, err)
 			return
 		}
-		wantAt[step] = r
+		wantAt[step] = r.Results[cfg.K]
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := mergeFinals(t, finals)
+	got := mergeFinals(t, finals).Results[cfg.K]
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("distributed result differs from local run:\n got %+v\nwant %+v", got, want)
 	}
@@ -114,13 +114,13 @@ func TestDistributedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r, wantAt[target]) {
+		if !reflect.DeepEqual(r.Results[cfg.K], wantAt[target]) {
 			t.Errorf("sync state at %d differs from local checkpoint", target)
 		}
 	}
 }
 
-func mergeFinals(t *testing.T, finals [][]byte) *core.Result {
+func mergeFinals(t *testing.T, finals [][]byte) *core.MultiResult {
 	t.Helper()
 	parts := make([]*core.EnsembleState, len(finals))
 	for i, b := range finals {
@@ -222,7 +222,7 @@ func TestDistributedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mergeFinals(t, finals); !reflect.DeepEqual(got, wantRes) {
+	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("failover result differs from local run:\n got %+v\nwant %+v", got, wantRes)
 	}
 
@@ -269,7 +269,7 @@ func TestDistributedLocalFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mergeFinals(t, finals); !reflect.DeepEqual(got, wantRes) {
+	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("local-failover result differs from local run")
 	}
 }
@@ -312,7 +312,7 @@ func TestDistributedStall(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("stalled stream took %s to abandon", elapsed)
 	}
-	if got := mergeFinals(t, finals); !reflect.DeepEqual(got, wantRes) {
+	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("post-stall result differs from local run")
 	}
 }
@@ -340,20 +340,7 @@ func TestDistributedMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*core.MultiEnsembleState, len(finals))
-	for i, b := range finals {
-		if parts[i], err = core.DecodeMultiEnsembleState(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	combined, err := core.CombineMultiPartitionStates(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := combined.MergedResult()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergeFinals(t, finals)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("distributed multi result differs from local run:\n got %+v\nwant %+v", got, want)
 	}
@@ -405,7 +392,7 @@ func TestCoordinatorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mergeFinals(t, finals); !reflect.DeepEqual(got, want) {
+	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed distributed result differs from local run")
 	}
 	if got := resumedTotal.Load(); got != crashAt {

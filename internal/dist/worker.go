@@ -179,51 +179,26 @@ func RunPartition(ctx context.Context, client access.Client, asn *Assignment, em
 			}
 		}
 	}
-	var runErr error
-	if asn.Single != nil {
-		est, err := core.NewPartitionEstimator(client, *asn.Single, asn.Lo, asn.Hi)
+	est, err := core.NewPartitionMultiEstimator(client, asn.config(), asn.Lo, asn.Hi)
+	if err != nil {
+		return err
+	}
+	if len(asn.Resume) > 0 {
+		st, err := core.DecodeEnsembleState(asn.Resume)
+		if err == nil {
+			err = est.Restore(st)
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrBadResume, err)
 		}
-		if len(asn.Resume) > 0 {
-			st, err := core.DecodeEnsembleState(asn.Resume)
-			if err == nil {
-				err = est.Restore(st)
-			}
-			if err != nil {
-				return fmt.Errorf("%w: %w", ErrBadResume, err)
-			}
+	}
+	_, runErr := est.RunCheckpointsCtx(cctx, asn.Budget, asn.Every, func(step int, _ map[int][]float64) {
+		if step < asn.Budget {
+			send(&Frame{Kind: FrameSnapshot, Target: step, State: est.Snapshot().Encode()})
 		}
-		_, runErr = est.RunCheckpointsCtx(cctx, asn.Budget, asn.Every, func(step int, _ []float64) {
-			if step < asn.Budget {
-				send(&Frame{Kind: FrameSnapshot, Target: step, State: est.Snapshot().Encode()})
-			}
-		})
-		if runErr == nil {
-			send(&Frame{Kind: FrameFinal, Target: asn.Budget, State: est.Snapshot().Encode()})
-		}
-	} else {
-		est, err := core.NewPartitionMultiEstimator(client, *asn.Multi, asn.Lo, asn.Hi)
-		if err != nil {
-			return err
-		}
-		if len(asn.Resume) > 0 {
-			st, err := core.DecodeMultiEnsembleState(asn.Resume)
-			if err == nil {
-				err = est.Restore(st)
-			}
-			if err != nil {
-				return fmt.Errorf("%w: %w", ErrBadResume, err)
-			}
-		}
-		_, runErr = est.RunCheckpointsCtx(cctx, asn.Budget, asn.Every, func(step int, _ map[int][]float64) {
-			if step < asn.Budget {
-				send(&Frame{Kind: FrameSnapshot, Target: step, State: est.Snapshot().Encode()})
-			}
-		})
-		if runErr == nil {
-			send(&Frame{Kind: FrameFinal, Target: asn.Budget, State: est.Snapshot().Encode()})
-		}
+	})
+	if runErr == nil {
+		send(&Frame{Kind: FrameFinal, Target: asn.Budget, State: est.Snapshot().Encode()})
 	}
 	if emitErr != nil {
 		return fmt.Errorf("dist: streaming partition [%d,%d): %w", asn.Lo, asn.Hi, emitErr)

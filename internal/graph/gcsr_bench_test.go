@@ -1,7 +1,7 @@
 package graph_test
 
 // Load-path and probe benchmarks on a >=1M-edge synthetic graph, the numbers
-// behind BENCH_pr3.json: text parse (LoadEdgeList) vs portable binary decode
+// behind PR 3 (CHANGES.md): text parse (LoadEdgeList) vs portable binary decode
 // (Load) vs zero-copy mmap (OpenMapped), plus HasEdge against hub and
 // non-hub endpoints and the cached-arc RandomEdge draw. The fixture graph is
 // deterministic (Barabási–Albert, fixed seed) and cached as files under the

@@ -13,12 +13,12 @@ import (
 // Results at any GOMAXPROCS, so a cached entry is indistinguishable from a
 // re-run. Partial (cancelled/failed) results are never cached.
 //
-// Every entry is a single-size result. A multi-size job fans out into one
-// entry per size at settle (the shared-walk per-size results are
-// byte-identical to independent single-size runs, so the entries are
-// interchangeable with ones a single-size job would have produced), and a
-// multi-size submission is answered from the cache by reassembling all of
-// its per-size entries (Manager.multiCacheGetLocked).
+// Every entry is a single-size result. A job puts one entry per size at
+// settle (the shared-walk per-size results are byte-identical to independent
+// single-size runs, so a multi-size job's entries are interchangeable with
+// ones single-size jobs would have produced), and a submission is answered
+// from the cache by reassembling all of its per-size entries
+// (Manager.cacheGetLocked).
 //
 // Each entry remembers the job that produced it (its owner) — a multi-size
 // job owns several entries at once, so the owner index is a live-entry

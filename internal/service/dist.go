@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/service/journal"
 )
 
 // maxFanout bounds Spec.Nodes; a fleet larger than this is outside the
@@ -43,22 +42,23 @@ func distMeta(g *graph.Graph) dist.GraphMeta {
 // resume machinery and can even finish the job locally with no peers.
 func (m *Manager) runDistributed(ctx context.Context, j *job, g *graph.Graph, resumeSnap []byte) {
 	spec := j.spec
-	multi := spec.multi()
-	if multi {
-		m.met.multiRuns.Inc()
-	}
 	base := dist.Assignment{
 		Graph:  spec.Graph,
 		Meta:   distMeta(g),
 		Budget: spec.Steps,
 		Every:  m.snapshotEvery(spec.Steps),
 	}
-	if multi {
-		cfg := spec.multiConfig()
+	// The assignment keeps the wire shape of the submission: sizes travel as
+	// Multi, a bare k as Single. Workers run the same engine either way.
+	if spec.multi() {
+		m.met.multiRuns.Inc()
+		cfg := spec.config()
 		base.Multi = &cfg
 	} else {
-		cfg := spec.config()
-		base.Single = &cfg
+		base.Single = &core.Config{
+			K: spec.K, D: spec.D, CSS: spec.CSS, NB: spec.NB,
+			Walkers: spec.Walkers, Seed: spec.Seed,
+		}
 	}
 	asns := dist.PartitionAssignments(base, spec.Nodes)
 
@@ -67,7 +67,7 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, g *graph.Graph, re
 	// from-scratch run — it must never be able to fail the job.
 	resumeTarget := 0
 	if len(resumeSnap) > 0 {
-		if t, ok := sliceResume(asns, resumeSnap, multi); ok {
+		if t, ok := sliceResume(asns, resumeSnap); ok {
 			resumeTarget = t
 		} else {
 			m.mu.Lock()
@@ -91,7 +91,7 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, g *graph.Graph, re
 		LocalClient:  func() access.Client { return m.opts.NewClient(g) },
 		Metrics:      m.met.dist,
 		OnSync: func(target int, combined []byte) {
-			res, multiRes, err := decodeMerged(combined, multi)
+			res, err := decodeMerged(combined)
 			if err != nil {
 				return // combined states are coordinator-built; never expected
 			}
@@ -104,20 +104,11 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, g *graph.Graph, re
 			if m.jnl != nil {
 				snap = combined
 			}
-			m.mu.Lock()
+			conc := res.Concentrations()
 			m.met.walkCheckpoints.Inc()
 			m.met.walkSteps.Add(int64(delta))
-			j.progress.Steps = target
-			rec := recCheckpoint{V: checkpointV2, Steps: target, Snapshot: snap}
-			if multi {
-				j.progress.Concentrations = multiRes.Concentrations()
-				rec.Concentrations = j.progress.Concentrations
-			} else {
-				j.progress.Concentration = res.Concentration()
-				rec.Concentration = j.progress.Concentration
-			}
-			m.journalAppendLocked(journal.TypeCheckpoint, j.id, rec)
-			m.notifySubsLocked(j, "checkpoint")
+			m.mu.Lock()
+			m.checkpointLocked(j, target, conc, snap)
 			m.mu.Unlock()
 		},
 		// Exact resumed-step accounting: each partition reports the windows
@@ -150,50 +141,21 @@ func (m *Manager) runDistributed(ctx context.Context, j *job, g *graph.Graph, re
 		lastMu.Lock()
 		lc := lastCombined
 		lastMu.Unlock()
-		var res *core.Result
-		var multiRes *core.MultiResult
+		var res *core.MultiResult
 		if lc != nil {
-			res, multiRes, _ = decodeMerged(lc, multi)
+			res, _ = decodeMerged(lc)
 		}
-		if multi {
-			m.settleMulti(j, multiRes, err)
-		} else {
-			m.settle(j, res, err)
-		}
+		m.settle(j, res, err)
 		return
 	}
-	res, multiRes, err := mergeFinals(finals, multi)
-	if multi {
-		m.settleMulti(j, multiRes, err)
-	} else {
-		m.settle(j, res, err)
-	}
+	res, err := mergeFinals(finals)
+	m.settle(j, res, err)
 }
 
 // sliceResume splits a journaled full-ensemble snapshot into per-partition
 // resume blobs, reporting the snapshot's checkpoint target. On any failure
 // the assignments are left with no resume state.
-func sliceResume(asns []*dist.Assignment, snap []byte, multi bool) (int, bool) {
-	clear := func() {
-		for _, asn := range asns {
-			asn.Resume = nil
-		}
-	}
-	if multi {
-		st, err := core.DecodeMultiEnsembleState(snap)
-		if err != nil {
-			return 0, false
-		}
-		for _, asn := range asns {
-			sl, err := st.Slice(asn.Lo, asn.Hi)
-			if err != nil {
-				clear()
-				return 0, false
-			}
-			asn.Resume = sl.Encode()
-		}
-		return st.WindowsDone, true
-	}
+func sliceResume(asns []*dist.Assignment, snap []byte) (int, bool) {
 	st, err := core.DecodeEnsembleState(snap)
 	if err != nil {
 		return 0, false
@@ -201,7 +163,9 @@ func sliceResume(asns []*dist.Assignment, snap []byte, multi bool) (int, bool) {
 	for _, asn := range asns {
 		sl, err := st.Slice(asn.Lo, asn.Hi)
 		if err != nil {
-			clear()
+			for _, asn := range asns {
+				asn.Resume = nil
+			}
 			return 0, false
 		}
 		asn.Resume = sl.Encode()
@@ -210,55 +174,29 @@ func sliceResume(asns []*dist.Assignment, snap []byte, multi bool) (int, bool) {
 }
 
 // decodeMerged decodes a combined full-ensemble state and computes its
-// merged result (one of the two returns is set, per multi).
-func decodeMerged(blob []byte, multi bool) (*core.Result, *core.MultiResult, error) {
-	if multi {
-		st, err := core.DecodeMultiEnsembleState(blob)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := st.MergedResult()
-		return nil, res, err
-	}
+// merged result.
+func decodeMerged(blob []byte) (*core.MultiResult, error) {
 	st, err := core.DecodeEnsembleState(blob)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := st.MergedResult()
-	return res, nil, err
+	return st.MergedResult()
 }
 
 // mergeFinals combines the per-partition terminal states into the job's
 // result — the same bytes a local run of the full ensemble produces.
-func mergeFinals(finals [][]byte, multi bool) (*core.Result, *core.MultiResult, error) {
-	if multi {
-		parts := make([]*core.MultiEnsembleState, len(finals))
-		for i, b := range finals {
-			st, err := core.DecodeMultiEnsembleState(b)
-			if err != nil {
-				return nil, nil, fmt.Errorf("service: partition %d final state: %w", i, err)
-			}
-			parts[i] = st
-		}
-		combined, err := core.CombineMultiPartitionStates(parts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := combined.MergedResult()
-		return nil, res, err
-	}
+func mergeFinals(finals [][]byte) (*core.MultiResult, error) {
 	parts := make([]*core.EnsembleState, len(finals))
 	for i, b := range finals {
 		st, err := core.DecodeEnsembleState(b)
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: partition %d final state: %w", i, err)
+			return nil, fmt.Errorf("service: partition %d final state: %w", i, err)
 		}
 		parts[i] = st
 	}
 	combined, err := core.CombinePartitionStates(parts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := combined.MergedResult()
-	return res, nil, err
+	return combined.MergedResult()
 }

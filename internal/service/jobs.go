@@ -99,26 +99,39 @@ func sizesKey(sizes []int) string {
 // multi reports whether the spec requests a shared-walk multi-size job.
 func (s Spec) multi() bool { return len(s.Sizes) > 0 }
 
-// config maps a single-size spec onto the engine configuration.
-func (s Spec) config() core.Config {
-	return core.Config{
-		K: s.K, D: s.D, CSS: s.CSS, NB: s.NB,
-		Walkers: s.Walkers, Seed: s.Seed,
+// sizes lists the graphlet sizes the spec asks for: Sizes, or the one K. A
+// single-size job is a multi-size job with one size; which of the two fields
+// a spec used only decides the shape of what leaves the process (JobView,
+// Progress, journal records, the multi-size metric series).
+func (s Spec) sizes() []int {
+	if s.multi() {
+		return s.Sizes
 	}
+	return []int{s.K}
 }
 
-// multiConfig maps a multi-size spec onto the joint-estimator configuration.
-func (s Spec) multiConfig() core.MultiConfig {
+// config maps the spec onto the engine configuration.
+func (s Spec) config() core.MultiConfig {
 	return core.MultiConfig{
-		Sizes: s.Sizes, D: s.D, CSS: s.CSS, NB: s.NB,
+		Sizes: s.sizes(), D: s.D, CSS: s.CSS, NB: s.NB,
 		Walkers: s.Walkers, Seed: s.Seed,
 	}
 }
 
-// sizeSpec is the single-size spec this multi-size spec covers for size k —
-// the cache key its fan-out entry lives under. Sound because the engine's
-// shared-walk per-size results are byte-identical to independent
-// single-size runs of the same (Config, Seed).
+// shape renders per-size vectors in the wire form the spec calls for: the
+// bare K entry for a spec submitted with k, the keyed map for one submitted
+// with sizes.
+func (s Spec) shape(bySize map[int][]float64) ([]float64, map[int][]float64) {
+	if s.multi() {
+		return nil, bySize
+	}
+	return bySize[s.K], nil
+}
+
+// sizeSpec is the single-size spec this spec covers for size k — the cache
+// key that size's entry lives under (for a single-size spec, its own key).
+// Sound because the engine's shared-walk per-size results are byte-identical
+// to independent single-size runs of the same (Config, Seed).
 func (s Spec) sizeSpec(k int) Spec {
 	s.K, s.Sizes = k, nil
 	return s
@@ -164,11 +177,8 @@ type job struct {
 	traceID   string // request ID of the submission that created the job
 	state     State
 	progress  Progress
-	result    *core.Result
-	// multiResult holds a multi-size job's per-size results (result stays
-	// nil); exactly one of the two is set on a completed job.
-	multiResult *core.MultiResult
-	errMsg      string
+	result    *core.MultiResult // per-size results, keyed by k (one entry for a single-size job)
+	errMsg    string
 	cached    bool
 	coalesced int // number of submissions answered by this run
 	created   time.Time
@@ -194,9 +204,9 @@ type JobView struct {
 	// every poll response and SSE event for the job, so one grep over the
 	// access logs follows a request end to end.
 	RequestID string     `json:"request_id,omitempty"`
-	State    State      `json:"state"`
-	Progress Progress   `json:"progress"`
-	Result   *JobResult `json:"result,omitempty"`
+	State     State      `json:"state"`
+	Progress  Progress   `json:"progress"`
+	Result    *JobResult `json:"result,omitempty"`
 	// Results renders a completed multi-size job: one JobResult per
 	// requested size, keyed by k (Result stays empty for those jobs).
 	Results map[int]*JobResult `json:"results,omitempty"`
@@ -236,8 +246,8 @@ type JobResult struct {
 // count is read back from the obs metrics registry also served at
 // GET /metrics, so the JSON and Prometheus views can never disagree.
 type Stats struct {
-	Jobs        int `json:"jobs"`
-	Runs        int `json:"runs"` // estimations actually executed
+	Jobs int `json:"jobs"`
+	Runs int `json:"runs"` // estimations actually executed
 	// MultiRuns counts the subset of Runs that were shared-walk multi-size
 	// ensembles (each paying one step budget for several sizes).
 	MultiRuns   int `json:"multi_runs,omitempty"`
@@ -391,7 +401,7 @@ type Manager struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	order     []string      // submission order, for List
+	order     []string         // submission order, for List
 	inflight  map[specKey]*job // non-terminal job per spec key (single flight)
 	cache     *resultCache
 	jnl       *journal.Log
@@ -502,7 +512,6 @@ func (m *Manager) validate(spec Spec) error {
 				return fmt.Errorf("service: size %d is not in the server's allowed sizes %v", k, m.opts.MultiSizes)
 			}
 		}
-		return spec.multiConfig().Validate()
 	}
 	return spec.config().Validate()
 }
@@ -556,13 +565,12 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (JobView, error) {
 	// (already terminal) job record. A multi-size submission hits when every
 	// one of its per-size entries is warm — its own earlier fan-out, or any
 	// equivalent single-size runs — and is reassembled from them.
-	if res, multiRes, ok := m.cacheGetLocked(spec, key); ok {
+	if res, ok := m.cacheGetLocked(spec); ok {
 		m.met.cacheHits.Inc()
 		j := m.newJobLocked(spec)
 		j.traceID = obs.RequestIDFrom(ctx)
 		j.cached = true
 		j.coalesced = 1
-		j.multiResult = multiRes
 		m.journalAppendLocked(journal.TypeSubmitted, j.id,
 			recSubmitted{Spec: spec, Cached: true, GraphMeta: m.graphMeta(spec.Graph), RequestID: j.traceID})
 		m.finishLocked(j, StateDone, res, nil)
@@ -602,26 +610,22 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (JobView, error) {
 	return j.view(), nil
 }
 
-// cacheGetLocked answers a submission from the result cache: a single-size
-// spec by direct lookup, a multi-size spec by reassembling all of its
-// per-size entries (every size must be warm; entries left by single-size
-// runs are interchangeable with fan-out entries because the shared-walk
-// per-size results are byte-identical to independent runs). Caller holds
-// m.mu.
-func (m *Manager) cacheGetLocked(spec Spec, key specKey) (*core.Result, *core.MultiResult, bool) {
-	if !spec.multi() {
-		res, ok := m.cache.get(key)
-		return res, nil, ok
-	}
-	results := make(map[int]*core.Result, len(spec.Sizes))
-	for _, k := range spec.Sizes {
+// cacheGetLocked answers a submission from the result cache by reassembling
+// its per-size entries: every size must be warm, and entries left by
+// single-size runs are interchangeable with a multi-size run's fan-out
+// entries because the shared-walk per-size results are byte-identical to
+// independent runs. Caller holds m.mu.
+func (m *Manager) cacheGetLocked(spec Spec) (*core.MultiResult, bool) {
+	sizes := spec.sizes()
+	results := make(map[int]*core.Result, len(sizes))
+	for _, k := range sizes {
 		res, ok := m.cache.get(spec.sizeSpec(k).key())
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
 		results[k] = res
 	}
-	return nil, &core.MultiResult{Steps: results[spec.Sizes[0]].Steps, Results: results}, true
+	return &core.MultiResult{Steps: results[sizes[0]].Steps, Results: results}, true
 }
 
 // graphMeta fingerprints the currently registered graph for the journal
@@ -652,7 +656,7 @@ func (m *Manager) newJobLocked(spec Spec) *job {
 
 // finishLocked moves a job to a terminal state, journals the transition,
 // notifies its event streams, and prunes old history. Caller holds m.mu.
-func (m *Manager) finishLocked(j *job, state State, res *core.Result, err error) {
+func (m *Manager) finishLocked(j *job, state State, res *core.MultiResult, err error) {
 	j.state = state
 	j.finished = time.Now()
 	m.met.jobs.With(string(state)).Inc()
@@ -663,14 +667,7 @@ func (m *Manager) finishLocked(j *job, state State, res *core.Result, err error)
 	if res != nil {
 		j.result = res
 		j.progress.Steps = res.Steps
-		j.progress.Concentration = res.Concentration()
-	}
-	if j.multiResult != nil {
-		// Multi-size outcomes (including a cancelled run's partial result,
-		// which settleMulti stashed before calling here) report per-size
-		// concentrations.
-		j.progress.Steps = j.multiResult.Steps
-		j.progress.Concentrations = j.multiResult.Concentrations()
+		j.progress.Concentration, j.progress.Concentrations = j.spec.shape(res.Concentrations())
 	}
 	if err != nil {
 		j.errMsg = err.Error()
@@ -840,10 +837,9 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 	if j.spec.multi() {
-		m.runMulti(ctx, j, g, resumeSnap)
-		return
+		m.met.multiRuns.Inc()
 	}
-	est, err := core.NewEstimator(m.opts.NewClient(g), j.spec.config())
+	est, err := core.NewMultiEstimator(m.opts.NewClient(g), j.spec.config())
 	if err != nil {
 		m.settle(j, nil, err)
 		return
@@ -860,7 +856,7 @@ func (m *Manager) runJob(j *job) {
 			if rerr := est.Restore(st); rerr == nil {
 				resumed = st.WindowsDone
 			} else {
-				est, err = core.NewEstimator(m.opts.NewClient(g), j.spec.config())
+				est, err = core.NewMultiEstimator(m.opts.NewClient(g), j.spec.config())
 				if err != nil {
 					m.settle(j, nil, err)
 					return
@@ -886,14 +882,14 @@ func (m *Manager) runJob(j *job) {
 	// The seed draw runs outside the engine's per-walker panic guard, and
 	// crawl clients report transport failures by panicking — a panic here
 	// must fail this job, not kill the daemon and its other jobs.
-	res, err := func() (res *core.Result, err error) {
+	res, err := func() (res *core.MultiResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("service: job %s: %v", j.id, r)
 			}
 		}()
 		return est.RunCheckpointsCtx(ctx, j.spec.Steps, m.snapshotEvery(j.spec.Steps),
-			func(step int, conc []float64) {
+			func(step int, conc map[int][]float64) {
 				m.met.walkCheckpoints.Inc()
 				m.met.walkSteps.Add(int64(step - lastSteps))
 				lastSteps = step
@@ -906,14 +902,7 @@ func (m *Manager) runJob(j *job) {
 					snap = est.Snapshot().Encode()
 				}
 				m.mu.Lock()
-				j.progress.Steps = step
-				j.progress.Concentration = conc
-				// One checkpoint, three consumers: restart-safe progress,
-				// the resume snapshot, and any live event streams. The
-				// journal write itself happens on the writer goroutine.
-				m.journalAppendLocked(journal.TypeCheckpoint, j.id,
-					recCheckpoint{V: checkpointV2, Steps: step, Concentration: conc, Snapshot: snap})
-				m.notifySubsLocked(j, "checkpoint")
+				m.checkpointLocked(j, step, conc, snap)
 				m.mu.Unlock()
 			})
 	}()
@@ -924,115 +913,43 @@ func (m *Manager) runJob(j *job) {
 	m.settle(j, res, err)
 }
 
-// runMulti executes a dispatched multi-size job: one shared-walk ensemble
-// whose step budget is paid once covers every requested size. Resume,
-// checkpointing and metrics mirror the single-size path, with the multi
-// codec (core.MultiEnsembleState) in place of the single one.
-func (m *Manager) runMulti(ctx context.Context, j *job, g *graph.Graph, resumeSnap []byte) {
-	m.met.multiRuns.Inc()
-	est, err := core.NewMultiEstimator(m.opts.NewClient(g), j.spec.multiConfig())
-	if err != nil {
-		m.settleMulti(j, nil, err)
-		return
-	}
-	// Restore a recovered checkpoint snapshot; any failure degrades to a
-	// from-scratch run, exactly like the single-size path — resume is an
-	// optimization and must never be able to fail a job.
-	resumed := 0
-	if len(resumeSnap) > 0 {
-		if st, derr := core.DecodeMultiEnsembleState(resumeSnap); derr == nil {
-			if rerr := est.Restore(st); rerr == nil {
-				resumed = st.WindowsDone
-			} else {
-				est, err = core.NewMultiEstimator(m.opts.NewClient(g), j.spec.multiConfig())
-				if err != nil {
-					m.settleMulti(j, nil, err)
-					return
-				}
-			}
-		}
-	}
-	m.mu.Lock()
-	j.progress.ResumedSteps = resumed
-	if resumed > 0 {
-		j.progress.Steps = resumed
-		m.met.walkResumed.Add(int64(resumed))
-	} else if len(resumeSnap) > 0 {
-		j.progress = Progress{Total: j.spec.Steps}
-	}
-	m.mu.Unlock()
-	lastSteps := resumed
-	res, err := func() (res *core.MultiResult, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("service: job %s: %v", j.id, r)
-			}
-		}()
-		return est.RunCheckpointsCtx(ctx, j.spec.Steps, m.snapshotEvery(j.spec.Steps),
-			func(step int, conc map[int][]float64) {
-				m.met.walkCheckpoints.Inc()
-				m.met.walkSteps.Add(int64(step - lastSteps))
-				lastSteps = step
-				var snap []byte
-				if m.jnl != nil {
-					snap = est.Snapshot().Encode()
-				}
-				m.mu.Lock()
-				j.progress.Steps = step
-				j.progress.Concentrations = conc
-				m.journalAppendLocked(journal.TypeCheckpoint, j.id,
-					recCheckpoint{V: checkpointV2, Steps: step, Concentrations: conc, Snapshot: snap})
-				m.notifySubsLocked(j, "checkpoint")
-				m.mu.Unlock()
-			})
-	}()
-	if res != nil {
-		m.met.walkSteps.Add(int64(res.Steps - lastSteps))
-	}
-	m.settleMulti(j, res, err)
+// checkpointLocked records one checkpoint barrier of a running job for its
+// three consumers: restart-safe progress, the resume snapshot, and any live
+// event streams (the journal write itself happens on the writer goroutine).
+// Progress and the record carry the per-size concentrations in the shape the
+// job's spec calls for. Caller holds m.mu.
+func (m *Manager) checkpointLocked(j *job, step int, conc map[int][]float64, snap []byte) {
+	j.progress.Steps = step
+	j.progress.Concentration, j.progress.Concentrations = j.spec.shape(conc)
+	m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
+		V: checkpointV2, Steps: step, Snapshot: snap,
+		Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
+	})
+	m.notifySubsLocked(j, "checkpoint")
 }
 
-// settleMulti records a multi-size run's outcome. A completed run fan-out
-// fills the result cache with one entry per size, keyed as the equivalent
-// single-size spec, so later single-size requests for any covered k — and
-// later identical multi-size requests, reassembled from the same entries —
-// are warm hits. A cancelled run keeps its partial per-size results but is
-// not cached.
-func (m *Manager) settleMulti(j *job, res *core.MultiResult, err error) {
+// settle records a run's outcome. A completed run fills the result cache
+// with one entry per size, keyed as the equivalent single-size spec (for a
+// single-size job, its own key), so later single-size requests for any
+// covered k — and later multi-size requests, reassembled from the same
+// entries — are warm hits. A cancelled run keeps its partial result
+// (progress made) but is not cached.
+func (m *Manager) settle(j *job, res *core.MultiResult, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.met.jobsActive.Dec()
 	delete(m.inflight, j.spec.key())
-	if res != nil {
-		j.multiResult = res
-	}
 	switch {
 	case err == nil:
-		for _, k := range j.spec.Sizes {
+		for _, k := range j.spec.sizes() {
 			r := res.Results[k]
 			m.cache.put(j.spec.sizeSpec(k).key(), r, j.id)
-			label := strconv.Itoa(k)
-			m.met.multiResults.With(label).Inc()
-			m.met.multiSteps.With(label).Add(int64(r.Steps))
+			if j.spec.multi() {
+				label := strconv.Itoa(k)
+				m.met.multiResults.With(label).Inc()
+				m.met.multiSteps.With(label).Add(int64(r.Steps))
+			}
 		}
-		m.finishLocked(j, StateDone, nil, nil)
-	case errors.Is(err, context.Canceled):
-		m.finishLocked(j, StateCanceled, nil, err)
-	default:
-		m.finishLocked(j, StateFailed, nil, err)
-	}
-}
-
-// settle records a run's outcome: Done results populate the cache; a
-// cancelled run keeps its partial result (progress made) but is not cached.
-func (m *Manager) settle(j *job, res *core.Result, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.met.jobsActive.Dec()
-	delete(m.inflight, j.spec.key())
-	switch {
-	case err == nil:
-		m.cache.put(j.spec.key(), res, j.id)
 		m.finishLocked(j, StateDone, res, nil)
 	case errors.Is(err, context.Canceled):
 		m.finishLocked(j, StateCanceled, res, err)
@@ -1171,12 +1088,13 @@ func (j *job) view() JobView {
 		v.Progress.Concentrations = cp
 	}
 	if j.state == StateDone && j.result != nil {
-		v.Result = renderResult(j.result)
-	}
-	if j.state == StateDone && j.multiResult != nil {
-		v.Results = make(map[int]*JobResult, len(j.multiResult.Results))
-		for k, r := range j.multiResult.Results {
-			v.Results[k] = renderResult(r)
+		if j.spec.multi() {
+			v.Results = make(map[int]*JobResult, len(j.result.Results))
+			for k, r := range j.result.Results {
+				v.Results[k] = renderResult(r)
+			}
+		} else if r := j.result.Results[j.spec.K]; r != nil {
+			v.Result = renderResult(r)
 		}
 	}
 	return v

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -412,5 +413,61 @@ func TestAsyncJournalPreservesOrder(t *testing.T) {
 		if p != 3 {
 			t.Errorf("job %s ended the log at phase %d, want terminal", id, p)
 		}
+	}
+}
+
+// TestLegacyJournalFixture pins the ROADMAP invariant "on-disk journal
+// readers keep reading old files" end to end. testdata/journal-v1 is a
+// journal written by the Manager of the last build that had two engines and
+// two state codecs (see the README there): two finished jobs, and a k4/d2/css
+// job and a sizes [3,4,5] job frozen mid-run after at least two checkpoints,
+// whose snapshots are a GEST version 1 and a GMST version 1 blob. Today's
+// manager must warm its cache from the done records, resume both frozen jobs
+// from those blobs, and finish them bit-equal to runs from scratch.
+func TestLegacyJournalFixture(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "journal-v1"))); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 2, MaxWalkers: 2, SnapshotEvery: 500}
+	scratch := newTestManager(t, testRegistry(t), opts)
+	defer scratch.Close()
+	opts.DataDir = dir
+	mgr := newTestManager(t, testRegistry(t), opts)
+	defer mgr.Close()
+	if st := mgr.Stats(); st.RecoveredJobs != 2 || st.ResumableJobs != 2 || st.WarmedResults != 2 {
+		t.Fatalf("stats after replay: %+v, want 2 recovered, 2 resumable, 2 warmed", st)
+	}
+
+	for _, id := range []string{"j-1", "j-2", "j-3", "j-4"} {
+		got := waitDone(t, mgr, id)
+		// Finished before the freeze (replayed from their done records) or
+		// frozen mid-run (resumed from their last checkpoint).
+		if frozen := id == "j-3" || id == "j-4"; frozen != (got.Progress.ResumedSteps > 0) {
+			t.Errorf("%s: resumed_steps %d", id, got.Progress.ResumedSteps)
+		}
+		ref, err := scratch.Submit(got.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = waitDone(t, scratch, ref.ID)
+		if got.Spec.multi() {
+			if got.Result != nil || len(got.Results) != len(got.Spec.Sizes) {
+				t.Fatalf("%s: results %+v / %+v, want one per size", id, got.Result, got.Results)
+			}
+			for _, k := range got.Spec.Sizes {
+				sameJobResult(t, id, got.Results[k], ref.Results[k])
+			}
+		} else {
+			if got.Results != nil {
+				t.Fatalf("%s: single-size job rendered results %+v", id, got.Results)
+			}
+			sameJobResult(t, id, got.Result, ref.Result)
+		}
+	}
+	// The warmed entries answer: the finished sizes [3,4] job covers k=4.
+	hit, err := mgr.Submit(Spec{Graph: "hk", K: 4, D: 2, Steps: 1000, Walkers: 2, Seed: 8})
+	if err != nil || !hit.Cached {
+		t.Errorf("single-size ask covered by the journaled fan-out: %+v, %v, want a warm hit", hit, err)
 	}
 }

@@ -105,7 +105,7 @@ func BenchmarkJournalReplay(b *testing.B) {
 				spec := Spec{Graph: "g", K: 3, D: 1, Steps: 1000, Walkers: 1,
 					Seed: int64(i), Priority: PriorityBatch}
 				res := &core.Result{
-					Config: spec.config(), Steps: 1000, ValidSamples: 900,
+					Config: core.Config{K: spec.K, D: spec.D, Walkers: spec.Walkers, Seed: spec.Seed}, Steps: 1000, ValidSamples: 900,
 					Weights:    []float64{0.4, 0.6},
 					TypeCounts: []int64{500, 400},
 				}

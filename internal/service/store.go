@@ -21,7 +21,9 @@ import (
 // replayable view of it (the LogBase pattern).
 //
 // Checkpoint records carry the engine's serialized ensemble snapshot
-// (core.EnsembleState), so an interrupted job does not restart from step 0:
+// (core.EnsembleState — one type and one codec for every job, which also
+// reads the GEST and GMST version 1 blobs older daemons journaled), so an
+// interrupted job does not restart from step 0:
 // replay re-queues it with the latest snapshot and the worker restores the
 // walkers mid-budget, preserving every step up to the last checkpoint.
 //
@@ -72,22 +74,47 @@ type recCheckpoint struct {
 	// Concentrations is the multi-size counterpart of Concentration: one
 	// vector per requested size, keyed by k.
 	Concentrations map[int][]float64 `json:"concentrations,omitempty"`
-	// Snapshot is core.EnsembleState.Encode() at this checkpoint barrier —
-	// or core.MultiEnsembleState.Encode() for a multi-size job (the codecs
-	// carry distinct magics, and the resume path decodes with the codec the
-	// job's spec calls for).
+	// Snapshot is core.EnsembleState.Encode() at this checkpoint barrier.
+	// Journals written before the engines merged hold GEST version 1 blobs
+	// for single-size jobs and GMST version 1 for multi-size ones; the one
+	// decoder reads all three.
 	Snapshot []byte `json:"snapshot,omitempty"`
 }
 
 // checkpointV2 marks checkpoint payloads that carry a resume snapshot.
 const checkpointV2 = 2
 
-// recDone is the payload of a TypeDone record. Exactly one of the two
-// fields is set: Result for single-size jobs, Results (keyed by size) for
-// multi-size jobs.
+// recDone is the payload of a TypeDone record. At most one of the two fields
+// is set (none for a cache hit): Result for a job submitted with k, Results
+// (keyed by size) for one submitted with sizes.
 type recDone struct {
 	Result  *core.Result         `json:"result,omitempty"`
 	Results map[int]*core.Result `json:"results,omitempty"`
+}
+
+// recDoneOf renders a finished job's result in the shape its spec calls for.
+func recDoneOf(spec Spec, res *core.MultiResult) recDone {
+	if spec.multi() {
+		return recDone{Results: res.Results}
+	}
+	return recDone{Result: res.Results[spec.K]}
+}
+
+// result is recDoneOf's inverse: the per-size result either shape carries
+// (nil for a cache hit's empty record).
+func (p recDone) result(spec Spec) *core.MultiResult {
+	results := p.Results
+	if p.Result != nil {
+		results = map[int]*core.Result{spec.K: p.Result}
+	}
+	if len(results) == 0 {
+		return nil
+	}
+	res := &core.MultiResult{Results: results}
+	for _, r := range results {
+		res.Steps = r.Steps // every size covers the same window count
+	}
+	return res
 }
 
 // recFailed is the payload of TypeFailed and TypeCanceled records.
@@ -130,10 +157,7 @@ func (m *Manager) journalTerminalLocked(j *job) {
 	case StateDone:
 		p := recDone{}
 		if !j.cached { // cache hits replay their result via the original run
-			p.Result = j.result
-			if j.multiResult != nil {
-				p.Results = j.multiResult.Results
-			}
+			p = recDoneOf(j.spec, j.result)
 		}
 		m.journalAppendLocked(journal.TypeDone, j.id, p)
 	case StateFailed:
@@ -203,14 +227,7 @@ func (m *Manager) recover() error {
 			}
 			j.state = StateDone
 			j.finished = time.Unix(0, rec.Time)
-			j.result = p.Result
-			if len(p.Results) > 0 {
-				steps := 0
-				for _, r := range p.Results {
-					steps = r.Steps // every size covers the same window count
-				}
-				j.multiResult = &core.MultiResult{Steps: steps, Results: p.Results}
-			}
+			j.result = p.result(j.spec)
 		case journal.TypeFailed, journal.TypeCanceled:
 			var p recFailed
 			if err := json.Unmarshal(rec.Payload, &p); err != nil {
@@ -256,34 +273,26 @@ func (m *Manager) recover() error {
 		switch {
 		case j.state == StateDone:
 			switch {
-			case j.multiResult != nil:
-				// A completed multi-size run re-warms its per-size fan-out
-				// entries, all owned by this job.
+			case j.result != nil:
+				// A completed run re-warms its per-size entries, all owned by
+				// this job.
 				if sameBind(id, j.spec.Graph) {
-					for _, k := range j.spec.Sizes {
-						if r := j.multiResult.Results[k]; r != nil {
+					for _, k := range j.spec.sizes() {
+						if r := j.result.Results[k]; r != nil {
 							m.cache.put(j.spec.sizeSpec(k).key(), r, j.id)
 						}
 					}
 					m.met.warmed.Inc()
 				}
-				j.progress.Steps = j.multiResult.Steps
-				j.progress.Concentrations = j.multiResult.Concentrations()
-			case j.result != nil:
-				if sameBind(id, j.spec.Graph) {
-					m.cache.put(j.spec.key(), j.result, j.id)
-					m.met.warmed.Inc()
-				}
 				j.progress.Steps = j.result.Steps
-				j.progress.Concentration = j.result.Concentration()
+				j.progress.Concentration, j.progress.Concentrations = j.spec.shape(j.result.Concentrations())
 			case j.cached:
 				// A cache-hit job: its result lives with the originating run,
 				// replayed (and cached) earlier in the log — unless the LRU
 				// has since evicted it, in which case the view simply omits
-				// the result body. A multi-size hit reassembles from the
-				// per-size entries, as at submit time.
-				if res, multiRes, ok := m.cacheGetLocked(j.spec, j.spec.key()); ok {
-					j.result, j.multiResult = res, multiRes
+				// the result body.
+				if res, ok := m.cacheGetLocked(j.spec); ok {
+					j.result = res
 				}
 			}
 			close(j.done)
