@@ -95,7 +95,7 @@ func benchmarkDistributedCrawl(b *testing.B, nodes int) {
 	for i := 0; i < b.N; i++ {
 		base := dist.Assignment{Graph: "ba1m", Meta: meta, Single: &cfg, Budget: distSteps}
 		asns := dist.PartitionAssignments(base, nodes)
-		if _, err := dist.Run(context.Background(), dist.Options{Peers: peers}, asns); err != nil {
+		if _, err := dist.Run(context.Background(), dist.Options{Peers: peers}, asns, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

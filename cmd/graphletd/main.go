@@ -58,15 +58,20 @@
 // to independent runs.
 //
 // Distributed execution: -worker makes this node accept partition work at
-// POST /v1/partitions, and -peers gives a coordinator its fleet. A job
-// submitted with "nodes": N > 1 has its walker ensemble split into
-// contiguous partitions fanned across the peers; per-walker seeds and
-// quotas are derived from global walker indices, so the merged result is
-// byte-identical to a local run at any fleet size. Dead workers fail over
-// (retry on a rotated peer from the last streamed snapshot, then locally),
-// and with -data-dir the coordinator journals every fleet-wide checkpoint,
-// so even a coordinator crash resumes mid-budget — with no peers at all if
-// need be.
+// POST /v1/partitions, and -peers gives a coordinator its fleet. Every job
+// runs as partitions of its walker ensemble through one coordinator path: a
+// job submitted with "nodes": N > 1 has its walkers split into contiguous
+// partitions fanned across the peers, any other job is the one partition
+// [0, W) run in this process by the same partition runner. Per-walker seeds
+// and quotas are derived from global walker indices, so the merged result
+// is byte-identical to a local run at any fleet size. Dead workers fail over
+// (retry on a rotated peer from the last streamed snapshot, then locally;
+// a frame whose state does not parse fails that attempt and is never
+// resumed from), and with -data-dir the coordinator journals every
+// fleet-wide checkpoint, so even a coordinator crash resumes mid-budget —
+// on the fleet a restart finds, or with no peers at all — with the resumed
+// steps credited exactly once. A cancelled job, local or distributed,
+// reports the last ensemble-wide checkpoint it reached.
 //
 //	graphletd -datasets epinion -addr 127.0.0.1:9091 -worker   # worker node
 //	graphletd -datasets epinion -peers http://127.0.0.1:9091,http://127.0.0.1:9092

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"repro/internal/walk"
+	"repro/internal/wire"
 )
 
 // SizeAcc is one target size's private accumulator share within a walker
@@ -127,7 +128,7 @@ func (st *EnsembleState) Encode() []byte {
 		buf = binary.AppendVarint(buf, int64(k))
 	}
 	buf = binary.AppendVarint(buf, int64(c.D))
-	buf = append(buf, packBools(c.CSS, c.NB, c.RecoverStars))
+	buf = append(buf, wire.PackBools(c.CSS, c.NB, c.RecoverStars))
 	buf = binary.AppendVarint(buf, int64(c.BurnIn))
 	buf = binary.AppendVarint(buf, int64(c.Walkers))
 	buf = binary.AppendVarint(buf, c.Seed)
@@ -142,7 +143,7 @@ func (st *EnsembleState) Encode() []byte {
 
 func (w *WalkerState) encode(buf []byte, stars bool) []byte {
 	buf = binary.AppendUvarint(buf, w.RNGPos)
-	buf = append(buf, packBools(w.Seeded, w.Primed, w.HasPrev))
+	buf = append(buf, wire.PackBools(w.Seeded, w.Primed, w.HasPrev))
 	buf = binary.AppendVarint(buf, w.Steps)
 	buf = appendNodes(buf, w.Cur)
 	buf = appendNodes(buf, w.Prev)
@@ -182,75 +183,65 @@ func appendNodes(buf []byte, nodes []int32) []byte {
 	return buf
 }
 
-func packBools(bs ...bool) byte {
-	var b byte
-	for i, v := range bs {
-		if v {
-			b |= 1 << uint(i)
-		}
-	}
-	return b
-}
-
 // DecodeEnsembleState parses a blob produced by Encode — or by the GMST
 // version 1 and GEST version 1 encoders of older builds, whose journals and
 // resume blobs must keep restoring. Every length and range is validated, so
 // arbitrary (truncated, corrupt, adversarial) input produces an error, never
 // a panic or an absurd allocation.
 func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
-	d := &stateDecoder{data: data}
-	magic := string(d.bytes(len(stateMagic)))
+	d := &wire.Cursor{Data: data}
+	magic := string(d.Bytes(len(stateMagic)))
 	if magic != stateMagic && magic != legacyMagic {
 		return nil, fmt.Errorf("core: ensemble state: bad magic")
 	}
 	legacy := magic == legacyMagic
-	version := d.uvarint()
-	if d.err == nil && (version < 1 || version > stateVersion || legacy && version != 1) {
+	version := d.Uvarint()
+	if d.Err == nil && (version < 1 || version > stateVersion || legacy && version != 1) {
 		return nil, fmt.Errorf("core: ensemble state: unsupported %s format version %d (have %d)", magic, version, stateVersion)
 	}
 
 	st := &EnsembleState{}
 	c := &st.Config
 	if legacy {
-		c.Sizes = []int{int(d.varint())}
+		c.Sizes = []int{int(d.Varint())}
 	} else {
-		nSizes := d.uvarint()
-		if d.err == nil && (nSizes == 0 || nSizes > maxStateSizes) {
+		nSizes := d.Uvarint()
+		if d.Err == nil && (nSizes == 0 || nSizes > maxStateSizes) {
 			return nil, fmt.Errorf("core: ensemble state: %d sizes out of range", nSizes)
 		}
-		if d.err == nil {
+		if d.Err == nil {
 			c.Sizes = make([]int, nSizes)
 			for i := range c.Sizes {
-				c.Sizes[i] = int(d.varint())
+				c.Sizes[i] = int(d.Varint())
 			}
 		}
 	}
-	c.D = int(d.varint())
-	c.CSS, c.NB, c.RecoverStars = d.unpackBools()
+	c.D = int(d.Varint())
+	c.CSS, c.NB, c.RecoverStars = d.Bools(3)
 	if legacy || version >= 2 {
-		c.BurnIn = int(d.varint())
-	} else if d.err == nil && c.RecoverStars {
+		c.BurnIn = int(d.Varint())
+	} else if d.Err == nil && c.RecoverStars {
 		return nil, fmt.Errorf("core: ensemble state: unknown config flag")
 	}
-	c.Walkers = int(d.varint())
-	c.Seed = d.varint()
+	c.Walkers = int(d.Varint())
+	c.Seed = d.Varint()
 
-	st.WindowsDone = int(d.varint())
-	n := d.uvarint()
-	if d.err == nil && n > maxStateWalkers {
+	st.WindowsDone = int(d.Varint())
+	n := d.Uvarint()
+	if d.Err == nil && n > maxStateWalkers {
 		return nil, fmt.Errorf("core: ensemble state: %d walkers exceeds cap", n)
 	}
-	if d.err == nil {
+	if d.Err == nil {
 		st.Walkers = make([]WalkerState, n)
 		for i := range st.Walkers {
 			st.Walkers[i].decode(d, legacy, c.RecoverStars)
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("core: ensemble state: %w", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("core: ensemble state: %w", d.Err)
 	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("core: ensemble state: %d trailing bytes", len(d.data)-d.off)
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("core: ensemble state: %d trailing bytes", d.Rest())
 	}
 	if st.WindowsDone < 0 {
 		return nil, fmt.Errorf("core: ensemble state: negative windows done %d", st.WindowsDone)
@@ -258,30 +249,30 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	return st, nil
 }
 
-func (w *WalkerState) decode(d *stateDecoder, legacy, stars bool) {
-	w.RNGPos = d.uvarint()
-	w.Seeded, w.Primed, w.HasPrev = d.unpackBools()
-	w.Steps = d.varint()
-	w.Cur = d.nodes()
-	w.Prev = d.nodes()
-	nWin := d.uvarint()
-	if d.err == nil && nWin > maxStateWindow {
-		d.fail("ring length %d exceeds cap", nWin)
+func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
+	w.RNGPos = d.Uvarint()
+	w.Seeded, w.Primed, w.HasPrev = d.Bools(3)
+	w.Steps = d.Varint()
+	w.Cur = readNodes(d)
+	w.Prev = readNodes(d)
+	nWin := d.Uvarint()
+	if d.Err == nil && nWin > maxStateWindow {
+		d.Fail("ring length %d exceeds cap", nWin)
 	}
-	if d.err == nil && nWin > 0 {
+	if d.Err == nil && nWin > 0 {
 		w.Win = make([][]int32, nWin)
 		for i := range w.Win {
-			w.Win[i] = d.nodes()
+			w.Win[i] = readNodes(d)
 		}
 	}
-	nDeg := d.uvarint()
-	if d.err == nil && nDeg > maxStateWindow {
-		d.fail("degree list length %d exceeds cap", nDeg)
+	nDeg := d.Uvarint()
+	if d.Err == nil && nDeg > maxStateWindow {
+		d.Fail("degree list length %d exceeds cap", nDeg)
 	}
-	if d.err == nil && nDeg > 0 {
+	if d.Err == nil && nDeg > 0 {
 		w.Degs = make([]int, nDeg)
 		for i := range w.Degs {
-			w.Degs[i] = int(d.varint())
+			w.Degs[i] = int(d.Varint())
 		}
 	}
 	if legacy {
@@ -289,136 +280,74 @@ func (w *WalkerState) decode(d *stateDecoder, legacy, stars bool) {
 		// that is written even when unused (and is zero then).
 		w.Accs = make([]SizeAcc, 1)
 		w.Accs[0].decode(d)
-		if star := d.float64(); stars {
+		if star := readFloat64(d); stars {
 			w.StarAcc = star
 		}
 		return
 	}
-	nAcc := d.uvarint()
-	if d.err == nil && nAcc > maxStateSizes {
-		d.fail("accumulator count %d exceeds cap", nAcc)
+	nAcc := d.Uvarint()
+	if d.Err == nil && nAcc > maxStateSizes {
+		d.Fail("accumulator count %d exceeds cap", nAcc)
 	}
-	if d.err == nil && nAcc > 0 {
+	if d.Err == nil && nAcc > 0 {
 		w.Accs = make([]SizeAcc, nAcc)
 		for i := range w.Accs {
 			w.Accs[i].decode(d)
 		}
 	}
 	if stars {
-		w.StarAcc = d.float64()
+		w.StarAcc = readFloat64(d)
 	}
 }
 
-func (a *SizeAcc) decode(d *stateDecoder) {
-	a.Done = int(d.varint())
-	a.ValidSamples = int(d.varint())
-	nW := d.uvarint()
-	if d.err == nil && nW > maxStateTypes {
-		d.fail("weights length %d exceeds cap", nW)
+func (a *SizeAcc) decode(d *wire.Cursor) {
+	a.Done = int(d.Varint())
+	a.ValidSamples = int(d.Varint())
+	nW := d.Uvarint()
+	if d.Err == nil && nW > maxStateTypes {
+		d.Fail("weights length %d exceeds cap", nW)
 	}
-	if d.err == nil && nW > 0 {
+	if d.Err == nil && nW > 0 {
 		a.Weights = make([]float64, nW)
 		for i := range a.Weights {
-			a.Weights[i] = d.float64()
+			a.Weights[i] = readFloat64(d)
 		}
 	}
-	nT := d.uvarint()
-	if d.err == nil && nT > maxStateTypes {
-		d.fail("type counts length %d exceeds cap", nT)
+	nT := d.Uvarint()
+	if d.Err == nil && nT > maxStateTypes {
+		d.Fail("type counts length %d exceeds cap", nT)
 	}
-	if d.err == nil && nT > 0 {
+	if d.Err == nil && nT > 0 {
 		a.TypeCounts = make([]int64, nT)
 		for i := range a.TypeCounts {
-			a.TypeCounts[i] = d.varint()
+			a.TypeCounts[i] = d.Varint()
 		}
 	}
 }
 
-// unpackBools reads a flag byte written by packBools; unknown high bits are
-// rejected (they would belong to a format this decoder does not understand).
-func (d *stateDecoder) unpackBools() (bool, bool, bool) {
-	b := d.byte()
-	if b&^byte(7) != 0 {
-		d.fail("unknown flag bits 0x%02x", b)
-	}
-	return b&1 != 0, b&2 != 0, b&4 != 0
-}
-
-// stateDecoder is a bounds-checked cursor over an encoded blob; the first
-// failure sticks and every later read returns zero values.
-type stateDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *stateDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *stateDecoder) bytes(n int) []byte {
-	if d.err != nil || d.off+n > len(d.data) {
-		d.fail("truncated at offset %d", d.off)
-		return make([]byte, n)
-	}
-	out := d.data[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *stateDecoder) byte() byte { return d.bytes(1)[0] }
-
-func (d *stateDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *stateDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// float64 reads a fixed 8-byte IEEE-754 value. The accumulator fields are
+// readFloat64 reads a fixed 8-byte IEEE-754 value. The accumulator fields are
 // finite sums of finite weights, so NaN or Inf here is corruption.
-func (d *stateDecoder) float64() float64 {
-	f := math.Float64frombits(binary.LittleEndian.Uint64(d.bytes(8)))
+func readFloat64(d *wire.Cursor) float64 {
+	f := math.Float64frombits(binary.LittleEndian.Uint64(d.Bytes(8)))
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		d.fail("non-finite accumulator value")
+		d.Fail("non-finite accumulator value")
 	}
 	return f
 }
 
-// nodes reads a node list, bounding its length by the walk-state maximum.
-func (d *stateDecoder) nodes() []int32 {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
+// readNodes reads a node list, bounding its length by the walk-state maximum.
+func readNodes(d *wire.Cursor) []int32 {
+	n := d.Uvarint()
+	if d.Err != nil || n == 0 {
 		return nil
 	}
 	if n > walk.MaxD {
-		d.fail("state of %d nodes exceeds walk.MaxD", n)
+		d.Fail("state of %d nodes exceeds walk.MaxD", n)
 		return nil
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(d.varint())
+		out[i] = int32(d.Varint())
 	}
 	return out
 }

@@ -1,27 +1,36 @@
-// Package dist fans one estimation job's walker ensemble across a fleet of
-// graphletd workers and merges the streamed-back accumulators into a result
-// byte-identical to a local run.
+// Package dist is the execution path of an estimation job: it runs the job's
+// walker ensemble as partitions — in this process, or fanned across a fleet
+// of graphletd workers — and combines their states into a result
+// byte-identical to one estimator running every walker.
 //
 // The unit of work is a partition: a contiguous global walker range [Lo, Hi)
 // of the job's ensemble, with seeds and window quotas derived at their
-// global indices (core.NewPartitionEstimator), so where a walker runs never
-// changes what it computes. A coordinator (coordinator.go) posts one
-// Assignment per partition to a worker's POST /v1/partitions endpoint
-// (worker.go); the worker streams Frames back — a snapshot of the
-// partition's core.EnsembleState at every checkpoint barrier, then a final
-// frame with the terminal state. The coordinator re-combines
-// partition states in walker-index order (core.CombinePartitionStates), so
-// the merged result keeps the exact float addition sequence of a local run.
-// Snapshots double as failover state: a dead worker's partition resumes on a
-// peer (or locally) from its last streamed frame, costing only the
-// un-checkpointed tail.
+// global indices (core.NewPartitionMultiEstimator), so where a walker runs
+// never changes what it computes. One partition runner (worker.go) executes
+// it and hands out the partition's core.EnsembleState at every checkpoint
+// barrier, the last at the full budget. A coordinator (coordinator.go) drives
+// every partition of a job: with peers it posts one Assignment per partition
+// to a worker's POST /v1/partitions endpoint and reads the Frames streamed
+// back; without, it calls the runner directly — a local job is the one
+// partition [0, W) run that way. Either way it re-combines partition states
+// in walker-index order (core.CombinePartitionStates), keeping the exact
+// float addition sequence of a single estimator, and reports each
+// ensemble-wide checkpoint (Options.OnSync). States double as failover state:
+// a dead worker's partition resumes on a peer (or in process) from its last
+// streamed frame, costing only the un-checkpointed tail.
 //
-// This file defines the two wire formats, in the same style as the core
-// state codecs: versioned magic, varints (zigzag for signed), packed flag
-// bytes whose unknown high bits are rejected, and bounds-checked decoding —
-// truncated, corrupt or adversarial input produces an error, never a panic
-// or an absurd allocation. (The embedded resume/state blobs are core codecs,
-// which additionally reject NaN/Inf accumulator values.)
+// States, not bytes, move through the package: one is encoded only where it
+// leaves the process (a worker's Frame, a remote attempt's Assignment) and
+// decoded once where it enters (the assignment at the worker, the frame at
+// the coordinator).
+//
+// This file defines the two wire formats, in the style of the core state
+// codecs and over the same cursor (internal/wire): versioned magic, varints
+// (zigzag for signed), packed flag bytes whose unknown high bits are
+// rejected, and bounds-checked decoding — truncated, corrupt or adversarial
+// input produces an error, never a panic or an absurd allocation. (The
+// embedded resume/state blobs are core codecs, which additionally reject
+// NaN/Inf accumulator values.)
 package dist
 
 import (
@@ -29,6 +38,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // GraphMeta fingerprints the topology an assignment is meant to run on: the
@@ -146,12 +156,12 @@ func (a *Assignment) Encode() []byte {
 	buf = binary.AppendVarint(buf, int64(a.Meta.Nodes))
 	buf = binary.AppendVarint(buf, a.Meta.Edges)
 	buf = binary.AppendVarint(buf, int64(a.Meta.MaxDegree))
-	buf = append(buf, packBools(a.Multi != nil, len(a.Resume) > 0))
+	buf = append(buf, wire.PackBools(a.Multi != nil, len(a.Resume) > 0))
 	if a.Single != nil {
 		c := a.Single
 		buf = binary.AppendVarint(buf, int64(c.K))
 		buf = binary.AppendVarint(buf, int64(c.D))
-		buf = append(buf, packBools(c.CSS, c.NB, c.RecoverStars))
+		buf = append(buf, wire.PackBools(c.CSS, c.NB, c.RecoverStars))
 		buf = binary.AppendVarint(buf, int64(c.BurnIn))
 		buf = binary.AppendVarint(buf, int64(c.Walkers))
 		buf = binary.AppendVarint(buf, c.Seed)
@@ -162,7 +172,7 @@ func (a *Assignment) Encode() []byte {
 			buf = binary.AppendVarint(buf, int64(k))
 		}
 		buf = binary.AppendVarint(buf, int64(c.D))
-		buf = append(buf, packBools(c.CSS, c.NB))
+		buf = append(buf, wire.PackBools(c.CSS, c.NB))
 		buf = binary.AppendVarint(buf, int64(c.Walkers))
 		buf = binary.AppendVarint(buf, c.Seed)
 	}
@@ -179,61 +189,61 @@ func (a *Assignment) Encode() []byte {
 
 // DecodeAssignment parses a blob produced by Assignment.Encode.
 func DecodeAssignment(data []byte) (*Assignment, error) {
-	d := &decoder{data: data}
-	if string(d.bytes(len(asnMagic))) != asnMagic {
+	d := &wire.Cursor{Data: data}
+	if string(d.Bytes(len(asnMagic))) != asnMagic {
 		return nil, fmt.Errorf("dist: assignment: bad magic")
 	}
-	if v := d.uvarint(); d.err == nil && v != asnVersion {
+	if v := d.Uvarint(); d.Err == nil && v != asnVersion {
 		return nil, fmt.Errorf("dist: assignment: unsupported format version %d (have %d)", v, asnVersion)
 	}
 	a := &Assignment{}
-	a.Graph = d.str(maxGraphName)
-	a.Meta.Nodes = int(d.varint())
-	a.Meta.Edges = d.varint()
-	a.Meta.MaxDegree = int(d.varint())
-	multi, hasResume := d.bools2()
+	a.Graph = d.Str(maxGraphName)
+	a.Meta.Nodes = int(d.Varint())
+	a.Meta.Edges = d.Varint()
+	a.Meta.MaxDegree = int(d.Varint())
+	multi, hasResume, _ := d.Bools(2)
 	if multi {
 		c := &core.MultiConfig{}
-		n := d.uvarint()
-		if d.err == nil && (n == 0 || n > maxSizes) {
+		n := d.Uvarint()
+		if d.Err == nil && (n == 0 || n > maxSizes) {
 			return nil, fmt.Errorf("dist: assignment: %d sizes out of range", n)
 		}
-		if d.err == nil {
+		if d.Err == nil {
 			c.Sizes = make([]int, n)
 			for i := range c.Sizes {
-				c.Sizes[i] = int(d.varint())
+				c.Sizes[i] = int(d.Varint())
 			}
 		}
-		c.D = int(d.varint())
-		c.CSS, c.NB = d.bools2()
-		c.Walkers = int(d.varint())
-		c.Seed = d.varint()
+		c.D = int(d.Varint())
+		c.CSS, c.NB, _ = d.Bools(2)
+		c.Walkers = int(d.Varint())
+		c.Seed = d.Varint()
 		a.Multi = c
 	} else {
 		c := &core.Config{}
-		c.K = int(d.varint())
-		c.D = int(d.varint())
-		c.CSS, c.NB, c.RecoverStars = d.bools3()
-		c.BurnIn = int(d.varint())
-		c.Walkers = int(d.varint())
-		c.Seed = d.varint()
+		c.K = int(d.Varint())
+		c.D = int(d.Varint())
+		c.CSS, c.NB, c.RecoverStars = d.Bools(3)
+		c.BurnIn = int(d.Varint())
+		c.Walkers = int(d.Varint())
+		c.Seed = d.Varint()
 		a.Single = c
 	}
-	a.Budget = int(d.varint())
-	a.Every = int(d.varint())
-	a.Lo = int(d.varint())
-	a.Hi = int(d.varint())
+	a.Budget = int(d.Varint())
+	a.Every = int(d.Varint())
+	a.Lo = int(d.Varint())
+	a.Hi = int(d.Varint())
 	if hasResume {
-		a.Resume = d.blob(maxBlobBytes)
-		if d.err == nil && len(a.Resume) == 0 {
+		a.Resume = d.Blob(maxBlobBytes)
+		if d.Err == nil && len(a.Resume) == 0 {
 			return nil, fmt.Errorf("dist: assignment: resume flag set without payload")
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("dist: assignment: %w", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("dist: assignment: %w", d.Err)
 	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("dist: assignment: %d trailing bytes", len(d.data)-d.off)
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("dist: assignment: %d trailing bytes", d.Rest())
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -279,23 +289,23 @@ func (f *Frame) Encode() []byte {
 
 // DecodeFrame parses a blob produced by Frame.Encode.
 func DecodeFrame(data []byte) (*Frame, error) {
-	d := &decoder{data: data}
-	if string(d.bytes(len(frameMagic))) != frameMagic {
+	d := &wire.Cursor{Data: data}
+	if string(d.Bytes(len(frameMagic))) != frameMagic {
 		return nil, fmt.Errorf("dist: frame: bad magic")
 	}
-	if v := d.uvarint(); d.err == nil && v != frameVersion {
+	if v := d.Uvarint(); d.Err == nil && v != frameVersion {
 		return nil, fmt.Errorf("dist: frame: unsupported format version %d (have %d)", v, frameVersion)
 	}
 	f := &Frame{}
-	f.Kind = FrameKind(d.byte())
-	f.Target = int(d.varint())
-	f.State = d.blob(maxBlobBytes)
-	f.Msg = d.str(maxMsgBytes)
-	if d.err != nil {
-		return nil, fmt.Errorf("dist: frame: %w", d.err)
+	f.Kind = FrameKind(d.Byte())
+	f.Target = int(d.Varint())
+	f.State = d.Blob(maxBlobBytes)
+	f.Msg = d.Str(maxMsgBytes)
+	if d.Err != nil {
+		return nil, fmt.Errorf("dist: frame: %w", d.Err)
 	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("dist: frame: %d trailing bytes", len(d.data)-d.off)
+	if d.Rest() != 0 {
+		return nil, fmt.Errorf("dist: frame: %d trailing bytes", d.Rest())
 	}
 	switch f.Kind {
 	case FrameSnapshot, FrameFinal:
@@ -313,104 +323,4 @@ func DecodeFrame(data []byte) (*Frame, error) {
 		return nil, fmt.Errorf("dist: frame: unknown kind %d", f.Kind)
 	}
 	return f, nil
-}
-
-// packBools mirrors the core state codec's flag byte.
-func packBools(bs ...bool) byte {
-	var b byte
-	for i, v := range bs {
-		if v {
-			b |= 1 << uint(i)
-		}
-	}
-	return b
-}
-
-// decoder is a bounds-checked cursor over an encoded blob; the first failure
-// sticks and every later read returns zero values.
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.data) {
-		d.fail("truncated at offset %d", d.off)
-		return make([]byte, max(n, 0))
-	}
-	out := d.data[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) byte() byte { return d.bytes(1)[0] }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// blob reads a length-prefixed byte string, copying out of the input so the
-// result outlives the request buffer.
-func (d *decoder) blob(cap int) []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(cap) {
-		d.fail("payload of %d bytes exceeds cap", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	return append([]byte(nil), d.bytes(int(n))...)
-}
-
-func (d *decoder) str(cap int) string { return string(d.blob(cap)) }
-
-// bools2/bools3 read a flag byte, rejecting unknown high bits (they would
-// belong to a format this decoder does not understand).
-func (d *decoder) bools2() (bool, bool) {
-	b := d.byte()
-	if b&^byte(3) != 0 {
-		d.fail("unknown flag bits 0x%02x", b)
-	}
-	return b&1 != 0, b&2 != 0
-}
-
-func (d *decoder) bools3() (bool, bool, bool) {
-	b := d.byte()
-	if b&^byte(7) != 0 {
-		d.fail("unknown flag bits 0x%02x", b)
-	}
-	return b&1 != 0, b&2 != 0, b&4 != 0
 }

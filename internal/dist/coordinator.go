@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,22 +48,23 @@ type Options struct {
 	// every peer dead. Nil disables local failover.
 	LocalClient func() access.Client
 
-	// Metrics instruments the run; nil disables instrumentation.
+	// Metrics instruments fleet execution; nil disables it, and a run with no
+	// Peers records nothing (there is no dispatch, stream or peer to report).
 	Metrics *Metrics
 
 	// OnSync fires — serialized, with strictly increasing targets — each
 	// time every partition has reached a common checkpoint target, with the
-	// combined full-ensemble state encoded: the coordinator's journal
-	// checkpoint, from which a restarted coordinator (or a plain local run)
-	// can resume.
-	OnSync func(target int, combined []byte)
+	// combined full-ensemble state at that target (its WindowsDone): the
+	// caller's journal checkpoint, and what a restarted coordinator hands
+	// back to Run as resume. The state is read-only.
+	OnSync func(combined *core.EnsembleState)
 
 	// OnResume fires once per partition that completes after restoring a
-	// snapshot, with the number of already-processed windows the restore
-	// preserved (the partition's quota share of the snapshot's target).
+	// state, with the number of already-processed windows the restore
+	// preserved (the partition's quota share of that state's target).
 	// Summing these over partitions gives the job's exact resumed-window
-	// count, whether the snapshots came from assignment Resume blobs or
-	// from mid-run failover.
+	// count, whether the states came from Run's resume argument or from
+	// mid-run failover.
 	OnResume func(preserved int)
 }
 
@@ -87,18 +89,26 @@ func (o *Options) stallTimeout() time.Duration {
 	return o.StallTimeout
 }
 
-// Run executes one job's partitions across the fleet and returns the final
-// encoded partition states in partition order. The assignments must cover
-// disjoint contiguous walker ranges of the same job (same config, budget and
-// checkpoint spacing), in ascending Lo order; Run validates none of this —
-// the caller builds them with a splitter like PartitionAssignments, and
-// core.CombinePartitionStates rejects inconsistent results downstream.
+// Run executes one job as partitions of its walker ensemble and returns the
+// combined full-ensemble state at the full budget — the bytes, and the merged
+// result, of one estimator running every walker. With Peers each partition is
+// dispatched to the fleet (falling back to LocalClient); with none each runs
+// in this process through the same partition runner, partition 0 on the
+// calling goroutine — so a local job is one partition, no goroutine, no bytes.
+//
+// The assignments must cover disjoint contiguous walker ranges of the same
+// job (same config, budget and checkpoint spacing), in ascending Lo order; Run
+// validates none of this — the caller builds them with a splitter like
+// PartitionAssignments, and core.CombinePartitionStates rejects inconsistent
+// states. Their Resume field is Run's (set per remote attempt). resume, when
+// non-nil, is a full-ensemble state an earlier Run of the job reported
+// through OnSync: every partition continues from its slice of it, and no
+// target at or below it is synced again.
 //
 // On the first partition failure (after that partition's retries and local
 // failover are exhausted) the remaining partitions are canceled and the
-// first error in partition order is returned, alongside any finals that did
-// complete (entries for failed partitions are nil).
-func Run(ctx context.Context, opts Options, asns []*Assignment) ([][]byte, error) {
+// first error in partition order is returned.
+func Run(ctx context.Context, opts Options, asns []*Assignment, resume *core.EnsembleState) (*core.EnsembleState, error) {
 	if len(asns) == 0 {
 		return nil, fmt.Errorf("dist: no partitions to run")
 	}
@@ -111,48 +121,45 @@ func Run(ctx context.Context, opts Options, asns []*Assignment) ([][]byte, error
 		opts:    opts,
 		httpc:   opts.HTTPClient,
 		asns:    asns,
-		tracker: newSyncTracker(len(asns), opts.OnSync),
-		finals:  make([][]byte, len(asns)),
+		tracker: syncTracker{parts: make([]partTrack, len(asns)), onSync: opts.OnSync},
 	}
 	if c.httpc == nil {
-		c.httpc = &http.Client{}
+		c.httpc = &c.freshClient
 	}
-	if c.opts.Metrics == nil {
-		c.opts.Metrics = &Metrics{}
+	if c.opts.Metrics == nil || len(opts.Peers) == 0 {
+		c.opts.Metrics = &noMetrics
 	}
-	// Seed each partition's resume state so retries restart from at least
-	// the assignment's own blob.
-	for p, asn := range asns {
-		if len(asn.Resume) > 0 {
-			t, err := stateTarget(asn.Resume)
-			if err != nil {
-				return nil, fmt.Errorf("dist: partition %d resume blob: %w", p, err)
-			}
-			c.tracker.store(p, t, asn.Resume)
-		}
+	if resume != nil {
+		c.tracker.seed(asns, resume)
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(asns))
 	var wg sync.WaitGroup
-	for p := range asns {
+	// No partition outlives Run, even when a crawl client's panic unwinds
+	// through it out of partition 0.
+	defer func() { cancel(); wg.Wait() }()
+	errs := make([]error, len(asns))
+	run := func(p int) {
+		if err := c.runOne(cctx, p); err != nil {
+			errs[p] = err
+			cancel() // first hard failure aborts the job
+		}
+	}
+	for p := 1; p < len(asns); p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			if err := c.runOne(cctx, p); err != nil {
-				errs[p] = err
-				cancel() // first hard failure aborts the job
-			}
+			run(p)
 		}(p)
 	}
+	run(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return c.finals, err
+			return nil, err
 		}
 	}
-	return c.finals, nil
+	return c.tracker.final(asns[0].Budget)
 }
 
 // PartitionAssignments splits a job into n contiguous walker-range
@@ -177,19 +184,22 @@ func PartitionAssignments(base Assignment, n int) []*Assignment {
 }
 
 type coordinator struct {
-	opts    Options
-	httpc   *http.Client
-	asns    []*Assignment
-	tracker *syncTracker
-	finals  [][]byte
+	opts        Options
+	httpc       *http.Client
+	freshClient http.Client // what httpc points at when Options.HTTPClient is nil
+	asns        []*Assignment
+	tracker     syncTracker
 }
 
+// noMetrics is the all-nil Metrics whose handles no-op; never written.
+var noMetrics Metrics
+
 // runOne drives partition p to completion: remote attempts with rotating
-// peers and jittered exponential backoff, then local failover. Each attempt
-// resumes from the freshest snapshot the tracker has seen for p.
+// peers and jittered exponential backoff, then an in-process run. Each
+// attempt resumes from the freshest state the tracker holds for p.
 func (c *coordinator) runOne(ctx context.Context, p int) error {
 	m := c.opts.Metrics
-	asn := *c.asns[p] // private copy; Resume mutates per attempt
+	asn := *c.asns[p] // private copy; Resume is re-encoded per attempt
 	var lastErr error
 	for attempt := 0; attempt < c.opts.retries() && len(c.opts.Peers) > 0; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -202,12 +212,16 @@ func (c *coordinator) runOne(ctx context.Context, p int) error {
 			}
 		}
 		peer := c.opts.Peers[(p+attempt)%len(c.opts.Peers)]
-		resumeTarget := c.refreshResume(p, &asn)
+		resume := c.tracker.latest(p)
+		asn.Resume = nil
+		if resume != nil {
+			asn.Resume = resume.Encode()
+		}
 		m.Partitions.With("dispatched").Inc()
 		err := c.runRemote(ctx, peer, &asn, p)
 		if err == nil {
 			m.Partitions.With("completed").Inc()
-			c.onPartitionDone(p, resumeTarget)
+			c.creditResume(p, resume)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -223,16 +237,19 @@ func (c *coordinator) runOne(ctx context.Context, p int) error {
 		return fmt.Errorf("dist: partition [%d,%d): %w", asn.Lo, asn.Hi, lastErr)
 	}
 
-	// Local failover: same execution path as the worker, frames fed
-	// straight into the tracker.
+	// In process — the fleet's last-resort failover, and all of a run without
+	// peers: the worker's partition runner, its states handed to the tracker.
 	m.Partitions.With("failover_local").Inc()
-	resumeTarget := c.refreshResume(p, &asn)
-	err := c.runLocal(ctx, p, &asn)
+	resume := c.tracker.latest(p)
+	err := c.runLocal(ctx, p, &asn, resume)
 	if errors.Is(err, ErrBadResume) {
-		// The freshest snapshot is unusable; burn it and start over.
-		asn.Resume = nil
-		resumeTarget = 0
-		err = c.runLocal(ctx, p, &asn)
+		// The freshest state is unusable; burn it and start over.
+		c.tracker.forget(p)
+		resume = nil
+		err = c.runLocal(ctx, p, &asn, nil)
+	}
+	if err != nil && ctx.Err() != nil {
+		return ctx.Err()
 	}
 	if err != nil {
 		m.Partitions.With("failed").Inc()
@@ -242,59 +259,30 @@ func (c *coordinator) runOne(ctx context.Context, p int) error {
 		return fmt.Errorf("dist: partition [%d,%d): %w", asn.Lo, asn.Hi, err)
 	}
 	m.Partitions.With("completed").Inc()
-	c.onPartitionDone(p, resumeTarget)
+	c.creditResume(p, resume)
 	return nil
 }
 
-// refreshResume points the assignment at the freshest snapshot the tracker
-// has for p and returns that snapshot's target (0 when starting fresh).
-func (c *coordinator) refreshResume(p int, asn *Assignment) int {
-	t, blob := c.tracker.latest(p)
-	if t > 0 {
-		asn.Resume = blob
-	}
-	return t
-}
-
-func (c *coordinator) onPartitionDone(p, resumeTarget int) {
-	if resumeTarget > 0 && c.opts.OnResume != nil {
+// creditResume reports the windows partition p kept by restoring resume (nil
+// when its completing attempt started from scratch): the one place resumed
+// work is accounted.
+func (c *coordinator) creditResume(p int, resume *core.EnsembleState) {
+	if resume != nil && c.opts.OnResume != nil {
 		asn := c.asns[p]
-		c.opts.OnResume(core.PartitionWindows(resumeTarget, asn.Walkers(), asn.Lo, asn.Hi))
+		c.opts.OnResume(core.PartitionWindows(resume.WindowsDone, asn.Walkers(), asn.Lo, asn.Hi))
 	}
 }
 
-func (c *coordinator) runLocal(ctx context.Context, p int, asn *Assignment) error {
-	final, err := runPartitionTracked(ctx, c.opts.LocalClient(), asn, c.tracker, p)
-	if err != nil {
-		return err
-	}
-	c.finals[p] = final
-	return nil
-}
-
-// runPartitionTracked runs a partition in-process, storing every frame in
-// the tracker, and returns the final state blob.
-func runPartitionTracked(ctx context.Context, client access.Client, asn *Assignment, tr *syncTracker, p int) ([]byte, error) {
-	var final []byte
-	err := RunPartition(ctx, client, asn, func(f *Frame) error {
-		if err := tr.store(p, f.Target, f.State); err != nil {
-			return err
-		}
-		if f.Kind == FrameFinal {
-			final = f.State
-		}
-		return nil
+func (c *coordinator) runLocal(ctx context.Context, p int, asn *Assignment, resume *core.EnsembleState) error {
+	return runPartition(ctx, c.opts.LocalClient(), asn, resume, func(st *core.EnsembleState) error {
+		return c.tracker.store(p, st)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if final == nil {
-		return nil, fmt.Errorf("dist: partition run produced no final state")
-	}
-	return final, nil
 }
 
 // runRemote posts the assignment to one peer and consumes its frame stream.
+// State bytes are decoded here, where they enter the process: one that does
+// not parse or is not at its frame's target fails this attempt and never
+// reaches the tracker, so it cannot become resume state.
 func (c *coordinator) runRemote(ctx context.Context, peer string, asn *Assignment, p int) error {
 	m := c.opts.Metrics
 	rctx, cancel := context.WithCancel(ctx)
@@ -342,33 +330,30 @@ func (c *coordinator) runRemote(ctx context.Context, peer string, asn *Assignmen
 			m.DispatchSeconds.Observe(time.Since(start).Seconds())
 			first = false
 		}
-		switch f.Kind {
-		case FrameSnapshot:
-			if err := c.tracker.store(p, f.Target, f.State); err != nil {
-				return err
-			}
-		case FrameFinal:
-			if err := c.tracker.store(p, f.Target, f.State); err != nil {
-				return err
-			}
-			c.finals[p] = f.State
-			m.StreamSeconds.Observe(time.Since(start).Seconds())
-			m.PeerHealthy.With(peer).Set(1)
-			return nil
-		case FrameError:
+		if f.Kind == FrameError {
 			m.PeerHealthy.With(peer).Set(0)
 			return fmt.Errorf("worker: %s", f.Msg)
 		}
+		st, err := core.DecodeEnsembleState(f.State)
+		if err == nil && st.WindowsDone != f.Target {
+			err = fmt.Errorf("state stands at %d windows", st.WindowsDone)
+		}
+		if err == nil && f.Kind == FrameFinal && f.Target != asn.Budget {
+			err = fmt.Errorf("final frame short of the budget %d", asn.Budget)
+		}
+		if err != nil {
+			m.PeerHealthy.With(peer).Set(0)
+			return fmt.Errorf("frame at target %d: %w", f.Target, err)
+		}
+		if err := c.tracker.store(p, st); err != nil {
+			return err
+		}
+		if f.Kind == FrameFinal {
+			m.StreamSeconds.Observe(time.Since(start).Seconds())
+			m.PeerHealthy.With(peer).Set(1)
+			return nil
+		}
 	}
-}
-
-// stateTarget extracts the checkpoint target a resume blob was captured at.
-func stateTarget(blob []byte) (int, error) {
-	st, err := core.DecodeEnsembleState(blob)
-	if err != nil {
-		return 0, err
-	}
-	return st.WindowsDone, nil
 }
 
 func sleepJittered(ctx context.Context, base time.Duration, attempt int) error {
@@ -388,109 +373,125 @@ func sleepJittered(ctx context.Context, base time.Duration, attempt int) error {
 	}
 }
 
-// syncTracker accumulates per-partition snapshots and detects the moments
-// every partition has reached a common checkpoint target; at each such
-// target it combines the partition states into one full-ensemble state and
-// fires the OnSync callback. It also retains each partition's freshest
-// snapshot indefinitely, as the retry/failover resume state.
+// syncTracker accumulates per-partition states and detects the moments every
+// partition has reached a common checkpoint target; at each such target it
+// combines the partition states into one full-ensemble state and fires the
+// OnSync callback. It also retains each partition's freshest state
+// indefinitely: the resume point of a retry or failover and, once the
+// partition completes, its final state.
 type syncTracker struct {
 	mu     sync.Mutex
 	parts  []partTrack
-	last   int // highest target already synced
-	onSync func(target int, combined []byte)
+	last   int                 // highest target already synced (or resumed from)
+	synced *core.EnsembleState // the combined state of the last sync fired
+	onSync func(combined *core.EnsembleState)
 }
 
 type partTrack struct {
-	snaps   map[int][]byte
-	latestT int
-	latestB []byte
+	latest *core.EnsembleState
+	// pending holds the partition's states past the last sync, in ascending
+	// target order, until every other partition has reached them.
+	pending []*core.EnsembleState
 }
 
-func newSyncTracker(n int, onSync func(int, []byte)) *syncTracker {
-	tr := &syncTracker{parts: make([]partTrack, n), onSync: onSync}
-	for i := range tr.parts {
-		tr.parts[i].snaps = make(map[int][]byte)
+// seed starts every partition from its slice of a full-ensemble state and
+// moves the sync floor to that state's target, so nothing at or below it is
+// reported again. A partition whose slice cannot be cut starts from scratch.
+func (tr *syncTracker) seed(asns []*Assignment, resume *core.EnsembleState) {
+	tr.last = resume.WindowsDone
+	for p, asn := range asns {
+		if sl, err := resume.Slice(asn.Lo, asn.Hi); err == nil {
+			tr.parts[p].latest = sl
+		}
 	}
-	return tr
 }
 
-// latest returns partition p's freshest snapshot (0, nil when none).
-func (tr *syncTracker) latest(p int) (int, []byte) {
+// latest returns partition p's freshest state (nil when none).
+func (tr *syncTracker) latest(p int) *core.EnsembleState {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.parts[p].latestT, tr.parts[p].latestB
+	return tr.parts[p].latest
 }
 
-// store records a snapshot of partition p at the given target, firing the
-// sync callback when the target is complete across partitions. Snapshots at
-// already-synced targets (a retried partition re-running from scratch
-// re-emits them — byte-identical, by determinism) are ignored for syncing
-// but still refresh nothing, as latestT is monotone.
-func (tr *syncTracker) store(p, target int, blob []byte) error {
+// forget drops everything held for partition p, whose freshest state turned
+// out not to restore; the partition re-runs from scratch and re-emits it.
+func (tr *syncTracker) forget(p int) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.parts[p] = partTrack{}
+}
+
+// final returns the full-ensemble state at the budget once every partition
+// has completed: the last sync's, or — a run resumed at its full budget
+// completes without one — the combination of the states restored.
+func (tr *syncTracker) final(budget int) (*core.EnsembleState, error) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.synced != nil && tr.synced.WindowsDone == budget {
+		return tr.synced, nil
+	}
+	states := make([]*core.EnsembleState, len(tr.parts))
+	for i := range tr.parts {
+		states[i] = tr.parts[i].latest
+	}
+	return core.CombinePartitionStates(states)
+}
+
+// store records partition p's state at target st.WindowsDone, firing the sync
+// callback when that completes a target across partitions. A state at or
+// below the partition's freshest is dropped: an attempt that restarted from
+// an older point is re-emitting what is already held — byte-identical, by
+// determinism.
+func (tr *syncTracker) store(p int, st *core.EnsembleState) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	pt := &tr.parts[p]
-	if target > pt.latestT || pt.latestB == nil {
-		pt.latestT, pt.latestB = target, blob
-	}
-	if target <= tr.last {
+	if pt.latest != nil && st.WindowsDone <= pt.latest.WindowsDone {
 		return nil
 	}
-	pt.snaps[target] = blob
+	pt.latest = st
+	if st.WindowsDone <= tr.last {
+		return nil
+	}
+	pt.pending = append(pt.pending, st)
 
 	// The highest target every partition has reached; partitions emit on
 	// the same global checkpoint grid, so the minimum of the per-partition
 	// maxima is itself present everywhere once it exceeds the last sync.
-	cand := tr.parts[0].latestT
+	cand := st.WindowsDone
 	for i := range tr.parts {
-		if tr.parts[i].latestT < cand {
-			cand = tr.parts[i].latestT
+		if tr.parts[i].latest == nil {
+			return nil
 		}
+		cand = min(cand, tr.parts[i].latest.WindowsDone)
 	}
 	if cand <= tr.last {
 		return nil
 	}
-	blobs := make([][]byte, len(tr.parts))
+	states := make([]*core.EnsembleState, len(tr.parts))
 	for i := range tr.parts {
-		b, ok := tr.parts[i].snaps[cand]
-		if !ok {
-			return nil // grid mismatch; wait for the exact target
-		}
-		blobs[i] = b
-	}
-	combined, err := combineBlobs(blobs)
-	if err != nil {
-		return fmt.Errorf("dist: combining partition snapshots at target %d: %w", cand, err)
-	}
-	tr.last = cand
-	for i := range tr.parts {
-		for t := range tr.parts[i].snaps {
-			if t <= cand {
-				delete(tr.parts[i].snaps, t)
+		for _, s := range tr.parts[i].pending {
+			if s.WindowsDone == cand {
+				states[i] = s
 			}
 		}
+		if states[i] == nil {
+			return nil // grid mismatch; wait for the exact target
+		}
+	}
+	combined, err := core.CombinePartitionStates(states)
+	if err != nil {
+		return fmt.Errorf("dist: combining partition states at target %d: %w", cand, err)
+	}
+	tr.last, tr.synced = cand, combined
+	for i := range tr.parts {
+		// Keep what lies past the sync, reusing the backing array.
+		pt := &tr.parts[i]
+		pt.pending = slices.DeleteFunc(pt.pending, func(s *core.EnsembleState) bool { return s.WindowsDone <= cand })
 	}
 	if tr.onSync != nil {
 		// Under the lock: syncs must reach the journal in target order.
-		tr.onSync(cand, combined)
+		tr.onSync(combined)
 	}
 	return nil
-}
-
-// combineBlobs decodes per-partition states (in partition order) and
-// re-encodes their combination.
-func combineBlobs(blobs [][]byte) ([]byte, error) {
-	parts := make([]*core.EnsembleState, len(blobs))
-	for i, b := range blobs {
-		st, err := core.DecodeEnsembleState(b)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = st
-	}
-	combined, err := core.CombinePartitionStates(parts)
-	if err != nil {
-		return nil, err
-	}
-	return combined.Encode(), nil
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func testGraph() *graph.Graph { return gen.ErdosRenyiGNM(250, 800, 5) }
@@ -70,33 +71,30 @@ func TestDistributedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var syncTargets []int
-	syncStates := map[int][]byte{}
+	// OnSync is serialized by the coordinator and Run joins its partitions, so
+	// the slice needs no lock of its own.
+	var syncs []*core.EnsembleState
 	peers := startWorkers(t, g, 2)
-	finals, err := Run(t.Context(), Options{
-		Peers: peers,
-		OnSync: func(target int, combined []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			syncTargets = append(syncTargets, target)
-			syncStates[target] = combined
-		},
+	final, err := Run(t.Context(), Options{
+		Peers:    peers,
+		OnSync:   func(combined *core.EnsembleState) { syncs = append(syncs, combined) },
 		OnResume: func(int) { t.Error("OnResume fired for an uninterrupted run") },
 	}, PartitionAssignments(Assignment{
 		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
-	}, 3))
+	}, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got := mergeFinals(t, finals).Results[cfg.K]
+	got := merged(t, final).Results[cfg.K]
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("distributed result differs from local run:\n got %+v\nwant %+v", got, want)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
+	syncTargets := make([]int, len(syncs))
+	for i, st := range syncs {
+		syncTargets[i] = st.WindowsDone
+	}
 	for i := 1; i < len(syncTargets); i++ {
 		if syncTargets[i] <= syncTargets[i-1] {
 			t.Fatalf("sync targets not strictly increasing: %v", syncTargets)
@@ -105,40 +103,44 @@ func TestDistributedByteIdentical(t *testing.T) {
 	if last := syncTargets[len(syncTargets)-1]; last != n {
 		t.Fatalf("final sync at %d, want %d (targets %v)", last, n, syncTargets)
 	}
-	for target, blob := range syncStates {
-		st, err := core.DecodeEnsembleState(blob)
-		if err != nil {
-			t.Fatalf("sync state at %d: %v", target, err)
-		}
-		r, err := st.MergedResult()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.Results[cfg.K], wantAt[target]) {
-			t.Errorf("sync state at %d differs from local checkpoint", target)
+	for _, st := range syncs {
+		if r := merged(t, st).Results[cfg.K]; !reflect.DeepEqual(r, wantAt[st.WindowsDone]) {
+			t.Errorf("sync state at %d differs from local checkpoint", st.WindowsDone)
 		}
 	}
 }
 
-func mergeFinals(t *testing.T, finals [][]byte) *core.MultiResult {
+// merged is the merged result of the full-ensemble state Run returned.
+func merged(t *testing.T, final *core.EnsembleState) *core.MultiResult {
 	t.Helper()
-	parts := make([]*core.EnsembleState, len(finals))
-	for i, b := range finals {
-		st, err := core.DecodeEnsembleState(b)
-		if err != nil {
-			t.Fatalf("final %d: %v", i, err)
-		}
-		parts[i] = st
-	}
-	combined, err := core.CombinePartitionStates(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := combined.MergedResult()
+	r, err := final.MergedResult()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// servePartition is Handler's happy path with a seam for faults: it decodes the
+// assignment, hands it to seen, then runs the partition over g and writes
+// every frame after passing it to hook, which may alter the frame or abort
+// the connection.
+func servePartition(g *graph.Graph, w http.ResponseWriter, r *http.Request, seen func(*Assignment), hook func(*Frame)) {
+	body, _ := io.ReadAll(r.Body)
+	asn, err := DecodeAssignment(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	seen(asn)
+	w.WriteHeader(http.StatusOK)
+	_ = RunPartition(r.Context(), access.NewGraphClient(g), asn, func(f *Frame) error {
+		hook(f)
+		if err := WriteFrame(w, f); err != nil {
+			return err
+		}
+		w.(http.Flusher).Flush()
+		return nil
+	})
 }
 
 // killingWorker serves partitions but aborts the connection after passing
@@ -150,33 +152,17 @@ type killingWorker struct {
 }
 
 func (k *killingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h := &Handler{Lookup: lookupFor(k.g, "test")}
-	if k.killed.Load() {
-		h.ServeHTTP(w, r)
+	if k.killed.Swap(true) {
+		(&Handler{Lookup: lookupFor(k.g, "test")}).ServeHTTP(w, r)
 		return
 	}
-	k.killed.Store(true)
 	// First request: stream killAfter frames, then die mid-partition.
-	body, _ := io.ReadAll(r.Body)
-	asn, err := DecodeAssignment(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	client, _, _ := lookupFor(k.g, "test")(asn.Graph)
-	w.WriteHeader(http.StatusOK)
-	flusher := w.(http.Flusher)
 	frames := 0
-	_ = RunPartition(r.Context(), client, asn, func(f *Frame) error {
+	servePartition(k.g, w, r, func(*Assignment) {}, func(*Frame) {
 		if frames >= k.killAfter {
 			panic(http.ErrAbortHandler) // hard connection drop, like a crashed node
 		}
 		frames++
-		if err := WriteFrame(w, f); err != nil {
-			return err
-		}
-		flusher.Flush()
-		return nil
 	})
 }
 
@@ -208,7 +194,7 @@ func TestDistributedFailover(t *testing.T) {
 	asns := PartitionAssignments(Assignment{
 		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
 	}, 2)
-	finals, err := Run(t.Context(), Options{
+	final, err := Run(t.Context(), Options{
 		// Partition 0's first attempt lands on the killer; its retry rotates
 		// to the healthy worker.
 		Peers:   []string{killSrv.URL, healthy[0]},
@@ -218,11 +204,11 @@ func TestDistributedFailover(t *testing.T) {
 			defer resumedMu.Unlock()
 			resumed = append(resumed, preserved)
 		},
-	}, asns)
+	}, asns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
+	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("failover result differs from local run:\n got %+v\nwant %+v", got, wantRes)
 	}
 
@@ -233,6 +219,117 @@ func TestDistributedFailover(t *testing.T) {
 	wantPreserved := core.PartitionWindows(1000, cfg.Walkers, asns[0].Lo, asns[0].Hi)
 	if len(resumed) != 1 || resumed[0] != wantPreserved {
 		t.Errorf("resumed windows %v, want [%d]", resumed, wantPreserved)
+	}
+}
+
+// tamperingWorkers serve partitions like Handler, except that — once per
+// fleet — the snapshot frame of partition [0, hi) at target `at` has its state
+// bytes replaced by tamper's. Every assignment received is kept for the test
+// (recorded before its stream starts, so a finished Run has seen them all).
+type tamperingWorkers struct {
+	g      *graph.Graph
+	at     int
+	tamper func(state []byte) []byte
+	done   atomic.Bool
+
+	mu   sync.Mutex
+	asns []*Assignment
+}
+
+func (w *tamperingWorkers) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	first := false
+	servePartition(w.g, rw, r, func(asn *Assignment) {
+		first = asn.Lo == 0
+		w.mu.Lock()
+		w.asns = append(w.asns, asn)
+		w.mu.Unlock()
+	}, func(f *Frame) {
+		if first && f.Kind == FrameSnapshot && f.Target == w.at && w.done.CompareAndSwap(false, true) {
+			f.State = w.tamper(f.State)
+		}
+	})
+}
+
+// TestPeerStateValidatedAtReceipt: a frame whose state bytes do not parse, or
+// parse to a state that is not at the frame's target, fails the attempt of
+// the partition that sent it — one retry, from the last good state — and is
+// never held as resume state: no later assignment carries it, the other
+// partition is not disturbed, and nothing falls back to the coordinator.
+func TestPeerStateValidatedAtReceipt(t *testing.T) {
+	g := testGraph()
+	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: 4, Seed: 12}
+	const n, every, at = 3000, 500, 1000
+	local, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := []byte("not an ensemble\x00\xff\x01\x02")
+
+	for name, tamper := range map[string]func([]byte) []byte{
+		"garbage": func([]byte) []byte { return garbage },
+		"wrong target": func(state []byte) []byte {
+			st, err := core.DecodeEnsembleState(state)
+			if err != nil {
+				t.Error(err)
+				return state
+			}
+			st.WindowsDone += every // well-formed, but not the state of this frame
+			return st.Encode()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fleet := &tamperingWorkers{g: g, at: at, tamper: tamper}
+			peers := make([]string, 2)
+			for i := range peers {
+				srv := httptest.NewServer(fleet)
+				t.Cleanup(srv.Close)
+				peers[i] = srv.URL
+			}
+			met := NewMetrics(obs.NewRegistry())
+			final, err := Run(t.Context(), Options{
+				Peers:       peers,
+				Backoff:     time.Millisecond,
+				LocalClient: func() access.Client { return access.NewGraphClient(g) },
+				Metrics:     met,
+			}, PartitionAssignments(Assignment{
+				Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
+			}, 2), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, want) {
+				t.Errorf("result differs from local run:\n got %+v\nwant %+v", got, want)
+			}
+			if !fleet.done.Load() {
+				t.Fatal("no frame was tampered with")
+			}
+			if r, f := met.Partitions.With("retried").Value(), met.Partitions.With("failover_local").Value(); r != 1 || f != 0 {
+				t.Errorf("retried %d, failover_local %d, want 1 and 0", r, f)
+			}
+			// Three assignments: one per partition, and the retry of the
+			// partition that sent the bad frame, resuming from the state before.
+			var retries []*Assignment
+			for _, asn := range fleet.asns {
+				if len(asn.Resume) > 0 {
+					retries = append(retries, asn)
+				}
+			}
+			if len(fleet.asns) != 3 || len(retries) != 1 {
+				t.Fatalf("%d assignments, %d with resume state, want 3 and 1", len(fleet.asns), len(retries))
+			}
+			st, err := core.DecodeEnsembleState(retries[0].Resume)
+			if err != nil {
+				t.Fatalf("the tampered bytes were re-sent as resume state: %v", err)
+			}
+			if retries[0].Lo != 0 || st.WindowsDone != at-every {
+				t.Errorf("retry of partition [%d,%d) resumes from %d, want partition [0,2) from %d",
+					retries[0].Lo, retries[0].Hi, st.WindowsDone, at-every)
+			}
+		})
 	}
 }
 
@@ -258,18 +355,18 @@ func TestDistributedLocalFailover(t *testing.T) {
 	}))
 	t.Cleanup(dead.Close)
 
-	finals, err := Run(t.Context(), Options{
+	final, err := Run(t.Context(), Options{
 		Peers:       []string{dead.URL},
 		Retries:     2,
 		Backoff:     time.Millisecond,
 		LocalClient: func() access.Client { return access.NewGraphClient(g) },
 	}, PartitionAssignments(Assignment{
 		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: 500,
-	}, 2))
+	}, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
+	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("local-failover result differs from local run")
 	}
 }
@@ -298,21 +395,21 @@ func TestDistributedStall(t *testing.T) {
 	}
 
 	start := time.Now()
-	finals, err := Run(t.Context(), Options{
+	final, err := Run(t.Context(), Options{
 		Peers:        []string{stuck.URL},
 		Retries:      1,
 		StallTimeout: 100 * time.Millisecond,
 		LocalClient:  func() access.Client { return access.NewGraphClient(g) },
 	}, PartitionAssignments(Assignment{
 		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: 0,
-	}, 1))
+	}, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("stalled stream took %s to abandon", elapsed)
 	}
-	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
+	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("post-stall result differs from local run")
 	}
 }
@@ -334,21 +431,21 @@ func TestDistributedMulti(t *testing.T) {
 	}
 
 	peers := startWorkers(t, g, 2)
-	finals, err := Run(t.Context(), Options{Peers: peers}, PartitionAssignments(Assignment{
+	final, err := Run(t.Context(), Options{Peers: peers}, PartitionAssignments(Assignment{
 		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
-	}, 2))
+	}, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mergeFinals(t, finals)
+	got := merged(t, final)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("distributed multi result differs from local run:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestCoordinatorResume covers coordinator crash recovery: a full-ensemble
-// snapshot sliced into per-partition resume blobs completes to the same
-// bytes, and OnResume sums to exactly the snapshot's windows.
+// TestCoordinatorResume covers coordinator crash recovery: a run resumed from
+// a decoded full-ensemble snapshot completes to the same bytes, OnResume sums
+// to exactly the snapshot's windows, and no target at or below it syncs again.
 func TestCoordinatorResume(t *testing.T) {
 	g := testGraph()
 	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: 5, Seed: 3}
@@ -372,27 +469,23 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	asns := PartitionAssignments(Assignment{
-		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
-	}, 3)
-	for _, asn := range asns {
-		sl, err := full.Slice(asn.Lo, asn.Hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asn.Resume = sl.Encode()
-	}
-
 	var resumedTotal atomic.Int64
 	peers := startWorkers(t, g, 2)
-	finals, err := Run(t.Context(), Options{
+	final, err := Run(t.Context(), Options{
 		Peers:    peers,
 		OnResume: func(preserved int) { resumedTotal.Add(int64(preserved)) },
-	}, asns)
+		OnSync: func(combined *core.EnsembleState) {
+			if combined.WindowsDone <= crashAt {
+				t.Errorf("target %d synced again after resuming from %d", combined.WindowsDone, crashAt)
+			}
+		},
+	}, PartitionAssignments(Assignment{
+		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
+	}, 3), full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mergeFinals(t, finals).Results[cfg.K]; !reflect.DeepEqual(got, want) {
+	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed distributed result differs from local run")
 	}
 	if got := resumedTotal.Load(); got != crashAt {

@@ -15,9 +15,9 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrBadResume wraps a failure to restore an assignment's resume blob. The
-// coordinator treats it as "the snapshot is unusable, re-run from scratch"
-// rather than "the worker is unhealthy".
+// ErrBadResume wraps a failure to decode or restore a partition's resume
+// state. The coordinator treats it as "the state is unusable, re-run from
+// scratch" rather than "the worker is unhealthy".
 var ErrBadResume = errors.New("dist: resume state rejected")
 
 // DefaultMaxBodyBytes caps POST /v1/partitions request bodies; assignments
@@ -160,21 +160,46 @@ func ReadFrame(r *bufio.Reader) (*Frame, error) {
 	return DecodeFrame(blob)
 }
 
-// RunPartition executes an assignment's walker range against client, calling
-// emit with a snapshot frame at every intermediate checkpoint barrier and a
-// final frame when the budget completes. An emit error cancels the run. It
-// is the single execution path for remote workers (via Handler) and the
-// coordinator's local failover, so both produce identical frames.
+// RunPartition executes an assignment's walker range against client and
+// streams it as frames: a snapshot frame at every intermediate checkpoint
+// barrier, a final frame when the budget completes. It is runPartition seen
+// from the wire: the assignment's resume bytes are decoded here, where they
+// enter the process, and every state is encoded here, where it leaves.
 func RunPartition(ctx context.Context, client access.Client, asn *Assignment, emit func(*Frame) error) error {
+	var resume *core.EnsembleState
+	if len(asn.Resume) > 0 {
+		st, err := core.DecodeEnsembleState(asn.Resume)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrBadResume, err)
+		}
+		resume = st
+	}
+	return runPartition(ctx, client, asn, resume, func(st *core.EnsembleState) error {
+		kind := FrameSnapshot
+		if st.WindowsDone == asn.Budget {
+			kind = FrameFinal
+		}
+		return emit(&Frame{Kind: kind, Target: st.WindowsDone, State: st.Encode()})
+	})
+}
+
+// runPartition is the one place a job's walkers run, for a remote worker and
+// an in-process partition alike: it builds the estimator for walkers
+// [Lo, Hi), restores resume when given, and calls emit with the partition's
+// state at every checkpoint barrier, in increasing target order. The last, at
+// the full budget, is the partition's final state — emitted even when a
+// resume at the full budget leaves no barrier to run. An emit error cancels
+// the run.
+func runPartition(ctx context.Context, client access.Client, asn *Assignment, resume *core.EnsembleState, emit func(*core.EnsembleState) error) error {
 	if err := asn.Validate(); err != nil {
 		return err
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var emitErr error
-	send := func(f *Frame) {
+	send := func(st *core.EnsembleState) {
 		if emitErr == nil {
-			if emitErr = emit(f); emitErr != nil {
+			if emitErr = emit(st); emitErr != nil {
 				cancel()
 			}
 		}
@@ -183,22 +208,18 @@ func RunPartition(ctx context.Context, client access.Client, asn *Assignment, em
 	if err != nil {
 		return err
 	}
-	if len(asn.Resume) > 0 {
-		st, err := core.DecodeEnsembleState(asn.Resume)
-		if err == nil {
-			err = est.Restore(st)
-		}
-		if err != nil {
+	if resume != nil {
+		if err := est.Restore(resume); err != nil {
 			return fmt.Errorf("%w: %w", ErrBadResume, err)
 		}
 	}
 	_, runErr := est.RunCheckpointsCtx(cctx, asn.Budget, asn.Every, func(step int, _ map[int][]float64) {
 		if step < asn.Budget {
-			send(&Frame{Kind: FrameSnapshot, Target: step, State: est.Snapshot().Encode()})
+			send(est.Snapshot())
 		}
 	})
 	if runErr == nil {
-		send(&Frame{Kind: FrameFinal, Target: asn.Budget, State: est.Snapshot().Encode()})
+		send(est.Snapshot())
 	}
 	if emitErr != nil {
 		return fmt.Errorf("dist: streaming partition [%d,%d): %w", asn.Lo, asn.Hi, emitErr)

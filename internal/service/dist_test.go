@@ -8,17 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/access"
 	"repro/internal/dist"
+	"repro/internal/graph"
 )
 
 // startWorkerNodes brings up n graphletd-style worker nodes sharing the
-// registry and returns their base URLs.
-func startWorkerNodes(t *testing.T, reg *Registry, n int) []string {
+// registry — crawling through newClient when it is not nil — and returns
+// their base URLs.
+func startWorkerNodes(t *testing.T, reg *Registry, n int, newClient func(*graph.Graph) access.Client) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		wmgr := newTestManager(t, reg, Options{})
+		wmgr := newTestManager(t, reg, Options{NewClient: newClient})
 		t.Cleanup(wmgr.Close)
 		srv := NewServer(reg, wmgr)
 		srv.Partitions = &dist.Handler{Lookup: wmgr.PartitionLookup()}
@@ -58,7 +60,7 @@ func TestDistributedJobByteIdentical(t *testing.T) {
 		t.Fatalf("local run: %s (%s)", want.State, want.Error)
 	}
 
-	peers := startWorkerNodes(t, reg, 2)
+	peers := startWorkerNodes(t, reg, 2, nil)
 	mgr := newTestManager(t, reg, Options{
 		SnapshotEvery: 500,
 		Peers:         peers,
@@ -104,7 +106,7 @@ func TestDistributedMultiJob(t *testing.T) {
 		t.Fatalf("local run: %s (%s)", want.State, want.Error)
 	}
 
-	peers := startWorkerNodes(t, reg, 2)
+	peers := startWorkerNodes(t, reg, 2, nil)
 	mgr := newTestManager(t, reg, Options{
 		SnapshotEvery: 500,
 		Peers:         peers,
@@ -129,7 +131,8 @@ func TestDistributedMultiJob(t *testing.T) {
 }
 
 // killOnceWorker proxies the worker endpoint but aborts its first partition
-// stream after two snapshot frames — a node dying mid-partition.
+// stream after two frames — a node dying mid-partition (TestJobParity's
+// nodes2-kill execution).
 type killOnceWorker struct {
 	mgr    *Manager
 	killed bool
@@ -163,117 +166,98 @@ func (k *killOnceWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// TestDistributedJobFailover kills a worker mid-partition and asserts the
-// job completes byte-identical to a local run with exact resumed-step
-// accounting: the retried partition preserves precisely its quota share of
-// the last streamed snapshot (target 1000 after two frames at spacing 500).
-func TestDistributedJobFailover(t *testing.T) {
-	reg := testRegistry(t)
-	spec := Spec{Graph: "hk", K: 4, D: 2, CSS: true, Steps: 3000, Walkers: 4, Seed: 12}
+// crashEvery is the checkpoint spacing of the two coordinator-recovery tests.
+const crashEvery = 2000
 
-	localMgr := newTestManager(t, reg, Options{SnapshotEvery: 500})
+// crashCoordinator runs a `nodes: 2` job over two worker nodes until the
+// coordinator has journaled a fleet-wide sync of 4000 steps or more, then
+// kills the coordinator SIGKILL-style: the fleet freezes (crashPoint), the
+// manager is abandoned without a Close, hence without a terminal record, and
+// its journal writer is stopped. It returns the data dir, the job's ID, the
+// last journaled checkpoint target, and the result of the same spec run
+// locally without interruption.
+func crashCoordinator(t *testing.T, reg *Registry) (dir, id string, target int, want JobView) {
+	t.Helper()
+	const at = 4000
+	spec := Spec{Graph: "hk", K: 4, D: 2, CSS: true, Steps: 60000, Walkers: 4, Seed: 31}
+	localMgr := newTestManager(t, reg, Options{SnapshotEvery: crashEvery})
 	defer localMgr.Close()
-	want := runToResult(t, localMgr, spec)
-
-	wmgr := newTestManager(t, reg, Options{})
-	defer wmgr.Close()
-	killSrv := httptest.NewServer(&killOnceWorker{mgr: wmgr})
-	t.Cleanup(killSrv.Close)
-	healthy := startWorkerNodes(t, reg, 1)
-
-	mgr := newTestManager(t, reg, Options{
-		SnapshotEvery: 500,
-		Peers:         []string{killSrv.URL, healthy[0]},
-		DistBackoff:   time.Millisecond,
-	})
-	defer mgr.Close()
-	distSpec := spec
-	distSpec.Nodes = 2
-	got := runToResult(t, mgr, distSpec)
-	if got.State != StateDone {
-		t.Fatalf("failover run: %s (%s)", got.State, got.Error)
-	}
-	if !reflect.DeepEqual(got.Result, want.Result) {
-		t.Errorf("failover result differs from local run:\n got %+v\nwant %+v", got.Result, want.Result)
-	}
-	// Partition 0 ([0,2) of 4 walkers) resumed from the target-1000
-	// snapshot; its preserved share is exactly PartitionWindows(1000,4,0,2).
-	wantResumed := core.PartitionWindows(1000, 4, 0, 2)
-	if got.Progress.ResumedSteps != wantResumed {
-		t.Errorf("resumed_steps %d, want %d", got.Progress.ResumedSteps, wantResumed)
-	}
-}
-
-// TestDistributedCoordinatorRecovery crashes the coordinator between fleet
-// syncs (SIGKILL-style: the fleet freezes, the manager is abandoned without
-// a Close) and restarts it with no peers at all: the journaled combined
-// snapshot must resume through the ordinary local path and finish
-// byte-identical.
-func TestDistributedCoordinatorRecovery(t *testing.T) {
-	reg := testRegistry(t)
-	spec := Spec{Graph: "hk", K: 4, D: 2, CSS: true, Steps: 60000, Walkers: 4, Seed: 31, Nodes: 2}
-	dir := t.TempDir()
-
-	localMgr := newTestManager(t, reg, Options{SnapshotEvery: 2000})
-	defer localMgr.Close()
-	base := spec
-	base.Nodes = 0
-	want := runToResult(t, localMgr, base)
+	want = runToResult(t, localMgr, spec)
 
 	// Worker nodes whose crawl clients freeze the fleet as soon as the
-	// coordinator has journaled a fleet-wide sync of 4000 steps or more; the
-	// gate is closed at cleanup so their stranded partition handlers abort
-	// and drain (cleanups run LIFO, so this happens before the servers shut
-	// down).
-	crash := newCrashPoint(4000)
-	peers := make([]string, 2)
-	for i := range peers {
-		wmgr := newTestManager(t, reg, Options{NewClient: crash.client})
-		t.Cleanup(wmgr.Close)
-		srv := NewServer(reg, wmgr)
-		srv.Partitions = &dist.Handler{Lookup: wmgr.PartitionLookup()}
-		hs := httptest.NewServer(srv)
-		t.Cleanup(hs.Close)
-		peers[i] = hs.URL
-	}
+	// coordinator has journaled the sync; the gate is closed at cleanup so
+	// their stranded partition handlers abort and drain (cleanups run LIFO,
+	// so this happens before the servers shut down).
+	crash := newCrashPoint(at)
+	peers := startWorkerNodes(t, reg, 2, crash.client)
 	t.Cleanup(func() { close(crash.gate) })
 
+	dir = t.TempDir()
 	mgr := newTestManager(t, reg, Options{
-		SnapshotEvery: 2000,
+		SnapshotEvery: crashEvery,
 		Peers:         peers,
 		DistBackoff:   time.Millisecond,
 		DataDir:       dir,
 	})
 	crash.mgr.Store(mgr)
+	spec.Nodes = 2
 	view, err := mgr.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Once the fleet has frozen itself, abandon the coordinator (no Close →
-	// no terminal record).
 	crash.await(t, view.ID)
 	// Flush what is queued and stop the journal writer, as dead as a killed
 	// process: a frame still in flight when the fleet froze must not append
 	// to the log while the restarted coordinator reads it.
 	mgr.jq.close()
 	mgr.jnlWg.Wait()
+	ckpts := journaledCheckpoints(t, dir, view.ID)
+	if len(ckpts) == 0 || ckpts[len(ckpts)-1].Steps < at {
+		t.Fatalf("coordinator died after %d journaled syncs, want the last at %d or later", len(ckpts), at)
+	}
+	return dir, view.ID, ckpts[len(ckpts)-1].Steps, want
+}
 
-	// Restart with no fleet: the combined snapshot is a plain full-ensemble
-	// state, so the job resumes locally through the existing machinery.
-	mgr2 := newTestManager(t, reg, Options{SnapshotEvery: 2000, DataDir: dir})
+// TestDistributedCoordinatorRecovery crashes the coordinator between fleet
+// syncs and restarts it with no peers at all: the journaled combined snapshot
+// is a plain full-ensemble state, so the job resumes as one partition in
+// process — the same path, a shorter peer list — and finishes byte-identical.
+func TestDistributedCoordinatorRecovery(t *testing.T) {
+	reg := testRegistry(t)
+	dir, id, target, want := crashCoordinator(t, reg)
+
+	mgr2 := newTestManager(t, reg, Options{SnapshotEvery: crashEvery, DataDir: dir})
 	defer mgr2.Close()
-	got, err := mgr2.Wait(t.Context(), view.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != StateDone {
-		t.Fatalf("recovered job: %s (%s)", got.State, got.Error)
-	}
+	got := waitDone(t, mgr2, id)
 	if !reflect.DeepEqual(got.Result, want.Result) {
 		t.Errorf("recovered result differs from local run:\n got %+v\nwant %+v", got.Result, want.Result)
 	}
-	if got.Progress.ResumedSteps < 4000 {
-		t.Errorf("recovered job resumed %d steps, want >= 4000", got.Progress.ResumedSteps)
+	if got.Progress.ResumedSteps != target {
+		t.Errorf("recovered job resumed %d steps, want the journaled %d", got.Progress.ResumedSteps, target)
+	}
+}
+
+// TestDistributedCoordinatorRecoveryWithFleet restarts the crashed coordinator
+// on the same data dir with a healthy fleet: every partition resumes from its
+// slice of the journaled snapshot, and the resumed work is credited once — the
+// job view, /v1/stats and the journaled target agree.
+func TestDistributedCoordinatorRecoveryWithFleet(t *testing.T) {
+	reg := testRegistry(t)
+	dir, id, target, want := crashCoordinator(t, reg)
+
+	mgr2 := newTestManager(t, reg, Options{
+		SnapshotEvery: crashEvery,
+		Peers:         startWorkerNodes(t, reg, 2, nil),
+		DistBackoff:   time.Millisecond,
+		DataDir:       dir,
+	})
+	defer mgr2.Close()
+	got := waitDone(t, mgr2, id)
+	if !reflect.DeepEqual(got.Result, want.Result) {
+		t.Errorf("recovered result differs from local run:\n got %+v\nwant %+v", got.Result, want.Result)
+	}
+	if view, stats := got.Progress.ResumedSteps, mgr2.Stats().ResumedSteps; view != target || stats != int64(target) {
+		t.Errorf("resumed_steps: job view %d, stats %d, journaled target %d — want all three equal", view, stats, target)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/service/journal"
@@ -48,7 +49,8 @@ type Spec struct {
 	Priority Priority `json:"priority,omitempty"`
 	// Nodes requests distributed execution: the job's walkers fan out over
 	// up to Nodes machines of the configured fleet (Options.Peers). 0 or 1
-	// runs locally. Like Priority it cannot affect the result bytes — a
+	// runs them as one partition in this process — the same execution path
+	// with a shorter peer list. Like Priority it cannot affect the result bytes — a
 	// distributed run is byte-identical to a local one — so it is excluded
 	// from the cache and coalescing key: a 3-node run warms the cache for
 	// local re-asks and vice versa.
@@ -162,10 +164,12 @@ type Progress struct {
 	// Concentrations is the multi-size counterpart of Concentration: one
 	// live concentration vector per requested size, keyed by k.
 	Concentrations map[int][]float64 `json:"concentrations,omitempty"`
-	// ResumedSteps is the number of pre-crash steps this job kept by
-	// restoring a journaled checkpoint snapshot instead of restarting from
-	// step 0 (0 for jobs that never crashed — or whose snapshot could not be
-	// restored, in which case they restart from scratch).
+	// ResumedSteps is the number of already-walked steps this job kept by
+	// restoring a snapshot instead of re-walking them: a journaled checkpoint
+	// after a crash, or a partition's last streamed frame after a worker
+	// failure. Each partition credits what it actually restored, once, as it
+	// completes (0 for jobs that never crashed — or whose snapshot could not
+	// be restored, in which case they restart from scratch).
 	ResumedSteps int `json:"resumed_steps,omitempty"`
 }
 
@@ -189,8 +193,9 @@ type job struct {
 	subs      []chan JobEvent // live event streams (SSE); closed on finish
 
 	// resumeSnap/resumeSteps carry the latest journaled checkpoint snapshot
-	// of a recovery-re-queued job: the worker restores the engine from it at
-	// dispatch, and the scheduler charges only the remaining budget.
+	// of a recovery-re-queued job: runJob decodes it at dispatch and the
+	// job's partitions restore from it, and the scheduler charges only the
+	// remaining budget.
 	resumeSnap  []byte
 	resumeSteps int
 }
@@ -333,9 +338,10 @@ type Options struct {
 	NewClient func(g *graph.Graph) access.Client
 	// Peers lists worker base URLs for distributed execution. Jobs whose
 	// spec sets Nodes > 1 fan their walker ensemble over the fleet
-	// (internal/dist); empty disables distribution and such jobs run
-	// locally. The scheduler charges the coordinator one worker slot for
-	// the whole job regardless of fan-out.
+	// (internal/dist); empty disables distribution and such jobs run as
+	// every other job does, as one partition in this process. The scheduler
+	// charges the coordinator one worker slot for the whole job regardless
+	// of fan-out.
 	Peers []string
 	// DistHTTPClient issues the partition dispatches (must not set an
 	// overall Timeout; streams last the whole job). Nil means a fresh
@@ -792,7 +798,12 @@ func (m *Manager) snapshotEvery(steps int) int {
 	return every
 }
 
-// runJob executes one dispatched job end to end.
+// runJob executes one dispatched job end to end, on the one execution path:
+// the job's walker ensemble runs as partitions through the dist coordinator —
+// Nodes partitions on the peer fleet when the spec asks for distribution and
+// peers are configured, otherwise the one partition [0, W) in this process,
+// on this goroutine. Where a walker runs cannot change a byte, so the two
+// differ in the partition count and the peer list and nothing else.
 func (m *Manager) runJob(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -814,118 +825,141 @@ func (m *Manager) runJob(j *job) {
 	m.met.jobsActive.Inc()
 	m.met.runs.Inc()
 	m.recordDispatchLocked(j)
-	resumeSnap, resumeSteps := j.resumeSnap, j.resumeSteps
+	resumeSnap := j.resumeSnap
+	// Replay's resumed-step figure was provisional: the partitions credit
+	// what they actually restore, once, as they complete (OnResume).
+	j.progress.ResumedSteps = 0
 	var started any
-	if resumeSteps > 0 {
-		started = recStarted{ResumedSteps: resumeSteps}
+	if j.resumeSteps > 0 {
+		started = recStarted{ResumedSteps: j.resumeSteps}
 	}
 	m.journalAppendLocked(journal.TypeStarted, j.id, started)
 	m.mu.Unlock()
 
-	g, ok := m.reg.Get(j.spec.Graph)
+	spec := j.spec
+	g, ok := m.reg.Get(spec.Graph)
 	if !ok {
 		// The graph was removed between submit and dispatch: fail cleanly
 		// (a terminal "failed" state with an actionable message) instead of
 		// surfacing whatever a nil graph would have produced mid-run.
-		m.settle(j, nil, fmt.Errorf("service: graph %q was removed after this job was submitted", j.spec.Graph))
+		m.settle(j, nil, fmt.Errorf("service: graph %q was removed after this job was submitted", spec.Graph))
 		return
 	}
-	if j.spec.Nodes > 1 && len(m.opts.Peers) > 0 {
-		// Distributed fan-out: the coordinator occupies this worker slot for
-		// the job's duration; the walk itself runs on the fleet (dist.go).
-		m.runDistributed(ctx, j, g, resumeSnap)
-		return
+	base := dist.Assignment{
+		Graph:  spec.Graph,
+		Meta:   distMeta(g),
+		Budget: spec.Steps,
+		Every:  m.snapshotEvery(spec.Steps),
 	}
-	if j.spec.multi() {
+	// The assignment keeps the wire shape of the submission: sizes travel as
+	// Multi, a bare k as Single. Partitions run the same engine either way.
+	if spec.multi() {
 		m.met.multiRuns.Inc()
-	}
-	est, err := core.NewMultiEstimator(m.opts.NewClient(g), j.spec.config())
-	if err != nil {
-		m.settle(j, nil, err)
-		return
-	}
-	// Restore a recovered checkpoint snapshot, outside m.mu: the RNG
-	// fast-forward is O(pre-crash steps). Any failure — a corrupt or
-	// version-incompatible snapshot, a config mismatch — degrades to the
-	// PR-4 behavior: discard the (possibly half-restored) estimator and run
-	// the whole budget from scratch. Resume is an optimization; it must
-	// never be able to fail a job.
-	resumed := 0
-	if len(resumeSnap) > 0 {
-		if st, derr := core.DecodeEnsembleState(resumeSnap); derr == nil {
-			if rerr := est.Restore(st); rerr == nil {
-				resumed = st.WindowsDone
-			} else {
-				est, err = core.NewMultiEstimator(m.opts.NewClient(g), j.spec.config())
-				if err != nil {
-					m.settle(j, nil, err)
-					return
-				}
-			}
+		cfg := spec.config()
+		base.Multi = &cfg
+	} else {
+		base.Single = &core.Config{
+			K: spec.K, D: spec.D, CSS: spec.CSS, NB: spec.NB,
+			Walkers: spec.Walkers, Seed: spec.Seed,
 		}
 	}
-	m.mu.Lock()
-	j.progress.ResumedSteps = resumed
-	if resumed > 0 {
-		j.progress.Steps = resumed
-		m.met.walkResumed.Add(int64(resumed))
-	} else if len(resumeSnap) > 0 {
-		// Restore failed: the replayed pre-crash progress no longer
-		// describes this (from-scratch) run.
-		j.progress = Progress{Total: j.spec.Steps}
+	// The coordinator holds this worker slot for the job's duration whether
+	// the walk runs here or on the fleet.
+	nodes, peers := 1, []string(nil)
+	if spec.Nodes > 1 && len(m.opts.Peers) > 0 {
+		nodes, peers = spec.Nodes, m.opts.Peers
 	}
-	m.mu.Unlock()
-	// Walk-engine metrics are recorded only here at the checkpoint barriers
-	// (the walkers are parked; a counter add is one atomic) — never inside
-	// the per-step path, which stays allocation- and atomic-free.
-	lastSteps := resumed
-	// The seed draw runs outside the engine's per-walker panic guard, and
-	// crawl clients report transport failures by panicking — a panic here
-	// must fail this job, not kill the daemon and its other jobs.
-	res, err := func() (res *core.MultiResult, err error) {
+
+	// A recovered checkpoint snapshot is decoded once, here, outside m.mu.
+	// Resume is an optimization that must never be able to fail a job: a
+	// snapshot that does not decode — like a partition that cannot restore
+	// its share of one — degrades to running from scratch.
+	var resume *core.EnsembleState
+	lastSteps := 0 // target of the last ensemble-wide checkpoint
+	if len(resumeSnap) > 0 {
+		if resume, _ = core.DecodeEnsembleState(resumeSnap); resume != nil {
+			lastSteps = resume.WindowsDone
+		} else {
+			// The replayed pre-crash progress no longer describes this
+			// (from-scratch) run.
+			m.mu.Lock()
+			j.progress = Progress{Total: spec.Steps}
+			m.mu.Unlock()
+		}
+	}
+	// synced is the merged result at that checkpoint: what progress, the
+	// journal and event streams last saw, and the job's partial result if it
+	// is interrupted. Both are touched only from OnSync, which the
+	// coordinator serializes, and read once Run has returned.
+	var synced *core.MultiResult
+	opts := dist.Options{
+		Peers:        peers,
+		HTTPClient:   m.opts.DistHTTPClient,
+		Retries:      m.opts.DistRetries,
+		Backoff:      m.opts.DistBackoff,
+		StallTimeout: m.opts.DistStallTimeout,
+		LocalClient:  func() access.Client { return m.opts.NewClient(g) },
+		Metrics:      m.met.dist,
+		// The one checkpoint handler. Every ensemble-wide checkpoint — on a
+		// fleet, the moment all partitions reach a common target — is
+		// recorded for its three consumers: restart-safe progress, the
+		// journal (whose snapshot is the full-ensemble state, so an
+		// interrupted job resumes from it on any fleet, or none; the write
+		// itself happens on the writer goroutine), and any live event
+		// streams. Progress and the record carry the per-size concentrations
+		// in the shape the job's spec calls for. Walk-engine metrics are
+		// recorded only here (a counter add is one atomic), never inside the
+		// per-step path.
+		OnSync: func(combined *core.EnsembleState) {
+			res, err := combined.MergedResult()
+			if err != nil {
+				return // combined states are coordinator-built; never expected
+			}
+			target := combined.WindowsDone
+			m.met.walkCheckpoints.Inc()
+			m.met.walkSteps.Add(int64(target - lastSteps))
+			synced, lastSteps = res, target
+			// Encode before taking the manager lock (pure CPU over a state
+			// nobody mutates), and only with a journal to append it to.
+			var snap []byte
+			if m.jnl != nil {
+				snap = combined.Encode()
+			}
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			j.progress.Steps = target
+			j.progress.Concentration, j.progress.Concentrations = spec.shape(res.Concentrations())
+			m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
+				V: checkpointV2, Steps: target, Snapshot: snap,
+				Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
+			})
+			m.notifySubsLocked(j, "checkpoint")
+		},
+		OnResume: func(preserved int) {
+			m.met.walkResumed.Add(int64(preserved))
+			m.mu.Lock()
+			j.progress.ResumedSteps += preserved
+			m.notifySubsLocked(j, "checkpoint")
+			m.mu.Unlock()
+		},
+	}
+	final, err := func() (final *core.EnsembleState, err error) {
+		// The seed draw runs outside the engine's per-walker panic guard, and
+		// crawl clients report transport failures by panicking — a panic here
+		// must fail this job, not kill the daemon and its other jobs.
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("service: job %s: %v", j.id, r)
 			}
 		}()
-		return est.RunCheckpointsCtx(ctx, j.spec.Steps, m.snapshotEvery(j.spec.Steps),
-			func(step int, conc map[int][]float64) {
-				m.met.walkCheckpoints.Inc()
-				m.met.walkSteps.Add(int64(step - lastSteps))
-				lastSteps = step
-				// Snapshot while the walkers park at the barrier, before
-				// taking the manager lock: encoding is pure CPU over
-				// walker-private state. Skipped entirely for volatile
-				// managers — without a journal the blob would be discarded.
-				var snap []byte
-				if m.jnl != nil {
-					snap = est.Snapshot().Encode()
-				}
-				m.mu.Lock()
-				m.checkpointLocked(j, step, conc, snap)
-				m.mu.Unlock()
-			})
+		return dist.Run(ctx, opts, dist.PartitionAssignments(base, nodes), resume)
 	}()
-	if res != nil {
-		// Steps past the last checkpoint barrier (a cancelled partial stage).
-		m.met.walkSteps.Add(int64(res.Steps - lastSteps))
+	// The final sync already merged the final state; only a job resumed at
+	// its full budget completes without one.
+	if err == nil && (synced == nil || synced.Steps != final.WindowsDone) {
+		synced, err = final.MergedResult()
 	}
-	m.settle(j, res, err)
-}
-
-// checkpointLocked records one checkpoint barrier of a running job for its
-// three consumers: restart-safe progress, the resume snapshot, and any live
-// event streams (the journal write itself happens on the writer goroutine).
-// Progress and the record carry the per-size concentrations in the shape the
-// job's spec calls for. Caller holds m.mu.
-func (m *Manager) checkpointLocked(j *job, step int, conc map[int][]float64, snap []byte) {
-	j.progress.Steps = step
-	j.progress.Concentration, j.progress.Concentrations = j.spec.shape(conc)
-	m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
-		V: checkpointV2, Steps: step, Snapshot: snap,
-		Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
-	})
-	m.notifySubsLocked(j, "checkpoint")
+	m.settle(j, synced, err)
 }
 
 // settle records a run's outcome. A completed run fills the result cache

@@ -205,75 +205,3 @@ func TestMultiAssembledFromSingleRuns(t *testing.T) {
 		t.Fatalf("stats: %+v, want no multi run executed", st)
 	}
 }
-
-// The multi-size resume acceptance test, mirroring
-// TestResumeAfterCrashByteIdentical: a multi-size job killed past 50% of its
-// shared budget re-queues from its journaled multi-ensemble snapshot and
-// completes with every per-size result byte-identical to an uninterrupted
-// run — and to independent single-size runs, transitively, via the engine's
-// byte-identity guarantee.
-func TestMultiResumeAfterCrashByteIdentical(t *testing.T) {
-	spec := Spec{Graph: "hk", Sizes: []int{3, 4, 5}, D: 2, CSS: true, Steps: 20000, Walkers: 2, Seed: 4321}
-
-	// Reference: the uninterrupted run.
-	refMgr := newTestManager(t, testRegistry(t), Options{Workers: 1, MaxWalkers: 2, SnapshotEvery: 1000})
-	ref, err := refMgr.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref = waitDone(t, refMgr, ref.ID)
-	refMgr.Close()
-
-	// The crashing daemon: the walkers freeze themselves past 50% and the
-	// manager is abandoned (no Close → no terminal record), SIGKILL-style.
-	dir := t.TempDir()
-	crash := newCrashPoint(spec.Steps / 2)
-	mgr1 := newTestManager(t, testRegistry(t), Options{
-		Workers: 1, MaxWalkers: 2, SnapshotEvery: 1000, DataDir: dir,
-		NewClient: crash.client,
-	})
-	crash.mgr.Store(mgr1)
-	v, err := mgr1.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crash.await(t, v.ID)
-	mgr1.syncJournal() // the page cache survives a SIGKILL; the barrier stands in for it
-
-	// Restart on the same data dir with an ungated client; the job resumes
-	// mid-budget and completes.
-	mgr2 := newTestManager(t, testRegistry(t), Options{Workers: 1, MaxWalkers: 2, SnapshotEvery: 1000, DataDir: dir})
-	defer mgr2.Close()
-	if st := mgr2.Stats(); st.RecoveredJobs != 1 || st.ResumableJobs != 1 {
-		t.Fatalf("stats after restart: %+v, want 1 recovered / 1 resumable", st)
-	}
-	final := waitDone(t, mgr2, v.ID)
-	if final.Progress.ResumedSteps < spec.Steps/2 {
-		t.Errorf("resumed %d steps, want >= %d", final.Progress.ResumedSteps, spec.Steps/2)
-	}
-	if len(final.Results) != len(ref.Results) {
-		t.Fatalf("resumed results: %+v vs reference %+v", final.Results, ref.Results)
-	}
-	for _, k := range spec.Sizes {
-		sameJobResult(t, "resumed size", final.Results[k], ref.Results[k])
-	}
-
-	// The resumed completion re-warms the fan-out: a restart of the restarted
-	// daemon answers every covered single-size spec from the journal-warmed
-	// cache without a run.
-	mgr2.syncJournal()
-	mgr3 := newTestManager(t, testRegistry(t), Options{Workers: 1, MaxWalkers: 2, DataDir: dir})
-	defer mgr3.Close()
-	for _, k := range spec.Sizes {
-		s := spec
-		s.Sizes, s.K = nil, k
-		hv, err := mgr3.Submit(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hv.Cached || hv.State != StateDone {
-			t.Fatalf("k=%d after double restart: %+v, want warm hit", k, hv)
-		}
-		sameJobResult(t, "journal-warmed entry", hv.Result, ref.Results[k])
-	}
-}

@@ -21,7 +21,13 @@
 //     (sound because equal Config+Seed runs are byte-identical);
 //   - a bounded worker pool sized with the shared trial-pool rule
 //     (stats.PoolWorkers), so job parallelism × walkers stays at
-//     GOMAXPROCS.
+//     GOMAXPROCS;
+//   - one execution path (Manager.runJob): every dispatched job runs as
+//     partitions of its walker ensemble through the internal/dist
+//     coordinator — Spec.Nodes partitions on the peer fleet, or the one
+//     partition [0, W) in this process — so resume, checkpointing,
+//     resumed-step accounting and the journal's bytes are the same code
+//     wherever the walkers run.
 //
 // cmd/graphletd wires the package to a TCP listener.
 package service

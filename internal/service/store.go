@@ -24,8 +24,10 @@ import (
 // (core.EnsembleState — one type and one codec for every job, which also
 // reads the GEST and GMST version 1 blobs older daemons journaled), so an
 // interrupted job does not restart from step 0:
-// replay re-queues it with the latest snapshot and the worker restores the
-// walkers mid-budget, preserving every step up to the last checkpoint.
+// replay re-queues it with the latest snapshot and the job's partitions
+// restore their walkers mid-budget, preserving every step up to the last
+// checkpoint (runJob's OnSync handler is the one place a checkpoint is
+// merged, encoded and appended).
 //
 // Record payloads are JSON. encoding/json round-trips float64 exactly
 // (shortest-representation encoding), so a result warmed from the journal
@@ -303,8 +305,10 @@ func (m *Manager) recover() error {
 			// original priority — but only onto the same topology it was
 			// admitted against. A job whose replay carried a checkpoint
 			// snapshot resumes mid-budget: its progress survives, the
-			// scheduler will charge only the remaining steps, and the worker
-			// restores the walkers from the snapshot at dispatch.
+			// scheduler will charge only the remaining steps, and the job's
+			// partitions restore their walkers from the snapshot at dispatch
+			// (which replaces the provisional resumed-step figure set here
+			// by what they actually restore).
 			if !sameBind(id, j.spec.Graph) {
 				j.state = StateFailed
 				j.errMsg = fmt.Sprintf("service: graph %q is not registered with the same topology it was submitted against; job not re-run", j.spec.Graph)
