@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-steps N] [-trials N] [-walkers W] [-graph-cache=false] [table2|table3|table4|table5|fig4|fig5|fig6|table6|fig7|fig8|table7|all]
+//	experiments [-steps N] [-trials N] [-walkers W] [table2|table3|table4|table5|fig4|fig5|fig6|table6|fig7|fig8|table7|all]
 //
 // Defaults follow the paper where practical: 20K walk steps; 200 independent
 // simulations (the paper uses 1,000, and 100 for the slow SRW4 — this harness
@@ -13,7 +13,7 @@
 // Stand-in dataset graphs are cached on disk in the .gcsr binary CSR format
 // (under $REPRO_CACHE_DIR, like the ground-truth cache) and opened zero-copy
 // via mmap on later runs, so repeated invocations skip the generators
-// entirely; -graph-cache=false rebuilds from scratch.
+// entirely.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/datasets"
 	"repro/internal/experiments"
 )
 
@@ -30,11 +29,8 @@ func main() {
 	steps := flag.Int("steps", 20000, "random walk steps per run")
 	trials := flag.Int("trials", 200, "independent simulations per method")
 	walkers := flag.Int("walkers", 0, "concurrent walkers per run (0 = single walker)")
-	graphCache := flag.Bool("graph-cache", os.Getenv("REPRO_NO_GRAPH_CACHE") == "",
-		"cache dataset graphs as .gcsr files and mmap them on later runs")
 	flag.Usage = usage
 	flag.Parse()
-	datasets.SetGraphCaching(*graphCache)
 
 	p := experiments.Params{Steps: *steps, Trials: *trials, Walkers: *walkers}
 	args := flag.Args()

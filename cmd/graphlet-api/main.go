@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -51,11 +52,10 @@ func main() {
 	var g *graph.Graph
 	switch {
 	case *path != "":
-		loaded, err := graph.OpenFile(*path, graph.FormatAuto)
-		if err != nil {
+		var err error
+		if g, err = graph.OpenLCC(*path, graph.OpenOptions{}); err != nil {
 			fail(err)
 		}
-		g, _ = graph.LargestComponent(loaded)
 	case *dataset != "":
 		d, err := datasets.Get(*dataset)
 		if err != nil {
@@ -67,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	handler := apiserver.RateLimit(apiserver.NewHandler(g, *seed), *qps, *burst)
+	handler := apiserver.RateLimit(apiserver.NewHandler(g, *seed), *qps, *burst, nil)
 	limit := "unlimited"
 	if *qps > 0 {
 		limit = fmt.Sprintf("%.1f qps (burst %d)", *qps, *burst)
@@ -80,10 +80,8 @@ func main() {
 }
 
 // runCrawl estimates over the HTTP boundary: the walker ensemble shares one
-// HTTP client, which is concurrency-safe and fetches each neighborhood at
-// most once (per-node single flight). Wrapping it in NewMemoClient would
-// only duplicate its cache; the decorator is for inner clients that do not
-// memoize themselves.
+// memoizing client over the HTTP transport, so each neighborhood is fetched
+// at most once (per-node single flight) however many walkers revisit it.
 func runCrawl(base string, cfg graphletrw.Config, steps int) {
 	// The crawl client reports transport failures by panicking; surface them
 	// as a clean CLI error instead of a stack trace.
@@ -92,10 +90,10 @@ func runCrawl(base string, cfg graphletrw.Config, steps int) {
 			fail(fmt.Errorf("%v", r))
 		}
 	}()
-	api := apiserver.NewClient(base, nil)
+	client, api := apiserver.NewClient(context.Background(), base, nil)
 
 	start := time.Now()
-	res, err := graphletrw.Estimate(api, cfg, steps)
+	res, err := graphletrw.Estimate(client, cfg, steps)
 	if err != nil {
 		fail(err)
 	}

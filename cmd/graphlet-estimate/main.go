@@ -3,17 +3,16 @@
 //
 // Usage:
 //
-//	graphlet-estimate -graph graph.txt [-format auto] [-k 4] [-d 2] [-css] [-nb] [-steps 20000] [-walkers 1] [-seed 1] [-exact] [-counts]
+//	graphlet-estimate -graph graph.txt [-k 4] [-d 2] [-css] [-nb] [-steps 20000] [-walkers 1] [-seed 1] [-exact] [-counts]
 //	graphlet-estimate -graph graph.txt -sizes 3,4,5 [-d 2] [-css] [-steps 20000] [-exact] [-counts]
 //
 // The graph file is either a text edge list ("u v" lines, '#'/'%' comments
 // allowed) or a .gcsr binary CSR file (see cmd/graphlet-pack), detected
-// automatically; -format edgelist|gcsr forces it. .gcsr inputs are opened
-// zero-copy via mmap, so even huge graphs start estimating immediately. The
-// largest connected component is used (a no-op for pre-packed connected
-// graphs). With -exact, the exact concentration is also enumerated for
-// comparison. With -counts, unbiased count estimates (Equation 4) are
-// printed for d <= 2.
+// automatically. .gcsr inputs are opened zero-copy via mmap, so even huge
+// graphs start estimating immediately. The largest connected component is
+// used (a no-op for pre-packed connected graphs). With -exact, the exact
+// concentration is also enumerated for comparison. With -counts, unbiased
+// count estimates (Equation 4) are printed for d <= 2.
 //
 // -sizes runs one shared random walk covering every listed size at once
 // (instead of -k): the step budget is paid once and a concentration table is
@@ -36,7 +35,6 @@ import (
 func main() {
 	var (
 		path    = flag.String("graph", "", "graph file, edge list or .gcsr (required)")
-		format  = flag.String("format", "auto", "input format: auto|edgelist|gcsr")
 		k       = flag.Int("k", 4, "graphlet size (3..5)")
 		sizes   = flag.String("sizes", "", "comma-separated graphlet sizes for one shared walk (e.g. 3,4,5; overrides -k)")
 		d       = flag.Int("d", 2, "walk order d (1..k); paper recommends 1 for k=3, 2 for k=4,5")
@@ -53,13 +51,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, err := graphletrw.OpenGraph(*path, *format)
+	lcc, err := graphletrw.OpenLCC(*path)
 	if err != nil {
 		fail(err)
 	}
-	lcc, _ := graphletrw.LargestComponent(g)
-	fmt.Printf("graph: %d nodes, %d edges (LCC of input with %d nodes)\n",
-		lcc.NumNodes(), lcc.NumEdges(), g.NumNodes())
+	fmt.Printf("graph: %d nodes, %d edges (largest connected component)\n", lcc.NumNodes(), lcc.NumEdges())
 
 	// -k is -sizes with one size: either way one shared walk runs, and only
 	// the header lines differ.

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	graphlet-exact -graph graph.txt [-format auto] [-k 4]
+//	graphlet-exact -graph graph.txt [-k 4]
 //
 // The input is a text edge list or a .gcsr binary CSR file (see
 // cmd/graphlet-pack), detected automatically.
@@ -20,19 +20,17 @@ import (
 
 func main() {
 	path := flag.String("graph", "", "graph file, edge list or .gcsr (required)")
-	format := flag.String("format", "auto", "input format: auto|edgelist|gcsr")
 	k := flag.Int("k", 4, "graphlet size (3..5)")
 	flag.Parse()
 	if *path == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, err := graphletrw.OpenGraph(*path, *format)
+	lcc, err := graphletrw.OpenLCC(*path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphlet-exact:", err)
 		os.Exit(1)
 	}
-	lcc, _ := graphletrw.LargestComponent(g)
 	fmt.Printf("graph: %d nodes, %d edges\n", lcc.NumNodes(), lcc.NumEdges())
 
 	start := time.Now()

@@ -33,8 +33,7 @@ import (
 
 func main() {
 	var (
-		in         = flag.String("in", "", "input graph file (edge list or .gcsr)")
-		inFormat   = flag.String("in-format", "auto", "input format: auto|edgelist|gcsr")
+		in         = flag.String("in", "", "input graph file (edge list or .gcsr, detected)")
 		outFormat  = flag.String("format", "v1", "output .gcsr version: v1|v2")
 		dataset    = flag.String("dataset", "", "pack a stand-in dataset instead of a file")
 		out        = flag.String("out", "", "output .gcsr file (required)")
@@ -49,6 +48,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *keepIDs && *dataset != "" {
+		fail(fmt.Errorf("-keep-ids applies to -in files (datasets are already densely numbered)"))
+	}
 	var version int
 	switch *outFormat {
 	case "v1", "1":
@@ -60,59 +62,30 @@ func main() {
 	}
 
 	start := time.Now()
-	var (
-		g   *graph.Graph
-		ids []int64
-	)
-	switch {
-	case *dataset != "":
+	var g *graph.Graph
+	if *dataset != "" {
 		d, err := datasets.Get(*dataset)
 		if err != nil {
 			fail(err)
 		}
 		g = d.Graph() // already the LCC; dense IDs are the dataset's IDs
-		if *keepIDs {
-			fail(fmt.Errorf("-keep-ids applies to -in files (datasets are already densely numbered)"))
-		}
-	default:
-		f, err := graph.ParseFormat(*inFormat)
-		if err != nil {
-			fail(err)
-		}
-		if f == graph.FormatAuto {
-			f = graph.DetectFormat(*in)
-		}
-		var loaded *graph.Graph
-		if *keepIDs && f == graph.FormatEdgeList {
-			loaded, ids, err = graph.LoadEdgeListKeepIDs(*in)
-		} else {
-			loaded, err = graph.OpenFile(*in, f)
-		}
-		if err != nil {
-			fail(err)
-		}
-		if ids == nil {
-			ids = loaded.OriginalIDs() // a .gcsr input may already carry IDs
-		}
-		if *keepIDs && ids == nil {
-			fail(fmt.Errorf("-keep-ids: input %s carries no source IDs to keep", *in))
-		}
-		g = loaded
+	} else {
+		open := graph.Open
 		if *lcc {
-			var toOld []int32
-			g, toOld = graph.LargestComponent(loaded)
-			if ids != nil && g != loaded {
-				// Compose the remap through the LCC renumbering.
-				lccIDs := make([]int64, len(toOld))
-				for v, old := range toOld {
-					lccIDs[v] = ids[old]
-				}
-				ids = lccIDs
-			}
+			open = graph.OpenLCC
+		}
+		var err error
+		if g, err = open(*in, graph.OpenOptions{KeepIDs: *keepIDs}); err != nil {
+			fail(err)
 		}
 	}
-	if !*keepIDs {
-		ids = nil
+	// The source IDs ride on the graph: kept from an edge list, or already
+	// carried by a .gcsr input, and composed through the LCC renumbering.
+	var ids []int64
+	if *keepIDs {
+		if ids = g.OriginalIDs(); ids == nil {
+			fail(fmt.Errorf("-keep-ids: input %s carries no source IDs to keep", *in))
+		}
 	}
 	loadTime := time.Since(start)
 
@@ -148,7 +121,7 @@ func main() {
 
 	if *verify {
 		start = time.Now()
-		m, err := graph.OpenFile(*out, graph.FormatGCSR)
+		m, err := graph.Open(*out, graph.OpenOptions{})
 		if err != nil {
 			fail(fmt.Errorf("verify: %w", err))
 		}

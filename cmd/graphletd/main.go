@@ -45,8 +45,7 @@
 // sized by -block-cache-mb; its hit/miss/eviction/residency counters are
 // exposed as graphletd_blockcache_* gauges on /metrics. Graphs packed with -keep-ids
 // report "original_ids": true in GET /v1/graphs. Dataset graphs are
-// likewise cached as .gcsr under $REPRO_CACHE_DIR after first build
-// (REPRO_CACHE_FORMAT=v2 selects the compressed encoding for the cache).
+// likewise cached as .gcsr under $REPRO_CACHE_DIR after first build.
 //
 // Multi-size jobs: a spec with "sizes":[3,4,5] instead of "k" runs one
 // shared random walk covering every listed size — the step budget (and the
@@ -261,7 +260,7 @@ func main() {
 	if *qps > 0 {
 		rejected := metrics.Counter("graphletd_ratelimit_rejected_total",
 			"Requests that gave up waiting for a rate-limit token.")
-		limited := apiserver.RateLimitObserved(api, *qps, *burst, rejected.Inc)
+		limited := apiserver.RateLimit(api, *qps, *burst, rejected.Inc)
 		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch strings.TrimSuffix(r.URL.Path, "/") {
 			// Partition streams are fleet-internal and hour-long-lived; the

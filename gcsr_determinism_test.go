@@ -1,7 +1,9 @@
 package graphletrw
 
 import (
+	"bufio"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -126,6 +128,106 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 		st, _ := paged.BlockCacheStats()
 		if int64(st.Blocks) < 3*(decoded/4/(64<<10)+1) || st.Evictions == 0 {
 			t.Errorf("want several pages per block under eviction, got %+v", st)
+		}
+	})
+
+	// The one way in, graph.OpenLCC, over every encoding a graph file can
+	// arrive in, from a connected and from a disconnected input: the estimate
+	// bytes and the source IDs that come out must not depend on the encoding,
+	// nor on whether the component had to be rebuilt and renumbered.
+	t.Run("OpenLCC", func(t *testing.T) {
+		// Source IDs are sparse (10v+7) so a mapping that is dropped or not
+		// composed through the renumbering cannot pass for the identity. The
+		// disconnected input lists a stray triangle first, which shifts every
+		// dense ID of the main component by three before the LCC extraction
+		// renumbers them back.
+		writeEdges := func(name string, stray bool) string {
+			path := filepath.Join(dir, name)
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := bufio.NewWriter(f)
+			if stray {
+				fmt.Fprint(w, "1 2\n2 3\n1 3\n")
+			}
+			built.Edges(func(u, v int32) bool {
+				fmt.Fprintf(w, "%d %d\n", 10*u+7, 10*v+7)
+				return true
+			})
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		keep := graph.OpenOptions{KeepIDs: true}
+		ref, err := graph.Open(writeEdges("conn.txt", false), keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := []Config{
+			{K: 3, D: 1, CSS: true, NB: true, Seed: 5},
+			{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4},
+		}
+		for _, stray := range []bool{false, true} {
+			input := "connected"
+			if stray {
+				input = "disconnected"
+			}
+			txt := writeEdges(input+".txt", stray)
+			src, err := graph.Open(txt, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := src.OriginalIDs()
+			save := func(name string, o graph.SaveOptions) string {
+				path := filepath.Join(dir, input+"-"+name+".gcsr")
+				if err := graph.SaveOpts(path, src, o); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+			withSidecar := save("v1-gids", graph.SaveOptions{})
+			if err := graph.SaveIDs(graph.IDsSidecarPath(withSidecar), ids); err != nil {
+				t.Fatal(err)
+			}
+			for _, enc := range []struct {
+				name, path string
+				hasIDs     bool
+			}{
+				{"edgelist", txt, true},
+				{"v1", save("v1", graph.SaveOptions{}), false},
+				{"v1+gids", withSidecar, true},
+				{"v2", save("v2", graph.SaveOptions{Version: 2, BlockBytes: 4 << 10}), false},
+				{"v2+ids", save("v2-ids", graph.SaveOptions{Version: 2, IDs: ids}), true},
+			} {
+				g, err := graph.OpenLCC(enc.path, keep)
+				if err != nil {
+					t.Fatalf("%s %s: %v", input, enc.name, err)
+				}
+				for _, cfg := range cfgs {
+					if want, got := renderEstimate(t, ref, cfg), renderEstimate(t, g, cfg); got != want {
+						t.Errorf("%s %s %s diverged:\nref: %s\ngot: %s", input, enc.name, cfg.MethodName(), want, got)
+					}
+				}
+				if g.HasOriginalIDs() != enc.hasIDs {
+					t.Errorf("%s %s: HasOriginalIDs = %v, want %v", input, enc.name, g.HasOriginalIDs(), enc.hasIDs)
+				}
+				for v := int32(0); enc.hasIDs && v < int32(ref.NumNodes()); v++ {
+					if got, want := g.OriginalID(v), ref.OriginalID(v); got != want {
+						t.Fatalf("%s %s: OriginalID(%d) = %d, want %d", input, enc.name, v, got, want)
+					}
+				}
+				// A connected packed graph is served from its mapping; the
+				// mapping of a disconnected one was released with the rebuild.
+				if mappable := enc.path != txt && mapped.Mapped(); g.Mapped() != (mappable && !stray) {
+					t.Errorf("%s %s: Mapped() = %v", input, enc.name, g.Mapped())
+				}
+				g.Close()
+			}
 		}
 	})
 }

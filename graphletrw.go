@@ -82,17 +82,17 @@ func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 // instead of re-parsing an edge list; cmd/graphlet-pack is the CLI wrapper.
 func SaveGraph(path string, g *Graph) error { return graph.Save(path, g) }
 
-// OpenGraph opens a graph file in the named format: "edgelist" (text "u v"
-// lines), "gcsr" (binary CSR, opened zero-copy via mmap where available), or
-// "auto"/"" (detect by extension, then magic bytes). Call Close on the
-// returned graph when done with an mmap-backed one.
-func OpenGraph(path, format string) (*Graph, error) {
-	f, err := graph.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return graph.OpenFile(path, f)
-}
+// OpenGraph opens a graph file, detecting its encoding by extension, then
+// magic bytes: a .gcsr binary CSR file (opened zero-copy via mmap where
+// available) or a text edge list ("u v" lines). Call Close on the returned
+// graph when done with an mmap-backed one.
+func OpenGraph(path string) (*Graph, error) { return graph.Open(path, graph.OpenOptions{}) }
+
+// OpenLCC is OpenGraph followed by LargestComponent — the paper's
+// preprocessing, and what every command in cmd/ estimates over. A connected
+// packed graph stays served from its mapping; the mapping of a disconnected
+// one is released once its component is rebuilt on the heap.
+func OpenLCC(path string) (*Graph, error) { return graph.OpenLCC(path, graph.OpenOptions{}) }
 
 // LargestComponent extracts the largest connected component, as the paper's
 // preprocessing does; the second result maps new node IDs to old ones.

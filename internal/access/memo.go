@@ -3,27 +3,38 @@ package access
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Memo wraps a Client with a concurrency-safe memoizing neighbor cache: the
-// first fetch of a node's neighbor list goes to the inner client, every later
-// call — from any goroutine — is answered from the cache. Concurrent fetches
-// of the same node are coalesced (per-node single flight), so an ensemble of
-// parallel walkers crawling over an expensive boundary (the HTTP apiserver
-// client, a Delayed client modeling API latency) pays for each neighborhood
-// exactly once no matter how many walkers touch it.
+// RowSource is what a Memo asks of the client it wraps: whole neighbor rows
+// and walk seeds. Every Client is one; a bare transport (the apiserver HTTP
+// client) implements nothing else.
+type RowSource interface {
+	// Neighbors returns the neighbor list of v under the Client.Neighbors
+	// contract (strictly ascending, not to be modified).
+	Neighbors(v int32) []int32
+	// RandomNode returns a node to seed a walk from.
+	RandomNode(rng *rand.Rand) int32
+}
+
+// Memo is the repository's one neighbor-row memo: it turns a RowSource into
+// a concurrency-safe Client. The first fetch of a node's neighbor list goes
+// to the inner source, every later call — from any goroutine — is answered
+// from the cache. Concurrent fetches of the same node are coalesced (per-node
+// single flight), so an ensemble of parallel walkers crawling over an
+// expensive boundary (the HTTP apiserver transport, a Delayed client modeling
+// API latency) pays for each neighborhood exactly once no matter how many
+// walkers touch it.
 //
 // Edge probes are answered from whichever endpoint's list is already cached,
 // and otherwise charge a fetch of u's list — the strategy a polite crawler
-// uses instead of a dedicated edge endpoint. This changes the inner call mix
-// (HasEdge on the inner client is never used); wrap a Counting client
-// *inside* the Memo to measure the de-duplicated crawl cost, or outside to
-// measure the walkers' raw demand.
+// uses instead of a dedicated edge endpoint. Wrap a Counting client *inside*
+// the Memo to measure the de-duplicated crawl cost, or outside to measure
+// the walkers' raw demand.
 type Memo struct {
-	inner  Client
+	inner  RowSource
 	shards [memoShards]memoShard
 
 	lookups atomic.Int64
@@ -64,10 +75,10 @@ type memoEntry struct {
 	bits []uint64
 }
 
-// NewMemo wraps inner. The inner client must be safe for concurrent use if
+// NewMemo wraps inner. The inner source must be safe for concurrent use if
 // the Memo is shared across goroutines (all clients in this package and in
 // internal/apiserver are).
-func NewMemo(inner Client) *Memo {
+func NewMemo(inner RowSource) *Memo {
 	c := &Memo{inner: inner}
 	for i := range c.shards {
 		c.shards[i].m = make(map[int32]*memoEntry)
@@ -101,13 +112,13 @@ func (c *Memo) Stats() MemoStats {
 
 func (c *Memo) shard(v int32) *memoShard { return &c.shards[uint32(v)%memoShards] }
 
-// neighbors resolves v's neighbor list, fetching it from the inner client at
-// most once across all goroutines. A panicking inner fetch (crawl clients
-// report transport failures that way) must not poison the cache: the failed
-// entry is dropped so a later caller retries, and goroutines that were
+// entry resolves v's cache entry, fetching its neighbor list from the inner
+// source at most once across all goroutines. A panicking inner fetch (crawl
+// clients report transport failures that way) must not poison the cache: the
+// failed entry is dropped so a later caller retries, and goroutines that were
 // coalesced onto the failed fetch panic too instead of mistaking the nil
 // slice for a degree-0 node.
-func (c *Memo) neighbors(v int32) []int32 {
+func (c *Memo) entry(v int32) *memoEntry {
 	c.lookups.Add(1)
 	sh := c.shard(v)
 	sh.mu.Lock()
@@ -138,7 +149,7 @@ func (c *Memo) neighbors(v int32) []int32 {
 	if !e.done.Load() {
 		panic(fmt.Sprintf("access: memoized fetch of node %d failed in another goroutine", v))
 	}
-	return e.ns
+	return e
 }
 
 // cachedEntry returns v's cache entry only if it is already fully fetched.
@@ -186,17 +197,18 @@ func (e *memoEntry) contains(v int32) bool {
 		}
 		return e.bits[idx]&(1<<(uint(v)&63)) != 0
 	}
-	return containsSorted(e.ns, v)
+	_, found := slices.BinarySearch(e.ns, v)
+	return found
 }
 
 // Degree implements Client.
-func (c *Memo) Degree(v int32) int { return len(c.neighbors(v)) }
+func (c *Memo) Degree(v int32) int { return len(c.entry(v).ns) }
 
 // Neighbors implements Client.
-func (c *Memo) Neighbors(v int32) []int32 { return c.neighbors(v) }
+func (c *Memo) Neighbors(v int32) []int32 { return c.entry(v).ns }
 
 // Neighbor implements Client.
-func (c *Memo) Neighbor(v int32, i int) int32 { return c.neighbors(v)[i] }
+func (c *Memo) Neighbor(v int32, i int) int32 { return c.entry(v).ns[i] }
 
 // HasEdge implements Client, answering from cached neighbor lists when
 // either endpoint is present — O(1) against hot crawled hubs via their
@@ -208,20 +220,8 @@ func (c *Memo) HasEdge(u, v int32) bool {
 	if e, ok := c.cachedEntry(v); ok {
 		return e.contains(u)
 	}
-	c.neighbors(u)
-	e, ok := c.cachedEntry(u)
-	if !ok {
-		// Unreachable after a successful fetch; kept as a plain fallback.
-		return containsSorted(c.neighbors(u), v)
-	}
-	return e.contains(v)
+	return c.entry(u).contains(v)
 }
 
 // RandomNode implements Client.
 func (c *Memo) RandomNode(rng *rand.Rand) int32 { return c.inner.RandomNode(rng) }
-
-// containsSorted reports whether the sorted list ns contains v.
-func containsSorted(ns []int32, v int32) bool {
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
-}

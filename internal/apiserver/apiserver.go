@@ -1,14 +1,16 @@
 // Package apiserver makes the paper's restricted-access scenario literal: it
 // serves a graph through the kind of HTTP API an OSN exposes (fetch a user's
-// friend list, test a friendship) and provides an access.Client that crawls
-// through that API — so the estimators demonstrably work over a network
-// boundary with no bulk access to the topology.
+// friend list) and provides the transport an access.Memo crawls that API
+// through — so the estimators demonstrably work over a network boundary with
+// no bulk access to the topology.
 //
 // Endpoints (JSON):
 //
 //	GET /v1/nodes/{id}/neighbors  -> {"id":7,"degree":3,"neighbors":[1,5,9]}
 //	GET /v1/nodes/random          -> {"id":42}
-//	GET /v1/edge?u=1&v=5          -> {"exists":true}
+//
+// There is no edge endpoint: a crawler answers adjacency probes from the
+// friend lists it already paid for (access.Memo.HasEdge).
 //
 // The handler deliberately does NOT expose node or edge counts in bulk,
 // matching the paper's assumption that only local information is crawlable.
@@ -49,10 +51,6 @@ type randomNodeResponse struct {
 	ID int32 `json:"id"`
 }
 
-type edgeResponse struct {
-	Exists bool `json:"exists"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -78,15 +76,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			Degree:    h.g.Degree(v),
 			Neighbors: h.g.Neighbors(v),
 		})
-	case r.URL.Path == "/v1/edge":
-		u, err1 := strconv.ParseInt(r.URL.Query().Get("u"), 10, 32)
-		v, err2 := strconv.ParseInt(r.URL.Query().Get("v"), 10, 32)
-		if err1 != nil || err2 != nil ||
-			u < 0 || int(u) >= h.g.NumNodes() || v < 0 || int(v) >= h.g.NumNodes() {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad u/v"})
-			return
-		}
-		writeJSON(w, http.StatusOK, edgeResponse{Exists: h.g.HasEdge(int32(u), int32(v))})
 	default:
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "not found"})
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -75,8 +76,7 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 	for path, want := range map[string]int{
 		"/v1/nodes/99999/neighbors": http.StatusNotFound,
 		"/v1/nodes/xx/neighbors":    http.StatusNotFound,
-		"/v1/edge?u=a&v=1":          http.StatusBadRequest,
-		"/v1/edge?u=1&v=99999":      http.StatusBadRequest,
+		"/v1/edge?u=0&v=1":          http.StatusNotFound, // no edge endpoint: probes are answered from crawled rows
 		"/nope":                     http.StatusNotFound,
 	} {
 		resp, err := http.Get(srv.URL + path)
@@ -90,30 +90,9 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 	}
 }
 
-func TestEdgeEndpoint(t *testing.T) {
-	srv, h := newTestServer(t)
-	u := int32(0)
-	v := h.g.Neighbors(u)[0]
-	var body edgeResponse
-	resp, err := http.Get(srv.URL + "/v1/edge?u=0&v=" + itoa(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if !body.Exists {
-		t.Error("existing edge reported missing")
-	}
-}
-
-func itoa(v int32) string {
-	b, _ := json.Marshal(v)
-	return string(b)
-}
-
 func TestClientImplementsAccess(t *testing.T) {
 	srv, h := newTestServer(t)
-	c := NewClient(srv.URL, srv.Client())
+	c, _ := NewClient(context.Background(), srv.URL, srv.Client())
 	if c.Degree(0) != h.g.Degree(0) {
 		t.Errorf("Degree mismatch")
 	}
@@ -139,24 +118,25 @@ func TestClientImplementsAccess(t *testing.T) {
 	}
 }
 
-// TestClientCaching: revisiting a node must not issue another request.
+// TestClientCaching: the client NewClient hands out is the memo, not the
+// bare transport — revisiting a node must not issue another request.
 func TestClientCaching(t *testing.T) {
 	srv, _ := newTestServer(t)
-	c := NewClient(srv.URL, srv.Client())
+	c, api := NewClient(context.Background(), srv.URL, srv.Client())
 	c.Neighbors(3)
-	n := c.RequestCount()
+	n := api.RequestCount()
 	c.Neighbors(3)
 	c.Degree(3)
 	c.Neighbor(3, 0)
-	if c.RequestCount() != n {
-		t.Errorf("cache miss on revisit: %d -> %d requests", n, c.RequestCount())
+	if api.RequestCount() != n {
+		t.Errorf("cache miss on revisit: %d -> %d requests", n, api.RequestCount())
 	}
 }
 
 // TestClientDefaultTimeout: a nil http.Client must not silently become
 // http.DefaultClient, whose zero timeout hangs forever on a dead server.
 func TestClientDefaultTimeout(t *testing.T) {
-	c := NewClient("http://example.invalid", nil)
+	_, c := NewClient(context.Background(), "http://example.invalid", nil)
 	if c.http == http.DefaultClient {
 		t.Fatal("nil http.Client fell back to http.DefaultClient")
 	}
@@ -165,22 +145,16 @@ func TestClientDefaultTimeout(t *testing.T) {
 	}
 }
 
-// TestClientContextDeadline: a WithContext client must abandon a hung server
-// when its deadline passes (surfaced via the client's panic convention), and
-// the derived client must share the original's crawl session.
+// TestClientContextDeadline: a client built under a deadline must abandon a
+// hung server when it passes, surfaced via the client's panic convention.
 func TestClientContextDeadline(t *testing.T) {
-	srv, _ := newTestServer(t)
-	c := NewClient(srv.URL, srv.Client())
-	c.Neighbors(3) // warm one row through the base client
-	n := c.RequestCount()
-
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 	}))
 	t.Cleanup(hung.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	hc := NewClient(hung.URL, hung.Client()).WithContext(ctx)
+	hc, _ := NewClient(ctx, hung.URL, hung.Client())
 
 	done := make(chan string, 1)
 	go func() {
@@ -195,14 +169,34 @@ func TestClientContextDeadline(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("deadline-scoped fetch still blocked after 10s")
 	}
+}
 
-	// Session sharing: the derivation reads the base client's cache without
-	// another round trip, and both count requests on the same counter.
-	scoped := c.WithContext(context.Background())
-	scoped.Neighbors(3)
-	if got := scoped.RequestCount(); got != n {
-		t.Errorf("derived client refetched a cached row: %d -> %d requests", n, got)
+// TestClientWireBoundary: what only the transport can get wrong. A server
+// that answers with an unsorted, duplicated row must still yield the strict
+// access.Client row (the memo's HasEdge binary-searches it), and a non-200
+// answer must panic instead of reading as a degree-0 node.
+func TestClientWireBoundary(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/nodes/7/neighbors" {
+			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown node"})
+			return
+		}
+		writeJSON(w, http.StatusOK, neighborsResponse{ID: 7, Degree: 5, Neighbors: []int32{9, 2, 5, 2, 9}})
+	}))
+	t.Cleanup(srv.Close)
+	c, _ := NewClient(context.Background(), srv.URL, srv.Client())
+	if got, want := c.Neighbors(7), []int32{2, 5, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("row from an unsorted server = %v, want %v", got, want)
 	}
+	if !c.HasEdge(7, 5) || c.HasEdge(7, 3) {
+		t.Error("HasEdge wrong on a row repaired at the wire boundary")
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "404") {
+			t.Errorf("fetch of an unknown node panicked with %q, want the 404 status", msg)
+		}
+	}()
+	c.Neighbors(8)
 }
 
 // TestEstimateOverHTTP runs the full framework over the HTTP boundary and
@@ -210,7 +204,7 @@ func TestClientContextDeadline(t *testing.T) {
 // proof of the restricted-access design.
 func TestEstimateOverHTTP(t *testing.T) {
 	srv, h := newTestServer(t)
-	c := NewClient(srv.URL, srv.Client())
+	c, api := NewClient(context.Background(), srv.URL, srv.Client())
 	est, err := core.NewEstimator(c, core.Config{K: 3, D: 1, CSS: true, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -224,54 +218,35 @@ func TestEstimateOverHTTP(t *testing.T) {
 	if math.Abs(got[1]-want[1]) > 0.2*want[1] {
 		t.Errorf("triangle concentration over HTTP: got %.4f, want %.4f", got[1], want[1])
 	}
-	if c.RequestCount() >= 30000 {
-		t.Errorf("caching ineffective: %d requests for 30000 steps on a 300-node graph", c.RequestCount())
-	}
-}
-
-// TestClientConcurrentSingleFlight hammers one node from many goroutines
-// (run with -race): the per-node single flight must collapse them into one
-// HTTP round trip.
-func TestClientConcurrentSingleFlight(t *testing.T) {
-	srv, h := newTestServer(t)
-	c := NewClient(srv.URL, srv.Client())
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				for v := int32(0); v < 10; v++ {
-					c.Neighbors(v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.RequestCount(); got != 10 {
-		t.Errorf("%d HTTP requests for 10 distinct nodes, want 10", got)
-	}
-	want := h.g.Neighbors(4)
-	got := c.Neighbors(4)
-	if len(got) != len(want) {
-		t.Fatalf("Neighbors(4) corrupted under concurrency: %v", got)
+	if api.RequestCount() >= 30000 {
+		t.Errorf("caching ineffective: %d requests for 30000 steps on a 300-node graph", api.RequestCount())
 	}
 }
 
 // TestParallelEstimateOverHTTP drives a 4-walker ensemble over the httptest
-// boundary through one shared client (run with -race): the merged result and
-// the request counter must be exact — identical across repeated runs against
-// identically-seeded servers — because walker starts draw the server-side
-// seeds in walker-index order and the shared cache deduplicates every
-// neighbor fetch. Each run gets a fresh server so /v1/nodes/random replays
-// the same stream.
+// boundary through one shared client (run with -race) on a graph with hubs.
+// The crawl must cost exactly one neighbors request per distinct node plus
+// the seed draws — the memo in front of the transport deduplicates every
+// fetch, whichever walker asks first — and crawled hubs must get bitset rows
+// over HTTP as they do in process. The merged result and the request counts
+// are identical across repeated runs against identically-seeded servers,
+// because walker starts draw the server-side seeds in walker-index order.
+// Each run gets a fresh server so /v1/nodes/random replays the same stream.
 func TestParallelEstimateOverHTTP(t *testing.T) {
-	var h *Handler
+	g := gen.HolmeKim(800, 6, 0.6, 7) // eleven nodes of degree >= 64
 	cfg := core.Config{K: 3, D: 1, CSS: true, Seed: 11, Walkers: 4}
-	run := func() (*core.Result, int64) {
-		var srv *httptest.Server
-		srv, h = newTestServer(t)
-		c := NewClient(srv.URL, srv.Client())
+	run := func() (*core.Result, access.MemoStats, map[string]int) {
+		var mu sync.Mutex
+		hits := make(map[string]int)
+		h := NewHandler(g, 1)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			hits[r.URL.Path]++
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
+		defer srv.Close()
+		c, api := NewClient(context.Background(), srv.URL, srv.Client())
 		est, err := core.NewEstimator(c, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -280,22 +255,41 @@ func TestParallelEstimateOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, c.RequestCount()
+		served := 0
+		for _, n := range hits {
+			served += n
+		}
+		if int64(served) != api.RequestCount() {
+			t.Errorf("client counted %d requests, server served %d", api.RequestCount(), served)
+		}
+		return res, c.Stats(), hits
 	}
-	res1, req1 := run()
-	res2, req2 := run()
+	res1, st, hits1 := run()
+	res2, _, hits2 := run()
 	if !reflect.DeepEqual(res1, res2) {
 		t.Error("merged results differ across identical runs over HTTP")
 	}
-	if req1 != req2 {
-		t.Errorf("request counts differ across identical runs: %d vs %d", req1, req2)
+	if !reflect.DeepEqual(hits1, hits2) {
+		t.Error("requests differ across identical runs over HTTP")
 	}
-	// The walkers never re-fetch: requests stay bounded by the node count
-	// plus the per-walker /nodes/random seeds.
-	if req1 >= int64(h.g.NumNodes())+int64(cfg.Walkers)+1 {
-		t.Errorf("caching ineffective: %d requests for a %d-node graph", req1, h.g.NumNodes())
+	seeds := hits1["/v1/nodes/random"]
+	delete(hits1, "/v1/nodes/random")
+	if seeds < cfg.Walkers {
+		t.Errorf("%d seed draws for %d walkers", seeds, cfg.Walkers)
 	}
-	want := exact.Concentrations(exact.ThreeNodeCounts(h.g))
+	for path, n := range hits1 {
+		if n != 1 {
+			t.Errorf("%s requested %d times, want once", path, n)
+		}
+	}
+	if int64(len(hits1)) != st.InnerFetches || len(hits1) > g.NumNodes() {
+		t.Errorf("%d distinct rows requested, memo reports %d fetches on a %d-node graph",
+			len(hits1), st.InnerFetches, g.NumNodes())
+	}
+	if st.HubRows == 0 {
+		t.Errorf("no hub rows built over HTTP: %+v", st)
+	}
+	want := exact.Concentrations(exact.ThreeNodeCounts(g))
 	got := res1.Concentration()
 	if math.Abs(got[1]-want[1]) > 0.2*want[1] {
 		t.Errorf("4-walker triangle concentration over HTTP: got %.4f, want %.4f", got[1], want[1])

@@ -7,54 +7,29 @@ import (
 	"math/rand"
 	"net/http"
 	"slices"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
 )
 
-// Client implements access.Client over the crawl API. Fetched neighborhoods
-// are cached, as a real crawler would do, so each node costs one request no
-// matter how many walk steps revisit it; edge probes are answered from the
-// cache when either endpoint was fetched.
+// Client is the HTTP transport of the crawl API: every call is one GET, and
+// nothing is remembered between calls. It offers exactly what an access.Memo
+// asks of its inner source — neighbor rows and walk seeds — and the Memo in
+// front of it (see NewClient) is what makes a crawl pay for each node once.
+// Transport failures, non-200 answers and undecodable bodies panic; the
+// estimation engine converts walker panics into errors.
 //
-// Client is safe for concurrent use: a parallel walker ensemble
-// (core.Config.Walkers > 1) can share one Client, and concurrent fetches of
-// the same node are coalesced into a single HTTP round trip (per-node single
-// flight), so Requests counts exactly one request per distinct node fetched
-// plus the /nodes/random seeds. Read Requests only after the crawl
-// quiesces, or via RequestCount.
+// Client is safe for concurrent use.
 type Client struct {
+	ctx  context.Context // every request runs under it
 	base string
 	http *http.Client
-	ctx  context.Context // applied to every request; nil means Background
 
-	s *crawlState
-}
-
-// crawlState is the crawl session shared by a Client and every WithContext
-// derivation of it: one cache, one single-flight table, one request counter.
-type crawlState struct {
-	mu       sync.RWMutex
-	cache    map[int32][]int32
-	inflight map[int32]*fetchCall
-
-	// requests counts HTTP round trips actually issued.
 	requests atomic.Int64
 }
 
-// fetchCall is an in-flight neighbor fetch other goroutines can wait on.
-// ok records whether the fetch succeeded; waiters must not mistake a failed
-// fetch's nil slice for a degree-0 node.
-type fetchCall struct {
-	wg sync.WaitGroup
-	ns []int32
-	ok bool
-}
-
-var _ access.Client = (*Client)(nil)
+var _ access.RowSource = (*Client)(nil)
 
 // DefaultTimeout bounds each HTTP round trip when NewClient is handed no
 // http.Client of its own. A remote graph API that stops answering must
@@ -63,92 +38,49 @@ var _ access.Client = (*Client)(nil)
 // partition watchdog gives up on the whole node).
 const DefaultTimeout = 30 * time.Second
 
-// NewClient crawls the API at base (e.g. "http://127.0.0.1:8080"). If hc is
-// nil, a client with DefaultTimeout per request is used — never
-// http.DefaultClient, which waits forever.
-func NewClient(base string, hc *http.Client) *Client {
+// NewClient crawls the API at base (e.g. "http://127.0.0.1:8080"): it
+// returns the access.Client the walkers share — an access.Memo, so each
+// neighborhood costs one request however many walkers and steps revisit it,
+// concurrent fetches of one node coalesce, and crawled hubs answer HasEdge
+// from a bitset row — and the transport underneath it, whose RequestCount is
+// the crawl's HTTP cost. Every request runs under ctx: once it is canceled
+// or past its deadline, in-flight and later calls abort with the panic
+// convention instead of waiting out the transport. If hc is nil, a client
+// with DefaultTimeout per request is used — never http.DefaultClient, which
+// waits forever.
+func NewClient(ctx context.Context, base string, hc *http.Client) (*access.Memo, *Client) {
 	if hc == nil {
 		hc = &http.Client{Timeout: DefaultTimeout}
 	}
-	return &Client{
-		base: base,
-		http: hc,
-		s: &crawlState{
-			cache:    make(map[int32][]int32),
-			inflight: make(map[int32]*fetchCall),
-		},
-	}
-}
-
-// WithContext returns a client that issues every request under ctx: when
-// ctx is canceled or its deadline passes, in-flight and future calls abort
-// with the client's panic convention instead of waiting out the transport.
-// The derived client shares the crawl session — cache, single-flight table
-// and request counter — with the original, so scoping a walk to a deadline
-// costs no refetches.
-func (c *Client) WithContext(ctx context.Context) *Client {
-	return &Client{base: c.base, http: c.http, ctx: ctx, s: c.s}
+	c := &Client{ctx: ctx, base: base, http: hc}
+	return access.NewMemo(c), c
 }
 
 // RequestCount returns the number of HTTP round trips issued so far.
-func (c *Client) RequestCount() int64 { return c.s.requests.Load() }
+func (c *Client) RequestCount() int64 { return c.requests.Load() }
 
-func (c *Client) fetch(v int32) []int32 {
-	s := c.s
-	s.mu.RLock()
-	ns, ok := s.cache[v]
-	s.mu.RUnlock()
-	if ok {
-		return ns
-	}
-	s.mu.Lock()
-	if ns, ok := s.cache[v]; ok {
-		s.mu.Unlock()
-		return ns
-	}
-	if call, ok := s.inflight[v]; ok {
-		s.mu.Unlock()
-		call.wg.Wait()
-		if !call.ok {
-			// Propagate the failure with this client's panic convention; the
-			// inflight entry is already cleared, so a retry starts fresh.
-			panic(fmt.Sprintf("apiserver client: fetch of node %d failed in another goroutine", v))
-		}
-		return call.ns
-	}
-	call := &fetchCall{}
-	call.wg.Add(1)
-	s.inflight[v] = call
-	s.mu.Unlock()
-
-	// c.get panics on transport errors; release waiters and clear the
-	// inflight entry even then, or a recovered panic higher up (runStage
-	// converts walker panics to errors) would leave them blocked forever.
-	ok = false
-	defer func() {
-		s.mu.Lock()
-		if ok {
-			s.cache[v] = call.ns
-		}
-		call.ok = ok
-		delete(s.inflight, v)
-		s.mu.Unlock()
-		call.wg.Done()
-	}()
-
+// Neighbors fetches v's neighbor row.
+func (c *Client) Neighbors(v int32) []int32 {
 	var resp neighborsResponse
 	c.get(fmt.Sprintf("%s/v1/nodes/%d/neighbors", c.base, v), &resp)
-	call.ns = canonicalRow(resp.Neighbors)
-	ok = true
-	return call.ns
+	return canonicalRow(resp.Neighbors)
+}
+
+// RandomNode draws a walk seed from the server's seed endpoint. The local
+// rng is unused: seed selection happens server-side, as with real crawl
+// seeds obtained out of band.
+func (c *Client) RandomNode(_ *rand.Rand) int32 {
+	var resp randomNodeResponse
+	c.get(c.base+"/v1/nodes/random", &resp)
+	return resp.ID
 }
 
 // canonicalRow re-establishes the access.Client row contract — strictly
 // ascending, no duplicates — at the wire boundary. The walk kernel's merge
-// iteration and this client's own binary-search HasEdge both depend on it.
-// Rows from this package's server are already canonical, so the common case
-// is one verification scan; a nonconforming third-party server costs a
-// sort+compact once per node (rows are cached).
+// iteration and the memo's binary-search and bitset HasEdge all depend on
+// it. Rows from this package's server are already canonical, so the common
+// case is one verification scan; a nonconforming third-party server costs a
+// sort+compact once per node (the memo keeps the repaired row).
 func canonicalRow(ns []int32) []int32 {
 	strict := true
 	for i := 1; i < len(ns); i++ {
@@ -165,12 +97,8 @@ func canonicalRow(ns []int32) []int32 {
 }
 
 func (c *Client) get(url string, out any) {
-	c.s.requests.Add(1)
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	c.requests.Add(1)
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, url, nil)
 	if err != nil {
 		panic(fmt.Sprintf("apiserver client: %v", err))
 	}
@@ -185,49 +113,4 @@ func (c *Client) get(url string, out any) {
 	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
 		panic(fmt.Sprintf("apiserver client: decode %s: %v", url, err))
 	}
-}
-
-// Degree implements access.Client.
-func (c *Client) Degree(v int32) int { return len(c.fetch(v)) }
-
-// Neighbors implements access.Client.
-func (c *Client) Neighbors(v int32) []int32 { return c.fetch(v) }
-
-// Neighbor implements access.Client.
-func (c *Client) Neighbor(v int32, i int) int32 { return c.fetch(v)[i] }
-
-// HasEdge implements access.Client, answering from cached neighbor lists
-// when possible and otherwise fetching the smaller-unknown endpoint — the
-// strategy a polite crawler uses instead of a dedicated edge endpoint.
-func (c *Client) HasEdge(u, v int32) bool {
-	s := c.s
-	s.mu.RLock()
-	nsU, okU := s.cache[u]
-	var nsV []int32
-	var okV bool
-	if !okU {
-		nsV, okV = s.cache[v]
-	}
-	s.mu.RUnlock()
-	if okU {
-		return containsSorted(nsU, v)
-	}
-	if okV {
-		return containsSorted(nsV, u)
-	}
-	return containsSorted(c.fetch(u), v)
-}
-
-// RandomNode implements access.Client via the server's seed endpoint. The
-// local rng parameter is unused: seed selection happens server-side, as with
-// real crawl seeds obtained out of band.
-func (c *Client) RandomNode(_ *rand.Rand) int32 {
-	var resp randomNodeResponse
-	c.get(c.base+"/v1/nodes/random", &resp)
-	return resp.ID
-}
-
-func containsSorted(ns []int32, v int32) bool {
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
 }

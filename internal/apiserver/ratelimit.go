@@ -93,15 +93,10 @@ func (tb *TokenBucket) reserve() time.Duration {
 // for a token before being served, capping sustained throughput at qps with
 // the given burst allowance. qps <= 0 disables limiting and returns next
 // unchanged. The bucket is shared across all clients, modeling a per-API
-// (not per-client) politeness limit.
-func RateLimit(next http.Handler, qps float64, burst int) http.Handler {
-	return RateLimitObserved(next, qps, burst, nil)
-}
-
-// RateLimitObserved is RateLimit with a rejection hook: rejected is invoked
-// (when non-nil) each time a throttled client gives up before obtaining a
-// token — graphletd counts these into its metrics registry.
-func RateLimitObserved(next http.Handler, qps float64, burst int, rejected func()) http.Handler {
+// (not per-client) politeness limit. rejected is invoked (when non-nil) each
+// time a throttled client gives up before obtaining a token — graphletd
+// counts these into its metrics registry.
+func RateLimit(next http.Handler, qps float64, burst int, rejected func()) http.Handler {
 	if qps <= 0 {
 		return next
 	}

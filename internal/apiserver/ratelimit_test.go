@@ -54,7 +54,7 @@ func TestTokenBucketConcurrent(t *testing.T) {
 // The middleware throttles a burst of HTTP requests without rejecting any.
 func TestRateLimitMiddleware(t *testing.T) {
 	g := gen.Complete(5)
-	h := RateLimit(NewHandler(g, 1), 400, 1)
+	h := RateLimit(NewHandler(g, 1), 400, 1, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -80,7 +80,7 @@ func TestRateLimitMiddleware(t *testing.T) {
 // qps <= 0 must be a passthrough (no bucket allocated, no delay).
 func TestRateLimitDisabled(t *testing.T) {
 	base := NewHandler(gen.Complete(3), 1)
-	if h := RateLimit(base, 0, 1); h != http.Handler(base) {
+	if h := RateLimit(base, 0, 1, nil); h != http.Handler(base) {
 		t.Error("RateLimit(h, 0, _) should return h unchanged")
 	}
 }

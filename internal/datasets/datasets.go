@@ -114,24 +114,7 @@ var (
 	mu     sync.Mutex
 	graphs = map[string]*graph.Graph{}
 	truths = map[string][]int64{}
-
-	// graphCache gates the on-disk .gcsr cache of dataset LCCs. Disabled by
-	// the REPRO_NO_GRAPH_CACHE environment variable or SetGraphCaching.
-	graphCache = os.Getenv("REPRO_NO_GRAPH_CACHE") == ""
 )
-
-// SetGraphCaching toggles the on-disk .gcsr cache of dataset graphs.
-func SetGraphCaching(enabled bool) {
-	mu.Lock()
-	graphCache = enabled
-	mu.Unlock()
-}
-
-func graphCachingEnabled() bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return graphCache
-}
 
 // graphCacheGen versions the on-disk dataset graph cache. Like the
 // ground-truth JSON cache, entries are keyed by dataset name and assume the
@@ -141,14 +124,12 @@ func graphCachingEnabled() bool {
 const graphCacheGen = 1
 
 // Graph returns the dataset's largest connected component, memoized in
-// process and cached on disk in the .gcsr binary format: after the first
-// build, a process opens the graph via the zero-copy mmap path in
-// milliseconds instead of re-running the generator. The cache is
+// process and cached on disk as a version-1 .gcsr file, the encoding
+// OpenMapped aliases zero-copy: after the first build, a process opens the
+// graph in milliseconds instead of re-running the generator. The cache is
 // best-effort, and a hit is byte-identical to a fresh build
 // (Save/OpenMapped round trips preserve the graph exactly) as long as the
 // generator definitions match the cache generation (graphCacheGen).
-// REPRO_CACHE_FORMAT=v2 writes cache entries block-compressed; reads
-// auto-detect either version.
 func (d Dataset) Graph() *graph.Graph {
 	mu.Lock()
 	g, ok := graphs[d.Name]
@@ -156,27 +137,18 @@ func (d Dataset) Graph() *graph.Graph {
 	if ok {
 		return g
 	}
-	caching := graphCachingEnabled()
 	cachePath := filepath.Join(cacheDir(), fmt.Sprintf("%s-lcc.g%d.gcsr", d.Name, graphCacheGen))
-	if caching {
-		if cached, err := graph.OpenMapped(cachePath); err == nil {
-			mu.Lock()
-			graphs[d.Name] = cached
-			mu.Unlock()
-			return cached
-		}
-	}
-	raw := d.Build()
-	lcc, _ := graph.LargestComponent(raw)
-	if caching {
+	g, err := graph.OpenMapped(cachePath)
+	if err != nil {
+		g, _ = graph.LargestComponent(d.Build())
 		if err := os.MkdirAll(cacheDir(), 0o755); err == nil {
-			_ = graph.SaveOpts(cachePath, lcc, graph.SaveOptions{Version: cacheFormatVersion()}) // best-effort, atomic
+			_ = graph.Save(cachePath, g) // best-effort, atomic
 		}
 	}
 	mu.Lock()
-	graphs[d.Name] = lcc
+	graphs[d.Name] = g
 	mu.Unlock()
-	return lcc
+	return g
 }
 
 // GroundTruth returns exact k-node graphlet counts, memoized in process and
@@ -226,18 +198,6 @@ func (d Dataset) Concentration(k int) ([]float64, error) {
 		return nil, err
 	}
 	return exact.Concentrations(c), nil
-}
-
-// cacheFormatVersion picks the .gcsr version for cache writes:
-// REPRO_CACHE_FORMAT=v2 selects the block-compressed encoding (about half
-// the bytes, served through the decode cache), anything else the raw v1
-// arrays. Reads auto-detect, so flipping the variable never invalidates
-// existing entries.
-func cacheFormatVersion() int {
-	if f := os.Getenv("REPRO_CACHE_FORMAT"); f == "v2" || f == "2" {
-		return 2
-	}
-	return 1
 }
 
 // cacheDir resolves the on-disk cache location: $REPRO_CACHE_DIR or a

@@ -192,10 +192,3 @@ func fig6Block(w io.Writer, p Params, name string, methods []core.Config, k, idx
 		fmt.Fprintln(w)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -37,10 +37,6 @@ func (b *Builder) AddEdge(u, v int32) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return int(b.n) }
 
-// NumEdgesAdded returns the number of AddEdge calls retained so far (before
-// deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Build produces the immutable Graph, deduplicating parallel edges.
 func (b *Builder) Build() *Graph {
 	sort.Slice(b.edges, func(i, j int) bool {

@@ -40,7 +40,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 const (
@@ -335,95 +334,4 @@ func Load(path string) (*Graph, error) {
 // the precondition for the zero-copy mmap path.
 func hostLittleEndian() bool {
 	return binary.NativeEndian.Uint16([]byte{0x01, 0x00}) == 1
-}
-
-// Format identifies an on-disk graph encoding.
-type Format int
-
-const (
-	// FormatAuto selects the format by file extension, falling back to
-	// sniffing the magic bytes.
-	FormatAuto Format = iota
-	// FormatEdgeList is the whitespace-separated "u v" text format.
-	FormatEdgeList
-	// FormatGCSR is the binary CSR format of this file.
-	FormatGCSR
-)
-
-// String returns the flag-style name of the format.
-func (f Format) String() string {
-	switch f {
-	case FormatAuto:
-		return "auto"
-	case FormatEdgeList:
-		return "edgelist"
-	case FormatGCSR:
-		return "gcsr"
-	}
-	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat parses a -format flag value ("auto", "edgelist", "gcsr").
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return FormatAuto, nil
-	case "edgelist", "txt", "text":
-		return FormatEdgeList, nil
-	case "gcsr", "binary":
-		return FormatGCSR, nil
-	}
-	return FormatAuto, fmt.Errorf("graph: unknown format %q (want auto, edgelist or gcsr)", s)
-}
-
-// DetectFormat resolves FormatAuto for path: the .gcsr extension wins, then
-// the magic bytes are sniffed, and anything else is treated as an edge list.
-func DetectFormat(path string) Format {
-	if strings.HasSuffix(strings.ToLower(path), GCSRExt) {
-		return FormatGCSR
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return FormatEdgeList
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err == nil && string(magic[:]) == gcsrMagic {
-		return FormatGCSR
-	}
-	return FormatEdgeList
-}
-
-// OpenFile opens a graph file in the given format (FormatAuto detects it).
-// .gcsr files are opened with the mmap path where available (zero-copy for
-// v1, block-cached for v2); call Close on the returned graph when done with
-// a mapped graph.
-func OpenFile(path string, format Format) (*Graph, error) {
-	return OpenFileOpts(path, format, OpenOptions{})
-}
-
-// OpenFileOpts is OpenFile with read-path tuning. For .gcsr graphs without
-// an embedded original-IDs section it also attaches the .gids sidecar when
-// one sits next to the file.
-func OpenFileOpts(path string, format Format, o OpenOptions) (*Graph, error) {
-	if format == FormatAuto {
-		format = DetectFormat(path)
-	}
-	switch format {
-	case FormatGCSR:
-		g, err := OpenMappedOpts(path, o)
-		if err != nil {
-			return nil, err
-		}
-		if !g.HasOriginalIDs() {
-			if err := attachSidecarIDs(g, path); err != nil {
-				g.Close()
-				return nil, err
-			}
-		}
-		return g, nil
-	case FormatEdgeList:
-		return LoadEdgeList(path)
-	}
-	return nil, fmt.Errorf("graph: cannot open %s with format %v", path, format)
 }

@@ -3,7 +3,7 @@ package graph_test
 // Load-path and probe benchmarks on a >=1M-edge synthetic graph, the numbers
 // behind PR 3 (CHANGES.md): text parse (LoadEdgeList) vs portable binary decode
 // (Load) vs zero-copy mmap (OpenMapped), plus HasEdge against hub and
-// non-hub endpoints and the cached-arc RandomEdge draw. The fixture graph is
+// non-hub endpoints. The fixture graph is
 // deterministic (Barabási–Albert, fixed seed) and cached as files under the
 // OS temp dir so repeated bench runs skip regeneration.
 
@@ -290,19 +290,6 @@ func BenchmarkNeighborsV2Miss(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(misses), "us/miss")
 		b.ReportMetric(float64(fileSize(b, path))/float64(after.Blocks), "enc-B/miss")
 	}
-}
-
-func BenchmarkRandomEdge(b *testing.B) {
-	_, _, g := fixture(b)
-	rng := rand.New(rand.NewSource(3))
-	g.RandomEdge(rng) // build the arc index outside the timed region
-	b.ResetTimer()
-	var s int32
-	for i := 0; i < b.N; i++ {
-		u, v := g.RandomEdge(rng)
-		s += u + v
-	}
-	sinkInt = int(s)
 }
 
 var sinkInt int

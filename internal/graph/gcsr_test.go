@@ -320,48 +320,55 @@ func TestGCSRLyingHeader(t *testing.T) {
 	}
 }
 
-func TestDetectAndParseFormat(t *testing.T) {
+// Open detects the encoding — the .gcsr extension wins, then the magic
+// bytes — and parses the file in it; there is no way to force a format.
+func TestOpenDetectsFormat(t *testing.T) {
 	dir := t.TempDir()
-	g := starGraph(10)
+	g := starGraph(30) // its edge list outgrows a .gcsr header
 	gcsrPath := filepath.Join(dir, "g.gcsr")
 	if err := Save(gcsrPath, g); err != nil {
 		t.Fatal(err)
 	}
-	// A .gcsr payload under a neutral extension is still sniffed by magic.
-	sniffPath := filepath.Join(dir, "g.bin")
-	b, _ := os.ReadFile(gcsrPath)
-	if err := os.WriteFile(sniffPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	image, _ := os.ReadFile(gcsrPath)
 	txtPath := filepath.Join(dir, "g.txt")
 	if err := SaveEdgeList(txtPath, g); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]Format{
-		gcsrPath:  FormatGCSR,
-		sniffPath: FormatGCSR,
-		txtPath:   FormatEdgeList,
-	} {
-		if got := DetectFormat(path); got != want {
-			t.Errorf("DetectFormat(%s) = %v, want %v", path, got, want)
+	edges, _ := os.ReadFile(txtPath)
+	// A .gcsr image under a neutral or even a text extension is still
+	// sniffed by magic.
+	sniffPath := filepath.Join(dir, "g.bin")
+	disguisedPath := filepath.Join(dir, "packed.txt")
+	// An edge list under the .gcsr extension is not re-guessed: the
+	// extension wins and the open fails on the magic.
+	mislabeledPath := filepath.Join(dir, "edges.gcsr")
+	for path, data := range map[string][]byte{sniffPath: image, disguisedPath: image, mislabeledPath: edges} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		opened, err := OpenFile(path, FormatAuto)
+	}
+	for path, want := range map[string]bool{
+		gcsrPath:                          true,
+		sniffPath:                         true,
+		disguisedPath:                     true,
+		txtPath:                           false,
+		mislabeledPath:                    true,
+		filepath.Join(dir, "missing.txt"): false,
+	} {
+		if got := IsGCSR(path); got != want {
+			t.Errorf("IsGCSR(%s) = %v, want %v", path, got, want)
+		}
+	}
+	for _, path := range []string{gcsrPath, sniffPath, disguisedPath, txtPath} {
+		opened, err := Open(path, OpenOptions{})
 		if err != nil {
-			t.Fatalf("OpenFile(%s): %v", path, err)
+			t.Fatalf("Open(%s): %v", path, err)
 		}
 		graphsEqual(t, g, opened)
 		opened.Close()
 	}
-	for s, want := range map[string]Format{
-		"auto": FormatAuto, "edgelist": FormatEdgeList, "gcsr": FormatGCSR, "GCSR": FormatGCSR,
-	} {
-		got, err := ParseFormat(s)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseFormat("protobuf"); err == nil {
-		t.Error("ParseFormat accepted an unknown format")
+	if _, err := Open(mislabeledPath, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("Open of an edge list named .gcsr: %v, want the magic error", err)
 	}
 }
 
@@ -506,21 +513,6 @@ func TestGallopIntersectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The arc→source cache must reproduce the binary-search answer for every arc.
-func TestArcIndexMatchesSearch(t *testing.T) {
-	g := randomTestGraph(rand.New(rand.NewSource(8)), 120, 700)
-	for a := int64(0); a < 2*g.NumEdges(); a++ {
-		// Reference: the search the lookup table replaced.
-		want := int32(0)
-		for int64(g.off[want+1]) <= a {
-			want++
-		}
-		if got := g.arcSource(a); got != want {
-			t.Fatalf("arcSource(%d) = %d, want %d", a, got, want)
-		}
 	}
 }
 

@@ -95,14 +95,6 @@ type SaveOptions struct {
 	IDs []int64
 }
 
-// OpenOptions tunes OpenMappedOpts.
-type OpenOptions struct {
-	// BlockCacheBytes bounds the decoded-page cache of a version-2 graph
-	// (0 means DefaultBlockCacheBytes). Ignored for version-1 files, whose
-	// mmap path needs no decode cache.
-	BlockCacheBytes int64
-}
-
 // gcsrV2Header is the decoded fixed-size version-2 header.
 type gcsrV2Header struct {
 	n         int64

@@ -98,8 +98,8 @@ func TestGCSRV2SmallBlocks(t *testing.T) {
 }
 
 // TestGCSRV2StatsAndProbes exercises the probe family (HasEdge hubs and
-// binary search, CommonNeighbors galloping, RandomEdge arc sampling) over
-// the block-compressed backing against a star graph, which concentrates a
+// binary search, CommonNeighbors galloping) over the block-compressed
+// backing against a star graph, which concentrates a
 // hub row and skewed intersections.
 func TestGCSRV2StatsAndProbes(t *testing.T) {
 	g := starGraph(300)
@@ -126,13 +126,6 @@ func TestGCSRV2StatsAndProbes(t *testing.T) {
 	}
 	if c := got.CommonNeighbors(1, 2); c != 1 {
 		t.Fatalf("CommonNeighbors(1,2) = %d, want 1 (the center)", c)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		u, v := got.RandomEdge(rng)
-		if u != 0 || v <= 0 || v >= 300 {
-			t.Fatalf("RandomEdge returned non-star edge (%d,%d)", u, v)
-		}
 	}
 }
 
@@ -555,13 +548,13 @@ func TestGIDSSidecar(t *testing.T) {
 			t.Fatalf("LoadIDs[%d] = %d, want %d", i, got[i], ids[i])
 		}
 	}
-	// OpenFile attaches the sidecar automatically.
-	og, err := OpenFile(path, FormatAuto)
+	// Open attaches the sidecar automatically.
+	og, err := Open(path, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !og.HasOriginalIDs() || og.OriginalID(5) != ids[5] {
-		t.Fatalf("OpenFile did not attach the sidecar (has=%v)", og.HasOriginalIDs())
+		t.Fatalf("Open did not attach the sidecar (has=%v)", og.HasOriginalIDs())
 	}
 	og.Close()
 	// A corrupt sidecar fails the open rather than serving wrong IDs.
@@ -573,9 +566,9 @@ func TestGIDSSidecar(t *testing.T) {
 	if err := os.WriteFile(side, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if og, err := OpenFile(path, FormatAuto); err == nil {
+	if og, err := Open(path, OpenOptions{}); err == nil {
 		og.Close()
-		t.Fatal("OpenFile accepted a corrupt sidecar")
+		t.Fatal("Open accepted a corrupt sidecar")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("sidecar error %q does not mention checksum", err)
 	}
@@ -583,15 +576,19 @@ func TestGIDSSidecar(t *testing.T) {
 	if err := SaveIDs(side, ids[:10]); err != nil {
 		t.Fatal(err)
 	}
-	if og, err := OpenFile(path, FormatAuto); err == nil {
+	if og, err := Open(path, OpenOptions{}); err == nil {
 		og.Close()
-		t.Fatal("OpenFile accepted a mismatched sidecar")
+		t.Fatal("Open accepted a mismatched sidecar")
 	}
 }
 
 func TestReadEdgeListKeepIDs(t *testing.T) {
 	in := "1000 2000\n2000 3000\n1000 3000\n# comment\n3000 4000\n"
-	g, ids, err := ReadEdgeListKeepIDs(strings.NewReader(in))
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Open(path, OpenOptions{KeepIDs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,13 +597,13 @@ func TestReadEdgeListKeepIDs(t *testing.T) {
 	}
 	want := []int64{1000, 2000, 3000, 4000}
 	for i, w := range want {
-		if ids[i] != w {
-			t.Fatalf("ids[%d] = %d, want %d", i, ids[i], w)
+		if got := g.OriginalID(int32(i)); got != w {
+			t.Fatalf("OriginalID(%d) = %d, want %d", i, got, w)
 		}
 	}
-	// The plain reader still returns no mapping.
-	if _, err := ReadEdgeList(strings.NewReader(in)); err != nil {
-		t.Fatal(err)
+	// The plain reader still keeps no mapping.
+	if g, err := ReadEdgeList(strings.NewReader(in)); err != nil || g.HasOriginalIDs() {
+		t.Fatalf("ReadEdgeList: err %v, HasOriginalIDs %v", err, g.HasOriginalIDs())
 	}
 }
 
@@ -622,10 +619,7 @@ func TestGCSRV2VersionDispatch(t *testing.T) {
 	}
 	v2 := saveV2(t, dir, "g2", g, SaveOptions{})
 	for _, path := range []string{v1, v2} {
-		if f := DetectFormat(path); f != FormatGCSR {
-			t.Fatalf("DetectFormat(%s) = %v", path, f)
-		}
-		got, err := OpenFile(path, FormatAuto)
+		got, err := Open(path, OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

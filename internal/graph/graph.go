@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Graph is an immutable undirected simple graph. Neighbor lists are sorted
@@ -36,12 +35,6 @@ type Graph struct {
 	hubIdx    []int32
 	hubRows   []uint64
 	hubStride int
-
-	// arcSrc caches the arc→source-node lookup behind RandomEdge; it is
-	// built lazily on first use (pay-for-use: only edge-sampling workloads
-	// need the extra 4 bytes/arc).
-	arcOnce sync.Once
-	arcSrc  []int32
 
 	// blocks serves neighbor rows of a block-compressed (.gcsr v2) graph
 	// through the bounded decoded-page cache; nil for raw-CSR graphs, whose
@@ -216,43 +209,6 @@ func (g *Graph) RandomNeighbor(v int32, rng *rand.Rand) (int32, bool) {
 	return g.Neighbor(v, rng.Intn(d)), true
 }
 
-// RandomEdge returns a uniformly random undirected edge (u < v). It uses the
-// flattened directed-arc array, so each undirected edge is equally likely.
-// The arc→source lookup table is built on first call, making every
-// subsequent draw O(1) instead of an O(log n) binary search over off.
-func (g *Graph) RandomEdge(rng *rand.Rand) (int32, int32) {
-	if g.m == 0 {
-		panic("graph: RandomEdge on edgeless graph")
-	}
-	// Pick a random directed arc; its (source, target) is a uniform edge
-	// because each undirected edge contributes exactly two arcs.
-	a := rng.Int63n(2 * g.m)
-	u := g.arcSource(a)
-	v := g.Neighbor(u, int(a-g.off[u]))
-	if u > v {
-		u, v = v, u
-	}
-	return u, v
-}
-
-// arcSource returns the source node of directed arc index a.
-func (g *Graph) arcSource(a int64) int32 {
-	g.arcOnce.Do(g.buildArcIndex)
-	return g.arcSrc[a]
-}
-
-// buildArcIndex materializes the arc→source table (4 bytes per arc).
-func (g *Graph) buildArcIndex() {
-	src := make([]int32, 2*g.m)
-	for v := 0; v < g.NumNodes(); v++ {
-		lo, hi := g.off[v], g.off[v+1]
-		for a := lo; a < hi; a++ {
-			src[a] = int32(v)
-		}
-	}
-	g.arcSrc = src
-}
-
 // Edges calls fn for every undirected edge (u < v). Iteration stops early if
 // fn returns false.
 func (g *Graph) Edges(fn func(u, v int32) bool) {
@@ -303,7 +259,7 @@ func (g *Graph) OriginalID(v int32) int64 {
 func (g *Graph) OriginalIDs() []int64 { return g.origIDs }
 
 // SetOriginalIDs attaches a dense→source ID mapping (len must equal
-// NumNodes). Used by packers and by sidecar loading; pass nil to detach.
+// NumNodes). Used by sidecar loading; pass nil to detach.
 func (g *Graph) SetOriginalIDs(ids []int64) error {
 	if ids != nil && len(ids) != g.NumNodes() {
 		return fmt.Errorf("graph: %d original IDs for %d nodes", len(ids), g.NumNodes())
@@ -437,14 +393,4 @@ func GallopSearch(b []int32, x int32) int {
 		}
 	}
 	return lo
-}
-
-// DegreeHistogram returns a map from degree to the number of nodes with that
-// degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.NumNodes(); v++ {
-		h[g.Degree(int32(v))]++
-	}
-	return h
 }

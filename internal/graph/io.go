@@ -20,21 +20,13 @@ const maxLineBytes = 1 << 20
 // The per-line scanning is allocation-free (manual field splitting and
 // integer parsing on the scanner's byte buffer), which is what keeps parsing
 // multi-million-edge lists I/O-bound.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	g, _, err := readEdgeList(r, false)
-	return g, err
-}
+func ReadEdgeList(r io.Reader) (*Graph, error) { return readEdgeList(r, false) }
 
-// ReadEdgeListKeepIDs is ReadEdgeList, additionally returning the
-// dense→source ID mapping the compaction built (ids[v] is the input ID that
-// became dense node v). The mapping is not attached to the graph — callers
-// compose it through whatever reindexing follows (LargestComponent) and
-// attach the result with SetOriginalIDs.
-func ReadEdgeListKeepIDs(r io.Reader) (*Graph, []int64, error) {
-	return readEdgeList(r, true)
-}
-
-func readEdgeList(r io.Reader, keepIDs bool) (*Graph, []int64, error) {
+// readEdgeList is ReadEdgeList, with keepIDs attaching the dense→source ID
+// mapping the compaction built to the graph: OriginalID(v) is the input ID
+// that became dense node v, and LargestComponent carries it through its
+// renumbering (OpenOptions.KeepIDs).
+func readEdgeList(r io.Reader, keepIDs bool) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	remap := make(map[int64]int32)
@@ -61,25 +53,27 @@ func readEdgeList(r io.Reader, keepIDs bool) (*Graph, []int64, error) {
 		}
 		u, i, err := scanInt(line, i, lineNo)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		i = skipSpace(line, i)
 		if i == len(line) {
-			return nil, nil, fmt.Errorf("graph: line %d: expected two fields, got %q", lineNo, line)
+			return nil, fmt.Errorf("graph: line %d: expected two fields, got %q", lineNo, line)
 		}
 		v, _, err := scanInt(line, i, lineNo)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b.AddEdge(id(u), id(v))
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, nil, fmt.Errorf("graph: line %d: line exceeds the %d-byte limit (%v); input is not a plain edge list — binary graphs use the .gcsr format (see graph.Load)", lineNo+1, maxLineBytes, err)
+			return nil, fmt.Errorf("graph: line %d: line exceeds the %d-byte limit (%v); input is not a plain edge list — binary graphs use the .gcsr format (see graph.Load)", lineNo+1, maxLineBytes, err)
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	return b.Build(), ids, nil
+	g := b.Build()
+	g.origIDs = ids
+	return g, nil
 }
 
 // skipSpace returns the index of the first non-whitespace byte at or after i.
@@ -135,24 +129,15 @@ func scanInt(b []byte, i, lineNo int) (int64, int, error) {
 }
 
 // LoadEdgeList reads an edge-list file from disk.
-func LoadEdgeList(path string) (*Graph, error) {
+func LoadEdgeList(path string) (*Graph, error) { return loadEdgeList(path, false) }
+
+func loadEdgeList(path string, keepIDs bool) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadEdgeList(f)
-}
-
-// LoadEdgeListKeepIDs reads an edge-list file from disk, keeping the
-// dense→source ID mapping (see ReadEdgeListKeepIDs).
-func LoadEdgeListKeepIDs(path string) (*Graph, []int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadEdgeListKeepIDs(f)
+	return readEdgeList(f, keepIDs)
 }
 
 // WriteEdgeList writes the graph as "u v" lines (u < v).

@@ -3,7 +3,8 @@ package graph
 // LargestComponent extracts the largest connected component of g as a new
 // graph with densely renumbered nodes, mirroring the paper's preprocessing
 // ("we only retain the largest connected component"). It returns the new
-// graph and the mapping from new node IDs to original node IDs.
+// graph and the mapping from new node IDs to g's node IDs; original IDs g
+// carries (OriginalID) are composed through that mapping onto the new graph.
 //
 // A connected graph is returned as-is with the identity mapping: rebuilding
 // it through Builder would produce a byte-identical copy (renumbering
@@ -73,7 +74,14 @@ func LargestComponent(g *Graph) (*Graph, []int32) {
 		}
 		return true
 	})
-	return b.Build(), toOld
+	lcc := b.Build()
+	if g.origIDs != nil {
+		lcc.origIDs = make([]int64, len(toOld))
+		for v, old := range toOld {
+			lcc.origIDs[v] = g.origIDs[old]
+		}
+	}
+	return lcc, toOld
 }
 
 // IsConnected reports whether g is connected (an empty graph counts as

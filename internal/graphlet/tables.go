@@ -8,17 +8,11 @@ import (
 // Paper tables of α/2 values, used both to order the catalog by paper ID and
 // as the ground truth for the reproduction tests of Tables 2 and 3.
 
-// PaperTable2Three holds α^3_i/2 for the 3-node graphlets (wedge, triangle)
-// under SRW(1), SRW(2), SRW(3); indexed [d][i], d = 1..3, i = paper ID - 1.
-var PaperTable2Three = map[int][]int64{
-	1: {1, 3},
-	2: {1, 3},
-	// For d = k = 3 the walk is on G(3) and l = 1: each graphlet is its own
-	// single state, so α = 1 (the paper prints α/2 = 1/2).
-}
-
-// PaperTable2ThreeAlpha holds the full α (not halved), covering the d = 3
-// fractional row of Table 2.
+// PaperTable2ThreeAlpha holds the full α (not halved) for the 3-node
+// graphlets (wedge, triangle) under SRW(1), SRW(2), SRW(3); indexed [d][i],
+// d = 1..3, i = paper ID - 1. For d = k = 3 the walk is on G(3) and l = 1:
+// each graphlet is its own single state, so α = 1 (the paper prints α/2 =
+// 1/2, the fractional row of Table 2).
 var PaperTable2ThreeAlpha = map[int][]int64{
 	1: {2, 6},
 	2: {2, 6},

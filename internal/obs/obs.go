@@ -259,24 +259,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.fam.get(values).g
 }
 
-// Zero resets every existing child to 0 (collect-time refreshers call it
-// before re-setting current values, so label sets that vanished read 0
-// instead of their stale last value).
-func (v *GaugeVec) Zero() {
-	if v == nil {
-		return
-	}
-	v.fam.mu.Lock()
-	children := make([]*child, 0, len(v.fam.children))
-	for _, ch := range v.fam.children {
-		children = append(children, ch)
-	}
-	v.fam.mu.Unlock()
-	for _, ch := range children {
-		ch.g.Set(0)
-	}
-}
-
 // HistogramVec is a histogram family with label dimensions.
 type HistogramVec struct{ fam *family }
 

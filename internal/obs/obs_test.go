@@ -334,7 +334,6 @@ func TestNilReceiversNoOp(t *testing.T) {
 	h.Observe(1)
 	cv.With("x").Inc()
 	gv.With("x").Set(2)
-	gv.Zero()
 	hv.With("x").Observe(1)
 	r.OnCollect(func() {})
 	r.Counter("x_total", "x").Inc()

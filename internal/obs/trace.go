@@ -221,16 +221,6 @@ func (h *Health) SetReady() {
 	h.mu.Unlock()
 }
 
-// SetNotReady marks the daemon unready with a reason.
-func (h *Health) SetNotReady(reason string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.ready, h.reason = false, reason
-	h.mu.Unlock()
-}
-
 // Ready reports the current readiness and, when unready, the reason.
 func (h *Health) Ready() (bool, string) {
 	if h == nil {

@@ -133,10 +133,6 @@ func TestHealthReadiness(t *testing.T) {
 	if rec := get(h.ServeReady); rec.Code != http.StatusOK {
 		t.Errorf("readiness after SetReady = %d; want 200", rec.Code)
 	}
-	h.SetNotReady("draining")
-	if rec := get(h.ServeReady); rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("readiness after SetNotReady = %d; want 503", rec.Code)
-	}
 
 	// Nil Health (no startup phase wired) always reports ready.
 	var none *Health

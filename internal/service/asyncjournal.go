@@ -100,7 +100,7 @@ func (m *Manager) journalWriter() {
 			before := m.jnl.Segments()
 			_ = m.jnl.Append(op.rec)
 			if after := m.jnl.Segments(); after > before && after > m.opts.CompactSegments {
-				m.compactJournalAsync()
+				_ = m.compactJournal() // failures are counted; the daemon keeps serving from memory
 			}
 		}
 		if !ok {
@@ -124,14 +124,15 @@ func (m *Manager) syncJournal() {
 	<-ch
 }
 
-// compactJournalAsync runs one compaction on the writer goroutine. The keep
+// compactJournal runs one compaction, from recover (before the writer
+// goroutine and worker pool exist) or on the writer goroutine. The keep
 // decision needs the job table and cache-owner set, which Manager.mu guards:
 // they are snapshotted under the lock, then the (slow) segment rewrite runs
-// without it. Records enqueued before this operation are already on disk
-// (FIFO queue); records enqueued after it land in the post-compaction
-// segment — so a snapshot taken here is consistent with everything the
-// compaction can see.
-func (m *Manager) compactJournalAsync() {
+// without it. On the writer goroutine, records enqueued before this
+// operation are already on disk (FIFO queue) and records enqueued after it
+// land in the post-compaction segment — so a snapshot taken here is
+// consistent with everything the compaction can see.
+func (m *Manager) compactJournal() error {
 	m.mu.Lock()
 	terminal := make(map[string]bool, len(m.jobs))
 	for id, j := range m.jobs {
@@ -145,9 +146,9 @@ func (m *Manager) compactJournalAsync() {
 		// The retention rule failed to build before the journal saw the
 		// operation, so count the failure here; Compact itself counts its own.
 		m.met.journal.Errors.Inc()
-		return
+		return err
 	}
-	_ = m.jnl.Compact(keep)
+	return m.jnl.Compact(keep)
 }
 
 // newKeepFunc builds the compaction retention rule over a consistent

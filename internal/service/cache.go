@@ -101,11 +101,6 @@ func (c *resultCache) releaseOwner(jobID string) {
 	}
 }
 
-// ownsJob reports whether the job's results still back any live cache entry.
-func (c *resultCache) ownsJob(jobID string) bool {
-	return c.owners[jobID] > 0
-}
-
 // ownerSet snapshots the producing-job IDs of all live entries (the async
 // compaction path copies it out from under Manager.mu before rewriting
 // segments without the lock).

@@ -98,11 +98,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("journal.Type(%d)", uint8(t))
 }
 
-// Terminal reports whether the type ends a job's lifecycle.
-func (t Type) Terminal() bool {
-	return t == TypeDone || t == TypeFailed || t == TypeCanceled
-}
-
 func (t Type) valid() bool { return t >= TypeSubmitted && t <= TypeCanceled }
 
 // Record is one journal entry. The payload is an opaque, type-specific blob
@@ -544,19 +539,6 @@ func (l *Log) setSegCountLocked() {
 	}
 	l.segCount.Store(int64(n))
 	l.opts.Metrics.Segments.Set(int64(n))
-}
-
-// Size returns the total on-disk byte size of the log.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	total := l.activeSize
-	for _, idx := range l.sealed {
-		if st, err := os.Stat(l.segPath(idx)); err == nil {
-			total += st.Size()
-		}
-	}
-	return total
 }
 
 // Compact rewrites the log keeping only the records for which keep returns

@@ -45,7 +45,7 @@ import (
 // GraphInfo is the introspection record served for one registered graph.
 type GraphInfo struct {
 	Name      string `json:"name"`
-	Source    string `json:"source"` // "dataset", "file", or "inline"
+	Source    string `json:"source"` // "dataset", "file", "gcsr", or "inline"
 	Nodes     int    `json:"nodes"`
 	Edges     int64  `json:"edges"`
 	MaxDegree int    `json:"max_degree"`
@@ -117,43 +117,27 @@ func (r *Registry) AddDataset(name string) error {
 // resident pages are shared with other processes mapping the same file;
 // anything else is parsed as a text edge list. A pre-packed connected graph
 // (graphlet-pack's default -lcc output) is served directly from the
-// mapping; a disconnected one is rebuilt on the heap by the LCC extraction.
+// mapping; a disconnected one is rebuilt on the heap by the LCC extraction
+// (graph.OpenLCC).
 func (r *Registry) AddFile(name, path string) error {
 	return r.AddFileOpts(name, path, graph.OpenOptions{})
 }
 
 // AddFileOpts is AddFile with graph open tuning (v2 block-cache size).
 func (r *Registry) AddFileOpts(name, path string, o graph.OpenOptions) error {
-	format := graph.DetectFormat(path)
-	loaded, err := graph.OpenFileOpts(path, format, o)
+	g, err := graph.OpenLCC(path, o)
 	if err != nil {
 		return fmt.Errorf("service: graph %q: %w", name, err)
 	}
-	lcc, toOld := graph.LargestComponent(loaded)
 	source := "file"
-	if format == graph.FormatGCSR {
+	if graph.IsGCSR(path) {
 		source = "gcsr"
 	}
-	if lcc != loaded {
-		// The LCC extraction renumbered nodes; compose the original-IDs
-		// mapping through it so the rebuilt graph still reports source IDs.
-		if ids := loaded.OriginalIDs(); ids != nil {
-			lccIDs := make([]int64, len(toOld))
-			for v, old := range toOld {
-				lccIDs[v] = ids[old]
-			}
-			if err := lcc.SetOriginalIDs(lccIDs); err != nil {
-				loaded.Close()
-				return fmt.Errorf("service: graph %q: %w", name, err)
-			}
-		}
-		if format == graph.FormatGCSR {
-			// The mapping holds the full graph but only the rebuilt heap
-			// LCC is served; release the mapped pages.
-			defer loaded.Close()
-		}
+	if err := r.Add(name, source, g); err != nil {
+		g.Close() // a rejected name must not keep the file mapped
+		return err
 	}
-	return r.Add(name, source, lcc)
+	return nil
 }
 
 // Remove unregisters name, reporting whether it was present. In-flight

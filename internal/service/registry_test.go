@@ -2,7 +2,9 @@ package service
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -94,5 +96,41 @@ func TestRegistryGCSRDisconnected(t *testing.T) {
 	info, _ := reg.Info("split")
 	if info.Nodes != 80 || info.Edges != 79 {
 		t.Errorf("LCC not extracted: %+v", info)
+	}
+}
+
+// A registration the registry rejects (duplicate or empty name) must not
+// leave the opened file mapped: nothing holds the graph to Close it later.
+func TestRegistryRejectedAddReleasesMapping(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "star.gcsr")
+	b := graph.NewBuilder(0)
+	for v := int32(1); v < 80; v++ {
+		b.AddEdge(0, v)
+	}
+	if err := graph.Save(path, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	mappings := func() int {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Skipf("cannot list this process's mappings: %v", err)
+		}
+		return strings.Count(string(maps), path)
+	}
+	reg := NewRegistry()
+	if err := reg.AddFile("star", path); err != nil {
+		t.Fatal(err)
+	}
+	held := mappings()
+	if held == 0 {
+		t.Skip("graph files are not mmap'd on this platform")
+	}
+	for _, name := range []string{"star", "", "star"} {
+		if err := reg.AddFile(name, path); err == nil {
+			t.Fatalf("AddFile(%q) accepted a duplicate or empty name", name)
+		}
+	}
+	if got := mappings(); got != held {
+		t.Errorf("%d mappings of %s after three rejected registrations, want %d", got, path, held)
 	}
 }

@@ -336,7 +336,7 @@ func (m *Manager) recover() error {
 	}
 	m.pruneLocked()
 	if m.jnl.Segments() > m.opts.CompactSegments {
-		return m.compactJournalNow()
+		return m.compactJournal()
 	}
 	return nil
 }
@@ -352,20 +352,4 @@ func jobIDNumber(id string) int {
 		return 0
 	}
 	return n
-}
-
-// compactJournalNow compacts synchronously under the retention rule of
-// newKeepFunc (asyncjournal.go).
-// Only called from recover, before the writer goroutine and worker pool
-// exist, so reading the job table and cache without m.mu is safe.
-func (m *Manager) compactJournalNow() error {
-	terminal := make(map[string]bool, len(m.jobs))
-	for id, j := range m.jobs {
-		terminal[id] = j.state.terminal()
-	}
-	keep, err := m.newKeepFunc(terminal, m.cache.ownerSet())
-	if err != nil {
-		return err
-	}
-	return m.jnl.Compact(keep)
 }

@@ -30,9 +30,6 @@ func NewAt(space Space, start State, nb bool, rng *rand.Rand) *Walk {
 // Space returns the walk's state space.
 func (w *Walk) Space() Space { return w.space }
 
-// NonBacktracking reports whether the walk avoids its previous state.
-func (w *Walk) NonBacktracking() bool { return w.nb }
-
 // Current returns the state the walker is at.
 func (w *Walk) Current() State { return w.cur }
 
