@@ -1,10 +1,12 @@
-// Command graphlet-estimate estimates k-node graphlet concentration of an
-// edge-list graph with the paper's random-walk framework.
+// Command graphlet-estimate estimates k-node graphlet concentration of a
+// graph — a file, or one reachable only through a crawl API — with the
+// paper's random-walk framework.
 //
 // Usage:
 //
 //	graphlet-estimate -graph graph.txt [-k 4] [-d 2] [-css] [-nb] [-steps 20000] [-walkers 1] [-seed 1] [-exact] [-counts]
 //	graphlet-estimate -graph graph.txt -sizes 3,4,5 [-d 2] [-css] [-steps 20000] [-exact] [-counts]
+//	graphlet-estimate -graph http://127.0.0.1:8080 -sizes 3,4,5 -walkers 8
 //
 // The graph file is either a text edge list ("u v" lines, '#'/'%' comments
 // allowed) or a .gcsr binary CSR file (see cmd/graphlet-pack), detected
@@ -14,6 +16,11 @@
 // concentration is also enumerated for comparison. With -counts, unbiased
 // count estimates (Equation 4) are printed for d <= 2.
 //
+// An http(s):// -graph is the base URL of a running graphlet-api: the walkers
+// crawl it through one shared neighbor memo, so each node costs one request
+// however often it is revisited, and the run reports its cost in HTTP
+// requests. -exact and -counts need the whole graph and are refused.
+//
 // -sizes runs one shared random walk covering every listed size at once
 // (instead of -k): the step budget is paid once and a concentration table is
 // printed per size, with the same -exact and -counts columns. The per-size
@@ -22,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -30,11 +38,12 @@ import (
 	"time"
 
 	graphletrw "repro"
+	"repro/internal/apiserver"
 )
 
 func main() {
 	var (
-		path    = flag.String("graph", "", "graph file, edge list or .gcsr (required)")
+		path    = flag.String("graph", "", "graph file, edge list or .gcsr, or the http(s):// base URL of a graphlet-api to crawl (required)")
 		k       = flag.Int("k", 4, "graphlet size (3..5)")
 		sizes   = flag.String("sizes", "", "comma-separated graphlet sizes for one shared walk (e.g. 3,4,5; overrides -k)")
 		d       = flag.Int("d", 2, "walk order d (1..k); paper recommends 1 for k=3, 2 for k=4,5")
@@ -51,11 +60,26 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	lcc, err := graphletrw.OpenLCC(*path)
-	if err != nil {
-		fail(err)
+	// A URL is crawled: lcc stays nil and the walkers share the API's memo.
+	var (
+		lcc    *graphletrw.Graph
+		client graphletrw.Client
+		api    *apiserver.Client
+	)
+	if strings.HasPrefix(*path, "http://") || strings.HasPrefix(*path, "https://") {
+		if *exact || *counts {
+			fmt.Fprintln(os.Stderr, "graphlet-estimate: -exact and -counts need the whole graph, which a crawled API does not give")
+			os.Exit(2)
+		}
+		client, api = apiserver.NewClient(context.Background(), strings.TrimSuffix(*path, "/"), nil)
+	} else {
+		var err error
+		if lcc, err = graphletrw.OpenLCC(*path); err != nil {
+			fail(err)
+		}
+		fmt.Printf("graph: %d nodes, %d edges (largest connected component)\n", lcc.NumNodes(), lcc.NumEdges())
+		client = graphletrw.NewClient(lcc)
 	}
-	fmt.Printf("graph: %d nodes, %d edges (largest connected component)\n", lcc.NumNodes(), lcc.NumEdges())
 
 	// -k is -sizes with one size: either way one shared walk runs, and only
 	// the header lines differ.
@@ -75,7 +99,7 @@ func main() {
 	}
 	cfg := graphletrw.MultiConfig{Sizes: ks, D: *d, CSS: *css, NB: *nb, Walkers: *walkers, Seed: *seed}
 	start := time.Now()
-	res, err := graphletrw.EstimateAll(graphletrw.NewClient(lcc), cfg, *steps)
+	res, err := graphletrw.EstimateAll(client, cfg, *steps)
 	if err != nil {
 		fail(err)
 	}
@@ -101,6 +125,9 @@ func main() {
 			countEst = r.Counts(graphletrw.TwoR(lcc, *d))
 		}
 		printTable(k, r.Concentration(), exactConc, countEst)
+	}
+	if api != nil {
+		fmt.Printf("\ncrawl cost: %d HTTP requests for the whole ensemble\n", api.RequestCount())
 	}
 }
 

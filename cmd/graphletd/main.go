@@ -102,7 +102,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/apiserver"
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -120,7 +119,6 @@ func main() {
 		cacheSize  = flag.Int("cache", 256, "result-cache capacity (negative disables)")
 		snapshot   = flag.Int("snapshot-every", 0, "progress checkpoint spacing in windows (0 = auto)")
 		sizesFlag  = flag.String("sizes", "3,4,5", "comma-separated sizes multi-size jobs may request (empty disables them)")
-		latency    = flag.Duration("latency", 0, "simulated per-call API latency (crawl modeling)")
 		dataDir    = flag.String("data-dir", "", "durability directory: journal job history here, replay it on start (empty = volatile)")
 		fsync      = flag.Bool("fsync", false, "fsync every journal append (with -data-dir)")
 		pprofAddr  = flag.String("pprof", "", "expose net/http/pprof on this side listener (e.g. 127.0.0.1:6060; empty = off)")
@@ -205,7 +203,7 @@ func main() {
 			}
 		}
 	}
-	opts := service.Options{
+	mgr, err := service.NewManager(reg, service.Options{
 		Workers:       *workers,
 		MaxWalkers:    *maxWalkers,
 		CacheSize:     *cacheSize,
@@ -215,13 +213,7 @@ func main() {
 		Fsync:         *fsync,
 		Metrics:       metrics,
 		Peers:         peers,
-	}
-	if *latency > 0 {
-		opts.NewClient = func(g *graph.Graph) access.Client {
-			return access.NewDelayed(access.NewGraphClient(g), *latency)
-		}
-	}
-	mgr, err := service.NewManager(reg, opts)
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -248,8 +240,8 @@ func main() {
 	api.Health = health
 	if *worker {
 		// Partition work resolves graphs through the same registry and access
-		// stack (including -latency crawl modeling) local jobs use, so a
-		// distributed run costs each walker exactly what a local run would.
+		// stack local jobs use, so a distributed run costs each walker exactly
+		// what a local run would.
 		api.Partitions = &dist.Handler{
 			Lookup: mgr.PartitionLookup(),
 			Served: metrics.CounterVec("graphletd_partitions_served_total",

@@ -231,3 +231,59 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 		}
 	})
 }
+
+// Replace-by-rename, pinned: repacking over a .gcsr (and its .gids sidecar)
+// that an open graph is serving from its mapping must not disturb that
+// reader — its estimate after the repack equals its estimate before, to the
+// byte — while a fresh Open sees the new file. The v2 reader gets a decode
+// cache too small to hold its rows, so after the repack it is still reading
+// pages of the replaced file, not leftovers in memory.
+func TestRepackUnderMappedReader(t *testing.T) {
+	served, _ := LargestComponent(gen.HolmeKim(1200, 4, 0.6, 77))
+	repacked, _ := LargestComponent(gen.BarabasiAlbert(900, 3, 78))
+	ids64 := make([]int64, repacked.NumNodes())
+	for i := range ids64 {
+		ids64[i] = int64(10*i + 7)
+	}
+	cfg := Config{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4}
+	for _, version := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "g.gcsr")
+		opts := graph.SaveOptions{Version: version, BlockBytes: 4 << 10}
+		if err := graph.SaveOpts(path, served, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.SaveIDs(graph.IDsSidecarPath(path), make([]int64, served.NumNodes())); err != nil {
+			t.Fatal(err)
+		}
+		reader, err := graph.OpenMappedOpts(path, graph.OpenOptions{BlockCacheBytes: 1 << 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reader.Close()
+		before := renderEstimate(t, reader, cfg)
+
+		if err := graph.SaveOpts(path, repacked, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.SaveIDs(graph.IDsSidecarPath(path), ids64); err != nil {
+			t.Fatal(err)
+		}
+		if after := renderEstimate(t, reader, cfg); after != before {
+			t.Errorf("v%d: the open reader's estimate changed under a repack:\nbefore: %s\nafter:  %s", version, before, after)
+		}
+		fresh, err := OpenGraph(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		if got, want := renderEstimate(t, fresh, cfg), renderEstimate(t, repacked, cfg); got != want || fresh.NumNodes() != repacked.NumNodes() {
+			t.Errorf("v%d: a fresh Open does not serve the repacked graph", version)
+		}
+		if version == 1 && fresh.OriginalID(0) != ids64[0] {
+			t.Errorf("v1: a fresh Open read sidecar ID %d, want the repacked %d", fresh.OriginalID(0), ids64[0])
+		}
+		if left, _ := filepath.Glob(path + "*.tmp*"); len(left) != 0 {
+			t.Errorf("v%d: temp files left behind: %v", version, left)
+		}
+	}
+}

@@ -1,10 +1,14 @@
 package graphletrw
 
 import (
+	"context"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/apiserver"
 	"repro/internal/gen"
 )
 
@@ -55,6 +59,21 @@ func TestFacadeCountingClient(t *testing.T) {
 	}
 	if c.Stats().NeighborCalls == 0 {
 		t.Error("no API accounting")
+	}
+}
+
+// The HTTP crawl client reports transport failures by panicking; the engine
+// turns that into the run's error wherever it happens — here on the very
+// first call, the seed draw, with one walker and with several.
+func TestFacadeEstimateOverDeadEndpoint(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	for _, walkers := range []int{1, 3} {
+		client, _ := apiserver.NewClient(context.Background(), dead.URL, nil)
+		_, err := Estimate(client, Config{K: 3, D: 1, Seed: 1, Walkers: walkers}, 500)
+		if err == nil || !strings.Contains(err.Error(), "apiserver client") {
+			t.Errorf("walkers=%d: err = %v, want the transport failure as an error", walkers, err)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // asks of its inner source — neighbor rows and walk seeds — and the Memo in
 // front of it (see NewClient) is what makes a crawl pay for each node once.
 // Transport failures, non-200 answers and undecodable bodies panic; the
-// estimation engine converts walker panics into errors.
+// estimation engine converts client panics into the run's error.
 //
 // Client is safe for concurrent use.
 type Client struct {

@@ -52,11 +52,10 @@ func walkerQuota(total, nWalkers, i int) int {
 
 // runStage executes fn(i) for i in [0, n) — concurrently when n > 1 — and
 // returns the first error in walker-index order (deterministic even when
-// several walkers fail). A panic inside a walker (the HTTP crawl client
-// reports transport failures by panicking) is converted into that walker's
-// error — uniformly for single- and multi-walker stages, so a long-running
-// caller like the graphletd job manager sees a failed job either way
-// instead of a crashed process.
+// several walkers fail). A panic inside a walker is converted into that
+// walker's error here rather than at the run entry (RunCheckpointsCtx),
+// because a parent cannot catch a goroutine's panic — uniformly for single-
+// and multi-walker stages, so the error reads the same either way.
 func runStage(n int, fn func(i int) error) error {
 	if n == 1 {
 		return runWalkerGuarded(0, fn)

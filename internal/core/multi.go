@@ -195,7 +195,16 @@ func (m *MultiEstimator) Run(n int) (*MultiResult, error) {
 // accumulated so far alongside ctx.Err(), so callers can report partial
 // progress. The cancellation polls touch no walker state, so runs that
 // complete are byte-identical at any GOMAXPROCS.
-func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(step int, conc map[int][]float64)) (*MultiResult, error) {
+//
+// This is the engine's one failure boundary: crawl clients report transport
+// failures by panicking, and every client call, the sequential seed draw
+// included, runs beneath it, so a panic becomes the run's error here.
+func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(step int, conc map[int][]float64)) (res *MultiResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("core: %v", r)
+		}
+	}()
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive sample budget %d", n)
 	}

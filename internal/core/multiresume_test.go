@@ -248,22 +248,3 @@ func TestMultiStateDecodeRobust(t *testing.T) {
 		t.Error("trailing garbage decoded cleanly")
 	}
 }
-
-// FuzzDecodeMultiEnsembleState is FuzzDecodeEnsembleState started from
-// multi-size blobs: a current one and the GMST version 1 fixture.
-func FuzzDecodeMultiEnsembleState(f *testing.F) {
-	est, err := NewMultiEstimator(access.NewGraphClient(convGraph()),
-		MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Seed: 3, Walkers: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := est.Run(600); err != nil {
-		f.Fatal(err)
-	}
-	blob := est.Snapshot().Encode()
-	f.Add(blob)
-	f.Add(blob[:len(blob)/2])
-	f.Add([]byte("GMST"))
-	f.Add([]byte{})
-	fuzzDecodeRestore(f)
-}

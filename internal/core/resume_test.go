@@ -182,30 +182,29 @@ func TestEnsembleStateDecodeRobust(t *testing.T) {
 
 // FuzzDecodeEnsembleState hammers the decoder (and Restore on whatever
 // decodes) with arbitrary bytes: the only acceptable failure mode is an
-// error return. The committed corpus under testdata/fuzz adds the blobs
-// older builds wrote (GEST version 1 here, GMST version 1 for
-// FuzzDecodeMultiEnsembleState).
+// error return. It starts from a one-size and a three-size blob of the
+// current format; the committed corpus under testdata/fuzz adds the blobs
+// older builds wrote (GEST and GMST version 1).
 func FuzzDecodeEnsembleState(f *testing.F) {
-	est, err := NewEstimator(access.NewGraphClient(convGraph()), Config{K: 4, D: 2, CSS: true, Seed: 3, Walkers: 2})
-	if err != nil {
-		f.Fatal(err)
+	client := access.NewGraphClient(convGraph())
+	var blobs [2][]byte
+	for i, sizes := range [][]int{{4}, {3, 4, 5}} {
+		est, err := NewMultiEstimator(client, MultiConfig{Sizes: sizes, D: 2, CSS: true, Seed: 3, Walkers: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := est.Run(600); err != nil {
+			f.Fatal(err)
+		}
+		blobs[i] = est.Snapshot().Encode()
 	}
-	if _, err := est.Run(600); err != nil {
-		f.Fatal(err)
-	}
-	blob := est.Snapshot().Encode()
-	f.Add(blob)
-	f.Add(blob[:len(blob)/2])
+	f.Add(blobs[0])
+	f.Add(blobs[0][:len(blobs[0])/2])
 	f.Add([]byte("GEST"))
 	f.Add([]byte{})
-	fuzzDecodeRestore(f)
-}
-
-// fuzzDecodeRestore is the body both state fuzz targets share: decode,
-// require a stable re-encoding, and restore into an estimator of the decoded
-// configuration.
-func fuzzDecodeRestore(f *testing.F) {
-	client := access.NewGraphClient(convGraph())
+	f.Add(blobs[1])
+	f.Add(blobs[1][:len(blobs[1])/2])
+	f.Add([]byte("GMST"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeEnsembleState(data)
 		if err != nil {

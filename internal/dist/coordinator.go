@@ -24,11 +24,6 @@ type Options struct {
 	// across the fleet and retries rotate away from a failing node.
 	Peers []string
 
-	// HTTPClient issues the partition POSTs. It must not set an overall
-	// Timeout (partition streams run for the whole job); stalls are caught
-	// by StallTimeout instead. Nil means a fresh client.
-	HTTPClient *http.Client
-
 	// Retries is how many remote attempts a partition gets before failing
 	// over to local execution (default 3).
 	Retries int
@@ -106,8 +101,8 @@ func (o *Options) stallTimeout() time.Duration {
 // target at or below it is synced again.
 //
 // On the first partition failure (after that partition's retries and local
-// failover are exhausted) the remaining partitions are canceled and the
-// first error in partition order is returned.
+// failover are exhausted) the remaining partitions are canceled and that
+// failure is returned.
 func Run(ctx context.Context, opts Options, asns []*Assignment, resume *core.EnsembleState) (*core.EnsembleState, error) {
 	if len(asns) == 0 {
 		return nil, fmt.Errorf("dist: no partitions to run")
@@ -119,12 +114,8 @@ func Run(ctx context.Context, opts Options, asns []*Assignment, resume *core.Ens
 	}
 	c := &coordinator{
 		opts:    opts,
-		httpc:   opts.HTTPClient,
 		asns:    asns,
 		tracker: syncTracker{parts: make([]partTrack, len(asns)), onSync: opts.OnSync},
-	}
-	if c.httpc == nil {
-		c.httpc = &c.freshClient
 	}
 	if c.opts.Metrics == nil || len(opts.Peers) == 0 {
 		c.opts.Metrics = &noMetrics
@@ -133,16 +124,14 @@ func Run(ctx context.Context, opts Options, asns []*Assignment, resume *core.Ens
 		c.tracker.seed(asns, resume)
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
+	// The first hard failure aborts the job and is its error: the siblings it
+	// stops report only the cancellation.
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	var wg sync.WaitGroup
-	// No partition outlives Run, even when a crawl client's panic unwinds
-	// through it out of partition 0.
-	defer func() { cancel(); wg.Wait() }()
-	errs := make([]error, len(asns))
 	run := func(p int) {
 		if err := c.runOne(cctx, p); err != nil {
-			errs[p] = err
-			cancel() // first hard failure aborts the job
+			cancel(err)
 		}
 	}
 	for p := 1; p < len(asns); p++ {
@@ -154,10 +143,8 @@ func Run(ctx context.Context, opts Options, asns []*Assignment, resume *core.Ens
 	}
 	run(0)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := context.Cause(cctx); err != nil {
+		return nil, err
 	}
 	return c.tracker.final(asns[0].Budget)
 }
@@ -184,11 +171,12 @@ func PartitionAssignments(base Assignment, n int) []*Assignment {
 }
 
 type coordinator struct {
-	opts        Options
-	httpc       *http.Client
-	freshClient http.Client // what httpc points at when Options.HTTPClient is nil
-	asns        []*Assignment
-	tracker     syncTracker
+	opts Options
+	// httpc issues the partition POSTs. No overall Timeout: partition streams
+	// run for the whole job, and stalls are caught by StallTimeout instead.
+	httpc   http.Client
+	asns    []*Assignment
+	tracker syncTracker
 }
 
 // noMetrics is the all-nil Metrics whose handles no-op; never written.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -20,9 +19,9 @@ import (
 // scratch" rather than "the worker is unhealthy".
 var ErrBadResume = errors.New("dist: resume state rejected")
 
-// DefaultMaxBodyBytes caps POST /v1/partitions request bodies; assignments
-// are small except for the optional resume blob.
-const DefaultMaxBodyBytes = 64 << 20
+// maxBodyBytes caps POST /v1/partitions request bodies; assignments are
+// small except for the optional resume blob.
+const maxBodyBytes = 64 << 20
 
 // Handler serves POST /v1/partitions: it decodes an Assignment, runs the
 // partition against the locally registered graph, and streams Frames back —
@@ -33,25 +32,16 @@ const DefaultMaxBodyBytes = 64 << 20
 // failures surface as error frames, not HTTP status codes. Status codes
 // cover what can be checked up front: 400 for a malformed assignment, 404
 // for an unknown graph, 409 for a graph whose fingerprint disagrees with the
-// assignment's, 429 when MaxInflight partitions are already running.
+// assignment's.
 type Handler struct {
 	// Lookup resolves a graph name to a crawl client and the local
 	// fingerprint. The client must be safe for concurrent use by the
 	// partition's walkers (the registry's graph-backed clients are).
 	Lookup func(name string) (access.Client, GraphMeta, bool)
 
-	// MaxBodyBytes caps the request body (DefaultMaxBodyBytes when 0).
-	MaxBodyBytes int64
-
-	// MaxInflight caps concurrently running partitions; further requests
-	// get 429. 0 means unlimited.
-	MaxInflight int
-
 	// Served counts served partitions by terminal state ("ok", "error",
 	// "rejected"); nil disables counting.
 	Served *obs.CounterVec
-
-	inflight atomic.Int64
 }
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -60,11 +50,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	maxBody := h.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		h.count("rejected")
 		http.Error(w, "request body unreadable or too large", http.StatusBadRequest)
@@ -92,15 +78,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("graph %q fingerprint mismatch: local %+v, assignment %+v",
 			asn.Graph, meta, asn.Meta), http.StatusConflict)
 		return
-	}
-	if h.MaxInflight > 0 {
-		if h.inflight.Add(1) > int64(h.MaxInflight) {
-			h.inflight.Add(-1)
-			h.count("rejected")
-			http.Error(w, "partition capacity exhausted", http.StatusTooManyRequests)
-			return
-		}
-		defer h.inflight.Add(-1)
 	}
 
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -113,24 +113,29 @@ func Save(path string, g *Graph) error {
 	return SaveOpts(path, g, SaveOptions{})
 }
 
-// SaveOpts writes g to path in the .gcsr format selected by o, atomically:
-// the bytes go to a uniquely named temporary file in the same directory,
-// then rename into place. Concurrent savers of the same path (e.g. two
-// processes both missing the dataset cache) each write their own temp file,
-// and the last rename wins with a complete file either way.
+// SaveOpts writes g to path in the .gcsr format selected by o, atomically
+// (see writeAtomic).
 func SaveOpts(path string, g *Graph, o SaveOptions) error {
-	var write func(w io.Writer) error
 	switch o.Version {
 	case 0, gcsrVersion:
 		if o.IDs != nil {
 			return fmt.Errorf("gcsr: version 1 cannot embed original IDs (write a %s sidecar with SaveIDs)", GIDSExt)
 		}
-		write = func(w io.Writer) error { return WriteBinary(w, g) }
+		return writeAtomic(path, func(w io.Writer) error { return WriteBinary(w, g) })
 	case gcsrVersion2:
-		write = func(w io.Writer) error { return WriteBinaryV2(w, g, o) }
-	default:
-		return fmt.Errorf("gcsr: unsupported format version %d (want 1 or 2)", o.Version)
+		return writeAtomic(path, func(w io.Writer) error { return WriteBinaryV2(w, g, o) })
 	}
+	return fmt.Errorf("gcsr: unsupported format version %d (want 1 or 2)", o.Version)
+}
+
+// writeAtomic replaces path with what write produces: the bytes go to a
+// uniquely named temporary file in the same directory, are synced to disk,
+// then renamed into place. A crash leaves the old file or the new one, never
+// a name over unwritten pages; a reader holding the old file open or mapped
+// keeps reading the old bytes; and concurrent writers of one path (e.g. two
+// processes both missing the dataset cache) each write their own temp file,
+// the last rename winning with a complete file either way.
+func writeAtomic(path string, write func(w io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -139,26 +144,25 @@ func SaveOpts(path string, g *Graph, o SaveOptions) error {
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	// Both writers buffer the payload themselves; no extra layer needed.
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	// The writers buffer the payload themselves; no extra layer needed.
+	err = write(f)
+	if err == nil {
+		// os.CreateTemp makes the file 0600; restore normal create
+		// permissions so other users (a daemon under a service account,
+		// sibling processes sharing a cache dir) can open the packed graph.
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return err
 	}
-	// os.CreateTemp makes the file 0600; restore normal create permissions
-	// so other users (a daemon under a service account, sibling processes
-	// sharing a cache dir) can open the packed graph.
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return os.Rename(f.Name(), path)
 }
 
 // parseHeader decodes and sanity-checks the fixed-size header.

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 )
@@ -42,11 +43,10 @@ func SaveIDs(path string, ids []int64) error {
 	}
 	binary.LittleEndian.PutUint32(buf[16:20], crc32.Checksum(buf[gidsHeaderSize:], castagnoli))
 	// buf[20:24] reserved, zero.
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // LoadIDs reads a .gids sidecar file.

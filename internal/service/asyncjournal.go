@@ -124,7 +124,7 @@ func (m *Manager) syncJournal() {
 	<-ch
 }
 
-// compactJournal runs one compaction, from recover (before the writer
+// compactJournal runs one compaction, from replay (before the writer
 // goroutine and worker pool exist) or on the writer goroutine. The keep
 // decision needs the job table and cache-owner set, which Manager.mu guards:
 // they are snapshotted under the lock, then the (slow) segment rewrite runs

@@ -13,7 +13,7 @@ const maxFanout = 64
 // PartitionLookup adapts the manager's registry and client factory to the
 // worker endpoint's graph resolution, so a graphletd running with -worker
 // serves partitions over exactly the graphs (and through exactly the access
-// stack, including any crawl-latency wrapper) its local jobs use.
+// stack, Options.NewClient) its local jobs use.
 func (m *Manager) PartitionLookup() func(name string) (access.Client, dist.GraphMeta, bool) {
 	return func(name string) (access.Client, dist.GraphMeta, bool) {
 		g, ok := m.reg.Get(name)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -309,9 +308,6 @@ type Options struct {
 	// snapshots and journal checkpoint records. 0 derives ~64 checkpoints
 	// per job (min 250 windows apart).
 	SnapshotEvery int
-	// QueueCap bounds the admission backlog across all priority classes;
-	// Submit fails once it is full. 0 means 1024.
-	QueueCap int
 	// MaxJobs bounds retained job records: beyond it, the oldest terminal
 	// jobs (completed runs, instant cache hits) are evicted from the table,
 	// so a long-running daemon's memory does not grow with request count.
@@ -333,8 +329,8 @@ type Options struct {
 	// than this many segments. 0 means 8.
 	CompactSegments int
 	// NewClient builds the access client for a job's graph. nil means the
-	// in-memory access.NewGraphClient. Tests and latency modeling inject
-	// wrappers (access.NewDelayed, access.NewCounting) here.
+	// in-memory access.NewGraphClient. Tests inject wrappers
+	// (access.NewDelayed, access.NewCounting, failing clients) here.
 	NewClient func(g *graph.Graph) access.Client
 	// Peers lists worker base URLs for distributed execution. Jobs whose
 	// spec sets Nodes > 1 fan their walker ensemble over the fleet
@@ -343,21 +339,18 @@ type Options struct {
 	// charges the coordinator one worker slot for the whole job regardless
 	// of fan-out.
 	Peers []string
-	// DistHTTPClient issues the partition dispatches (must not set an
-	// overall Timeout; streams last the whole job). Nil means a fresh
-	// client. Tests inject httptest clients here.
-	DistHTTPClient *http.Client
-	// DistRetries / DistBackoff / DistStallTimeout tune per-partition
-	// failover (zero values take the dist package defaults: 3 retries,
-	// 250ms base backoff, 2m stall timeout).
-	DistRetries      int
-	DistBackoff      time.Duration
-	DistStallTimeout time.Duration
+	// DistBackoff is the base delay between a partition's remote attempts
+	// (0 takes the dist package default, 250ms). Tests shorten it.
+	DistBackoff time.Duration
 	// Metrics is the observability registry the manager records into (and
 	// GET /metrics renders). nil creates a private registry — Stats is
 	// derived from the metric handles either way.
 	Metrics *obs.Registry
 }
+
+// maxQueued bounds the admission backlog across all priority classes; Submit
+// fails once it is full.
+const maxQueued = 1024
 
 func (o Options) withDefaults() Options {
 	// Non-positive knobs take the default rather than producing a pool with
@@ -377,9 +370,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize < 0 {
 		o.CacheSize = 0
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 1024
 	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 4096
@@ -438,7 +428,7 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 		jobs:     make(map[string]*job),
 		inflight: make(map[specKey]*job),
 		cache:    newResultCache(opts.CacheSize, met.cacheEvictions),
-		sched:    newScheduler(opts.QueueCap, met.queueDepth),
+		sched:    newScheduler(maxQueued, met.queueDepth),
 		waits:    make(map[Priority]*waitReservoir),
 		jq:       newAppendQueue(),
 	}
@@ -453,7 +443,7 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 			return nil, err
 		}
 		m.jnl = jnl
-		if err := m.recover(); err != nil {
+		if err := m.replay(); err != nil {
 			jnl.Close()
 			return nil, err
 		}
@@ -893,13 +883,10 @@ func (m *Manager) runJob(j *job) {
 	// coordinator serializes, and read once Run has returned.
 	var synced *core.MultiResult
 	opts := dist.Options{
-		Peers:        peers,
-		HTTPClient:   m.opts.DistHTTPClient,
-		Retries:      m.opts.DistRetries,
-		Backoff:      m.opts.DistBackoff,
-		StallTimeout: m.opts.DistStallTimeout,
-		LocalClient:  func() access.Client { return m.opts.NewClient(g) },
-		Metrics:      m.met.dist,
+		Peers:       peers,
+		Backoff:     m.opts.DistBackoff,
+		LocalClient: func() access.Client { return m.opts.NewClient(g) },
+		Metrics:     m.met.dist,
 		// The one checkpoint handler. Every ensemble-wide checkpoint — on a
 		// fleet, the moment all partitions reach a common target — is
 		// recorded for its three consumers: restart-safe progress, the
@@ -943,17 +930,7 @@ func (m *Manager) runJob(j *job) {
 			m.mu.Unlock()
 		},
 	}
-	final, err := func() (final *core.EnsembleState, err error) {
-		// The seed draw runs outside the engine's per-walker panic guard, and
-		// crawl clients report transport failures by panicking — a panic here
-		// must fail this job, not kill the daemon and its other jobs.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("service: job %s: %v", j.id, r)
-			}
-		}()
-		return dist.Run(ctx, opts, dist.PartitionAssignments(base, nodes), resume)
-	}()
+	final, err := dist.Run(ctx, opts, dist.PartitionAssignments(base, nodes), resume)
 	// The final sync already merged the final state; only a job resumed at
 	// its full budget completes without one.
 	if err == nil && (synced == nil || synced.Steps != final.WindowsDone) {

@@ -1,6 +1,5 @@
 // Package service turns the estimation engine into a long-running,
-// multi-graph daemon — the front door the ROADMAP's production north star
-// needs on top of the parallel walker ensemble:
+// multi-graph daemon on top of the parallel walker ensemble:
 //
 //   - a graph Registry of named graphs (edge-list files or stand-in
 //     datasets), listed, introspected and removable over HTTP;

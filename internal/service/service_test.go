@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -466,47 +467,75 @@ func TestServiceNormalizationAndRetention(t *testing.T) {
 	}
 }
 
-// panickyClient fails the walk's seed draw, as the HTTP crawl client does on
-// a transport error.
-type panickyClient struct{ access.Client }
+// panickyClient fails a walk's seed draw, as the HTTP crawl client does on a
+// transport error: RandomNode panics once `healthy` draws have gone through.
+type panickyClient struct {
+	access.Client
+	healthy int64
+	draws   atomic.Int64
+}
 
-func (panickyClient) RandomNode(*rand.Rand) int32 { panic("transport down") }
+func (c *panickyClient) RandomNode(rng *rand.Rand) int32 {
+	if c.draws.Add(1) > c.healthy {
+		panic("transport down")
+	}
+	return c.Client.RandomNode(rng)
+}
 
-// A client panic fails the job instead of crashing the daemon; subsequent
-// jobs still run.
+// A client panic fails the job instead of crashing the daemon, wherever the
+// engine was when it happened; subsequent jobs still run.
 func TestServicePanicFailsJob(t *testing.T) {
-	reg := testRegistry(t)
-	broken := true
-	mgr := newTestManager(t, reg, Options{
-		Workers: 1, MaxWalkers: 2,
-		NewClient: func(g *graph.Graph) access.Client {
-			if broken {
-				return panickyClient{Client: access.NewGraphClient(g)}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	for _, tc := range []struct {
+		name    string
+		peers   []string
+		healthy int64
+		spec    Spec
+	}{
+		{name: "seed draw", spec: Spec{Graph: "hk", K: 3, D: 1, Steps: 1000, Seed: 4}},
+		// Every peer is dead, so both partitions fail over in process:
+		// partition 0 (walker 0) on the job's goroutine, partition 1 (walkers
+		// 1 and 2) on its own. Each draws its seeds through its own client, so
+		// the second draw is partition 1's — on a goroutine no caller of
+		// dist.Run could have guarded.
+		{name: "failover partition seed draw", peers: []string{dead.URL}, healthy: 1,
+			spec: Spec{Graph: "hk", K: 3, D: 1, Steps: 1000, Walkers: 3, Seed: 4, Nodes: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			broken := true
+			mgr := newTestManager(t, testRegistry(t), Options{
+				Workers: 1, MaxWalkers: 4, Peers: tc.peers, DistBackoff: time.Millisecond,
+				NewClient: func(g *graph.Graph) access.Client {
+					if broken {
+						return &panickyClient{Client: access.NewGraphClient(g), healthy: tc.healthy}
+					}
+					return access.NewGraphClient(g)
+				},
+			})
+			defer mgr.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			v, err := mgr.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return access.NewGraphClient(g)
-		},
-	})
-	defer mgr.Close()
+			if v, err = mgr.Wait(ctx, v.ID); err != nil || v.State != StateFailed {
+				t.Fatalf("broken-client job: %+v, %v, want failed", v, err)
+			}
+			if !strings.Contains(v.Error, "transport down") {
+				t.Errorf("job error %q does not surface the panic", v.Error)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	v, err := mgr.Submit(Spec{Graph: "hk", K: 3, D: 1, Steps: 1000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err = mgr.Wait(ctx, v.ID); err != nil || v.State != StateFailed {
-		t.Fatalf("broken-client job: %+v, %v, want failed", v, err)
-	}
-	if !strings.Contains(v.Error, "transport down") {
-		t.Errorf("job error %q does not surface the panic", v.Error)
-	}
-
-	broken = false
-	v, err = mgr.Submit(Spec{Graph: "hk", K: 3, D: 1, Steps: 1000, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err = mgr.Wait(ctx, v.ID); err != nil || v.State != StateDone {
-		t.Fatalf("daemon did not survive the panic: %+v, %v", v, err)
+			broken = false
+			tc.spec.Seed++
+			if v, err = mgr.Submit(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			if v, err = mgr.Wait(ctx, v.ID); err != nil || v.State != StateDone {
+				t.Fatalf("daemon did not survive the panic: %+v, %v", v, err)
+			}
+		})
 	}
 }

@@ -169,11 +169,11 @@ func (m *Manager) journalTerminalLocked(j *job) {
 	}
 }
 
-// recover rebuilds the manager's state from the journal: the job table in
+// replay rebuilds the manager's state from the journal: the job table in
 // submission order, the warm result cache, and the re-queued remainder.
 // Called from NewManager before the workers start, so no locking is needed;
 // m.replaying suppresses re-journaling.
-func (m *Manager) recover() error {
+func (m *Manager) replay() error {
 	m.replaying = true
 	defer func() { m.replaying = false }()
 

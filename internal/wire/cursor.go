@@ -83,6 +83,12 @@ func (c *Cursor) Blob(limit int) []byte {
 		c.Fail("payload of %d bytes exceeds cap", n)
 		return nil
 	}
+	if n > uint64(c.Rest()) {
+		// Checked here, not left to Bytes: its zero-filled failure result would
+		// be limit-sized, and the copy below would double it.
+		c.Fail("truncated at offset %d", c.Off)
+		return nil
+	}
 	if n == 0 {
 		return nil
 	}
