@@ -2,17 +2,29 @@ package graph
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // pageBytes is the target encoded size of one page, the unit the block
-// store decodes, caches and evicts. A file block (the CRC and I/O unit,
-// DefaultBlockBytes) is cut into pages at row boundaries when the file is
-// opened, so a miss decodes ~8 KiB of rows however large the block is.
-// Measured on the 1M-edge BA fixture under a cache smaller than the decoded
-// rows: 16 / 8 / 4 KiB units ran at 248k / 314k / 316k steps/s.
+// store verifies, caches, charges and evicts. A file block (the CRC and I/O
+// unit, DefaultBlockBytes) is cut into pages at row boundaries when the file
+// is opened, so a miss lays out ~8 KiB of rows however large the block is;
+// each row is then decoded on its first read. Measured on the 1M-edge BA
+// fixture under a cache smaller than the decoded rows, when a miss decoded
+// its whole page: 16 / 8 / 4 KiB units ran at 248k / 314k / 316k steps/s.
+// A row's start within its page is kept as a uint16, which the constant
+// below holds pageBytes to.
 const pageBytes = 8 << 10
+
+const _ uint16 = pageBytes
+
+// crcChunk is the stride, in encoded bytes of a page, at which a page load
+// records the running block CRC-32C state that a row's first read checks
+// its bytes against.
+const crcChunk = 256
 
 // pageDirShift sizes the page directory: one entry per 64 nodes (4 bytes
 // beside the 512 that Graph.off spends on them).
@@ -34,9 +46,12 @@ type pageMeta struct {
 // push it past target bytes, so a row larger than target is a page of its
 // own and a block no larger than target is one page. off is the block's
 // local row offsets and ends[i] the byte offset just past row i, both as
-// decodeRows left them.
-func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32, target int32) []pageMeta {
+// decodeRows left them. rowAt[i] receives where row i starts within its
+// page; a page of several rows fits in target bytes, so that is at most
+// target.
+func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32, target int32, rowAt []uint16) []pageMeta {
 	row, start := int32(0), int32(0) // first row and first byte of the open page
+	rowAt[0] = 0
 	for i := int32(1); i < bm.count; i++ {
 		if ends[i]-start > target {
 			pages = append(pages, pageMeta{
@@ -45,6 +60,7 @@ func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32,
 			})
 			row, start = i, ends[i-1]
 		}
+		rowAt[i] = uint16(ends[i-1] - start)
 	}
 	return append(pages, pageMeta{
 		first: bm.first + row, count: bm.count - row, arcs: bm.arcs - off[row],
@@ -53,23 +69,29 @@ func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32,
 }
 
 // blockStore serves adjacency rows of a version-2 .gcsr image through a
-// bounded cache of decoded pages.
+// bounded cache of pages. The page is the unit that is verified, cached,
+// charged and evicted; the row is the unit that is decoded, on its first
+// read from a resident page.
 //
 // The hot path (a warm hit) is lock-free and allocation-free: an atomic
-// pointer load plus one atomic add on the page's own hit counter, which
+// pointer load, one atomic add on the page's own hit counter, which
 // doubles as its clock reference — no cache line is written by every
-// reader. Misses verify the owning block's CRC, decode the page outside the
-// lock and publish under it. Eviction only drops the cache's reference to a
-// decoded page — callers may still hold row slices into an evicted page's
-// array, so buffers are never reused; the garbage collector reclaims them
-// once the last row slice dies. This is the same second-chance (clock)
-// policy as internal/walk's stateInfo cache, adapted to byte-weighted
-// entries.
+// reader — and atomic loads of the row's two offsets, one of which carries
+// its decoded bit. Misses verify the owning block's CRC and lay the page out
+// outside the lock and publish it under it; a row's first read decodes it
+// under the page's own mutex (see decodedPage.fill). Eviction only drops
+// the cache's reference to a page — callers may still hold row slices into
+// an evicted page's array, so buffers are never reused; the garbage
+// collector reclaims them once the last row slice dies. This is the same
+// second-chance (clock) policy as internal/walk's stateInfo cache, adapted
+// to byte-weighted entries.
 type blockStore struct {
 	data     []byte      // whole file image (mmap'd or heap)
 	n        int64       // node count, for decode validation
+	off      []int64     // the graph's heap prefix sums: row v has off[v+1]-off[v] neighbors
 	metas    []blockMeta // parsed block index
 	pages    []pageMeta  // page table, recorded by the open-time sweep
+	rowAt    []uint16    // rowAt[v] is where v's row starts within its page's encoded bytes
 	dir      []int32     // dir[b] is the page of node b<<pageDirShift; one more entry names the last page
 	slots    []atomic.Pointer[decodedPage]
 	hits     []atomic.Uint64 // row reads served per page, parallel to slots
@@ -85,24 +107,37 @@ type blockStore struct {
 	hand int
 }
 
-// decodedPage is one page's rows in ready-to-serve form. off and adj are
-// local to the page: node v's row is adj[off[v-first]:off[v-first+1]].
+// decodedPage is one resident page. off and adj are local to the page:
+// node v's row is adj[off[i]:off[i+1]] with i = v-first. off is laid out
+// from the heap degrees when the page loads, with the pending bit set in
+// every off[i+1]; row i's first read fills its part of adj and publishes it
+// by clearing that bit, so the end offset a reader loads anyway doubles as
+// the row's atomic decoded bit.
 type decodedPage struct {
 	first int32
 	off   []int32
 	adj   []int32
 	bytes int64 // accounted cache weight
+
+	mu   sync.Mutex // serializes first reads of the page's rows
+	sums []uint32   // sums[c]: the block's running CRC-32C before chunk c of the page
 }
 
-func newBlockStore(data []byte, lay v2Layout, pages []pageMeta, capBytes int64) *blockStore {
+// pending is the bit of decodedPage.off[i+1] that is set until row i is
+// decoded. Offsets within a page are below 2^31, so it is free.
+const pending = math.MinInt32
+
+func newBlockStore(data []byte, lay v2Layout, off []int64, pages []pageMeta, rowAt []uint16, capBytes int64) *blockStore {
 	if capBytes <= 0 {
 		capBytes = DefaultBlockCacheBytes
 	}
 	s := &blockStore{
 		data:     data,
 		n:        lay.h.n,
+		off:      off,
 		metas:    lay.metas,
 		pages:    pages,
+		rowAt:    rowAt,
 		dir:      make([]int32, (lay.h.n+1<<pageDirShift-1)>>pageDirShift+1),
 		slots:    make([]atomic.Pointer[decodedPage], len(pages)),
 		hits:     make([]atomic.Uint64, len(pages)),
@@ -150,19 +185,20 @@ func (s *blockStore) row(v int32) []int32 {
 	} else {
 		pg = s.miss(p)
 	}
-	i := v - pg.first
-	return pg.adj[pg.off[i]:pg.off[i+1]]
+	if r, ok := pg.row(v - pg.first); ok {
+		return r
+	}
+	return s.firstRead(p, pg, v-pg.first)
 }
 
-// miss decodes page p and caches it.
+// miss loads page p and caches it.
 func (s *blockStore) miss(p int) *decodedPage {
 	s.misses.Add(1)
 	pm := s.pages[p]
-	pg, err := decodeV2Page(s.data, s.metas[pm.block], pm, s.n)
+	bm := s.metas[pm.block]
+	pg, err := loadPage(s.data[bm.off:bm.off+int64(bm.encLen)], bm, pm, s.off[pm.first:pm.first+pm.count+1])
 	if err != nil {
-		// Every row decoded cleanly at open time, so this can only mean
-		// the backing file changed underneath the mapping.
-		panic(fmt.Sprintf("gcsr: page at node %d (block %d) failed to decode after open-time validation (backing file modified?): %v", pm.first, pm.block, err))
+		panic(modified(pm, err))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -178,6 +214,104 @@ func (s *blockStore) miss(p int) *decodedPage {
 	s.resPages.Add(1)
 	s.evict()
 	return pg
+}
+
+// firstRead decodes and returns row i of page p, resident as pg.
+func (s *blockStore) firstRead(p int, pg *decodedPage, i int32) []int32 {
+	pm := s.pages[p]
+	bm := s.metas[pm.block]
+	enc := s.data[bm.off+int64(pm.start) : bm.off+int64(pm.end)]
+	r, err := pg.fill(i, enc, s.rowAt[pm.first:pm.first+pm.count], s.n)
+	if err != nil {
+		panic(modified(pm, err))
+	}
+	return r
+}
+
+// modified is the panic value for a page whose bytes no longer pass the
+// checks they passed at open: every row decoded cleanly then, so this can
+// only mean the backing file changed underneath the mapping.
+func modified(pm pageMeta, err error) string {
+	return fmt.Sprintf("gcsr: page at node %d (block %d) failed to decode after open-time validation (backing file modified?): %v", pm.first, pm.block, err)
+}
+
+// loadPage verifies block, the encoded payload of block bm, against its
+// indexed CRC-32C, recording the running state every crcChunk bytes of page
+// pm on the way, and lays the page out for first reads: one buffer holds its
+// off and adj arrays (it is what the cache charges for), and off is filled
+// from off64, the heap prefix sums of the page's rows and the one past them.
+// It decodes no row.
+func loadPage(block []byte, bm blockMeta, pm pageMeta, off64 []int64) (*decodedPage, error) {
+	enc := block[pm.start:pm.end]
+	sums := make([]uint32, (len(enc)+crcChunk-1)/crcChunk+1)
+	crc := crc32.Update(0, castagnoli, block[:pm.start])
+	for c := range len(sums) - 1 {
+		sums[c] = crc
+		crc = crc32.Update(crc, castagnoli, enc[c*crcChunk:min((c+1)*crcChunk, len(enc))])
+	}
+	sums[len(sums)-1] = crc
+	if err := checkBlockCRC(crc32.Update(crc, castagnoli, block[pm.end:]), bm); err != nil {
+		return nil, err
+	}
+	buf := make([]int32, int(pm.count)+1+int(pm.arcs))
+	pg := &decodedPage{
+		first: pm.first,
+		off:   buf[:pm.count+1],
+		adj:   buf[pm.count+1:],
+		bytes: int64(len(buf))*4 + 48,
+		sums:  sums,
+	}
+	for i, o := range off64[1:] {
+		pg.off[i+1] = int32(o-off64[0]) | pending
+	}
+	return pg, nil
+}
+
+// row returns row first+i if it is decoded.
+func (pg *decodedPage) row(i int32) ([]int32, bool) {
+	end := atomic.LoadInt32(&pg.off[i+1])
+	if end&pending != 0 {
+		return nil, false
+	}
+	return pg.adj[atomic.LoadInt32(&pg.off[i])&^pending : end], true
+}
+
+// fill decodes and returns row first+i on its first read, from enc, the
+// page's encoded bytes, in which rowAt[i] is where the row starts and the
+// next row's start (or enc's end) is where it must end. It holds up the
+// integrity contract (gcsr_v2.go): it re-runs the CRC over the chunks the row
+// covers from the states the page load recorded, then decodes the row with
+// decodeRow and checks it against the heap degree and its end. A racing
+// first read of the same row waits on the page mutex and finds it decoded.
+func (pg *decodedPage) fill(i int32, enc []byte, rowAt []uint16, n int64) ([]int32, error) {
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	if r, ok := pg.row(i); ok {
+		return r, nil
+	}
+	v := int64(pg.first) + int64(i)
+	start, end := int(rowAt[i]), len(enc)
+	if int(i)+1 < len(rowAt) {
+		end = int(rowAt[i+1])
+	}
+	for c := start / crcChunk; c*crcChunk < end; c++ {
+		lo, hi := c*crcChunk, min((c+1)*crcChunk, len(enc))
+		if got := crc32.Update(pg.sums[c], castagnoli, enc[lo:hi]); got != pg.sums[c+1] {
+			return nil, fmt.Errorf("gcsr: node %d: page bytes [%d,%d) checksum %08x != %08x when the page loaded", v, lo, hi, got, pg.sums[c+1])
+		}
+	}
+	row := pg.adj[pg.off[i]&^pending : pg.off[i+1]&^pending]
+	d, pos, err := decodeRow(enc[:end], start, v, n, row)
+	switch {
+	case err != nil:
+		return nil, err
+	case d != len(row):
+		return nil, fmt.Errorf("gcsr: node %d: degree %d, open-time degree %d", v, d, len(row))
+	case pos != end:
+		return nil, fmt.Errorf("gcsr: node %d: %d trailing bytes", v, end-pos)
+	}
+	atomic.StoreInt32(&pg.off[i+1], pg.off[i+1]&^pending)
+	return row, nil
 }
 
 // evict runs the clock hand until the cache fits its byte budget, always
@@ -205,18 +339,18 @@ func (s *blockStore) evict() {
 	}
 }
 
-// BlockCacheStats is a point-in-time snapshot of one graph's decoded-page
-// cache, exported on /metrics by the service layer. The cache unit is a
-// page (about 8 KiB of encoded rows cut from a file block at row
-// boundaries), so Blocks, ResidentBlocks and Evictions count pages; the
-// field names predate pages and are kept for the metrics built on them.
+// BlockCacheStats is a point-in-time snapshot of one graph's page cache,
+// exported on /metrics by the service layer. The cache unit is a page
+// (about 8 KiB of encoded rows cut from a file block at row boundaries), so
+// Blocks, ResidentBlocks and Evictions count pages; the field names predate
+// pages and are kept for the metrics built on them.
 type BlockCacheStats struct {
 	Blocks         int    // total pages in the file
-	ResidentBlocks int64  // pages currently decoded and cached
+	ResidentBlocks int64  // pages currently cached
 	ResidentBytes  int64  // accounted size of resident pages
 	CapacityBytes  int64  // configured cache bound
 	Hits           uint64 // row reads served from the cache
-	Misses         uint64 // row reads that decoded a page
+	Misses         uint64 // row reads that loaded a page
 	Evictions      uint64 // pages dropped by the clock hand
 }
 

@@ -261,10 +261,10 @@ func BenchmarkNeighborsV2(b *testing.B) {
 
 // BenchmarkNeighborsV2Miss times the other end of the decode cache: a
 // one-byte budget keeps a single page resident, so nearly every random row
-// read verifies its block's CRC and decodes a page. us/miss is what a walk
-// pays each time it leaves its cached working set; enc-B/miss is the mean
-// encoded page size, the bytes that miss decodes — the page target, whatever
-// BlockBytes the file was written with.
+// read verifies its block's CRC, loads a page and decodes the one row.
+// us/miss is what a walk pays each time it leaves its cached working set;
+// enc-B/miss is the mean encoded page size, the bytes a miss lays out — the
+// page target, whatever BlockBytes the file was written with.
 func BenchmarkNeighborsV2Miss(b *testing.B) {
 	path := fixtureV2(b)
 	g, err := graph.OpenMappedOpts(path, graph.OpenOptions{BlockCacheBytes: 1})

@@ -9,11 +9,12 @@ package graph
 // encoded into fixed-target-size blocks (DefaultBlockBytes of encoded rows),
 // each carrying its own CRC-32C, with a block index mapping contiguous node
 // ranges to block extents. A block is the unit of I/O and checksumming; reads
-// go through a bounded cache of decoded pages (blockcache.go) — runs of whole
-// rows of about 8 KiB encoded, cut inside each block when the file is opened
-// — so warm walk steps stay allocation-free and a miss decodes a page, not a
-// block. The degree/off array is reconstructed on the heap at open time so
-// Degree stays O(1).
+// go through a bounded cache of pages (blockcache.go) — runs of whole rows of
+// about 8 KiB encoded, cut inside each block when the file is opened. The
+// page is what a miss verifies, and what is cached and evicted; a row is
+// decoded on its first read from a cached page, so a miss costs a block CRC
+// and no decoding, and warm walk steps stay allocation-free. The degree/off
+// array is reconstructed on the heap at open time so Degree stays O(1).
 //
 // Layout (all integers little-endian):
 //
@@ -42,12 +43,18 @@ package graph
 //	uvarint(gap-1) per later neighbor  — rows are strictly ascending, so
 //	                                     every gap is >= 1
 //
-// The metadata tail CRC is verified at open; each block's CRC is verified
-// whenever any of its rows are decoded (including once per block during the
-// open-time validation sweep, so a corrupt file fails loudly at open, not
-// mid-walk, and again on every page miss). decodeRows bounds-checks every
-// varint and rejects out-of-range, unsorted or self-loop neighbors and
-// trailing bytes, mirroring the repo's other binary codecs (GEST/GDPA).
+// Integrity contract: no row is served from bytes other than the ones a
+// block CRC verified, and every row served passed the open-time checks. The
+// metadata tail CRC is verified at open, and so is every block's CRC, in the
+// validation sweep that decodes every row once, so a corrupt file fails
+// loudly at open, not mid-walk. A page miss verifies its whole block's CRC
+// again, recording the running CRC state every 256 bytes of the page; a
+// row's first read re-runs the CRC over the chunks it covers against those
+// states, then decodes it through decodeRow's checks (bounded varints, the
+// open-time degree, neighbors in range, strictly ascending and not the node
+// itself, the row ending where the next begins). A mismatch at either point
+// means the backing file changed after open, and the read panics. A row
+// decoded once is served from memory until its page is evicted.
 
 import (
 	"bufio"
@@ -70,12 +77,11 @@ const (
 	// DefaultBlockBytes is the target encoded size of one adjacency block,
 	// the unit of I/O and checksumming: large enough to amortize the
 	// per-block index entry and CRC. It does not set read granularity — an
-	// opened graph decodes and caches pages cut inside each block
-	// (blockcache.go), so a miss costs the same at any block size from a
-	// page upwards.
+	// opened graph caches pages cut inside each block and decodes rows
+	// one by one (blockcache.go); a miss verifies the whole block's CRC.
 	DefaultBlockBytes = 64 << 10
 
-	// DefaultBlockCacheBytes bounds the decoded-page cache of one opened
+	// DefaultBlockCacheBytes bounds the page cache of one opened
 	// v2 graph when OpenOptions.BlockCacheBytes is zero.
 	DefaultBlockCacheBytes = 64 << 20
 )
@@ -357,10 +363,10 @@ func parseV2(data []byte) (v2Layout, error) {
 	return lay, nil
 }
 
-// checkBlockCRC verifies one block's encoded payload against its indexed
-// CRC-32C.
-func checkBlockCRC(data []byte, bm blockMeta) error {
-	if got := crc32.Checksum(data, castagnoli); got != bm.crc {
+// checkBlockCRC compares got, the CRC-32C of one block's encoded payload,
+// with the block's indexed one.
+func checkBlockCRC(got uint32, bm blockMeta) error {
+	if got != bm.crc {
 		return fmt.Errorf("gcsr: block at node %d: checksum %08x != stored %08x (file corrupted)", bm.first, got, bm.crc)
 	}
 	return nil
@@ -368,9 +374,9 @@ func checkBlockCRC(data []byte, bm blockMeta) error {
 
 // decodeV2Block decodes one block's rows into freshly allocated local
 // off/adj arrays, verifying the CRC and every structural invariant the walk
-// depends on (see decodeRows).
+// depends on (see decodeRow).
 func decodeV2Block(data []byte, bm blockMeta, n int64) (off, adj []int32, err error) {
-	if err := checkBlockCRC(data, bm); err != nil {
+	if err := checkBlockCRC(crc32.Checksum(data, castagnoli), bm); err != nil {
 		return nil, nil, err
 	}
 	off = make([]int32, bm.count+1)
@@ -381,52 +387,39 @@ func decodeV2Block(data []byte, bm blockMeta, n int64) (off, adj []int32, err er
 	return off, adj, nil
 }
 
-// decodeV2Page decodes one page of block bm out of the file image, after
-// verifying the whole block's CRC (the file carries no finer checksum; it
-// costs a few percent of the row decode).
-func decodeV2Page(image []byte, bm blockMeta, pm pageMeta, n int64) (*decodedPage, error) {
-	data := image[bm.off : bm.off+int64(bm.encLen)]
-	if err := checkBlockCRC(data, bm); err != nil {
-		return nil, err
+// decodeRow is the one row decoder: it decodes node v's row starting at
+// data[pos] — a degree, which must not exceed len(dst), and that many
+// neighbors into dst — and returns the degree and the offset just past the
+// row. Every varint is bounds-checked and out-of-range, unsorted or
+// self-loop neighbors are rejected, so whatever calls it — a whole block and
+// the open-time sweep through decodeRows, one row's first read from a
+// cached page — applies the same checks.
+func decodeRow(data []byte, pos int, v, n int64, dst []int32) (int, int, error) {
+	d, p, ok := readUvarint(data, pos)
+	if !ok || d > uint64(n) {
+		return 0, pos, fmt.Errorf("gcsr: node %d: bad degree varint", v)
 	}
-	// One allocation holds both arrays; it is what the cache charges for.
-	buf := make([]int32, int(pm.count)+1+int(pm.arcs))
-	pg := &decodedPage{
-		first: pm.first,
-		off:   buf[:pm.count+1],
-		adj:   buf[pm.count+1:],
-		bytes: int64(len(buf))*4 + 48,
+	if d > uint64(len(dst)) {
+		return 0, pos, fmt.Errorf("gcsr: node %d: degree %d exceeds the %d arcs left", v, d, len(dst))
 	}
-	if err := decodeRows(data[pm.start:pm.end], pm.first, n, pg.off, pg.adj, nil); err != nil {
-		return nil, err
-	}
-	return pg, nil
+	end, err := decodeNeighbors(data, p, v, n, dst[:d])
+	return int(d), end, err
 }
 
-// decodeRows is the one row decoder: it decodes the len(off)-1 rows of
-// nodes first, first+1, ... that data holds into local offsets off and
-// neighbors adj, and requires the rows to fill adj and to end on data's
-// last byte. Every varint is bounds-checked and out-of-range, unsorted or
-// self-loop neighbors are rejected, so whatever calls it — a whole block,
-// the open-time sweep, one page on a cache miss — applies the same checks.
-// ends, when non-nil, receives the byte offset just past each row.
+// decodeRows decodes the len(off)-1 rows of nodes first, first+1, ... that
+// data holds into local offsets off and neighbors adj, and requires the
+// rows to fill adj and to end on data's last byte. ends, when non-nil,
+// receives the byte offset just past each row.
 func decodeRows(data []byte, first int32, n int64, off, adj, ends []int32) error {
 	pos, total := 0, 0
 	off[0] = 0
 	for i := range off[1:] {
-		v := int64(first) + int64(i)
-		d, p, ok := readUvarint(data, pos)
-		if !ok || d > uint64(n) {
-			return fmt.Errorf("gcsr: node %d: bad degree varint", v)
-		}
-		if d > uint64(len(adj)-total) {
-			return fmt.Errorf("gcsr: rows at node %d: degrees exceed indexed arc count %d", first, len(adj))
-		}
-		var err error
-		if pos, err = decodeNeighbors(data, p, v, n, adj[total:total+int(d)]); err != nil {
+		d, p, err := decodeRow(data, pos, int64(first)+int64(i), n, adj[total:])
+		if err != nil {
 			return err
 		}
-		total += int(d)
+		pos = p
+		total += d
 		off[i+1] = int32(total)
 		if ends != nil {
 			ends[i] = int32(pos)
@@ -442,9 +435,9 @@ func decodeRows(data []byte, first int32, n int64, off, adj, ends []int32) error
 }
 
 // decodeNeighbors fills row with node v's neighbors from data[pos:] and
-// returns the offset just past them. It is decodeRows' inner loop, kept a
+// returns the offset just past them. It is decodeRow's inner loop, kept a
 // function of its own (too large to inline) so that the loop's few variables
-// stay in registers: written into decodeRows it ran 5% slower than the
+// stay in registers: written into the row loop it ran 5% slower than the
 // decoder it replaced.
 func decodeNeighbors(data []byte, pos int, v, n int64, row []int32) (int, error) {
 	prev := int64(-1) // the first neighbor is absolute: a gap-1 past -1
@@ -546,11 +539,11 @@ func aliasInt64(raw []byte) []int64 {
 // buildV2Graph builds the page-cached read path over a version-2 file
 // image: the layout is parsed, every block is decoded once (validating CRCs
 // and row invariants, reconstructing the heap off array so Degree stays
-// O(1), and recording where the block's pages are cut), and subsequent row
-// reads go through the bounded decode cache. The sweep keeps no decoded
-// rows, so one scratch set sized for the largest block serves every block.
-// The caller owns data's lifetime (an mmap for OpenMapped); ids, when
-// present, alias it.
+// O(1), and recording where the block's pages are cut and where each row
+// starts in its page), and subsequent row reads go through the bounded page
+// cache. The sweep keeps no decoded rows, so one scratch set sized for the
+// largest block serves every block. The caller owns data's lifetime (an
+// mmap for OpenMapped); ids, when present, alias it.
 func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 	lay, err := parseV2(data)
 	if err != nil {
@@ -567,11 +560,12 @@ func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 	badj := make([]int32, maxArcs)
 	ends := make([]int32, maxRows)
 	off := make([]int64, h.n+1)
+	rowAt := make([]uint16, h.n)
 	var pages []pageMeta
 	maxDeg := int64(0)
 	for b, bm := range lay.metas {
 		enc := data[bm.off : bm.off+int64(bm.encLen)]
-		if err := checkBlockCRC(enc, bm); err != nil {
+		if err := checkBlockCRC(crc32.Checksum(enc, castagnoli), bm); err != nil {
 			return nil, err
 		}
 		boff, ends := boff[:bm.count+1], ends[:bm.count]
@@ -583,12 +577,12 @@ func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 			maxDeg = max(maxDeg, int64(boff[i+1]-boff[i]))
 			off[int64(bm.first)+int64(i)+1] = base + int64(boff[i+1])
 		}
-		pages = appendPages(pages, int32(b), bm, boff, ends, pageBytes)
+		pages = appendPages(pages, int32(b), bm, boff, ends, pageBytes, rowAt[bm.first:bm.first+bm.count])
 	}
 	if maxDeg != h.maxDeg {
 		return nil, fmt.Errorf("gcsr: stored max degree %d != scanned %d", h.maxDeg, maxDeg)
 	}
-	store := newBlockStore(data, lay, pages, o.BlockCacheBytes)
+	store := newBlockStore(data, lay, off, pages, rowAt, o.BlockCacheBytes)
 	g := &Graph{off: off, m: h.m, maxDeg: int(h.maxDeg), blocks: store}
 	if h.flags&gcsrV2FlagIDs != 0 {
 		raw := data[h.idsStart():h.blocksStart()]

@@ -220,7 +220,7 @@ func TestGCSRV2Pages(t *testing.T) {
 		switch cacheBytes {
 		case 0:
 			if st.Evictions != 0 || st.Misses > uint64(len(s.pages)) {
-				t.Fatalf("roomy cache evicted or decoded a page twice: %+v", st)
+				t.Fatalf("roomy cache evicted or loaded a page twice: %+v", st)
 			}
 		case 1:
 			if st.Evictions == 0 || st.ResidentBlocks != 1 {
@@ -238,7 +238,10 @@ func TestGCSRV2Pages(t *testing.T) {
 // TestGCSRV2CacheConcurrent hammers one thrashing cache from many
 // goroutines; run under -race this doubles as the publication-safety test,
 // and the row checks verify evicted buffers are never recycled under
-// readers' feet. The second case has pages cut inside blocks.
+// readers' feet. The second case has pages cut inside blocks. In the third,
+// the goroutines are released together onto one freshly loaded page and
+// each reads all its rows, in an order of its own, so every row's first
+// read races the others'.
 func TestGCSRV2CacheConcurrent(t *testing.T) {
 	paged, _ := pagedTestGraph()
 	for _, tc := range []struct {
@@ -246,10 +249,11 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 		g          *Graph
 		save       SaveOptions
 		cacheBytes int64
-		reads      int
+		reads      int // random row reads per goroutine; 0 reads one fresh page
 	}{
 		{"page-per-block", randomTestGraph(rand.New(rand.NewSource(11)), 400, 3000), SaveOptions{BlockBytes: 128}, 256, 5000},
 		{"pages-in-blocks", paged, SaveOptions{}, 256 << 10, 1500},
+		{"first-reads-of-one-page", paged, SaveOptions{}, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
@@ -259,6 +263,22 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer got.Close()
+			var page []int32 // tc.reads == 0: the rows of the loaded page
+			if tc.reads == 0 {
+				s := got.blocks
+				p := len(s.pages) / 2
+				for s.slots[p].Load() != nil || s.pages[p].count < 64 {
+					p++
+				}
+				pg, pm := s.miss(p), s.pages[p]
+				for i := int32(0); i < pm.count; i++ {
+					if decoded(pg, i) {
+						t.Fatalf("row %d of a freshly loaded page is decoded", pm.first+i)
+					}
+					page = append(page, pm.first+i)
+				}
+			}
+			start := make(chan struct{})
 			var wg sync.WaitGroup
 			errs := make(chan error, 8)
 			for w := 0; w < 8; w++ {
@@ -266,8 +286,16 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < tc.reads; i++ {
-						v := int32(rng.Intn(g.NumNodes()))
+					nodes := make([]int32, tc.reads)
+					for i := range nodes {
+						nodes[i] = int32(rng.Intn(g.NumNodes()))
+					}
+					if page != nil {
+						nodes = slices.Clone(page)
+						rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+					}
+					<-start
+					for _, v := range nodes {
 						want, row := g.Neighbors(v), got.Neighbors(v)
 						if len(want) != len(row) {
 							errs <- fmt.Errorf("node %d: degree %d vs %d", v, len(row), len(want))
@@ -282,12 +310,19 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 					}
 				}(int64(w))
 			}
+			close(start)
 			wg.Wait()
 			close(errs)
 			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
 			st, _ := got.BlockCacheStats()
+			if page != nil {
+				if st.Evictions != 0 || st.Hits < uint64(8*len(page)) {
+					t.Fatalf("fresh-page reads were not all hits on one resident page: %+v for %d rows", st, len(page))
+				}
+				return
+			}
 			if st.Misses == 0 || st.Hits == 0 || st.Evictions == 0 {
 				t.Fatalf("degenerate cache traffic: %+v", st)
 			}
@@ -303,39 +338,93 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestGCSRV2CorruptionAfterOpen flips a byte of a heap-backed image after
-// the open-time sweep accepted it: every page miss re-verifies its block's
-// CRC, so the next read of an uncached row must fail loudly instead of
-// serving rows decoded from the changed bytes.
+// TestGCSRV2CorruptionAfterOpen changes a byte of a heap-backed image after
+// the open-time sweep accepted it, and the next read of a row from the
+// changed bytes must fail loudly instead of serving them. Before its page
+// loads, the page miss's block CRC catches the change; after, the row's
+// first read does, by re-running the CRC over the row's chunks.
 func TestGCSRV2CorruptionAfterOpen(t *testing.T) {
 	g, _ := pagedTestGraph()
-	img := v2Image(t, g, SaveOptions{})
-	got, err := buildV2Graph(img, OpenOptions{BlockCacheBytes: 1})
-	if err != nil {
-		t.Fatal(err)
+	readPanic := func(got *Graph, vs ...int32) string {
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			for _, v := range vs {
+				got.Neighbors(v)
+			}
+		}()
+		return msg
 	}
-	pages := got.blocks.pages
-	a, b := pages[len(pages)-2], pages[len(pages)-1]
-	if a.block != b.block {
-		t.Fatal("fixture's last block has a single page")
-	}
-	img[len(img)-1] ^= 0x01 // the last byte of the last block
-	// With one resident page, at most one of the block's pages a and b is
-	// still cached; the other read is a miss.
-	var msg string
-	func() {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		got.Neighbors(a.first)
-		got.Neighbors(b.first)
-	}()
-	if !strings.Contains(msg, "backing file modified?") || !strings.Contains(msg, "checksum") {
-		t.Fatalf("reads of a block changed after open: recovered %q, want the loud decode panic", msg)
-	}
+	t.Run("block-before-its-page-loads", func(t *testing.T) {
+		img := v2Image(t, g, SaveOptions{})
+		got, err := buildV2Graph(img, OpenOptions{BlockCacheBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := got.blocks.pages
+		a, b := pages[len(pages)-2], pages[len(pages)-1]
+		if a.block != b.block {
+			t.Fatal("fixture's last block has a single page")
+		}
+		img[len(img)-1] ^= 0x01 // the last byte of the last block
+		// With one resident page, at most one of the block's pages a and b
+		// is still cached; the other read is a miss.
+		if msg := readPanic(got, a.first, b.first); !strings.Contains(msg, "backing file modified?") || !strings.Contains(msg, "checksum") {
+			t.Fatalf("reads of a block changed after open: recovered %q, want the loud decode panic", msg)
+		}
+	})
+	t.Run("unread-row-of-a-loaded-page", func(t *testing.T) {
+		img := v2Image(t, g, SaveOptions{})
+		got, err := buildV2Graph(img, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := got.blocks
+		p := len(s.pages) - 1
+		pm := s.pages[p]
+		bm := s.metas[pm.block]
+		read := pm.first
+		want := g.Neighbors(read)
+		if !slices.Equal(got.Neighbors(read), want) {
+			t.Fatalf("row %d differs before any change", read)
+		}
+		pg := s.slots[p].Load()
+		// The change must still decode to a valid row: when the row's last
+		// varint is one byte, one more on it puts the last neighbor one
+		// further out. So only the chunk re-check can tell the row changed.
+		victim := pm.first + pm.count - 1
+		for ; victim > read; victim-- {
+			row := g.Neighbors(victim)
+			if len(row) == 0 || decoded(pg, victim-pm.first) {
+				continue
+			}
+			last := row[len(row)-1] + 1
+			end := bm.off + int64(pm.end)
+			if victim+1 < pm.first+pm.count {
+				end = bm.off + int64(pm.start) + int64(s.rowAt[victim+1])
+			}
+			if img[end-2] < 0x80 && img[end-1] < 0x7f && int(last) < g.NumNodes() && last != victim {
+				img[end-1]++
+				break
+			}
+		}
+		if victim == read {
+			t.Fatal("no row of the fixture's last page can take a valid change")
+		}
+		if msg := readPanic(got, victim); !strings.Contains(msg, "backing file modified?") {
+			t.Fatalf("first read of row %d after its bytes changed: recovered %q, want the loud decode panic", victim, msg)
+		}
+		if !slices.Equal(got.Neighbors(read), want) {
+			t.Fatalf("row %d, decoded before the change, now reads differently", read)
+		}
+	})
 }
 
 // TestGCSRV2WarmProbesAllocationFree is the v2 counterpart of
 // TestProbesAllocationFree: once every block is resident, row reads and
 // probes must not allocate (the property that keeps warm walk steps free).
+// Nor may the first read of a row whose page is resident: a page load is
+// the one allocation a row read can cost.
 func TestGCSRV2WarmProbesAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomTestGraph(rng, 600, 6000)
@@ -346,10 +435,35 @@ func TestGCSRV2WarmProbesAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	for v := int32(0); v < int32(got.NumNodes()); v++ {
-		got.Neighbors(v) // warm every block
+	s := got.blocks
+	var unread []int32 // rows of loaded pages, never read
+	for p, pm := range s.pages {
+		pg := s.slots[p].Load()
+		if pg == nil {
+			pg = s.miss(p)
+		}
+		for i := int32(0); i < pm.count; i++ {
+			if !decoded(pg, i) {
+				unread = append(unread, pm.first+i)
+			}
+		}
 	}
+	// AllocsPerRun calls the function once before it counts: each call
+	// reads half of the unread rows, so the counted call reads the second
+	// half, for the first time.
+	half := len(unread) / 2
 	var sink int
+	if n := testing.AllocsPerRun(1, func() {
+		for _, v := range unread[:half] {
+			sink += len(got.Neighbors(v))
+		}
+		unread = unread[half:]
+	}); n != 0 || half < 100 {
+		t.Fatalf("first reads of %d rows in loaded pages allocate %.0f times", half, n)
+	}
+	for v := int32(0); v < int32(got.NumNodes()); v++ {
+		got.Neighbors(v) // warm every row
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		row := got.Neighbors(17)
 		sink += len(row)
@@ -678,12 +792,17 @@ func FuzzGCSRV2Read(f *testing.F) {
 // FuzzGCSRV2Block fuzzes the row decoder directly with adversarial index
 // metadata: whatever the mutated count/arc claims, it must stay in bounds
 // and reject inconsistencies instead of panicking. An accepted block is then
-// cut into pages of target bytes and decoded page by page, which must give
-// the same rows; and because a page miss trusts cuts recorded at open time,
-// the block is changed at one byte (flip) under those cuts, where the pages
-// must be at least as strict as the whole-block decode: if it rejects the
-// changed block, so does one of the pages (a row check, or the check that
-// the page ends on its recorded byte).
+// served the way the page cache serves it: cut into pages of target bytes,
+// every page loaded (block CRC, chunk states, offsets from the degrees) and
+// every row decoded on its first read through the row starts recorded with
+// the cuts, in a seeded random order; that must give the whole-block
+// decode's rows. Then the block is changed at one byte (flip) under those
+// recorded cuts, twice. After its pages loaded, each row must read as before
+// or fail, and the row holding the changed byte must fail. Before they
+// loaded, with the index CRC restamped to match so that only the row checks
+// stand between the change and a reader, each row served must be a valid
+// row, and if every row is served the rows must be the changed block's
+// whole-block decode: row by row is at least as strict as the whole block.
 func FuzzGCSRV2Block(f *testing.F) {
 	row := appendEncodedRow(nil, []int32{1, 2, 9})
 	row = appendEncodedRow(row, []int32{0, 2})
@@ -711,64 +830,127 @@ func FuzzGCSRV2Block(f *testing.F) {
 			t.Fatalf("accepted block decodes %d arcs, index says %d", len(adj), arcs)
 		}
 		for i := int32(0); i < count; i++ {
-			row := adj[off[i]:off[i+1]]
-			for j, u := range row {
-				if int64(u) >= n || u < 0 || int64(u) == int64(first)+int64(i) {
-					t.Fatalf("row %d: invalid neighbor %d", i, u)
-				}
-				if j > 0 && row[j-1] >= u {
-					t.Fatalf("row %d: not strictly ascending", i)
-				}
+			if err := checkRow(adj[off[i]:off[i+1]], int64(first)+int64(i), n); err != nil {
+				t.Fatalf("row %d: %v", i, err)
 			}
 		}
-		if count == 0 {
-			return // parseV2 admits no empty block, so none is ever cut
+		if count == 0 || first < 0 || int64(first)+int64(count) > n {
+			return // parseV2 admits no such block, so none is ever cut
 		}
 
-		// decodePages decodes img through the cuts; the pages' rows laid
-		// end to end are the block's.
-		decodePages := func(img []byte, bm blockMeta, pages []pageMeta) ([]int32, []int32, error) {
-			poff, padj := []int32{0}, []int32(nil)
-			for _, pm := range pages {
-				pg, err := decodeV2Page(img, bm, pm, n)
-				if err != nil {
-					return nil, nil, err
-				}
-				for _, o := range pg.off[1:] {
-					poff = append(poff, int32(len(padj))+o)
-				}
-				padj = append(padj, pg.adj...)
-			}
-			return poff, padj, nil
-		}
 		ends := make([]int32, count)
 		if err := decodeRows(data, first, n, off, adj, ends); err != nil {
 			t.Fatalf("second decode of an accepted block: %v", err)
 		}
-		pages := appendPages(nil, 0, bm, off, ends, int32(target))
-		poff, padj, err := decodePages(data, bm, pages)
-		if err != nil {
-			t.Fatalf("accepted block rejected page by page (%d pages): %v", len(pages), err)
+		rowAt := make([]uint16, count)
+		pages := appendPages(nil, 0, bm, off, ends, int32(target), rowAt)
+		heap := make([]int64, count+1) // the prefix sums the open-time sweep keeps
+		pageOf := make([]int, count)
+		for i, o := range off {
+			heap[i] = int64(o)
 		}
-		if !slices.Equal(poff, off) || !slices.Equal(padj, adj) {
-			t.Fatalf("page-by-page rows differ from the whole-block decode (%d pages)", len(pages))
+		for p, pm := range pages {
+			for r := pm.first - first; r < pm.first-first+pm.count; r++ {
+				pageOf[r] = p
+			}
+		}
+		// load loads every page of img, as cache misses do.
+		load := func(img []byte, bm blockMeta) []*decodedPage {
+			pgs := make([]*decodedPage, len(pages))
+			for p, pm := range pages {
+				r := pm.first - first
+				pg, err := loadPage(img, bm, pm, heap[r:r+pm.count+1])
+				if err != nil {
+					t.Fatalf("page %d of %d fails its load: %v", p, len(pages), err)
+				}
+				pgs[p] = pg
+			}
+			return pgs
+		}
+		// read reads every row from the loaded pages, each for the first
+		// time, in a seeded random order.
+		order := rand.New(rand.NewSource(int64(flip))).Perm(int(count))
+		read := func(img []byte, pgs []*decodedPage) ([][]int32, []error) {
+			rows, errs := make([][]int32, count), make([]error, count)
+			for _, i := range order {
+				pm, pg := pages[pageOf[i]], pgs[pageOf[i]]
+				r := pm.first - first
+				j := int32(i) - r
+				rows[i], errs[i] = pg.fill(j, img[pm.start:pm.end], rowAt[r:r+pm.count], n)
+			}
+			return rows, errs
+		}
+
+		rows, errs := read(data, load(data, bm))
+		for i := range rows {
+			if errs[i] != nil || !slices.Equal(rows[i], adj[off[i]:off[i+1]]) {
+				t.Fatalf("row %d read from its page (%d pages) differs from the whole-block decode: %v", i, len(pages), errs[i])
+			}
 		}
 
 		changed := bytes.Clone(data)
-		changed[int(flip&0xffffff)%len(changed)] ^= byte(flip>>24) | 1
+		pgs := load(changed, bm)
+		at := int32(flip&0xffffff) % int32(len(changed))
+		changed[at] ^= byte(flip>>24) | 1
+		rows, errs = read(changed, pgs)
+		for i := range rows {
+			start := int32(0)
+			if i > 0 {
+				start = ends[i-1]
+			}
+			switch {
+			case errs[i] == nil && !slices.Equal(rows[i], adj[off[i]:off[i+1]]):
+				t.Fatalf("row %d reads differently after its page loaded", i)
+			case errs[i] == nil && start <= at && at < ends[i]:
+				t.Fatalf("row %d served although its byte %d changed after its page loaded", i, at)
+			}
+		}
+
 		bm.crc = crc32.Checksum(changed, castagnoli)
-		poff, padj, err = decodePages(changed, bm, pages)
-		if err != nil {
+		rows, errs = read(changed, load(changed, bm))
+		served := 0
+		for i := range rows {
+			if errs[i] != nil {
+				continue
+			}
+			served++
+			if err := checkRow(rows[i], int64(first)+int64(i), n); err != nil {
+				t.Fatalf("row %d of a changed block served: %v", i, err)
+			}
+		}
+		if served < len(rows) {
 			return
 		}
 		off, adj, err = decodeV2Block(changed, bm, n)
 		if err != nil {
-			t.Fatalf("pages accepted a changed block the whole-block decode rejects: %v", err)
+			t.Fatalf("rows accepted a changed block the whole-block decode rejects: %v", err)
 		}
-		if !slices.Equal(poff, off) || !slices.Equal(padj, adj) {
-			t.Fatal("pages and whole-block decode disagree on a changed block")
+		for i := range rows {
+			if !slices.Equal(rows[i], adj[off[i]:off[i+1]]) {
+				t.Fatal("rows and whole-block decode disagree on a changed block")
+			}
 		}
 	})
+}
+
+// decoded reports whether row first+i of pg has been decoded.
+func decoded(pg *decodedPage, i int32) bool {
+	_, ok := pg.row(i)
+	return ok
+}
+
+// checkRow reports why row cannot be node v's in a graph of n nodes: a
+// neighbor out of range or equal to v, or neighbors not strictly ascending.
+func checkRow(row []int32, v, n int64) error {
+	for j, u := range row {
+		if int64(u) >= n || u < 0 || int64(u) == v {
+			return fmt.Errorf("invalid neighbor %d", u)
+		}
+		if j > 0 && row[j-1] >= u {
+			return fmt.Errorf("not strictly ascending at %d", j)
+		}
+	}
+	return nil
 }
 
 // TestCommonNeighborsHubRowMatchesMerge: the hub-row count CommonNeighbors

@@ -65,8 +65,9 @@ func (g *Graph) Degree(v int32) int {
 // Neighbors returns the sorted neighbor list of v. The returned slice aliases
 // internal storage and must not be modified. For block-compressed graphs the
 // row is served from the decode cache; a warm row costs a page lookup, an
-// atomic load and an atomic add on the page's own counter more than the
-// raw-CSR slice expression, and allocates nothing.
+// atomic add on the page's own counter and atomic loads of the page and of
+// the row's two offsets more than the raw-CSR slice expression, and
+// allocates nothing.
 func (g *Graph) Neighbors(v int32) []int32 {
 	if g.blocks != nil {
 		return g.blocks.row(v)

@@ -137,7 +137,7 @@ func newServiceMetrics(reg *obs.Registry, graphs *Registry) *serviceMetrics {
 		blockHits: reg.Gauge("graphletd_blockcache_hits",
 			"Neighbor-row reads served from decoded-page caches, across registered v2 graphs."),
 		blockMisses: reg.Gauge("graphletd_blockcache_misses",
-			"Neighbor-row reads that decoded a page (about 8 KiB of encoded rows), across registered v2 graphs."),
+			"Neighbor-row reads that loaded a page (about 8 KiB of encoded rows), across registered v2 graphs."),
 		blockEvictions: reg.Gauge("graphletd_blockcache_evictions",
 			"Decoded pages dropped by the clock hand, across registered v2 graphs."),
 		blockResBytes: reg.Gauge("graphletd_blockcache_resident_bytes",
