@@ -40,9 +40,10 @@
 // edge-list parse and rebuild (~40x faster at 1M edges) — and resident
 // pages are shared with any other process mapping the same file.
 // Block-compressed .gcsr v2 files (graphlet-pack -format v2, about half the
-// bytes on disk) are served through a bounded cache of decoded pages (about
-// 8 KiB of encoded rows each, whatever block size the file was packed with)
-// sized by -block-cache-mb; its hit/miss/eviction/residency counters are
+// bytes on disk) are served through a bounded cache of pages (about 8 KiB of
+// encoded rows each, whatever block size the file was packed with) sized by
+// -block-cache-mb, which a page is charged for its row index and the rows
+// decoded from it; its hit/miss/eviction/residency counters are
 // exposed as graphletd_blockcache_* gauges on /metrics. Graphs packed with -keep-ids
 // report "original_ids": true in GET /v1/graphs. Dataset graphs are
 // likewise cached as .gcsr under $REPRO_CACHE_DIR after first build.
@@ -127,7 +128,7 @@ func main() {
 		accessLog  = flag.Bool("access-log", true, "log one structured line per request to stderr")
 		peersFlag  = flag.String("peers", "", "comma-separated worker base URLs for distributed jobs (e.g. http://10.0.0.2:9090)")
 		worker     = flag.Bool("worker", false, "accept partition work from coordinators at POST /v1/partitions")
-		blockCache = flag.Int64("block-cache-mb", 64, "per-graph budget for decoded adjacency pages of .gcsr v2 files, in MiB")
+		blockCache = flag.Int64("block-cache-mb", 64, "per-graph budget, in MiB, for the cached pages of .gcsr v2 files: each page's row index and the rows decoded from it")
 	)
 	flag.Var(&graphFlags, "graph", "name=path graph to register, edge list or .gcsr (repeatable)")
 	flag.Parse()

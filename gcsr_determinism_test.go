@@ -103,31 +103,43 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 
 	// The same property where pages are cut inside blocks: a graph big
 	// enough that its default 64 KiB-block file holds several pages per
-	// block, behind a cache a few pages short of holding them all, so the
-	// walk keeps evicting and re-decoding pages from the middle of a block.
+	// block, behind a cache half the size of what the walks charge a cache
+	// that holds every page they touch (each page's index and the slabs of
+	// the rows read from it), so the walks keep evicting and re-reading
+	// pages from the middle of a block.
 	t.Run("64KiB-blocks-under-eviction", func(t *testing.T) {
 		big, _ := LargestComponent(gen.HolmeKim(12000, 4, 0.6, 78))
 		path := filepath.Join(dir, "g3.gcsr")
 		if err := graph.SaveOpts(path, big, graph.SaveOptions{Version: 2}); err != nil {
 			t.Fatal(err)
 		}
-		decoded := int64(big.NumNodes()+2*int(big.NumEdges())) * 4
-		paged, err := graph.OpenMappedOpts(path, graph.OpenOptions{BlockCacheBytes: decoded * 9 / 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer paged.Close()
-		for _, cfg := range []Config{
+		cfgs := []Config{
 			{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4},
 			{K: 5, D: 3, NB: true, Seed: 7},
-		} {
-			if want, got := renderEstimate(t, big, cfg), renderEstimate(t, paged, cfg); got != want {
-				t.Errorf("%s diverged:\nbuilt: %s\npaged: %s", cfg.MethodName(), want, got)
-			}
 		}
-		st, _ := paged.BlockCacheStats()
-		if int64(st.Blocks) < 3*(decoded/4/(64<<10)+1) || st.Evictions == 0 {
-			t.Errorf("want several pages per block under eviction, got %+v", st)
+		want := make([]string, len(cfgs))
+		for i, cfg := range cfgs {
+			want[i] = renderEstimate(t, big, cfg)
+		}
+		render := func(name string, o graph.OpenOptions) graph.BlockCacheStats {
+			g, err := graph.OpenMappedOpts(path, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			for i, cfg := range cfgs {
+				if got := renderEstimate(t, g, cfg); got != want[i] {
+					t.Errorf("%s %s diverged:\nbuilt: %s\n%s: %s", name, cfg.MethodName(), want[i], name, got)
+				}
+			}
+			st, _ := g.BlockCacheStats()
+			return st
+		}
+		roomy := render("roomy", graph.OpenOptions{})
+		st := render("paged", graph.OpenOptions{BlockCacheBytes: roomy.ResidentBytes / 2})
+		decoded := int64(big.NumNodes()+2*int(big.NumEdges())) * 4
+		if roomy.Evictions != 0 || int64(st.Blocks) < 3*(decoded/4/(64<<10)+1) || st.Evictions == 0 {
+			t.Errorf("want several pages per block under eviction, got %+v (roomy %+v)", st, roomy)
 		}
 	})
 

@@ -3,28 +3,46 @@ package graph
 import (
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // pageBytes is the target encoded size of one page, the unit the block
-// store verifies, caches, charges and evicts. A file block (the CRC and I/O
-// unit, DefaultBlockBytes) is cut into pages at row boundaries when the file
-// is opened, so a miss lays out ~8 KiB of rows however large the block is;
-// each row is then decoded on its first read. Measured on the 1M-edge BA
-// fixture under a cache smaller than the decoded rows, when a miss decoded
-// its whole page: 16 / 8 / 4 KiB units ran at 248k / 314k / 316k steps/s.
-// A row's start within its page is kept as a uint16, which the constant
-// below holds pageBytes to.
+// store verifies, caches and evicts. A file block (the CRC and I/O unit,
+// DefaultBlockBytes) is cut into pages at row boundaries when the file is
+// opened, so a miss indexes ~8 KiB of rows however large the block is; each
+// row is then decoded, and charged, on its first read. Measured on the
+// 1M-edge BA fixture under a cache smaller than the decoded rows, when a miss
+// decoded and charged its whole page: 16 / 8 / 4 KiB units ran at 248k /
+// 314k / 316k steps/s. A row's start within its page is kept as a uint16, and
+// a page's slab index in the bits locDecoded and the offset leave; the
+// constants below hold pageBytes to both (a page of several rows has at most
+// one row per byte).
 const pageBytes = 8 << 10
 
-const _ uint16 = pageBytes
+const (
+	_ uint16 = pageBytes
+	_ uint32 = 1<<(31-locSlabShift) - pageBytes
+)
 
 // crcChunk is the stride, in encoded bytes of a page, at which a page load
 // records the running block CRC-32C state that a row's first read checks
 // its bytes against.
 const crcChunk = 256
+
+// slabInts is the size, in neighbors, of the slabs (1 KiB chunks) a page
+// carves its decoded rows from. A page is charged a slab when a first read
+// opens it, so what a resident page costs follows the rows read from it.
+const slabInts = 256
+
+// A decoded row's entry in decodedPage.loc is locDecoded | slab<<locSlabShift
+// | offset. An offset runs to slabInts inclusive (an empty row read when its
+// slab is full), so it takes the low 9 bits.
+const (
+	locDecoded   = 1 << 31
+	locSlabShift = 9
+)
 
 // pageDirShift sizes the page directory: one entry per 64 nodes (4 bytes
 // beside the 512 that Graph.off spends on them).
@@ -69,22 +87,25 @@ func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32,
 }
 
 // blockStore serves adjacency rows of a version-2 .gcsr image through a
-// bounded cache of pages. The page is the unit that is verified, cached,
-// charged and evicted; the row is the unit that is decoded, on its first
-// read from a resident page.
+// bounded cache of pages. The page is the unit that is verified, cached and
+// evicted; the row is the unit that is decoded, on its first read from a
+// resident page, and charged, through the slab it is carved from.
 //
 // The hot path (a warm hit) is lock-free and allocation-free: an atomic
 // pointer load, one atomic add on the page's own hit counter, which
 // doubles as its clock reference — no cache line is written by every
-// reader — and atomic loads of the row's two offsets, one of which carries
-// its decoded bit. Misses verify the owning block's CRC and lay the page out
-// outside the lock and publish it under it; a row's first read decodes it
-// under the page's own mutex (see decodedPage.fill). Eviction only drops
-// the cache's reference to a page — callers may still hold row slices into
-// an evicted page's array, so buffers are never reused; the garbage
-// collector reclaims them once the last row slice dies. This is the same
-// second-chance (clock) policy as internal/walk's stateInfo cache, adapted
-// to byte-weighted entries.
+// reader — an atomic load of the row's loc entry, which carries its decoded
+// bit, and loads of its slab and heap degree. Misses verify the owning
+// block's CRC and allocate the page's index outside the lock, and publish and
+// charge it under it; a row's first read decodes it under the page's own
+// mutex (see decodedPage.fill), and a slab it opens is charged under the
+// store's mutex afterwards. The clock hand runs after every charge, so the
+// resident bytes are within the budget after every load and every fill. The
+// two mutexes are never held together. Eviction only drops the cache's
+// reference to a page — callers may still hold row slices into an evicted
+// page's slabs, so slabs are never reused; the garbage collector reclaims
+// them once the last row slice dies. This is the same second-chance (clock)
+// policy as internal/walk's stateInfo cache, adapted to byte-weighted entries.
 type blockStore struct {
 	data     []byte      // whole file image (mmap'd or heap)
 	n        int64       // node count, for decode validation
@@ -102,30 +123,32 @@ type blockStore struct {
 	resBytes  atomic.Int64
 	resPages  atomic.Int64
 
-	mu   sync.Mutex // guards slot stores, seen and the clock hand
+	mu   sync.Mutex // guards slot stores, the pages' charges, seen and the clock hand
 	seen []uint64   // hits[p] when the hand last passed page p
 	hand int
 }
 
-// decodedPage is one resident page. off and adj are local to the page:
-// node v's row is adj[off[i]:off[i+1]] with i = v-first. off is laid out
-// from the heap degrees when the page loads, with the pending bit set in
-// every off[i+1]; row i's first read fills its part of adj and publishes it
-// by clearing that bit, so the end offset a reader loads anyway doubles as
-// the row's atomic decoded bit.
+// decodedPage is one resident page: an index of its rows that their first
+// reads fill. Row i, node first+i, is undecoded until loc[i] has locDecoded
+// set; then it is slabs[s][o:o+d], with s and o from loc[i] and d the heap
+// degree off[i+1]-off[i]. A first read decodes the row into the page's
+// current slab, or into a slab it opens, sets the slab's table entry and
+// then publishes loc[i] with one atomic store, so a reader that loads a
+// decoded entry finds its slab set. The slab table has a fixed length, the
+// bound loadPage proves.
 type decodedPage struct {
 	first int32
-	off   []int32
-	adj   []int32
-	bytes int64 // accounted cache weight
+	loc   []atomic.Uint32
+	slabs [][]int32
+	off   []int64  // the graph's heap prefix sums from node first on
+	sums  []uint32 // sums[c]: the block's running CRC-32C before CRC chunk c of the page
+	bytes int64    // charged cache weight: the index, sums and opened slabs; guarded by blockStore.mu
 
-	mu   sync.Mutex // serializes first reads of the page's rows
-	sums []uint32   // sums[c]: the block's running CRC-32C before chunk c of the page
+	mu   sync.Mutex // serializes first reads; guards n, cur and used
+	n    int32      // slabs opened
+	cur  int32      // the slab rows of up to slabInts neighbors are carved from; -1 before the first
+	used int32      // neighbors carved from slab cur
 }
-
-// pending is the bit of decodedPage.off[i+1] that is set until row i is
-// decoded. Offsets within a page are below 2^31, so it is free.
-const pending = math.MinInt32
 
 func newBlockStore(data []byte, lay v2Layout, off []int64, pages []pageMeta, rowAt []uint16, capBytes int64) *blockStore {
 	if capBytes <= 0 {
@@ -216,14 +239,26 @@ func (s *blockStore) miss(p int) *decodedPage {
 	return pg
 }
 
-// firstRead decodes and returns row i of page p, resident as pg.
+// firstRead decodes and returns row i of page p, resident as pg, and charges
+// the slab it opened, if any.
 func (s *blockStore) firstRead(p int, pg *decodedPage, i int32) []int32 {
 	pm := s.pages[p]
 	bm := s.metas[pm.block]
 	enc := s.data[bm.off+int64(pm.start) : bm.off+int64(pm.end)]
-	r, err := pg.fill(i, enc, s.rowAt[pm.first:pm.first+pm.count], s.n)
+	r, opened, err := pg.fill(i, enc, s.rowAt[pm.first:pm.first+pm.count], s.n)
 	if err != nil {
 		panic(modified(pm, err))
+	}
+	if opened > 0 {
+		s.mu.Lock()
+		// A page evicted since its slot was loaded left the budget with the
+		// charge it had then; its later slabs are not charged.
+		if s.slots[p].Load() == pg {
+			pg.bytes += opened
+			s.resBytes.Add(opened)
+			s.evict()
+		}
+		s.mu.Unlock()
 	}
 	return r
 }
@@ -237,11 +272,11 @@ func modified(pm pageMeta, err error) string {
 
 // loadPage verifies block, the encoded payload of block bm, against its
 // indexed CRC-32C, recording the running state every crcChunk bytes of page
-// pm on the way, and lays the page out for first reads: one buffer holds its
-// off and adj arrays (it is what the cache charges for), and off is filled
-// from off64, the heap prefix sums of the page's rows and the one past them.
-// It decodes no row.
-func loadPage(block []byte, bm blockMeta, pm pageMeta, off64 []int64) (*decodedPage, error) {
+// pm on the way, and allocates the page's index for first reads, which is
+// what the page is charged on load. off is the heap prefix sums of the
+// page's rows and the one past them, which give first reads the rows'
+// degrees. It decodes no row and allocates no slab.
+func loadPage(block []byte, bm blockMeta, pm pageMeta, off []int64) (*decodedPage, error) {
 	enc := block[pm.start:pm.end]
 	sums := make([]uint32, (len(enc)+crcChunk-1)/crcChunk+1)
 	crc := crc32.Update(0, castagnoli, block[:pm.start])
@@ -253,41 +288,55 @@ func loadPage(block []byte, bm blockMeta, pm pageMeta, off64 []int64) (*decodedP
 	if err := checkBlockCRC(crc32.Update(crc, castagnoli, block[pm.end:]), bm); err != nil {
 		return nil, err
 	}
-	buf := make([]int32, int(pm.count)+1+int(pm.arcs))
+	// The slab table holds every slab the page's first reads can open. fill
+	// opens one only with a row it decodes, one row each, so there are at
+	// most as many as rows. And 2·arcs/slabInts + 1 bound them, in integer
+	// division: a row longer than slabInts opens a slab of its own (L such
+	// slabs, each holding at least slabInts+1 arcs). Any other row is carved
+	// from the current slab and opens a new one only when it does not fit,
+	// so if S1, …, Sk are the slabs those rows opened, in order, the row that
+	// opened S(j+1) is in it and did not fit beside what Sj held, which no
+	// later row joins: held(Sj) + held(S(j+1)) ≥ slabInts+1. Summing that
+	// over j < k, plus what the long slabs hold, counts every arc at most
+	// twice: (k-1+L)·(slabInts+1) ≤ 2·arcs, so k+L-1 ≤ 2·arcs/slabInts.
 	pg := &decodedPage{
 		first: pm.first,
-		off:   buf[:pm.count+1],
-		adj:   buf[pm.count+1:],
-		bytes: int64(len(buf))*4 + 48,
+		off:   off,
+		loc:   make([]atomic.Uint32, pm.count),
+		slabs: make([][]int32, min(int(pm.count), 2*int(pm.arcs)/slabInts+1)),
 		sums:  sums,
+		cur:   -1,
 	}
-	for i, o := range off64[1:] {
-		pg.off[i+1] = int32(o-off64[0]) | pending
-	}
+	pg.bytes = int64(unsafe.Sizeof(*pg)) + 4*int64(len(pg.loc)+len(sums)) +
+		int64(unsafe.Sizeof([]int32(nil)))*int64(len(pg.slabs))
 	return pg, nil
 }
 
 // row returns row first+i if it is decoded.
 func (pg *decodedPage) row(i int32) ([]int32, bool) {
-	end := atomic.LoadInt32(&pg.off[i+1])
-	if end&pending != 0 {
+	l := pg.loc[i].Load()
+	if l&locDecoded == 0 {
 		return nil, false
 	}
-	return pg.adj[atomic.LoadInt32(&pg.off[i])&^pending : end], true
+	o := l & (1<<locSlabShift - 1)
+	return pg.slabs[(l&^locDecoded)>>locSlabShift][o : o+uint32(pg.off[i+1]-pg.off[i])], true
 }
 
 // fill decodes and returns row first+i on its first read, from enc, the
 // page's encoded bytes, in which rowAt[i] is where the row starts and the
-// next row's start (or enc's end) is where it must end. It holds up the
-// integrity contract (gcsr_v2.go): it re-runs the CRC over the chunks the row
-// covers from the states the page load recorded, then decodes the row with
-// decodeRow and checks it against the heap degree and its end. A racing
-// first read of the same row waits on the page mutex and finds it decoded.
-func (pg *decodedPage) fill(i int32, enc []byte, rowAt []uint16, n int64) ([]int32, error) {
+// next row's start (or enc's end) is where it must end, with the bytes of
+// the slab it opened for the row (0 when it carved the row from the current
+// slab). It holds up the integrity contract (gcsr_v2.go): it re-runs the CRC
+// over the chunks the row covers from the states the page load recorded,
+// then decodes the row with decodeRow and checks it against the heap degree
+// and its end. A row that fails takes no room: a slab enters the table only
+// with the row that opened it. A racing first read of the same row waits on
+// the page mutex and finds it decoded.
+func (pg *decodedPage) fill(i int32, enc []byte, rowAt []uint16, n int64) ([]int32, int64, error) {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	if r, ok := pg.row(i); ok {
-		return r, nil
+		return r, 0, nil
 	}
 	v := int64(pg.first) + int64(i)
 	start, end := int(rowAt[i]), len(enc)
@@ -297,21 +346,40 @@ func (pg *decodedPage) fill(i int32, enc []byte, rowAt []uint16, n int64) ([]int
 	for c := start / crcChunk; c*crcChunk < end; c++ {
 		lo, hi := c*crcChunk, min((c+1)*crcChunk, len(enc))
 		if got := crc32.Update(pg.sums[c], castagnoli, enc[lo:hi]); got != pg.sums[c+1] {
-			return nil, fmt.Errorf("gcsr: node %d: page bytes [%d,%d) checksum %08x != %08x when the page loaded", v, lo, hi, got, pg.sums[c+1])
+			return nil, 0, fmt.Errorf("gcsr: node %d: page bytes [%d,%d) checksum %08x != %08x when the page loaded", v, lo, hi, got, pg.sums[c+1])
 		}
 	}
-	row := pg.adj[pg.off[i]&^pending : pg.off[i+1]&^pending]
+	deg := int32(pg.off[i+1] - pg.off[i])
+	s, o := pg.cur, pg.used
+	var slab []int32 // the slab the row opens, if it opens one
+	if deg > slabInts || s < 0 || o+deg > slabInts {
+		s, o = pg.n, 0
+		slab = make([]int32, max(deg, slabInts))
+	}
+	var row []int32
+	if slab != nil {
+		row = slab[:deg]
+	} else {
+		row = pg.slabs[s][o : o+deg]
+	}
 	d, pos, err := decodeRow(enc[:end], start, v, n, row)
 	switch {
 	case err != nil:
-		return nil, err
+		return nil, 0, err
 	case d != len(row):
-		return nil, fmt.Errorf("gcsr: node %d: degree %d, open-time degree %d", v, d, len(row))
+		return nil, 0, fmt.Errorf("gcsr: node %d: degree %d, open-time degree %d", v, d, len(row))
 	case pos != end:
-		return nil, fmt.Errorf("gcsr: node %d: %d trailing bytes", v, end-pos)
+		return nil, 0, fmt.Errorf("gcsr: node %d: %d trailing bytes", v, end-pos)
 	}
-	atomic.StoreInt32(&pg.off[i+1], pg.off[i+1]&^pending)
-	return row, nil
+	if slab != nil {
+		pg.slabs[s] = slab
+		pg.n++
+	}
+	if deg <= slabInts {
+		pg.cur, pg.used = s, o+deg
+	}
+	pg.loc[i].Store(locDecoded | uint32(s)<<locSlabShift | uint32(o))
+	return row, 4 * int64(len(slab)), nil
 }
 
 // evict runs the clock hand until the cache fits its byte budget, always
@@ -347,7 +415,7 @@ func (s *blockStore) evict() {
 type BlockCacheStats struct {
 	Blocks         int    // total pages in the file
 	ResidentBlocks int64  // pages currently cached
-	ResidentBytes  int64  // accounted size of resident pages
+	ResidentBytes  int64  // charged size of resident pages: their indexes and the slabs their first reads opened
 	CapacityBytes  int64  // configured cache bound
 	Hits           uint64 // row reads served from the cache
 	Misses         uint64 // row reads that loaded a page

@@ -12,9 +12,13 @@ package graph
 // go through a bounded cache of pages (blockcache.go) — runs of whole rows of
 // about 8 KiB encoded, cut inside each block when the file is opened. The
 // page is what a miss verifies, and what is cached and evicted; a row is
-// decoded on its first read from a cached page, so a miss costs a block CRC
-// and no decoding, and warm walk steps stay allocation-free. The degree/off
-// array is reconstructed on the heap at open time so Degree stays O(1).
+// decoded on its first read from a cached page, into 1 KiB slabs the page
+// opens as it needs them. A miss costs a block CRC and an index of the
+// page's rows, and no decoding; a page is charged against the cache budget
+// for that index and for the slabs its first reads opened, so the budget
+// holds the rows walks read, not whole pages. Warm walk steps stay
+// allocation-free. The degree/off array is reconstructed on the heap at open
+// time so Degree stays O(1).
 //
 // Layout (all integers little-endian):
 //
@@ -81,8 +85,9 @@ const (
 	// one by one (blockcache.go); a miss verifies the whole block's CRC.
 	DefaultBlockBytes = 64 << 10
 
-	// DefaultBlockCacheBytes bounds the page cache of one opened
-	// v2 graph when OpenOptions.BlockCacheBytes is zero.
+	// DefaultBlockCacheBytes bounds the page cache of one opened v2 graph
+	// (the resident pages' indexes and decoded rows) when
+	// OpenOptions.BlockCacheBytes is zero.
 	DefaultBlockCacheBytes = 64 << 20
 )
 

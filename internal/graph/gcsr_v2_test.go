@@ -154,11 +154,77 @@ func pagedTestGraph() (g *Graph, hub int32) {
 	return b.Build(), hub
 }
 
+// slabBoundGraph builds a graph whose first page reaches the slab table's
+// bound: its rows alternate between slabInts/2+1 neighbors, two of which
+// never fit one slab, and slabInts+1, each of which opens a slab of its own,
+// so that every row's first read opens a slab, in whatever order they come.
+func slabBoundGraph() *Graph {
+	const rows = 64
+	b := NewBuilder(rows + slabInts + 1)
+	for v := int32(0); v < rows; v++ {
+		d := slabInts/2 + 1
+		if v%2 == 1 {
+			d = slabInts + 1
+		}
+		for j := range int32(d) {
+			b.AddEdge(v, rows+j)
+		}
+	}
+	return b.Build()
+}
+
 // TestGCSRV2Pages opens a default-BlockBytes file whose blocks each hold
 // several pages and checks the page table the open-time sweep recorded and
 // every row served through it, with everything resident, with a handful of
-// pages resident, and with one.
+// pages resident, and with one. Then it reads every row of a page built to
+// need as many slabs as it has rows, which its slab table must hold exactly.
 func TestGCSRV2Pages(t *testing.T) {
+	t.Run("slab-table-bound", func(t *testing.T) {
+		g := slabBoundGraph()
+		got, err := OpenMapped(saveV2(t, t.TempDir(), "slabs", g, SaveOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		s := got.blocks
+		pm := s.pages[0]
+		if pm.count < 8 || pm.first+pm.count > 64 {
+			t.Fatalf("page 0 %+v is not a run of the alternating rows", pm)
+		}
+		bm := s.metas[pm.block]
+		block := s.data[bm.off : bm.off+int64(bm.encLen)]
+		// The open-time hub index has read these rows already, so each
+		// order reads a page of its own: in row order, and short rows first.
+		var inRows, shortFirst []int32
+		for i := range pm.count {
+			inRows = append(inRows, i)
+		}
+		for _, odd := range []int32{0, 1} {
+			for i := odd; i < pm.count; i += 2 {
+				shortFirst = append(shortFirst, i)
+			}
+		}
+		for _, order := range [][]int32{inRows, shortFirst} {
+			pg, err := loadPage(block, bm, pm, s.off[pm.first:pm.first+pm.count+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pg.slabs) != int(pm.count) {
+				t.Fatalf("slab table of %d for %d rows", len(pg.slabs), pm.count)
+			}
+			for _, i := range order {
+				row, opened, err := pg.fill(i, block[pm.start:pm.end], s.rowAt[pm.first:pm.first+pm.count], s.n)
+				if err != nil || !slices.Equal(row, g.Neighbors(pm.first+i)) || opened != 4*int64(max(len(row), slabInts)) {
+					t.Fatalf("row %d: %v, or it differs, or its slab of %d bytes is not its own", pm.first+i, err, opened)
+				}
+			}
+			if pg.n != int32(len(pg.slabs)) {
+				t.Fatalf("%d rows opened %d of %d slabs", pm.count, pg.n, len(pg.slabs))
+			}
+		}
+		graphsEqual(t, g, got)
+	})
+
 	g, hub := pagedTestGraph()
 	path := saveV2(t, t.TempDir(), "paged", g, SaveOptions{})
 	for _, cacheBytes := range []int64{0, 128 << 10, 1} {
@@ -241,28 +307,69 @@ func TestGCSRV2Pages(t *testing.T) {
 // readers' feet. The second case has pages cut inside blocks. In the third,
 // the goroutines are released together onto one freshly loaded page and
 // each reads all its rows, in an order of its own, so every row's first
-// read races the others'.
+// read races the others'. In the fourth, the budget holds every page's
+// index but not the slabs of every row, so the slabs first reads open drive
+// eviction; the budget must hold after every read, the store's resident
+// bytes must be the sum of its resident pages' charges, and a slab opened in
+// a page already evicted must not be charged.
 func TestGCSRV2CacheConcurrent(t *testing.T) {
 	paged, _ := pagedTestGraph()
 	for _, tc := range []struct {
 		name       string
 		g          *Graph
 		save       SaveOptions
-		cacheBytes int64
-		reads      int // random row reads per goroutine; 0 reads one fresh page
+		cacheBytes int64 // -1: a quarter of the way from loading every page to reading every row
+		reads      int   // random row reads per goroutine; 0 reads one fresh page
 	}{
 		{"page-per-block", randomTestGraph(rand.New(rand.NewSource(11)), 400, 3000), SaveOptions{BlockBytes: 128}, 256, 5000},
 		{"pages-in-blocks", paged, SaveOptions{}, 256 << 10, 1500},
 		{"first-reads-of-one-page", paged, SaveOptions{}, 0, 0},
+		{"first-reads-drive-eviction", paged, SaveOptions{}, -1, 1500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
 			path := saveV2(t, t.TempDir(), "conc", g, tc.save)
-			got, err := OpenMappedOpts(path, OpenOptions{BlockCacheBytes: tc.cacheBytes})
+			cacheBytes := tc.cacheBytes
+			if cacheBytes < 0 {
+				all, err := OpenMapped(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := all.blocks
+				for p := range s.pages {
+					if s.slots[p].Load() == nil {
+						s.miss(p)
+					}
+				}
+				loads := s.resBytes.Load()
+				for v := range int32(g.NumNodes()) {
+					all.Neighbors(v)
+				}
+				cacheBytes = loads + (s.resBytes.Load()-loads)/4
+				all.Close()
+			}
+			got, err := OpenMappedOpts(path, OpenOptions{BlockCacheBytes: cacheBytes})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer got.Close()
+			// withinBudget checks the budget and that the resident bytes are
+			// the sum of the resident pages' charges.
+			withinBudget := func() error {
+				s := got.blocks
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				sum := int64(0)
+				for p := range s.slots {
+					if pg := s.slots[p].Load(); pg != nil {
+						sum += pg.bytes
+					}
+				}
+				if res := s.resBytes.Load(); res != sum || res > s.capBytes {
+					return fmt.Errorf("resident bytes %d, resident pages charged %d, budget %d", res, sum, s.capBytes)
+				}
+				return nil
+			}
 			var page []int32 // tc.reads == 0: the rows of the loaded page
 			if tc.reads == 0 {
 				s := got.blocks
@@ -333,6 +440,40 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 			// a few of its own).
 			if st.Hits+st.Misses < uint64(8*tc.reads) {
 				t.Fatalf("per-page hit counters lost reads: %+v for %d reads", st, 8*tc.reads)
+			}
+			if tc.cacheBytes >= 0 {
+				return
+			}
+			if err := withinBudget(); err != nil || st.ResidentBytes > st.CapacityBytes {
+				t.Fatalf("after concurrent reads: %v; %+v", err, st)
+			}
+			rng := rand.New(rand.NewSource(99))
+			for range tc.reads {
+				v := int32(rng.Intn(g.NumNodes()))
+				got.Neighbors(v)
+				if err := withinBudget(); err != nil {
+					t.Fatalf("after reading node %d: %v", v, err)
+				}
+			}
+			// A reader that loaded page 0 before the hand evicted it opens
+			// a slab in it that is not charged: the page left the budget.
+			s := got.blocks
+			evict := func() {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if pg := s.slots[0].Load(); pg != nil {
+					s.slots[0].Store(nil)
+					s.resBytes.Add(-pg.bytes)
+					s.resPages.Add(-1)
+				}
+			}
+			evict()
+			pg := s.miss(0)
+			evict()
+			res := s.resBytes.Load()
+			s.firstRead(0, pg, 0)
+			if err := withinBudget(); err != nil || pg.n != 1 || s.resBytes.Load() != res {
+				t.Fatalf("first read of an evicted page opened %d slabs, resident bytes %d -> %d: %v", pg.n, res, s.resBytes.Load(), err)
 			}
 		})
 	}
@@ -423,8 +564,8 @@ func TestGCSRV2CorruptionAfterOpen(t *testing.T) {
 // TestGCSRV2WarmProbesAllocationFree is the v2 counterpart of
 // TestProbesAllocationFree: once every block is resident, row reads and
 // probes must not allocate (the property that keeps warm walk steps free).
-// Nor may the first read of a row whose page is resident: a page load is
-// the one allocation a row read can cost.
+// The first reads of rows whose pages are resident allocate exactly the
+// slabs they open, one allocation each.
 func TestGCSRV2WarmProbesAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomTestGraph(rng, 600, 6000)
@@ -448,18 +589,27 @@ func TestGCSRV2WarmProbesAllocationFree(t *testing.T) {
 			}
 		}
 	}
+	opened := func() (n int32) {
+		for p := range s.slots {
+			n += s.slots[p].Load().n
+		}
+		return n
+	}
 	// AllocsPerRun calls the function once before it counts: each call
 	// reads half of the unread rows, so the counted call reads the second
 	// half, for the first time.
 	half := len(unread) / 2
 	var sink int
+	var slabs int32 // opened by the last call
 	if n := testing.AllocsPerRun(1, func() {
+		before := opened()
 		for _, v := range unread[:half] {
 			sink += len(got.Neighbors(v))
 		}
 		unread = unread[half:]
-	}); n != 0 || half < 100 {
-		t.Fatalf("first reads of %d rows in loaded pages allocate %.0f times", half, n)
+		slabs = opened() - before
+	}); n != float64(slabs) || slabs == 0 || half < 100 {
+		t.Fatalf("first reads of %d rows in loaded pages opened %d slabs and allocated %.0f times", half, slabs, n)
 	}
 	for v := int32(0); v < int32(got.NumNodes()); v++ {
 		got.Neighbors(v) // warm every row
@@ -793,16 +943,18 @@ func FuzzGCSRV2Read(f *testing.F) {
 // metadata: whatever the mutated count/arc claims, it must stay in bounds
 // and reject inconsistencies instead of panicking. An accepted block is then
 // served the way the page cache serves it: cut into pages of target bytes,
-// every page loaded (block CRC, chunk states, offsets from the degrees) and
-// every row decoded on its first read through the row starts recorded with
-// the cuts, in a seeded random order; that must give the whole-block
-// decode's rows. Then the block is changed at one byte (flip) under those
-// recorded cuts, twice. After its pages loaded, each row must read as before
-// or fail, and the row holding the changed byte must fail. Before they
-// loaded, with the index CRC restamped to match so that only the row checks
-// stand between the change and a reader, each row served must be a valid
-// row, and if every row is served the rows must be the changed block's
-// whole-block decode: row by row is at least as strict as the whole block.
+// every page loaded (block CRC, chunk states, an empty row index and slab
+// table) and every row decoded on its first read into a slab of its page,
+// through the row starts recorded with the cuts, in a seeded random order
+// that the pages' slab tables must hold; that must give the
+// whole-block decode's rows. Then the block is changed at one byte (flip)
+// under those recorded cuts, twice. After its pages loaded, each row must
+// read as before or fail, and the row holding the changed byte must fail.
+// Before they loaded, with the index CRC restamped to match so that only the
+// row checks stand between the change and a reader, each row served must be
+// a valid row, and if every row is served the rows must be the changed
+// block's whole-block decode: row by row is at least as strict as the whole
+// block.
 func FuzzGCSRV2Block(f *testing.F) {
 	row := appendEncodedRow(nil, []int32{1, 2, 9})
 	row = appendEncodedRow(row, []int32{0, 2})
@@ -876,7 +1028,7 @@ func FuzzGCSRV2Block(f *testing.F) {
 				pm, pg := pages[pageOf[i]], pgs[pageOf[i]]
 				r := pm.first - first
 				j := int32(i) - r
-				rows[i], errs[i] = pg.fill(j, img[pm.start:pm.end], rowAt[r:r+pm.count], n)
+				rows[i], _, errs[i] = pg.fill(j, img[pm.start:pm.end], rowAt[r:r+pm.count], n)
 			}
 			return rows, errs
 		}

@@ -137,11 +137,11 @@ func newServiceMetrics(reg *obs.Registry, graphs *Registry) *serviceMetrics {
 		blockHits: reg.Gauge("graphletd_blockcache_hits",
 			"Neighbor-row reads served from decoded-page caches, across registered v2 graphs."),
 		blockMisses: reg.Gauge("graphletd_blockcache_misses",
-			"Neighbor-row reads that loaded a page (about 8 KiB of encoded rows), across registered v2 graphs."),
+			"Neighbor-row reads that loaded a page (verified its block and indexed about 8 KiB of encoded rows), across registered v2 graphs."),
 		blockEvictions: reg.Gauge("graphletd_blockcache_evictions",
 			"Decoded pages dropped by the clock hand, across registered v2 graphs."),
 		blockResBytes: reg.Gauge("graphletd_blockcache_resident_bytes",
-			"Bytes of decoded pages currently cached, across registered v2 graphs."),
+			"Bytes charged to cached pages: each page's row index plus the 1 KiB slabs of the rows read from it, across registered v2 graphs."),
 		blockResBlocks: reg.Gauge("graphletd_blockcache_resident_blocks",
 			"Decoded pages currently cached, across registered v2 graphs (the cache unit is a page cut from a file block; the name predates pages)."),
 		dist: dist.NewMetrics(reg),
