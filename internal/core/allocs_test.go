@@ -22,15 +22,15 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 		name string // one-size rows are named by method; go test numbers repeats
 		cfg  MultiConfig
 	}{
-		{"SRW3", Config{K: 4, D: 3}.multi()},
-		{"SRW3", Config{K: 5, D: 3}.multi()},
-		{"SRW4NB", Config{K: 5, D: 4, NB: true}.multi()},
-		{"SRW1CSSNB", Config{K: 3, D: 1, CSS: true, NB: true}.multi()},
-		{"SRW2CSS", Config{K: 4, D: 2, CSS: true}.multi()},
-		{"SRW2CSS", Config{K: 5, D: 2, CSS: true}.multi()},
-		{"SRW3CSS", Config{K: 5, D: 3, CSS: true}.multi()},
-		{"SRW1_stars", Config{K: 4, D: 1, RecoverStars: true}.multi()},
-		{"SRW2CSS_burnin", Config{K: 4, D: 2, CSS: true, BurnIn: 100}.multi()},
+		{"SRW3", Config{K: 4, D: 3}.Multi()},
+		{"SRW3", Config{K: 5, D: 3}.Multi()},
+		{"SRW4NB", Config{K: 5, D: 4, NB: true}.Multi()},
+		{"SRW1CSSNB", Config{K: 3, D: 1, CSS: true, NB: true}.Multi()},
+		{"SRW2CSS", Config{K: 4, D: 2, CSS: true}.Multi()},
+		{"SRW2CSS", Config{K: 5, D: 2, CSS: true}.Multi()},
+		{"SRW3CSS", Config{K: 5, D: 3, CSS: true}.Multi()},
+		{"SRW1_stars", Config{K: 4, D: 1, RecoverStars: true}.Multi()},
+		{"SRW2CSS_burnin", Config{K: 4, D: 2, CSS: true, BurnIn: 100}.Multi()},
 		{"SRW2CSS_sizes345", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}},
 	} {
 		t.Run(row.name, func(t *testing.T) {

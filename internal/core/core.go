@@ -25,7 +25,8 @@
 //     schedule-independent by construction.
 //   - state (state.go, partition.go): a run's complete position exports as
 //     one EnsembleState with one versioned codec, which is also the unit a
-//     distributed run ships between machines.
+//     distributed run ships between machines. Its config section
+//     (AppendConfig / ReadConfig) is the one binary form of a MultiConfig.
 //
 // CSS weights on the step path are read from the per-(k, d) chain tables of
 // internal/graphlet (samplingProbabilityWith); the generic per-window
@@ -98,8 +99,9 @@ func (c Config) MethodName() string {
 	return s
 }
 
-// multi returns the general configuration c is the one-size case of.
-func (c Config) multi() MultiConfig {
+// Multi returns the general configuration c is the one-size case of: the one
+// Config → MultiConfig conversion.
+func (c Config) Multi() MultiConfig {
 	return MultiConfig{
 		Sizes: []int{c.K}, D: c.D, CSS: c.CSS, NB: c.NB,
 		RecoverStars: c.RecoverStars, BurnIn: c.BurnIn,
@@ -108,7 +110,7 @@ func (c Config) multi() MultiConfig {
 }
 
 // Validate checks the configuration.
-func (c Config) Validate() error { return c.multi().Validate() }
+func (c Config) Validate() error { return c.Multi().Validate() }
 
 // Result holds the outcome of one estimation run (or, after Merge, of
 // several independent runs combined).
@@ -210,7 +212,7 @@ type Estimator struct {
 // NewEstimator builds an estimator over the client. When cfg.Walkers > 1 the
 // client is used from that many goroutines concurrently during Run.
 func NewEstimator(client access.Client, cfg Config) (*Estimator, error) {
-	m, err := NewMultiEstimator(client, cfg.multi())
+	m, err := NewMultiEstimator(client, cfg.Multi())
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +222,7 @@ func NewEstimator(client access.Client, cfg Config) (*Estimator, error) {
 // NewPartitionEstimator builds an estimator owning only walkers [lo, hi) of
 // the cfg.Walkers-walker ensemble (see NewPartitionMultiEstimator).
 func NewPartitionEstimator(client access.Client, cfg Config, lo, hi int) (*Estimator, error) {
-	m, err := NewPartitionMultiEstimator(client, cfg.multi(), lo, hi)
+	m, err := NewPartitionMultiEstimator(client, cfg.Multi(), lo, hi)
 	if err != nil {
 		return nil, err
 	}

@@ -19,13 +19,14 @@ func TestConfigValidate(t *testing.T) {
 		{K: 4, D: 0},
 		{K: 4, D: 5},
 		{K: 3, D: 1, BurnIn: -1},
+		{K: 3, D: 1, Walkers: 1<<16 + 1}, // more walkers than a state can carry
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v should be invalid", c)
 		}
 	}
-	good := []Config{{K: 3, D: 1}, {K: 5, D: 2, CSS: true, NB: true}, {K: 4, D: 4}}
+	good := []Config{{K: 3, D: 1}, {K: 5, D: 2, CSS: true, NB: true}, {K: 4, D: 4}, {K: 3, D: 1, Walkers: 1 << 16}}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
 			t.Errorf("config %+v: %v", c, err)
@@ -286,7 +287,7 @@ func TestPaperExampleStationary(t *testing.T) {
 	client := access.NewGraphClient(g)
 	// Manually set the window to the example's three states. Node labels in
 	// the paper are 1..4, here 0..3. The window lives in the walker layer.
-	wk := newWalker(client, Config{K: 4, D: 2, Seed: 1}.multi(), 1)
+	wk := newWalker(client, Config{K: 4, D: 2, Seed: 1}.Multi(), 1)
 	wk.reset()
 	wk.start()
 	wk.win[0] = stateOf2(0, 1)
@@ -365,7 +366,7 @@ func TestDeterminism(t *testing.T) {
 func TestCSSMatchesTable4K3(t *testing.T) {
 	g := gen.PaperFigure1()
 	client := access.NewGraphClient(g)
-	wk := newWalker(client, Config{K: 3, D: 1, CSS: true, Seed: 1}.multi(), 1)
+	wk := newWalker(client, Config{K: 3, D: 1, CSS: true, Seed: 1}.Multi(), 1)
 	wk.reset()
 	wk.start()
 	pTilde := func(nodes []int32) float64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -65,7 +66,7 @@ type MultiConfig struct {
 	RecoverStars bool
 	BurnIn       int
 	// Walkers is the number of independent concurrent walks (0 and 1 both
-	// mean one); semantics match Config.Walkers.
+	// mean one, and at most 1<<16); semantics match Config.Walkers.
 	Walkers int
 	Seed    int64
 }
@@ -97,26 +98,21 @@ func (c MultiConfig) Validate() error {
 	if c.Walkers < 0 {
 		return fmt.Errorf("core: negative Walkers %d", c.Walkers)
 	}
+	if c.Walkers > maxStateWalkers {
+		// The state codec refuses more; a run past it could never resume.
+		return fmt.Errorf("core: Walkers %d exceeds the cap of %d", c.Walkers, maxStateWalkers)
+	}
 	if c.RecoverStars && (len(c.Sizes) != 1 || c.Sizes[0] != 4 || c.D != 1) {
 		return fmt.Errorf("core: RecoverStars applies only to the single size 4 at D=1")
 	}
 	return nil
 }
 
-// equal reports deep equality (MultiConfig holds a slice, so == is
-// unavailable); Sizes order is significant.
+// equal compares the two configs' canonical encodings (AppendConfig); Sizes
+// order is significant.
 func (c MultiConfig) equal(o MultiConfig) bool {
-	if len(c.Sizes) != len(o.Sizes) || c.D != o.D || c.CSS != o.CSS || c.NB != o.NB ||
-		c.RecoverStars != o.RecoverStars || c.BurnIn != o.BurnIn ||
-		c.Walkers != o.Walkers || c.Seed != o.Seed {
-		return false
-	}
-	for i := range c.Sizes {
-		if c.Sizes[i] != o.Sizes[i] {
-			return false
-		}
-	}
-	return true
+	var a, b [32]byte
+	return bytes.Equal(AppendConfig(a[:0], c), AppendConfig(b[:0], o))
 }
 
 // sizeConfig is the one-size Config of size k: what a merged per-size Result

@@ -16,14 +16,18 @@ func TestMultiConfigValidate(t *testing.T) {
 		{Sizes: []int{6}, D: 1},
 		{Sizes: []int{3, 4}, D: 4},
 		{Sizes: []int{3}, D: 0},
+		{Sizes: []int{3}, D: 1, Walkers: -1},
+		{Sizes: []int{3, 4}, D: 1, Walkers: 1<<16 + 1}, // more walkers than a state can carry
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v should be invalid", c)
 		}
 	}
-	if err := (MultiConfig{Sizes: []int{3, 4, 5}, D: 2}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, c := range []MultiConfig{{Sizes: []int{3, 4, 5}, D: 2}, {Sizes: []int{3, 4}, D: 1, Walkers: 1 << 16}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", c, err)
+		}
 	}
 }
 

@@ -90,11 +90,15 @@ type EnsembleState struct {
 	Walkers     []WalkerState
 }
 
-// Binary layout: magic, format version, MultiConfig, WindowsDone, then each
-// walker. Integers are varints (zigzag for signed), float64s are fixed
-// 8-byte IEEE-754 bits (exact round-trip), booleans are packed into flag
-// bytes. The format is version-gated: decoding a snapshot written by a
-// future format fails loudly instead of misinterpreting it.
+// Binary layout: magic, format version, the config section (AppendConfig),
+// WindowsDone, then each walker. Integers are varints (zigzag for signed),
+// float64s are fixed 8-byte IEEE-754 bits (exact round-trip), booleans are
+// packed into flag bytes. The format is version-gated: decoding a snapshot
+// written by a future format fails loudly instead of misinterpreting it.
+//
+// The config section is the one binary form of a MultiConfig: the dist
+// assignment wire format and the service's cache key carry the same bytes,
+// and config equality compares them.
 //
 // GMST version 2 is version 1 plus BurnIn after the config flag byte, the
 // RecoverStars bit in that byte (which version 1 rejects), and — only under
@@ -121,8 +125,36 @@ func (st *EnsembleState) Encode() []byte {
 	buf := make([]byte, 0, 256+len(st.Walkers)*256*len(st.Config.Sizes))
 	buf = append(buf, stateMagic...)
 	buf = binary.AppendUvarint(buf, stateVersion)
+	buf = AppendConfig(buf, st.Config)
+	buf = binary.AppendVarint(buf, int64(st.WindowsDone))
+	buf = binary.AppendUvarint(buf, uint64(len(st.Walkers)))
+	for i := range st.Walkers {
+		buf = st.Walkers[i].encode(buf, st.Config.RecoverStars)
+	}
+	return buf
+}
 
-	c := st.Config
+// ConfigLayout names a binary layout of the config section.
+type ConfigLayout uint8
+
+const (
+	// ConfigGEST1 is GEST version 1's section (and GDPA version 1's
+	// single-size one): one size, D, the CSS/NB/RecoverStars flag byte,
+	// BurnIn, Walkers, Seed.
+	ConfigGEST1 ConfigLayout = iota + 1
+	// ConfigGMST1 is GMST version 1's section (and GDPA version 1's
+	// multi-size one): the size list, D, the flag byte with the RecoverStars
+	// bit refused, Walkers, Seed — no BurnIn.
+	ConfigGMST1
+	// ConfigGMST2 is the current section, the one AppendConfig writes: the
+	// size list, D, the CSS/NB/RecoverStars flag byte, BurnIn, Walkers, Seed.
+	ConfigGMST2
+)
+
+// AppendConfig appends c's canonical encoding — the config section of a GMST
+// version 2 state — to buf. Two configs are equal exactly when their
+// encodings are.
+func AppendConfig(buf []byte, c MultiConfig) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(c.Sizes)))
 	for _, k := range c.Sizes {
 		buf = binary.AppendVarint(buf, int64(k))
@@ -131,14 +163,37 @@ func (st *EnsembleState) Encode() []byte {
 	buf = append(buf, wire.PackBools(c.CSS, c.NB, c.RecoverStars))
 	buf = binary.AppendVarint(buf, int64(c.BurnIn))
 	buf = binary.AppendVarint(buf, int64(c.Walkers))
-	buf = binary.AppendVarint(buf, c.Seed)
+	return binary.AppendVarint(buf, c.Seed)
+}
 
-	buf = binary.AppendVarint(buf, int64(st.WindowsDone))
-	buf = binary.AppendUvarint(buf, uint64(len(st.Walkers)))
-	for i := range st.Walkers {
-		buf = st.Walkers[i].encode(buf, c.RecoverStars)
+// ReadConfig reads a config section of the given layout at the cursor. A
+// malformed section fails the cursor; the config is not validated.
+func ReadConfig(d *wire.Cursor, layout ConfigLayout) MultiConfig {
+	var c MultiConfig
+	if layout == ConfigGEST1 {
+		c.Sizes = []int{int(d.Varint())}
+	} else {
+		n := d.Uvarint()
+		if d.Err == nil && (n == 0 || n > maxStateSizes) {
+			d.Fail("%d sizes out of range", n)
+		}
+		if d.Err == nil {
+			c.Sizes = make([]int, n)
+			for i := range c.Sizes {
+				c.Sizes[i] = int(d.Varint())
+			}
+		}
 	}
-	return buf
+	c.D = int(d.Varint())
+	c.CSS, c.NB, c.RecoverStars = d.Bools(3)
+	if layout != ConfigGMST1 {
+		c.BurnIn = int(d.Varint())
+	} else if c.RecoverStars {
+		d.Fail("unknown config flag")
+	}
+	c.Walkers = int(d.Varint())
+	c.Seed = d.Varint()
+	return c
 }
 
 func (w *WalkerState) encode(buf []byte, stars bool) []byte {
@@ -200,32 +255,14 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 		return nil, fmt.Errorf("core: ensemble state: unsupported %s format version %d (have %d)", magic, version, stateVersion)
 	}
 
-	st := &EnsembleState{}
-	c := &st.Config
-	if legacy {
-		c.Sizes = []int{int(d.Varint())}
-	} else {
-		nSizes := d.Uvarint()
-		if d.Err == nil && (nSizes == 0 || nSizes > maxStateSizes) {
-			return nil, fmt.Errorf("core: ensemble state: %d sizes out of range", nSizes)
-		}
-		if d.Err == nil {
-			c.Sizes = make([]int, nSizes)
-			for i := range c.Sizes {
-				c.Sizes[i] = int(d.Varint())
-			}
-		}
+	layout := ConfigGMST2
+	switch {
+	case legacy:
+		layout = ConfigGEST1
+	case version == 1:
+		layout = ConfigGMST1
 	}
-	c.D = int(d.Varint())
-	c.CSS, c.NB, c.RecoverStars = d.Bools(3)
-	if legacy || version >= 2 {
-		c.BurnIn = int(d.Varint())
-	} else if d.Err == nil && c.RecoverStars {
-		return nil, fmt.Errorf("core: ensemble state: unknown config flag")
-	}
-	c.Walkers = int(d.Varint())
-	c.Seed = d.Varint()
-
+	st := &EnsembleState{Config: ReadConfig(d, layout)}
 	st.WindowsDone = int(d.Varint())
 	n := d.Uvarint()
 	if d.Err == nil && n > maxStateWalkers {
@@ -234,7 +271,7 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	if d.Err == nil {
 		st.Walkers = make([]WalkerState, n)
 		for i := range st.Walkers {
-			st.Walkers[i].decode(d, legacy, c.RecoverStars)
+			st.Walkers[i].decode(d, legacy, st.Config.RecoverStars)
 		}
 	}
 	if d.Err != nil {

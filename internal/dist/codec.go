@@ -30,7 +30,9 @@
 // rejected, and bounds-checked decoding — truncated, corrupt or adversarial
 // input produces an error, never a panic or an absurd allocation. (The
 // embedded resume/state blobs are core codecs, which additionally reject
-// NaN/Inf accumulator values.)
+// NaN/Inf accumulator values.) An assignment's engine config is not spelled
+// here: it travels as core's config section (core.AppendConfig /
+// core.ReadConfig), the bytes a GMST version 2 state carries.
 package dist
 
 import (
@@ -58,13 +60,13 @@ type Assignment struct {
 	Graph string
 	Meta  GraphMeta
 
-	// Exactly one of Single/Multi is set: the job's full engine
-	// configuration (including the global walker count and seed). The two
-	// fields are the wire shape (a job submitted with k travels as Single,
-	// one submitted with sizes as Multi); the engine behind them is one, and
-	// config returns what it runs.
+	// Multi is the job's full engine configuration, including the global
+	// walker count and seed. DecodeAssignment always sets it.
+	Multi *core.MultiConfig
+	// Single is an encode-side input only: a caller may set it instead of
+	// Multi, and Encode folds it in through core.Config.Multi. It is deleted
+	// with core.Config (ROADMAP item 2(d)).
 	Single *core.Config
-	Multi  *core.MultiConfig
 
 	// Budget is the job's global window budget n; Every the checkpoint
 	// spacing (a snapshot frame streams at every multiple). The partition
@@ -83,8 +85,13 @@ type Assignment struct {
 }
 
 const (
+	// GDPA version 2 is magic, version, graph, meta, a flag byte (resume
+	// present), core's config section, budget, every, lo, hi, then the resume
+	// blob. Version 1 differed only in its flag byte (multi, resume present)
+	// and in its config section, which was GEST version 1's for a single-size
+	// job and GMST version 1's for a multi-size one; it is decode-only.
 	asnMagic   = "GDPA"
-	asnVersion = 1
+	asnVersion = 2
 
 	frameMagic   = "GDPF"
 	frameVersion = 1
@@ -93,7 +100,6 @@ const (
 	maxGraphName = 4096
 	maxBlobBytes = 1 << 26 // resume / state payloads
 	maxMsgBytes  = 4096
-	maxSizes     = 16
 )
 
 // config returns the engine configuration the assignment carries: Multi as
@@ -104,12 +110,7 @@ func (a *Assignment) config() core.MultiConfig {
 	case a.Multi != nil:
 		return *a.Multi
 	case a.Single != nil:
-		c := a.Single
-		return core.MultiConfig{
-			Sizes: []int{c.K}, D: c.D, CSS: c.CSS, NB: c.NB,
-			RecoverStars: c.RecoverStars, BurnIn: c.BurnIn,
-			Walkers: c.Walkers, Seed: c.Seed,
-		}
+		return a.Single.Multi()
 	}
 	return core.MultiConfig{}
 }
@@ -119,8 +120,8 @@ func (a *Assignment) Walkers() int {
 	return max(a.config().Walkers, 1)
 }
 
-// Validate checks the assignment's structural invariants (the engine configs
-// validate themselves when the estimator is built).
+// Validate checks the assignment, engine config included, so that a bad one
+// is refused before anything is built.
 func (a *Assignment) Validate() error {
 	if a.Graph == "" {
 		return fmt.Errorf("dist: assignment names no graph")
@@ -128,10 +129,8 @@ func (a *Assignment) Validate() error {
 	if (a.Single == nil) == (a.Multi == nil) {
 		return fmt.Errorf("dist: assignment must set exactly one of single/multi config")
 	}
-	if a.Multi != nil && (a.Multi.RecoverStars || a.Multi.BurnIn != 0) {
-		// The Multi wire layout has no room for them, and dropping them in
-		// Encode would run a different job than the one assigned.
-		return fmt.Errorf("dist: RecoverStars and BurnIn travel only in a single config")
+	if err := a.config().Validate(); err != nil {
+		return fmt.Errorf("dist: assignment: %w", err)
 	}
 	if a.Budget <= 0 {
 		return fmt.Errorf("dist: non-positive budget %d", a.Budget)
@@ -156,26 +155,8 @@ func (a *Assignment) Encode() []byte {
 	buf = binary.AppendVarint(buf, int64(a.Meta.Nodes))
 	buf = binary.AppendVarint(buf, a.Meta.Edges)
 	buf = binary.AppendVarint(buf, int64(a.Meta.MaxDegree))
-	buf = append(buf, wire.PackBools(a.Multi != nil, len(a.Resume) > 0))
-	if a.Single != nil {
-		c := a.Single
-		buf = binary.AppendVarint(buf, int64(c.K))
-		buf = binary.AppendVarint(buf, int64(c.D))
-		buf = append(buf, wire.PackBools(c.CSS, c.NB, c.RecoverStars))
-		buf = binary.AppendVarint(buf, int64(c.BurnIn))
-		buf = binary.AppendVarint(buf, int64(c.Walkers))
-		buf = binary.AppendVarint(buf, c.Seed)
-	} else {
-		c := a.Multi
-		buf = binary.AppendUvarint(buf, uint64(len(c.Sizes)))
-		for _, k := range c.Sizes {
-			buf = binary.AppendVarint(buf, int64(k))
-		}
-		buf = binary.AppendVarint(buf, int64(c.D))
-		buf = append(buf, wire.PackBools(c.CSS, c.NB))
-		buf = binary.AppendVarint(buf, int64(c.Walkers))
-		buf = binary.AppendVarint(buf, c.Seed)
-	}
+	buf = append(buf, wire.PackBools(len(a.Resume) > 0))
+	buf = core.AppendConfig(buf, a.config())
 	buf = binary.AppendVarint(buf, int64(a.Budget))
 	buf = binary.AppendVarint(buf, int64(a.Every))
 	buf = binary.AppendVarint(buf, int64(a.Lo))
@@ -187,48 +168,35 @@ func (a *Assignment) Encode() []byte {
 	return buf
 }
 
-// DecodeAssignment parses a blob produced by Assignment.Encode.
+// DecodeAssignment parses a blob produced by Assignment.Encode, or a version
+// 1 blob of an older coordinator. The result always carries Multi.
 func DecodeAssignment(data []byte) (*Assignment, error) {
 	d := &wire.Cursor{Data: data}
 	if string(d.Bytes(len(asnMagic))) != asnMagic {
 		return nil, fmt.Errorf("dist: assignment: bad magic")
 	}
-	if v := d.Uvarint(); d.Err == nil && v != asnVersion {
-		return nil, fmt.Errorf("dist: assignment: unsupported format version %d (have %d)", v, asnVersion)
+	version := d.Uvarint()
+	if d.Err == nil && (version < 1 || version > asnVersion) {
+		return nil, fmt.Errorf("dist: assignment: unsupported format version %d (have %d)", version, asnVersion)
 	}
 	a := &Assignment{}
 	a.Graph = d.Str(maxGraphName)
 	a.Meta.Nodes = int(d.Varint())
 	a.Meta.Edges = d.Varint()
 	a.Meta.MaxDegree = int(d.Varint())
-	multi, hasResume, _ := d.Bools(2)
-	if multi {
-		c := &core.MultiConfig{}
-		n := d.Uvarint()
-		if d.Err == nil && (n == 0 || n > maxSizes) {
-			return nil, fmt.Errorf("dist: assignment: %d sizes out of range", n)
+	layout, hasResume := core.ConfigGMST2, false
+	if version == 1 {
+		var multi bool
+		multi, hasResume, _ = d.Bools(2)
+		layout = core.ConfigGEST1
+		if multi {
+			layout = core.ConfigGMST1
 		}
-		if d.Err == nil {
-			c.Sizes = make([]int, n)
-			for i := range c.Sizes {
-				c.Sizes[i] = int(d.Varint())
-			}
-		}
-		c.D = int(d.Varint())
-		c.CSS, c.NB, _ = d.Bools(2)
-		c.Walkers = int(d.Varint())
-		c.Seed = d.Varint()
-		a.Multi = c
 	} else {
-		c := &core.Config{}
-		c.K = int(d.Varint())
-		c.D = int(d.Varint())
-		c.CSS, c.NB, c.RecoverStars = d.Bools(3)
-		c.BurnIn = int(d.Varint())
-		c.Walkers = int(d.Varint())
-		c.Seed = d.Varint()
-		a.Single = c
+		hasResume, _, _ = d.Bools(1)
 	}
+	cfg := core.ReadConfig(d, layout)
+	a.Multi = &cfg
 	a.Budget = int(d.Varint())
 	a.Every = int(d.Varint())
 	a.Lo = int(d.Varint())

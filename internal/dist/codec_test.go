@@ -4,7 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -35,6 +39,14 @@ func sampleAssignments() []*Assignment {
 			Single: &core.Config{K: 3, D: 1, Seed: 17},
 			Budget: 1, Every: 0, Lo: 0, Hi: 1,
 		},
+		{
+			Graph: "stars",
+			Meta:  GraphMeta{Nodes: 250, Edges: 800, MaxDegree: 14},
+			Multi: &core.MultiConfig{
+				Sizes: []int{4}, D: 1, RecoverStars: true, BurnIn: 25, Walkers: 4, Seed: 9,
+			},
+			Budget: 3000, Every: 500, Lo: 2, Hi: 4,
+		},
 	}
 }
 
@@ -44,10 +56,79 @@ func TestAssignmentRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Graph, err)
 		}
-		if !reflect.DeepEqual(got, a) {
-			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", a.Graph, got, a)
+		// A Single input decodes as the Multi config it is the case of.
+		want := *a
+		if want.Single != nil {
+			cfg := want.config()
+			want.Single, want.Multi = nil, &cfg
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", a.Graph, got, &want)
 		}
 	}
+}
+
+// TestAssignmentV1Decodes: the committed GDPA version 1 inputs — one per
+// layout an older coordinator wrote — still decode, each to its Multi config
+// with its resume bytes intact.
+func TestAssignmentV1Decodes(t *testing.T) {
+	for file, want := range map[string]core.MultiConfig{
+		"single-stars-burnin-no-resume": {Sizes: []int{4}, D: 1, RecoverStars: true, BurnIn: 37, Walkers: 2, Seed: 5},
+		"single-with-gest1-resume":      {Sizes: []int{4}, D: 2, CSS: true, Walkers: 3, Seed: 14},
+		"multi-with-gmst1-resume":       {Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2, Seed: 21},
+	} {
+		t.Run(file, func(t *testing.T) {
+			data := readCorpusEntry(t, filepath.Join("testdata", "fuzz", "FuzzDecodeAssignment", file))
+			if !bytes.HasPrefix(data, []byte(asnMagic+"\x01")) {
+				t.Fatalf("input is not GDPA version 1: % x", data[:5])
+			}
+			a, err := DecodeAssignment(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Single != nil || a.Multi == nil || !reflect.DeepEqual(*a.Multi, want) {
+				t.Fatalf("decoded single %+v, multi %+v; want multi %+v", a.Single, a.Multi, want)
+			}
+			if strings.HasSuffix(file, "no-resume") {
+				if a.Resume != nil {
+					t.Errorf("resume of %d bytes, want none", len(a.Resume))
+				}
+				return
+			}
+			// The resume blob is the input's tail, carried verbatim, and it is a
+			// state of the same config.
+			if len(a.Resume) == 0 || !bytes.HasSuffix(data, a.Resume) {
+				t.Fatalf("resume of %d bytes is not the input's tail", len(a.Resume))
+			}
+			st, err := core.DecodeEnsembleState(a.Resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st.Config, want) || len(st.Walkers) != a.Hi-a.Lo {
+				t.Errorf("resume state of config %+v with %d walkers, want %+v with %d",
+					st.Config, len(st.Walkers), want, a.Hi-a.Lo)
+			}
+		})
+	}
+}
+
+// readCorpusEntry reads the one []byte value of a "go test fuzz v1" file.
+func readCorpusEntry(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	quoted, ok := strings.CutPrefix(value, "[]byte(")
+	if header != "go test fuzz v1" || !ok {
+		t.Fatalf("%s: not a one-value fuzz corpus entry", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }
 
 func TestAssignmentRejects(t *testing.T) {
@@ -62,6 +143,8 @@ func TestAssignmentRejects(t *testing.T) {
 		"empty partition":  func(a *Assignment) { a.Lo, a.Hi = 3, 3 },
 		"inverted bounds":  func(a *Assignment) { a.Lo, a.Hi = 4, 2 },
 		"both configs set": func(a *Assignment) { a.Multi = &core.MultiConfig{Sizes: []int{3}} },
+		"invalid config":   func(a *Assignment) { a.Single = &core.Config{K: 6, D: 2, Walkers: 6} },
+		"walkers past cap": func(a *Assignment) { a.Single = &core.Config{K: 4, D: 2, Walkers: 1<<16 + 1} },
 	} {
 		a := base
 		mutate(&a)
@@ -74,19 +157,6 @@ func TestAssignmentRejects(t *testing.T) {
 					t.Errorf("%s: DecodeAssignment accepted", name)
 				}
 			}
-		}
-	}
-
-	// The multi layout carries neither BurnIn nor RecoverStars, so Validate
-	// (hence Run, before anything is encoded) refuses a config that sets them.
-	multi := *sampleAssignments()[1]
-	for name, cfg := range map[string]core.MultiConfig{
-		"multi burn-in": {Sizes: []int{3, 4}, D: 2, Walkers: 4, BurnIn: 5},
-		"multi stars":   {Sizes: []int{4}, D: 1, Walkers: 4, RecoverStars: true},
-	} {
-		multi.Multi = &cfg
-		if err := multi.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted", name)
 		}
 	}
 

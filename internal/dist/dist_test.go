@@ -443,6 +443,38 @@ func TestDistributedMulti(t *testing.T) {
 	}
 }
 
+// TestDistributedStarRecovery runs the paper's §3.2 star recovery, with a
+// burn-in, as two partitions on two workers: both options travel in the
+// assignment, and the result is bit-equal to one local run.
+func TestDistributedStarRecovery(t *testing.T) {
+	g := testGraph()
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 1, RecoverStars: true, BurnIn: 25, Walkers: 4}
+	const n, every = 2000, 500
+
+	local, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Results[4].Weights[1] == 0 {
+		t.Fatal("local run recovered no 3-star weight")
+	}
+
+	peers := startWorkers(t, g, 2)
+	final, err := Run(t.Context(), Options{Peers: peers}, PartitionAssignments(Assignment{
+		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
+	}, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged(t, final); !reflect.DeepEqual(got, want) {
+		t.Errorf("distributed star recovery differs from local run:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestCoordinatorResume covers coordinator crash recovery: a run resumed from
 // a decoded full-ensemble snapshot completes to the same bytes, OnResume sums
 // to exactly the snapshot's windows, and no target at or below it syncs again.
@@ -526,6 +558,13 @@ func TestWorkerRejects(t *testing.T) {
 	}
 	if code := post(good.Encode()); code != http.StatusOK {
 		t.Errorf("valid assignment: status %d, want 200", code)
+	}
+	// More walkers than a state can carry is refused before one is built; the
+	// partition asks for only the first, so a worker that did build it would
+	// answer 200.
+	crowd := core.Config{K: 3, D: 1, Walkers: 1<<16 + 1, Seed: 1}
+	if code := post((&Assignment{Graph: "test", Meta: metaOf(g), Single: &crowd, Budget: 10, Lo: 0, Hi: 1}).Encode()); code != http.StatusBadRequest {
+		t.Errorf("walkers past the state cap: status %d, want 400", code)
 	}
 
 	resp, err := http.Get(srv.URL)

@@ -2,141 +2,19 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/access"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/service/journal"
 	"repro/internal/stats"
 )
-
-// Spec is a complete description of one estimation request. Projected onto
-// its comparable key (see key), it doubles as the result-cache and
-// coalescing key: two submissions with equal keys are answered by one run,
-// which is exact (not approximate) because the engine is deterministic in
-// (Config, Seed).
-type Spec struct {
-	Graph string `json:"graph"`
-	K     int    `json:"k"`
-	// Sizes requests a multi-size job: one shared walk whose step budget is
-	// paid once, yielding one estimate per listed size (each in the server's
-	// allowlist, sorted and deduplicated at admission). Mutually exclusive
-	// with K. On completion the result cache is fan-out-filled with one
-	// entry per size, so later single-size requests for any covered k are
-	// warm hits.
-	Sizes   []int `json:"sizes,omitempty"`
-	D       int   `json:"d"`
-	CSS     bool  `json:"css"`
-	NB      bool  `json:"nb"`
-	Steps   int   `json:"steps"`
-	Walkers int   `json:"walkers"`
-	Seed    int64 `json:"seed"`
-	// Priority selects the scheduling class ("interactive", "batch" or
-	// "background"; empty means batch). It deliberately does not affect the
-	// result — only when it is computed — so it is excluded from the cache
-	// and coalescing key.
-	Priority Priority `json:"priority,omitempty"`
-	// Nodes requests distributed execution: the job's walkers fan out over
-	// up to Nodes machines of the configured fleet (Options.Peers). 0 or 1
-	// runs them as one partition in this process — the same execution path
-	// with a shorter peer list. Like Priority it cannot affect the result bytes — a
-	// distributed run is byte-identical to a local one — so it is excluded
-	// from the cache and coalescing key: a 3-node run warms the cache for
-	// local re-asks and vice versa.
-	Nodes int `json:"nodes,omitempty"`
-}
-
-// specKey is the comparable projection of a Spec: the scheduling class is
-// stripped and the size list is canonicalized to a string, leaving exactly
-// the fields that determine the result bytes. All cache and single-flight
-// lookups go through it, so an interactive re-ask of a background job's
-// spec is a cache hit, not a second run.
-type specKey struct {
-	graph   string
-	k       int
-	sizes   string // canonical "3,4,5" for multi-size specs, "" otherwise
-	d       int
-	css     bool
-	nb      bool
-	steps   int
-	walkers int
-	seed    int64
-}
-
-// key projects the spec onto its comparable cache/coalescing key.
-func (s Spec) key() specKey {
-	return specKey{
-		graph: s.Graph, k: s.K, sizes: sizesKey(s.Sizes),
-		d: s.D, css: s.CSS, nb: s.NB,
-		steps: s.Steps, walkers: s.Walkers, seed: s.Seed,
-	}
-}
-
-// sizesKey canonicalizes a (already sorted, deduplicated) size list.
-func sizesKey(sizes []int) string {
-	if len(sizes) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, k := range sizes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(k))
-	}
-	return b.String()
-}
-
-// multi reports whether the spec requests a shared-walk multi-size job.
-func (s Spec) multi() bool { return len(s.Sizes) > 0 }
-
-// sizes lists the graphlet sizes the spec asks for: Sizes, or the one K. A
-// single-size job is a multi-size job with one size; which of the two fields
-// a spec used only decides the shape of what leaves the process (JobView,
-// Progress, journal records, the multi-size metric series).
-func (s Spec) sizes() []int {
-	if s.multi() {
-		return s.Sizes
-	}
-	return []int{s.K}
-}
-
-// config maps the spec onto the engine configuration.
-func (s Spec) config() core.MultiConfig {
-	return core.MultiConfig{
-		Sizes: s.sizes(), D: s.D, CSS: s.CSS, NB: s.NB,
-		Walkers: s.Walkers, Seed: s.Seed,
-	}
-}
-
-// shape renders per-size vectors in the wire form the spec calls for: the
-// bare K entry for a spec submitted with k, the keyed map for one submitted
-// with sizes.
-func (s Spec) shape(bySize map[int][]float64) ([]float64, map[int][]float64) {
-	if s.multi() {
-		return nil, bySize
-	}
-	return bySize[s.K], nil
-}
-
-// sizeSpec is the single-size spec this spec covers for size k — the cache
-// key that size's entry lives under (for a single-size spec, its own key).
-// Sound because the engine's shared-walk per-size results are byte-identical
-// to independent single-size runs of the same (Config, Seed).
-func (s Spec) sizeSpec(k int) Spec {
-	s.K, s.Sizes = k, nil
-	return s
-}
 
 // State is a job's lifecycle phase.
 type State string
@@ -485,33 +363,6 @@ func (m *Manager) Close() {
 	}
 }
 
-// validate admission-checks a spec (priority already normalized).
-func (m *Manager) validate(spec Spec) error {
-	if _, ok := m.reg.Get(spec.Graph); !ok {
-		return fmt.Errorf("service: unknown graph %q", spec.Graph)
-	}
-	if spec.Steps <= 0 {
-		return fmt.Errorf("service: non-positive step budget %d", spec.Steps)
-	}
-	if spec.Walkers > m.opts.MaxWalkers {
-		return fmt.Errorf("service: walkers %d exceeds server cap %d", spec.Walkers, m.opts.MaxWalkers)
-	}
-	if spec.Nodes < 0 || spec.Nodes > maxFanout {
-		return fmt.Errorf("service: nodes %d out of range 0..%d", spec.Nodes, maxFanout)
-	}
-	if spec.multi() {
-		if spec.K != 0 {
-			return fmt.Errorf("service: spec sets both k and sizes; they are mutually exclusive")
-		}
-		for _, k := range spec.Sizes {
-			if !slices.Contains(m.opts.MultiSizes, k) {
-				return fmt.Errorf("service: size %d is not in the server's allowed sizes %v", k, m.opts.MultiSizes)
-			}
-		}
-	}
-	return spec.config().Validate()
-}
-
 // Submit admits a spec and returns the job answering it. The returned view
 // may be a terminal cache hit (state "done", Cached), an in-flight job other
 // submitters already share (Coalesced > 1), or a fresh queued job awaiting
@@ -761,211 +612,6 @@ func (m *Manager) pruneLocked() {
 		}
 		delete(m.jobs, id)
 		m.order = append(m.order[:i], m.order[i+1:]...)
-	}
-}
-
-// worker pulls dispatched jobs from the scheduler until Close.
-func (m *Manager) worker() {
-	defer m.wg.Done()
-	for {
-		j, ok := m.sched.next()
-		if !ok {
-			return
-		}
-		m.runJob(j)
-	}
-}
-
-// snapshotEvery derives the checkpoint spacing for a budget.
-func (m *Manager) snapshotEvery(steps int) int {
-	if m.opts.SnapshotEvery > 0 {
-		return m.opts.SnapshotEvery
-	}
-	every := steps / 64
-	if every < 250 {
-		every = 250
-	}
-	return every
-}
-
-// runJob executes one dispatched job end to end, on the one execution path:
-// the job's walker ensemble runs as partitions through the dist coordinator —
-// Nodes partitions on the peer fleet when the spec asks for distribution and
-// peers are configured, otherwise the one partition [0, W) in this process,
-// on this goroutine. Where a walker runs cannot change a byte, so the two
-// differ in the partition count and the peer list and nothing else.
-func (m *Manager) runJob(j *job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	m.mu.Lock()
-	if j.state != StateQueued { // cancelled between dispatch and here
-		m.mu.Unlock()
-		return
-	}
-	if m.closed { // dispatched during shutdown
-		delete(m.inflight, j.spec.key())
-		m.finishLocked(j, StateCanceled, nil, context.Canceled)
-		m.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	m.met.jobsActive.Inc()
-	m.met.runs.Inc()
-	m.recordDispatchLocked(j)
-	resumeSnap := j.resumeSnap
-	// Replay's resumed-step figure was provisional: the partitions credit
-	// what they actually restore, once, as they complete (OnResume).
-	j.progress.ResumedSteps = 0
-	var started any
-	if j.resumeSteps > 0 {
-		started = recStarted{ResumedSteps: j.resumeSteps}
-	}
-	m.journalAppendLocked(journal.TypeStarted, j.id, started)
-	m.mu.Unlock()
-
-	spec := j.spec
-	g, ok := m.reg.Get(spec.Graph)
-	if !ok {
-		// The graph was removed between submit and dispatch: fail cleanly
-		// (a terminal "failed" state with an actionable message) instead of
-		// surfacing whatever a nil graph would have produced mid-run.
-		m.settle(j, nil, fmt.Errorf("service: graph %q was removed after this job was submitted", spec.Graph))
-		return
-	}
-	base := dist.Assignment{
-		Graph:  spec.Graph,
-		Meta:   distMeta(g),
-		Budget: spec.Steps,
-		Every:  m.snapshotEvery(spec.Steps),
-	}
-	// The assignment keeps the wire shape of the submission: sizes travel as
-	// Multi, a bare k as Single. Partitions run the same engine either way.
-	if spec.multi() {
-		m.met.multiRuns.Inc()
-		cfg := spec.config()
-		base.Multi = &cfg
-	} else {
-		base.Single = &core.Config{
-			K: spec.K, D: spec.D, CSS: spec.CSS, NB: spec.NB,
-			Walkers: spec.Walkers, Seed: spec.Seed,
-		}
-	}
-	// The coordinator holds this worker slot for the job's duration whether
-	// the walk runs here or on the fleet.
-	nodes, peers := 1, []string(nil)
-	if spec.Nodes > 1 && len(m.opts.Peers) > 0 {
-		nodes, peers = spec.Nodes, m.opts.Peers
-	}
-
-	// A recovered checkpoint snapshot is decoded once, here, outside m.mu.
-	// Resume is an optimization that must never be able to fail a job: a
-	// snapshot that does not decode — like a partition that cannot restore
-	// its share of one — degrades to running from scratch.
-	var resume *core.EnsembleState
-	lastSteps := 0 // target of the last ensemble-wide checkpoint
-	if len(resumeSnap) > 0 {
-		if resume, _ = core.DecodeEnsembleState(resumeSnap); resume != nil {
-			lastSteps = resume.WindowsDone
-		} else {
-			// The replayed pre-crash progress no longer describes this
-			// (from-scratch) run.
-			m.mu.Lock()
-			j.progress = Progress{Total: spec.Steps}
-			m.mu.Unlock()
-		}
-	}
-	// synced is the merged result at that checkpoint: what progress, the
-	// journal and event streams last saw, and the job's partial result if it
-	// is interrupted. Both are touched only from OnSync, which the
-	// coordinator serializes, and read once Run has returned.
-	var synced *core.MultiResult
-	opts := dist.Options{
-		Peers:       peers,
-		Backoff:     m.opts.DistBackoff,
-		LocalClient: func() access.Client { return m.opts.NewClient(g) },
-		Metrics:     m.met.dist,
-		// The one checkpoint handler. Every ensemble-wide checkpoint — on a
-		// fleet, the moment all partitions reach a common target — is
-		// recorded for its three consumers: restart-safe progress, the
-		// journal (whose snapshot is the full-ensemble state, so an
-		// interrupted job resumes from it on any fleet, or none; the write
-		// itself happens on the writer goroutine), and any live event
-		// streams. Progress and the record carry the per-size concentrations
-		// in the shape the job's spec calls for. Walk-engine metrics are
-		// recorded only here (a counter add is one atomic), never inside the
-		// per-step path.
-		OnSync: func(combined *core.EnsembleState) {
-			res, err := combined.MergedResult()
-			if err != nil {
-				return // combined states are coordinator-built; never expected
-			}
-			target := combined.WindowsDone
-			m.met.walkCheckpoints.Inc()
-			m.met.walkSteps.Add(int64(target - lastSteps))
-			synced, lastSteps = res, target
-			// Encode before taking the manager lock (pure CPU over a state
-			// nobody mutates), and only with a journal to append it to.
-			var snap []byte
-			if m.jnl != nil {
-				snap = combined.Encode()
-			}
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			j.progress.Steps = target
-			j.progress.Concentration, j.progress.Concentrations = spec.shape(res.Concentrations())
-			m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
-				V: checkpointV2, Steps: target, Snapshot: snap,
-				Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
-			})
-			m.notifySubsLocked(j, "checkpoint")
-		},
-		OnResume: func(preserved int) {
-			m.met.walkResumed.Add(int64(preserved))
-			m.mu.Lock()
-			j.progress.ResumedSteps += preserved
-			m.notifySubsLocked(j, "checkpoint")
-			m.mu.Unlock()
-		},
-	}
-	final, err := dist.Run(ctx, opts, dist.PartitionAssignments(base, nodes), resume)
-	// The final sync already merged the final state; only a job resumed at
-	// its full budget completes without one.
-	if err == nil && (synced == nil || synced.Steps != final.WindowsDone) {
-		synced, err = final.MergedResult()
-	}
-	m.settle(j, synced, err)
-}
-
-// settle records a run's outcome. A completed run fills the result cache
-// with one entry per size, keyed as the equivalent single-size spec (for a
-// single-size job, its own key), so later single-size requests for any
-// covered k — and later multi-size requests, reassembled from the same
-// entries — are warm hits. A cancelled run keeps its partial result
-// (progress made) but is not cached.
-func (m *Manager) settle(j *job, res *core.MultiResult, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.met.jobsActive.Dec()
-	delete(m.inflight, j.spec.key())
-	switch {
-	case err == nil:
-		for _, k := range j.spec.sizes() {
-			r := res.Results[k]
-			m.cache.put(j.spec.sizeSpec(k).key(), r, j.id)
-			if j.spec.multi() {
-				label := strconv.Itoa(k)
-				m.met.multiResults.With(label).Inc()
-				m.met.multiSteps.With(label).Add(int64(r.Steps))
-			}
-		}
-		m.finishLocked(j, StateDone, res, nil)
-	case errors.Is(err, context.Canceled):
-		m.finishLocked(j, StateCanceled, res, err)
-	default:
-		m.finishLocked(j, StateFailed, res, err)
 	}
 }
 

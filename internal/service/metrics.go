@@ -191,7 +191,6 @@ func (m *Manager) installCollector() {
 type waitReservoir struct {
 	samples []float64
 	next    int
-	full    bool
 }
 
 const waitReservoirCap = 512
@@ -204,7 +203,6 @@ func (r *waitReservoir) add(v float64) {
 	}
 	r.samples[r.next] = v
 	r.next = (r.next + 1) % waitReservoirCap
-	r.full = true
 }
 
 // QuantileSummary reports a latency distribution over recent samples.

@@ -1,0 +1,212 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strconv"
+	"time"
+
+	"repro/internal/access"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/service/journal"
+)
+
+// worker pulls dispatched jobs from the scheduler until Close.
+func (m *Manager) worker() {
+	defer m.wg.Done()
+	for {
+		j, ok := m.sched.next()
+		if !ok {
+			return
+		}
+		m.runJob(j)
+	}
+}
+
+// snapshotEvery derives the checkpoint spacing for a budget.
+func (m *Manager) snapshotEvery(steps int) int {
+	if m.opts.SnapshotEvery > 0 {
+		return m.opts.SnapshotEvery
+	}
+	every := steps / 64
+	if every < 250 {
+		every = 250
+	}
+	return every
+}
+
+// runJob executes one dispatched job end to end, on the one execution path:
+// the job's walker ensemble runs as partitions through the dist coordinator —
+// Nodes partitions on the peer fleet when the spec asks for distribution and
+// peers are configured, otherwise the one partition [0, W) in this process,
+// on this goroutine. Where a walker runs cannot change a byte, so the two
+// differ in the partition count and the peer list and nothing else.
+func (m *Manager) runJob(j *job) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	m.mu.Lock()
+	if j.state != StateQueued { // cancelled between dispatch and here
+		m.mu.Unlock()
+		return
+	}
+	if m.closed { // dispatched during shutdown
+		delete(m.inflight, j.spec.key())
+		m.finishLocked(j, StateCanceled, nil, context.Canceled)
+		m.mu.Unlock()
+		return
+	}
+	j.state = StateRunning
+	j.started = time.Now()
+	j.cancel = cancel
+	m.met.jobsActive.Inc()
+	m.met.runs.Inc()
+	m.recordDispatchLocked(j)
+	resumeSnap := j.resumeSnap
+	// Replay's resumed-step figure was provisional: the partitions credit
+	// what they actually restore, once, as they complete (OnResume).
+	j.progress.ResumedSteps = 0
+	var started any
+	if j.resumeSteps > 0 {
+		started = recStarted{ResumedSteps: j.resumeSteps}
+	}
+	m.journalAppendLocked(journal.TypeStarted, j.id, started)
+	m.mu.Unlock()
+
+	spec := j.spec
+	g, ok := m.reg.Get(spec.Graph)
+	if !ok {
+		// The graph was removed between submit and dispatch: fail cleanly
+		// (a terminal "failed" state with an actionable message) instead of
+		// surfacing whatever a nil graph would have produced mid-run.
+		m.settle(j, nil, fmt.Errorf("service: graph %q was removed after this job was submitted", spec.Graph))
+		return
+	}
+	cfg := spec.config()
+	base := dist.Assignment{
+		Graph:  spec.Graph,
+		Meta:   distMeta(g),
+		Multi:  &cfg,
+		Budget: spec.Steps,
+		Every:  m.snapshotEvery(spec.Steps),
+	}
+	if spec.multi() {
+		m.met.multiRuns.Inc()
+	}
+	// The coordinator holds this worker slot for the job's duration whether
+	// the walk runs here or on the fleet.
+	nodes, peers := 1, []string(nil)
+	if spec.Nodes > 1 && len(m.opts.Peers) > 0 {
+		nodes, peers = spec.Nodes, m.opts.Peers
+	}
+
+	// A recovered checkpoint snapshot is decoded once, here, outside m.mu.
+	// Resume is an optimization that must never be able to fail a job: a
+	// snapshot that does not decode — like a partition that cannot restore
+	// its share of one — degrades to running from scratch.
+	var resume *core.EnsembleState
+	lastSteps := 0 // target of the last ensemble-wide checkpoint
+	if len(resumeSnap) > 0 {
+		if resume, _ = core.DecodeEnsembleState(resumeSnap); resume != nil {
+			lastSteps = resume.WindowsDone
+		} else {
+			// The replayed pre-crash progress no longer describes this
+			// (from-scratch) run.
+			m.mu.Lock()
+			j.progress = Progress{Total: spec.Steps}
+			m.mu.Unlock()
+		}
+	}
+	// synced is the merged result at that checkpoint: what progress, the
+	// journal and event streams last saw, and the job's partial result if it
+	// is interrupted. Both are touched only from OnSync, which the
+	// coordinator serializes, and read once Run has returned.
+	var synced *core.MultiResult
+	opts := dist.Options{
+		Peers:       peers,
+		Backoff:     m.opts.DistBackoff,
+		LocalClient: func() access.Client { return m.opts.NewClient(g) },
+		Metrics:     m.met.dist,
+		// The one checkpoint handler. Every ensemble-wide checkpoint — on a
+		// fleet, the moment all partitions reach a common target — is
+		// recorded for its three consumers: restart-safe progress, the
+		// journal (whose snapshot is the full-ensemble state, so an
+		// interrupted job resumes from it on any fleet, or none; the write
+		// itself happens on the writer goroutine), and any live event
+		// streams. Progress and the record carry the per-size concentrations
+		// in the shape the job's spec calls for. Walk-engine metrics are
+		// recorded only here (a counter add is one atomic), never inside the
+		// per-step path.
+		OnSync: func(combined *core.EnsembleState) {
+			res, err := combined.MergedResult()
+			if err != nil {
+				return // combined states are coordinator-built; never expected
+			}
+			target := combined.WindowsDone
+			m.met.walkCheckpoints.Inc()
+			m.met.walkSteps.Add(int64(target - lastSteps))
+			synced, lastSteps = res, target
+			// Encode before taking the manager lock (pure CPU over a state
+			// nobody mutates), and only with a journal to append it to.
+			var snap []byte
+			if m.jnl != nil {
+				snap = combined.Encode()
+			}
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			j.progress.Steps = target
+			j.progress.Concentration, j.progress.Concentrations = spec.shape(res.Concentrations())
+			m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
+				V: checkpointV2, Steps: target, Snapshot: snap,
+				Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
+			})
+			m.notifySubsLocked(j, "checkpoint")
+		},
+		OnResume: func(preserved int) {
+			m.met.walkResumed.Add(int64(preserved))
+			m.mu.Lock()
+			j.progress.ResumedSteps += preserved
+			m.notifySubsLocked(j, "checkpoint")
+			m.mu.Unlock()
+		},
+	}
+	final, err := dist.Run(ctx, opts, dist.PartitionAssignments(base, nodes), resume)
+	// The final sync already merged the final state; only a job resumed at
+	// its full budget completes without one.
+	if err == nil && (synced == nil || synced.Steps != final.WindowsDone) {
+		synced, err = final.MergedResult()
+	}
+	m.settle(j, synced, err)
+}
+
+// settle records a run's outcome. A completed run fills the result cache
+// with one entry per size, keyed as the equivalent single-size spec (for a
+// single-size job, its own key), so later single-size requests for any
+// covered k — and later multi-size requests, reassembled from the same
+// entries — are warm hits. A cancelled run keeps its partial result
+// (progress made) but is not cached.
+func (m *Manager) settle(j *job, res *core.MultiResult, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.met.jobsActive.Dec()
+	delete(m.inflight, j.spec.key())
+	switch {
+	case err == nil:
+		for _, k := range j.spec.sizes() {
+			r := res.Results[k]
+			m.cache.put(j.spec.sizeSpec(k).key(), r, j.id)
+			if j.spec.multi() {
+				label := strconv.Itoa(k)
+				m.met.multiResults.With(label).Inc()
+				m.met.multiSteps.With(label).Add(int64(r.Steps))
+			}
+		}
+		m.finishLocked(j, StateDone, res, nil)
+	case errors.Is(err, context.Canceled):
+		m.finishLocked(j, StateCanceled, res, err)
+	default:
+		m.finishLocked(j, StateFailed, res, err)
+	}
+}

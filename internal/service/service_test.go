@@ -396,6 +396,14 @@ func TestServiceValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+
+	// A server walker cap above the engine's is no way around it: a job whose
+	// checkpoints could never resume is refused at admission.
+	wide := newTestManager(t, reg, Options{Workers: 1, MaxWalkers: 70_000})
+	defer wide.Close()
+	if _, err := wide.Submit(Spec{Graph: "hk", K: 3, D: 1, Steps: 100, Walkers: 1<<16 + 1}); err == nil {
+		t.Error("walkers past the engine cap admitted")
+	}
 }
 
 // The LRU evicts least-recently-used entries at capacity and get refreshes
