@@ -25,12 +25,11 @@ func renderEstimate(t *testing.T, g *Graph, cfg Config) string {
 
 // The acceptance property of the binary CSR store: an estimation over a
 // builder-loaded graph must be byte-identical to the same estimation over
-// the .gcsr portable-load and mmap'd graphs — and over the block-compressed
-// v2 store, whether its decode cache holds everything or thrashes. The walk
-// consumes only
-// adjacency and the seeded RNG, so equal graphs must give equal bytes — any
-// divergence means the store (or the hub-bitset probe path) changed the
-// topology it serves.
+// the .gcsr loaded, mmap'd and misaligned-image graphs — and over the
+// block-compressed v2 store, whether its decode cache holds everything or
+// thrashes. The walk consumes only adjacency and the seeded RNG, so equal
+// graphs must give equal bytes — any divergence means the store (or the
+// hub-bitset probe path) changed the topology it serves.
 func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 	raw := gen.HolmeKim(1200, 4, 0.6, 77)
 	built, _ := LargestComponent(raw)
@@ -50,7 +49,19 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 	}
 	defer mapped.Close()
 	if !mapped.Mapped() {
-		t.Log("OpenMapped fell back to the portable load path on this platform")
+		t.Log("OpenMapped read the file into memory on this platform")
+	}
+	// The same image one byte off alignment: FromImage cannot alias its
+	// arrays and decodes them into heap copies, the one portable branch.
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := make([]byte, len(image)+1)[1:]
+	copy(odd, image)
+	decoded, err := graph.FromImage(odd, graph.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// The block-compressed v2 store must serve the identical topology: once
@@ -91,6 +102,9 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 			}
 			if got := render(mapped); got != want {
 				t.Errorf("OpenMapped path diverged:\nbuilt:  %s\nmapped: %s", want, got)
+			}
+			if got := render(decoded); got != want {
+				t.Errorf("misaligned-image path diverged:\nbuilt:   %s\ndecoded: %s", want, got)
 			}
 			if got := render(cached); got != want {
 				t.Errorf("v2 cached path diverged:\nbuilt:  %s\ncached: %s", want, got)

@@ -3,9 +3,11 @@ package graph
 // Binary CSR on-disk format (".gcsr"): the compact, load-instantly graph
 // store behind graphlet-pack, the service registry and the dataset cache.
 // An edge list is parsed once (pack time); afterwards the graph opens in
-// milliseconds — via a portable decoding read path (Load) everywhere, or
-// zero-copy mmap (OpenMapped) on unix little-endian hosts, where the off/adj
-// arrays alias the page cache and are shared across processes.
+// milliseconds. Every open — mapped (OpenMapped), read from a file (Load) or
+// from a stream (ReadBinary) — builds the graph from the file's byte image
+// through one dispatcher (fromImage) and one builder per format version. A
+// version-1 graph's off/adj arrays alias the image on little-endian hosts,
+// which under OpenMapped means the page cache, shared across processes.
 //
 // Layout (all integers little-endian):
 //
@@ -21,15 +23,14 @@ package graph
 //	...     2m*4       adj array, int32
 //
 // The header is 40 bytes, so both arrays stay naturally aligned in a
-// page-aligned mapping. Both read paths verify, at open time: the header
-// invariants, the payload checksum (so truncation or corruption fails
-// loudly instead of skewing estimates), the off prefix-sum/max-degree
-// invariants, and per-row neighbor validity (in-range, strictly ascending,
-// no self loops). Adjacency symmetry is the one invariant not checked at
-// open — a per-arc reverse probe would cost more than the open itself; a
-// file written by graph.Save is symmetric by construction, and
-// Validate (run by graphlet-pack -verify) audits it for files of unknown
-// provenance.
+// page-aligned mapping. Every open verifies the header invariants, the
+// payload checksum (so truncation or corruption fails loudly instead of
+// skewing estimates), the off prefix-sum/max-degree invariants, and per-row
+// neighbor validity (in-range, strictly ascending, no self loops). Adjacency
+// symmetry is the one invariant not checked at open — a per-arc reverse probe
+// would cost more than the open itself; a file written by graph.Save is
+// symmetric by construction, and Validate (run by graphlet-pack -verify)
+// audits it for files of unknown provenance.
 
 import (
 	"bufio"
@@ -40,6 +41,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"unsafe"
 )
 
 const (
@@ -165,17 +167,12 @@ func writeAtomic(path string, write func(w io.Writer) error) error {
 	return os.Rename(f.Name(), path)
 }
 
-// parseHeader decodes and sanity-checks the fixed-size header.
+// parseHeader decodes and sanity-checks the fixed-size header; fromImage has
+// checked the magic and version.
 func parseHeader(hdr []byte) (gcsrHeader, error) {
 	var h gcsrHeader
 	if len(hdr) < gcsrHeaderSize {
 		return h, fmt.Errorf("gcsr: file shorter than the %d-byte header", gcsrHeaderSize)
-	}
-	if string(hdr[0:4]) != gcsrMagic {
-		return h, fmt.Errorf("gcsr: bad magic %q (not a .gcsr file)", hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != gcsrVersion {
-		return h, fmt.Errorf("gcsr: unsupported format version %d (want %d)", v, gcsrVersion)
 	}
 	h.n = int64(binary.LittleEndian.Uint64(hdr[8:16]))
 	h.m = int64(binary.LittleEndian.Uint64(hdr[16:24]))
@@ -197,10 +194,9 @@ func parseHeader(hdr []byte) (gcsrHeader, error) {
 
 // checkAdjacency verifies each neighbor row is strictly ascending, in
 // range, and self-loop free — the invariants HasEdge's binary search and the
-// hub bitset build depend on. O(m), shared by the portable and mmap read
-// paths (both already touch every payload byte for the checksum), so a
-// structurally invalid file from any writer fails loudly at open time
-// instead of skewing estimates or panicking later.
+// hub bitset build depend on. O(m), after a checksum pass that already
+// touched every payload byte, so a structurally invalid file from any writer
+// fails loudly at open time instead of skewing estimates or panicking later.
 func checkAdjacency(off []int64, adj []int32, h gcsrHeader) error {
 	for v := int64(0); v < h.n; v++ {
 		row := adj[off[v]:off[v+1]]
@@ -220,8 +216,7 @@ func checkAdjacency(off []int64, adj []int32, h gcsrHeader) error {
 }
 
 // checkOffsets verifies the off array is a monotone prefix-sum array ending
-// at 2m and that the stored max degree matches. It is O(n) and shared by the
-// portable and mmap read paths.
+// at 2m and that the stored max degree matches. It is O(n).
 func checkOffsets(off []int64, h gcsrHeader) error {
 	if off[0] != 0 {
 		return fmt.Errorf("gcsr: off[0] = %d, want 0", off[0])
@@ -245,97 +240,135 @@ func checkOffsets(off []int64, h gcsrHeader) error {
 	return nil
 }
 
-// ReadBinary decodes a .gcsr stream (either format version) with the
-// portable (endianness-agnostic, allocating) read path and verifies the
-// checksums and structural invariants.
+// ReadBinary reads a whole .gcsr stream (either format version) into memory
+// and builds the graph over that image (FromImage), with the default page
+// cache for version 2.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, fmt.Errorf("gcsr: reading header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("gcsr: reading: %w", err)
 	}
-	if string(pre[0:4]) != gcsrMagic {
-		return nil, fmt.Errorf("gcsr: bad magic %q (not a .gcsr file)", pre[0:4])
-	}
-	switch v := binary.LittleEndian.Uint32(pre[4:8]); v {
-	case gcsrVersion:
-		return readBinaryV1(r, pre)
-	case gcsrVersion2:
-		// The v2 parser works on a whole-file image; block extents are
-		// validated against the actual image size, so a lying header
-		// cannot trigger an outsized allocation.
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("gcsr: reading payload: %w", err)
-		}
-		return readBinaryV2(append(pre[:], rest...))
-	default:
-		return nil, fmt.Errorf("gcsr: unsupported format version %d (want 1 or 2)", v)
-	}
+	return FromImage(data, OpenOptions{})
 }
 
-// readBinaryV1 decodes the version-1 raw-array stream; pre holds the 8
-// already-consumed magic/version bytes.
-func readBinaryV1(r io.Reader, pre [8]byte) (*Graph, error) {
-	var hdr [gcsrHeaderSize]byte
-	copy(hdr[:], pre[:])
-	if _, err := io.ReadFull(r, hdr[8:]); err != nil {
-		return nil, fmt.Errorf("gcsr: reading header: %w", err)
-	}
-	h, err := parseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	// Read through an incrementally growing buffer instead of one up-front
-	// make(): a corrupt header claiming an exabyte payload then fails with a
-	// truncation error after the actual bytes run out, rather than panicking
-	// on an impossible allocation.
-	want := h.offBytes() + h.adjBytes()
-	payload, err := io.ReadAll(io.LimitReader(r, want))
-	if err != nil {
-		return nil, fmt.Errorf("gcsr: reading payload: %w", err)
-	}
-	if int64(len(payload)) != want {
-		return nil, fmt.Errorf("gcsr: payload is %d bytes, header promises %d (file truncated?)", len(payload), want)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
-		return nil, fmt.Errorf("gcsr: payload checksum %08x != stored %08x (file corrupted)", got, h.crc)
-	}
-	off := make([]int64, h.n+1)
-	for i := range off {
-		off[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	if err := checkOffsets(off, h); err != nil {
-		return nil, err
-	}
-	adjPayload := payload[h.offBytes():]
-	adj := make([]int32, 2*h.m)
-	for i := range adj {
-		adj[i] = int32(binary.LittleEndian.Uint32(adjPayload[i*4:]))
-	}
-	if err := checkAdjacency(off, adj, h); err != nil {
-		return nil, err
-	}
-	g := &Graph{off: off, adj: adj, m: h.m, maxDeg: int(h.maxDeg)}
-	g.buildHubIndex()
-	return g, nil
-}
-
-// Load reads a .gcsr file from disk with the portable read path.
+// Load reads a .gcsr file (either format version) into memory and builds the
+// graph over that image (FromImage), with the default page cache for
+// version 2. Close on the result is a no-op.
 func Load(path string) (*Graph, error) {
-	f, err := os.Open(path)
+	return loadImage(path, OpenOptions{})
+}
+
+// loadImage is Load with read-path tuning.
+func loadImage(path string, o OpenOptions) (*Graph, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	g, err := ReadBinary(bufio.NewReaderSize(f, 1<<20))
+	g, err := FromImage(data, o)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
 	return g, nil
 }
 
+// OpenMapped is OpenMappedOpts with the default options.
+func OpenMapped(path string) (*Graph, error) {
+	return OpenMappedOpts(path, OpenOptions{})
+}
+
+// FromImage builds a graph over a whole .gcsr image held in memory, through
+// the checks every open makes. The graph may alias data (see fromImage), so
+// data must stay unchanged while the graph is in use.
+func FromImage(data []byte, o OpenOptions) (*Graph, error) {
+	g, _, err := fromImage(data, o)
+	return g, err
+}
+
+// fromImage is the one way .gcsr bytes become a Graph, whatever holds them: a
+// read-only mapping (OpenMappedOpts on unix), a file read into memory (Load,
+// and OpenMappedOpts elsewhere) or a stream read to its end (ReadBinary). It
+// dispatches on the format version to the one builder of each and returns
+// the graph and the image offset one past its keep-resident prefix (for
+// adviseMapped). A v1 graph's off/adj arrays alias data when the host allows
+// (see readInts); a v2 graph serves its rows and IDs from data through the
+// page cache.
+func fromImage(data []byte, o OpenOptions) (*Graph, int, error) {
+	if len(data) < 8 {
+		return nil, 0, fmt.Errorf("gcsr: file shorter than the %d-byte header", gcsrHeaderSize)
+	}
+	if string(data[0:4]) != gcsrMagic {
+		return nil, 0, fmt.Errorf("gcsr: bad magic %q (not a .gcsr file)", data[0:4])
+	}
+	switch v := binary.LittleEndian.Uint32(data[4:8]); v {
+	case gcsrVersion:
+		return buildV1Graph(data)
+	case gcsrVersion2:
+		g, err := buildV2Graph(data, o)
+		if err != nil {
+			return nil, 0, err
+		}
+		h, _ := parseV2Header(data) // buildV2Graph accepted it
+		return g, int(h.blocksStart()), nil
+	default:
+		return nil, 0, fmt.Errorf("gcsr: unsupported format version %d (want 1 or 2)", v)
+	}
+}
+
+// buildV1Graph builds the graph over a version-1 image after checking its
+// header, size, payload checksum, offsets and rows.
+func buildV1Graph(data []byte) (*Graph, int, error) {
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	want := gcsrHeaderSize + h.offBytes() + h.adjBytes()
+	if int64(len(data)) != want {
+		return nil, 0, fmt.Errorf("gcsr: file size %d != expected %d (n=%d, m=%d)", len(data), want, h.n, h.m)
+	}
+	payload := data[gcsrHeaderSize:]
+	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
+		return nil, 0, fmt.Errorf("gcsr: payload checksum %08x != stored %08x (file corrupted)", got, h.crc)
+	}
+	off := readInts[int64](payload[:h.offBytes()])
+	if err := checkOffsets(off, h); err != nil {
+		return nil, 0, err
+	}
+	adj := readInts[int32](payload[h.offBytes():])
+	if err := checkAdjacency(off, adj, h); err != nil {
+		return nil, 0, err
+	}
+	g := &Graph{off: off, adj: adj, m: h.m, maxDeg: int(h.maxDeg)}
+	g.buildHubIndex()
+	return g, gcsrHeaderSize + int(h.offBytes()), nil
+}
+
+// readInts reads raw as little-endian integers of type T. On a little-endian
+// host, when raw starts 8-byte aligned — mappings are page-aligned, heap
+// buffers of a file's size are 8-byte aligned, and .gcsr keeps every array
+// aligned within its image — the result aliases raw (zero copy). Otherwise
+// the integers are decoded into a heap copy, the one portable branch.
+func readInts[T int32 | int64](raw []byte) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	n := len(raw) / size
+	if n == 0 {
+		return nil
+	}
+	if hostLittleEndian() && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), n)
+	}
+	out := make([]T, n)
+	for i := range out {
+		if size == 8 {
+			out[i] = T(binary.LittleEndian.Uint64(raw[i*8:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint32(raw[i*4:]))
+		}
+	}
+	return out
+}
+
 // hostLittleEndian reports whether the host stores integers little-endian,
-// the precondition for the zero-copy mmap path.
+// the precondition for reading an image's arrays in place.
 func hostLittleEndian() bool {
 	return binary.NativeEndian.Uint16([]byte{0x01, 0x00}) == 1
 }

@@ -1,11 +1,10 @@
 package graph_test
 
-// Load-path and probe benchmarks on a >=1M-edge synthetic graph, the numbers
-// behind PR 3 (CHANGES.md): text parse (LoadEdgeList) vs portable binary decode
-// (Load) vs zero-copy mmap (OpenMapped), plus HasEdge against hub and
-// non-hub endpoints. The fixture graph is
-// deterministic (Barabási–Albert, fixed seed) and cached as files under the
-// OS temp dir so repeated bench runs skip regeneration.
+// Load-path and probe benchmarks on a >=1M-edge synthetic graph: text parse
+// (LoadEdgeList) vs a binary image read into memory (Load) vs zero-copy mmap
+// (OpenMapped), plus HasEdge against hub and non-hub endpoints. The fixture
+// graph is deterministic (Barabási–Albert, fixed seed) and cached as files
+// under the OS temp dir so repeated bench runs skip regeneration.
 
 import (
 	"math/rand"

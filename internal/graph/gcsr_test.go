@@ -80,6 +80,25 @@ func TestGCSRRoundTrip(t *testing.T) {
 			if err := loaded.Close(); err != nil {
 				t.Errorf("Close on heap-backed graph: %v", err)
 			}
+			// The image one byte off alignment cannot be aliased, so
+			// fromImage decodes it into heap arrays: a change to the image
+			// after the build (its last byte, in off[n] or the last arc)
+			// must not reach the graph.
+			image, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			odd := make([]byte, len(image)+1)[1:]
+			copy(odd, image)
+			decoded, _, err := fromImage(odd, OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			odd[len(odd)-1] ^= 0xff
+			graphsEqual(t, tc.g, decoded)
+			if err := Validate(decoded); err != nil || decoded.off[decoded.NumNodes()] != 2*decoded.NumEdges() {
+				t.Errorf("misaligned image: %v, or the graph aliases the image", err)
+			}
 		})
 	}
 }

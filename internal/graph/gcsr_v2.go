@@ -67,7 +67,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"unsafe"
 )
 
 const (
@@ -488,67 +487,16 @@ func readUvarint(data []byte, pos int) (uint64, int, bool) {
 	return 0, pos, false
 }
 
-// readBinaryV2 is the portable version-2 read path: every block is decoded
-// into one heap off/adj pair, so the returned graph behaves exactly like a
-// version-1 Load (no block cache, no mmap). data is the whole file image.
-func readBinaryV2(data []byte) (*Graph, error) {
-	lay, err := parseV2(data)
-	if err != nil {
-		return nil, err
-	}
-	h := lay.h
-	off := make([]int64, h.n+1)
-	adj := make([]int32, 2*h.m)
-	pos := int64(0)
-	for _, bm := range lay.metas {
-		boff, badj, err := decodeV2Block(data[bm.off:bm.off+int64(bm.encLen)], bm, h.n)
-		if err != nil {
-			return nil, err
-		}
-		copy(adj[pos:], badj)
-		for i := int32(0); i < bm.count; i++ {
-			off[int64(bm.first)+int64(i)+1] = pos + int64(boff[i+1])
-		}
-		pos += int64(bm.arcs)
-	}
-	if err := checkOffsets(off, gcsrHeader{n: h.n, m: h.m, maxDeg: h.maxDeg}); err != nil {
-		return nil, err
-	}
-	g := &Graph{off: off, adj: adj, m: h.m, maxDeg: int(h.maxDeg)}
-	if h.flags&gcsrV2FlagIDs != 0 {
-		g.origIDs = decodeIDs(data[h.idsStart():h.blocksStart()])
-	}
-	g.buildHubIndex()
-	return g, nil
-}
-
-// decodeIDs copy-decodes an original-IDs section (endian-agnostic).
-func decodeIDs(raw []byte) []int64 {
-	ids := make([]int64, len(raw)/8)
-	for i := range ids {
-		ids[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return ids
-}
-
-// aliasInt64 reinterprets little-endian bytes as an int64 slice in place.
-// Caller guarantees a little-endian host and 8-byte alignment (the IDs
-// section starts at 48+32k bytes into a page-aligned mapping).
-func aliasInt64(raw []byte) []int64 {
-	if len(raw) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&raw[0])), len(raw)/8)
-}
-
 // buildV2Graph builds the page-cached read path over a version-2 file
 // image: the layout is parsed, every block is decoded once (validating CRCs
 // and row invariants, reconstructing the heap off array so Degree stays
 // O(1), and recording where the block's pages are cut and where each row
 // starts in its page), and subsequent row reads go through the bounded page
 // cache. The sweep keeps no decoded rows, so one scratch set sized for the
-// largest block serves every block. The caller owns data's lifetime (an
-// mmap for OpenMapped); ids, when present, alias it.
+// largest block serves every block. It runs over whatever bytes it is given
+// — a mapping or a heap image — and the caller keeps them alive: the cache
+// reads its pages from them, and the IDs, when present, alias them where
+// readInts can.
 func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 	lay, err := parseV2(data)
 	if err != nil {
@@ -590,12 +538,7 @@ func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 	store := newBlockStore(data, lay, off, pages, rowAt, o.BlockCacheBytes)
 	g := &Graph{off: off, m: h.m, maxDeg: int(h.maxDeg), blocks: store}
 	if h.flags&gcsrV2FlagIDs != 0 {
-		raw := data[h.idsStart():h.blocksStart()]
-		if hostLittleEndian() {
-			g.origIDs = aliasInt64(raw)
-		} else {
-			g.origIDs = decodeIDs(raw)
-		}
+		g.origIDs = readInts[int64](data[h.idsStart():h.blocksStart()])
 	}
 	g.buildHubIndex()
 	return g, nil

@@ -60,6 +60,9 @@ func TestGCSRV2RoundTrip(t *testing.T) {
 					if err := Validate(got); err != nil {
 						t.Fatal(err)
 					}
+					if !got.BlockCompressed() {
+						t.Fatal("v2 graph not served through the page cache")
+					}
 				})
 			}
 		})
@@ -903,10 +906,11 @@ func TestGCSRV2VersionDispatch(t *testing.T) {
 	}
 }
 
-// FuzzGCSRV2Read feeds arbitrary images to the v2 portable reader: it must
-// never panic, and anything it accepts must pass full structural validation
-// (the same accept-implies-valid property the GEST/GDPA codec fuzzers pin).
-func FuzzGCSRV2Read(f *testing.F) {
+// FuzzGCSRRead feeds arbitrary images of either format version to
+// fromImage, the one builder every open goes through: it must never panic,
+// and anything it accepts must pass full structural validation (the same
+// accept-implies-valid property the GEST/GDPA codec fuzzers pin).
+func FuzzGCSRRead(f *testing.F) {
 	rng := rand.New(rand.NewSource(51))
 	g := randomTestGraph(rng, 60, 250)
 	var buf bytes.Buffer
@@ -928,8 +932,17 @@ func FuzzGCSRV2Read(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
+	// Version 1: a random graph, the empty graph, and a star whose center
+	// owns a hub row.
+	for _, g := range []*Graph{g, NewBuilder(0).Build(), starGraph(70)} {
+		var v1 bytes.Buffer
+		if err := WriteBinary(&v1, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v1.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := readBinaryV2(data)
+		g, _, err := fromImage(data, OpenOptions{})
 		if err != nil {
 			return
 		}

@@ -18,8 +18,9 @@ import (
 // ascending, enabling binary-search edge probes and linear-merge set
 // intersection.
 type Graph struct {
-	// CSR layout: neighbors of v are adj[off[v]:off[v+1]]. For graphs opened
-	// with OpenMapped both slices alias the mapped file.
+	// CSR layout: neighbors of v are adj[off[v]:off[v+1]]. For a graph built
+	// from a .gcsr v1 image both slices may alias it (see readInts) — under
+	// OpenMapped, the mapped file.
 	off []int64
 	adj []int32
 	m   int64 // number of undirected edges
@@ -115,7 +116,7 @@ const hubDegreeFloor = 64
 // occupies (with a 1 MiB floor so small graphs index their hubs too). The
 // threshold is chosen from the degree histogram: the smallest degree t >=
 // hubDegreeFloor whose nodes all fit in the budget. Called once from every
-// construction path (Builder.Build, ReadBinary, OpenMapped); the index is a
+// construction path (Builder.Build and the .gcsr builders); the index is a
 // derived in-memory structure, never persisted.
 func (g *Graph) buildHubIndex() {
 	n := g.NumNodes()

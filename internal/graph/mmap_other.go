@@ -2,14 +2,10 @@
 
 package graph
 
-// OpenMapped falls back to the portable Load path on platforms without
-// syscall.Mmap; the returned graph is heap-backed and Close is a no-op.
-func OpenMapped(path string) (*Graph, error) {
-	return Load(path)
-}
-
-// OpenMappedOpts falls back to the portable Load path; without a mapped
-// backing there is no decode cache to tune, so the options are unused.
-func OpenMappedOpts(path string, _ OpenOptions) (*Graph, error) {
-	return Load(path)
+// OpenMappedOpts reads the file into memory on platforms without
+// syscall.Mmap and builds the graph over that image, as Load does; the graph
+// is heap-backed, Close is a no-op, and a version-2 graph's page cache is
+// bounded by o.BlockCacheBytes as on every other host.
+func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
+	return loadImage(path, o)
 }

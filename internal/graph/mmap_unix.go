@@ -3,40 +3,25 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"syscall"
-	"unsafe"
 )
 
-// OpenMapped opens a .gcsr file (either format version) via a read-only
-// shared mmap. For version 1 the off/adj arrays alias the page cache
-// directly (zero copy), so no per-element decode or heap copy is made and
-// resident memory is shared across processes mapping the same file. For
-// version 2 the encoded blocks stay mapped (shared, compressed) and decoded
-// rows are served from a bounded per-graph cache sized by
-// OpenOptions.BlockCacheBytes (OpenMapped uses the default). Opening still
-// makes one sequential checksum-and-validation pass over the raw bytes (see
-// the format docs), so open time is linear in file size but a large
-// constant factor cheaper than parsing an edge list — tens of milliseconds
-// per hundred MB, served from the page cache on warm opens. Call Close on
-// the returned graph to release the mapping; the graph must not be used
-// afterwards.
-//
-// On big-endian hosts (where the little-endian arrays cannot be aliased)
-// OpenMapped transparently falls back to the portable Load path, which
-// returns an ordinary heap-backed graph.
-func OpenMapped(path string) (*Graph, error) {
-	return OpenMappedOpts(path, OpenOptions{})
-}
-
-// OpenMappedOpts is OpenMapped with read-path tuning.
+// OpenMappedOpts opens a .gcsr file (either format version) via a read-only
+// shared mmap and builds the graph over the mapping (fromImage). For version
+// 1 on a little-endian host the off/adj arrays alias the page cache directly
+// (zero copy), so no per-element decode or heap copy is made and resident
+// memory is shared across processes mapping the same file; a big-endian host
+// decodes them into heap arrays. For version 2 the encoded blocks stay
+// mapped (shared, compressed) and decoded rows are served from a bounded
+// per-graph cache sized by o.BlockCacheBytes. Opening still makes one
+// sequential checksum-and-validation pass over the raw bytes (see the format
+// docs), so open time is linear in file size but a large constant factor
+// cheaper than parsing an edge list — tens of milliseconds per hundred MB,
+// served from the page cache on warm opens. Call Close on the returned graph
+// to release the mapping; the graph must not be used afterwards.
 func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
-	if !hostLittleEndian() {
-		return Load(path)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -51,15 +36,13 @@ func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
 		return nil, fmt.Errorf("graph: %s: gcsr: file shorter than the %d-byte header", path, gcsrHeaderSize)
 	}
 	if int64(int(size)) != size {
-		// File larger than the address space (32-bit platforms): the
-		// portable path at least fails with a clear allocation error.
-		return Load(path)
+		return nil, fmt.Errorf("graph: %s: %d bytes do not fit the address space", path, size)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
 	}
-	g, hotEnd, err := mapBinaryAny(data, o)
+	g, hotEnd, err := fromImage(data, o)
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
@@ -70,59 +53,5 @@ func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
 	// prefix (v1 off array / v2 header+index+IDs).
 	adviseMapped(data, hotEnd)
 	g.unmap = func() error { return syscall.Munmap(data) }
-	return g, nil
-}
-
-// mapBinaryAny dispatches on the format version and returns the graph plus
-// the mapping offset one past the keep-resident prefix (for adviseMapped).
-func mapBinaryAny(data []byte, o OpenOptions) (*Graph, int, error) {
-	if len(data) >= 8 && string(data[0:4]) == gcsrMagic &&
-		binary.LittleEndian.Uint32(data[4:8]) == gcsrVersion2 {
-		h, err := parseV2Header(data)
-		if err != nil {
-			return nil, 0, err
-		}
-		g, err := buildV2Graph(data, o)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, int(h.blocksStart()), nil
-	}
-	g, err := mapBinary(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return g, gcsrHeaderSize + int((int64(g.NumNodes())+1)*8), nil
-}
-
-// mapBinary builds a Graph whose off/adj slices alias the mapped file bytes.
-// The 40-byte header keeps both arrays naturally aligned within the
-// page-aligned mapping.
-func mapBinary(data []byte) (*Graph, error) {
-	h, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	want := gcsrHeaderSize + h.offBytes() + h.adjBytes()
-	if int64(len(data)) != want {
-		return nil, fmt.Errorf("gcsr: file size %d != expected %d (n=%d, m=%d)", len(data), want, h.n, h.m)
-	}
-	payload := data[gcsrHeaderSize:]
-	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
-		return nil, fmt.Errorf("gcsr: payload checksum %08x != stored %08x (file corrupted)", got, h.crc)
-	}
-	off := unsafe.Slice((*int64)(unsafe.Pointer(&payload[0])), h.n+1)
-	if err := checkOffsets(off, h); err != nil {
-		return nil, err
-	}
-	var adj []int32
-	if h.m > 0 {
-		adj = unsafe.Slice((*int32)(unsafe.Pointer(&payload[h.offBytes()])), 2*h.m)
-	}
-	if err := checkAdjacency(off, adj, h); err != nil {
-		return nil, err
-	}
-	g := &Graph{off: off, adj: adj, m: h.m, maxDeg: int(h.maxDeg)}
-	g.buildHubIndex()
 	return g, nil
 }

@@ -9,8 +9,8 @@ import (
 // OpenOptions tunes Open, OpenLCC and OpenMappedOpts.
 type OpenOptions struct {
 	// BlockCacheBytes bounds the decoded-page cache of a version-2 graph
-	// (0 means DefaultBlockCacheBytes). Ignored for version-1 files, whose
-	// mmap path needs no decode cache, and for edge lists.
+	// (0 means DefaultBlockCacheBytes). Ignored for version-1 files, which
+	// need no decode cache, and for edge lists.
 	BlockCacheBytes int64
 	// KeepIDs attaches the source node IDs of an edge-list input to the
 	// graph (see Graph.OriginalID). A .gcsr input carries whatever it was

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -137,12 +139,23 @@ func (s *Server) graph(w http.ResponseWriter, r *http.Request, name string) {
 	}
 }
 
-// submit decodes a Spec and admits it.
+// maxSpecBytes caps POST /v1/jobs request bodies; a spec is a few hundred
+// bytes.
+const maxSpecBytes = 1 << 20
+
+// submit decodes a Spec — one JSON object and nothing after it — and admits
+// it.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("data after the spec object")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad spec: %v", err))
 		return
 	}

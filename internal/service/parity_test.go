@@ -221,6 +221,14 @@ func TestJobParity(t *testing.T) {
 					}
 				}
 				mgr.Close()
+				// The journal holds only what replay reads: no started body
+				// and no checkpoint payload version.
+				for _, rec := range journalRecords(t, dir) {
+					if rec.Type == journal.TypeStarted && len(rec.Payload) > 0 ||
+						rec.Type == journal.TypeCheckpoint && bytes.Contains(rec.Payload, []byte(`"v":`)) {
+						t.Errorf("%s record carries a field replay never reads: %.60s", rec.Type, rec.Payload)
+					}
+				}
 				if ckpts := journaledCheckpoints(t, dir, got.ID); !reflect.DeepEqual(ckpts, wantCkpts) {
 					t.Errorf("journal holds %d checkpoint records that differ from the local run's %d (steps, concentrations or snapshot bytes)",
 						len(ckpts), len(wantCkpts))

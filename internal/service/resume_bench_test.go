@@ -49,7 +49,7 @@ func BenchmarkCheckpointAppend(b *testing.B) {
 		rec  recCheckpoint
 	}{
 		{"plain", recCheckpoint{Steps: 50_000, Concentration: conc}},
-		{"snapshot", recCheckpoint{V: checkpointV2, Steps: 50_000, Concentration: conc, Snapshot: snap}},
+		{"snapshot", recCheckpoint{Steps: 50_000, Concentration: conc, Snapshot: snap}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			jnl, err := journal.Open(filepath.Join(b.TempDir(), "journal"), journal.Options{})

@@ -158,7 +158,9 @@ func TestCorruptSnapshotFallsBackToScratch(t *testing.T) {
 	spec := Spec{Graph: "hk", K: 3, D: 1, Steps: 2000, Walkers: 1, Seed: 77, Priority: PriorityBatch}
 
 	// Hand-write the journal of an interrupted job whose checkpoint carries
-	// garbage where the ensemble snapshot should be.
+	// garbage where the ensemble snapshot should be, in the record shapes
+	// older daemons wrote: a started body and a checkpoint payload version,
+	// both of which replay ignores.
 	jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -176,12 +178,15 @@ func TestCorruptSnapshotFallsBackToScratch(t *testing.T) {
 		}
 	}
 	app(journal.TypeSubmitted, recSubmitted{Spec: spec, GraphMeta: &info})
-	app(journal.TypeStarted, nil)
-	app(journal.TypeCheckpoint, recCheckpoint{
-		V: checkpointV2, Steps: 1000,
+	app(journal.TypeStarted, map[string]int{"resumed_steps": 500})
+	app(journal.TypeCheckpoint, struct {
+		V int `json:"v"`
+		recCheckpoint
+	}{2, recCheckpoint{
+		Steps:         1000,
 		Concentration: []float64{0.5, 0.5},
 		Snapshot:      []byte("definitely not an ensemble state"),
-	})
+	}})
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}

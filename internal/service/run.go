@@ -68,11 +68,7 @@ func (m *Manager) runJob(j *job) {
 	// Replay's resumed-step figure was provisional: the partitions credit
 	// what they actually restore, once, as they complete (OnResume).
 	j.progress.ResumedSteps = 0
-	var started any
-	if j.resumeSteps > 0 {
-		started = recStarted{ResumedSteps: j.resumeSteps}
-	}
-	m.journalAppendLocked(journal.TypeStarted, j.id, started)
+	m.journalAppendLocked(journal.TypeStarted, j.id, nil)
 	m.mu.Unlock()
 
 	spec := j.spec
@@ -159,7 +155,7 @@ func (m *Manager) runJob(j *job) {
 			j.progress.Steps = target
 			j.progress.Concentration, j.progress.Concentrations = spec.shape(res.Concentrations())
 			m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
-				V: checkpointV2, Steps: target, Snapshot: snap,
+				Steps: target, Snapshot: snap,
 				Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
 			})
 			m.notifySubsLocked(j, "checkpoint")

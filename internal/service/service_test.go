@@ -388,13 +388,20 @@ func TestServiceValidation(t *testing.T) {
 			t.Errorf("bad spec %d: status %d, want 400", i, status)
 		}
 	}
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(`{"bogus":1}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	// Bodies that do not decode to one spec of bounded size: an unknown
+	// field; a ≈2 MB spec whose sizes list normalizes to k 3 (past the
+	// body cap); two specs back to back.
+	huge := []byte(`{"graph":"hk","d":1,"steps":100,"sizes":[3` + strings.Repeat(",3", 1<<20-1) + `]}`)
+	two := []byte(`{"graph":"hk","k":3,"d":1,"steps":100}{"graph":"hk","k":3,"d":1,"steps":100}`)
+	for name, body := range map[string][]byte{"unknown field": []byte(`{"bogus":1}`), "huge": huge, "two specs": two} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 
 	// A server walker cap above the engine's is no way around it: a job whose

@@ -56,21 +56,15 @@ type recSubmitted struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// recStarted is the payload of a TypeStarted record. PR-4 records had no
-// payload; replay treats an empty body as a fresh (non-resuming) start.
-type recStarted struct {
-	// ResumedSteps is the checkpointed step count the dispatch intends to
-	// resume from (0 = fresh start). Informational: the authoritative resume
-	// point of a later crash is still the latest checkpoint record.
-	ResumedSteps int `json:"resumed_steps,omitempty"`
-}
+// A TypeStarted record has no payload: replay reads only its type and time.
+// Older daemons wrote the resumed step count into a resumed job's started
+// record, and replay ignores that body.
 
-// recCheckpoint is the payload of a TypeCheckpoint record.
+// recCheckpoint is the payload of a TypeCheckpoint record. A record is
+// resumable when it carries a Snapshot; one without (written before
+// snapshots were journaled) restores progress only. Older daemons also wrote
+// a payload version ("v"), which replay ignores.
 type recCheckpoint struct {
-	// V is the payload version: 0 (PR-4 records, progress only) or
-	// checkpointV2 (adds the ensemble snapshot). Old records replay fine —
-	// they simply carry no resumable state.
-	V             int       `json:"v,omitempty"`
 	Steps         int       `json:"steps"`
 	Concentration []float64 `json:"concentration,omitempty"`
 	// Concentrations is the multi-size counterpart of Concentration: one
@@ -82,9 +76,6 @@ type recCheckpoint struct {
 	// decoder reads all three.
 	Snapshot []byte `json:"snapshot,omitempty"`
 }
-
-// checkpointV2 marks checkpoint payloads that carry a resume snapshot.
-const checkpointV2 = 2
 
 // recDone is the payload of a TypeDone record. At most one of the two fields
 // is set (none for a cache hit): Result for a job submitted with k, Results
