@@ -53,3 +53,33 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// A short job's allocations, construction included: each walker is one
+// allocation holding everything it writes per step (its arena), so only the
+// shared pieces and the merge allocate beside it.
+func TestShortJobAllocs(t *testing.T) {
+	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
+	for _, row := range []struct {
+		name string
+		cfg  MultiConfig
+		max  float64
+	}{
+		{"SRW2CSS_k4_W1", Config{K: 4, D: 2, CSS: true, Walkers: 1}.Multi(), 15},
+		{"SRW2CSS_k345_W2", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2}, 34},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(20, func() {
+				m, err := NewMultiEstimator(client, row.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(500); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > row.max {
+				t.Errorf("%v allocs per 500-window job, want <= %v", allocs, row.max)
+			}
+		})
+	}
+}

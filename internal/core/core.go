@@ -19,7 +19,9 @@
 //   - ensemble (multi.go, ensemble.go): MultiEstimator spawns
 //     MultiConfig.Walkers walkers with deterministically derived seeds and
 //     window budgets and runs them concurrently; each walker owns its
-//     walk.Space and RNG. Estimator is a typed one-size view over it.
+//     walk.Space and RNG, and is one padded allocation holding everything
+//     it writes per step, so no two walkers write to a shared cache line.
+//     Estimator is a typed one-size view over it.
 //   - merge (Result.Merge): sums walker accumulators in walker-index order,
 //     exact because Equation 4 is linear in the accumulated weights, and
 //     schedule-independent by construction.

@@ -164,6 +164,59 @@ func TestMultiResumeAtFullBudget(t *testing.T) {
 	}
 }
 
+// Restore copies the state into the walkers' own memory: overwriting every
+// slice of the restored EnsembleState afterwards must not reach the resumed
+// run, which stays bit-equal to the uninterrupted one.
+func TestRestoreDoesNotAliasState(t *testing.T) {
+	client := access.NewGraphClient(convGraph())
+	cfg := MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Seed: 13, Walkers: 2}
+	const n, every, interruptAt = 4000, 500, 2000
+	full, err := NewMultiEstimator(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st *EnsembleState
+	want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
+		if step == interruptAt {
+			st = full.Snapshot()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewMultiEstimator(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Walkers {
+		ws := &st.Walkers[i]
+		for _, a := range ws.Accs {
+			for j := range a.Weights {
+				a.Weights[j] = -1
+				a.TypeCounts[j] = -1
+			}
+		}
+		for _, nodes := range append(ws.Win, ws.Cur, ws.Prev) {
+			for j := range nodes {
+				nodes[j] = -1
+			}
+		}
+		for j := range ws.Degs {
+			ws.Degs[j] = -1
+		}
+	}
+	got, err := re.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed run read the restored state's slices:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // Multi restore validation: config mismatches and structurally impossible
 // states are rejected with errors, never panics.
 func TestMultiRestoreValidation(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // random walk on G(d), a ring of its last max(l_k) states that serves every
 // target size's window, and one private accumulator per size. A walker owns
 // its walk.Space instance (spaceD keeps a mutable neighbor cache and scratch
-// buffers) and its rand.Rand, so it never shares mutable state with sibling
+// buffers) and its RNG, so it never shares mutable state with sibling
 // walkers — the only shared object is the access.Client, which is required
 // to be safe for concurrent use.
 //
@@ -26,37 +26,66 @@ import (
 // size still needs a state, so a run never steps past its last window. The
 // largest-l size consumes a window the moment it is ready and no size ever
 // trails it, so the ring always retains every state a pending window needs.
+//
+// A walker is its own arena, so that sibling walkers never write to a shared
+// cache line (the one-line rule, pinned by TestWalkersShareNoCacheLine):
+// everything the step path writes — the walk.Walk, the walk.Rand with its
+// draw counter, the state ring and its degrees, the accumulators with every
+// size's Weights and TypeCounts, and the window's node scratch — is held by
+// value in the one walker allocation, with the slices carved from its fixed
+// arrays, and a cacheLine pad at each end keeps neighboring allocations off
+// the lines those writes hit. Two written objects stay outside: spaceD's
+// caches (d >= 3; padding them measured no difference), and math/rand's
+// 4872-byte generator state behind the RNG, which is served from the
+// 5376-byte size class, whose 64-aligned slots share no line.
 type walker struct {
+	_ [cacheLine]byte
+
 	cfg    MultiConfig
 	client access.Client
 	space  walk.Space
-	seed   int64      // walker-specific seed (walkerSeed); rebuilds rng on restore
-	rng    *walk.Rand // position-counted so checkpoints can snapshot the stream
-	w      *walk.Walk
+	seed   int64     // walker-specific seed (walkerSeed); rebuilds rng on restore
+	rng    walk.Rand // position-counted so checkpoints can snapshot the stream
+	w      walk.Walk // meaningful once seeded
 
 	sizes []sizeParams // per target size, in cfg.Sizes order
 	maxL  int
 
 	// Ring of the last maxL states and their G(d) degrees; state j at slot
-	// j%maxL.
-	win    []walk.State
-	degs   []int
+	// j%maxL. maxL = max l_k = max(k-d+1) <= MaxK.
+	win    [graphlet.MaxK]walk.State
+	degs   [graphlet.MaxK]int
 	pushed int // states pushed since reset/restore
 
 	// curStart parameterizes windowAt for the window being accumulated.
 	curStart int
 
-	scratchNodes []int32
+	// nodes collects a window's distinct nodes; accumulate stops at k+1.
+	nodes [graphlet.MaxK + 1]int32
 
 	// accs are the walker-private accumulators, indexed like sizes and merged
-	// by the ensemble; starAcc is the non-induced-star functional
-	// Σ C(d_v,3)/d_v (only maintained under cfg.RecoverStars).
-	accs    []SizeAcc
-	starAcc float64
+	// by the ensemble: a view of accBuf, each size's Weights and TypeCounts a
+	// view of its own range of weightBuf and countBuf (a walker's sizes are
+	// distinct, so maxTypes entries cover them). starAcc is the
+	// non-induced-star functional Σ C(d_v,3)/d_v (only maintained under
+	// cfg.RecoverStars).
+	accs      []SizeAcc
+	starAcc   float64
+	accBuf    [graphlet.MaxK - 2]SizeAcc
+	weightBuf [maxTypes]float64
+	countBuf  [maxTypes]int64
 
 	seeded bool // start state drawn
 	primed bool // burn-in done, state 0 pushed
+
+	_ [cacheLine]byte
 }
+
+// cacheLine is the coherence granule the walker arena pads against.
+const cacheLine = 64
+
+// maxTypes is the number of graphlet types of sizes 3..MaxK together.
+const maxTypes = 2 + 6 + 21
 
 // sizeParams holds what a target size fixes up front.
 type sizeParams struct {
@@ -73,10 +102,11 @@ func newWalker(client access.Client, cfg MultiConfig, seed int64) *walker {
 		client: client,
 		space:  walk.NewSpace(client, cfg.D),
 		seed:   seed,
-		rng:    walk.NewRand(seed),
 		sizes:  make([]sizeParams, len(cfg.Sizes)),
-		accs:   make([]SizeAcc, len(cfg.Sizes)),
 	}
+	wk.rng.InitAt(seed, 0)
+	wk.accs = wk.accBuf[:len(cfg.Sizes)]
+	off := 0
 	for i, k := range cfg.Sizes {
 		cat := graphlet.Catalog(k)
 		s := sizeParams{k: k, l: k - cfg.D + 1, alpha: make([]int64, len(cat))}
@@ -90,10 +120,10 @@ func newWalker(client access.Client, cfg MultiConfig, seed int64) *walker {
 			wk.maxL = s.l
 		}
 		wk.sizes[i] = s
-		wk.accs[i] = SizeAcc{Weights: make([]float64, len(cat)), TypeCounts: make([]int64, len(cat))}
+		end := off + len(cat)
+		wk.accs[i] = SizeAcc{Weights: wk.weightBuf[off:end:end], TypeCounts: wk.countBuf[off:end:end]}
+		off = end
 	}
-	wk.win = make([]walk.State, wk.maxL)
-	wk.degs = make([]int, wk.maxL)
 	return wk
 }
 
@@ -120,7 +150,7 @@ func (wk *walker) reset() {
 // concurrent phase.
 func (wk *walker) ensureSeeded() {
 	if !wk.seeded {
-		wk.w = walk.New(wk.space, wk.cfg.NB, wk.rng.Rand)
+		wk.w.Start(wk.space, wk.cfg.NB, &wk.rng.Rand)
 		wk.seeded = true
 	}
 }
@@ -206,7 +236,10 @@ func (wk *walker) windowAt(i int) (walk.State, int) {
 
 // accumulate processes size s's next window (states [Done, Done+l-1]) into
 // its accumulator: if it covers exactly k distinct nodes, classify the
-// induced subgraph and add its re-weighted contribution. A size's
+// induced subgraph and add its re-weighted contribution. A walk's window
+// covers at most k nodes, but a restored ring is not checked for adjacency,
+// so collection stops at the (k+1)-th distinct node — the sample is invalid
+// either way — and never outgrows the walker's fixed scratch. A size's
 // accumulator trajectory depends only on the walk, never on which other
 // sizes share it.
 func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
@@ -219,7 +252,8 @@ func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
 		d := float64(deg)
 		wk.starAcc += (d - 1) * (d - 2) / 6
 	}
-	nodes := wk.scratchNodes[:0]
+	nodes := wk.nodes[:0]
+gather:
 	for i := 0; i < s.l; i++ {
 		st, _ := wk.windowAt(i)
 		for j := 0; j < st.Len(); j++ {
@@ -233,10 +267,12 @@ func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
 			}
 			if !seen {
 				nodes = append(nodes, x)
+				if len(nodes) > s.k {
+					break gather
+				}
 			}
 		}
 	}
-	wk.scratchNodes = nodes
 	if len(nodes) != s.k {
 		return nil // invalid sample (Figure 3)
 	}
@@ -342,8 +378,9 @@ func (wk *walker) snapshot() WalkerState {
 // restore rebuilds the walker from an exported state: a fresh space (its
 // caches are derived), the RNG fast-forwarded to the recorded stream
 // position, the walk at its recorded position, the state ring re-placed at
-// canonical slots, and the per-size accumulators. On error the walker may be
-// left partially mutated; callers discard the whole estimator then.
+// canonical slots, and the per-size accumulators copied into the walker's
+// own arrays (st is never aliased). On error the walker may be left
+// partially mutated; callers discard the whole estimator then.
 func (wk *walker) restore(st WalkerState) error {
 	if len(st.Accs) != len(wk.sizes) {
 		return fmt.Errorf("core: restore: %d size accumulators, want %d", len(st.Accs), len(wk.sizes))
@@ -363,18 +400,19 @@ func (wk *walker) restore(st WalkerState) error {
 		if acc.Done < 0 || acc.ValidSamples < 0 {
 			return fmt.Errorf("core: restore: negative counters for size %d", s.k)
 		}
-		acc.Weights = append([]float64(nil), acc.Weights...)
-		acc.TypeCounts = append([]int64(nil), acc.TypeCounts...)
-		wk.accs[i] = acc
+		a := &wk.accs[i]
+		a.Done, a.ValidSamples = acc.Done, acc.ValidSamples
+		copy(a.Weights, acc.Weights)
+		copy(a.TypeCounts, acc.TypeCounts)
 	}
 	wk.starAcc = st.StarAcc
-	wk.rng = walk.NewRandAt(wk.seed, st.RNGPos)
+	wk.rng.InitAt(wk.seed, st.RNGPos)
 	wk.space = walk.NewSpace(wk.client, wk.cfg.D)
 	wk.seeded = st.Seeded
 	wk.primed = st.Primed
 	wk.pushed = 0
 	if !st.Seeded {
-		wk.w = nil
+		wk.w = walk.Walk{}
 		return nil
 	}
 	ws := walk.WalkState{Steps: st.Steps, HasPrev: st.HasPrev}
@@ -387,7 +425,7 @@ func (wk *walker) restore(st WalkerState) error {
 			return fmt.Errorf("core: restore previous state: %w", err)
 		}
 	}
-	wk.w = walk.Resume(wk.space, ws, wk.cfg.NB, wk.rng.Rand)
+	wk.w.Resume(wk.space, ws, wk.cfg.NB, &wk.rng.Rand)
 	if !st.Primed {
 		return nil
 	}

@@ -13,10 +13,16 @@ import "math/rand"
 // through a Rand are byte-identical to rand.New(rand.NewSource(seed)): code
 // that switches from a bare rand.Rand to a Rand reproduces its historical
 // streams exactly.
+//
+// The generator and its draw counter are held by value, so a Rand embedded
+// in a larger struct keeps the counter it writes on every draw inside that
+// struct: InitAt initializes such a Rand in place (NewRand and NewRandAt are
+// its allocating forms). The embedded rand.Rand draws through a pointer to
+// the counter, so a Rand must not be copied once initialized.
 type Rand struct {
-	*rand.Rand
+	rand.Rand
 	seed int64
-	src  *countingSource
+	src  countingSource
 }
 
 // countingSource wraps a rand.Source64, counting draws. Int63 and Uint64 both
@@ -44,23 +50,29 @@ func (c *countingSource) Seed(seed int64) {
 }
 
 // NewRand returns a counted generator seeded with seed, at position 0.
-func NewRand(seed int64) *Rand {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Rand{Rand: rand.New(src), seed: seed, src: src}
-}
+func NewRand(seed int64) *Rand { return NewRandAt(seed, 0) }
 
 // NewRandAt returns a counted generator seeded with seed and fast-forwarded
-// to position pos: its future draws are identical to those of a NewRand(seed)
+// to position pos (InitAt).
+func NewRandAt(seed int64, pos uint64) *Rand {
+	r := new(Rand)
+	r.InitAt(seed, pos)
+	return r
+}
+
+// InitAt (re)initializes r in place, seeded with seed and fast-forwarded to
+// position pos: its future draws are identical to those of a NewRand(seed)
 // that already consumed pos draws. Cost is O(pos) cheap source transitions
 // (tens of nanoseconds each), which bounds resume cost by the interrupted
 // run's length, not by any graph work.
-func NewRandAt(seed int64, pos uint64) *Rand {
-	r := NewRand(seed)
+func (r *Rand) InitAt(seed int64, pos uint64) {
+	r.src = countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	for i := uint64(0); i < pos; i++ {
 		r.src.src.Int63()
 	}
 	r.src.n = pos
-	return r
+	r.Rand = *rand.New(&r.src)
+	r.seed = seed
 }
 
 // Seed returns the seed the stream was created with.

@@ -19,7 +19,15 @@ type Walk struct {
 
 // New starts a walk at a random valid state.
 func New(space Space, nb bool, rng *rand.Rand) *Walk {
-	return NewAt(space, space.RandomState(rng), nb, rng)
+	w := new(Walk)
+	w.Start(space, nb, rng)
+	return w
+}
+
+// Start (re)starts w in place at a random valid state — New without the
+// allocation, for a Walk embedded in a longer-lived struct.
+func (w *Walk) Start(space Space, nb bool, rng *rand.Rand) {
+	*w = Walk{space: space, rng: rng, nb: nb, cur: space.RandomState(rng)}
 }
 
 // NewAt starts a walk at the given state.
@@ -80,7 +88,15 @@ func (w *Walk) State() WalkState {
 // stream was (NewRandAt); the space may be a fresh instance — its caches are
 // derived state.
 func Resume(space Space, st WalkState, nb bool, rng *rand.Rand) *Walk {
-	return &Walk{
+	w := new(Walk)
+	w.Resume(space, st, nb, rng)
+	return w
+}
+
+// Resume places w in place at the given exported state, under the same
+// contract as the package-level Resume.
+func (w *Walk) Resume(space Space, st WalkState, nb bool, rng *rand.Rand) {
+	*w = Walk{
 		space: space, rng: rng, nb: nb,
 		cur: st.Cur, prev: st.Prev, hasPrev: st.HasPrev, steps: st.Steps,
 	}

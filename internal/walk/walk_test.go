@@ -392,7 +392,7 @@ func TestWalkStateResume(t *testing.T) {
 	for d := 1; d <= 4; d++ {
 		for _, nb := range []bool{false, true} {
 			rng := NewRand(int64(100*d) + 7)
-			w := New(NewSpace(c, d), nb, rng.Rand)
+			w := New(NewSpace(c, d), nb, &rng.Rand)
 			for i := 0; i < 50; i++ {
 				w.Step()
 			}
@@ -405,7 +405,7 @@ func TestWalkStateResume(t *testing.T) {
 			}
 
 			rng2 := NewRandAt(int64(100*d)+7, pos)
-			w2 := Resume(NewSpace(c, d), st, nb, rng2.Rand)
+			w2 := Resume(NewSpace(c, d), st, nb, &rng2.Rand)
 			if w2.Current() != st.Cur || w2.Steps() != 50 {
 				t.Fatalf("d=%d nb=%v: resumed walk at %v/%d, want %v/50", d, nb, w2.Current(), w2.Steps(), st.Cur)
 			}
