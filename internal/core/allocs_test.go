@@ -12,29 +12,37 @@ import (
 // warm — stateInfo cache map buckets sized, scratch slices at capacity — a
 // full window slide (classify + accumulate + transition, CSS re-weighting
 // and star recovery included, for every size riding the walk) performs zero
-// heap allocations. This is the allocation half of ISSUE 6's acceptance
-// criteria; the throughput half lives in the BA1M benchmarks
-// (bench_ba_test.go).
+// heap allocations. The d=3 rows fence the derived transition on both of its
+// count branches: the closed form on the in-memory client and the merge on a
+// crawl client (access.Counting). The throughput half lives in the BA1M
+// benchmarks (bench_ba_test.go).
 func TestWalkStepZeroAllocs(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 4, 21)
 	client := access.NewGraphClient(g)
 	for _, row := range []struct {
-		name string // one-size rows are named by method; go test numbers repeats
-		cfg  MultiConfig
+		name   string // one-size rows are named by method; go test numbers repeats
+		cfg    MultiConfig
+		client access.Client // nil: the in-memory client
 	}{
-		{"SRW3", Config{K: 4, D: 3}.Multi()},
-		{"SRW3", Config{K: 5, D: 3}.Multi()},
-		{"SRW4NB", Config{K: 5, D: 4, NB: true}.Multi()},
-		{"SRW1CSSNB", Config{K: 3, D: 1, CSS: true, NB: true}.Multi()},
-		{"SRW2CSS", Config{K: 4, D: 2, CSS: true}.Multi()},
-		{"SRW2CSS", Config{K: 5, D: 2, CSS: true}.Multi()},
-		{"SRW3CSS", Config{K: 5, D: 3, CSS: true}.Multi()},
-		{"SRW1_stars", Config{K: 4, D: 1, RecoverStars: true}.Multi()},
-		{"SRW2CSS_burnin", Config{K: 4, D: 2, CSS: true, BurnIn: 100}.Multi()},
-		{"SRW2CSS_sizes345", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}},
+		{"SRW3", Config{K: 4, D: 3}.Multi(), nil},
+		{"SRW3", Config{K: 5, D: 3}.Multi(), nil},
+		{"SRW4NB", Config{K: 5, D: 4, NB: true}.Multi(), nil},
+		{"SRW1CSSNB", Config{K: 3, D: 1, CSS: true, NB: true}.Multi(), nil},
+		{"SRW2CSS", Config{K: 4, D: 2, CSS: true}.Multi(), nil},
+		{"SRW2CSS", Config{K: 5, D: 2, CSS: true}.Multi(), nil},
+		{"SRW3CSS", Config{K: 5, D: 3, CSS: true}.Multi(), nil},
+		{"SRW1_stars", Config{K: 4, D: 1, RecoverStars: true}.Multi(), nil},
+		{"SRW2CSS_burnin", Config{K: 4, D: 2, CSS: true, BurnIn: 100}.Multi(), nil},
+		{"SRW2CSS_sizes345", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}, nil},
+		{"SRW3NB", Config{K: 5, D: 3, NB: true}.Multi(), nil},
+		{"SRW3_crawl", Config{K: 4, D: 3}.Multi(), access.NewCounting(client, g.NumNodes())},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			wk := newWalker(client, row.cfg, 1)
+			c := row.client
+			if c == nil {
+				c = client
+			}
+			wk := newWalker(c, row.cfg, 1)
 			wk.reset()
 			ctx := context.Background()
 			// Warm: several cache-clear cycles (infoCacheCap) and every

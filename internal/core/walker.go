@@ -12,10 +12,10 @@ import (
 // walker is the per-goroutine layer of the estimation engine: exactly one
 // random walk on G(d), a ring of its last max(l_k) states that serves every
 // target size's window, and one private accumulator per size. A walker owns
-// its walk.Space instance (spaceD keeps a mutable neighbor cache and scratch
-// buffers) and its RNG, so it never shares mutable state with sibling
-// walkers — the only shared object is the access.Client, which is required
-// to be safe for concurrent use.
+// its walk.Space instance (spaceD keeps a ring of derived records and a cache
+// of computed ones) and its RNG, so it never shares mutable state with
+// sibling walkers — the only shared object is the access.Client, which is
+// required to be safe for concurrent use.
 //
 // The scheduling invariant is index-based: pushed counts the walk states
 // seen so far (state 0 is the first state after burn-in, so pushed == walk
@@ -34,10 +34,11 @@ import (
 // size's Weights and TypeCounts, and the window's node scratch — is held by
 // value in the one walker allocation, with the slices carved from its fixed
 // arrays, and a cacheLine pad at each end keeps neighboring allocations off
-// the lines those writes hit. Two written objects stay outside: spaceD's
-// caches (d >= 3; padding them measured no difference), and math/rand's
-// 4872-byte generator state behind the RNG, which is served from the
-// 5376-byte size class, whose 64-aligned slots share no line.
+// the lines those writes hit. Two written objects stay outside: spaceD
+// (d >= 3), which pads itself by a line at each end since its derived ring is
+// written every step, and math/rand's 4872-byte generator state behind the
+// RNG, which is served from the 5376-byte size class, whose 64-aligned slots
+// share no line.
 type walker struct {
 	_ [cacheLine]byte
 

@@ -1,7 +1,12 @@
 package walk
 
 // infoCache is the bounded stateInfo cache behind spaceD, with second-chance
-// (clock) eviction. The previous policy cleared the whole map on overflow,
+// (clock) eviction. It holds the records the walk does not derive — the start
+// state, a restored window ring, CSS chain interiors — which are computed
+// from scratch once and looked up again; a transition's own record is derived
+// from its predecessor's and handed over through spaceD's derived ring, never
+// put here, since a walk almost never revisits a state while it is cached.
+// The previous policy cleared the whole map on overflow,
 // which was allocation-free but indiscriminate: the moment more than
 // infoCacheCap states were live — a long CSS chain, a wide window, or a walk
 // revisiting a dense neighborhood — the hot window states were wiped along

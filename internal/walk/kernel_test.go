@@ -54,7 +54,7 @@ func TestKernelMatchesReferenceOrder(t *testing.T) {
 						t.Fatalf("%s d=%d %v: neighbors()[%d] = %v, want %v (order must match)",
 							name, d, st, i, got[i], want[i])
 					}
-					if nth := sp.nthNeighbor(st, fi, int32(i)); nth != want[i] {
+					if nth, _ := sp.nthNeighbor(st, fi, int32(i)); nth != want[i] {
 						t.Fatalf("%s d=%d %v: nthNeighbor(%d) = %v, want %v",
 							name, d, st, i, nth, want[i])
 					}
@@ -152,7 +152,7 @@ func TestKernelMatchesReferenceOnHubs(t *testing.T) {
 			}
 			fi := sp.infoOf(st)
 			for i := range want {
-				if nth := sp.nthNeighbor(st, fi, int32(i)); nth != want[i] {
+				if nth, _ := sp.nthNeighbor(st, fi, int32(i)); nth != want[i] {
 					t.Fatalf("%s %v: nthNeighbor(%d) = %v, want %v", name, st, i, nth, want[i])
 				}
 			}
@@ -174,10 +174,11 @@ func TestKernelMatchesReferenceOnHubs(t *testing.T) {
 }
 
 // TestSelectNthMatchesMerge checks the short-row selection directly against
-// a materialized merge, for the union and the intersection, at every index,
-// over generated sorted rows (empty, disjoint, equal, nested, interleaved,
-// length ratios 1 to 1000) with the three state members placed inside long
-// runs, at run edges, in one row, in both and in neither.
+// a materialized merge — element and membership, counting up and counting
+// down, either row first — for the union and the intersection, at every
+// index, over generated sorted rows (empty, disjoint, equal, nested,
+// interleaved, length ratios 1 to 1000) with the three state members placed
+// inside long runs, at run edges, in one row, in both and in neither.
 func TestSelectNthMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
 	// sample draws n distinct ascending values from [0, span).
@@ -217,15 +218,9 @@ func TestSelectNthMatchesMerge(t *testing.T) {
 	}
 	for _, row := range rows {
 		name, a, b := row.name, row.a, row.b
-		var union, inter []int32
-		union = append(append(union, a...), b...)
+		union := append(slices.Clone(a), b...)
 		slices.Sort(union)
 		union = slices.Compact(union)
-		for _, x := range a {
-			if _, ok := slices.BinarySearch(b, x); ok {
-				inter = append(inter, x)
-			}
-		}
 		// Member pool: every value at or next to a short-row element (run
 		// edges, in one row, both or neither), the ends of the union, and a
 		// few values from the middle of runs.
@@ -252,22 +247,181 @@ func TestSelectNthMatchesMerge(t *testing.T) {
 			p := rng.Perm(len(pool))
 			st := StateOf(pool[p[0]], pool[p[1]], pool[p[2]])
 			for _, both := range []bool{false, true} {
-				src := union
-				if both {
-					src = inter
+				checkSelect(t, name, a, b, st, both, -1)
+			}
+		}
+	}
+}
+
+// mergeSelect is the plain merge selectNth must agree with: the elements of
+// (a ∪ b) \ st — (a ∩ b) \ st when both is set — ascending, with their
+// membership in a and b.
+func mergeSelect(a, b []int32, st State, both bool) (ys []int32, ins []uint8) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var y int32
+		var in uint8
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			y, in = a[i], inA
+			i++
+		case i == len(a) || b[j] < a[i]:
+			y, in = b[j], inB
+			j++
+		default:
+			y, in = a[i], inA|inB
+			i++
+			j++
+		}
+		if st.Contains(y) || both && in != inA|inB {
+			continue
+		}
+		ys, ins = append(ys, y), append(ins, in)
+	}
+	return ys, ins
+}
+
+// checkSelect compares every way of selecting from a and b with mergeSelect,
+// at index only (or at every index when only is negative): counting up and
+// counting down with the shorter row iterated, as selectNth runs them, and
+// selectNth with either row first.
+func checkSelect(t testing.TB, name string, a, b []int32, st State, both bool, only int) {
+	t.Helper()
+	ys, ins := mergeSelect(a, b, st, both)
+	n := len(ys)
+	short, long, swapped := a, b, false
+	if len(a) > len(b) {
+		short, long, swapped = b, a, true
+	}
+	swap := func(in uint8) uint8 { return in>>1 | in<<1&inB }
+	for r := range ys {
+		if only >= 0 && r != only {
+			continue
+		}
+		y, in := ys[r], ins[r]
+		inShort := in
+		if swapped {
+			inShort = swap(in)
+		}
+		upY, upIn := selectUp(short, long, st, both, r)
+		downY, downIn := selectDown(short, long, st, both, n-1-r)
+		nthY, nthIn := selectNth(a, b, st, both, r, n)
+		revY, revIn := selectNth(b, a, st, both, r, n)
+		for _, w := range []struct {
+			name   string
+			y      int32
+			in, ok uint8
+		}{
+			{"up", upY, upIn, inShort},
+			{"down", downY, downIn, inShort},
+			{"selectNth", nthY, nthIn, in},
+			{"selectNth reversed", revY, revIn, swap(in)},
+		} {
+			if w.y != y || w.in != w.ok {
+				t.Fatalf("%s st=%v both=%v r=%d of %d: %s = %d (membership %02b), want %d (%02b)",
+					name, st, both, r, n, w.name, w.y, w.in, y, w.ok)
+			}
+		}
+	}
+}
+
+// TestTransitionsMatchReference checks every transition a walk could take
+// from the states it visits, not only the one it took: for each state of a
+// seeded non-backtracking walk, its record (derived by the walk's own
+// transition) must equal the record computed from scratch — what a fresh
+// space's infoOf returns — and for every index r below its degree,
+// nthNeighbor must draw referenceNeighbors(st)[r] together with that state's
+// from-scratch record. It runs d = 3 and d = 4 over free clients (d = 3
+// counts by the closed form) and crawl clients (counts by the merge), on a
+// Barabási–Albert graph, a clustered Holme–Kim graph and the hub fixture of
+// TestKernelMatchesReferenceOnHubs.
+func TestTransitionsMatchReference(t *testing.T) {
+	for _, fx := range []struct {
+		name   string
+		g      *graph.Graph
+		states [2]int // walk states checked at d = 3 and d = 4
+	}{
+		{"ba", gen.BarabasiAlbert(3000, 4, 3), [2]int{80, 12}},
+		{"hk", gen.HolmeKim(2000, 4, 0.6, 5), [2]int{80, 12}},
+		{"hubs", gen.BarabasiAlbert(1500, 3, 108), [2]int{80, 12}},
+	} {
+		for di, d := range []int{3, 4} {
+			for _, crawl := range []bool{false, true} {
+				var c access.Client = access.NewGraphClient(fx.g)
+				if crawl {
+					c = access.NewCounting(c, fx.g.NumNodes())
 				}
-				r := 0
-				for _, y := range src {
-					if st.Contains(y) {
-						continue
+				name := fmt.Sprintf("%s d=%d crawl=%v", fx.name, d, crawl)
+				sp := newSpaceD(c, d)
+				if (sp.cc == nil) != crawl {
+					t.Fatalf("%s: client capability does not match the row", name)
+				}
+				w := New(sp, true, rand.New(rand.NewSource(int64(17+d))))
+				w.Burn(50)
+				for n := 0; n < fx.states[di]; n++ {
+					st := w.Step()
+					fi := sp.infoOf(st)
+					if want := sp.record(st); fi != want {
+						t.Fatalf("%s %v: walk-derived record %+v, want %+v", name, st, fi, want)
 					}
-					// Either argument order must select the same element.
-					if got, rev := selectNth(a, b, st, both, r), selectNth(b, a, st, both, r); got != y || rev != y {
-						t.Fatalf("%s st=%v both=%v r=%d: got %d (reversed %d), want %d", name, st, both, r, got, rev, y)
+					want := referenceNeighbors(c, st)
+					if int(fi.deg) != len(want) {
+						t.Fatalf("%s %v: degree %d, want %d", name, st, fi.deg, len(want))
 					}
-					r++
+					for r := range want {
+						next, nf := sp.nthNeighbor(st, fi, int32(r))
+						if next != want[r] {
+							t.Fatalf("%s %v: neighbor %d = %v, want %v", name, st, r, next, want[r])
+						}
+						if rec := sp.record(next); nf != rec {
+							t.Fatalf("%s %v -> %v (r=%d): derived record %+v, want %+v", name, st, next, r, nf, rec)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzSelectNth compares both scan directions of the d=3 selection, and
+// selectNth with either row first, with a plain merge. The input is a flag
+// byte (bit 0: intersection), two bytes of r (taken modulo the set's size)
+// and a value stream: each byte advances the current value by 1 + byte>>3
+// and puts it in the first row (bit 0), the second row (bit 1) and among the
+// state's members (bit 2, up to three).
+func FuzzSelectNth(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{1, 0, 3, 3, 3, 10, 11, 3, 6, 7, 2, 2, 2})
+	f.Add([]byte{0, 0, 9, 2, 2, 2, 7, 2, 2, 6, 2, 1, 2, 2, 5, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		both := data[0]&1 != 0
+		r := int(data[1])<<8 | int(data[2])
+		var a, b, members []int32
+		v := int32(0)
+		for _, x := range data[3:] {
+			v += 1 + int32(x>>3)
+			if x&1 != 0 {
+				a = append(a, v)
+			}
+			if x&2 != 0 {
+				b = append(b, v)
+			}
+			if x&4 != 0 && len(members) < 3 {
+				members = append(members, v)
+			}
+		}
+		var st State
+		if len(members) > 0 {
+			st = StateOf(members...)
+		}
+		ys, _ := mergeSelect(a, b, st, both)
+		n := len(ys)
+		if n == 0 {
+			return
+		}
+		checkSelect(t, "fuzz", a, b, st, both, r%n)
+	})
 }

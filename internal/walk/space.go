@@ -161,17 +161,28 @@ func (s *space2) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 // candidates come from a (d-1)-way sorted merge of adjacency rows,
 // connectivity of rem ∪ {y} is decided from precomputed component masks plus
 // the merge's membership bitmask, and transitions never materialize neighbor
-// lists — a counting scan (d = 3, free access: a closed form) yields the
-// degree and a selection inside one dropped-node group (d = 3: over the
-// shorter row only) yields the uniformly drawn neighbor. The per-state
-// kernel records are cached in a bounded clock-evicting cache (see
-// infoCacheCap and infoCache).
+// lists — a selection inside one dropped-node group (d = 3: over the shorter
+// row only, from the nearer end) yields the uniformly drawn neighbor, and its
+// record is derived from the current state's. The records of the last few
+// transitions sit in a fixed ring (derived), which serves the window's
+// degree and adjacency lookups; every other record is kept in a bounded
+// clock-evicting cache (see infoCacheCap and infoCache). Each walker owns
+// its space, and sibling walkers' spaces are allocated back to back; the
+// ring is written every step, so a cache line of padding at each end keeps
+// one walker's writes off the line its neighbor reads.
 type spaceD struct {
-	c    access.Client
-	cc   access.CommonCounter // non-nil iff c's access is free (see access.CommonCounter)
-	d    int
-	info infoCache
+	_       [cacheLine]byte
+	c       access.Client
+	cc      access.CommonCounter // non-nil iff c's access is free (see access.CommonCounter)
+	d       int
+	info    infoCache
+	derived [derivedCap]derivedRecord
+	newest  int // ring index of the newest derived record
+	_       [cacheLine]byte
 }
+
+// cacheLine is the coherence granule spaceD pads against.
+const cacheLine = 64
 
 func newSpaceD(c access.Client, d int) *spaceD {
 	cc, _ := c.(access.CommonCounter)
@@ -226,7 +237,7 @@ func (s *spaceD) RandomNeighbor(st State, rng *rand.Rand) State {
 	if fi.deg == 0 {
 		return st
 	}
-	return s.nthNeighbor(st, fi, int32(rng.Intn(int(fi.deg))))
+	return s.keep(s.nthNeighbor(st, fi, int32(rng.Intn(int(fi.deg)))))
 }
 
 func (s *spaceD) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
@@ -235,19 +246,21 @@ func (s *spaceD) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 	case 0:
 		return st
 	case 1:
-		return s.nthNeighbor(st, fi, 0)
+		return s.keep(s.nthNeighbor(st, fi, 0))
 	}
 	for {
-		next := s.nthNeighbor(st, fi, int32(rng.Intn(int(fi.deg))))
+		// A redrawn prev costs only its pick; the record is derived once the
+		// draw is accepted.
+		next, xi, mask := s.pick(st, fi, int32(rng.Intn(int(fi.deg))))
 		if next != prev {
-			return next
+			return s.keep(next, s.derive(st, fi, xi, next, mask))
 		}
 	}
 }
 
 // neighbors materializes the full G(d) neighbor list of st in canonical
 // order through the production group scans. Only tests and verification
-// tooling call it; the walk paths go through infoOf/nthNeighbor.
+// tooling call it; the walk paths go through infoOf/pick/derive.
 func (s *spaceD) neighbors(st State) []State {
 	fi := s.infoOf(st)
 	out := make([]State, 0, fi.deg)

@@ -85,18 +85,6 @@ func (s State) Shared(t State) int {
 	return c
 }
 
-// ReplaceOne returns the state with old removed and new added.
-func (s State) ReplaceOne(old, new int32) State {
-	nodes := make([]int32, 0, MaxD)
-	for i := 0; i < int(s.n); i++ {
-		if s.v[i] != old {
-			nodes = append(nodes, s.v[i])
-		}
-	}
-	nodes = append(nodes, new)
-	return StateOf(nodes...)
-}
-
 // String renders the state as (v1,v2,...).
 func (s State) String() string {
 	out := "("

@@ -43,14 +43,6 @@ func TestStateShared(t *testing.T) {
 	}
 }
 
-func TestStateReplaceOne(t *testing.T) {
-	s := StateOf(1, 2, 3).ReplaceOne(2, 7)
-	want := StateOf(1, 3, 7)
-	if s != want {
-		t.Errorf("ReplaceOne = %v, want %v", s, want)
-	}
-}
-
 // Property: StateOf sorts any distinct node set and Shared is symmetric.
 func TestStatePropertyQuick(t *testing.T) {
 	f := func(a, b, c, d uint16, e2, f2, g2 uint16) bool {
