@@ -38,15 +38,15 @@ func ba1mGraph() *graph.Graph {
 	return ba1m.g
 }
 
-func benchmarkWalkStepsBA(b *testing.B, cfg core.Config) {
+func benchmarkWalkStepsBA(b *testing.B, cfg core.MultiConfig) {
 	benchmarkWalkStepsOn(b, cfg, ba1mGraph())
 }
 
-func benchmarkWalkStepsOn(b *testing.B, cfg core.Config, g *graph.Graph) {
+func benchmarkWalkStepsOn(b *testing.B, cfg core.MultiConfig, g *graph.Graph) {
 	b.Helper()
 	client := access.NewGraphClient(g)
 	cfg.Seed = 7
-	est, err := core.NewEstimator(client, cfg)
+	est, err := core.NewMultiEstimator(client, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,19 +92,25 @@ func ba1mOpenWarm(b *testing.B, version int, open func(path string) (*graph.Grap
 // at 0 allocs/op (CHANGES.md, PR 10).
 func BenchmarkStepSRW3K4BA1MV1Mmap(b *testing.B) {
 	g := ba1mOpenWarm(b, 1, graph.OpenMapped)
-	benchmarkWalkStepsOn(b, core.Config{K: 4, D: 3}, g)
+	benchmarkWalkStepsOn(b, core.MultiConfig{Sizes: []int{4}, D: 3}, g)
 }
 
 func BenchmarkStepSRW3K4BA1MV2Cached(b *testing.B) {
 	g := ba1mOpenWarm(b, 2, func(path string) (*graph.Graph, error) {
 		return graph.OpenMappedOpts(path, graph.OpenOptions{})
 	})
-	benchmarkWalkStepsOn(b, core.Config{K: 4, D: 3}, g)
+	benchmarkWalkStepsOn(b, core.MultiConfig{Sizes: []int{4}, D: 3}, g)
 }
 
-func BenchmarkStepSRW3K4BA1M(b *testing.B) { benchmarkWalkStepsBA(b, core.Config{K: 4, D: 3}) }
-func BenchmarkStepSRW3K5BA1M(b *testing.B) { benchmarkWalkStepsBA(b, core.Config{K: 5, D: 3}) }
-func BenchmarkStepSRW4K5BA1M(b *testing.B) { benchmarkWalkStepsBA(b, core.Config{K: 5, D: 4}) }
+func BenchmarkStepSRW3K4BA1M(b *testing.B) {
+	benchmarkWalkStepsBA(b, core.MultiConfig{Sizes: []int{4}, D: 3})
+}
+func BenchmarkStepSRW3K5BA1M(b *testing.B) {
+	benchmarkWalkStepsBA(b, core.MultiConfig{Sizes: []int{5}, D: 3})
+}
+func BenchmarkStepSRW4K5BA1M(b *testing.B) {
+	benchmarkWalkStepsBA(b, core.MultiConfig{Sizes: []int{5}, D: 4})
+}
 func BenchmarkStepNBSRW3K4BA1M(b *testing.B) {
-	benchmarkWalkStepsBA(b, core.Config{K: 4, D: 3, NB: true})
+	benchmarkWalkStepsBA(b, core.MultiConfig{Sizes: []int{4}, D: 3, NB: true})
 }

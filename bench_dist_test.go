@@ -71,7 +71,7 @@ func benchmarkDistributedCrawl(b *testing.B, nodes int) {
 		crawlRTT    = 25 * time.Microsecond
 		distWalkers = 6
 	)
-	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: distWalkers, Seed: 7}
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: distWalkers, Seed: 7}
 	meta := dist.GraphMeta{Nodes: g.NumNodes(), Edges: g.NumEdges(), MaxDegree: g.MaxDegree()}
 
 	conns := make([]*crawlConn, nodes)
@@ -93,7 +93,7 @@ func benchmarkDistributedCrawl(b *testing.B, nodes int) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base := dist.Assignment{Graph: "ba1m", Meta: meta, Single: &cfg, Budget: distSteps}
+		base := dist.Assignment{Graph: "ba1m", Meta: meta, Multi: &cfg, Budget: distSteps}
 		asns := dist.PartitionAssignments(base, nodes)
 		if _, err := dist.Run(context.Background(), dist.Options{Peers: peers}, asns, nil); err != nil {
 			b.Fatal(err)

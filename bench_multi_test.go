@@ -41,8 +41,8 @@ func multiBenchConfig() core.MultiConfig {
 	return core.MultiConfig{Sizes: multiBenchSizes, D: 2, CSS: true, Seed: multiBenchSeed}
 }
 
-func singleBenchConfig(k int) core.Config {
-	return core.Config{K: k, D: 2, CSS: true, Seed: multiBenchSeed}
+func singleBenchConfig(k int) core.MultiConfig {
+	return core.MultiConfig{Sizes: []int{k}, D: 2, CSS: true, Seed: multiBenchSeed}
 }
 
 // crawlClient builds the service-style crawl stack over the BA fixture:
@@ -79,7 +79,7 @@ func BenchmarkMultiIndependentFree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range multiBenchSizes {
-			est, err := core.NewEstimator(client, singleBenchConfig(k))
+			est, err := core.NewMultiEstimator(client, singleBenchConfig(k))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func BenchmarkMultiIndependentCrawl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range multiBenchSizes {
 			client, counting := crawlClient() // each independent job re-crawls
-			est, err := core.NewEstimator(client, singleBenchConfig(k))
+			est, err := core.NewMultiEstimator(client, singleBenchConfig(k))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -114,11 +114,11 @@ func benchGraph() *graph.Graph {
 	return d.Graph()
 }
 
-func benchmarkWalkSteps(b *testing.B, cfg core.Config) {
+func benchmarkWalkSteps(b *testing.B, cfg core.MultiConfig) {
 	g := benchGraph()
 	client := access.NewGraphClient(g)
 	cfg.Seed = 7
-	est, err := core.NewEstimator(client, cfg)
+	est, err := core.NewMultiEstimator(client, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,17 +128,31 @@ func benchmarkWalkSteps(b *testing.B, cfg core.Config) {
 	}
 }
 
-func BenchmarkStepSRW1(b *testing.B) { benchmarkWalkSteps(b, core.Config{K: 3, D: 1}) }
+func BenchmarkStepSRW1(b *testing.B) { benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{3}, D: 1}) }
 func BenchmarkStepSRW1CSSNB(b *testing.B) {
-	benchmarkWalkSteps(b, core.Config{K: 3, D: 1, CSS: true, NB: true})
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{3}, D: 1, CSS: true, NB: true})
 }
-func BenchmarkStepSRW2K4(b *testing.B)    { benchmarkWalkSteps(b, core.Config{K: 4, D: 2}) }
-func BenchmarkStepSRW2CSSK4(b *testing.B) { benchmarkWalkSteps(b, core.Config{K: 4, D: 2, CSS: true}) }
-func BenchmarkStepSRW2K5(b *testing.B)    { benchmarkWalkSteps(b, core.Config{K: 5, D: 2}) }
-func BenchmarkStepSRW2CSSK5(b *testing.B) { benchmarkWalkSteps(b, core.Config{K: 5, D: 2, CSS: true}) }
-func BenchmarkStepSRW3K4(b *testing.B)    { benchmarkWalkSteps(b, core.Config{K: 4, D: 3}) }
-func BenchmarkStepSRW3K5(b *testing.B)    { benchmarkWalkSteps(b, core.Config{K: 5, D: 3}) }
-func BenchmarkStepSRW4K5(b *testing.B)    { benchmarkWalkSteps(b, core.Config{K: 5, D: 4}) }
+func BenchmarkStepSRW2K4(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{4}, D: 2})
+}
+func BenchmarkStepSRW2CSSK4(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true})
+}
+func BenchmarkStepSRW2K5(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{5}, D: 2})
+}
+func BenchmarkStepSRW2CSSK5(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{5}, D: 2, CSS: true})
+}
+func BenchmarkStepSRW3K4(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{4}, D: 3})
+}
+func BenchmarkStepSRW3K5(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{5}, D: 3})
+}
+func BenchmarkStepSRW4K5(b *testing.B) {
+	benchmarkWalkSteps(b, core.MultiConfig{Sizes: []int{5}, D: 4})
+}
 
 // BenchmarkParallelWalkers runs a fixed total step budget through walker
 // ensembles of growing size on the benchmark graph (K=4, D=2, CSS — the
@@ -151,8 +165,8 @@ func BenchmarkParallelWalkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("walkers=%d", w), func(b *testing.B) {
 			client := access.NewGraphClient(g)
-			cfg := core.Config{K: 4, D: 2, CSS: true, Seed: 7, Walkers: w}
-			est, err := core.NewEstimator(client, cfg)
+			cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 7, Walkers: w}
+			est, err := core.NewMultiEstimator(client, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -230,7 +244,7 @@ func BenchmarkGenHolmeKim(b *testing.B) {
 // Example-style smoke check that the benchmark harness wiring matches the
 // experiment index in README.md.
 func ExampleConfig() {
-	cfg := core.Config{K: 4, D: 2, CSS: true}
+	cfg := Config{Sizes: []int{4}, D: 2, CSS: true}
 	fmt.Println(cfg.MethodName())
 	// Output: SRW2CSS
 }

@@ -97,9 +97,9 @@ func main() {
 	if *counts && *d > 2 {
 		fail(fmt.Errorf("count estimation needs |R(d)|, available for d <= 2"))
 	}
-	cfg := graphletrw.MultiConfig{Sizes: ks, D: *d, CSS: *css, NB: *nb, Walkers: *walkers, Seed: *seed}
+	cfg := graphletrw.Config{Sizes: ks, D: *d, CSS: *css, NB: *nb, Walkers: *walkers, Seed: *seed}
 	start := time.Now()
-	res, err := graphletrw.EstimateAll(client, cfg, *steps)
+	res, err := graphletrw.Estimate(client, cfg, *steps)
 	if err != nil {
 		fail(err)
 	}
@@ -113,9 +113,9 @@ func main() {
 		r := res.Results[k]
 		if *sizes == "" {
 			fmt.Printf("method %s, %d steps, %d walker(s) (%d valid samples), %s\n\n",
-				r.Config.MethodName(), r.Steps, nw, r.ValidSamples, elapsed)
+				cfg.MethodName(), r.Steps, nw, r.ValidSamples, elapsed)
 		} else {
-			fmt.Printf("\nsize %d (%s, %d valid samples)\n", k, r.Config.MethodName(), r.ValidSamples)
+			fmt.Printf("\nsize %d (%s, %d valid samples)\n", k, cfg.MethodName(), r.ValidSamples)
 		}
 		var exactConc, countEst []float64
 		if *exact {

@@ -22,12 +22,12 @@ func main() {
 
 	const steps = 20000
 	res, err := graphletrw.Estimate(counting, graphletrw.Config{
-		K: 3, D: 1, CSS: true, NB: true, Seed: 99,
+		Sizes: []int{3}, D: 1, CSS: true, NB: true, Seed: 99,
 	}, steps)
 	if err != nil {
 		panic(err)
 	}
-	conc := res.Concentration()
+	conc := res.Results[3].Concentration()
 	c2 := conc[1]
 	ccEst := 3 * c2 / (2*c2 + 1)
 	ccExact := graphletrw.ClusteringCoefficient(lcc)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -26,9 +27,9 @@ func main() {
 		trials     = 60
 	)
 	methods := []graphletrw.Config{
-		{K: 4, D: 2},
-		{K: 4, D: 2, CSS: true},
-		{K: 4, D: 3}, // PSRW
+		{Sizes: []int{4}, D: 2},
+		{Sizes: []int{4}, D: 2, CSS: true},
+		{Sizes: []int{4}, D: 3}, // PSRW
 	}
 
 	fmt.Printf("4-clique concentration convergence on %d-node graph (truth %.5f, %d trials)\n\n",
@@ -41,7 +42,6 @@ func main() {
 
 	series := make([][][]float64, len(methods)) // [method][trial][checkpoint]
 	for mi, m := range methods {
-		m := m
 		series[mi] = stats.RunTrials(trials, func(trial int) []float64 {
 			cfg := m
 			cfg.Seed = int64(1000*trial + mi)
@@ -50,8 +50,8 @@ func main() {
 				panic(err)
 			}
 			var points []float64
-			_, err = est.RunCheckpoints(steps, checkpoint, func(step int, conc []float64) {
-				points = append(points, conc[cliqueIdx])
+			_, err = est.RunCheckpointsCtx(context.Background(), steps, checkpoint, func(step int, conc map[int][]float64) {
+				points = append(points, conc[4][cliqueIdx])
 			})
 			if err != nil {
 				panic(err)

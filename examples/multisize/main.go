@@ -17,7 +17,7 @@ func main() {
 	lcc, _ := graphletrw.LargestComponent(g)
 	counting := graphletrw.NewCountingClient(graphletrw.NewClient(lcc), lcc.NumNodes())
 
-	res, err := graphletrw.EstimateAll(counting, graphletrw.MultiConfig{
+	res, err := graphletrw.Estimate(counting, graphletrw.Config{
 		Sizes: []int{3, 4, 5},
 		D:     2,
 		CSS:   true,

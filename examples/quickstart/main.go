@@ -21,24 +21,25 @@ func main() {
 	// 3-node graphlets: the paper's best method is SRW1CSSNB — a walk on G
 	// itself with corresponding-state sampling and no backtracking.
 	res, err := graphletrw.Estimate(client, graphletrw.Config{
-		K: 3, D: 1, CSS: true, NB: true, Seed: 1,
+		Sizes: []int{3}, D: 1, CSS: true, NB: true, Seed: 1,
 	}, 20000)
 	if err != nil {
 		panic(err)
 	}
 	exact3 := graphletrw.ExactConcentration(lcc, 3)
 	fmt.Println("3-node graphlet concentration (20K walk steps, SRW1CSSNB):")
-	printComparison(3, res.Concentration(), exact3)
+	printComparison(3, res.Results[3].Concentration(), exact3)
 
 	// 4-node graphlets: the paper recommends SRW2CSS (walk on the line
 	// graph G(2) with CSS). Walkers: 8 splits the budget across eight
 	// concurrent walks whose merged estimate is exact and reproducible.
-	res4, err := graphletrw.Estimate(client, graphletrw.Config{
-		K: 4, D: 2, CSS: true, Seed: 1, Walkers: 8,
+	multi, err := graphletrw.Estimate(client, graphletrw.Config{
+		Sizes: []int{4}, D: 2, CSS: true, Seed: 1, Walkers: 8,
 	}, 20000)
 	if err != nil {
 		panic(err)
 	}
+	res4 := multi.Results[4]
 	exact4 := graphletrw.ExactConcentration(lcc, 4)
 	fmt.Println("\n4-node graphlet concentration (20K walk steps, SRW2CSS):")
 	printComparison(4, res4.Concentration(), exact4)

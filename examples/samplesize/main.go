@@ -52,17 +52,13 @@ func main() {
 		truth := exact.Concentrations(counts)
 		client := graphletrw.NewClient(lcc)
 		trials := stats.RunTrials(40, func(trial int) []float64 {
-			est, err := graphletrw.NewEstimator(client, graphletrw.Config{
-				K: 3, D: 1, Seed: int64(trial + 1),
-			})
+			res, err := graphletrw.Estimate(client, graphletrw.Config{
+				Sizes: []int{3}, D: 1, Seed: int64(trial + 1),
+			}, 20000)
 			if err != nil {
 				panic(err)
 			}
-			res, err := est.Run(20000)
-			if err != nil {
-				panic(err)
-			}
-			return res.Concentration()
+			return res.Results[3].Concentration()
 		})
 		nrmse := stats.NRMSEOfComponent(trials, truth, 1)
 

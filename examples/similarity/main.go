@@ -22,12 +22,12 @@ func main() {
 		}
 		g := d.Graph()
 		res, err := graphletrw.Estimate(graphletrw.NewClient(g), graphletrw.Config{
-			K: 4, D: 2, CSS: true, Seed: 2024,
+			Sizes: []int{4}, D: 2, CSS: true, Seed: 2024,
 		}, 20000)
 		if err != nil {
 			panic(err)
 		}
-		conc[name] = res.Concentration()
+		conc[name] = res.Results[4].Concentration()
 		fmt.Printf("%-10s (%d nodes, %d edges): ĉ⁴ = %s\n",
 			name, g.NumNodes(), g.NumEdges(), fmtVec(conc[name]))
 	}

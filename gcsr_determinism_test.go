@@ -11,14 +11,15 @@ import (
 	"repro/internal/graph"
 )
 
-// renderEstimate runs a 6000-step estimate of cfg on g and formats it
-// exactly (hex floats): byte-identical, not almost-equal.
+// renderEstimate runs a 6000-step estimate of the one-size cfg on g and
+// formats it exactly (hex floats): byte-identical, not almost-equal.
 func renderEstimate(t *testing.T, g *Graph, cfg Config) string {
 	t.Helper()
-	res, err := Estimate(NewClient(g), cfg, 6000)
+	multi, err := Estimate(NewClient(g), cfg, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := multi.Results[cfg.Sizes[0]]
 	return fmt.Sprintf("%x|%x|%v|%d|%d",
 		res.Concentration(), res.Weights, res.TypeCounts, res.Steps, res.ValidSamples)
 }
@@ -84,14 +85,14 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 	defer thrashed.Close()
 
 	for _, cfg := range []Config{
-		{K: 3, D: 1, CSS: true, NB: true, Seed: 5},
-		{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4},
-		{K: 5, D: 2, CSS: true, Seed: 9},
+		{Sizes: []int{3}, D: 1, CSS: true, NB: true, Seed: 5},
+		{Sizes: []int{4}, D: 2, CSS: true, Seed: 5, Walkers: 4},
+		{Sizes: []int{5}, D: 2, CSS: true, Seed: 9},
 		// d >= 3: the merge-based G(d) kernel path (counting scans +
 		// nth-neighbor partial scans instead of materialized lists).
-		{K: 4, D: 3, Seed: 5},
-		{K: 5, D: 3, CSS: true, Seed: 7, Walkers: 2},
-		{K: 5, D: 4, NB: true, Seed: 7},
+		{Sizes: []int{4}, D: 3, Seed: 5},
+		{Sizes: []int{5}, D: 3, CSS: true, Seed: 7, Walkers: 2},
+		{Sizes: []int{5}, D: 4, NB: true, Seed: 7},
 	} {
 		cfg := cfg
 		t.Run(cfg.MethodName(), func(t *testing.T) {
@@ -128,8 +129,8 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfgs := []Config{
-			{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4},
-			{K: 5, D: 3, NB: true, Seed: 7},
+			{Sizes: []int{4}, D: 2, CSS: true, Seed: 5, Walkers: 4},
+			{Sizes: []int{5}, D: 3, NB: true, Seed: 7},
 		}
 		want := make([]string, len(cfgs))
 		for i, cfg := range cfgs {
@@ -195,8 +196,8 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfgs := []Config{
-			{K: 3, D: 1, CSS: true, NB: true, Seed: 5},
-			{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4},
+			{Sizes: []int{3}, D: 1, CSS: true, NB: true, Seed: 5},
+			{Sizes: []int{4}, D: 2, CSS: true, Seed: 5, Walkers: 4},
 		}
 		for _, stray := range []bool{false, true} {
 			input := "connected"
@@ -271,7 +272,7 @@ func TestRepackUnderMappedReader(t *testing.T) {
 	for i := range ids64 {
 		ids64[i] = int64(10*i + 7)
 	}
-	cfg := Config{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 4}
+	cfg := Config{Sizes: []int{4}, D: 2, CSS: true, Seed: 5, Walkers: 4}
 	for _, version := range []int{1, 2} {
 		path := filepath.Join(t.TempDir(), "g.gcsr")
 		opts := graph.SaveOptions{Version: version, BlockBytes: 4 << 10}

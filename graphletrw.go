@@ -10,16 +10,17 @@
 // (the paper's recommendation: d = 1 for 3-node graphlets, d = 2 for 4- and
 // 5-node) is both faster and more accurate. Two optimizations — corresponding
 // state sampling (CSS) and the non-backtracking walk (NB) — further reduce
-// error.
+// error. One walk on G(d) serves every size k >= d at once (the MSS idea of
+// [36] the paper generalizes), so a Config names the sizes it estimates.
 //
 // Quick start:
 //
 //	g, _ := graphletrw.LoadGraph("graph.txt")         // or build one
 //	client := graphletrw.NewClient(g)                  // restricted access
 //	res, _ := graphletrw.Estimate(client, graphletrw.Config{
-//		K: 4, D: 2, CSS: true, Seed: 1, Walkers: 8,
+//		Sizes: []int{4}, D: 2, CSS: true, Seed: 1, Walkers: 8,
 //	}, 20000)
-//	fmt.Println(res.Concentration())                   // ĉ⁴ per type
+//	fmt.Println(res.Results[4].Concentration())        // ĉ⁴ per type
 //
 // Estimation runs on a layered engine: a Config.Walkers-sized ensemble of
 // independent walkers splits the step budget, runs concurrently over the
@@ -57,11 +58,16 @@ type Client = access.Client
 // CountingClient wraps a Client with API-call accounting.
 type CountingClient = access.Counting
 
-// Config selects a method within the framework (walk order, CSS, NB).
-type Config = core.Config
+// Config selects a method within the framework (walk order, CSS, NB), the
+// graphlet sizes it estimates from one shared walk, and the run's ensemble
+// and seed.
+type Config = core.MultiConfig
 
-// Result holds the outcome of an estimation run.
+// Result holds one size's outcome of an estimation run.
 type Result = core.Result
+
+// MultiResult maps each estimated size to its Result.
+type MultiResult = core.MultiResult
 
 // Graphlet describes one of the catalog's subgraph patterns.
 type Graphlet = graphlet.Graphlet
@@ -119,33 +125,18 @@ type MemoClient = access.Memo
 // neighbor list.
 func NewMemoClient(c Client) *MemoClient { return access.NewMemo(c) }
 
-// NewEstimator builds a reusable estimator for the given method.
-func NewEstimator(c Client, cfg Config) (*core.Estimator, error) {
-	return core.NewEstimator(c, cfg)
-}
-
-// MultiConfig configures joint estimation of several graphlet sizes from a
-// single walk (the MSS idea of [36] generalized to this framework).
-type MultiConfig = core.MultiConfig
-
-// MultiResult maps each requested size to its Result.
-type MultiResult = core.MultiResult
-
-// EstimateAll estimates the concentrations of several graphlet sizes from
-// one shared random walk on G(d) — one crawl budget, all sizes.
-func EstimateAll(c Client, cfg MultiConfig, steps int) (*MultiResult, error) {
-	me, err := core.NewMultiEstimator(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return me.Run(steps)
+// NewEstimator builds a reusable estimator for the given method and sizes;
+// it can also checkpoint, snapshot and restore a run.
+func NewEstimator(c Client, cfg Config) (*core.MultiEstimator, error) {
+	return core.NewMultiEstimator(c, cfg)
 }
 
 // Estimate runs the framework for the given number of random-walk steps and
-// returns concentration estimates (paper Algorithm 1 with the Config's
-// optimizations).
-func Estimate(c Client, cfg Config, steps int) (*Result, error) {
-	est, err := core.NewEstimator(c, cfg)
+// returns the concentration estimates of every size in cfg.Sizes from one
+// shared walk on G(d) — one crawl budget, all sizes (paper Algorithm 1 with
+// the Config's optimizations).
+func Estimate(c Client, cfg Config, steps int) (*MultiResult, error) {
+	est, err := core.NewMultiEstimator(c, cfg)
 	if err != nil {
 		return nil, err
 	}

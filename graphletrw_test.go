@@ -16,11 +16,11 @@ func TestFacadeEstimateAgainstExact(t *testing.T) {
 	g := gen.HolmeKim(2000, 4, 0.6, 5)
 	lcc, _ := LargestComponent(g)
 	client := NewClient(lcc)
-	res, err := Estimate(client, Config{K: 3, D: 1, CSS: true, NB: true, Seed: 9}, 40000)
+	res, err := Estimate(client, Config{Sizes: []int{3}, D: 1, CSS: true, NB: true, Seed: 9}, 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Concentration()
+	got := res.Results[3].Concentration()
 	want := ExactConcentration(lcc, 3)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 0.02 {
@@ -54,7 +54,7 @@ func TestFacadeGraphIO(t *testing.T) {
 func TestFacadeCountingClient(t *testing.T) {
 	g := gen.Cycle(50)
 	c := NewCountingClient(NewClient(g), g.NumNodes())
-	if _, err := Estimate(c, Config{K: 3, D: 1, Seed: 1}, 500); err != nil {
+	if _, err := Estimate(c, Config{Sizes: []int{3}, D: 1, Seed: 1}, 500); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().NeighborCalls == 0 {
@@ -70,7 +70,7 @@ func TestFacadeEstimateOverDeadEndpoint(t *testing.T) {
 	dead.Close()
 	for _, walkers := range []int{1, 3} {
 		client, _ := apiserver.NewClient(context.Background(), dead.URL, nil)
-		_, err := Estimate(client, Config{K: 3, D: 1, Seed: 1, Walkers: walkers}, 500)
+		_, err := Estimate(client, Config{Sizes: []int{3}, D: 1, Seed: 1, Walkers: walkers}, 500)
 		if err == nil || !strings.Contains(err.Error(), "apiserver client") {
 			t.Errorf("walkers=%d: err = %v, want the transport failure as an error", walkers, err)
 		}

@@ -205,14 +205,15 @@ func TestClientWireBoundary(t *testing.T) {
 func TestEstimateOverHTTP(t *testing.T) {
 	srv, h := newTestServer(t)
 	c, api := NewClient(context.Background(), srv.URL, srv.Client())
-	est, err := core.NewEstimator(c, core.Config{K: 3, D: 1, CSS: true, Seed: 11})
+	est, err := core.NewMultiEstimator(c, core.MultiConfig{Sizes: []int{3}, D: 1, CSS: true, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := est.Run(30000)
+	multi, err := est.Run(30000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := multi.Results[3]
 	want := exact.Concentrations(exact.ThreeNodeCounts(h.g))
 	got := res.Concentration()
 	if math.Abs(got[1]-want[1]) > 0.2*want[1] {
@@ -234,8 +235,8 @@ func TestEstimateOverHTTP(t *testing.T) {
 // Each run gets a fresh server so /v1/nodes/random replays the same stream.
 func TestParallelEstimateOverHTTP(t *testing.T) {
 	g := gen.HolmeKim(800, 6, 0.6, 7) // eleven nodes of degree >= 64
-	cfg := core.Config{K: 3, D: 1, CSS: true, Seed: 11, Walkers: 4}
-	run := func() (*core.Result, access.MemoStats, map[string]int) {
+	cfg := core.MultiConfig{Sizes: []int{3}, D: 1, CSS: true, Seed: 11, Walkers: 4}
+	run := func() (*core.MultiResult, access.MemoStats, map[string]int) {
 		var mu sync.Mutex
 		hits := make(map[string]int)
 		h := NewHandler(g, 1)
@@ -247,7 +248,7 @@ func TestParallelEstimateOverHTTP(t *testing.T) {
 		}))
 		defer srv.Close()
 		c, api := NewClient(context.Background(), srv.URL, srv.Client())
-		est, err := core.NewEstimator(c, cfg)
+		est, err := core.NewMultiEstimator(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +291,7 @@ func TestParallelEstimateOverHTTP(t *testing.T) {
 		t.Errorf("no hub rows built over HTTP: %+v", st)
 	}
 	want := exact.Concentrations(exact.ThreeNodeCounts(g))
-	got := res1.Concentration()
+	got := res1.Results[3].Concentration()
 	if math.Abs(got[1]-want[1]) > 0.2*want[1] {
 		t.Errorf("4-walker triangle concentration over HTTP: got %.4f, want %.4f", got[1], want[1])
 	}

@@ -24,18 +24,18 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 		cfg    MultiConfig
 		client access.Client // nil: the in-memory client
 	}{
-		{"SRW3", Config{K: 4, D: 3}.Multi(), nil},
-		{"SRW3", Config{K: 5, D: 3}.Multi(), nil},
-		{"SRW4NB", Config{K: 5, D: 4, NB: true}.Multi(), nil},
-		{"SRW1CSSNB", Config{K: 3, D: 1, CSS: true, NB: true}.Multi(), nil},
-		{"SRW2CSS", Config{K: 4, D: 2, CSS: true}.Multi(), nil},
-		{"SRW2CSS", Config{K: 5, D: 2, CSS: true}.Multi(), nil},
-		{"SRW3CSS", Config{K: 5, D: 3, CSS: true}.Multi(), nil},
-		{"SRW1_stars", Config{K: 4, D: 1, RecoverStars: true}.Multi(), nil},
-		{"SRW2CSS_burnin", Config{K: 4, D: 2, CSS: true, BurnIn: 100}.Multi(), nil},
+		{"SRW3", MultiConfig{Sizes: []int{4}, D: 3}, nil},
+		{"SRW3", MultiConfig{Sizes: []int{5}, D: 3}, nil},
+		{"SRW4NB", MultiConfig{Sizes: []int{5}, D: 4, NB: true}, nil},
+		{"SRW1CSSNB", MultiConfig{Sizes: []int{3}, D: 1, CSS: true, NB: true}, nil},
+		{"SRW2CSS", MultiConfig{Sizes: []int{4}, D: 2, CSS: true}, nil},
+		{"SRW2CSS", MultiConfig{Sizes: []int{5}, D: 2, CSS: true}, nil},
+		{"SRW3CSS", MultiConfig{Sizes: []int{5}, D: 3, CSS: true}, nil},
+		{"SRW1_stars", MultiConfig{Sizes: []int{4}, D: 1, RecoverStars: true}, nil},
+		{"SRW2CSS_burnin", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, BurnIn: 100}, nil},
 		{"SRW2CSS_sizes345", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true}, nil},
-		{"SRW3NB", Config{K: 5, D: 3, NB: true}.Multi(), nil},
-		{"SRW3_crawl", Config{K: 4, D: 3}.Multi(), access.NewCounting(client, g.NumNodes())},
+		{"SRW3NB", MultiConfig{Sizes: []int{5}, D: 3, NB: true}, nil},
+		{"SRW3_crawl", MultiConfig{Sizes: []int{4}, D: 3}, access.NewCounting(client, g.NumNodes())},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			c := row.client
@@ -72,7 +72,7 @@ func TestShortJobAllocs(t *testing.T) {
 		cfg  MultiConfig
 		max  float64
 	}{
-		{"SRW2CSS_k4_W1", Config{K: 4, D: 2, CSS: true, Walkers: 1}.Multi(), 15},
+		{"SRW2CSS_k4_W1", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 1}, 15},
 		{"SRW2CSS_k345_W2", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2}, 34},
 	} {
 		t.Run(row.name, func(t *testing.T) {

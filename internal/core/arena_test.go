@@ -77,11 +77,11 @@ func TestWalkersShareNoCacheLine(t *testing.T) {
 	}
 	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
 	for _, cfg := range []MultiConfig{
-		Config{K: 3, D: 1, CSS: true, NB: true}.Multi(),
-		Config{K: 4, D: 2, CSS: true}.Multi(),
-		Config{K: 5, D: 2, CSS: true}.Multi(),
-		Config{K: 4, D: 3}.Multi(),
-		Config{K: 5, D: 3, NB: true}.Multi(),
+		MultiConfig{Sizes: []int{3}, D: 1, CSS: true, NB: true},
+		MultiConfig{Sizes: []int{4}, D: 2, CSS: true},
+		MultiConfig{Sizes: []int{5}, D: 2, CSS: true},
+		MultiConfig{Sizes: []int{4}, D: 3},
+		MultiConfig{Sizes: []int{5}, D: 3, NB: true},
 		{Sizes: []int{3, 4, 5}, D: 2, CSS: true},
 	} {
 		cfg.Walkers, cfg.Seed = 8, 5
@@ -128,7 +128,7 @@ func TestWalkersShareNoCacheLine(t *testing.T) {
 // state is not checked for adjacency, and three disjoint d=3 states would
 // otherwise gather 9 nodes.
 func TestWindowScratchBounded(t *testing.T) {
-	wk := newWalker(access.NewGraphClient(gen.BarabasiAlbert(200, 4, 21)), Config{K: 5, D: 3}.Multi(), 1)
+	wk := newWalker(access.NewGraphClient(gen.BarabasiAlbert(200, 4, 21)), MultiConfig{Sizes: []int{5}, D: 3}, 1)
 	wk.win[0] = walk.StateOf(0, 1, 2)
 	wk.win[1] = walk.StateOf(3, 4, 5)
 	wk.win[2] = walk.StateOf(6, 7, 8)

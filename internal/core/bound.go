@@ -22,7 +22,7 @@ func TwoR(g *graph.Graph, d int) float64 {
 		var sum float64
 		for v := 0; v < g.NumNodes(); v++ {
 			dv := float64(g.Degree(int32(v)))
-			sum += dv * dv
+			sum += float64(dv * dv) // rounded on its own: never fused into an FMA
 		}
 		return sum - 2*float64(g.NumEdges())
 	}
@@ -42,7 +42,7 @@ func WeightedConcentration(k, d int, counts []float64) []float64 {
 	out := make([]float64, len(counts))
 	var sum float64
 	for i := range counts {
-		out[i] = float64(cat[i].Alpha[d]) * counts[i]
+		out[i] = float64(float64(cat[i].Alpha[d]) * counts[i]) // never fused into an FMA
 		sum += out[i]
 	}
 	if sum > 0 {

@@ -21,7 +21,7 @@
 //     window budgets and runs them concurrently; each walker owns its
 //     walk.Space and RNG, and is one padded allocation holding everything
 //     it writes per step, so no two walkers write to a shared cache line.
-//     Estimator is a typed one-size view over it.
+//     Estimator, a typed one-size view over it, is kept only for bench/.
 //   - merge (Result.Merge): sums walker accumulators in walker-index order,
 //     exact because Equation 4 is linear in the accumulated weights, and
 //     schedule-independent by construction.
@@ -37,72 +37,33 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/access"
 	"repro/internal/graphlet"
 	"repro/internal/walk"
 )
 
-// Config selects a method within the framework.
+// Config is the one-size spelling of MultiConfig, for the one size K.
+//
+// Deprecated: use MultiConfig; only bench/ uses it (ROADMAP item 2(d)).
 type Config struct {
 	K int // graphlet size, 3..5
-	D int // walk order, 1..K; l = K-D+1 consecutive steps form one sample
-
-	// CSS enables corresponding state sampling (§4.1): the sample weight is
-	// the summed stationary mass of all states corresponding to the sampled
-	// subgraph rather than α·π̃e. For l <= 2 both weights coincide and the
-	// plain path is used.
-	CSS bool
-	// NB replaces the simple random walk with the non-backtracking walk
-	// (§4.2); stationary weights use nominal degrees max(deg-1, 1).
-	NB bool
-
-	// RecoverStars implements the paper's §3.2 footnote 3 for (K=4, D=1):
-	// 3-stars have no Hamiltonian path (α = 0) and are invisible to the walk
-	// on G, but their count satisfies the linear relation
-	//   noninduced-stars = stars + tailed + 2·chordal + 4·clique,
-	// and Σ_v C(d_v,3) (the non-induced star count) is estimable from the
-	// same walk because E_π[C(d_v,3)/d_v] = Σ_v C(d_v,3) / 2|E| shares the
-	// 2|R(1)| = 2|E| scale of all other weights. With this flag the 3-star
-	// entry of the result is recovered instead of being zero.
+	// The other fields are MultiConfig's of the same names.
+	D            int
+	CSS, NB      bool
 	RecoverStars bool
-
-	// BurnIn is the number of transitions discarded before sampling starts,
-	// per walker. The paper uses none (bias decays by SLLN); experiments keep
-	// it at 0.
-	BurnIn int
-
-	// Walkers is the number of independent concurrent walks the run's window
-	// budget is split across (0 and 1 both mean one walk — the historical
-	// sequential behavior). Each walker gets its own RNG stream and
-	// walk.Space; their unbiased weight accumulators merge by summation
-	// (Result.Merge), so the estimate is exact regardless of W. The shared
-	// access.Client must be safe for concurrent use (all clients in
-	// internal/access and internal/apiserver are).
-	Walkers int
-
-	// Seed seeds the engine. Walker i derives its RNG stream from
-	// (Seed, i) deterministically, so two runs with equal Config produce
-	// byte-identical merged Results, at any GOMAXPROCS.
-	Seed int64
+	BurnIn       int
+	Walkers      int
+	Seed         int64
 }
 
-// MethodName renders the paper's naming scheme, e.g. "SRW2CSS" or
-// "SRW1CSSNB".
-func (c Config) MethodName() string {
-	s := fmt.Sprintf("SRW%d", c.D)
-	if c.CSS {
-		s += "CSS"
-	}
-	if c.NB {
-		s += "NB"
-	}
-	return s
-}
+// MethodName is MultiConfig.MethodName.
+func (c Config) MethodName() string { return c.Multi().MethodName() }
 
 // Multi returns the general configuration c is the one-size case of: the one
 // Config → MultiConfig conversion.
+//
+// Deprecated: only bench/ calls it (ROADMAP item 2(d)).
 func (c Config) Multi() MultiConfig {
 	return MultiConfig{
 		Sizes: []int{c.K}, D: c.D, CSS: c.CSS, NB: c.NB,
@@ -111,12 +72,13 @@ func (c Config) Multi() MultiConfig {
 	}
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error { return c.Multi().Validate() }
-
 // Result holds the outcome of one estimation run (or, after Merge, of
 // several independent runs combined).
 type Result struct {
+	// Config is the one-size method the Result was accumulated under; its
+	// RecoverStars drives Merge.
+	//
+	// Deprecated: outside core only bench/ reads it (ROADMAP item 2(d)).
 	Config Config
 	// Steps is the number of windows processed (the paper's sample size n),
 	// summed over all walkers.
@@ -162,9 +124,10 @@ func (r *Result) Merge(o *Result) {
 
 // applyStarRecovery rewrites the invisible 3-star weight from the linear
 // relation noninduced = stars + tailed + 2·chordal + 4·clique; all terms
-// share the 2|E| scale, so the concentration normalization stays valid.
+// share the 2|E| scale, so the concentration normalization stays valid;
+// float64(...) rounds each product on its own, so no platform fuses an FMA.
 func (r *Result) applyStarRecovery() {
-	w := r.StarAcc - r.Weights[3] - 2*r.Weights[4] - 4*r.Weights[5]
+	w := r.StarAcc - r.Weights[3] - float64(2*r.Weights[4]) - float64(4*r.Weights[5])
 	if w < 0 {
 		w = 0
 	}
@@ -206,6 +169,8 @@ func (r *Result) Counts(twoR float64) []float64 {
 // It holds no run, merge, snapshot or restore logic of its own, so an
 // Estimator and a one-size MultiEstimator of equal settings are
 // interchangeable down to their snapshot bytes.
+//
+// Deprecated: use MultiEstimator; only bench/ uses it (ROADMAP item 2(d)).
 type Estimator struct {
 	k int
 	m *MultiEstimator
@@ -213,16 +178,16 @@ type Estimator struct {
 
 // NewEstimator builds an estimator over the client. When cfg.Walkers > 1 the
 // client is used from that many goroutines concurrently during Run.
+//
+// Deprecated: use NewMultiEstimator; only bench/ calls it (ROADMAP 2(d)).
 func NewEstimator(client access.Client, cfg Config) (*Estimator, error) {
-	m, err := NewMultiEstimator(client, cfg.Multi())
-	if err != nil {
-		return nil, err
-	}
-	return &Estimator{k: cfg.K, m: m}, nil
+	return NewPartitionEstimator(client, cfg, 0, walkerCount(cfg.Walkers))
 }
 
 // NewPartitionEstimator builds an estimator owning only walkers [lo, hi) of
 // the cfg.Walkers-walker ensemble (see NewPartitionMultiEstimator).
+//
+// Deprecated: use NewPartitionMultiEstimator; only bench/ calls it.
 func NewPartitionEstimator(client access.Client, cfg Config, lo, hi int) (*Estimator, error) {
 	m, err := NewPartitionMultiEstimator(client, cfg.Multi(), lo, hi)
 	if err != nil {
@@ -233,29 +198,22 @@ func NewPartitionEstimator(client access.Client, cfg Config, lo, hi int) (*Estim
 
 // Run processes n windows (Algorithm 1), split across the configured
 // walkers, and returns the merged estimates.
+//
+// Deprecated: only bench/ calls it (ROADMAP item 2(d)).
 func (e *Estimator) Run(n int) (*Result, error) {
 	return e.RunCheckpoints(n, 0, nil)
 }
 
-// RunCheckpoints is Run with a periodic callback: after every `every`
-// windows (summed across walkers, and at the end) it synchronizes the
-// ensemble and invokes fn with the number of windows processed so far and
-// the merged concentration snapshot. Used to trace convergence (Figure 6).
-// Checkpoints are ensemble-wide barriers; with fn == nil the walkers run
-// barrier-free end to end.
+// RunCheckpoints is MultiEstimator.RunCheckpointsCtx, never cancelled, with
+// fn handed the view's size's concentration at each barrier.
+//
+// Deprecated: only bench/ calls it (ROADMAP item 2(d)).
 func (e *Estimator) RunCheckpoints(n, every int, fn func(step int, conc []float64)) (*Result, error) {
-	return e.RunCheckpointsCtx(context.Background(), n, every, fn)
-}
-
-// RunCheckpointsCtx is RunCheckpoints with cooperative, step-granular
-// cancellation (MultiEstimator.RunCheckpointsCtx): on cancellation it returns
-// the merged Result accumulated so far alongside ctx.Err().
-func (e *Estimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(step int, conc []float64)) (*Result, error) {
 	var each func(int, map[int][]float64)
 	if fn != nil {
 		each = func(step int, conc map[int][]float64) { fn(step, conc[e.k]) }
 	}
-	res, err := e.m.RunCheckpointsCtx(ctx, n, every, each)
+	res, err := e.m.RunCheckpointsCtx(context.Background(), n, every, each)
 	if res == nil {
 		return nil, err
 	}
@@ -263,10 +221,14 @@ func (e *Estimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func
 }
 
 // Snapshot exports the run's complete resumable state (MultiEstimator.Snapshot).
+//
+// Deprecated: only bench/ calls it (ROADMAP item 2(d)).
 func (e *Estimator) Snapshot() *EnsembleState { return e.m.Snapshot() }
 
 // Restore loads an exported state so that the next Run continues the
 // interrupted run (MultiEstimator.Restore).
+//
+// Deprecated: only bench/ calls it (ROADMAP item 2(d)).
 func (e *Estimator) Restore(st *EnsembleState) error { return e.m.Restore(st) }
 
 // SamplingProbability computes the CSS weight p̃ = 2|R(d)|·p for the subgraph

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,21 +13,28 @@ import (
 	"repro/internal/walk"
 )
 
+// TestConfigValidate checks one-size configurations; TestMultiConfigValidate
+// covers the multi-size rules.
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{K: 2, D: 1},
-		{K: 6, D: 1},
-		{K: 4, D: 0},
-		{K: 4, D: 5},
-		{K: 3, D: 1, BurnIn: -1},
-		{K: 3, D: 1, Walkers: 1<<16 + 1}, // more walkers than a state can carry
+	bad := []MultiConfig{
+		{Sizes: []int{2}, D: 1},
+		{Sizes: []int{6}, D: 1},
+		{Sizes: []int{4}, D: 0},
+		{Sizes: []int{4}, D: 5},
+		{Sizes: []int{3}, D: 1, BurnIn: -1},
+		{Sizes: []int{3}, D: 1, Walkers: 1<<16 + 1}, // more walkers than a state can carry
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v should be invalid", c)
 		}
 	}
-	good := []Config{{K: 3, D: 1}, {K: 5, D: 2, CSS: true, NB: true}, {K: 4, D: 4}, {K: 3, D: 1, Walkers: 1 << 16}}
+	good := []MultiConfig{
+		{Sizes: []int{3}, D: 1},
+		{Sizes: []int{5}, D: 2, CSS: true, NB: true},
+		{Sizes: []int{4}, D: 4},
+		{Sizes: []int{3}, D: 1, Walkers: 1 << 16},
+	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
 			t.Errorf("config %+v: %v", c, err)
@@ -35,17 +43,31 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestMethodName(t *testing.T) {
-	cases := map[string]Config{
-		"SRW1":      {K: 3, D: 1},
-		"SRW2CSS":   {K: 4, D: 2, CSS: true},
-		"SRW1CSSNB": {K: 3, D: 1, CSS: true, NB: true},
-		"SRW2NB":    {K: 3, D: 2, NB: true},
+	cases := map[string]MultiConfig{
+		"SRW1":      {Sizes: []int{3}, D: 1},
+		"SRW2CSS":   {Sizes: []int{4}, D: 2, CSS: true},
+		"SRW1CSSNB": {Sizes: []int{3, 4}, D: 1, CSS: true, NB: true},
+		"SRW2NB":    {Sizes: []int{3}, D: 2, NB: true},
 	}
 	for want, cfg := range cases {
 		if got := cfg.MethodName(); got != want {
 			t.Errorf("MethodName(%+v) = %q, want %q", cfg, got, want)
 		}
 	}
+}
+
+// runSize runs cfg for n windows and returns the Result of its first size.
+func runSize(t testing.TB, client access.Client, cfg MultiConfig, n int) *Result {
+	t.Helper()
+	me, err := NewMultiEstimator(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := me.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Results[cfg.Sizes[0]]
 }
 
 // maxRelErr returns the max relative error over types with non-trivial
@@ -71,15 +93,8 @@ func maxRelErr(got, want []float64) float64 {
 func testConvergence(t *testing.T, g *graph.Graph, k, d int, css, nb bool, steps int, tol float64) {
 	t.Helper()
 	client := access.NewGraphClient(g)
-	cfg := Config{K: k, D: d, CSS: css, NB: nb, Seed: int64(k*100 + d*10 + 1)}
-	est, err := NewEstimator(client, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := est.Run(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := MultiConfig{Sizes: []int{k}, D: d, CSS: css, NB: nb, Seed: int64(k*100 + d*10 + 1)}
+	res := runSize(t, client, cfg, steps)
 	exactCounts := exact.CountESU(g, k)
 	want := exact.Concentrations(exactCounts)
 	got := res.Concentration()
@@ -145,15 +160,7 @@ func TestErrataAdjudication(t *testing.T) {
 	}
 	g := gen.HolmeKim(25, 3, 0.7, 7)
 	client := access.NewGraphClient(g)
-	cfg := Config{K: 5, D: 4, Seed: 99}
-	est, err := NewEstimator(client, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := est.Run(600000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSize(t, client, MultiConfig{Sizes: []int{5}, D: 4, Seed: 99}, 600000)
 	want := exact.Concentrations(exact.CountESU(g, 5))
 	got := res.Concentration()
 
@@ -195,14 +202,7 @@ func TestErrataAdjudication(t *testing.T) {
 func TestStarBlindnessD1(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 4, D: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := est.Run(400000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSize(t, client, MultiConfig{Sizes: []int{4}, D: 1, Seed: 3}, 400000)
 	if res.Weights[1] != 0 {
 		t.Fatalf("3-star weight %f, want 0 under SRW1", res.Weights[1])
 	}
@@ -235,14 +235,7 @@ func TestCountEstimation(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
 	for _, d := range []int{1, 2} {
-		est, err := NewEstimator(client, Config{K: 3, D: d, Seed: 17})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := est.Run(400000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSize(t, client, MultiConfig{Sizes: []int{3}, D: d, Seed: 17}, 400000)
 		counts := res.Counts(TwoR(g, d))
 		want := exact.CountESU(g, 3)
 		for i := range want {
@@ -287,7 +280,7 @@ func TestPaperExampleStationary(t *testing.T) {
 	client := access.NewGraphClient(g)
 	// Manually set the window to the example's three states. Node labels in
 	// the paper are 1..4, here 0..3. The window lives in the walker layer.
-	wk := newWalker(client, Config{K: 4, D: 2, Seed: 1}.Multi(), 1)
+	wk := newWalker(client, MultiConfig{Sizes: []int{4}, D: 2, Seed: 1}, 1)
 	wk.reset()
 	wk.start()
 	wk.win[0] = stateOf2(0, 1)
@@ -305,11 +298,11 @@ func TestPaperExampleStationary(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	g := gen.PaperFigure1()
 	client := access.NewGraphClient(g)
-	est, _ := NewEstimator(client, Config{K: 3, D: 1, Seed: 1})
+	est, _ := NewMultiEstimator(client, MultiConfig{Sizes: []int{3}, D: 1, Seed: 1})
 	if _, err := est.Run(0); err == nil {
 		t.Error("Run(0) should fail")
 	}
-	if _, err := NewEstimator(client, Config{K: 9, D: 1}); err == nil {
+	if _, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{9}, D: 1}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -317,12 +310,12 @@ func TestRunErrors(t *testing.T) {
 func TestCheckpoints(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	est, _ := NewEstimator(client, Config{K: 3, D: 1, Seed: 23})
+	est, _ := NewMultiEstimator(client, MultiConfig{Sizes: []int{3}, D: 1, Seed: 23})
 	var steps []int
-	_, err := est.RunCheckpoints(1000, 250, func(step int, conc []float64) {
+	_, err := est.RunCheckpointsCtx(context.Background(), 1000, 250, func(step int, conc map[int][]float64) {
 		steps = append(steps, step)
-		if len(conc) != 2 {
-			t.Fatalf("conc len %d", len(conc))
+		if len(conc[3]) != 2 {
+			t.Fatalf("conc len %d", len(conc[3]))
 		}
 	})
 	if err != nil {
@@ -344,12 +337,7 @@ func TestDeterminism(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
 	run := func() []float64 {
-		est, _ := NewEstimator(client, Config{K: 4, D: 2, CSS: true, Seed: 77})
-		res, err := est.Run(5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Concentration()
+		return runSize(t, client, MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 77}, 5000).Concentration()
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -366,7 +354,7 @@ func TestDeterminism(t *testing.T) {
 func TestCSSMatchesTable4K3(t *testing.T) {
 	g := gen.PaperFigure1()
 	client := access.NewGraphClient(g)
-	wk := newWalker(client, Config{K: 3, D: 1, CSS: true, Seed: 1}.Multi(), 1)
+	wk := newWalker(client, MultiConfig{Sizes: []int{3}, D: 1, CSS: true, Seed: 1}, 1)
 	wk.reset()
 	wk.start()
 	pTilde := func(nodes []int32) float64 {
@@ -399,23 +387,17 @@ func TestD1WindowsProbeOnlyUntraversedPairs(t *testing.T) {
 	g := convGraph()
 	counting := access.NewCounting(access.NewGraphClient(g), g.NumNodes())
 	untraversed := func(k int) int { return k*(k-1)/2 - (k - 1) }
-	for _, cfg := range []Config{
-		{K: 3, D: 1, Seed: 5},
-		{K: 3, D: 1, CSS: true, NB: true, Seed: 5},
-		{K: 4, D: 1, CSS: true, Seed: 5},
-		{K: 5, D: 1, NB: true, Seed: 5},
+	for _, cfg := range []MultiConfig{
+		{Sizes: []int{3}, D: 1, Seed: 5},
+		{Sizes: []int{3}, D: 1, CSS: true, NB: true, Seed: 5},
+		{Sizes: []int{4}, D: 1, CSS: true, Seed: 5},
+		{Sizes: []int{5}, D: 1, NB: true, Seed: 5},
 	} {
 		counting.Reset()
-		est, err := NewEstimator(counting, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := est.Run(3000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := counting.Stats().EdgeProbes, int64(res.ValidSamples*untraversed(cfg.K)); got != want {
-			t.Errorf("%s k=%d: %d edge probes over %d valid windows, want %d", cfg.MethodName(), cfg.K, got, res.ValidSamples, want)
+		res := runSize(t, counting, cfg, 3000)
+		k := cfg.Sizes[0]
+		if got, want := counting.Stats().EdgeProbes, int64(res.ValidSamples*untraversed(k)); got != want {
+			t.Errorf("%s k=%d: %d edge probes over %d valid windows, want %d", cfg.MethodName(), k, got, res.ValidSamples, want)
 		}
 	}
 	counting.Reset()

@@ -32,7 +32,7 @@ func TestSRW3CrawlCost(t *testing.T) {
 	// Calls for 2N windows minus calls for N on a fresh estimator of the same
 	// seed: the start state's record and the seed draw cancel.
 	calls := func(windows int) access.Stats {
-		est, err := NewMultiEstimator(counting, Config{K: 4, D: 3, Seed: 5}.Multi())
+		est, err := NewMultiEstimator(counting, MultiConfig{Sizes: []int{4}, D: 3, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,31 +105,23 @@ func TestCSSResultsMatchRecordedHashes(t *testing.T) {
 	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
 	const windows = 200000
 	for _, tc := range []struct {
-		cfg  Config
+		cfg  MultiConfig
 		want uint64
 	}{
-		{Config{K: 3, D: 1, CSS: true, NB: true, Walkers: 2, Seed: 14}, 0xdd66921f62d0c652},
-		{Config{K: 4, D: 2, CSS: true, Walkers: 2, Seed: 14}, 0xa4874d5c299c5d85},
-		{Config{K: 5, D: 2, CSS: true, Walkers: 2, Seed: 14}, 0x80ffd64d09cc2de1},
+		{MultiConfig{Sizes: []int{3}, D: 1, CSS: true, NB: true, Walkers: 2, Seed: 14}, 0xdd66921f62d0c652},
+		{MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 2, Seed: 14}, 0xa4874d5c299c5d85},
+		{MultiConfig{Sizes: []int{5}, D: 2, CSS: true, Walkers: 2, Seed: 14}, 0x80ffd64d09cc2de1},
 		// The remaining (k, d) tables, outside M6.
-		{Config{K: 4, D: 1, CSS: true, Walkers: 2, Seed: 14}, 0x1895ed054a44cd37},
-		{Config{K: 5, D: 1, CSS: true, Walkers: 2, Seed: 14}, 0x34a3513999bc868b},
-		{Config{K: 5, D: 3, CSS: true, NB: true, Walkers: 2, Seed: 14}, 0x6be28814a41f7659},
+		{MultiConfig{Sizes: []int{4}, D: 1, CSS: true, Walkers: 2, Seed: 14}, 0x1895ed054a44cd37},
+		{MultiConfig{Sizes: []int{5}, D: 1, CSS: true, Walkers: 2, Seed: 14}, 0x34a3513999bc868b},
+		{MultiConfig{Sizes: []int{5}, D: 3, CSS: true, NB: true, Walkers: 2, Seed: 14}, 0x6be28814a41f7659},
 		// The plain M6 slots: d=3 (kernel selection) and d=1.
-		{Config{K: 4, D: 3, Walkers: 2, Seed: 14}, 0x429b370f3412e85f},
-		{Config{K: 5, D: 3, NB: true, Walkers: 2, Seed: 14}, 0xf842f69fda6f4631},
-		{Config{K: 3, D: 1, Walkers: 2, Seed: 14}, 0x491359ba75974e1c},
+		{MultiConfig{Sizes: []int{4}, D: 3, Walkers: 2, Seed: 14}, 0x429b370f3412e85f},
+		{MultiConfig{Sizes: []int{5}, D: 3, NB: true, Walkers: 2, Seed: 14}, 0xf842f69fda6f4631},
+		{MultiConfig{Sizes: []int{3}, D: 1, Walkers: 2, Seed: 14}, 0x491359ba75974e1c},
 	} {
-		t.Run(fmt.Sprintf("%s_k%d", tc.cfg.MethodName(), tc.cfg.K), func(t *testing.T) {
-			est, err := NewEstimator(client, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := est.Run(windows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hashResults(res); got != tc.want {
+		t.Run(fmt.Sprintf("%s_k%d", tc.cfg.MethodName(), tc.cfg.Sizes[0]), func(t *testing.T) {
+			if got := hashResults(runSize(t, client, tc.cfg, windows)); got != tc.want {
 				t.Errorf("result hash %#x, recorded %#x", got, tc.want)
 			}
 		})

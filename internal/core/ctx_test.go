@@ -18,7 +18,7 @@ import (
 func TestRunCheckpointsCtxCancellation(t *testing.T) {
 	g := gen.HolmeKim(300, 3, 0.5, 42)
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 4, D: 2, CSS: true, Seed: 9, Walkers: 2})
+	est, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 9, Walkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestRunCheckpointsCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const budget = 100000
 	var snapshots int
-	res, err := est.RunCheckpointsCtx(ctx, budget, 1000, func(step int, conc []float64) {
+	res, err := est.RunCheckpointsCtx(ctx, budget, 1000, func(step int, conc map[int][]float64) {
 		snapshots++
 		if step >= 2000 {
 			cancel()
@@ -50,7 +50,7 @@ func TestRunCheckpointsCtxCancellation(t *testing.T) {
 // even with no snapshot callback.
 func TestRunCheckpointsCtxPreCancelled(t *testing.T) {
 	g := gen.HolmeKim(300, 3, 0.5, 42)
-	est, err := NewEstimator(access.NewGraphClient(g), Config{K: 3, D: 1, Seed: 1})
+	est, err := NewMultiEstimator(access.NewGraphClient(g), MultiConfig{Sizes: []int{3}, D: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStepGranularCancellation(t *testing.T) {
 	// Slow the crawl so the budget takes far longer than the test: without
 	// step-granular stops this run would take minutes.
 	client := access.NewDelayed(access.NewGraphClient(g), 20*time.Microsecond)
-	est, err := NewEstimator(client, Config{K: 4, D: 2, Seed: 11, Walkers: 2})
+	est, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{4}, D: 2, Seed: 11, Walkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,29 +98,25 @@ func TestStepGranularCancellation(t *testing.T) {
 	}
 }
 
-// A background context keeps RunCheckpointsCtx byte-identical to
-// RunCheckpoints (no extra barriers are introduced for a non-cancellable
-// context).
+// A cancellable context that is never cancelled keeps RunCheckpointsCtx
+// byte-identical to Run (the context polls introduce no extra barriers and
+// touch no walker state).
 func TestRunCheckpointsCtxBackgroundEquivalence(t *testing.T) {
 	g := gen.HolmeKim(300, 3, 0.5, 42)
-	cfg := Config{K: 4, D: 2, CSS: true, Seed: 5, Walkers: 3}
+	cfg := MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 5, Walkers: 3}
 
-	est1, err := NewEstimator(access.NewGraphClient(g), cfg)
+	r1 := runSize(t, access.NewGraphClient(g), cfg, 4000)
+	est2, err := NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := est1.Run(4000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m2, err := est2.RunCheckpointsCtx(ctx, 4000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est2, err := NewEstimator(access.NewGraphClient(g), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := est2.RunCheckpointsCtx(context.Background(), 4000, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := m2.Results[4]
 	if r1.Steps != r2.Steps || r1.ValidSamples != r2.ValidSamples {
 		t.Fatalf("diverged: %+v vs %+v", r1, r2)
 	}
@@ -159,7 +155,7 @@ func TestWalkerPanicBecomesError(t *testing.T) {
 	g := gen.HolmeKim(300, 3, 0.5, 42)
 	for _, walkers := range []int{1, 3} {
 		client := &explodingClient{Client: access.NewGraphClient(g), limit: 50}
-		est, err := NewEstimator(client, Config{K: 3, D: 1, Seed: 2, Walkers: walkers})
+		est, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{3}, D: 1, Seed: 2, Walkers: walkers})
 		if err != nil {
 			t.Fatal(err)
 		}

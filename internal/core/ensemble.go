@@ -16,7 +16,7 @@ import (
 //  3. Merging: accumulators are summed in walker-index order (addWalker), so
 //     floating-point addition order never depends on goroutine scheduling.
 
-// walkerCount normalizes Config.Walkers: 0 (the zero value) means one walker.
+// walkerCount normalizes MultiConfig.Walkers: 0 (the zero value) means one walker.
 func walkerCount(w int) int {
 	if w <= 1 {
 		return 1

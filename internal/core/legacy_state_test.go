@@ -29,11 +29,11 @@ func TestLegacyStateFixtures(t *testing.T) {
 		cfg    MultiConfig
 		lo, hi int
 	}{
-		{"gest1_k4_d2_css_w3_s14.bin", Config{K: 4, D: 2, CSS: true, Walkers: 3, Seed: 14}.Multi(), 0, 3},
-		{"gest1_k4_d2_css_w3_s14_slice1-3.bin", Config{K: 4, D: 2, CSS: true, Walkers: 3, Seed: 14}.Multi(), 1, 3},
-		{"gest1_k4_d1_stars_burn37_w2_s5.bin", Config{K: 4, D: 1, RecoverStars: true, BurnIn: 37, Walkers: 2, Seed: 5}.Multi(), 0, 2},
-		{"gest1_k5_d3_nb_w1_s9.bin", Config{K: 5, D: 3, NB: true, Walkers: 1, Seed: 9}.Multi(), 0, 1},
-		{"gest1_k3_d1_w2_s3.bin", Config{K: 3, D: 1, Walkers: 2, Seed: 3}.Multi(), 0, 2},
+		{"gest1_k4_d2_css_w3_s14.bin", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 3, Seed: 14}, 0, 3},
+		{"gest1_k4_d2_css_w3_s14_slice1-3.bin", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 3, Seed: 14}, 1, 3},
+		{"gest1_k4_d1_stars_burn37_w2_s5.bin", MultiConfig{Sizes: []int{4}, D: 1, RecoverStars: true, BurnIn: 37, Walkers: 2, Seed: 5}, 0, 2},
+		{"gest1_k5_d3_nb_w1_s9.bin", MultiConfig{Sizes: []int{5}, D: 3, NB: true, Walkers: 1, Seed: 9}, 0, 1},
+		{"gest1_k3_d1_w2_s3.bin", MultiConfig{Sizes: []int{3}, D: 1, Walkers: 2, Seed: 3}, 0, 2},
 		{"gmst1_s345_d2_css_w2_s21.bin", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2, Seed: 21}, 0, 2},
 	} {
 		t.Run(fx.file, func(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // framework: a window of l_k = k-d+1 consecutive states is maintained per
 // target size k, and each size re-weights its own samples. One walk's API
 // cost therefore buys every size's estimate at once, and a single-size run
-// (Estimator) is the case of one size.
+// is the case of one size.
 //
 // Window scheduling is step-aligned: size k's t-th window covers walk states
 // [t, t+l_k-1], whatever other sizes ride the same walk. Because the walk
@@ -49,26 +49,59 @@ type MultiEstimator struct {
 	restored bool
 }
 
-// MultiConfig configures a MultiEstimator. Config is exactly its one-size
-// case.
+// MultiConfig selects a method within the framework (walk order D, CSS,
+// NB), the sizes one walk estimates, and the run's ensemble and seed.
 type MultiConfig struct {
 	// Sizes lists the target graphlet sizes, each in 3..5 and >= D, without
 	// duplicates.
 	Sizes []int
-	// D is the shared walk order (>= 1, <= min(Sizes)).
+	// D is the shared walk order (>= 1, <= min(Sizes)); size k's sample is
+	// l = k-D+1 consecutive states.
 	D int
-	// CSS and NB enable the §4 optimizations for every size (CSS applies
-	// where l > 2).
-	CSS, NB bool
-	// RecoverStars and BurnIn are Config's fields of the same names seen
-	// through the general type; star recovery is defined only for the one
-	// size 4 at D = 1.
+	// CSS enables corresponding state sampling (§4.1) for every size: the
+	// sample weight is the summed stationary mass of all states
+	// corresponding to the sampled subgraph rather than α·π̃e. For l <= 2
+	// both weights coincide and the plain path is used.
+	CSS bool
+	// NB replaces the simple random walk with the non-backtracking walk
+	// (§4.2); stationary weights use nominal degrees max(deg-1, 1).
+	NB bool
+	// RecoverStars implements the paper's §3.2 footnote 3 for the one size
+	// 4 at D = 1: 3-stars have no Hamiltonian path (α = 0) and are invisible
+	// to the walk on G, but their count satisfies the linear relation
+	//   noninduced-stars = stars + tailed + 2·chordal + 4·clique,
+	// and Σ_v C(d_v,3) (the non-induced star count) is estimable from the
+	// same walk because E_π[C(d_v,3)/d_v] = Σ_v C(d_v,3) / 2|E| shares the
+	// 2|R(1)| = 2|E| scale of all other weights. With this flag the 3-star
+	// entry of the result is recovered instead of being zero.
 	RecoverStars bool
-	BurnIn       int
-	// Walkers is the number of independent concurrent walks (0 and 1 both
-	// mean one, and at most 1<<16); semantics match Config.Walkers.
+	// BurnIn is the number of transitions discarded before sampling starts,
+	// per walker. The paper uses none (bias decays by SLLN).
+	BurnIn int
+	// Walkers is the number of independent concurrent walks splitting the
+	// window budget (0 and 1 both mean one, and at most 1<<16). Each has its
+	// own RNG stream and walk.Space, and their accumulators merge exactly by
+	// summation (Result.Merge). The shared access.Client must be safe for
+	// concurrent use (all clients in internal/access and internal/apiserver
+	// are).
 	Walkers int
-	Seed    int64
+	// Seed seeds the engine: walker i's RNG stream is a pure function of
+	// (Seed, i), so equal MultiConfigs give byte-identical merged Results at
+	// any GOMAXPROCS.
+	Seed int64
+}
+
+// MethodName renders the paper's naming scheme, e.g. "SRW2CSS" or
+// "SRW1CSSNB".
+func (c MultiConfig) MethodName() string {
+	s := fmt.Sprintf("SRW%d", c.D)
+	if c.CSS {
+		s += "CSS"
+	}
+	if c.NB {
+		s += "NB"
+	}
+	return s
 }
 
 // Validate checks the configuration.
@@ -115,9 +148,8 @@ func (c MultiConfig) equal(o MultiConfig) bool {
 	return bytes.Equal(AppendConfig(a[:0], c), AppendConfig(b[:0], o))
 }
 
-// sizeConfig is the one-size Config of size k: what a merged per-size Result
-// carries, so it is structurally identical to what an Estimator configured
-// for that size alone returns.
+// sizeConfig is the one-size Config of size k that a merged per-size Result
+// carries, equal for every run whose Sizes contain k.
 func (c MultiConfig) sizeConfig(k int) Config {
 	return Config{
 		K: k, D: c.D, CSS: c.CSS, NB: c.NB,

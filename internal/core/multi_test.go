@@ -61,52 +61,12 @@ func TestMultiEstimatorConvergence(t *testing.T) {
 	}
 }
 
-// TestMultiMatchesSingle: the multi estimator's per-size windows must agree
-// with a single-size estimator in expectation; verified statistically.
-func TestMultiMatchesSingle(t *testing.T) {
-	g := gen.HolmeKim(40, 3, 0.6, 17)
-	client := access.NewGraphClient(g)
-	me, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{4}, D: 2, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := me.Run(200000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewEstimator(client, Config{K: 4, D: 2, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := single.Run(200000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := multi.Results[4].Concentration()
-	b := sres.Concentration()
-	for i := range a {
-		if b[i] < 0.01 {
-			continue
-		}
-		if math.Abs(a[i]-b[i])/b[i] > 0.15 {
-			t.Errorf("type %d: multi %.4f vs single %.4f", i+1, a[i], b[i])
-		}
-	}
-}
-
 // TestRecoverStars: SRW1 for k=4 with star recovery converges to the full
 // 4-node concentration including the otherwise invisible 3-star.
 func TestRecoverStars(t *testing.T) {
 	g := gen.HolmeKim(40, 3, 0.6, 42)
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 4, D: 1, RecoverStars: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := est.Run(400000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSize(t, client, MultiConfig{Sizes: []int{4}, D: 1, RecoverStars: true, Seed: 5}, 400000)
 	want := exact.Concentrations(exact.CountESU(g, 4))
 	got := res.Concentration()
 	for i := range want {
@@ -124,9 +84,10 @@ func TestRecoverStars(t *testing.T) {
 }
 
 func TestRecoverStarsValidation(t *testing.T) {
-	bad := []Config{
-		{K: 3, D: 1, RecoverStars: true},
-		{K: 4, D: 2, RecoverStars: true},
+	bad := []MultiConfig{
+		{Sizes: []int{3}, D: 1, RecoverStars: true},
+		{Sizes: []int{4}, D: 2, RecoverStars: true},
+		{Sizes: []int{3, 4}, D: 1, RecoverStars: true},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

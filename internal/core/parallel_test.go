@@ -61,21 +61,13 @@ func TestMergeMatchesIndependentRuns(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
 	const n, W = 6000, 4
-	for _, cfg := range []Config{
-		{K: 4, D: 2, CSS: true, Seed: 99, Walkers: W},
-		{K: 4, D: 1, RecoverStars: true, Seed: 31, Walkers: W},
+	for _, cfg := range []MultiConfig{
+		{Sizes: []int{4}, D: 2, CSS: true, Seed: 99, Walkers: W},
+		{Sizes: []int{4}, D: 1, RecoverStars: true, Seed: 31, Walkers: W},
 	} {
-		est, err := NewEstimator(client, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, err := est.Run(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		merged := runSize(t, client, cfg, n)
 		want := &Result{
-			Config:     cfg,
+			Config:     merged.Config,
 			Weights:    make([]float64, len(merged.Weights)),
 			TypeCounts: make([]int64, len(merged.TypeCounts)),
 		}
@@ -83,15 +75,7 @@ func TestMergeMatchesIndependentRuns(t *testing.T) {
 			single := cfg
 			single.Walkers = 1
 			single.Seed = walkerSeed(cfg.Seed, i)
-			se, err := NewEstimator(client, single)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := se.Run(walkerQuota(n, W, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Merge(r)
+			want.Merge(runSize(t, client, single, walkerQuota(n, W, i)))
 		}
 		if merged.Steps != n || want.Steps != n {
 			t.Fatalf("%s: steps: merged %d, manual %d, want %d", cfg.MethodName(), merged.Steps, want.Steps, n)
@@ -114,21 +98,14 @@ func TestMergeMatchesIndependentRuns(t *testing.T) {
 func TestParallelDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	cfg := Config{K: 4, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 8}
+	cfg := MultiConfig{Sizes: []int{4}, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 8}
 
 	var ref *Result
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 2; rep++ {
-			est, err := NewEstimator(client, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := est.Run(4000)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runSize(t, client, cfg, 4000)
 			if ref == nil {
 				ref = res
 				continue
@@ -173,17 +150,17 @@ func TestMultiParallelDeterminism(t *testing.T) {
 func TestParallelCheckpoints(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	cfg := Config{K: 3, D: 1, Seed: 23, Walkers: 4}
+	cfg := MultiConfig{Sizes: []int{3}, D: 1, Seed: 23, Walkers: 4}
 	run := func() ([]int, [][]float64) {
-		est, err := NewEstimator(client, cfg)
+		est, err := NewMultiEstimator(client, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var steps []int
 		var concs [][]float64
-		if _, err := est.RunCheckpoints(1000, 250, func(step int, conc []float64) {
+		if _, err := est.RunCheckpointsCtx(t.Context(), 1000, 250, func(step int, conc map[int][]float64) {
 			steps = append(steps, step)
-			concs = append(concs, conc)
+			concs = append(concs, conc[3])
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -206,17 +183,10 @@ func TestParallelCheckpoints(t *testing.T) {
 func TestParallelSharedCountingClient(t *testing.T) {
 	g := convGraph()
 	counting := access.NewCounting(access.NewGraphClient(g), g.NumNodes())
-	cfg := Config{K: 4, D: 2, CSS: true, Seed: 3, Walkers: 4}
+	cfg := MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 3, Walkers: 4}
 	run := func() (access.Stats, *Result) {
 		counting.Reset()
-		est, err := NewEstimator(counting, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := est.Run(4000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSize(t, counting, cfg, 4000)
 		return counting.Stats(), res
 	}
 	st1, res1 := run()
@@ -238,14 +208,7 @@ func TestParallelSharedCountingClient(t *testing.T) {
 func TestParallelConvergence(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 4, D: 2, CSS: true, Seed: 11, Walkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := est.Run(400000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSize(t, client, MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 11, Walkers: 8}, 400000)
 	want := exact.Concentrations(exact.CountESU(g, 4))
 	got := res.Concentration()
 	if re := maxRelErr(got, want); re > 0.10 {
@@ -268,7 +231,7 @@ func TestParallelSpeedupLatencyBound(t *testing.T) {
 	const steps = 480
 	elapsed := func(walkers int) time.Duration {
 		client := access.NewDelayed(access.NewGraphClient(g), latency)
-		est, err := NewEstimator(client, Config{K: 3, D: 1, Seed: 9, Walkers: walkers})
+		est, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{3}, D: 1, Seed: 9, Walkers: walkers})
 		if err != nil {
 			t.Fatal(err)
 		}

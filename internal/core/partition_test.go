@@ -29,32 +29,34 @@ func TestPartitionByteIdentical(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
 	const n = 3000
-	for _, cfg := range []Config{
-		{K: 3, D: 1, Seed: 17, Walkers: 1},
-		{K: 4, D: 2, CSS: true, Seed: 99, Walkers: 4},
-		{K: 4, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 5},
-		{K: 4, D: 1, RecoverStars: true, Seed: 31, Walkers: 3},
-		{K: 5, D: 3, CSS: true, Seed: 23, Walkers: 4},
-		{K: 4, D: 2, CSS: true, BurnIn: 150, Seed: 41, Walkers: 3},
+	for _, cfg := range []MultiConfig{
+		{Sizes: []int{3}, D: 1, Seed: 17, Walkers: 1},
+		{Sizes: []int{4}, D: 2, CSS: true, Seed: 99, Walkers: 4},
+		{Sizes: []int{4}, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 5},
+		{Sizes: []int{4}, D: 1, RecoverStars: true, Seed: 31, Walkers: 3},
+		{Sizes: []int{5}, D: 3, CSS: true, Seed: 23, Walkers: 4},
+		{Sizes: []int{4}, D: 2, CSS: true, BurnIn: 150, Seed: 41, Walkers: 3},
 	} {
-		full, err := NewEstimator(client, cfg)
+		k := cfg.Sizes[0]
+		full, err := NewMultiEstimator(client, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.Run(n)
+		live, err := full.Run(n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := live.Results[k]
 		// The full local snapshot's merged result must equal the live one.
 		if got, err := full.Snapshot().MergedResult(); err != nil {
 			t.Fatalf("%s: merged result: %v", cfg.MethodName(), err)
-		} else if !reflect.DeepEqual(got.Results[cfg.K], want) {
+		} else if !reflect.DeepEqual(got.Results[k], want) {
 			t.Fatalf("%s: snapshot merged result differs from live result", cfg.MethodName())
 		}
 		for _, nParts := range []int{1, 2, 3} {
 			var parts []*EnsembleState
 			for _, b := range partitionBounds(walkerCount(cfg.Walkers), nParts) {
-				est, err := NewPartitionEstimator(client, cfg, b[0], b[1])
+				est, err := NewPartitionMultiEstimator(client, cfg, b[0], b[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,9 +78,9 @@ func TestPartitionByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d parts: merge: %v", cfg.MethodName(), nParts, err)
 			}
-			if !reflect.DeepEqual(got.Results[cfg.K], want) {
+			if !reflect.DeepEqual(got.Results[k], want) {
 				t.Errorf("%s/%d parts: distributed result differs from local run:\n got %+v\nwant %+v",
-					cfg.MethodName(), nParts, got.Results[cfg.K], want)
+					cfg.MethodName(), nParts, got.Results[k], want)
 			}
 		}
 	}
@@ -91,26 +93,19 @@ func TestPartitionByteIdentical(t *testing.T) {
 func TestPartitionResumeByteIdentical(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	cfg := Config{K: 4, D: 2, CSS: true, Seed: 12, Walkers: 5}
+	cfg := MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 12, Walkers: 5}
 	const n, every, interruptAt = 3000, 500, 1500
 
-	full, err := NewEstimator(client, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := full.Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runSize(t, client, cfg, n)
 
 	var parts []*EnsembleState
 	for _, b := range partitionBounds(cfg.Walkers, 2) {
-		est, err := NewPartitionEstimator(client, cfg, b[0], b[1])
+		est, err := NewPartitionMultiEstimator(client, cfg, b[0], b[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		var blob []byte
-		if _, err := est.RunCheckpoints(n, every, func(step int, _ []float64) {
+		if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
 			if step == interruptAt {
 				blob = est.Snapshot().Encode()
 			}
@@ -126,7 +121,7 @@ func TestPartitionResumeByteIdentical(t *testing.T) {
 		}
 		// Fail over: a fresh partition estimator restores the snapshot and
 		// finishes the remaining budget.
-		resumed, err := NewPartitionEstimator(client, cfg, b[0], b[1])
+		resumed, err := NewPartitionMultiEstimator(client, cfg, b[0], b[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +141,8 @@ func TestPartitionResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Results[cfg.K], want) {
-		t.Errorf("failover-resumed distributed result differs from local run:\n got %+v\nwant %+v", got.Results[cfg.K], want)
+	if !reflect.DeepEqual(got.Results[4], want) {
+		t.Errorf("failover-resumed distributed result differs from local run:\n got %+v\nwant %+v", got.Results[4], want)
 	}
 }
 
@@ -231,15 +226,15 @@ func TestMultiPartitionByteIdentical(t *testing.T) {
 func TestSliceCombineRoundTrip(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
-	cfg := Config{K: 4, D: 2, CSS: true, Seed: 3, Walkers: 4}
-	est, err := NewEstimator(client, cfg)
+	cfg := MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 3, Walkers: 4}
+	est, err := NewMultiEstimator(client, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var blob []byte
 	// 750 windows over 4 walkers is an uneven split (188,188,187,187), so the
 	// misorder check below has quotas to disagree with.
-	if _, err := est.RunCheckpoints(1000, 250, func(step int, _ []float64) {
+	if _, err := est.RunCheckpointsCtx(t.Context(), 1000, 250, func(step int, _ map[int][]float64) {
 		if step == 750 {
 			blob = est.Snapshot().Encode()
 		}

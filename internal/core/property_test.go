@@ -46,16 +46,17 @@ func TestEstimatorInvariantsQuick(t *testing.T) {
 			// still hold, but keep the property focused on full-rank methods.
 			d = 2
 		}
-		cfg := Config{K: k, D: d, CSS: css, NB: nb, Seed: int64(kSel)*7 + int64(dSel)}
+		cfg := MultiConfig{Sizes: []int{k}, D: d, CSS: css, NB: nb, Seed: int64(kSel)*7 + int64(dSel)}
 		client := access.NewGraphClient(g)
-		est, err := NewEstimator(client, cfg)
+		est, err := NewMultiEstimator(client, cfg)
 		if err != nil {
 			return false
 		}
-		res, err := est.Run(400)
+		multi, err := est.Run(400)
 		if err != nil {
 			return false
 		}
+		res := multi.Results[k]
 		if res.Steps != 400 {
 			return false
 		}
@@ -134,15 +135,7 @@ func TestCSSMatchesPlainExpectation(t *testing.T) {
 	g := gen.HolmeKim(60, 3, 0.6, 21)
 	client := access.NewGraphClient(g)
 	run := func(css bool) []float64 {
-		est, err := NewEstimator(client, Config{K: 4, D: 2, CSS: css, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := est.Run(150000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Concentration()
+		return runSize(t, client, MultiConfig{Sizes: []int{4}, D: 2, CSS: css, Seed: 5}, 150000).Concentration()
 	}
 	plain, css := run(false), run(true)
 	for i := range plain {
@@ -212,14 +205,7 @@ func TestTinyGraphs(t *testing.T) {
 	// A single edge: k=3 samples can never exist; all windows invalid.
 	g := graph.FromEdgeList(2, [][2]int32{{0, 1}})
 	client := access.NewGraphClient(g)
-	est, err := NewEstimator(client, Config{K: 3, D: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := est.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSize(t, client, MultiConfig{Sizes: []int{3}, D: 1, Seed: 1}, 100)
 	if res.ValidSamples != 0 {
 		t.Errorf("valid samples on a single edge: %d", res.ValidSamples)
 	}
@@ -230,12 +216,7 @@ func TestTinyGraphs(t *testing.T) {
 
 	// A triangle: every k=3 window that covers 3 nodes is the triangle.
 	tri := gen.Complete(3)
-	est2, _ := NewEstimator(access.NewGraphClient(tri), Config{K: 3, D: 1, Seed: 2})
-	res2, err := est2.Run(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res2.Concentration()
+	c := runSize(t, access.NewGraphClient(tri), MultiConfig{Sizes: []int{3}, D: 1, Seed: 2}, 1000).Concentration()
 	if c[1] < 0.999 {
 		t.Errorf("triangle graph concentration: %v", c)
 	}

@@ -18,22 +18,22 @@ func TestResumeByteIdentical(t *testing.T) {
 	g := convGraph()
 	client := access.NewGraphClient(g)
 	const n, every, interruptAt = 4000, 500, 2000
-	for _, cfg := range []Config{
-		{K: 3, D: 1, Seed: 17, Walkers: 1},
-		{K: 4, D: 2, CSS: true, Seed: 99, Walkers: 4},
-		{K: 4, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 8},
-		{K: 4, D: 1, RecoverStars: true, Seed: 31, Walkers: 3},
-		{K: 5, D: 3, CSS: true, Seed: 23, Walkers: 2},
-		{K: 4, D: 2, CSS: true, BurnIn: 150, Seed: 41, Walkers: 3},
+	for _, cfg := range []MultiConfig{
+		{Sizes: []int{3}, D: 1, Seed: 17, Walkers: 1},
+		{Sizes: []int{4}, D: 2, CSS: true, Seed: 99, Walkers: 4},
+		{Sizes: []int{4}, D: 2, CSS: true, NB: true, Seed: 7, Walkers: 8},
+		{Sizes: []int{4}, D: 1, RecoverStars: true, Seed: 31, Walkers: 3},
+		{Sizes: []int{5}, D: 3, CSS: true, Seed: 23, Walkers: 2},
+		{Sizes: []int{4}, D: 2, CSS: true, BurnIn: 150, Seed: 41, Walkers: 3},
 	} {
-		full, err := NewEstimator(client, cfg)
+		full, err := NewMultiEstimator(client, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The uninterrupted run, snapshotting mid-flight like the service does
 		// (the snapshot must not perturb the run).
 		var blob []byte
-		want, err := full.RunCheckpoints(n, every, func(step int, conc []float64) {
+		want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(step int, conc map[int][]float64) {
 			if step == interruptAt {
 				blob = full.Snapshot().Encode()
 			}
@@ -52,14 +52,14 @@ func TestResumeByteIdentical(t *testing.T) {
 		if st.WindowsDone != interruptAt {
 			t.Fatalf("%s: snapshot at %d windows, want %d", cfg.MethodName(), st.WindowsDone, interruptAt)
 		}
-		resumed, err := NewEstimator(client, cfg)
+		resumed, err := NewMultiEstimator(client, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := resumed.Restore(st); err != nil {
 			t.Fatalf("%s: restore: %v", cfg.MethodName(), err)
 		}
-		got, err := resumed.RunCheckpoints(n, every, func(int, []float64) {})
+		got, err := resumed.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +74,8 @@ func TestResumeByteIdentical(t *testing.T) {
 // run (the crash-after-last-checkpoint case).
 func TestResumeAtFullBudget(t *testing.T) {
 	client := access.NewGraphClient(convGraph())
-	cfg := Config{K: 3, D: 1, Seed: 5, Walkers: 2}
-	est, err := NewEstimator(client, cfg)
+	cfg := MultiConfig{Sizes: []int{3}, D: 1, Seed: 5, Walkers: 2}
+	est, err := NewMultiEstimator(client, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestResumeAtFullBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := est.Snapshot()
-	re, err := NewEstimator(client, cfg)
+	re, err := NewMultiEstimator(client, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestResumeAtFullBudget(t *testing.T) {
 // are rejected with errors, never panics.
 func TestRestoreValidation(t *testing.T) {
 	client := access.NewGraphClient(convGraph())
-	cfg := Config{K: 4, D: 2, Seed: 9, Walkers: 2}
-	est, err := NewEstimator(client, cfg)
+	cfg := MultiConfig{Sizes: []int{4}, D: 2, Seed: 9, Walkers: 2}
+	est, err := NewMultiEstimator(client, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	good := est.Snapshot()
 
-	fresh := func() *Estimator {
-		e, err := NewEstimator(client, cfg)
+	fresh := func() *MultiEstimator {
+		e, err := NewMultiEstimator(client, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err := e.Restore(good); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunCheckpoints(100, 0, nil); err == nil {
+	if _, err := e.Run(100); err == nil {
 		t.Error("restored state beyond the budget accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestRestoreValidation(t *testing.T) {
 // and a valid blob round-trips exactly.
 func TestEnsembleStateDecodeRobust(t *testing.T) {
 	client := access.NewGraphClient(convGraph())
-	est, err := NewEstimator(client, Config{K: 4, D: 2, CSS: true, Seed: 3, Walkers: 2})
+	est, err := NewMultiEstimator(client, MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 3, Walkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

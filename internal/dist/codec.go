@@ -63,9 +63,9 @@ type Assignment struct {
 	// Multi is the job's full engine configuration, including the global
 	// walker count and seed. DecodeAssignment always sets it.
 	Multi *core.MultiConfig
-	// Single is an encode-side input only: a caller may set it instead of
-	// Multi, and Encode folds it in through core.Config.Multi. It is deleted
-	// with core.Config (ROADMAP item 2(d)).
+	// Single is an encode-side input folded in through core.Config.Multi.
+	//
+	// Deprecated: only bench/ sets it; it goes with core.Config (ROADMAP 2(d)).
 	Single *core.Config
 
 	// Budget is the job's global window budget n; Every the checkpoint

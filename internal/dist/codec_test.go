@@ -19,8 +19,8 @@ func sampleAssignments() []*Assignment {
 		{
 			Graph: "ba-1m",
 			Meta:  GraphMeta{Nodes: 200_000, Edges: 999_975, MaxDegree: 2781},
-			Single: &core.Config{
-				K: 4, D: 2, CSS: true, NB: true, RecoverStars: false,
+			Multi: &core.MultiConfig{
+				Sizes: []int{4}, D: 2, CSS: true, NB: true, RecoverStars: false,
 				BurnIn: 10, Walkers: 6, Seed: -7,
 			},
 			Budget: 20_000, Every: 500, Lo: 2, Hi: 4,
@@ -36,7 +36,7 @@ func sampleAssignments() []*Assignment {
 		},
 		{
 			Graph:  "tiny",
-			Single: &core.Config{K: 3, D: 1, Seed: 17},
+			Multi:  &core.MultiConfig{Sizes: []int{3}, D: 1, Seed: 17},
 			Budget: 1, Every: 0, Lo: 0, Hi: 1,
 		},
 		{
@@ -56,14 +56,8 @@ func TestAssignmentRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Graph, err)
 		}
-		// A Single input decodes as the Multi config it is the case of.
-		want := *a
-		if want.Single != nil {
-			cfg := want.config()
-			want.Single, want.Multi = nil, &cfg
-		}
-		if !reflect.DeepEqual(got, &want) {
-			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", a.Graph, got, &want)
+		if !reflect.DeepEqual(got, a) {
+			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", a.Graph, got, a)
 		}
 	}
 }
@@ -86,8 +80,8 @@ func TestAssignmentV1Decodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Single != nil || a.Multi == nil || !reflect.DeepEqual(*a.Multi, want) {
-				t.Fatalf("decoded single %+v, multi %+v; want multi %+v", a.Single, a.Multi, want)
+			if a.Multi == nil || !reflect.DeepEqual(*a.Multi, want) {
+				t.Fatalf("decoded multi %+v; want %+v", a.Multi, want)
 			}
 			if strings.HasSuffix(file, "no-resume") {
 				if a.Resume != nil {
@@ -135,27 +129,24 @@ func TestAssignmentRejects(t *testing.T) {
 	base := *sampleAssignments()[0]
 	for name, mutate := range map[string]func(*Assignment){
 		"no graph":         func(a *Assignment) { a.Graph = "" },
-		"no config":        func(a *Assignment) { a.Single = nil },
+		"no config":        func(a *Assignment) { a.Multi = nil },
 		"zero budget":      func(a *Assignment) { a.Budget = 0 },
 		"negative every":   func(a *Assignment) { a.Every = -1 },
 		"negative lo":      func(a *Assignment) { a.Lo = -1 },
 		"hi past walkers":  func(a *Assignment) { a.Hi = 7 },
 		"empty partition":  func(a *Assignment) { a.Lo, a.Hi = 3, 3 },
 		"inverted bounds":  func(a *Assignment) { a.Lo, a.Hi = 4, 2 },
-		"both configs set": func(a *Assignment) { a.Multi = &core.MultiConfig{Sizes: []int{3}} },
-		"invalid config":   func(a *Assignment) { a.Single = &core.Config{K: 6, D: 2, Walkers: 6} },
-		"walkers past cap": func(a *Assignment) { a.Single = &core.Config{K: 4, D: 2, Walkers: 1<<16 + 1} },
+		"invalid config":   func(a *Assignment) { a.Multi = &core.MultiConfig{Sizes: []int{6}, D: 2, Walkers: 6} },
+		"walkers past cap": func(a *Assignment) { a.Multi = &core.MultiConfig{Sizes: []int{4}, D: 2, Walkers: 1<<16 + 1} },
 	} {
 		a := base
 		mutate(&a)
 		if err := a.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted", name)
 		}
-		if a.Single != nil || a.Multi != nil {
-			if (a.Single == nil) != (a.Multi == nil) { // encodable shape
-				if _, err := DecodeAssignment(a.Encode()); err == nil {
-					t.Errorf("%s: DecodeAssignment accepted", name)
-				}
+		if a.Multi != nil { // encodable shape
+			if _, err := DecodeAssignment(a.Encode()); err == nil {
+				t.Errorf("%s: DecodeAssignment accepted", name)
 			}
 		}
 	}

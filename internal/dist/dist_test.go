@@ -51,21 +51,21 @@ func startWorkers(t *testing.T, g *graph.Graph, n int) []string {
 // state whose merged result matches the local run at that target.
 func TestDistributedByteIdentical(t *testing.T) {
 	g := testGraph()
-	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: 5, Seed: 99}
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 5, Seed: 99}
 	const n, every = 3000, 500
 
-	local, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	local, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAt := map[int]*core.Result{}
-	want, err := local.RunCheckpoints(n, every, func(step int, _ []float64) {
+	wantAt := map[int]*core.MultiResult{}
+	want, err := local.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
 		r, err := local.Snapshot().MergedResult()
 		if err != nil {
 			t.Errorf("local merged result at %d: %v", step, err)
 			return
 		}
-		wantAt[step] = r.Results[cfg.K]
+		wantAt[step] = r
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,13 +80,13 @@ func TestDistributedByteIdentical(t *testing.T) {
 		OnSync:   func(combined *core.EnsembleState) { syncs = append(syncs, combined) },
 		OnResume: func(int) { t.Error("OnResume fired for an uninterrupted run") },
 	}, PartitionAssignments(Assignment{
-		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
+		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
 	}, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got := merged(t, final).Results[cfg.K]
+	got := merged(t, final)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("distributed result differs from local run:\n got %+v\nwant %+v", got, want)
 	}
@@ -104,7 +104,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 		t.Fatalf("final sync at %d, want %d (targets %v)", last, n, syncTargets)
 	}
 	for _, st := range syncs {
-		if r := merged(t, st).Results[cfg.K]; !reflect.DeepEqual(r, wantAt[st.WindowsDone]) {
+		if r := merged(t, st); !reflect.DeepEqual(r, wantAt[st.WindowsDone]) {
 			t.Errorf("sync state at %d differs from local checkpoint", st.WindowsDone)
 		}
 	}
@@ -172,10 +172,10 @@ func (k *killingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // accounting is exact.
 func TestDistributedFailover(t *testing.T) {
 	g := testGraph()
-	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: 4, Seed: 12}
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 4, Seed: 12}
 	const n, every = 3000, 500
 
-	want, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	want, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDistributedFailover(t *testing.T) {
 	var resumedMu sync.Mutex
 	var resumed []int
 	asns := PartitionAssignments(Assignment{
-		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
+		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
 	}, 2)
 	final, err := Run(t.Context(), Options{
 		// Partition 0's first attempt lands on the killer; its retry rotates
@@ -208,7 +208,7 @@ func TestDistributedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
+	if got := merged(t, final); !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("failover result differs from local run:\n got %+v\nwant %+v", got, wantRes)
 	}
 
@@ -257,9 +257,9 @@ func (w *tamperingWorkers) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // partition is not disturbed, and nothing falls back to the coordinator.
 func TestPeerStateValidatedAtReceipt(t *testing.T) {
 	g := testGraph()
-	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: 4, Seed: 12}
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 4, Seed: 12}
 	const n, every, at = 3000, 500, 1000
-	local, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	local, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +296,12 @@ func TestPeerStateValidatedAtReceipt(t *testing.T) {
 				LocalClient: func() access.Client { return access.NewGraphClient(g) },
 				Metrics:     met,
 			}, PartitionAssignments(Assignment{
-				Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
+				Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
 			}, 2), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, want) {
+			if got := merged(t, final); !reflect.DeepEqual(got, want) {
 				t.Errorf("result differs from local run:\n got %+v\nwant %+v", got, want)
 			}
 			if !fleet.done.Load() {
@@ -338,10 +338,10 @@ func TestPeerStateValidatedAtReceipt(t *testing.T) {
 // byte-identical.
 func TestDistributedLocalFailover(t *testing.T) {
 	g := testGraph()
-	cfg := core.Config{K: 3, D: 1, Walkers: 3, Seed: 7}
+	cfg := core.MultiConfig{Sizes: []int{3}, D: 1, Walkers: 3, Seed: 7}
 	const n = 1500
 
-	want, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	want, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +361,12 @@ func TestDistributedLocalFailover(t *testing.T) {
 		Backoff:     time.Millisecond,
 		LocalClient: func() access.Client { return access.NewGraphClient(g) },
 	}, PartitionAssignments(Assignment{
-		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: 500,
+		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: 500,
 	}, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
+	if got := merged(t, final); !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("local-failover result differs from local run")
 	}
 }
@@ -375,7 +375,7 @@ func TestDistributedLocalFailover(t *testing.T) {
 // accepts the partition and then produces no frames.
 func TestDistributedStall(t *testing.T) {
 	g := testGraph()
-	cfg := core.Config{K: 3, D: 1, Walkers: 2, Seed: 5}
+	cfg := core.MultiConfig{Sizes: []int{3}, D: 1, Walkers: 2, Seed: 5}
 	const n = 1000
 
 	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -385,7 +385,7 @@ func TestDistributedStall(t *testing.T) {
 	}))
 	t.Cleanup(stuck.Close)
 
-	want, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	want, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestDistributedStall(t *testing.T) {
 		StallTimeout: 100 * time.Millisecond,
 		LocalClient:  func() access.Client { return access.NewGraphClient(g) },
 	}, PartitionAssignments(Assignment{
-		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: 0,
+		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: 0,
 	}, 1), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +409,7 @@ func TestDistributedStall(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("stalled stream took %s to abandon", elapsed)
 	}
-	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, wantRes) {
+	if got := merged(t, final); !reflect.DeepEqual(got, wantRes) {
 		t.Errorf("post-stall result differs from local run")
 	}
 }
@@ -480,15 +480,15 @@ func TestDistributedStarRecovery(t *testing.T) {
 // to exactly the snapshot's windows, and no target at or below it syncs again.
 func TestCoordinatorResume(t *testing.T) {
 	g := testGraph()
-	cfg := core.Config{K: 4, D: 2, CSS: true, Walkers: 5, Seed: 3}
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 5, Seed: 3}
 	const n, every, crashAt = 3000, 500, 1500
 
-	local, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	local, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var blob []byte
-	want, err := local.RunCheckpoints(n, every, func(step int, _ []float64) {
+	want, err := local.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
 		if step == crashAt {
 			blob = local.Snapshot().Encode()
 		}
@@ -512,12 +512,12 @@ func TestCoordinatorResume(t *testing.T) {
 			}
 		},
 	}, PartitionAssignments(Assignment{
-		Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: n, Every: every,
+		Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
 	}, 3), full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := merged(t, final).Results[cfg.K]; !reflect.DeepEqual(got, want) {
+	if got := merged(t, final); !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed distributed result differs from local run")
 	}
 	if got := resumedTotal.Load(); got != crashAt {
@@ -531,8 +531,8 @@ func TestWorkerRejects(t *testing.T) {
 	srv := httptest.NewServer(&Handler{Lookup: lookupFor(g, "test")})
 	t.Cleanup(srv.Close)
 
-	cfg := core.Config{K: 3, D: 1, Seed: 1}
-	good := Assignment{Graph: "test", Meta: metaOf(g), Single: &cfg, Budget: 10, Lo: 0, Hi: 1}
+	cfg := core.MultiConfig{Sizes: []int{3}, D: 1, Seed: 1}
+	good := Assignment{Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: 10, Lo: 0, Hi: 1}
 
 	post := func(body []byte) int {
 		t.Helper()
@@ -562,8 +562,8 @@ func TestWorkerRejects(t *testing.T) {
 	// More walkers than a state can carry is refused before one is built; the
 	// partition asks for only the first, so a worker that did build it would
 	// answer 200.
-	crowd := core.Config{K: 3, D: 1, Walkers: 1<<16 + 1, Seed: 1}
-	if code := post((&Assignment{Graph: "test", Meta: metaOf(g), Single: &crowd, Budget: 10, Lo: 0, Hi: 1}).Encode()); code != http.StatusBadRequest {
+	crowd := core.MultiConfig{Sizes: []int{3}, D: 1, Walkers: 1<<16 + 1, Seed: 1}
+	if code := post((&Assignment{Graph: "test", Meta: metaOf(g), Multi: &crowd, Budget: 10, Lo: 0, Hi: 1}).Encode()); code != http.StatusBadRequest {
 		t.Errorf("walkers past the state cap: status %d, want 400", code)
 	}
 

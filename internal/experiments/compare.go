@@ -52,7 +52,7 @@ func Fig7(w io.Writer, p Params) {
 		// Walk: calibrate steps to the same wall time. The calibration probe
 		// runs with the configured walker ensemble, so parallel walkers buy a
 		// proportionally larger step budget at equal wall time.
-		cfg := p.apply(core.Config{K: 3, D: 1, CSS: true, NB: true})
+		cfg := p.apply(srw1CSSNB)
 		steps := calibrateSteps(g, cfg, perTrial)
 		twoR := core.TwoR(g, 1)
 		walkEst := runCountTrials(g, cfg, steps, p.Trials, twoR, 1)
@@ -86,7 +86,7 @@ func Fig7(w io.Writer, p Params) {
 		})
 		pathNRMSE := stats.NRMSEOfComponent(pathEst, []float64{truthK4}, 0)
 
-		cfg := p.apply(core.Config{K: 4, D: 2, CSS: true})
+		cfg := p.apply(core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true})
 		steps := calibrateSteps(g, cfg, perTrial)
 		twoR := core.TwoR(g, 2)
 		walkEst := runCountTrials(g, cfg, steps, p.Trials, twoR, 5)
@@ -107,20 +107,9 @@ func mustConc(d datasets.Dataset, k int) []float64 {
 
 // calibrateSteps measures the walk's per-step cost with a short probe and
 // returns the step count fitting the time budget (bounded to a sane range).
-func calibrateSteps(g *graph.Graph, cfg core.Config, budget time.Duration) int {
-	client := access.NewGraphClient(g)
-	probe := 4000
-	c := cfg
-	c.Seed = 42
-	est, err := core.NewEstimator(client, c)
-	if err != nil {
-		panic(err)
-	}
-	start := time.Now()
-	if _, err := est.Run(probe); err != nil {
-		panic(err)
-	}
-	perStep := time.Since(start) / time.Duration(probe)
+func calibrateSteps(g *graph.Graph, cfg core.MultiConfig, budget time.Duration) int {
+	const probe = 4000
+	perStep := timedRun(g, cfg, 42, probe) / probe
 	if perStep <= 0 {
 		perStep = time.Nanosecond
 	}
@@ -136,22 +125,15 @@ func calibrateSteps(g *graph.Graph, cfg core.Config, budget time.Duration) int {
 
 // runCountTrials runs count-estimation trials (Equation 4) and returns the
 // per-trial estimate of component idx.
-func runCountTrials(g *graph.Graph, cfg core.Config, steps, trials int, twoR float64, idx int) [][]float64 {
-	client := access.NewGraphClient(g)
-	return stats.RunTrialsWorkers(trials, trialWorkers(cfg.Walkers), func(trial int) []float64 {
-		c := cfg
-		c.Seed = int64(104729*trial + 7)
-		est, err := core.NewEstimator(client, c)
-		if err != nil {
-			panic(err)
-		}
-		res, err := est.Run(steps)
-		if err != nil {
-			panic(err)
-		}
-		return []float64{res.Counts(twoR)[idx]}
+func runCountTrials(g *graph.Graph, cfg core.MultiConfig, steps, trials int, twoR float64, idx int) [][]float64 {
+	return replicas(g, cfg, trials, func(t int) int64 { return int64(104729*t + 7) }, func(est *core.MultiEstimator) []float64 {
+		return []float64{mustRun(est, steps, cfg.Sizes[0]).Counts(twoR)[idx]}
 	})
 }
+
+// srw1CSSNB is the triangle method Figures 7(a) and 8 race the baselines
+// with.
+var srw1CSSNB = core.MultiConfig{Sizes: []int{3}, D: 1, CSS: true, NB: true}
 
 // Fig8 reproduces Figure 8: the triangle-concentration accuracy of
 // SRW1CSSNB against the adapted wedge sampling Wedge-MHRW (Algorithm 4) at
@@ -164,8 +146,7 @@ func Fig8(w io.Writer, p Params) {
 	for _, d := range allDatasets() {
 		g := d.Graph()
 		truth := mustConc(d, 3)
-		cfg := p.apply(core.Config{K: 3, D: 1, CSS: true, NB: true})
-		walkNRMSE := methodNRMSE(g, cfg, p.Steps, p.Trials, truth, 1)
+		walkNRMSE := methodNRMSE(g, p.apply(srw1CSSNB), p.Steps, p.Trials, truth, 1)
 		mhrwTrials := mhrwTrials(g, p.Steps, p.Trials)
 		mhrwNRMSE := stats.NRMSEOfComponent(mhrwTrials, truth, 1)
 		fmt.Fprintf(w, "%-12s %14s %14s\n", d.Name, fmtF(walkNRMSE), fmtF(mhrwNRMSE))
@@ -184,21 +165,10 @@ func Fig8(w io.Writer, p Params) {
 			every = 1
 		}
 		fmt.Fprintf(w, "\n%s\n%-10s %14s %14s\n", name, "steps", "SRW1CSSNB", "Wedge-MHRW")
-		client := access.NewGraphClient(g)
-		walkPts := stats.RunTrialsWorkers(p.Trials, trialWorkers(p.Walkers), func(trial int) []float64 {
-			cfg := p.apply(core.Config{K: 3, D: 1, CSS: true, NB: true, Seed: int64(7907*trial + 3)})
-			est, err := core.NewEstimator(client, cfg)
-			if err != nil {
-				panic(err)
-			}
-			var pts []float64
-			if _, err := est.RunCheckpoints(p.Steps, every, func(step int, conc []float64) {
-				pts = append(pts, conc[1])
-			}); err != nil {
-				panic(err)
-			}
-			return pts
+		walkPts := replicas(g, p.apply(srw1CSSNB), p.Trials, func(t int) int64 { return int64(7907*t + 3) }, func(est *core.MultiEstimator) []float64 {
+			return trace(est, p.Steps, every, 3, 1)
 		})
+		client := access.NewGraphClient(g)
 		mhrwPts := stats.RunTrials(p.Trials, func(trial int) []float64 {
 			rng := rand.New(rand.NewSource(int64(7919*trial + 5)))
 			mh := baseline.NewWedgeMHRW(client, rng)
@@ -241,7 +211,7 @@ func Table7(w io.Writer, p Params) {
 	header(w, fmt.Sprintf("Table 7: similarity of sinaweibo to facebook / twitter (steps=%d, sims=%d)", p.Steps, trials))
 
 	names := []string{"facebook", "twitter", "sinaweibo"}
-	methods := []core.Config{{K: 4, D: 2, CSS: true}, {K: 4, D: 3}}
+	methods := []core.MultiConfig{{Sizes: []int{4}, D: 2, CSS: true}, {Sizes: []int{4}, D: 3}}
 	est := map[string][][]float64{} // name -> method -> trials of concentration
 	for _, name := range names {
 		d, err := datasets.Get(name)

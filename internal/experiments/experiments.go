@@ -10,9 +10,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/core"
@@ -25,7 +27,7 @@ import (
 type Params struct {
 	Steps  int // random-walk steps per run (paper: 20K)
 	Trials int // independent simulations (paper: 1000, 100 for SRW4)
-	// Walkers is the per-run walker ensemble size (core.Config.Walkers):
+	// Walkers is the per-run walker ensemble size (core.MultiConfig.Walkers):
 	// each trial's step budget is split across this many concurrent walks.
 	// 0 keeps the single-walker behavior. Trials themselves always run on
 	// the stats.RunTrials worker pool.
@@ -33,7 +35,7 @@ type Params struct {
 }
 
 // apply stamps the ensemble size onto a method configuration.
-func (p Params) apply(cfg core.Config) core.Config {
+func (p Params) apply(cfg core.MultiConfig) core.MultiConfig {
 	cfg.Walkers = p.Walkers
 	return cfg
 }
@@ -60,28 +62,68 @@ func (p Params) withDefaults() Params {
 // Quick returns parameters small enough for smoke tests and benchmarks.
 func Quick() Params { return Params{Steps: 2000, Trials: 8} }
 
-// methodTrials runs `trials` independent walks of cfg on g and returns the
-// per-trial concentration vectors.
-func methodTrials(g *graph.Graph, cfg core.Config, steps, trials int) [][]float64 {
+// replicas is the one replica runner of every experiment: it runs n
+// independent replicas of cfg over g on the trial pool, replica t with
+// Seed = seed(t), and returns what row makes of each replica's fresh
+// estimator, in replica order. Each experiment keeps its own seed formula.
+func replicas(g *graph.Graph, cfg core.MultiConfig, n int, seed func(t int) int64, row func(*core.MultiEstimator) []float64) [][]float64 {
 	client := access.NewGraphClient(g)
-	return stats.RunTrialsWorkers(trials, trialWorkers(cfg.Walkers), func(trial int) []float64 {
+	return stats.RunTrialsWorkers(n, trialWorkers(cfg.Walkers), func(t int) []float64 {
 		c := cfg
-		c.Seed = int64(100003*trial + 17)
-		est, err := core.NewEstimator(client, c)
+		c.Seed = seed(t)
+		est, err := core.NewMultiEstimator(client, c)
 		if err != nil {
 			panic(err)
 		}
-		res, err := est.Run(steps)
-		if err != nil {
-			panic(err)
-		}
-		return res.Concentration()
+		return row(est)
+	})
+}
+
+// mustRun runs est for steps windows and returns size k's result.
+func mustRun(est *core.MultiEstimator, steps, k int) *core.Result {
+	res, err := est.Run(steps)
+	if err != nil {
+		panic(err)
+	}
+	return res.Results[k]
+}
+
+// trace runs est for steps windows with a checkpoint every `every` and
+// returns component idx of size k's concentration at each checkpoint.
+func trace(est *core.MultiEstimator, steps, every, k, idx int) []float64 {
+	var pts []float64
+	if _, err := est.RunCheckpointsCtx(context.Background(), steps, every, func(_ int, conc map[int][]float64) {
+		pts = append(pts, conc[k][idx])
+	}); err != nil {
+		panic(err)
+	}
+	return pts
+}
+
+// timedRun is one replica of cfg under seed: the wall time of its steps
+// windows, construction excluded.
+func timedRun(g *graph.Graph, cfg core.MultiConfig, seed int64, steps int) time.Duration {
+	var took time.Duration
+	replicas(g, cfg, 1, func(int) int64 { return seed }, func(est *core.MultiEstimator) []float64 {
+		start := time.Now()
+		mustRun(est, steps, cfg.Sizes[0])
+		took = time.Since(start)
+		return nil
+	})
+	return took
+}
+
+// methodTrials runs `trials` independent walks of the one-size cfg on g and
+// returns the per-trial concentration vectors.
+func methodTrials(g *graph.Graph, cfg core.MultiConfig, steps, trials int) [][]float64 {
+	return replicas(g, cfg, trials, func(t int) int64 { return int64(100003*t + 17) }, func(est *core.MultiEstimator) []float64 {
+		return mustRun(est, steps, cfg.Sizes[0]).Concentration()
 	})
 }
 
 // methodNRMSE runs trials and returns the NRMSE of component idx against
 // truth.
-func methodNRMSE(g *graph.Graph, cfg core.Config, steps, trials int, truth []float64, idx int) float64 {
+func methodNRMSE(g *graph.Graph, cfg core.MultiConfig, steps, trials int, truth []float64, idx int) float64 {
 	tr := methodTrials(g, cfg, steps, trials)
 	return stats.NRMSEOfComponent(tr, truth, idx)
 }

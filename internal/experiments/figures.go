@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/graphlet"
@@ -13,23 +12,23 @@ import (
 
 // fig4Methods lists the method sets of Figure 4 per graphlet size.
 var (
-	fig4MethodsK3 = []core.Config{
-		{K: 3, D: 1},
-		{K: 3, D: 1, CSS: true},
-		{K: 3, D: 1, CSS: true, NB: true},
-		{K: 3, D: 2},
-		{K: 3, D: 2, NB: true},
+	fig4MethodsK3 = []core.MultiConfig{
+		{Sizes: []int{3}, D: 1},
+		{Sizes: []int{3}, D: 1, CSS: true},
+		{Sizes: []int{3}, D: 1, CSS: true, NB: true},
+		{Sizes: []int{3}, D: 2},
+		{Sizes: []int{3}, D: 2, NB: true},
 	}
-	fig4MethodsK4 = []core.Config{
-		{K: 4, D: 2},
-		{K: 4, D: 2, CSS: true},
-		{K: 4, D: 3},
+	fig4MethodsK4 = []core.MultiConfig{
+		{Sizes: []int{4}, D: 2},
+		{Sizes: []int{4}, D: 2, CSS: true},
+		{Sizes: []int{4}, D: 3},
 	}
-	fig4MethodsK5 = []core.Config{
-		{K: 5, D: 2},
-		{K: 5, D: 2, CSS: true},
-		{K: 5, D: 3},
-		{K: 5, D: 4},
+	fig4MethodsK5 = []core.MultiConfig{
+		{Sizes: []int{5}, D: 2},
+		{Sizes: []int{5}, D: 2, CSS: true},
+		{Sizes: []int{5}, D: 3},
+		{Sizes: []int{5}, D: 4},
 	}
 )
 
@@ -50,7 +49,7 @@ func Fig4(w io.Writer, p Params) {
 	fig4Block(w, p, smallDatasets(), fig4MethodsK5, 5, 20)
 }
 
-func fig4Block(w io.Writer, p Params, ds []datasets.Dataset, methods []core.Config, k, idx int) {
+func fig4Block(w io.Writer, p Params, ds []datasets.Dataset, methods []core.MultiConfig, k, idx int) {
 	fmt.Fprintf(w, "%-12s", "dataset")
 	for _, m := range methods {
 		fmt.Fprintf(w, "%12s", m.MethodName())
@@ -106,7 +105,7 @@ func Fig5(w io.Writer, p Params) {
 	}
 
 	fmt.Fprintf(w, "\n(b) NRMSE per graphlet type\n%-20s %12s %12s %12s\n", "graphlet", "SRW3", "SRW2", "SRW2CSS")
-	methods := []core.Config{{K: 4, D: 3}, {K: 4, D: 2}, {K: 4, D: 2, CSS: true}}
+	methods := []core.MultiConfig{{Sizes: []int{4}, D: 3}, {Sizes: []int{4}, D: 2}, {Sizes: []int{4}, D: 2, CSS: true}}
 	results := make([][]float64, len(methods))
 	for mi, m := range methods {
 		tr := methodTrials(g, p.apply(m), p.Steps, p.Trials)
@@ -139,7 +138,7 @@ func Fig6(w io.Writer, p Params) {
 	}
 }
 
-func fig6Block(w io.Writer, p Params, name string, methods []core.Config, k, idx int) {
+func fig6Block(w io.Writer, p Params, name string, methods []core.MultiConfig, k, idx int) {
 	d, err := datasets.Get(name)
 	if err != nil {
 		panic(err)
@@ -153,7 +152,6 @@ func fig6Block(w io.Writer, p Params, name string, methods []core.Config, k, idx
 	if every == 0 {
 		every = 1
 	}
-	client := access.NewGraphClient(g)
 
 	fmt.Fprintf(w, "\n%s (truth %s)\n%-10s", name, fmtF(truth[idx]), "steps")
 	for _, m := range methods {
@@ -162,25 +160,12 @@ func fig6Block(w io.Writer, p Params, name string, methods []core.Config, k, idx
 	fmt.Fprintln(w)
 	series := make([][]float64, len(methods)) // [method][checkpoint] = NRMSE
 	for mi, m := range methods {
-		m := m
 		trials := p.Trials
 		if m.D >= 4 {
 			trials = max(3, p.Trials/10)
 		}
-		points := stats.RunTrialsWorkers(trials, trialWorkers(p.Walkers), func(trial int) []float64 {
-			cfg := p.apply(m)
-			cfg.Seed = int64(7919*trial + 31*mi + 1)
-			est, err := core.NewEstimator(client, cfg)
-			if err != nil {
-				panic(err)
-			}
-			var pts []float64
-			if _, err := est.RunCheckpoints(p.Steps, every, func(step int, conc []float64) {
-				pts = append(pts, conc[idx])
-			}); err != nil {
-				panic(err)
-			}
-			return pts
+		points := replicas(g, p.apply(m), trials, func(t int) int64 { return int64(7919*t + 31*mi + 1) }, func(est *core.MultiEstimator) []float64 {
+			return trace(est, p.Steps, every, k, idx)
 		})
 		series[mi] = stats.ConvergenceSeries(points, truth[idx])
 	}

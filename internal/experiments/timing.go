@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/exact"
@@ -28,11 +27,11 @@ func Table6(w io.Writer, p Params) {
 func table6(w io.Writer, p Params, graphOf func(datasets.Dataset) *graph.Graph) {
 	p = p.withDefaults()
 	header(w, fmt.Sprintf("Table 6: running time of %d random walk steps (k=5)", p.Steps))
-	methods := []core.Config{
-		{K: 5, D: 2},
-		{K: 5, D: 2, CSS: true},
-		{K: 5, D: 3},
-		{K: 5, D: 4},
+	methods := []core.MultiConfig{
+		{Sizes: []int{5}, D: 2},
+		{Sizes: []int{5}, D: 2, CSS: true},
+		{Sizes: []int{5}, D: 3},
+		{Sizes: []int{5}, D: 4},
 	}
 	fmt.Fprintf(w, "%-12s", "dataset")
 	for _, m := range methods {
@@ -41,20 +40,10 @@ func table6(w io.Writer, p Params, graphOf func(datasets.Dataset) *graph.Graph) 
 	fmt.Fprintf(w, "%14s\n", "Exact")
 	for _, d := range smallDatasets() {
 		g := graphOf(d)
-		client := access.NewGraphClient(g)
 		fmt.Fprintf(w, "%-12s", d.Name)
 		for _, m := range methods {
-			cfg := p.apply(m)
-			cfg.Seed = 12345
-			est, err := core.NewEstimator(client, cfg)
-			if err != nil {
-				panic(err)
-			}
-			start := time.Now()
-			if _, err := est.Run(p.Steps); err != nil {
-				panic(err)
-			}
-			fmt.Fprintf(w, "%14s", time.Since(start).Round(time.Microsecond*100).String())
+			took := timedRun(g, p.apply(m), 12345, p.Steps)
+			fmt.Fprintf(w, "%14s", took.Round(time.Microsecond*100).String())
 		}
 		start := time.Now()
 		exact.CountESU(g, 5)

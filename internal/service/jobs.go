@@ -745,22 +745,24 @@ func (j *job) view() JobView {
 		v.Progress.Concentrations = cp
 	}
 	if j.state == StateDone && j.result != nil {
+		method := j.spec.config().MethodName()
 		if j.spec.multi() {
 			v.Results = make(map[int]*JobResult, len(j.result.Results))
 			for k, r := range j.result.Results {
-				v.Results[k] = renderResult(r)
+				v.Results[k] = renderResult(r, method)
 			}
 		} else if r := j.result.Results[j.spec.K]; r != nil {
-			v.Result = renderResult(r)
+			v.Result = renderResult(r, method)
 		}
 	}
 	return v
 }
 
-// renderResult maps an engine result onto the client-facing form.
-func renderResult(r *core.Result) *JobResult {
+// renderResult maps an engine result of the named method onto the
+// client-facing form.
+func renderResult(r *core.Result, method string) *JobResult {
 	return &JobResult{
-		Method:        r.Config.MethodName(),
+		Method:        method,
 		Steps:         r.Steps,
 		ValidSamples:  r.ValidSamples,
 		Concentration: r.Concentration(),

@@ -59,17 +59,18 @@ func TestRegistryGCSRFile(t *testing.T) {
 
 	gt, _ := reg.Get("text")
 	gp, _ := reg.Get("packed")
-	cfg := core.Config{K: 4, D: 2, CSS: true, Seed: 31, Walkers: 2}
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 31, Walkers: 2}
 	results := make([]string, 2)
 	for i, g := range []*graph.Graph{gt, gp} {
-		est, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+		est, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := est.Run(4000)
+		multi, err := est.Run(4000)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := multi.Results[4]
 		results[i] = fmt.Sprintf("%v|%v|%v", res.Concentration(), res.Weights, res.TypeCounts)
 	}
 	if results[0] != results[1] {

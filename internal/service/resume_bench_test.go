@@ -14,16 +14,16 @@ import (
 
 // benchSnapshot runs a real estimator to `at` of `budget` windows and
 // returns the encoded ensemble snapshot a checkpoint would journal.
-func benchSnapshot(b *testing.B, walkers, budget, at int) ([]byte, core.Config) {
+func benchSnapshot(b *testing.B, walkers, budget, at int) ([]byte, core.MultiConfig) {
 	b.Helper()
 	g := gen.HolmeKim(400, 3, 0.6, 11)
-	cfg := core.Config{K: 4, D: 2, CSS: true, Seed: 42, Walkers: walkers}
-	est, err := core.NewEstimator(access.NewGraphClient(g), cfg)
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Seed: 42, Walkers: walkers}
+	est, err := core.NewMultiEstimator(access.NewGraphClient(g), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var blob []byte
-	if _, err := est.RunCheckpoints(at, at, func(step int, conc []float64) {
+	if _, err := est.RunCheckpointsCtx(b.Context(), at, at, func(step int, _ map[int][]float64) {
 		if step == at {
 			blob = est.Snapshot().Encode()
 		}
@@ -86,7 +86,7 @@ func BenchmarkResumeRestore(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				est, err := core.NewEstimator(client, cfg)
+				est, err := core.NewMultiEstimator(client, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -110,7 +110,7 @@ func RunTrials(n int, fn TrialFunc) [][]float64 {
 
 // RunTrialsWorkers is RunTrials with an explicit pool size (<= 0 means
 // GOMAXPROCS). Pass a reduced size when each trial is itself parallel —
-// e.g. a core.Config.Walkers ensemble — so trials × walkers stays at the
+// e.g. a core.MultiConfig.Walkers ensemble — so trials × walkers stays at the
 // machine's parallelism and per-trial wall time matches a trial run alone.
 func RunTrialsWorkers(n, workers int, fn TrialFunc) [][]float64 {
 	out := make([][]float64, n)

@@ -30,19 +30,8 @@ func (w *Walk) Start(space Space, nb bool, rng *rand.Rand) {
 	*w = Walk{space: space, rng: rng, nb: nb, cur: space.RandomState(rng)}
 }
 
-// NewAt starts a walk at the given state.
-func NewAt(space Space, start State, nb bool, rng *rand.Rand) *Walk {
-	return &Walk{space: space, rng: rng, nb: nb, cur: start}
-}
-
-// Space returns the walk's state space.
-func (w *Walk) Space() Space { return w.space }
-
 // Current returns the state the walker is at.
 func (w *Walk) Current() State { return w.cur }
-
-// Steps returns the number of transitions taken so far.
-func (w *Walk) Steps() int64 { return w.steps }
 
 // Step advances one transition and returns the new state.
 func (w *Walk) Step() State {
@@ -83,18 +72,10 @@ func (w *Walk) State() WalkState {
 	return WalkState{Cur: w.cur, Prev: w.prev, HasPrev: w.hasPrev, Steps: w.steps}
 }
 
-// Resume reconstructs a walk at the given exported state. The caller is
+// Resume places w in place at the given exported state. The caller is
 // responsible for supplying an rng positioned where the original walk's
 // stream was (NewRandAt); the space may be a fresh instance — its caches are
 // derived state.
-func Resume(space Space, st WalkState, nb bool, rng *rand.Rand) *Walk {
-	w := new(Walk)
-	w.Resume(space, st, nb, rng)
-	return w
-}
-
-// Resume places w in place at the given exported state, under the same
-// contract as the package-level Resume.
 func (w *Walk) Resume(space Space, st WalkState, nb bool, rng *rand.Rand) {
 	*w = Walk{
 		space: space, rng: rng, nb: nb,

@@ -310,7 +310,8 @@ func TestNBSRWDegreeOneBacktracks(t *testing.T) {
 	g := gen.Path(3) // 0-1-2
 	c := access.NewGraphClient(g)
 	rng := rand.New(rand.NewSource(23))
-	w := NewAt(NewSpace(c, 1), StateOf(1), true, rng)
+	var w Walk
+	w.Resume(NewSpace(c, 1), WalkState{Cur: StateOf(1)}, true, rng)
 	// Step to an endpoint, then the only move is back to 1.
 	s := w.Step()
 	if s.Node(0) != 0 && s.Node(0) != 2 {
@@ -326,10 +327,11 @@ func TestWalkStepsCounter(t *testing.T) {
 	g := gen.Cycle(10)
 	c := access.NewGraphClient(g)
 	rng := rand.New(rand.NewSource(29))
-	w := New(NewSpace(c, 1), false, rng)
+	var w Walk
+	w.Start(NewSpace(c, 1), false, rng)
 	w.Burn(7)
-	if w.Steps() != 7 {
-		t.Errorf("Steps = %d, want 7", w.Steps())
+	if got := w.State().Steps; got != 7 {
+		t.Errorf("Steps = %d, want 7", got)
 	}
 }
 
@@ -384,7 +386,8 @@ func TestWalkStateResume(t *testing.T) {
 	for d := 1; d <= 4; d++ {
 		for _, nb := range []bool{false, true} {
 			rng := NewRand(int64(100*d) + 7)
-			w := New(NewSpace(c, d), nb, &rng.Rand)
+			var w Walk
+			w.Start(NewSpace(c, d), nb, &rng.Rand)
 			for i := 0; i < 50; i++ {
 				w.Step()
 			}
@@ -397,9 +400,10 @@ func TestWalkStateResume(t *testing.T) {
 			}
 
 			rng2 := NewRandAt(int64(100*d)+7, pos)
-			w2 := Resume(NewSpace(c, d), st, nb, &rng2.Rand)
-			if w2.Current() != st.Cur || w2.Steps() != 50 {
-				t.Fatalf("d=%d nb=%v: resumed walk at %v/%d, want %v/50", d, nb, w2.Current(), w2.Steps(), st.Cur)
+			var w2 Walk
+			w2.Resume(NewSpace(c, d), st, nb, &rng2.Rand)
+			if w2.State() != st || st.Steps != 50 {
+				t.Fatalf("d=%d nb=%v: resumed walk at %+v, want %+v after 50 steps", d, nb, w2.State(), st)
 			}
 			for i := 0; i < 50; i++ {
 				if got := w2.Step(); got != ref[i] {
