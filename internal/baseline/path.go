@@ -36,7 +36,7 @@ func NewPathSampler(g *graph.Graph) *PathSampler {
 		t := float64(g.Degree(u)-1) * float64(g.Degree(v)-1)
 		if t > 0 {
 			s.edges = append(s.edges, [2]int32{u, v})
-			total += t
+			total += float64(t) // rounded on its own: never fused into an FMA
 			s.cum = append(s.cum, total)
 		}
 		return true
@@ -73,7 +73,7 @@ func (r PathResult) Counts() []float64 {
 		out[i] = frac * r.TotalPaths / pathMult[i]
 	}
 	// Induced stars = non-induced stars - tailed - 2*chordal - 4*clique.
-	out[1] = r.NonInducedStars - out[3] - 2*out[4] - 4*out[5]
+	out[1] = r.NonInducedStars - out[3] - float64(2*out[4]) - float64(4*out[5])
 	if out[1] < 0 {
 		out[1] = 0
 	}

@@ -31,7 +31,7 @@ func NewWedgeSampler(g *graph.Graph) *WedgeSampler {
 	total := 0.0
 	for v := 0; v < n; v++ {
 		d := float64(g.Degree(int32(v)))
-		total += d * (d - 1) / 2
+		total += float64(d * (d - 1) / 2)
 		cum[v] = total
 	}
 	return &WedgeSampler{g: g, cum: cum, TotalWedges: total}

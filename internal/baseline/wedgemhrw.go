@@ -41,7 +41,7 @@ type MHRWResult struct {
 // Concentration returns [ĉ³₁, ĉ³₂] per Algorithm 4 line 17: every triangle
 // holds three closed wedges, hence the factor 3 on the open accumulator.
 func (r MHRWResult) Concentration() []float64 {
-	den := 3*float64(r.Open) + float64(r.Closed)
+	den := float64(3*float64(r.Open)) + float64(r.Closed)
 	if den == 0 {
 		return []float64{0, 0}
 	}

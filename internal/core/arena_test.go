@@ -124,23 +124,27 @@ func TestWalkersShareNoCacheLine(t *testing.T) {
 }
 
 // A window's node collection stops at k+1 distinct nodes, so it stays in the
-// walker's fixed scratch even over a ring no walk could produce — a restored
+// caller's fixed scratch even over a ring no walk could produce — a restored
 // state is not checked for adjacency, and three disjoint d=3 states would
 // otherwise gather 9 nodes.
 func TestWindowScratchBounded(t *testing.T) {
-	wk := newWalker(access.NewGraphClient(gen.BarabasiAlbert(200, 4, 21)), MultiConfig{Sizes: []int{5}, D: 3}, 1)
-	wk.win[0] = walk.StateOf(0, 1, 2)
-	wk.win[1] = walk.StateOf(3, 4, 5)
-	wk.win[2] = walk.StateOf(6, 7, 8)
+	client := access.NewGraphClient(gen.BarabasiAlbert(200, 4, 21))
+	space := walk.NewSpace(client, 3)
+	s := newSizeParams(5, 3, false)
+	states := []walk.State{walk.StateOf(0, 1, 2), walk.StateOf(3, 4, 5), walk.StateOf(6, 7, 8)}
+	degs := make([]int, len(states))
+	nodes := make([]int32, 0, s.k+1)
+	typ := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := wk.accumulate(&wk.sizes[0], &wk.accs[0]); err != nil {
+		var err error
+		if typ, _, err = windowSample(client, space, &s, false, states, degs, nodes); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs per 9-node window, want 0", allocs)
 	}
-	if got := wk.accs[0].ValidSamples; got != 0 {
-		t.Errorf("%d valid samples from 9-node windows, want 0", got)
+	if typ != -1 {
+		t.Errorf("9-node window sampled as type %d, want -1", typ)
 	}
 }

@@ -16,9 +16,9 @@ import (
 // nodes, so uncovered pairs are the rare far-apart ones — classification
 // stops re-running the binary-search storm the kernel was built to eliminate.
 //
-// nodes is the union in first-appearance order (what the accumulators build);
-// at(i) returns the i-th window state, oldest first.
-func windowCode(client access.Client, space walk.Space, k, l int, nodes []int32, at func(i int) (walk.State, int)) uint16 {
+// nodes is the union in first-appearance order (what windowSample builds);
+// states are the window's states, oldest first.
+func windowCode(client access.Client, space walk.Space, k int, nodes []int32, states []walk.State) uint16 {
 	// known/adj are k×k bitmasks over union-node indices (k <= MaxK = 8 fits
 	// a uint8 row... MaxK is 5 here; 8 bits are plenty).
 	var known, adj [graphlet.MaxK]uint8
@@ -32,8 +32,7 @@ func windowCode(client access.Client, space walk.Space, k, l int, nodes []int32,
 		}
 		adj = known
 	} else {
-		for i := 0; i < l; i++ {
-			s, _ := at(i)
+		for _, s := range states {
 			mask := space.StateAdj(s)
 			n := s.Len()
 			// Map state-node positions to union indices.

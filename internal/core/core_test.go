@@ -136,8 +136,7 @@ func TestConvergenceK4(t *testing.T) {
 
 // TestConvergenceK5 includes d=4 (PSRW for 5-node graphlets), which uses the
 // α values where this repository deviates from the published Table 3 (see
-// graphlet.Table3SRW4Errata): convergence here is the empirical proof that
-// the computed values are the correct ones.
+// graphlet.Table3SRW4Errata); TestEstimatorUnbiasedExactly proves them exact.
 func TestConvergenceK5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long convergence test")
@@ -148,52 +147,6 @@ func TestConvergenceK5(t *testing.T) {
 	testConvergence(t, g, 5, 3, false, false, 600000, 0.25)
 	testConvergence(t, g, 5, 4, false, false, 600000, 0.25)
 	testConvergence(t, g, 5, 5, false, false, 600000, 0.25)
-}
-
-// TestErrataAdjudication runs SRW4 for k=5 on a graph rich in the five
-// erratum graphlets and verifies that using the published (doubled) α for
-// them would push estimates away from the truth while the computed α
-// converges.
-func TestErrataAdjudication(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long convergence test")
-	}
-	g := gen.HolmeKim(25, 3, 0.7, 7)
-	client := access.NewGraphClient(g)
-	res := runSize(t, client, MultiConfig{Sizes: []int{5}, D: 4, Seed: 99}, 600000)
-	want := exact.Concentrations(exact.CountESU(g, 5))
-	got := res.Concentration()
-
-	// Rebuild the estimate as if the published α had been used: divide each
-	// erratum type's weight by 2 (weight ∝ 1/α).
-	published := make([]float64, len(res.Weights))
-	copy(published, res.Weights)
-	for _, id := range graphlet.Table3SRW4Errata {
-		published[id-1] /= 2
-	}
-	var sum float64
-	for _, w := range published {
-		sum += w
-	}
-	for i := range published {
-		published[i] /= sum
-	}
-	for _, id := range graphlet.Table3SRW4Errata {
-		i := id - 1
-		if want[i] < 1e-6 {
-			continue
-		}
-		eComputed := math.Abs(got[i]-want[i]) / want[i]
-		ePublished := math.Abs(published[i]-want[i]) / want[i]
-		if ePublished < eComputed {
-			t.Errorf("g5_%d (%s): published alpha closer to truth (%.3f vs %.3f) — errata hypothesis wrong?",
-				id, graphlet.ByID(5, id).Name, ePublished, eComputed)
-		}
-		// Published alpha should be off by roughly a factor-2 underestimate.
-		if ePublished < 0.25 {
-			t.Errorf("g5_%d: published alpha error only %.3f; expected large bias", id, ePublished)
-		}
-	}
 }
 
 // TestStarBlindnessD1: with d=1 and k=4, 3-stars are invisible (α=0); the
@@ -276,21 +229,13 @@ func TestTwoR(t *testing.T) {
 // πe = 1/64 — i.e. π̃e = 2|R(2)|·πe = 16/64 = 1/4 (the inverse-degree
 // product of the interior state (1,3), whose degree is 4).
 func TestPaperExampleStationary(t *testing.T) {
-	g := gen.PaperFigure1()
-	client := access.NewGraphClient(g)
-	// Manually set the window to the example's three states. Node labels in
-	// the paper are 1..4, here 0..3. The window lives in the walker layer.
-	wk := newWalker(client, MultiConfig{Sizes: []int{4}, D: 2, Seed: 1}, 1)
-	wk.reset()
-	wk.start()
-	wk.win[0] = stateOf2(0, 1)
-	wk.win[1] = stateOf2(0, 2)
-	wk.win[2] = stateOf2(2, 3)
-	wk.degs[0] = wk.space.StateDegree(wk.win[0])
-	wk.degs[1] = wk.space.StateDegree(wk.win[1])
-	wk.degs[2] = wk.space.StateDegree(wk.win[2])
-	wk.curStart = 0
-	if got := wk.pieTilde(3); math.Abs(got-0.25) > 1e-12 {
+	space := walk.NewSpace(access.NewGraphClient(gen.PaperFigure1()), 2)
+	// Node labels in the paper are 1..4, here 0..3.
+	var degs []int
+	for _, s := range []walk.State{walk.StateOf(0, 1), walk.StateOf(0, 2), walk.StateOf(2, 3)} {
+		degs = append(degs, space.StateDegree(s))
+	}
+	if got := pieTilde(false, degs); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("pieTilde = %f, want 0.25", got)
 	}
 }
@@ -354,12 +299,10 @@ func TestDeterminism(t *testing.T) {
 func TestCSSMatchesTable4K3(t *testing.T) {
 	g := gen.PaperFigure1()
 	client := access.NewGraphClient(g)
-	wk := newWalker(client, MultiConfig{Sizes: []int{3}, D: 1, CSS: true, Seed: 1}, 1)
-	wk.reset()
-	wk.start()
+	space, chains := walk.NewSpace(client, 1), graphlet.Chains(3, 1)
 	pTilde := func(nodes []int32) float64 {
 		code := graphlet.CodeOf(3, func(i, j int) bool { return client.HasEdge(nodes[i], nodes[j]) })
-		return samplingProbabilityWith(wk.space, wk.sizes[0].chains, false, nodes, code)
+		return samplingProbabilityWith(space, chains, false, nodes, code)
 	}
 
 	// Triangle {0,1,2}: degrees 3,2,3 -> p̃ = 2(1/3+1/2+1/3).
@@ -376,8 +319,6 @@ func TestCSSMatchesTable4K3(t *testing.T) {
 		t.Errorf("wedge p̃ = %f, want %f", got, want)
 	}
 }
-
-func stateOf2(u, v int32) walk.State { return walk.StateOf(u, v) }
 
 // TestD1WindowsProbeOnlyUntraversedPairs: consecutive nodes of a d=1 window
 // are adjacent by construction, so classification may probe only the

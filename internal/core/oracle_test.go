@@ -1,0 +1,300 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/exact"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/graphlet"
+	"repro/internal/walk"
+)
+
+// stateGraph is G(d) of a small graph, enumerated: its states and, per
+// state, the indices of its neighbors.
+type stateGraph struct {
+	states []walk.State
+	adj    [][]int
+	twoR   float64 // 2|R(d)| = Σ deg
+}
+
+// enumerateStateGraph lists every connected d-node subset of g and joins two
+// of them iff they share d-1 nodes (for d = 1, iff they are adjacent in g).
+func enumerateStateGraph(g *graph.Graph, d int) *stateGraph {
+	var sets [][]int32
+	for v := range int32(g.NumNodes()) {
+		sets = append(sets, []int32{v})
+	}
+	for size := 2; size <= d; size++ {
+		seen := map[walk.State]bool{}
+		var next [][]int32
+		for _, set := range sets {
+			for _, u := range set {
+				for _, x := range g.Neighbors(u) {
+					if walk.StateOf(set...).Contains(x) {
+						continue
+					}
+					grown := append(append([]int32(nil), set...), x)
+					if s := walk.StateOf(grown...); !seen[s] {
+						seen[s] = true
+						next = append(next, grown)
+					}
+				}
+			}
+		}
+		sets = next
+	}
+	sg := &stateGraph{adj: make([][]int, len(sets))}
+	for _, set := range sets {
+		sg.states = append(sg.states, walk.StateOf(set...))
+	}
+	for i, s := range sg.states {
+		for j, t := range sg.states {
+			if i == j {
+				continue
+			}
+			if d == 1 && g.HasEdge(s.Node(0), t.Node(0)) || d > 1 && s.Shared(t) == d-1 {
+				sg.adj[i] = append(sg.adj[i], j)
+			}
+		}
+		sg.twoR += float64(len(sg.adj[i]))
+	}
+	return sg
+}
+
+// forEachWindow calls fn with every l-state path of the stationary walk on
+// sg and its probability: π(X_0) = deg/2|R(d)|, then 1/deg per step; under
+// NB, steps after the first draw among the deg-1 states other than the
+// previous one, and a degree-1 state forces the backtrack.
+func (sg *stateGraph) forEachWindow(l int, nb bool, fn func(path []int, p float64)) {
+	path := make([]int, 0, l)
+	var extend func(p float64)
+	extend = func(p float64) {
+		if len(path) == l {
+			fn(path, p)
+			return
+		}
+		cur := path[len(path)-1]
+		deg := len(sg.adj[cur])
+		for _, next := range sg.adj[cur] {
+			q := p / float64(deg)
+			if nb && len(path) > 1 {
+				prev := path[len(path)-2]
+				switch {
+				case deg == 1:
+					q = p
+				case next == prev:
+					continue
+				default:
+					q = p / float64(deg-1)
+				}
+			}
+			path = append(path, next)
+			extend(q)
+			path = path[:len(path)-1]
+		}
+	}
+	for s := range sg.states {
+		path = append(path[:0], s)
+		extend(float64(len(sg.adj[s])) / sg.twoR)
+	}
+}
+
+// oracleRow is one estimator configuration of TestEstimatorUnbiasedExactly.
+type oracleRow struct {
+	name         string
+	g            *graph.Graph
+	sizes        []int
+	d            int
+	css, nb      bool
+	recoverStars bool // k = 4, d = 1: also recover the 3-stars from starTerm
+	published    bool // k = 5, d = 4: use Table 3's printed α, errata included
+}
+
+// TestEstimatorUnbiasedExactly proves windowSample unbiased by enumeration:
+// every l-state window of the stationary walk on G(d) of a small graph is
+// weighted by its probability, and 2|R(d)|·E[weight_i] must equal the exact
+// count of type i — or exactly 0 for a type the walk cannot see (α = 0).
+// Under RecoverStars the recovered 3-star weight must equal the 3-star count,
+// and with the α that Table 3 prints for SRW(4), each of the five erratum
+// types must come out at exactly half its count.
+func TestEstimatorUnbiasedExactly(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"hk12", gen.HolmeKim(12, 2, 0.6, 3)},
+		{"ba11", gen.BarabasiAlbert(11, 3, 5)},
+	}
+	var rows []oracleRow
+	for _, gr := range graphs {
+		for k := 3; k <= graphlet.MaxK; k++ {
+			for d := 1; d <= k; d++ {
+				for _, css := range []bool{false, true} {
+					if css && k-d+1 <= 2 {
+						continue
+					}
+					for _, nb := range []bool{false, true} {
+						cfg := MultiConfig{Sizes: []int{k}, D: d, CSS: css, NB: nb}
+						rows = append(rows, oracleRow{
+							name: fmt.Sprintf("%s/%s_k%d", gr.name, cfg.MethodName(), k),
+							g:    gr.g, sizes: []int{k}, d: d, css: css, nb: nb,
+						})
+					}
+				}
+			}
+		}
+		rows = append(rows, oracleRow{name: gr.name + "/SRW1_k4_stars", g: gr.g, sizes: []int{4}, d: 1, recoverStars: true})
+	}
+	if len(rows) != 72+2 {
+		t.Fatalf("%d rows, want 72 configurations and 2 star rows", len(rows))
+	}
+	hk, ba := graphs[0].g, graphs[1].g
+	rows = append(rows,
+		oracleRow{name: "hk12/SRW2CSS_k345", g: hk, sizes: []int{3, 4, 5}, d: 2, css: true},
+		oracleRow{name: "ba11/SRW4_k5_published", g: ba, sizes: []int{5}, d: 4, published: true},
+	)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { checkUnbiased(t, row) })
+	}
+}
+
+func checkUnbiased(t *testing.T, row oracleRow) {
+	client := access.NewGraphClient(row.g)
+	space := walk.NewSpace(client, row.d)
+	sg := enumerateStateGraph(row.g, row.d)
+	for i, s := range sg.states {
+		if got, want := space.StateDegree(s), len(sg.adj[i]); got != want {
+			t.Fatalf("state %v: StateDegree %d, enumerated %d", s, got, want)
+		}
+	}
+	params := make([]sizeParams, len(row.sizes))
+	expect := make([][]float64, len(row.sizes))
+	maxL := 0
+	for i, k := range row.sizes {
+		params[i] = newSizeParams(k, row.d, row.css)
+		expect[i] = make([]float64, len(params[i].alpha))
+		maxL = max(maxL, params[i].l)
+	}
+	if row.published {
+		for i, half := range graphlet.PaperTable3Five[4] {
+			params[0].alpha[i] = 2 * half
+		}
+	}
+	var star float64
+	states := make([]walk.State, maxL)
+	degs := make([]int, maxL)
+	nodes := make([]int32, 0, graphlet.MaxK+1)
+	// A shorter size's window is the prefix of the longest one: the prefix
+	// of a stationary window is itself stationary.
+	sg.forEachWindow(maxL, row.nb, func(path []int, p float64) {
+		for i, x := range path {
+			states[i], degs[i] = sg.states[x], len(sg.adj[x])
+		}
+		for i := range params {
+			s := &params[i]
+			typ, weight, err := windowSample(client, space, s, row.nb, states[:s.l], degs[:s.l], nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ >= 0 {
+				expect[i][typ] += p * weight
+			}
+		}
+		if row.recoverStars {
+			star += p * starTerm(degs[maxL-1])
+		}
+	})
+
+	for i, k := range row.sizes {
+		counts := exact.CountESU(row.g, k)
+		if row.recoverStars {
+			var want float64
+			for v := range int32(row.g.NumNodes()) {
+				dv := float64(row.g.Degree(v))
+				want += dv * (dv - 1) * (dv - 2) / 6
+			}
+			if got := sg.twoR * star; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("2|E|·E[star term] = %v, want Σ C(d_v,3) = %v", got, want)
+			}
+			// Recovery is linear, so it applies to the expectations; it
+			// rewrites expect[i]'s 3-star entry in place.
+			r := &Result{Weights: expect[i], StarAcc: star}
+			r.applyStarRecovery()
+		}
+		for typ, c := range counts {
+			want := float64(c)
+			switch {
+			case row.published && slices.Contains(graphlet.Table3SRW4Errata, typ+1):
+				if c == 0 {
+					t.Errorf("g5_%d does not occur, so its erratum goes unchecked", typ+1)
+				}
+				want /= 2
+			case graphlet.Catalog(k)[typ].Alpha[row.d] == 0 && !row.recoverStars:
+				want = 0
+			}
+			got := sg.twoR * expect[i][typ]
+			if want == 0 && got != 0 || math.Abs(got-want) > 1e-9*want {
+				t.Errorf("k=%d g%d_%d: 2|R|·E[weight] = %v, want %v", k, k, typ+1, got, want)
+			}
+		}
+	}
+}
+
+// TestRingWindows pins the mirrored ring, the only code between the walk and
+// windowSample, for maxL = 1..5: after every push, every window the ring
+// still retains (each size's pending one among them) is the slice of the
+// pushed sequence it should be, with StateDegree's degrees, and so it stays
+// after a snapshot → restore round trip and the pushes that follow it.
+func TestRingWindows(t *testing.T) {
+	client := access.NewGraphClient(gen.HolmeKim(40, 3, 0.6, 42))
+	for _, cfg := range []MultiConfig{
+		{Sizes: []int{4}, D: 4},
+		{Sizes: []int{3, 4}, D: 3},
+		{Sizes: []int{3, 4, 5}, D: 3, NB: true},
+		{Sizes: []int{3, 4, 5}, D: 2},
+		{Sizes: []int{5, 3, 4}, D: 1, CSS: true},
+	} {
+		space := walk.NewSpace(client, cfg.D)
+		wk := newWalker(client, cfg, 7)
+		wk.start()
+		seq := []walk.State{wk.w.Current()}
+		check := func(when string, wk *walker) {
+			t.Helper()
+			for _, s := range wk.sizes {
+				for j := max(0, wk.pushed-wk.maxL); j+s.l <= wk.pushed; j++ {
+					states, degs := wk.window(j, s.l)
+					for i := range s.l {
+						if want := seq[j+i]; states[i] != want || degs[i] != space.StateDegree(want) {
+							t.Fatalf("maxL %d %s, %d pushed: size %d window %d state %d is %v (deg %d), want %v (deg %d)",
+								wk.maxL, when, wk.pushed, s.k, j, i, states[i], degs[i], want, space.StateDegree(want))
+						}
+					}
+				}
+			}
+		}
+		check("start", wk)
+		for range 3*wk.maxL + 2 {
+			seq = append(seq, wk.w.Step())
+			wk.push(seq[len(seq)-1])
+			check("push", wk)
+		}
+		for i, s := range wk.sizes {
+			wk.accs[i].Done = wk.pushed - s.l
+		}
+		re := newWalker(client, cfg, 7)
+		if err := re.restore(wk.snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		check("restored", re)
+		for range 2*wk.maxL + 1 {
+			seq = append(seq, wk.w.Step())
+			re.push(re.w.Step())
+			check("pushed after restore", re)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/graphlet"
@@ -19,13 +20,14 @@ import (
 //
 // The scheduling invariant is index-based: pushed counts the walk states
 // seen so far (state 0 is the first state after burn-in, so pushed == walk
-// steps - BurnIn + 1 once primed), state j lives in ring slot j % maxL, and
-// accs[i].Done counts the windows size i has accumulated — size i's next
-// window covers states [Done, Done+l_i-1] and is ready as soon as
-// pushed >= Done+l_i. The walk is lazy: it takes a transition only when some
-// size still needs a state, so a run never steps past its last window. The
-// largest-l size consumes a window the moment it is ready and no size ever
-// trails it, so the ring always retains every state a pending window needs.
+// steps - BurnIn + 1 once primed), state j lives in ring slots j % maxL and
+// j % maxL + maxL, and accs[i].Done counts the windows size i has
+// accumulated — size i's next window covers states [Done, Done+l_i-1] and is
+// ready as soon as pushed >= Done+l_i. The walk is lazy: it takes a
+// transition only when some size still needs a state, so a run never steps
+// past its last window. The largest-l size consumes a window the moment it is
+// ready and no size ever trails it, so the ring always retains every state a
+// pending window needs.
 //
 // A walker is its own arena, so that sibling walkers never write to a shared
 // cache line (the one-line rule, pinned by TestWalkersShareNoCacheLine):
@@ -52,17 +54,13 @@ type walker struct {
 	sizes []sizeParams // per target size, in cfg.Sizes order
 	maxL  int
 
-	// Ring of the last maxL states and their G(d) degrees; state j at slot
-	// j%maxL. maxL = max l_k = max(k-d+1) <= MaxK.
-	win    [graphlet.MaxK]walk.State
-	degs   [graphlet.MaxK]int
+	// Mirrored ring of the last maxL <= MaxK states and their G(d) degrees
+	// (place), so that every window is one slice of it (window).
+	win    [2 * graphlet.MaxK]walk.State
+	degs   [2 * graphlet.MaxK]int
 	pushed int // states pushed since reset/restore
 
-	// curStart parameterizes windowAt for the window being accumulated.
-	curStart int
-
-	// nodes collects a window's distinct nodes; accumulate stops at k+1.
-	nodes [graphlet.MaxK + 1]int32
+	nodes [graphlet.MaxK + 1]int32 // windowSample's node scratch
 
 	// accs are the walker-private accumulators, indexed like sizes and merged
 	// by the ensemble: a view of accBuf, each size's Weights and TypeCounts a
@@ -95,6 +93,20 @@ type sizeParams struct {
 	chains *graphlet.ChainTable // CSS chains per adjacency code; nil unless CSS and l > 2
 }
 
+// newSizeParams fixes size k's window length, α row and CSS chain table for
+// a walk on G(d).
+func newSizeParams(k, d int, css bool) sizeParams {
+	cat := graphlet.Catalog(k)
+	s := sizeParams{k: k, l: k - d + 1, alpha: make([]int64, len(cat))}
+	for t := range cat {
+		s.alpha[t] = cat[t].Alpha[d]
+	}
+	if css && s.l > 2 {
+		s.chains = graphlet.Chains(k, d)
+	}
+	return s
+}
+
 // newWalker builds one walker with its own space and RNG. seed is the
 // walker-specific seed derived by the ensemble (walkerSeed).
 func newWalker(client access.Client, cfg MultiConfig, seed int64) *walker {
@@ -109,19 +121,10 @@ func newWalker(client access.Client, cfg MultiConfig, seed int64) *walker {
 	wk.accs = wk.accBuf[:len(cfg.Sizes)]
 	off := 0
 	for i, k := range cfg.Sizes {
-		cat := graphlet.Catalog(k)
-		s := sizeParams{k: k, l: k - cfg.D + 1, alpha: make([]int64, len(cat))}
-		for t := range cat {
-			s.alpha[t] = cat[t].Alpha[cfg.D]
-		}
-		if cfg.CSS && s.l > 2 {
-			s.chains = graphlet.Chains(k, cfg.D)
-		}
-		if s.l > wk.maxL {
-			wk.maxL = s.l
-		}
+		s := newSizeParams(k, cfg.D, cfg.CSS)
+		wk.maxL = max(wk.maxL, s.l)
 		wk.sizes[i] = s
-		end := off + len(cat)
+		end := off + len(s.alpha)
 		wk.accs[i] = SizeAcc{Weights: wk.weightBuf[off:end:end], TypeCounts: wk.countBuf[off:end:end]}
 		off = end
 	}
@@ -221,52 +224,62 @@ func (wk *walker) run(ctx context.Context, count int) error {
 }
 
 func (wk *walker) push(s walk.State) {
-	slot := wk.pushed % wk.maxL
-	wk.win[slot] = s
-	wk.degs[slot] = wk.space.StateDegree(s)
+	wk.place(wk.pushed, s, wk.space.StateDegree(s))
 	wk.pushed++
 }
 
-// windowAt returns the i-th state (0 = oldest) of the window starting at
-// curStart, with its G(d) degree; the signature matches windowCode's
-// accessor.
-func (wk *walker) windowAt(i int) (walk.State, int) {
-	j := (wk.curStart + i) % wk.maxL
-	return wk.win[j], wk.degs[j]
+// place stores state j and its degree at both of its mirrored ring slots.
+func (wk *walker) place(j int, s walk.State, deg int) {
+	slot := j % wk.maxL
+	wk.win[slot], wk.win[slot+wk.maxL] = s, s
+	wk.degs[slot], wk.degs[slot+wk.maxL] = deg, deg
 }
 
-// accumulate processes size s's next window (states [Done, Done+l-1]) into
-// its accumulator: if it covers exactly k distinct nodes, classify the
-// induced subgraph and add its re-weighted contribution. A walk's window
-// covers at most k nodes, but a restored ring is not checked for adjacency,
-// so collection stops at the (k+1)-th distinct node — the sample is invalid
-// either way — and never outgrows the walker's fixed scratch. A size's
-// accumulator trajectory depends only on the walk, never on which other
-// sizes share it.
+// window returns states [j, j+l) and their degrees, oldest first, as views
+// of the ring; they must still be retained (j >= pushed-maxL).
+func (wk *walker) window(j, l int) ([]walk.State, []int) {
+	slot := j % wk.maxL
+	return wk.win[slot : slot+l], wk.degs[slot : slot+l]
+}
+
+// accumulate folds size s's next window (states [Done, Done+l-1]) into its
+// accumulator. A size's accumulator trajectory depends only on the walk,
+// never on which other sizes share it.
 func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
-	wk.curStart = a.Done
+	states, degs := wk.window(a.Done, s.l)
 	if wk.cfg.RecoverStars {
-		// The non-induced-star functional of the newest visited node
-		// (stationary probability ∝ degree; on a d = 1 walk the state degree
-		// is the node degree): C(d,3)/d simplifies to (d-1)(d-2)/6.
-		_, deg := wk.windowAt(s.l - 1)
-		d := float64(deg)
-		wk.starAcc += (d - 1) * (d - 2) / 6
+		wk.starAcc += starTerm(degs[s.l-1])
 	}
-	nodes := wk.nodes[:0]
+	typ, weight, err := windowSample(wk.client, wk.space, s, wk.cfg.NB, states, degs, wk.nodes[:0])
+	if err != nil || typ < 0 {
+		return err
+	}
+	a.ValidSamples++
+	a.TypeCounts[typ]++
+	a.Weights[typ] += weight
+	return nil
+}
+
+// starTerm is the non-induced-star functional of a window's newest visited
+// node (stationary probability ∝ degree; on a d = 1 walk the state degree is
+// the node degree): C(d,3)/d simplifies to (d-1)(d-2)/6.
+func starTerm(deg int) float64 {
+	d := float64(deg)
+	return (d - 1) * (d - 2) / 6
+}
+
+// windowSample is the estimator on one window of l = k-d+1 consecutive walk
+// states (oldest first) and their G(d) degrees: if the states cover exactly
+// k distinct nodes, it classifies the induced subgraph and returns its type
+// with the re-weighted contribution 1/(α·π̃e), or 1/p̃ under CSS; otherwise
+// the sample is invalid (Figure 3) and the type is -1. A walk's window covers
+// at most k nodes, but a restored ring is not checked for adjacency, so
+// collection into nodes (capacity k+1) stops at the (k+1)-th distinct node.
+func windowSample(client access.Client, space walk.Space, s *sizeParams, nb bool, states []walk.State, degs []int, nodes []int32) (int, float64, error) {
 gather:
-	for i := 0; i < s.l; i++ {
-		st, _ := wk.windowAt(i)
+	for _, st := range states {
 		for j := 0; j < st.Len(); j++ {
-			x := st.Node(j)
-			seen := false
-			for _, y := range nodes {
-				if y == x {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if x := st.Node(j); !slices.Contains(nodes, x) {
 				nodes = append(nodes, x)
 				if len(nodes) > s.k {
 					break gather
@@ -275,52 +288,42 @@ gather:
 		}
 	}
 	if len(nodes) != s.k {
-		return nil // invalid sample (Figure 3)
+		return -1, 0, nil
 	}
-	a.ValidSamples++
-
-	code := windowCode(wk.client, wk.space, s.k, s.l, nodes, wk.windowAt)
+	code := windowCode(client, space, s.k, nodes, states)
 	typ := graphlet.ClassifyCode(s.k, code)
 	if typ < 0 {
-		return fmt.Errorf("core: window %v classified as disconnected", nodes)
+		return -1, 0, fmt.Errorf("core: window %v classified as disconnected", nodes)
 	}
-	a.TypeCounts[typ]++
-
-	var weight float64
 	if s.chains != nil {
-		p := samplingProbabilityWith(wk.space, s.chains, wk.cfg.NB, nodes, code)
+		p := samplingProbabilityWith(space, s.chains, nb, nodes, code)
 		if p <= 0 {
-			return fmt.Errorf("core: zero sampling probability for type g%d_%d", s.k, typ+1)
+			return -1, 0, fmt.Errorf("core: zero sampling probability for type g%d_%d", s.k, typ+1)
 		}
-		weight = 1 / p
-	} else {
-		if s.alpha[typ] == 0 {
-			return fmt.Errorf("core: walk produced type g%d_%d with alpha = 0 (d=%d)", s.k, typ+1, wk.cfg.D)
-		}
-		weight = 1 / (float64(s.alpha[typ]) * wk.pieTilde(s.l))
+		return typ, 1 / p, nil
 	}
-	a.Weights[typ] += weight
-	return nil
+	if s.alpha[typ] == 0 {
+		return -1, 0, fmt.Errorf("core: walk produced type g%d_%d with alpha = 0 (d=%d)", s.k, typ+1, s.k-s.l+1)
+	}
+	return typ, 1 / (float64(s.alpha[typ]) * pieTilde(nb, degs)), nil
 }
 
-// pieTilde computes π̃e(X^(l)) = 2|R(d)|·πe for the l-state window at
-// curStart (Equation 2): deg(X_1) for l = 1, 1 for l = 2, and the product of
-// inverse degrees of the interior states for l > 2. Under NB, nominal
-// degrees are used (§4.2).
-func (wk *walker) pieTilde(l int) float64 {
-	switch l {
+// pieTilde computes π̃e(X^(l)) = 2|R(d)|·πe for a window with the given
+// state degrees (Equation 2): deg(X_1) for l = 1, 1 for l = 2, and the
+// product of inverse degrees of the interior states for l > 2. Under NB,
+// nominal degrees are used (§4.2).
+func pieTilde(nb bool, degs []int) float64 {
+	switch len(degs) {
 	case 1:
 		// Marginal state probability d_X/2|R|; NB-SRW preserves it, so the
 		// actual degree is used even under NB.
-		_, d := wk.windowAt(0)
-		return float64(d)
+		return float64(degs[0])
 	case 2:
 		return 1
 	}
 	p := 1.0
-	for i := 1; i < l-1; i++ {
-		_, d := wk.windowAt(i)
-		if wk.cfg.NB {
+	for _, d := range degs[1 : len(degs)-1] {
+		if nb {
 			d = nominal(d)
 		}
 		p *= 1 / float64(d)
@@ -365,12 +368,11 @@ func (wk *walker) snapshot() WalkerState {
 		// The ring holds the last min(pushed, maxL) states; export them
 		// oldest-first so restore can re-place state j at slot j % maxL.
 		n := min(wk.pushed, wk.maxL)
+		states, degs := wk.window(wk.pushed-n, n)
 		st.Win = make([][]int32, n)
-		st.Degs = make([]int, n)
-		for i := 0; i < n; i++ {
-			slot := (wk.pushed - n + i) % wk.maxL
-			st.Win[i] = wk.win[slot].Nodes(nil)
-			st.Degs[i] = wk.degs[slot]
+		st.Degs = append([]int(nil), degs...)
+		for i, s := range states {
+			st.Win[i] = s.Nodes(nil)
 		}
 	}
 	return st
@@ -451,9 +453,7 @@ func (wk *walker) restore(st WalkerState) error {
 		if st.Degs[i] < 0 {
 			return fmt.Errorf("core: restore: negative degree %d", st.Degs[i])
 		}
-		slot := (wk.pushed - n + i) % wk.maxL
-		wk.win[slot] = s
-		wk.degs[slot] = st.Degs[i]
+		wk.place(wk.pushed-n+i, s, st.Degs[i])
 	}
 	// Every pending window must still be coverable by the ring: size i
 	// resumes at window Done, whose oldest state index must not precede

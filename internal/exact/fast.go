@@ -45,7 +45,7 @@ func Triangles(g *graph.Graph) int64 {
 // the quantity §2.1 derives from the triangle concentration.
 func GlobalClusteringCoefficient(g *graph.Graph) float64 {
 	c := ThreeNodeCounts(g)
-	den := float64(c[0]) + 3*float64(c[1])
+	den := float64(c[0]) + float64(3*float64(c[1]))
 	if den == 0 {
 		return 0
 	}

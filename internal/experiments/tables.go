@@ -199,7 +199,7 @@ func closedFormP4(g *graph.Graph, nodes [4]int32, typ int) float64 {
 			case (e.i == hub && e.j == leaf) || (e.j == hub && e.i == leaf):
 				p += 2 * invDeg(e) // tail edge e4: coefficient 1 (x2 halved)
 			case e.i == hub || e.j == hub:
-				p += 4 * invDeg(e) // triangle edges at the hub: coefficient 2
+				p += float64(4 * invDeg(e)) // triangle edges at the hub: coefficient 2
 			}
 		}
 		return p
@@ -210,7 +210,7 @@ func closedFormP4(g *graph.Graph, nodes [4]int32, typ int) float64 {
 				chord = e
 			}
 		}
-		return 4*sumAll + 4*invDeg(chord)
+		return float64(4*sumAll) + float64(4*invDeg(chord))
 	case 5: // clique
 		return 8 * sumAll
 	}

@@ -282,7 +282,7 @@ func samplePowerLaw(rng *rand.Rand, gamma float64, dmin, dmax int) int {
 	u := rng.Float64()
 	a := 1 - gamma
 	lo, hi := float64(dmin), float64(dmax)+1
-	x := math.Pow(math.Pow(lo, a)+u*(math.Pow(hi, a)-math.Pow(lo, a)), 1/a)
+	x := math.Pow(math.Pow(lo, a)+float64(u*(math.Pow(hi, a)-math.Pow(lo, a))), 1/a)
 	d := int(x)
 	if d < dmin {
 		d = dmin

@@ -72,6 +72,9 @@ func parseIDs(data []byte) ([]int64, error) {
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != gidsVersion {
 		return nil, fmt.Errorf("gids: unsupported format version %d (want %d)", v, gidsVersion)
 	}
+	if r := binary.LittleEndian.Uint32(data[20:24]); r != 0 {
+		return nil, fmt.Errorf("gids: reserved header word %#x is not zero", r)
+	}
 	n := int64(binary.LittleEndian.Uint64(data[8:16]))
 	if n < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("gids: ID count %d out of range", n)

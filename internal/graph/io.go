@@ -15,7 +15,12 @@ const maxLineBytes = 1 << 20
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line).
 // Lines starting with '#' or '%' are comments; fields beyond the first two
 // are ignored. Node IDs may be arbitrary non-negative integers; they are
-// compacted to a dense range.
+// compacted to a dense range in order of first appearance.
+//
+// Self loops are dropped, but their ID still takes the next dense number.
+// An ID that occurs only in self loops therefore becomes an isolated node
+// when a later line names a new ID, and no node otherwise, so the node count
+// depends on line order: "0 0\n1 2" gives 3 nodes, "1 2\n0 0" gives 2.
 //
 // The per-line scanning is allocation-free (manual field splitting and
 // integer parsing on the scanner's byte buffer), which is what keeps parsing
@@ -72,7 +77,11 @@ func readEdgeList(r io.Reader, keepIDs bool) (*Graph, error) {
 		return nil, err
 	}
 	g := b.Build()
-	g.origIDs = ids
+	if keepIDs {
+		// An ID seen only in self loops past the last edge endpoint got a
+		// dense number but no node: drop it, so every node has one ID.
+		g.origIDs = ids[:g.NumNodes()]
+	}
 	return g, nil
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,38 @@ func TestScanInt(t *testing.T) {
 	for _, bad := range []string{"", "-", "+", "12a", "9223372036854775808", "99999999999999999999"} {
 		if _, _, err := scanInt([]byte(bad), 0, 1); err == nil {
 			t.Errorf("scanInt(%q) accepted invalid input", bad)
+		}
+	}
+}
+
+// An ID seen only in self loops is a node iff a later line names a new ID
+// (see ReadEdgeList); with keepIDs every node, and only a node, has an ID.
+func TestReadEdgeListSelfLoopOnlyID(t *testing.T) {
+	for _, c := range []struct {
+		in    string
+		nodes int
+		edges int64
+		ids   []int64
+	}{
+		{"0 0\n1 2\n", 3, 1, []int64{0, 1, 2}},
+		{"1 2\n0 0\n", 2, 1, []int64{1, 2}},
+		{"5 5\n", 0, 0, nil},
+	} {
+		for _, keepIDs := range []bool{false, true} {
+			g, err := readEdgeList(strings.NewReader(c.in), keepIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.NumNodes() != c.nodes || g.NumEdges() != c.edges {
+				t.Errorf("%q keepIDs=%v: got %v, want n=%d m=%d", c.in, keepIDs, g, c.nodes, c.edges)
+			}
+			var want []int64
+			if keepIDs {
+				want = c.ids
+			}
+			if got := g.OriginalIDs(); !slices.Equal(got, want) {
+				t.Errorf("%q keepIDs=%v: IDs %v, want %v", c.in, keepIDs, got, want)
+			}
 		}
 	}
 }

@@ -37,7 +37,8 @@ var PaperTable2Four = map[int][]int64{
 // Table3SRW4Errata, where the printed value is twice the combinatorially
 // correct one (e.g. the banner has |S| = 4, so α/2 = 6, but the table prints
 // 12). This repository uses the correct values (ComputedTable3) in the
-// estimator — verified empirically by the estimator-unbiasedness tests — and
+// estimator — proved unbiased by exact enumeration in internal/core, where
+// the printed values put these five types at exactly half their counts — and
 // flags the discrepancy when reproducing Table 3.
 var PaperTable3Five = map[int][]int64{
 	1: {1, 0, 0, 1, 2, 0, 5, 2, 2, 4, 4, 6, 7, 6, 6, 10, 14, 18, 24, 36, 60},

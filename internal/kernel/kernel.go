@@ -13,9 +13,9 @@ func Cosine(c1, c2 []float64) float64 {
 	}
 	var dot, n1, n2 float64
 	for i := range c1 {
-		dot += c1[i] * c2[i]
-		n1 += c1[i] * c1[i]
-		n2 += c2[i] * c2[i]
+		dot += float64(c1[i] * c2[i])
+		n1 += float64(c1[i] * c1[i])
+		n2 += float64(c2[i] * c2[i])
 	}
 	if n1 == 0 || n2 == 0 {
 		return 0

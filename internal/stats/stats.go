@@ -20,7 +20,7 @@ func NRMSE(estimates []float64, truth float64) float64 {
 	var sse float64
 	for _, e := range estimates {
 		d := e - truth
-		sse += d * d
+		sse += float64(d * d)
 	}
 	return math.Sqrt(sse/float64(len(estimates))) / truth
 }
@@ -46,7 +46,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -70,13 +70,13 @@ func Quantile(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // PoolWorkers sizes a worker pool whose tasks are themselves parallel:
