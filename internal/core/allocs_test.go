@@ -9,12 +9,13 @@ import (
 )
 
 // The walk kernel's steady state must be allocation-free: once a walker is
-// warm — stateInfo cache map buckets sized, scratch slices at capacity — a
-// full window slide (classify + accumulate + transition, CSS re-weighting
-// and star recovery included, for every size riding the walk) performs zero
-// heap allocations. The d=3 rows fence the derived transition on both of its
-// count branches: the closed form on the in-memory client and the merge on a
-// crawl client (access.Counting). The throughput half lives in the BA1M
+// warm — scratch slices at capacity — a full window slide (classify +
+// accumulate + transition, CSS re-weighting and star recovery included, for
+// every size riding the walk) performs zero heap allocations. The d=3 rows
+// fence the derived transition on both of its count branches: the closed
+// form on the in-memory client and the merge on a crawl client
+// (access.Counting). The SRW3CSS row fences the record ring's miss path,
+// which its chain interiors take. The throughput half lives in the BA1M
 // benchmarks (bench_ba_test.go).
 func TestWalkStepZeroAllocs(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 4, 21)
@@ -45,7 +46,7 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 			wk := newWalker(c, row.cfg, 1)
 			wk.reset()
 			ctx := context.Background()
-			// Warm: several cache-clear cycles (infoCacheCap) and every
+			// Warm: many laps of the d >= 3 record ring and every
 			// scratch-growth path.
 			if err := wk.run(ctx, 3000); err != nil {
 				t.Fatal(err)
@@ -64,7 +65,8 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 
 // A short job's allocations, construction included: each walker is one
 // allocation holding everything it writes per step (its arena), so only the
-// shared pieces and the merge allocate beside it.
+// shared pieces and the merge allocate beside it. A d >= 3 walker's space is
+// one more allocation, holding its record ring by value.
 func TestShortJobAllocs(t *testing.T) {
 	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
 	for _, row := range []struct {
@@ -74,6 +76,8 @@ func TestShortJobAllocs(t *testing.T) {
 	}{
 		{"SRW2CSS_k4_W1", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 1}, 15},
 		{"SRW2CSS_k345_W2", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2}, 34},
+		{"SRW3_k4_W1", MultiConfig{Sizes: []int{4}, D: 3, Walkers: 1}, 17},
+		{"SRW3NB_k5_W2", MultiConfig{Sizes: []int{5}, D: 3, NB: true, Walkers: 2}, 31},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(20, func() {

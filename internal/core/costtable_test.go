@@ -102,15 +102,15 @@ func rawCallsPerWindow(t *testing.T) {
 		{[]int{5}, 2, true, true, 2155, 11790, []int{1965}},
 		{[]int{5}, 3, false, false, 12000, 5928, []int{1976}},
 		{[]int{5}, 3, false, true, 12030, 5979, []int{1993}},
-		{[]int{5}, 3, true, false, 29862, 14859, []int{1976}},
-		{[]int{5}, 3, true, true, 29316, 14622, []int{1993}},
+		{[]int{5}, 3, true, false, 29922, 14889, []int{1976}},
+		{[]int{5}, 3, true, true, 29418, 14673, []int{1993}},
 		{[]int{5}, 4, false, false, 24000, 2000, []int{2000}},
 		{[]int{5}, 4, false, true, 24036, 2000, []int{2000}},
 		{[]int{5}, 5, false, false, 40000, 0, []int{2000}},
 		{[]int{5}, 5, false, true, 40016, 0, []int{2000}},
 		// one walk, three sizes
 		{[]int{3, 4, 5}, 2, true, false, 2089, 19040, []int{2000, 1946, 1867}},
-		{[]int{3, 4, 5}, 3, true, false, 29862, 16859, []int{2000, 2000, 1976}},
+		{[]int{3, 4, 5}, 3, true, false, 29922, 16889, []int{2000, 2000, 1976}},
 	} {
 		cfg := MultiConfig{Sizes: row.sizes, D: row.d, CSS: row.css, NB: row.nb, Seed: 5}
 		name := fmt.Sprintf("%s k%v", cfg.MethodName(), row.sizes)

@@ -37,7 +37,7 @@ import (
 // value in the one walker allocation, with the slices carved from its fixed
 // arrays, and a cacheLine pad at each end keeps neighboring allocations off
 // the lines those writes hit. Two written objects stay outside: spaceD
-// (d >= 3), which pads itself by a line at each end since its derived ring is
+// (d >= 3), which pads itself by a line at each end since its record ring is
 // written every step, and math/rand's 4872-byte generator state behind the
 // RNG, which is served from the 5376-byte size class, whose 64-aligned slots
 // share no line.

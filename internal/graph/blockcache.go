@@ -104,8 +104,10 @@ func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32,
 // two mutexes are never held together. Eviction only drops the cache's
 // reference to a page — callers may still hold row slices into an evicted
 // page's slabs, so slabs are never reused; the garbage collector reclaims
-// them once the last row slice dies. This is the same second-chance (clock)
-// policy as internal/walk's stateInfo cache, adapted to byte-weighted entries.
+// them once the last row slice dies. The policy is second chance (clock),
+// weighted by bytes: the hand passes over a page read since its last pass,
+// noting its hit counter, and evicts the first page not read since, until
+// the resident bytes fit the budget.
 type blockStore struct {
 	data     []byte      // whole file image (mmap'd or heap)
 	n        int64       // node count, for decode validation

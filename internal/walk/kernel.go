@@ -34,8 +34,13 @@ import (
 //     draw's membership mask, the group that drops the new node keeps the
 //     current count, and only the other d-1 groups are counted (d = 3 on
 //     free-access clients: the closed form of count3). A transition issues
-//     no HasEdge; the record goes to spaceD's short derived ring, not
-//     through the clock cache.
+//     no HasEdge.
+//   - Every record, derived or counted from scratch, goes into one fixed
+//     ring of the last ringCap records on spaceD, and every lookup reads the
+//     ring first. A window's states, the next state and the chain interiors
+//     one CSS window names fit in it at once; a state the ring has not seen
+//     lately (the start state, a restored window, an interior last named a
+//     few windows ago) is counted again.
 //   - For d = 3 the draw is a selection, not a scan (selectNth): only the
 //     shorter of the two retained rows is iterated and the longer one — under
 //     the degree-proportional stationary distribution usually a hub's — is
@@ -63,49 +68,39 @@ type stateInfo struct {
 	adj AdjMask     // internal adjacency of the state's nodes
 }
 
-// infoCacheCap bounds the stateInfo cache. It serves the records a walk
-// does not derive: the start state, the states of a restored window ring
-// and CSS chain interiors. Entries are ~50 bytes and those states recur
-// within a few windows, so a few hundred entries make recomputation rare;
-// past capacity the cache evicts by second chance (see infoCache), so states
-// the walk keeps touching survive overflow while drive-by states recycle,
-// and steady-state inserts never allocate.
-const infoCacheCap = 256
+// ringCap is the size of spaceD's record ring: the longest d >= 3 window
+// (l = k-d+1 = 3 states for k = 5, d = 3) plus the next state, and the
+// C(5,3) = 10 chain interiors a k = 5 CSS window can name, rounded up from
+// 14 to 16.
+const ringCap = 16
 
-// derivedCap is the size of spaceD's ring of walk-derived records: the
-// longest d >= 3 window (l = k-d+1 = 3 states for k = 5, d = 3) plus one,
-// so every window state's record is still there when the window is
-// classified.
-const derivedCap = 4
-
-// derivedRecord is one entry of the derived ring.
-type derivedRecord struct {
+// ringRecord is one entry of spaceD's record ring.
+type ringRecord struct {
 	st State
 	fi stateInfo
 }
 
-// infoOf returns the kernel record of st: from the derived ring, else from
-// the clock cache, else computed and cached. A record is a pure function of
-// its state, so neither store can go stale.
+// infoOf returns the kernel record of st: from the ring, scanned newest
+// first, else computed and kept. A record is a pure function of its state,
+// so the ring cannot go stale.
 func (s *spaceD) infoOf(st State) stateInfo {
-	for i := range s.derived {
-		if s.derived[i].st == st {
-			return s.derived[i].fi
+	i := s.newest
+	for range ringCap {
+		if s.ring[i].st == st {
+			return s.ring[i].fi
 		}
-	}
-	if fi, ok := s.info.get(st); ok {
-		return fi
+		i = (i + ringCap - 1) % ringCap
 	}
 	fi := s.record(st)
-	s.info.put(st, fi)
+	s.keep(st, fi)
 	return fi
 }
 
-// keep puts a walk-derived record into the ring, over the oldest entry, and
-// returns its state.
+// keep puts a record into the ring, over the oldest entry, and returns its
+// state.
 func (s *spaceD) keep(st State, fi stateInfo) State {
-	s.newest = (s.newest + 1) % derivedCap
-	s.derived[s.newest] = derivedRecord{st: st, fi: fi}
+	s.newest = (s.newest + 1) % ringCap
+	s.ring[s.newest] = ringRecord{st: st, fi: fi}
 	return st
 }
 

@@ -383,6 +383,59 @@ func TestTransitionsMatchReference(t *testing.T) {
 	}
 }
 
+// TestRecordRing checks the record ring every lookup goes through. It walks
+// a d = 3 and a d = 4 space over a crawl client and, at each step, looks up
+// a state visited long ago, the last three window states and the current
+// state. A state among the last ringCap records kept must be served from the
+// ring, with no client call; any other is counted from scratch and kept.
+// Either way the record must equal the one a fresh space computes.
+func TestRecordRing(t *testing.T) {
+	g := gen.BarabasiAlbert(500, 3, 9)
+	for _, d := range []int{3, 4} {
+		c := access.NewCounting(access.NewGraphClient(g), g.NumNodes())
+		sp, fresh := newSpaceD(c, d), newSpaceD(access.NewGraphClient(g), d)
+		var kept, visited []State // kept: every record put in the ring, oldest first
+		hits, misses := 0, 0
+		lookup := func(st State) {
+			before := c.Stats()
+			fi := sp.infoOf(st)
+			called := c.Stats() != before
+			if slices.Contains(kept[max(0, len(kept)-ringCap):], st) {
+				hits++
+				if called {
+					t.Fatalf("d=%d %v: one of the last %d records kept, but the lookup called the client", d, st, ringCap)
+				}
+			} else {
+				misses++
+				if !called {
+					t.Fatalf("d=%d %v: not among the last %d records kept, but served without a client call", d, st, ringCap)
+				}
+				kept = append(kept, st)
+			}
+			if want := fresh.record(st); fi != want {
+				t.Fatalf("d=%d %v: record %+v, want %+v", d, st, fi, want)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(d)))
+		cur := sp.RandomState(rng)
+		for step := 0; step < 400; step++ {
+			if len(visited) > 50 && step%3 == 0 {
+				lookup(visited[rng.Intn(len(visited)-50)])
+			}
+			for back := min(3, len(visited)); back > 0; back-- {
+				lookup(visited[len(visited)-back])
+			}
+			lookup(cur)
+			visited = append(visited, cur)
+			cur = sp.RandomNeighbor(cur, rng)
+			kept = append(kept, cur)
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("d=%d: %d hits and %d misses, want both", d, hits, misses)
+		}
+	}
+}
+
 // FuzzSelectNth compares both scan directions of the d=3 selection, and
 // selectNth with either row first, with a plain merge. The input is a flag
 // byte (bit 0: intersection), two bytes of r (taken modulo the set's size)

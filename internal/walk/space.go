@@ -163,22 +163,20 @@ func (s *space2) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 // the merge's membership bitmask, and transitions never materialize neighbor
 // lists — a selection inside one dropped-node group (d = 3: over the shorter
 // row only, from the nearer end) yields the uniformly drawn neighbor, and its
-// record is derived from the current state's. The records of the last few
-// transitions sit in a fixed ring (derived), which serves the window's
-// degree and adjacency lookups; every other record is kept in a bounded
-// clock-evicting cache (see infoCacheCap and infoCache). Each walker owns
-// its space, and sibling walkers' spaces are allocated back to back; the
-// ring is written every step, so a cache line of padding at each end keeps
-// one walker's writes off the line its neighbor reads.
+// record is derived from the current state's. Every record, derived or
+// counted from scratch, is kept in one fixed ring of the last ringCap
+// records (ring), which serves every degree and adjacency lookup. Each
+// walker owns its space, and sibling walkers' spaces are allocated back to
+// back; the ring is written every step, so a cache line of padding at each
+// end keeps one walker's writes off the line its neighbor reads.
 type spaceD struct {
-	_       [cacheLine]byte
-	c       access.Client
-	cc      access.CommonCounter // non-nil iff c's access is free (see access.CommonCounter)
-	d       int
-	info    infoCache
-	derived [derivedCap]derivedRecord
-	newest  int // ring index of the newest derived record
-	_       [cacheLine]byte
+	_      [cacheLine]byte
+	c      access.Client
+	cc     access.CommonCounter // non-nil iff c's access is free (see access.CommonCounter)
+	d      int
+	ring   [ringCap]ringRecord
+	newest int // ring index of the newest record
+	_      [cacheLine]byte
 }
 
 // cacheLine is the coherence granule spaceD pads against.
@@ -186,7 +184,7 @@ const cacheLine = 64
 
 func newSpaceD(c access.Client, d int) *spaceD {
 	cc, _ := c.(access.CommonCounter)
-	return &spaceD{c: c, cc: cc, d: d, info: newInfoCache()}
+	return &spaceD{c: c, cc: cc, d: d}
 }
 
 func (s *spaceD) D() int { return s.d }
