@@ -13,8 +13,8 @@ import (
 // walker is the per-goroutine layer of the estimation engine: exactly one
 // random walk on G(d), a ring of its last max(l_k) states that serves every
 // target size's window, and one private accumulator per size. A walker owns
-// its walk.Space instance (spaceD keeps a ring of derived records and a cache
-// of computed ones) and its RNG, so it never shares mutable state with
+// its walk.Space instance (spaceD keeps one ring of its last 16 state records,
+// derived or counted) and its RNG, so it never shares mutable state with
 // sibling walkers — the only shared object is the access.Client, which is
 // required to be safe for concurrent use.
 //

@@ -576,3 +576,62 @@ func TestWorkerRejects(t *testing.T) {
 		t.Errorf("GET: status %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestRunRejectedResumeRunsFromScratch hands Run, with no peers, a resume
+// state that cannot restore: a full-ensemble state with the right walker
+// count, captured under another seed. Each in-process partition rejects its
+// slice, the tracker forgets it, and the partition re-runs from scratch — to
+// the bytes of a fresh run, crediting no resumed work, and syncing no target
+// at or below the rejected state's.
+func TestRunRejectedResumeRunsFromScratch(t *testing.T) {
+	g := testGraph()
+	cfg := core.MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 3, Seed: 17}
+	const n, every, at = 3000, 500, 1500
+	asns := func() []*Assignment {
+		return PartitionAssignments(Assignment{
+			Graph: "test", Meta: metaOf(g), Multi: &cfg, Budget: n, Every: every,
+		}, 2)
+	}
+	local := func() access.Client { return access.NewGraphClient(g) }
+
+	fresh, err := Run(t.Context(), Options{LocalClient: local}, asns(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	foreignCfg := cfg
+	foreignCfg.Seed = cfg.Seed + 1
+	foreignEst, err := core.NewMultiEstimator(access.NewGraphClient(g), foreignCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foreign *core.EnsembleState
+	if _, err := foreignEst.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
+		if step == at {
+			foreign = foreignEst.Snapshot()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var targets []int
+	final, err := Run(t.Context(), Options{
+		LocalClient: local,
+		OnResume:    func(int) { t.Error("OnResume fired for a rejected resume state") },
+		OnSync:      func(combined *core.EnsembleState) { targets = append(targets, combined.WindowsDone) },
+	}, asns(), foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(final.Encode(), fresh.Encode()) {
+		t.Error("run past a rejected resume state differs from a fresh run")
+	}
+	if len(targets) == 0 || targets[len(targets)-1] != n {
+		t.Fatalf("sync targets %v, want the last at %d", targets, n)
+	}
+	for i, target := range targets {
+		if target <= at || i > 0 && target <= targets[i-1] {
+			t.Fatalf("sync targets %v: want strictly increasing, all above the rejected %d", targets, at)
+		}
+	}
+}

@@ -1,24 +1,28 @@
 package service
 
-import (
-	"sync"
+import "repro/internal/service/journal"
 
-	"repro/internal/service/journal"
-)
-
-// The asynchronous journal pipeline: state transitions enqueue their records
+// The asynchronous journal pipeline: state transitions queue their records
 // under Manager.mu — which fixes the on-disk order to match the in-memory
 // transition order — but the actual writes (and fsyncs, and compactions)
-// happen on a single writer goroutine draining the queue FIFO. A slow disk
-// under -fsync therefore stalls the writer, never the API surface: Submit,
-// checkpoint callbacks and finishes release Manager.mu immediately after the
-// (in-memory) enqueue.
+// happen on a single writer goroutine draining the queue FIFO. The queue is
+// one more piece of state under Manager.mu (Manager.jops, with the jnlWake
+// condition on that lock); the writer holds the lock only to take the whole
+// queued batch, and never across disk I/O. A slow disk under -fsync
+// therefore stalls the writer, never the API surface: Submit, checkpoint
+// callbacks and finishes release Manager.mu immediately after the
+// (in-memory) append.
 //
 // The trade-off is a bounded durability window: a record is on disk a queue
 // drain after its transition, not before the submitter's HTTP response. A
 // crash can lose the tail of the queue — the same tail a non-fsync
 // synchronous journal could lose from the page cache — and recovery handles
 // any prefix of the history by construction.
+//
+// The queue is unbounded on purpose: a bounded queue would re-couple the API
+// to disk speed the moment it filled, and queue memory is bounded in
+// practice by job activity (records are a few KB; the writer drains at disk
+// speed).
 
 // jnlOp is one unit of the ordered append queue: a record append or a
 // barrier (close the channel once everything ahead of it has reached the
@@ -28,55 +32,25 @@ type jnlOp struct {
 	barrier chan struct{}
 }
 
-// appendQueue is an unbounded FIFO of journal operations. Unbounded is the
-// point: a bounded queue would re-couple the API to disk speed the moment it
-// filled, and queue memory is bounded in practice by job activity (records
-// are a few KB; the writer drains at disk speed).
-type appendQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ops    []jnlOp
-	closed bool
-}
-
-func newAppendQueue() *appendQueue {
-	q := &appendQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push enqueues op; it reports false once the queue is closed (the op is
-// dropped — the manager is shutting down).
-func (q *appendQueue) push(op jnlOp) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+// pushJournalLocked queues op for the writer and wakes it; it reports false
+// once the queue is closed (the op is dropped — the manager is shutting
+// down). Caller holds m.mu.
+func (m *Manager) pushJournalLocked(op jnlOp) bool {
+	if m.jnlClosed {
 		return false
 	}
-	q.ops = append(q.ops, op)
-	q.cond.Signal()
+	m.jops = append(m.jops, op)
+	m.jnlWake.Signal()
 	return true
 }
 
-// next blocks until operations are available and returns the whole batch in
-// FIFO order. ok is false once the queue is closed and drained.
-func (q *appendQueue) next() (ops []jnlOp, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.ops) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	ops, q.ops = q.ops, nil
-	return ops, !q.closed || len(ops) > 0
-}
-
-// close marks the queue closed; the writer drains what is already queued and
-// exits.
-func (q *appendQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
+// closeJournalQueue marks the append queue closed: the writer writes what is
+// already queued and exits, and later records are dropped.
+func (m *Manager) closeJournalQueue() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.jnlClosed = true
+	m.jnlWake.Broadcast()
 }
 
 // journalWriter is the single goroutine draining the append queue into the
@@ -88,7 +62,15 @@ func (q *appendQueue) close() {
 func (m *Manager) journalWriter() {
 	defer m.jnlWg.Done()
 	for {
-		ops, ok := m.jq.next()
+		m.mu.Lock()
+		for len(m.jops) == 0 && !m.jnlClosed {
+			m.jnlWake.Wait()
+		}
+		// Nothing is queued after the close, so a batch taken closed is the
+		// last one.
+		ops, closed := m.jops, m.jnlClosed
+		m.jops = nil
+		m.mu.Unlock()
 		for _, op := range ops {
 			if op.barrier != nil {
 				close(op.barrier)
@@ -103,7 +85,7 @@ func (m *Manager) journalWriter() {
 				_ = m.compactJournal() // failures are counted; the daemon keeps serving from memory
 			}
 		}
-		if !ok {
+		if closed {
 			return
 		}
 	}
@@ -118,17 +100,19 @@ func (m *Manager) syncJournal() {
 		return
 	}
 	ch := make(chan struct{})
-	if !m.jq.push(jnlOp{barrier: ch}) {
-		return
+	m.mu.Lock()
+	queued := m.pushJournalLocked(jnlOp{barrier: ch})
+	m.mu.Unlock()
+	if queued {
+		<-ch
 	}
-	<-ch
 }
 
 // compactJournal runs one compaction, from replay (before the writer
 // goroutine and worker pool exist) or on the writer goroutine. The keep
 // decision needs the job table and cache-owner set, which Manager.mu guards:
 // they are snapshotted under the lock, then the (slow) segment rewrite runs
-// without it. On the writer goroutine, records enqueued before this
+// without it — no disk I/O runs under Manager.mu. On the writer goroutine, records enqueued before this
 // operation are already on disk (FIFO queue) and records enqueued after it
 // land in the post-compaction segment — so a snapshot taken here is
 // consistent with everything the compaction can see.

@@ -209,7 +209,7 @@ func crashCoordinator(t *testing.T, reg *Registry) (dir, id string, target int, 
 	// Flush what is queued and stop the journal writer, as dead as a killed
 	// process: a frame still in flight when the fleet froze must not append
 	// to the log while the restarted coordinator reads it.
-	mgr.jq.close()
+	mgr.closeJournalQueue()
 	mgr.jnlWg.Wait()
 	ckpts := journaledCheckpoints(t, dir, view.ID)
 	if len(ckpts) == 0 || ckpts[len(ckpts)-1].Steps < at {

@@ -265,6 +265,11 @@ func (o Options) withDefaults() Options {
 // priority scheduler and its bounded worker pool, progress snapshots and
 // event streams, journaling, and cancellation. All methods are safe for
 // concurrent use.
+//
+// One lock, mu, guards all of it: the job table, the scheduler's class
+// queues and the journal's append queue. A worker pops a job and marks it
+// running in one critical section, so whenever mu is free a job is in its
+// class queue exactly when its state is queued.
 type Manager struct {
 	reg  *Registry
 	opts Options
@@ -284,11 +289,17 @@ type Manager struct {
 	nextID    int
 	replaying bool
 	closed    bool
+	// dispatch wakes an idle worker when a job is enqueued, and every
+	// worker at Close. Its lock is mu.
+	dispatch *sync.Cond
 
-	// jq is the ordered append queue between state transitions (enqueued
-	// under mu) and the journal writer goroutine (asyncjournal.go).
-	jq    *appendQueue
-	jnlWg sync.WaitGroup
+	// jops is the ordered append queue between state transitions and the
+	// journal writer goroutine (asyncjournal.go), which jnlWake (on mu)
+	// wakes. jnlClosed is set once the workers have exited.
+	jops      []jnlOp
+	jnlWake   *sync.Cond
+	jnlClosed bool
+	jnlWg     sync.WaitGroup
 
 	wg sync.WaitGroup
 }
@@ -308,8 +319,8 @@ func NewManager(reg *Registry, opts Options) (*Manager, error) {
 		cache:    newResultCache(opts.CacheSize, met.cacheEvictions),
 		sched:    newScheduler(maxQueued, met.queueDepth),
 		waits:    make(map[Priority]*waitReservoir),
-		jq:       newAppendQueue(),
 	}
+	m.dispatch, m.jnlWake = sync.NewCond(&m.mu), sync.NewCond(&m.mu)
 	m.installCollector()
 	if opts.DataDir != "" {
 		jnl, err := journal.Open(filepath.Join(opts.DataDir, "journal"), journal.Options{
@@ -349,16 +360,18 @@ func (m *Manager) Close() {
 		m.finishLocked(j, StateCanceled, nil, context.Canceled)
 	}
 	for _, j := range m.jobs {
-		if j.state == StateRunning && j.cancel != nil {
+		if j.state == StateRunning {
 			j.cancel()
 		}
 	}
+	m.dispatch.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
+	// Workers are gone, their terminal records queued: the writer drains
+	// them, then the journal closes.
+	m.closeJournalQueue()
+	m.jnlWg.Wait()
 	if m.jnl != nil {
-		// Workers are gone; drain whatever they enqueued, then close shop.
-		m.jq.close()
-		m.jnlWg.Wait()
 		m.jnl.Close()
 	}
 }
@@ -431,15 +444,13 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (JobView, error) {
 		j.coalesced++
 		m.met.coalesced.Inc()
 		if j.state == StateQueued && priorityRank(spec.Priority) > priorityRank(j.spec.Priority) {
-			if m.sched.promote(j, spec.Priority) {
-				j.spec.Priority = spec.Priority
-				// Re-journal the admission with the effective class: replay
-				// applies submitted records last-wins, so a crash after the
-				// promotion re-queues the job at its promoted priority
-				// instead of silently demoting it.
-				m.journalAppendLocked(journal.TypeSubmitted, j.id,
-					recSubmitted{Spec: j.spec, GraphMeta: m.graphMeta(j.spec.Graph), RequestID: j.traceID})
-			}
+			m.sched.promote(j, spec.Priority)
+			// Re-journal the admission with the effective class: replay
+			// applies submitted records last-wins, so a crash after the
+			// promotion re-queues the job at its promoted priority instead
+			// of silently demoting it.
+			m.journalAppendLocked(journal.TypeSubmitted, j.id,
+				recSubmitted{Spec: j.spec, GraphMeta: m.graphMeta(j.spec.Graph), RequestID: j.traceID})
 		}
 		return j.view(), nil
 	}
@@ -451,6 +462,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, spec Spec) (JobView, error) {
 		m.order = m.order[:len(m.order)-1]
 		return JobView{}, err
 	}
+	m.dispatch.Signal()
 	m.inflight[key] = j
 	m.journalAppendLocked(journal.TypeSubmitted, j.id,
 		recSubmitted{Spec: spec, GraphMeta: m.graphMeta(spec.Graph), RequestID: j.traceID})
@@ -702,7 +714,7 @@ func (m *Manager) Stats() Stats {
 		Coalesced:     int(m.met.coalesced.Value()),
 		Workers:       m.opts.Workers,
 		MaxWalkers:    m.opts.MaxWalkers,
-		QueueDepth:    m.sched.depth(),
+		QueueDepth:    m.sched.size,
 		ActiveJobs:    int(m.met.jobsActive.Value()),
 		GraphsCount:   len(m.reg.List()),
 		QueueByClass:  m.sched.depthByClass(),

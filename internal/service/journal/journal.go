@@ -631,19 +631,6 @@ func (l *Log) compact(keep func(Record) bool) error {
 	return nil
 }
 
-// Sync flushes the active segment to disk.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.active == nil {
-		return nil
-	}
-	if err := l.syncFile(l.active); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
 // Close syncs and closes the log. Further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()

@@ -9,7 +9,10 @@
 //     walker ensemble;
 //   - a weighted-fair priority scheduler (scheduler.go): interactive >
 //     batch > background classes under per-class deficit accounting, so
-//     short jobs overtake long crawls without starving them;
+//     short jobs overtake long crawls without starving them. It is plain
+//     data under the Manager's one lock, which also guards the job table
+//     and the journal's append queue, and a worker pops a job and marks it
+//     running in one critical section;
 //   - a durable journal (store.go + the journal subpackage): with a data
 //     dir, every lifecycle transition is logged append-only and replayed on
 //     restart — the job table rebuilds, the result cache warms, and

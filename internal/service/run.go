@@ -13,15 +13,41 @@ import (
 	"repro/internal/service/journal"
 )
 
-// worker pulls dispatched jobs from the scheduler until Close.
+// worker runs dispatched jobs until Close. It pops a job and marks it
+// running in one critical section, so whenever m.mu is free a job is in its
+// class queue exactly when its state is queued, and Cancel and Close find
+// every live job either queued or running. The same critical section
+// settles the job the worker ran before.
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	m.mu.Lock()
 	for {
-		j, ok := m.sched.next()
+		j, ok := m.sched.pop()
 		if !ok {
-			return
+			if m.closed {
+				m.mu.Unlock()
+				return
+			}
+			m.dispatch.Wait()
+			continue
 		}
-		m.runJob(j)
+		ctx, cancel := context.WithCancel(context.Background())
+		j.state = StateRunning
+		j.started = time.Now()
+		j.cancel = cancel
+		m.met.jobsActive.Inc()
+		m.met.runs.Inc()
+		m.recordDispatchLocked(j)
+		// Replay's resumed-step figure was provisional: the partitions credit
+		// what they actually restore, once, as they complete (OnResume).
+		j.progress.ResumedSteps = 0
+		m.journalAppendLocked(journal.TypeStarted, j.id, nil)
+		resumeSnap := j.resumeSnap
+		m.mu.Unlock()
+		res, err := m.runJob(ctx, j, resumeSnap)
+		cancel()
+		m.mu.Lock()
+		m.settleLocked(j, res, err)
 	}
 }
 
@@ -37,48 +63,23 @@ func (m *Manager) snapshotEvery(steps int) int {
 	return every
 }
 
-// runJob executes one dispatched job end to end, on the one execution path:
+// runJob executes one running job end to end, on the one execution path:
 // the job's walker ensemble runs as partitions through the dist coordinator —
 // Nodes partitions on the peer fleet when the spec asks for distribution and
 // peers are configured, otherwise the one partition [0, W) in this process,
 // on this goroutine. Where a walker runs cannot change a byte, so the two
-// differ in the partition count and the peer list and nothing else.
-func (m *Manager) runJob(j *job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	m.mu.Lock()
-	if j.state != StateQueued { // cancelled between dispatch and here
-		m.mu.Unlock()
-		return
-	}
-	if m.closed { // dispatched during shutdown
-		delete(m.inflight, j.spec.key())
-		m.finishLocked(j, StateCanceled, nil, context.Canceled)
-		m.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	m.met.jobsActive.Inc()
-	m.met.runs.Inc()
-	m.recordDispatchLocked(j)
-	resumeSnap := j.resumeSnap
-	// Replay's resumed-step figure was provisional: the partitions credit
-	// what they actually restore, once, as they complete (OnResume).
-	j.progress.ResumedSteps = 0
-	m.journalAppendLocked(journal.TypeStarted, j.id, nil)
-	m.mu.Unlock()
-
+// differ in the partition count and the peer list and nothing else. ctx is
+// the job's (Cancel and Close cancel it) and resumeSnap its recovered
+// checkpoint snapshot, read when the worker started it. The worker settles
+// the returned result.
+func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.MultiResult, error) {
 	spec := j.spec
 	g, ok := m.reg.Get(spec.Graph)
 	if !ok {
 		// The graph was removed between submit and dispatch: fail cleanly
 		// (a terminal "failed" state with an actionable message) instead of
 		// surfacing whatever a nil graph would have produced mid-run.
-		m.settle(j, nil, fmt.Errorf("service: graph %q was removed after this job was submitted", spec.Graph))
-		return
+		return nil, fmt.Errorf("service: graph %q was removed after this job was submitted", spec.Graph)
 	}
 	cfg := spec.config()
 	base := dist.Assignment{
@@ -174,18 +175,16 @@ func (m *Manager) runJob(j *job) {
 	if err == nil && (synced == nil || synced.Steps != final.WindowsDone) {
 		synced, err = final.MergedResult()
 	}
-	m.settle(j, synced, err)
+	return synced, err
 }
 
-// settle records a run's outcome. A completed run fills the result cache
+// settleLocked records a run's outcome. A completed run fills the result cache
 // with one entry per size, keyed as the equivalent single-size spec (for a
 // single-size job, its own key), so later single-size requests for any
 // covered k — and later multi-size requests, reassembled from the same
 // entries — are warm hits. A cancelled run keeps its partial result
-// (progress made) but is not cached.
-func (m *Manager) settle(j *job, res *core.MultiResult, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// (progress made) but is not cached. Caller holds m.mu.
+func (m *Manager) settleLocked(j *job, res *core.MultiResult, err error) {
 	m.met.jobsActive.Dec()
 	delete(m.inflight, j.spec.key())
 	switch {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -76,18 +75,16 @@ func ParsePriority(s string) (Priority, error) {
 // re-enters at the current virtual time instead of cashing in banked
 // credit. FIFO order is preserved within a class.
 //
-// scheduler has its own lock, acquired after Manager.mu in every shared
-// call path (enqueue/remove/promote under Manager.mu; next from bare worker
-// goroutines), so the ordering is acyclic.
+// scheduler is plain data guarded by Manager.mu: the manager enqueues,
+// promotes and removes jobs and a worker pops one and marks it running in
+// the same critical section, so whenever Manager.mu is free a job is in its
+// class queue exactly when its state is queued.
 type scheduler struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
 	queues map[Priority][]*job
 	pass   map[Priority]float64
-	vtime  float64 // monotone virtual clock; see next()
+	vtime  float64 // monotone virtual clock; see pop()
 	size   int
 	cap    int
-	closed bool
 
 	// depthGauge mirrors per-class backlog into the metrics registry at
 	// every queue mutation (nil-safe obs no-ops when unwired).
@@ -95,18 +92,16 @@ type scheduler struct {
 }
 
 func newScheduler(queueCap int, depthGauge *obs.GaugeVec) *scheduler {
-	s := &scheduler{
+	return &scheduler{
 		queues:     make(map[Priority][]*job),
 		pass:       make(map[Priority]float64),
 		cap:        queueCap,
 		depthGauge: depthGauge,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
-// noteDepthLocked refreshes class p's queue-depth gauge. Caller holds s.mu.
-func (s *scheduler) noteDepthLocked(p Priority) {
+// noteDepth refreshes class p's queue-depth gauge.
+func (s *scheduler) noteDepth(p Priority) {
 	s.depthGauge.With(string(p)).Set(int64(len(s.queues[p])))
 }
 
@@ -128,14 +123,9 @@ func jobCost(j *job) float64 {
 	return float64(cost)
 }
 
-// enqueue admits j into its class queue. It fails when the scheduler is
-// closed or the total backlog is at capacity.
+// enqueue admits j into its class queue. It fails when the total backlog is
+// at capacity.
 func (s *scheduler) enqueue(j *job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("service: scheduler closed")
-	}
 	if s.size >= s.cap {
 		return fmt.Errorf("service: admission queue full (%d jobs)", s.cap)
 	}
@@ -147,20 +137,14 @@ func (s *scheduler) enqueue(j *job) error {
 	}
 	s.queues[p] = append(s.queues[p], j)
 	s.size++
-	s.noteDepthLocked(p)
-	s.cond.Signal()
+	s.noteDepth(p)
 	return nil
 }
 
-// next blocks until a job is available and returns it, or returns false
-// once the scheduler is closed.
-func (s *scheduler) next() (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.size == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
+// pop dequeues the next job to dispatch, or reports false when nothing is
+// queued.
+func (s *scheduler) pop() (*job, bool) {
+	if s.size == 0 {
 		return nil, false
 	}
 	var best Priority
@@ -179,7 +163,7 @@ func (s *scheduler) next() (*job, bool) {
 	q[0] = nil
 	s.queues[best] = q[1:]
 	s.size--
-	s.noteDepthLocked(best)
+	s.noteDepth(best)
 	s.pass[best] += jobCost(j) / priorityWeight(best)
 	// Advance the virtual clock to the smallest pass still backlogged (or to
 	// the dispatched class's new pass when the backlog drained). Classes
@@ -199,21 +183,15 @@ func (s *scheduler) next() (*job, bool) {
 	return j, true
 }
 
-// remove unlinks a still-queued job (cancellation); it reports whether the
-// job was found (false means a worker already claimed it).
+// remove unlinks a queued job (cancellation); it reports whether the job
+// was found.
 func (s *scheduler) remove(j *job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.removeLocked(j)
-}
-
-func (s *scheduler) removeLocked(j *job) bool {
 	q := s.queues[j.spec.Priority]
 	for i, queued := range q {
 		if queued == j {
 			s.queues[j.spec.Priority] = append(q[:i], q[i+1:]...)
 			s.size--
-			s.noteDepthLocked(j.spec.Priority)
+			s.noteDepth(j.spec.Priority)
 			return true
 		}
 	}
@@ -221,52 +199,29 @@ func (s *scheduler) removeLocked(j *job) bool {
 }
 
 // promote moves a queued job to a more urgent class (a coalesced submitter
-// asked for it at higher priority). The caller updates j.spec.Priority —
-// under Manager.mu — only when promote reports the move happened.
-func (s *scheduler) promote(j *job, to Priority) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.removeLocked(j) {
-		return false
-	}
-	if len(s.queues[to]) == 0 && s.pass[to] < s.vtime {
-		s.pass[to] = s.vtime
-	}
-	s.queues[to] = append(s.queues[to], j)
-	s.size++
-	s.noteDepthLocked(to)
-	s.cond.Signal()
-	return true
+// asked for it at higher priority) and sets its spec's priority. The enqueue
+// cannot fail: the remove just freed a slot.
+func (s *scheduler) promote(j *job, to Priority) {
+	s.remove(j)
+	j.spec.Priority = to
+	_ = s.enqueue(j)
 }
 
-// drain closes the scheduler and returns every still-queued job, newest
-// class first order unspecified. Blocked next callers wake and exit.
+// drain empties every queue and returns the jobs it held, in no particular
+// order.
 func (s *scheduler) drain() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
 	var out []*job
 	for p, q := range s.queues {
 		out = append(out, q...)
 		s.queues[p] = nil
-		s.noteDepthLocked(p)
+		s.noteDepth(p)
 	}
 	s.size = 0
-	s.cond.Broadcast()
 	return out
-}
-
-// depth returns the total backlog.
-func (s *scheduler) depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
 }
 
 // depthByClass snapshots the per-class backlog for stats.
 func (s *scheduler) depthByClass() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[string]int, len(s.queues))
 	for p, q := range s.queues {
 		if len(q) > 0 {

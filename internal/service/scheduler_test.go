@@ -28,9 +28,9 @@ func TestSchedulerDispatchOrder(t *testing.T) {
 	}
 	var got []string
 	for i := 0; i < len(jobs); i++ {
-		j, ok := s.next()
+		j, ok := s.pop()
 		if !ok {
-			t.Fatal("scheduler closed early")
+			t.Fatal("scheduler empty early")
 		}
 		got = append(got, j.id)
 	}
@@ -56,9 +56,9 @@ func TestSchedulerNoStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		j, ok := s.next()
+		j, ok := s.pop()
 		if !ok {
-			t.Fatal("scheduler closed early")
+			t.Fatal("scheduler empty early")
 		}
 		if j.id == "bg" {
 			return
@@ -88,8 +88,8 @@ func TestSchedulerCapRemoveDrain(t *testing.T) {
 	if s.remove(a) {
 		t.Fatal("double remove succeeded")
 	}
-	if got := s.depth(); got != 1 {
-		t.Fatalf("depth = %d, want 1", got)
+	if s.size != 1 {
+		t.Fatalf("size = %d, want 1", s.size)
 	}
 	if by := s.depthByClass(); by[string(PriorityInteractive)] != 1 || len(by) != 1 {
 		t.Fatalf("depthByClass = %v", by)
@@ -98,11 +98,8 @@ func TestSchedulerCapRemoveDrain(t *testing.T) {
 	if len(rest) != 1 || rest[0] != b {
 		t.Fatalf("drain returned %v", rest)
 	}
-	if _, ok := s.next(); ok {
-		t.Fatal("next succeeded after drain")
-	}
-	if err := s.enqueue(schedJob("d", PriorityBatch, 1)); err == nil {
-		t.Fatal("enqueue succeeded after drain")
+	if _, ok := s.pop(); ok {
+		t.Fatal("pop succeeded after drain")
 	}
 }
 
@@ -118,15 +115,38 @@ func TestSchedulerPromote(t *testing.T) {
 	if err := s.enqueue(shared); err != nil {
 		t.Fatal(err)
 	}
-	if !s.promote(shared, PriorityInteractive) {
-		t.Fatal("promote missed a queued job")
-	}
-	shared.spec.Priority = PriorityInteractive
-	j, ok := s.next()
+	s.promote(shared, PriorityInteractive)
+	j, ok := s.pop()
 	if !ok || j != shared {
 		t.Fatalf("first dispatch = %v, want the promoted job", j)
 	}
-	if j, ok = s.next(); !ok || j != slow {
+	if j, ok = s.pop(); !ok || j != slow {
 		t.Fatalf("second dispatch = %v, want the background job", j)
+	}
+}
+
+// Once closed, the manager admits nothing: Submit returns an error, and
+// neither the job table nor the journal gains a record.
+func TestSubmitAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	mgr := newTestManager(t, testRegistry(t), Options{Workers: 1, DataDir: dir})
+	spec := Spec{Graph: "hk", K: 3, D: 1, Steps: 500, Seed: 1}
+	v, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, mgr, v.ID)
+	mgr.Close()
+	before := len(journalRecords(t, dir))
+
+	spec.Seed = 2
+	if _, err := mgr.Submit(spec); err == nil || !strings.Contains(err.Error(), "manager closed") {
+		t.Fatalf("submit after Close: %v, want the manager-closed error", err)
+	}
+	if got := len(mgr.List()); got != 1 {
+		t.Errorf("job table holds %d jobs after a refused submit, want 1", got)
+	}
+	if after := len(journalRecords(t, dir)); after != before {
+		t.Errorf("journal holds %d records after a refused submit, %d before", after, before)
 	}
 }

@@ -554,3 +554,92 @@ func TestServicePanicFailsJob(t *testing.T) {
 		})
 	}
 }
+
+// The routes the end-to-end tests do not walk: the job listing, one graph's
+// introspection, unknown graphs, wrong methods and unknown paths. Every
+// error answers with a JSON body carrying the message.
+func TestServerRoutes(t *testing.T) {
+	reg := testRegistry(t)
+	mgr := newTestManager(t, reg, Options{Workers: 1})
+	defer mgr.Close()
+	srv := httptest.NewServer(NewServer(reg, mgr))
+	defer srv.Close()
+
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		v, err := mgr.Submit(Spec{Graph: "hk", K: 3, D: 1, Steps: 500, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	hk, _ := reg.Info("hk")
+
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		check        func(t *testing.T, body []byte)
+	}{
+		{http.MethodGet, "/v1/jobs", http.StatusOK, func(t *testing.T, body []byte) {
+			var listing struct {
+				Jobs []JobView `json:"jobs"`
+			}
+			if err := json.Unmarshal(body, &listing); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, v := range listing.Jobs {
+				got = append(got, v.ID)
+			}
+			if strings.Join(got, ",") != strings.Join(ids, ",") {
+				t.Errorf("listed jobs %v, want %v in submission order", got, ids)
+			}
+		}},
+		{http.MethodGet, "/v1/graphs/hk", http.StatusOK, func(t *testing.T, body []byte) {
+			var info GraphInfo
+			if err := json.Unmarshal(body, &info); err != nil {
+				t.Fatal(err)
+			}
+			if info != hk {
+				t.Errorf("graph info %+v, want %+v", info, hk)
+			}
+		}},
+		{http.MethodGet, "/v1/graphs/nope", http.StatusNotFound, nil},
+		{http.MethodDelete, "/v1/graphs/nope", http.StatusNotFound, nil},
+		{http.MethodPut, "/v1/graphs/hk", http.StatusMethodNotAllowed, nil},
+		{http.MethodPut, "/v1/jobs/" + ids[0], http.StatusMethodNotAllowed, nil},
+		{http.MethodGet, "/v1/nothing", http.StatusNotFound, nil},
+	} {
+		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			if _, err := body.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.status, body.Bytes())
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type %q, want application/json", ct)
+			}
+			if tc.check != nil {
+				tc.check(t, body.Bytes())
+				return
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Errorf("error body %s, want a JSON error message", body.Bytes())
+			}
+		})
+	}
+}

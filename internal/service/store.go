@@ -115,7 +115,7 @@ type recFailed struct {
 	Error string `json:"error,omitempty"`
 }
 
-// journalAppendLocked hands one record to the ordered append queue, best
+// journalAppendLocked appends one record to the ordered append queue, best
 // effort: a failed write is reported by counter rather than failing the job
 // — the daemon keeps serving from memory if the disk fills. Caller holds
 // m.mu, which is what fixes the on-disk record order to the in-memory
@@ -138,7 +138,7 @@ func (m *Manager) journalAppendLocked(typ journal.Type, jobID string, payload an
 	}
 	// Stamp the time at enqueue: the record's logical time is the state
 	// transition, not the (later) asynchronous write.
-	m.jq.push(jnlOp{rec: journal.Record{
+	m.pushJournalLocked(jnlOp{rec: journal.Record{
 		Type: typ, Job: jobID, Time: time.Now().UnixNano(), Payload: body,
 	}})
 }
