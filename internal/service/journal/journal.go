@@ -69,7 +69,8 @@ const (
 	TypeSubmitted Type = 1
 	// TypeStarted records a job leaving the queue for a worker.
 	TypeStarted Type = 2
-	// TypeCheckpoint records a progress snapshot of a running job.
+	// TypeCheckpoint records a checkpoint of a running job; the payload
+	// carries its ensemble snapshot.
 	TypeCheckpoint Type = 3
 	// TypeDone records successful completion; the payload carries the result.
 	TypeDone Type = 4
@@ -101,8 +102,10 @@ func (t Type) String() string {
 func (t Type) valid() bool { return t >= TypeSubmitted && t <= TypeCanceled }
 
 // Record is one journal entry. The payload is an opaque, type-specific blob
-// owned by the caller (the service serializes specs, progress snapshots and
-// results as JSON).
+// owned by the caller. The service serializes specs, results and errors as
+// JSON, and writes a checkpoint as the raw binary ensemble snapshot (older
+// daemons wrote JSON checkpoints with the snapshot in base64), from which
+// replay re-derives the job's progress.
 type Record struct {
 	Type    Type
 	Job     string

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -34,20 +33,30 @@ func journalRecords(t *testing.T, dir string) []journal.Record {
 	return recs
 }
 
+// checkpointOf reads a checkpoint record's payload: an older daemon's JSON
+// record as it stands, a current one — the raw ensemble snapshot — as its
+// step count and snapshot bytes.
+func checkpointOf(t *testing.T, payload []byte) recCheckpoint {
+	t.Helper()
+	if p, ok := legacyCheckpoint(payload); ok {
+		return p
+	}
+	st, err := core.DecodeEnsembleState(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recCheckpoint{Steps: st.WindowsDone, Snapshot: payload}
+}
+
 // journaledCheckpoints returns every checkpoint record the journal under dir
 // holds for the job, in log order.
 func journaledCheckpoints(t *testing.T, dir, id string) []recCheckpoint {
 	t.Helper()
 	var out []recCheckpoint
 	for _, rec := range journalRecords(t, dir) {
-		if rec.Type != journal.TypeCheckpoint || rec.Job != id {
-			continue
+		if rec.Type == journal.TypeCheckpoint && rec.Job == id {
+			out = append(out, checkpointOf(t, rec.Payload))
 		}
-		var p recCheckpoint
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
 	}
 	return out
 }
@@ -67,14 +76,8 @@ func journalPrefix(t *testing.T, src string, steps int) string {
 		if err := jnl.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Type == journal.TypeCheckpoint {
-			var p recCheckpoint
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				t.Fatal(err)
-			}
-			if p.Steps == steps {
-				break
-			}
+		if rec.Type == journal.TypeCheckpoint && checkpointOf(t, rec.Payload).Steps == steps {
+			break
 		}
 	}
 	if err := jnl.Close(); err != nil {

@@ -37,19 +37,29 @@ func benchSnapshot(b *testing.B, walkers, budget, at int) ([]byte, core.MultiCon
 }
 
 // BenchmarkCheckpointAppend measures the cost of one checkpoint journal
-// append — the record the PR-4 engine wrote (progress only) vs the PR-5
-// record carrying a resumable ensemble snapshot — marshal plus framed write.
-// The delta is what resumability costs per checkpoint; the async append
-// queue keeps even the fsync variant off the API path.
+// append: the record the daemon writes, which is the encoded ensemble
+// snapshot itself, beside the JSON record older daemons wrote for the same
+// checkpoint (steps, the concentrations and the snapshot in base64), whose
+// payload also had to be marshaled. payload-bytes is what each record costs
+// the journal; the async append queue keeps even the fsync variant off the
+// API path.
 func BenchmarkCheckpointAppend(b *testing.B) {
-	conc := []float64{0.21, 0.34, 0.05, 0.17, 0.13, 0.10}
 	snap, _ := benchSnapshot(b, 4, 100_000, 100_000)
+	st, err := core.DecodeEnsembleState(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := st.MergedResult()
+	if err != nil {
+		b.Fatal(err)
+	}
+	legacy := recCheckpoint{Steps: st.WindowsDone, Concentration: res.Concentrations()[4], Snapshot: snap}
 	for _, tc := range []struct {
-		name string
-		rec  recCheckpoint
+		name    string
+		payload func() []byte
 	}{
-		{"plain", recCheckpoint{Steps: 50_000, Concentration: conc}},
-		{"snapshot", recCheckpoint{Steps: 50_000, Concentration: conc, Snapshot: snap}},
+		{"snapshot", func() []byte { return snap }},
+		{"legacy-json", func() []byte { return mustMarshal(b, legacy) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			jnl, err := journal.Open(filepath.Join(b.TempDir(), "journal"), journal.Options{})
@@ -59,13 +69,12 @@ func BenchmarkCheckpointAppend(b *testing.B) {
 			defer jnl.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				body := mustMarshal(b, tc.rec)
-				if err := jnl.Append(journal.Record{Type: journal.TypeCheckpoint, Job: "j-1", Payload: body}); err != nil {
+				if err := jnl.Append(journal.Record{Type: journal.TypeCheckpoint, Job: "j-1", Payload: tc.payload()}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(len(mustMarshal(b, tc.rec))), "payload-bytes")
+			b.ReportMetric(float64(len(tc.payload())), "payload-bytes")
 		})
 	}
 }

@@ -99,7 +99,7 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 		nodes, peers = spec.Nodes, m.opts.Peers
 	}
 
-	// A recovered checkpoint snapshot is decoded once, here, outside m.mu.
+	// A recovered checkpoint snapshot is decoded here, outside m.mu.
 	// Resume is an optimization that must never be able to fail a job: a
 	// snapshot that does not decode — like a partition that cannot restore
 	// its share of one — degrades to running from scratch.
@@ -129,11 +129,12 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 		// The one checkpoint handler. Every ensemble-wide checkpoint — on a
 		// fleet, the moment all partitions reach a common target — is
 		// recorded for its three consumers: restart-safe progress, the
-		// journal (whose snapshot is the full-ensemble state, so an
-		// interrupted job resumes from it on any fleet, or none; the write
-		// itself happens on the writer goroutine), and any live event
-		// streams. Progress and the record carry the per-size concentrations
-		// in the shape the job's spec calls for. Walk-engine metrics are
+		// journal (whose record is the full-ensemble snapshot and nothing
+		// else, so an interrupted job resumes from it on any fleet, or none,
+		// and replay re-derives this progress from it; the write itself
+		// happens on the writer goroutine), and any live event streams.
+		// Progress carries the per-size concentrations in the shape the
+		// job's spec calls for. Walk-engine metrics are
 		// recorded only here (a counter add is one atomic), never inside the
 		// per-step path.
 		OnSync: func(combined *core.EnsembleState) {
@@ -155,10 +156,7 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 			defer m.mu.Unlock()
 			j.progress.Steps = target
 			j.progress.Concentration, j.progress.Concentrations = spec.shape(res.Concentrations())
-			m.journalAppendLocked(journal.TypeCheckpoint, j.id, recCheckpoint{
-				Steps: target, Snapshot: snap,
-				Concentration: j.progress.Concentration, Concentrations: j.progress.Concentrations,
-			})
+			m.journalAppendRawLocked(journal.TypeCheckpoint, j.id, snap)
 			m.notifySubsLocked(j, "checkpoint")
 		},
 		OnResume: func(preserved int) {

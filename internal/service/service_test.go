@@ -21,7 +21,7 @@ import (
 )
 
 // testRegistry registers two small deterministic graphs.
-func testRegistry(t *testing.T) *Registry {
+func testRegistry(t testing.TB) *Registry {
 	t.Helper()
 	reg := NewRegistry()
 	if err := reg.Add("hk", "inline", gen.HolmeKim(400, 3, 0.6, 11)); err != nil {

@@ -20,21 +20,26 @@ import (
 // journal is the single source of truth; the in-memory job table is a
 // replayable view of it (the LogBase pattern).
 //
-// Checkpoint records carry the engine's serialized ensemble snapshot
-// (core.EnsembleState — one type and one codec for every job, which also
-// reads the GEST and GMST version 1 blobs older daemons journaled), so an
-// interrupted job does not restart from step 0:
-// replay re-queues it with the latest snapshot and the job's partitions
-// restore their walkers mid-budget, preserving every step up to the last
-// checkpoint (runJob's OnSync handler is the one place a checkpoint is
-// merged, encoded and appended).
+// A checkpoint record's payload is the engine's serialized ensemble snapshot
+// itself — the bytes of core.EnsembleState.Encode(), nothing else — so an
+// interrupted job does not restart from step 0: replay re-queues it with the
+// latest snapshot and the job's partitions restore their walkers mid-budget,
+// preserving every step up to the last checkpoint (runJob's OnSync handler
+// is the one place a checkpoint is merged, encoded and appended). The
+// snapshot is the only fact the record holds: its step count is WindowsDone,
+// and the progress a checkpoint shows (steps and concentrations) is
+// re-derived from it on replay, exactly as OnSync derived it live.
 //
-// Record payloads are JSON. encoding/json round-trips float64 exactly
-// (shortest-representation encoding), so a result warmed from the journal
-// is byte-identical to the run that produced it — the same property that
-// makes the in-memory result cache sound. The ensemble snapshot inside a
-// checkpoint record is an opaque versioned binary blob (base64 in the JSON),
-// validated again by core.DecodeEnsembleState before any resume.
+// Every other record payload is JSON. encoding/json round-trips float64
+// exactly (shortest-representation encoding), so a result warmed from the
+// journal is byte-identical to the run that produced it — the same property
+// that makes the in-memory result cache sound. Replay tells the two
+// checkpoint forms apart by the first byte: a JSON object starts with '{', a
+// snapshot with its "GMST" magic. Journals of older daemons hold JSON
+// checkpoint records (recCheckpoint, with the snapshot in base64) and still
+// resume; an older daemon refuses a journal holding snapshot records at
+// replay, loudly, because the bytes are not JSON. Every snapshot, of either
+// form, is validated again by core.DecodeEnsembleState before any resume.
 
 // recSubmitted is the payload of a TypeSubmitted record.
 type recSubmitted struct {
@@ -60,21 +65,34 @@ type recSubmitted struct {
 // Older daemons wrote the resumed step count into a resumed job's started
 // record, and replay ignores that body.
 
-// recCheckpoint is the payload of a TypeCheckpoint record. A record is
-// resumable when it carries a Snapshot; one without (written before
-// snapshots were journaled) restores progress only. Older daemons also wrote
-// a payload version ("v"), which replay ignores.
+// recCheckpoint is the JSON checkpoint payload older daemons wrote, read by
+// replay and never written. A record is resumable when it carries a
+// Snapshot; one without (written before snapshots were journaled) restores
+// progress only. Older daemons also wrote a payload version ("v"), which
+// replay ignores.
 type recCheckpoint struct {
 	Steps         int       `json:"steps"`
 	Concentration []float64 `json:"concentration,omitempty"`
 	// Concentrations is the multi-size counterpart of Concentration: one
 	// vector per requested size, keyed by k.
 	Concentrations map[int][]float64 `json:"concentrations,omitempty"`
-	// Snapshot is core.EnsembleState.Encode() at this checkpoint barrier.
-	// Journals written before the engines merged hold GEST version 1 blobs
-	// for single-size jobs and GMST version 1 for multi-size ones; the one
+	// Snapshot is core.EnsembleState.Encode() at this checkpoint barrier:
+	// GMST version 2, or the GEST version 1 (single-size) and GMST version 1
+	// (multi-size) blobs of the builds before the engines merged; the one
 	// decoder reads all three.
 	Snapshot []byte `json:"snapshot,omitempty"`
+}
+
+// legacyCheckpoint decodes payload as an older daemon's JSON checkpoint
+// record. It reports false for anything else: a current record, whose
+// payload is the raw snapshot, or a payload that parses as neither, which
+// replay then treats as a snapshot that does not decode.
+func legacyCheckpoint(payload []byte) (recCheckpoint, bool) {
+	var p recCheckpoint
+	if len(payload) == 0 || payload[0] != '{' || json.Unmarshal(payload, &p) != nil {
+		return recCheckpoint{}, false
+	}
+	return p, true
 }
 
 // recDone is the payload of a TypeDone record. At most one of the two fields
@@ -115,13 +133,14 @@ type recFailed struct {
 	Error string `json:"error,omitempty"`
 }
 
-// journalAppendLocked appends one record to the ordered append queue, best
-// effort: a failed write is reported by counter rather than failing the job
-// — the daemon keeps serving from memory if the disk fills. Caller holds
-// m.mu, which is what fixes the on-disk record order to the in-memory
-// transition order; the write itself (and any fsync) happens on the writer
-// goroutine, off the lock. No-op while replaying (replay must not
-// re-journal what it reads) or when the manager runs without a data dir.
+// journalAppendLocked appends one record with a JSON payload (none for nil)
+// to the ordered append queue, best effort: a failed write is reported by
+// counter rather than failing the job — the daemon keeps serving from memory
+// if the disk fills. Caller holds m.mu, which is what fixes the on-disk
+// record order to the in-memory transition order; the write itself (and any
+// fsync) happens on the writer goroutine, off the lock. No-op while
+// replaying (replay must not re-journal what it reads) or when the manager
+// runs without a data dir.
 func (m *Manager) journalAppendLocked(typ journal.Type, jobID string, payload any) {
 	if m.jnl == nil || m.replaying {
 		return
@@ -135,6 +154,16 @@ func (m *Manager) journalAppendLocked(typ journal.Type, jobID string, payload an
 			m.met.journal.Errors.Inc()
 			return
 		}
+	}
+	m.journalAppendRawLocked(typ, jobID, body)
+}
+
+// journalAppendRawLocked is journalAppendLocked for a payload already in its
+// record encoding: a checkpoint's snapshot bytes, which the record takes
+// over. Caller holds m.mu.
+func (m *Manager) journalAppendRawLocked(typ journal.Type, jobID string, body []byte) {
+	if m.jnl == nil || m.replaying {
+		return
 	}
 	// Stamp the time at enqueue: the record's logical time is the state
 	// transition, not the (later) asynchronous write.
@@ -169,6 +198,9 @@ func (m *Manager) replay() error {
 	defer func() { m.replaying = false }()
 
 	metas := make(map[string]*GraphInfo) // job ID -> admitted-against fingerprint
+	// Jobs whose latest checkpoint is a snapshot record: the second pass
+	// derives their progress from it.
+	snapped := make(map[string]bool)
 	err := m.jnl.Replay(func(rec journal.Record) error {
 		j := m.jobs[rec.Job]
 		if rec.Type != journal.TypeSubmitted && j == nil {
@@ -200,10 +232,14 @@ func (m *Manager) replay() error {
 			j.state = StateRunning
 			j.started = time.Unix(0, rec.Time)
 		case journal.TypeCheckpoint:
-			var p recCheckpoint
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return fmt.Errorf("service: replay %s %s: %w", rec.Type, rec.Job, err)
+			p, legacy := legacyCheckpoint(rec.Payload)
+			if !legacy {
+				// The latest snapshot wins, and only the latest is decoded.
+				j.resumeSnap, j.resumeSteps = rec.Payload, 0
+				snapped[j.id] = true
+				break
 			}
+			delete(snapped, j.id)
 			j.progress.Steps = p.Steps
 			j.progress.Concentration = p.Concentration
 			j.progress.Concentrations = p.Concentrations
@@ -259,6 +295,11 @@ func (m *Manager) replay() error {
 		j := m.jobs[id]
 		if n := jobIDNumber(id); n > m.nextID {
 			m.nextID = n
+		}
+		if snapped[id] && j.state != StateDone {
+			// Re-queued, failed or canceled: the progress the job last
+			// showed is its latest snapshot's. A done job shows its result.
+			j.progressFromSnapshot()
 		}
 		if j.state.terminal() {
 			j.resumeSnap, j.resumeSteps = nil, 0 // snapshots die with the run
@@ -330,6 +371,27 @@ func (m *Manager) replay() error {
 		return m.compactJournal()
 	}
 	return nil
+}
+
+// progressFromSnapshot re-derives the progress of a replayed job from its
+// latest checkpoint snapshot, as runJob's OnSync derived it live: the steps
+// are the snapshot's WindowsDone, the concentrations those of its merged
+// result. A snapshot that does not decode (or merge) is dropped, so a
+// re-queued job runs from scratch.
+func (j *job) progressFromSnapshot() {
+	st, err := core.DecodeEnsembleState(j.resumeSnap)
+	var res *core.MultiResult
+	if err == nil {
+		res, err = st.MergedResult()
+	}
+	if err != nil {
+		j.resumeSnap, j.resumeSteps = nil, 0
+		j.progress = Progress{Total: j.spec.Steps}
+		return
+	}
+	j.resumeSteps = st.WindowsDone
+	j.progress.Steps = st.WindowsDone
+	j.progress.Concentration, j.progress.Concentrations = j.spec.shape(res.Concentrations())
 }
 
 // jobIDNumber parses the numeric suffix of a "j-N" job ID (0 if malformed).
