@@ -53,3 +53,16 @@ func TestStateEncodingGolden(t *testing.T) {
 		})
 	}
 }
+
+// checkpointStates runs est for n windows with a checkpoint every `every`
+// windows and returns the state handed out at each target, in target order.
+func checkpointStates(t testing.TB, est *MultiEstimator, n, every int) []*EnsembleState {
+	t.Helper()
+	var out []*EnsembleState
+	if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {
+		out = append(out, est.Snapshot())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
