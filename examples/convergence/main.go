@@ -50,8 +50,12 @@ func main() {
 				panic(err)
 			}
 			var points []float64
-			_, err = est.RunCheckpointsCtx(context.Background(), steps, checkpoint, func(step int, conc map[int][]float64) {
-				points = append(points, conc[4][cliqueIdx])
+			_, err = est.RunCheckpointsCtx(context.Background(), steps, checkpoint, func(st *graphletrw.EnsembleState) {
+				res, err := st.MergedResult()
+				if err != nil {
+					panic(err)
+				}
+				points = append(points, res.Results[4].Concentration()[cliqueIdx])
 			})
 			if err != nil {
 				panic(err)

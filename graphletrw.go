@@ -69,6 +69,11 @@ type Result = core.Result
 // MultiResult maps each estimated size to its Result.
 type MultiResult = core.MultiResult
 
+// EnsembleState is a run's complete resumable state at a checkpoint target:
+// what an estimator's checkpoint callback is handed, and what Restore takes.
+// Its MergedResult is the estimate at that target.
+type EnsembleState = core.EnsembleState
+
 // Graphlet describes one of the catalog's subgraph patterns.
 type Graphlet = graphlet.Graphlet
 

@@ -205,13 +205,17 @@ func (e *Estimator) Run(n int) (*Result, error) {
 }
 
 // RunCheckpoints is MultiEstimator.RunCheckpointsCtx, never cancelled, with
-// fn handed the view's size's concentration at each barrier.
+// fn handed the view's size's concentration at each checkpoint target.
 //
 // Deprecated: only bench/ calls it (ROADMAP item 2(d)).
 func (e *Estimator) RunCheckpoints(n, every int, fn func(step int, conc []float64)) (*Result, error) {
-	var each func(int, map[int][]float64)
+	var each func(*EnsembleState)
 	if fn != nil {
-		each = func(step int, conc map[int][]float64) { fn(step, conc[e.k]) }
+		each = func(st *EnsembleState) {
+			// The estimator built st, so its merge cannot fail.
+			res, _ := st.MergedResult()
+			fn(st.WindowsDone, res.Results[e.k].Concentration())
+		}
 	}
 	res, err := e.m.RunCheckpointsCtx(context.Background(), n, every, each)
 	if res == nil {

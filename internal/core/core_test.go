@@ -257,8 +257,9 @@ func TestCheckpoints(t *testing.T) {
 	client := access.NewGraphClient(g)
 	est, _ := NewMultiEstimator(client, MultiConfig{Sizes: []int{3}, D: 1, Seed: 23})
 	var steps []int
-	_, err := est.RunCheckpointsCtx(context.Background(), 1000, 250, func(step int, conc map[int][]float64) {
-		steps = append(steps, step)
+	_, err := est.RunCheckpointsCtx(context.Background(), 1000, 250, func(cp *EnsembleState) {
+		conc := stateConc(t, cp)
+		steps = append(steps, cp.WindowsDone)
 		if len(conc[3]) != 2 {
 			t.Fatalf("conc len %d", len(conc[3]))
 		}

@@ -26,9 +26,9 @@ func TestRunCheckpointsCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const budget = 100000
 	var snapshots int
-	res, err := est.RunCheckpointsCtx(ctx, budget, 1000, func(step int, conc map[int][]float64) {
+	res, err := est.RunCheckpointsCtx(ctx, budget, 1000, func(cp *EnsembleState) {
 		snapshots++
-		if step >= 2000 {
+		if cp.WindowsDone >= 2000 {
 			cancel()
 		}
 	})

@@ -69,7 +69,7 @@ func TestLegacyStateFixtures(t *testing.T) {
 						t.Fatalf("restore: %v", err)
 					}
 				}
-				res, err := est.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {})
+				res, err := est.RunCheckpointsCtx(t.Context(), n, every, func(*EnsembleState) {})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -210,24 +210,29 @@ func (m *MultiEstimator) Run(n int) (*MultiResult, error) {
 }
 
 // RunCheckpointsCtx runs the window budget n (per size, split across
-// walkers) in checkpoint stages of `every` windows; at each barrier fn
-// receives the windows processed so far and the merged per-size
-// concentration snapshot. Checkpoints are ensemble-wide barriers; with
-// fn == nil the walkers run barrier-free end to end.
+// walkers), handing fn the run's state at every checkpoint target — every
+// `every` windows and at n — strictly in target order. fn gets a state of
+// its own (st.MergedResult() has the merged estimates at that target); it
+// runs concurrently with the walkers, which never wait for a checkpoint:
+// each snapshots itself at its quota of a target and keeps walking, at most
+// checkpointLead targets ahead of fn. With one walker the run stays on the
+// caller's goroutine and fn is called between its stages. fn == nil runs
+// the budget as one target.
 //
 // Cancellation is cooperative and step-granular: each walker polls the
-// context every cancelCheckEvery transitions inside its stage (and the
-// ensemble checks it again at every checkpoint barrier), so a cancel stops
-// the run within a few hundred transitions even when the whole budget is a
-// single barrier-free stage. On cancellation it returns the merged result
-// accumulated so far alongside ctx.Err(), so callers can report partial
-// progress. The cancellation polls touch no walker state, so runs that
-// complete are byte-identical at any GOMAXPROCS.
+// context every cancelCheckEvery transitions (and before it hands out a
+// state), so a cancel stops the run within a few hundred transitions even
+// when the whole budget is one target; no state is handed out once the
+// context is done. On cancellation it returns the merged result accumulated
+// so far alongside ctx.Err(), so callers can report partial progress. The
+// cancellation polls touch no walker state, so runs that complete are
+// byte-identical at any GOMAXPROCS.
 //
 // This is the engine's one failure boundary: crawl clients report transport
 // failures by panicking, and every client call, the sequential seed draw
-// included, runs beneath it, so a panic becomes the run's error here.
-func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(step int, conc map[int][]float64)) (res *MultiResult, err error) {
+// included, runs beneath it, so a panic becomes the run's error here — the
+// failing walker's, never the cancellation it causes in its siblings.
+func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn func(st *EnsembleState)) (res *MultiResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("core: %v", r)
@@ -236,11 +241,6 @@ func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive sample budget %d", n)
 	}
-	nw := len(m.walkers)
-	// Quotas are always computed against the full ensemble's walker count at
-	// global indices, so a partition advances its walkers exactly as a full
-	// local run would (for a full ensemble tw == nw and m.lo == 0).
-	tw := walkerCount(m.cfg.Walkers)
 	resumed := m.restored
 	m.restored = false
 	if resumed {
@@ -257,40 +257,34 @@ func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn
 		}
 		m.done = 0
 	}
-	prev := m.done
-	for _, target := range checkpointTargets(n, every, fn != nil) {
-		if target <= prev {
-			continue // already covered by the restored state
-		}
-		if err := ctx.Err(); err != nil {
+	targets := checkpointTargets(m.done, n, every, fn != nil)
+	if len(targets) == 0 {
+		return m.merged(), nil // the restored state already covers the budget
+	}
+	// Quotas are always computed against the full ensemble's walker count at
+	// global indices, so a partition advances its walkers exactly as a full
+	// local run would.
+	if len(m.walkers) == 1 {
+		err = m.runInline(ctx, m.done, targets, fn)
+	} else {
+		err = m.runFree(ctx, m.done, targets, fn)
+	}
+	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			// A cancel: the partial accumulators are intact and their merge
+			// reports the windows actually processed.
 			return m.merged(), err
 		}
-		lo, hi := prev, target
-		if err := runStage(nw, func(i int) error {
-			return m.walkers[i].run(ctx, walkerQuota(hi, tw, m.lo+i)-walkerQuota(lo, tw, m.lo+i))
-		}); err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				// A mid-stage cancel: the partial accumulators are intact and
-				// their merge reports the windows actually processed.
-				return m.merged(), err
-			}
-			return nil, err
-		}
-		prev = target
-		m.done = target
-		if fn != nil {
-			sums, _ := m.sums()
-			fn(target, concentrations(m.cfg.Sizes, sums))
-		}
+		return nil, err
 	}
 	return m.merged(), nil
 }
 
 // Snapshot exports the run's complete resumable state. It is only valid
-// while the walkers are quiescent: from inside a checkpoint callback (the
-// walkers park at the barrier for the callback's duration) or after a run
-// returned. Snapshots are read-only — taking one changes no walker state, so
-// checkpointed runs stay byte-identical to unobserved ones.
+// while no run is in progress — before one, or after it returned; inside a
+// checkpoint callback the walkers are still moving, and the state fn is
+// handed is the one to take. Snapshots are read-only — taking one changes no
+// walker state, so checkpointed runs stay byte-identical to unobserved ones.
 func (m *MultiEstimator) Snapshot() *EnsembleState {
 	st := &EnsembleState{
 		Config:      m.cfg,
@@ -323,9 +317,9 @@ func (m *MultiEstimator) Restore(st *EnsembleState) error {
 	tw := walkerCount(m.cfg.Walkers)
 	for i, wk := range m.walkers {
 		// The quota split is a pure function of (WindowsDone, W, global
-		// index), and every size advances in lockstep across stage barriers;
-		// a state whose per-size window counts disagree with it cannot have
-		// come from a checkpoint barrier (of this partition).
+		// index), and every size stands at the walker's quota at each
+		// checkpoint target; a state whose per-size window counts disagree
+		// with it cannot have come from a checkpoint (of this partition).
 		if err := st.Walkers[i].checkQuota(walkerQuota(st.WindowsDone, tw, m.lo+i)); err != nil {
 			return fmt.Errorf("core: walker %d at ensemble target %d: %w", m.lo+i, st.WindowsDone, err)
 		}
@@ -395,16 +389,6 @@ func newMultiResult(sizes []int, sums []Result, steps int) *MultiResult {
 	out := &MultiResult{Steps: steps, Results: make(map[int]*Result, len(sizes))}
 	for j, k := range sizes {
 		out.Results[k] = &sums[j]
-	}
-	return out
-}
-
-// concentrations is MultiResult.Concentrations straight off the merged sums,
-// for the barrier callback, which needs no MultiResult.
-func concentrations(sizes []int, sums []Result) map[int][]float64 {
-	out := make(map[int][]float64, len(sizes))
-	for j, k := range sizes {
-		out[k] = sums[j].Concentration()
 	}
 	return out
 }

@@ -74,9 +74,9 @@ func TestMultiResumeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var blob []byte
-		want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(step int, conc map[int][]float64) {
-			if step == interruptAt {
-				blob = full.Snapshot().Encode()
+		want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(cp *EnsembleState) {
+			if cp.WindowsDone == interruptAt {
+				blob = cp.Encode()
 			}
 		})
 		if err != nil {
@@ -100,7 +100,7 @@ func TestMultiResumeByteIdentical(t *testing.T) {
 		if err := resumed.Restore(st); err != nil {
 			t.Fatalf("sizes=%v: restore: %v", cfg.Sizes, err)
 		}
-		got, err := resumed.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {})
+		got, err := resumed.RunCheckpointsCtx(t.Context(), n, every, func(*EnsembleState) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +153,9 @@ func TestRestoreDoesNotAliasState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st *EnsembleState
-	want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
-		if step == interruptAt {
-			st = full.Snapshot()
+	want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(cp *EnsembleState) {
+		if cp.WindowsDone == interruptAt {
+			st = cp
 		}
 	})
 	if err != nil {
@@ -185,7 +185,7 @@ func TestRestoreDoesNotAliasState(t *testing.T) {
 			ws.Degs[j] = -1
 		}
 	}
-	got, err := re.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {})
+	got, err := re.RunCheckpointsCtx(t.Context(), n, every, func(*EnsembleState) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,9 @@ func TestParallelCheckpoints(t *testing.T) {
 		}
 		var steps []int
 		var concs [][]float64
-		if _, err := est.RunCheckpointsCtx(t.Context(), 1000, 250, func(step int, conc map[int][]float64) {
-			steps = append(steps, step)
+		if _, err := est.RunCheckpointsCtx(t.Context(), 1000, 250, func(cp *EnsembleState) {
+			conc := stateConc(t, cp)
+			steps = append(steps, cp.WindowsDone)
 			concs = append(concs, conc[3])
 		}); err != nil {
 			t.Fatal(err)

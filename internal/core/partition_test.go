@@ -105,9 +105,9 @@ func TestPartitionResumeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var blob []byte
-		if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
-			if step == interruptAt {
-				blob = est.Snapshot().Encode()
+		if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(cp *EnsembleState) {
+			if cp.WindowsDone == interruptAt {
+				blob = cp.Encode()
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -176,9 +176,9 @@ func TestMultiPartitionByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var blob []byte
-		if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
-			if step == interruptAt {
-				blob = est.Snapshot().Encode()
+		if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(cp *EnsembleState) {
+			if cp.WindowsDone == interruptAt {
+				blob = cp.Encode()
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -234,9 +234,9 @@ func TestSliceCombineRoundTrip(t *testing.T) {
 	var blob []byte
 	// 750 windows over 4 walkers is an uneven split (188,188,187,187), so the
 	// misorder check below has quotas to disagree with.
-	if _, err := est.RunCheckpointsCtx(t.Context(), 1000, 250, func(step int, _ map[int][]float64) {
-		if step == 750 {
-			blob = est.Snapshot().Encode()
+	if _, err := est.RunCheckpointsCtx(t.Context(), 1000, 250, func(cp *EnsembleState) {
+		if cp.WindowsDone == 750 {
+			blob = cp.Encode()
 		}
 	}); err != nil {
 		t.Fatal(err)

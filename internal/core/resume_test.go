@@ -33,9 +33,9 @@ func TestResumeByteIdentical(t *testing.T) {
 		// The uninterrupted run, snapshotting mid-flight like the service does
 		// (the snapshot must not perturb the run).
 		var blob []byte
-		want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(step int, conc map[int][]float64) {
-			if step == interruptAt {
-				blob = full.Snapshot().Encode()
+		want, err := full.RunCheckpointsCtx(t.Context(), n, every, func(cp *EnsembleState) {
+			if cp.WindowsDone == interruptAt {
+				blob = cp.Encode()
 			}
 		})
 		if err != nil {
@@ -59,7 +59,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		if err := resumed.Restore(st); err != nil {
 			t.Fatalf("%s: restore: %v", cfg.MethodName(), err)
 		}
-		got, err := resumed.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {})
+		got, err := resumed.RunCheckpointsCtx(t.Context(), n, every, func(*EnsembleState) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // Serializable run state: an estimation run is a state machine whose
 // complete position — per-walker RNG stream position, walk position, state
-// ring, and one accumulator per target size — can be exported at any
-// checkpoint barrier (MultiEstimator.Snapshot, or Estimator.Snapshot for the
-// one-size view), encoded to a compact versioned binary blob, and restored
+// ring, and one accumulator per target size — is handed out at every
+// checkpoint target (the RunCheckpointsCtx callback; MultiEstimator.Snapshot
+// between runs, or Estimator.Snapshot for the one-size view), encoded to a compact versioned binary blob, and restored
 // into a fresh estimator (Restore) to continue the run. A resumed run is
 // byte-identical to an uninterrupted one at any GOMAXPROCS: the RNG stream
 // is reconstructed by seed + fast-forward, float64 fields round-trip as
@@ -29,16 +29,16 @@ import (
 // (the walker's slice of the merged per-size Result).
 type SizeAcc struct {
 	// Done is the number of windows this size has accumulated (the walker's
-	// share of Result.Steps); at a checkpoint barrier every size's Done is
-	// equal.
+	// share of Result.Steps); at a checkpoint target every size's Done is
+	// the walker's quota.
 	Done         int
 	ValidSamples int
 	Weights      []float64
 	TypeCounts   []int64
 }
 
-// WalkerState is the complete resumable state of one walker, captured while
-// the ensemble is quiescent at a checkpoint barrier.
+// WalkerState is the complete resumable state of one walker, captured by the
+// walker itself at its quota of a checkpoint target.
 type WalkerState struct {
 	// RNGPos is the walker's RNG stream position (walk.Rand.Pos); the seed is
 	// derived from (MultiConfig.Seed, walker index), so it is not stored.

@@ -32,9 +32,9 @@ func TestStateEncodingGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []byte
-			if _, err := est.RunCheckpointsCtx(t.Context(), 2001, 700, func(step int, _ map[int][]float64) {
-				if step == 1400 {
-					got = est.Snapshot().Encode()
+			if _, err := est.RunCheckpointsCtx(t.Context(), 2001, 700, func(cp *EnsembleState) {
+				if cp.WindowsDone == 1400 {
+					got = cp.Encode()
 				}
 			}); err != nil {
 				t.Fatal(err)
@@ -59,10 +59,20 @@ func TestStateEncodingGolden(t *testing.T) {
 func checkpointStates(t testing.TB, est *MultiEstimator, n, every int) []*EnsembleState {
 	t.Helper()
 	var out []*EnsembleState
-	if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(int, map[int][]float64) {
-		out = append(out, est.Snapshot())
+	if _, err := est.RunCheckpointsCtx(t.Context(), n, every, func(cp *EnsembleState) {
+		out = append(out, cp)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// stateConc is the per-size concentrations merged from a checkpoint state.
+func stateConc(t testing.TB, st *EnsembleState) map[int][]float64 {
+	t.Helper()
+	res, err := st.MergedResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Concentrations()
 }

@@ -66,7 +66,12 @@ func TestMultiMatchesSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err = multi.RunCheckpointsCtx(t.Context(), n, every, func(_ int, conc map[int][]float64) {
+			want, err = multi.RunCheckpointsCtx(t.Context(), n, every, func(cp *core.EnsembleState) {
+				res, err := cp.MergedResult()
+				if err != nil {
+					t.Fatal(err)
+				}
+				conc := res.Concentrations()
 				multiPts = append(multiPts, conc[cfg.K])
 			})
 			if err != nil {

@@ -177,7 +177,7 @@ func (wk *walker) start() {
 // cancelCheckEvery is the step granularity of cooperative cancellation: a
 // walker polls its context once per this many transitions, so a cancel stops
 // a run within a few hundred transitions even when the whole budget is one
-// barrier-free stage (e.g. a very slow crawl with no snapshot callback).
+// target (e.g. a very slow crawl with no snapshot callback).
 // The poll touches no walker state — no RNG draw, no window mutation — so
 // runs that are not cancelled stay byte-identical to the unpolled engine.
 const cancelCheckEvery = 256
@@ -339,9 +339,10 @@ func nominal(d int) int {
 	return d - 1
 }
 
-// snapshot exports the walker's complete resumable state. Only safe while
-// the walker is quiescent (between ensemble stages); read-only, so taking a
-// snapshot never perturbs the run.
+// snapshot exports the walker's complete resumable state. Only safe on the
+// goroutine that runs the walker, or while no run is in progress — a free
+// walker takes its own at each checkpoint target, between two runs;
+// read-only, so taking a snapshot never perturbs the run.
 func (wk *walker) snapshot() WalkerState {
 	st := WalkerState{
 		RNGPos:  wk.rng.Pos(),

@@ -8,7 +8,8 @@
 // global indices (core.NewPartitionMultiEstimator), so where a walker runs
 // never changes what it computes. One partition runner (worker.go) executes
 // it and hands out the partition's core.EnsembleState at every checkpoint
-// barrier, the last at the full budget. A coordinator (coordinator.go) drives
+// target, the last at the full budget: the states its walkers took of
+// themselves at their quotas of that target, while they walk on. A coordinator (coordinator.go) drives
 // every partition of a job: with peers it posts one Assignment per partition
 // to a worker's POST /v1/partitions endpoint and reads the Frames streamed
 // back; without, it calls the runner directly — a local job is the one

@@ -34,7 +34,7 @@ type Options struct {
 
 	// StallTimeout aborts an attempt when the worker stream produces no
 	// frame for this long (default 2m). It must comfortably exceed the
-	// expected gap between checkpoint barriers.
+	// expected gap between checkpoint frames.
 	StallTimeout time.Duration
 
 	// LocalClient, when set, supplies a crawl client for running a

@@ -59,13 +59,13 @@ func TestDistributedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantAt := map[int]*core.MultiResult{}
-	want, err := local.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
-		r, err := local.Snapshot().MergedResult()
+	want, err := local.RunCheckpointsCtx(t.Context(), n, every, func(cp *core.EnsembleState) {
+		r, err := cp.MergedResult()
 		if err != nil {
-			t.Errorf("local merged result at %d: %v", step, err)
+			t.Errorf("local merged result at %d: %v", cp.WindowsDone, err)
 			return
 		}
-		wantAt[step] = r
+		wantAt[cp.WindowsDone] = r
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,9 +488,9 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blob []byte
-	want, err := local.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
-		if step == crashAt {
-			blob = local.Snapshot().Encode()
+	want, err := local.RunCheckpointsCtx(t.Context(), n, every, func(cp *core.EnsembleState) {
+		if cp.WindowsDone == crashAt {
+			blob = cp.Encode()
 		}
 	})
 	if err != nil {
@@ -606,9 +606,9 @@ func TestRunRejectedResumeRunsFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var foreign *core.EnsembleState
-	if _, err := foreignEst.RunCheckpointsCtx(t.Context(), n, every, func(step int, _ map[int][]float64) {
-		if step == at {
-			foreign = foreignEst.Snapshot()
+	if _, err := foreignEst.RunCheckpointsCtx(t.Context(), n, every, func(cp *core.EnsembleState) {
+		if cp.WindowsDone == at {
+			foreign = cp
 		}
 	}); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ const maxBodyBytes = 64 << 20
 
 // Handler serves POST /v1/partitions: it decodes an Assignment, runs the
 // partition against the locally registered graph, and streams Frames back —
-// a snapshot at every checkpoint barrier, then a final frame carrying the
+// a snapshot at every checkpoint target, then a final frame carrying the
 // terminal partition state (or an error frame).
 //
 // The response is written with status 200 before the run starts, so run-time
@@ -139,7 +139,7 @@ func ReadFrame(r *bufio.Reader) (*Frame, error) {
 
 // RunPartition executes an assignment's walker range against client and
 // streams it as frames: a snapshot frame at every intermediate checkpoint
-// barrier, a final frame when the budget completes. It is runPartition seen
+// target, a final frame when the budget completes. It is runPartition seen
 // from the wire: the assignment's resume bytes are decoded here, where they
 // enter the process, and every state is encoded here, where it leaves.
 func RunPartition(ctx context.Context, client access.Client, asn *Assignment, emit func(*Frame) error) error {
@@ -162,11 +162,13 @@ func RunPartition(ctx context.Context, client access.Client, asn *Assignment, em
 
 // runPartition is the one place a job's walkers run, for a remote worker and
 // an in-process partition alike: it builds the estimator for walkers
-// [Lo, Hi), restores resume when given, and calls emit with the partition's
-// state at every checkpoint barrier, in increasing target order. The last, at
-// the full budget, is the partition's final state — emitted even when a
-// resume at the full budget leaves no barrier to run. An emit error cancels
-// the run.
+// [Lo, Hi), restores resume when given, and calls emit with the state the
+// estimator hands out at every checkpoint target, in increasing target order
+// — on this goroutine, while the walkers walk on, so a slow emit (a slow
+// wire) holds them back only once they are the engine's fixed lead ahead.
+// The last, at the full budget, is the partition's final state — emitted
+// even when a resume at the full budget leaves no target to run. An emit
+// error cancels the run.
 func runPartition(ctx context.Context, client access.Client, asn *Assignment, resume *core.EnsembleState, emit func(*core.EnsembleState) error) error {
 	if err := asn.Validate(); err != nil {
 		return err
@@ -190,13 +192,13 @@ func runPartition(ctx context.Context, client access.Client, asn *Assignment, re
 			return fmt.Errorf("%w: %w", ErrBadResume, err)
 		}
 	}
-	_, runErr := est.RunCheckpointsCtx(cctx, asn.Budget, asn.Every, func(step int, _ map[int][]float64) {
-		if step < asn.Budget {
-			send(est.Snapshot())
-		}
+	last := 0
+	_, runErr := est.RunCheckpointsCtx(cctx, asn.Budget, asn.Every, func(st *core.EnsembleState) {
+		last = st.WindowsDone
+		send(st)
 	})
-	if runErr == nil {
-		send(est.Snapshot())
+	if runErr == nil && last != asn.Budget {
+		send(est.Snapshot()) // resumed at the full budget: no target was left to run
 	}
 	if emitErr != nil {
 		return fmt.Errorf("dist: streaming partition [%d,%d): %w", asn.Lo, asn.Hi, emitErr)

@@ -92,8 +92,12 @@ func mustRun(est *core.MultiEstimator, steps, k int) *core.Result {
 // returns component idx of size k's concentration at each checkpoint.
 func trace(est *core.MultiEstimator, steps, every, k, idx int) []float64 {
 	var pts []float64
-	if _, err := est.RunCheckpointsCtx(context.Background(), steps, every, func(_ int, conc map[int][]float64) {
-		pts = append(pts, conc[k][idx])
+	if _, err := est.RunCheckpointsCtx(context.Background(), steps, every, func(st *core.EnsembleState) {
+		res, err := st.MergedResult()
+		if err != nil {
+			panic(err)
+		}
+		pts = append(pts, res.Results[k].Concentration()[idx])
 	}); err != nil {
 		panic(err)
 	}

@@ -12,7 +12,7 @@
 //     histogram observation is a binary search plus two atomics. Nothing
 //     allocates after registration, so instrumentation can sit on warm
 //     paths (though never inside the walk step loop — the service records
-//     walk metrics only at checkpoint barriers).
+//     walk metrics only at checkpoints).
 //   - Nil-safety: every method no-ops on a nil receiver, so optional
 //     instrumentation (journal.Options.Metrics and friends) needs no guards
 //     at the call sites.

@@ -33,7 +33,7 @@ func (s State) terminal() bool {
 }
 
 // Progress is a live snapshot of a running job, updated at the ensemble's
-// checkpoint barriers.
+// checkpoints.
 type Progress struct {
 	Steps         int       `json:"steps"`
 	Total         int       `json:"total"`

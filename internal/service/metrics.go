@@ -18,7 +18,7 @@ import (
 // Recording sites are chosen off the walk hot path: job-lifecycle counters
 // fire on state transitions under Manager.mu, queue-wait and run-duration
 // histograms at dispatch/settle, journal metrics on the async writer
-// goroutine, and walk-engine counters only at checkpoint barriers — never
+// goroutine, and walk-engine counters only at checkpoints — never
 // inside StepSRW (TestWalkStepZeroAllocs guards that).
 
 // serviceMetrics holds the Manager's metric handles on a shared
@@ -46,7 +46,7 @@ type serviceMetrics struct {
 	resumable *obs.Gauge
 	warmed    *obs.Gauge
 
-	// Walk engine, recorded at checkpoint barriers only.
+	// Walk engine, recorded at checkpoints only.
 	walkSteps       *obs.Counter
 	walkCheckpoints *obs.Counter
 	walkResumed     *obs.Counter
@@ -121,9 +121,9 @@ func newServiceMetrics(reg *obs.Registry, graphs *Registry) *serviceMetrics {
 		warmed: reg.Gauge("graphletd_warmed_results",
 			"Cache entries restored from the journal at startup."),
 		walkSteps: reg.Counter("graphletd_walk_steps_total",
-			"Walk transitions executed, accumulated at checkpoint barriers."),
+			"Walk transitions executed, accumulated at checkpoints."),
 		walkCheckpoints: reg.Counter("graphletd_walk_checkpoints_total",
-			"Checkpoint barriers reached across all runs."),
+			"Ensemble-wide checkpoint states recorded across all runs; the walkers never stop for one."),
 		walkResumed: reg.Counter("graphletd_walk_resumed_steps_total",
 			"Walk steps preserved by restoring checkpoint snapshots instead of re-running."),
 		multiRuns: reg.Counter("graphletd_multi_runs_total",

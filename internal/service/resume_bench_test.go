@@ -23,9 +23,9 @@ func benchSnapshot(b *testing.B, walkers, budget, at int) ([]byte, core.MultiCon
 		b.Fatal(err)
 	}
 	var blob []byte
-	if _, err := est.RunCheckpointsCtx(b.Context(), at, at, func(step int, _ map[int][]float64) {
-		if step == at {
-			blob = est.Snapshot().Encode()
+	if _, err := est.RunCheckpointsCtx(b.Context(), at, at, func(cp *core.EnsembleState) {
+		if cp.WindowsDone == at {
+			blob = cp.Encode()
 		}
 	}); err != nil {
 		b.Fatal(err)

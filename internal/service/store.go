@@ -76,7 +76,7 @@ type recCheckpoint struct {
 	// Concentrations is the multi-size counterpart of Concentration: one
 	// vector per requested size, keyed by k.
 	Concentrations map[int][]float64 `json:"concentrations,omitempty"`
-	// Snapshot is core.EnsembleState.Encode() at this checkpoint barrier:
+	// Snapshot is core.EnsembleState.Encode() at this checkpoint:
 	// GMST version 2, or the GEST version 1 (single-size) and GMST version 1
 	// (multi-size) blobs of the builds before the engines merged; the one
 	// decoder reads all three.
