@@ -72,7 +72,9 @@ const checkpointLead = 4
 
 // runInline runs the single walker on the caller's goroutine to each target
 // in turn (from is the target it stands at), handing fn the snapshot at
-// every target.
+// every target. Here and in runFree, quotas count the full ensemble's
+// walkers at global indices, so a partition advances its walkers exactly as
+// a full local run would.
 func (m *MultiEstimator) runInline(ctx context.Context, from int, targets []int, fn func(*EnsembleState)) error {
 	tw := walkerCount(m.cfg.Walkers)
 	prev := from
@@ -106,9 +108,6 @@ type freeRun struct {
 	ctx     context.Context
 	from    int   // the target every walker stands at when the run starts
 	targets []int // the targets past from, ascending
-	// states says whether the walkers hand out their state at each target
-	// (there is a callback to take it).
-	states bool
 	// stop is closed when the caller stops taking states, so that no walker
 	// waits on its lane forever.
 	stop chan struct{}
@@ -140,9 +139,9 @@ func (m *MultiEstimator) runFree(ctx context.Context, from int, targets []int, f
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	r := &freeRun{m: m, ctx: ctx, from: from, targets: targets, states: fn != nil}
+	r := &freeRun{m: m, ctx: ctx, from: from, targets: targets}
 	lanes := make([]lane, len(m.walkers))
-	if r.states {
+	if fn != nil {
 		r.stop = make(chan struct{})
 		for i := range lanes {
 			lanes[i].states = make(chan WalkerState, checkpointLead-1)
@@ -154,7 +153,7 @@ func (m *MultiEstimator) runFree(ctx context.Context, from int, targets []int, f
 	}
 	// A panicking callback unwinds through here: no walker outlives the run.
 	defer r.wg.Wait()
-	all := !r.states || r.deliver(lanes, fn)
+	all := fn == nil || r.deliver(lanes, fn)
 	r.wg.Wait()
 	if err := r.outcome(lanes); err != nil {
 		return err
@@ -195,7 +194,8 @@ func (r *freeRun) deliver(lanes []lane, fn func(*EnsembleState)) (all bool) {
 }
 
 // walk runs walker i through every target, handing its state down the lane
-// at each when the run takes states. A panic becomes the walker's error.
+// at each when the run takes states (the lane has a channel). A panic
+// becomes the walker's error.
 func (r *freeRun) walk(i int, l *lane) {
 	defer r.wg.Done()
 	if l.states != nil {
@@ -210,7 +210,7 @@ func (r *freeRun) walk(i int, l *lane) {
 				return err
 			}
 			prev = q
-			if !r.states {
+			if l.states == nil {
 				continue
 			}
 			select {

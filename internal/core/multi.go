@@ -261,9 +261,6 @@ func (m *MultiEstimator) RunCheckpointsCtx(ctx context.Context, n, every int, fn
 	if len(targets) == 0 {
 		return m.merged(), nil // the restored state already covers the budget
 	}
-	// Quotas are always computed against the full ensemble's walker count at
-	// global indices, so a partition advances its walkers exactly as a full
-	// local run would.
 	if len(m.walkers) == 1 {
 		err = m.runInline(ctx, m.done, targets, fn)
 	} else {
