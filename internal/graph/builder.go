@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -37,56 +38,52 @@ func (b *Builder) AddEdge(u, v int32) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return int(b.n) }
 
-// Build produces the immutable Graph, deduplicating parallel edges.
+// Build produces the immutable Graph: every neighbor row sorted ascending and
+// free of duplicates, parallel edges counted once. It runs in O(n + m) plus
+// the row sorts: a degree count, one scatter of both directions of every
+// edge into the adjacency array, then a pass that sorts each row, drops its
+// duplicates and moves it left over the gaps the dropped entries leave. The
+// edge list is left as added, so the Builder stays reusable: a second Build
+// returns the same graph.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	})
-	// Deduplicate in place.
-	uniq := b.edges[:0]
-	for i, e := range b.edges {
-		if i > 0 && e == b.edges[i-1] {
-			continue
-		}
-		uniq = append(uniq, e)
-	}
-	b.edges = uniq
-
 	n := int(b.n)
-	deg := make([]int64, n+1)
-	for _, e := range b.edges {
-		deg[e.u+1]++
-		deg[e.v+1]++
-	}
+	// off[v+1] counts v's arcs; the prefix sum turns off[v] into the start
+	// of v's row, and the scatter advances it to the row's end.
 	off := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		off[i] = off[i-1] + deg[i]
+	for _, e := range b.edges {
+		off[e.u+1]++
+		off[e.v+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
 	}
 	adj := make([]int32, off[n])
-	cursor := make([]int64, n)
-	copy(cursor, off[:n])
 	for _, e := range b.edges {
-		adj[cursor[e.u]] = e.v
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		cursor[e.v]++
+		adj[off[e.u]] = e.v
+		off[e.u]++
+		adj[off[e.v]] = e.u
+		off[e.v]++
 	}
-	g := &Graph{off: off, adj: adj, m: int64(len(b.edges))}
-	// Edges were added in (u, v) sorted order per endpoint bucket only for u;
-	// the v-side insertions can be out of order, so sort each list.
+	g := &Graph{}
+	var lo, w int64 // lo: the scattered row's start; w: the compacted end
 	for v := 0; v < n; v++ {
-		lo, hi := off[v], off[v+1]
-		s := adj[lo:hi]
-		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		}
-		if d := int(hi - lo); d > g.maxDeg {
+		hi := off[v]
+		off[v] = w
+		row := adj[lo:hi]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		w += int64(copy(adj[w:], row))
+		if d := len(row); d > g.maxDeg {
 			g.maxDeg = d
 		}
+		lo = hi
 	}
+	off[n] = w
+	if w < int64(len(adj)) {
+		// Duplicates were dropped: keep only the live prefix.
+		adj = append(make([]int32, 0, w), adj[:w]...)
+	}
+	g.off, g.adj, g.m = off, adj, w/2
 	g.buildHubIndex()
 	return g
 }

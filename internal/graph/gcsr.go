@@ -69,8 +69,14 @@ func (h gcsrHeader) adjBytes() int64 { return 2 * h.m * 4 }
 // WriteBinary writes g in the .gcsr format. The payload is streamed twice
 // (checksum pass, then write pass), so no full in-memory copy is made.
 func WriteBinary(w io.Writer, g *Graph) error {
+	return writeBinary(w, g, hostLittleEndian())
+}
+
+// writeBinary is WriteBinary through the payload path bulk selects (see
+// writePayload).
+func writeBinary(w io.Writer, g *Graph, bulk bool) error {
 	crc := crc32.New(castagnoli)
-	if err := writePayload(crc, g); err != nil {
+	if err := writePayload(crc, g, bulk); err != nil {
 		return err
 	}
 	var hdr [gcsrHeaderSize]byte
@@ -85,24 +91,55 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writePayload(bw, g); err != nil {
+	if err := writePayload(bw, g, bulk); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// writePayload streams the off and adj arrays as little-endian bytes.
-func writePayload(w io.Writer, g *Graph) error {
-	var buf [8]byte
-	for _, o := range g.off {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(o))
-		if _, err := w.Write(buf[:8]); err != nil {
+// writePayload streams the off and adj arrays as little-endian bytes, by one
+// of two paths. The bulk path, for little-endian hosts, hands w each array's
+// own memory as one byte view: two writes in all, which the checksum takes
+// at full speed and the buffered writer passes straight through. The
+// per-element path encodes each integer on its own, 2.2 M small writes on
+// the benchmark's fixture; it stays because on a big-endian host the memory
+// holds the wrong byte order, the same split readInts makes on the read
+// side. A block-compressed graph holds no adj array and writes its rows one
+// at a time.
+func writePayload(w io.Writer, g *Graph, bulk bool) error {
+	if err := writeInts(w, g.off, bulk); err != nil {
+		return err
+	}
+	if g.blocks == nil {
+		return writeInts(w, g.adj, bulk)
+	}
+	for v := range int32(g.NumNodes()) {
+		if err := writeInts(w, g.Neighbors(v), bulk); err != nil {
 			return err
 		}
 	}
-	for _, a := range g.adj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(a))
-		if _, err := w.Write(buf[:4]); err != nil {
+	return nil
+}
+
+// writeInts writes s as little-endian integers: as one byte view of its
+// memory when bulk, else element by element.
+func writeInts[T int32 | int64](w io.Writer, s []T, bulk bool) error {
+	if len(s) == 0 {
+		return nil
+	}
+	size := int(unsafe.Sizeof(s[0]))
+	if bulk {
+		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*size))
+		return err
+	}
+	var buf [8]byte
+	for _, x := range s {
+		if size == 8 {
+			binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		} else {
+			binary.LittleEndian.PutUint32(buf[:], uint32(x))
+		}
+		if _, err := w.Write(buf[:size]); err != nil {
 			return err
 		}
 	}

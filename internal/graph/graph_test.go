@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -188,11 +191,131 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-// Property: a graph built from any random edge list validates and has
-// symmetric HasEdge consistent with the deduplicated input.
+// referenceBuild is the sort-based Builder.Build the linear one replaced,
+// kept verbatim as the reference Build must match byte for byte. Like the
+// original, it sorts and deduplicates b.edges in place.
+func referenceBuild(b *Builder) *Graph {
+	sort.Slice(b.edges, func(i, j int) bool {
+		if b.edges[i].u != b.edges[j].u {
+			return b.edges[i].u < b.edges[j].u
+		}
+		return b.edges[i].v < b.edges[j].v
+	})
+	// Deduplicate in place.
+	uniq := b.edges[:0]
+	for i, e := range b.edges {
+		if i > 0 && e == b.edges[i-1] {
+			continue
+		}
+		uniq = append(uniq, e)
+	}
+	b.edges = uniq
+
+	n := int(b.n)
+	deg := make([]int64, n+1)
+	for _, e := range b.edges {
+		deg[e.u+1]++
+		deg[e.v+1]++
+	}
+	off := make([]int64, n+1)
+	for i := 1; i <= n; i++ {
+		off[i] = off[i-1] + deg[i]
+	}
+	adj := make([]int32, off[n])
+	cursor := make([]int64, n)
+	copy(cursor, off[:n])
+	for _, e := range b.edges {
+		adj[cursor[e.u]] = e.v
+		cursor[e.u]++
+		adj[cursor[e.v]] = e.u
+		cursor[e.v]++
+	}
+	g := &Graph{off: off, adj: adj, m: int64(len(b.edges))}
+	// Edges were added in (u, v) sorted order per endpoint bucket only for u;
+	// the v-side insertions can be out of order, so sort each list.
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
+		s := adj[lo:hi]
+		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
+			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		}
+		if d := int(hi - lo); d > g.maxDeg {
+			g.maxDeg = d
+		}
+	}
+	g.buildHubIndex()
+	return g
+}
+
+// v1Image returns g's .gcsr version-1 bytes.
+func v1Image(t testing.TB, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// buildMatchesReference builds b twice and requires each graph to validate
+// and to equal referenceBuild's over the same edges: the same .gcsr image,
+// MaxDegree, NumEdges and hub index. The second Build checks the Builder stays reusable.
+func buildMatchesReference(t testing.TB, b *Builder) error {
+	ref := referenceBuild(&Builder{n: b.n, edges: slices.Clone(b.edges)})
+	want := v1Image(t, ref)
+	for i := range 2 {
+		g := b.Build()
+		if err := Validate(g); err != nil {
+			return fmt.Errorf("build %d: %v", i+1, err)
+		}
+		if g.MaxDegree() != ref.MaxDegree() || g.NumEdges() != ref.NumEdges() {
+			return fmt.Errorf("build %d: max degree %d, %d edges; reference %d, %d",
+				i+1, g.MaxDegree(), g.NumEdges(), ref.MaxDegree(), ref.NumEdges())
+		}
+		if !bytes.Equal(v1Image(t, g), want) {
+			return fmt.Errorf("build %d: .gcsr image differs from the reference's", i+1)
+		}
+		if !slices.Equal(g.hubIdx, ref.hubIdx) || !slices.Equal(g.hubRows, ref.hubRows) {
+			return fmt.Errorf("build %d: hub index differs from the reference's", i+1)
+		}
+	}
+	return nil
+}
+
+// Property: a graph built from any edge list validates, has symmetric
+// HasEdge consistent with the deduplicated input, and equals referenceBuild's
+// graph to the byte — on a first and a second Build of one Builder, whatever
+// NewBuilder's n, with duplicate and reversed pairs and self loops.
 func TestBuildProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		b := NewBuilder(0)
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges [][2]int32
+	}{
+		{"empty", 0, nil},
+		{"isolated nodes only", 5, nil},
+		{"duplicate and reversed pairs", 0, [][2]int32{{0, 1}, {1, 0}, {0, 1}, {2, 1}, {1, 2}, {3, 0}, {0, 3}, {3, 0}}},
+		{"self loops", 5, [][2]int32{{0, 0}, {1, 1}, {1, 2}, {2, 2}, {4, 4}, {2, 1}}},
+		{"endpoints beyond n", 2, [][2]int32{{0, 5}, {7, 3}, {1, 9}, {9, 1}, {12, 12}}},
+		{"hub with duplicate spokes", 1, func() [][2]int32 {
+			var es [][2]int32
+			for v := int32(1); v <= 100; v++ {
+				es = append(es, [2]int32{v, 0}, [2]int32{0, v}, [2]int32{v, v%7 + 1})
+			}
+			return es
+		}()},
+	} {
+		b := NewBuilder(tc.n)
+		for _, e := range tc.edges {
+			b.AddEdge(e[0], e[1])
+		}
+		if err := buildMatchesReference(t, b); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+
+	f := func(raw []uint16, n0 uint8) bool {
+		b := NewBuilder(int(n0 % 80))
 		want := map[[2]int32]bool{}
 		for i := 0; i+1 < len(raw); i += 2 {
 			u := int32(raw[i] % 64)
@@ -205,10 +328,11 @@ func TestBuildProperty(t *testing.T) {
 				want[[2]int32{u, v}] = true
 			}
 		}
-		g := b.Build()
-		if err := Validate(g); err != nil {
+		if err := buildMatchesReference(t, b); err != nil {
+			t.Log(err)
 			return false
 		}
+		g := b.Build()
 		if int(g.NumEdges()) != len(want) {
 			return false
 		}
@@ -224,8 +348,48 @@ func TestBuildProperty(t *testing.T) {
 	}
 }
 
+// FuzzBuild: for any AddEdge sequence — duplicate and reversed pairs, self
+// loops, endpoints past NewBuilder's n — Build's graph validates and equals
+// referenceBuild's to the byte, on a first and a second Build. The first
+// input byte is NewBuilder's n; each following pair of bytes is one edge.
+func FuzzBuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := NewBuilder(0)
+		if len(data) > 0 {
+			b, data = NewBuilder(int(data[0])), data[1:]
+		}
+		for ; len(data) >= 2; data = data[2:] {
+			b.AddEdge(int32(data[0]), int32(data[1]))
+		}
+		if err := buildMatchesReference(t, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// lccViaBuilder rebuilds the component of g that toOld lists through the
+// Builder, the way LargestComponent extracted it before it wrote the CSR
+// arrays directly.
+func lccViaBuilder(g *Graph, toOld []int32) *Graph {
+	newID := make(map[int32]int32, len(toOld))
+	for v, old := range toOld {
+		newID[old] = int32(v)
+	}
+	b := NewBuilder(len(toOld))
+	g.Edges(func(u, v int32) bool {
+		nu, okU := newID[u]
+		nv, okV := newID[v]
+		if okU && okV {
+			b.AddEdge(nu, nv)
+		}
+		return true
+	})
+	return b.Build()
+}
+
 // Property: LargestComponent always returns a connected graph whose size is
-// at least the size of any other component.
+// at least the size of any other component, and whose image equals the
+// component rebuilt through the Builder.
 func TestLCCProperty(t *testing.T) {
 	f := func(raw []uint16, seed int64) bool {
 		b := NewBuilder(1)
@@ -233,7 +397,15 @@ func TestLCCProperty(t *testing.T) {
 			b.AddEdge(int32(raw[i]%50), int32(raw[i+1]%50))
 		}
 		g := b.Build()
-		lcc, _ := LargestComponent(g)
+		lcc, toOld := LargestComponent(g)
+		if err := Validate(lcc); err != nil {
+			t.Log(err)
+			return false
+		}
+		if !bytes.Equal(v1Image(t, lcc), v1Image(t, lccViaBuilder(g, toOld))) {
+			t.Logf("component of %d nodes differs from the Builder's", lcc.NumNodes())
+			return false
+		}
 		return IsConnected(lcc) && lcc.NumNodes() >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -6,10 +6,10 @@ package graph
 // graph and the mapping from new node IDs to g's node IDs; original IDs g
 // carries (OriginalID) are composed through that mapping onto the new graph.
 //
-// A connected graph is returned as-is with the identity mapping: rebuilding
-// it through Builder would produce a byte-identical copy (renumbering
-// preserves node order), so skipping the rebuild keeps results unchanged
-// while preserving zero-copy storage for graphs opened with OpenMapped.
+// A connected graph is returned as-is with the identity mapping: copying it
+// would produce a byte-identical graph (renumbering preserves node order),
+// so skipping the copy keeps results unchanged while preserving zero-copy
+// storage for graphs opened with OpenMapped.
 func LargestComponent(g *Graph) (*Graph, []int32) {
 	n := g.NumNodes()
 	comp := make([]int32, n)
@@ -63,18 +63,26 @@ func LargestComponent(g *Graph) (*Graph, []int32) {
 		if comp[v] == bestID {
 			newID[v] = int32(len(toOld))
 			toOld = append(toOld, int32(v))
-		} else {
-			newID[v] = -1
 		}
 	}
-	b := NewBuilder(bestSize)
-	g.Edges(func(u, v int32) bool {
-		if comp[u] == bestID && comp[v] == bestID {
-			b.AddEdge(newID[u], newID[v])
+	// Every neighbor of a component node is in the component, and the
+	// renumbering keeps the old node order, so each kept row maps onto a
+	// sorted, duplicate-free row of the same length: the CSR arrays are
+	// written in one pass, with no Builder.
+	var arcs int64
+	for _, old := range toOld {
+		arcs += int64(g.Degree(old))
+	}
+	lcc := &Graph{off: make([]int64, 1, bestSize+1), adj: make([]int32, 0, arcs), m: arcs / 2}
+	for _, old := range toOld {
+		row := g.Neighbors(old)
+		for _, u := range row {
+			lcc.adj = append(lcc.adj, newID[u])
 		}
-		return true
-	})
-	lcc := b.Build()
+		lcc.off = append(lcc.off, int64(len(lcc.adj)))
+		lcc.maxDeg = max(lcc.maxDeg, len(row))
+	}
+	lcc.buildHubIndex()
 	if g.origIDs != nil {
 		lcc.origIDs = make([]int64, len(toOld))
 		for v, old := range toOld {
