@@ -80,7 +80,9 @@ func (b *Builder) Build() *Graph {
 	}
 	off[n] = w
 	if w < int64(len(adj)) {
-		// Duplicates were dropped: keep only the live prefix.
+		// Duplicates were dropped: copy the live prefix, so the graph does
+		// not keep their memory (an edge list that names every edge in both
+		// directions would double it).
 		adj = append(make([]int32, 0, w), adj[:w]...)
 	}
 	g.off, g.adj, g.m = off, adj, w/2

@@ -191,9 +191,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-// referenceBuild is the sort-based Builder.Build the linear one replaced,
-// kept verbatim as the reference Build must match byte for byte. Like the
-// original, it sorts and deduplicates b.edges in place.
+// referenceBuild builds b by one global sort and dedup of its edge list, the
+// reference Build must match byte for byte. It sorts and deduplicates
+// b.edges in place.
 func referenceBuild(b *Builder) *Graph {
 	sort.Slice(b.edges, func(i, j int) bool {
 		if b.edges[i].u != b.edges[j].u {
@@ -368,8 +368,7 @@ func FuzzBuild(f *testing.F) {
 }
 
 // lccViaBuilder rebuilds the component of g that toOld lists through the
-// Builder, the way LargestComponent extracted it before it wrote the CSR
-// arrays directly.
+// Builder: the reference for LargestComponent's one-pass copy.
 func lccViaBuilder(g *Graph, toOld []int32) *Graph {
 	newID := make(map[int32]int32, len(toOld))
 	for v, old := range toOld {
@@ -432,8 +431,8 @@ func TestMaxDegreeAndHistogram(t *testing.T) {
 	if g := NewBuilder(3).Build(); g.MaxDegree() != 0 {
 		t.Errorf("edgeless graph MaxDegree = %d", g.MaxDegree())
 	}
-	// The cache survives deduplication and LCC extraction (both rebuild
-	// through Builder.Build; Validate cross-checks cached vs scanned).
+	// The cache survives deduplication in Builder.Build and LCC extraction
+	// (Validate cross-checks cached vs scanned).
 	b := NewBuilder(0)
 	for _, e := range [][2]int32{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {1, 3}, {5, 6}} {
 		b.AddEdge(e[0], e[1])
