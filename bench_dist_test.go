@@ -60,7 +60,6 @@ func (c *crawlConn) call() {
 
 func (c *crawlConn) Degree(v int32) int            { c.call(); return c.inner.Degree(v) }
 func (c *crawlConn) Neighbors(v int32) []int32     { c.call(); return c.inner.Neighbors(v) }
-func (c *crawlConn) Neighbor(v int32, i int) int32 { c.call(); return c.inner.Neighbor(v, i) }
 func (c *crawlConn) HasEdge(u, v int32) bool       { c.call(); return c.inner.HasEdge(u, v) }
 func (c *crawlConn) RandomNode(r *rand.Rand) int32 { c.call(); return c.inner.RandomNode(r) }
 

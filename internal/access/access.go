@@ -1,10 +1,12 @@
 // Package access models the paper's restricted-access setting: the graph
 // topology is not available in bulk and can only be explored through the kind
 // of calls an OSN API exposes — fetch a node's neighbor list (and hence its
-// degree) and test adjacency. All random-walk code in this repository goes
-// through the Client interface, so estimators genuinely use only crawlable
-// information; the accounting wrapper measures API cost, which Figure 8's
-// Wedge-MHRW comparison depends on.
+// degree) and test adjacency. The crawl interface, Client, is four calls:
+// Degree, Neighbors, HasEdge and RandomNode; a caller that wants one
+// neighbor indexes the row, so a row is read one way everywhere. All
+// random-walk code in this repository goes through Client, so estimators
+// genuinely use only crawlable information; the accounting wrapper measures
+// API cost, which Figure 8's Wedge-MHRW comparison depends on.
 package access
 
 import (
@@ -14,26 +16,17 @@ import (
 	"repro/internal/graph"
 )
 
-// Client is the crawl interface offered by a restricted-access graph.
+// Client is the crawl interface offered by a restricted-access graph: a
+// RowSource (whole neighbor rows and walk seeds) plus degrees and adjacency
+// tests. A caller that wants the i-th neighbor indexes Neighbors(v), so
+// every wrapper charges, delays or memoizes that one row call.
 // Implementations must be safe for concurrent use.
 type Client interface {
+	RowSource
 	// Degree returns the degree of v (the length of its neighbor list).
 	Degree(v int32) int
-	// Neighbors returns the neighbor list of v, sorted strictly ascending.
-	// The sorted order is a contract, not a convenience: the walk kernel's
-	// merge-based candidate generation and every binary-search edge probe
-	// depend on it (graph.Validate asserts it for in-memory graphs, and the
-	// apiserver crawl client re-establishes it at the wire boundary).
-	// Callers must not modify the returned slice.
-	Neighbors(v int32) []int32
-	// Neighbor returns the i-th neighbor of v, 0 <= i < Degree(v).
-	Neighbor(v int32, i int) int32
 	// HasEdge reports whether u and v are adjacent.
 	HasEdge(u, v int32) bool
-	// RandomNode returns a uniformly random node ID to seed a walk. (Real
-	// crawls obtain seeds out of band; uniformity is not required by any
-	// estimator, only reachability.)
-	RandomNode(rng *rand.Rand) int32
 }
 
 // CommonCounter is an optional Client capability: the number of common
@@ -62,9 +55,6 @@ func (c *GraphClient) Degree(v int32) int { return c.G.Degree(v) }
 // Neighbors implements Client.
 func (c *GraphClient) Neighbors(v int32) []int32 { return c.G.Neighbors(v) }
 
-// Neighbor implements Client.
-func (c *GraphClient) Neighbor(v int32, i int) int32 { return c.G.Neighbor(v, i) }
-
 // HasEdge implements Client.
 func (c *GraphClient) HasEdge(u, v int32) bool { return c.G.HasEdge(u, v) }
 
@@ -78,7 +68,7 @@ func (c *GraphClient) CommonNeighborCount(u, v int32) int { return c.G.CommonNei
 // Stats aggregates API-call counters.
 type Stats struct {
 	DegreeCalls   int64
-	NeighborCalls int64 // Neighbors + Neighbor fetches
+	NeighborCalls int64 // Neighbors fetches
 	EdgeProbes    int64
 	// UniqueNodes is the number of distinct nodes whose neighborhood was
 	// fetched — the crawl footprint the paper reports (e.g. "we only exploit
@@ -121,13 +111,6 @@ func (c *Counting) Neighbors(v int32) []int32 {
 	c.neighbors.Add(1)
 	c.touch(v)
 	return c.inner.Neighbors(v)
-}
-
-// Neighbor implements Client.
-func (c *Counting) Neighbor(v int32, i int) int32 {
-	c.neighbors.Add(1)
-	c.touch(v)
-	return c.inner.Neighbor(v, i)
 }
 
 // HasEdge implements Client.

@@ -25,8 +25,8 @@ func TestGraphClient(t *testing.T) {
 	if len(ns) != 2 || ns[0] != 0 || ns[1] != 2 {
 		t.Errorf("Neighbors(1) = %v", ns)
 	}
-	if c.Neighbor(1, 1) != 2 {
-		t.Errorf("Neighbor(1,1) = %d", c.Neighbor(1, 1))
+	if c.Neighbors(1)[1] != 2 {
+		t.Errorf("Neighbors(1)[1] = %d", c.Neighbors(1)[1])
 	}
 	rng := rand.New(rand.NewSource(1))
 	v := c.RandomNode(rng)
@@ -40,7 +40,7 @@ func TestCountingStats(t *testing.T) {
 	c.Degree(0)
 	c.Degree(0)
 	c.Neighbors(1)
-	c.Neighbor(2, 0)
+	_ = c.Neighbors(2)[0]
 	c.HasEdge(0, 1)
 	st := c.Stats()
 	if st.DegreeCalls != 2 || st.NeighborCalls != 2 || st.EdgeProbes != 1 {
@@ -92,7 +92,7 @@ func TestDelayedAddsLatency(t *testing.T) {
 		t.Errorf("elapsed %v, want >= %v", elapsed, calls*lat)
 	}
 	// Results must pass through unchanged.
-	if c.Degree(0) != 2 || !c.HasEdge(0, 1) || c.Neighbor(0, 0) != 1 {
+	if c.Degree(0) != 2 || !c.HasEdge(0, 1) || c.Neighbors(0)[0] != 1 {
 		t.Error("delayed client corrupted results")
 	}
 	if len(c.Neighbors(0)) != 2 {

@@ -32,9 +32,6 @@ func (d *Delayed) Degree(v int32) int { d.pause(); return d.inner.Degree(v) }
 // Neighbors implements Client.
 func (d *Delayed) Neighbors(v int32) []int32 { d.pause(); return d.inner.Neighbors(v) }
 
-// Neighbor implements Client.
-func (d *Delayed) Neighbor(v int32, i int) int32 { d.pause(); return d.inner.Neighbor(v, i) }
-
 // HasEdge implements Client.
 func (d *Delayed) HasEdge(u, v int32) bool { d.pause(); return d.inner.HasEdge(u, v) }
 

@@ -8,14 +8,20 @@ import (
 	"sync/atomic"
 )
 
-// RowSource is what a Memo asks of the client it wraps: whole neighbor rows
-// and walk seeds. Every Client is one; a bare transport (the apiserver HTTP
-// client) implements nothing else.
+// RowSource is the row half of the crawl interface, and all a Memo asks of
+// the source it wraps: whole neighbor rows and walk seeds. Every Client is
+// one; a bare transport (the apiserver HTTP client) implements nothing else.
 type RowSource interface {
-	// Neighbors returns the neighbor list of v under the Client.Neighbors
-	// contract (strictly ascending, not to be modified).
+	// Neighbors returns the neighbor list of v, sorted strictly ascending.
+	// The sorted order is a contract, not a convenience: the walk kernel's
+	// merge-based candidate generation and every binary-search edge probe
+	// depend on it (graph.Validate asserts it for in-memory graphs, and the
+	// apiserver crawl client re-establishes it at the wire boundary).
+	// Callers must not modify the returned slice.
 	Neighbors(v int32) []int32
-	// RandomNode returns a node to seed a walk from.
+	// RandomNode returns a uniformly random node ID to seed a walk. (Real
+	// crawls obtain seeds out of band; uniformity is not required by any
+	// estimator, only reachability.)
 	RandomNode(rng *rand.Rand) int32
 }
 
@@ -206,9 +212,6 @@ func (c *Memo) Degree(v int32) int { return len(c.entry(v).ns) }
 
 // Neighbors implements Client.
 func (c *Memo) Neighbors(v int32) []int32 { return c.entry(v).ns }
-
-// Neighbor implements Client.
-func (c *Memo) Neighbor(v int32, i int) int32 { return c.entry(v).ns[i] }
 
 // HasEdge implements Client, answering from cached neighbor lists when
 // either endpoint is present — O(1) against hot crawled hubs via their

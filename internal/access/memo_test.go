@@ -24,8 +24,8 @@ func TestMemoAnswersMatchInner(t *testing.T) {
 			if ns[i] != want[i] {
 				t.Fatalf("Neighbors(%d)[%d] mismatch", v, i)
 			}
-			if memo.Neighbor(v, i) != want[i] {
-				t.Fatalf("Neighbor(%d,%d) mismatch", v, i)
+			if memo.Neighbors(v)[i] != want[i] {
+				t.Fatalf("Neighbors(%d)[%d] mismatch on a second fetch", v, i)
 			}
 		}
 	}

@@ -2,12 +2,14 @@ package apiserver
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -38,6 +40,46 @@ func TestCanonicalRow(t *testing.T) {
 			t.Errorf("canonicalRow(%v) = %v, want %v", tc[0], got, tc[1])
 		}
 	}
+}
+
+// FuzzCanonicalRow holds canonicalRow to the row contract at the wire for
+// any row a server might send: the input is read as little-endian uint16
+// node IDs (a small range, so repeats and disorder are common). The output
+// must be strictly ascending and equal to the input's distinct values,
+// sorted; an input that is already canonical must come back as itself, not
+// a copy. Seeds are committed under testdata/fuzz/FuzzCanonicalRow.
+func FuzzCanonicalRow(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := make([]int32, len(data)/2)
+		for i := range in {
+			in[i] = int32(binary.LittleEndian.Uint16(data[2*i:]))
+		}
+		seen := make(map[int32]bool)
+		var want []int32
+		for _, v := range in {
+			if !seen[v] {
+				seen[v] = true
+				want = append(want, v)
+			}
+		}
+		slices.Sort(want)
+		canonical := slices.Equal(in, want)
+
+		got := canonicalRow(slices.Clone(in))
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("canonicalRow(%v) = %v: not strictly ascending at %d", in, got, i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("canonicalRow(%v) = %v, want %v", in, got, want)
+		}
+		if canonical && len(in) > 0 {
+			if got := canonicalRow(in); &got[0] != &in[0] || len(got) != len(in) {
+				t.Fatalf("canonical row %v was copied or cut", in)
+			}
+		}
+	})
 }
 
 func newTestServer(t *testing.T) (*httptest.Server, *Handler) {
@@ -106,8 +148,8 @@ func TestClientImplementsAccess(t *testing.T) {
 			t.Fatalf("Neighbors(5) = %v, want %v", ns, want)
 		}
 	}
-	if c.Neighbor(5, 0) != want[0] {
-		t.Error("Neighbor mismatch")
+	if c.Neighbors(5)[0] != want[0] {
+		t.Error("Neighbors(5)[0] mismatch")
 	}
 	if c.HasEdge(5, want[0]) != true {
 		t.Error("HasEdge false for existing edge")
@@ -127,7 +169,7 @@ func TestClientCaching(t *testing.T) {
 	n := api.RequestCount()
 	c.Neighbors(3)
 	c.Degree(3)
-	c.Neighbor(3, 0)
+	_ = c.Neighbors(3)[0]
 	if api.RequestCount() != n {
 		t.Errorf("cache miss on revisit: %d -> %d requests", n, api.RequestCount())
 	}

@@ -75,7 +75,7 @@ func (c *Client) RandomNode(_ *rand.Rand) int32 {
 	return resp.ID
 }
 
-// canonicalRow re-establishes the access.Client row contract — strictly
+// canonicalRow re-establishes the access.RowSource row contract — strictly
 // ascending, no duplicates — at the wire boundary. The walk kernel's merge
 // iteration and the memo's binary-search and bitset HasEdge all depend on
 // it. Rows from this package's server are already canonical, so the common

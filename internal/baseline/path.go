@@ -136,7 +136,7 @@ func (s *PathSampler) randomNeighborExcept(v, not int32, rng *rand.Rand) int32 {
 	d := s.g.Degree(v)
 	// τ_e > 0 guarantees d >= 2, so a neighbor ≠ not exists.
 	for {
-		w := s.g.Neighbor(v, rng.Intn(d))
+		w := s.g.Neighbors(v)[rng.Intn(d)]
 		if w != not {
 			return w
 		}

@@ -94,7 +94,7 @@ func (s *WedgeSampler) Sample(n int, rng *rand.Rand) WedgeResult {
 		if b >= a {
 			b++
 		}
-		u, w := s.g.Neighbor(v, a), s.g.Neighbor(v, b)
+		u, w := s.g.Neighbors(v)[a], s.g.Neighbors(v)[b]
 		if s.g.HasEdge(u, w) {
 			res.Closed++
 		}

@@ -61,7 +61,7 @@ func (w *WedgeMHRW) Run(n int) MHRWResult {
 		if b >= a {
 			b++
 		}
-		x, y := w.c.Neighbor(v, a), w.c.Neighbor(v, b)
+		x, y := w.c.Neighbors(v)[a], w.c.Neighbors(v)[b]
 		if w.c.HasEdge(x, y) {
 			res.Closed++
 		} else {
@@ -69,7 +69,7 @@ func (w *WedgeMHRW) Run(n int) MHRWResult {
 		}
 		// Metropolis-Hastings proposal: uniform neighbor; accept with
 		// min{1, (d_w - 1)/(d_v - 1)} (stationary ∝ C(d, 2)).
-		prop := w.c.Neighbor(v, w.rng.Intn(dv))
+		prop := w.c.Neighbors(v)[w.rng.Intn(dv)]
 		dw := w.c.Degree(prop)
 		if dw >= 2 {
 			if p := float64(dw-1) / float64(dv-1); w.rng.Float64() <= p {

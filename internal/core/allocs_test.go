@@ -66,31 +66,43 @@ func TestWalkStepZeroAllocs(t *testing.T) {
 // A short job's allocations, construction included: each walker is one
 // allocation holding everything it writes per step (its arena), so only the
 // shared pieces and the merge allocate beside it. A d >= 3 walker's space is
-// one more allocation, holding its record ring by value.
+// one more allocation, holding its record ring by value. The checkpointed
+// rows run 5 000 windows with a state every 500, each encoded as the
+// journal would: a walker's state holds its walk position and ring as
+// walk.State values, so a checkpoint allocates its accumulators and the
+// blob, not a node list per state.
 func TestShortJobAllocs(t *testing.T) {
 	client := access.NewGraphClient(gen.BarabasiAlbert(2000, 4, 21))
 	for _, row := range []struct {
-		name string
-		cfg  MultiConfig
-		max  float64
+		name     string
+		cfg      MultiConfig
+		n, every int // every > 0: checkpoint every `every` windows
+		max      float64
 	}{
-		{"SRW2CSS_k4_W1", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 1}, 15},
-		{"SRW2CSS_k345_W2", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2}, 34},
-		{"SRW3_k4_W1", MultiConfig{Sizes: []int{4}, D: 3, Walkers: 1}, 17},
-		{"SRW3NB_k5_W2", MultiConfig{Sizes: []int{5}, D: 3, NB: true, Walkers: 2}, 31},
+		{"SRW2CSS_k4_W1", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 1}, 500, 0, 15},
+		{"SRW2CSS_k345_W2", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2}, 500, 0, 34},
+		{"SRW3_k4_W1", MultiConfig{Sizes: []int{4}, D: 3, Walkers: 1}, 500, 0, 17},
+		{"SRW3NB_k5_W2", MultiConfig{Sizes: []int{5}, D: 3, NB: true, Walkers: 2}, 500, 0, 31},
+		{"SRW2CSS_k4_W1_ckpt", MultiConfig{Sizes: []int{4}, D: 2, CSS: true, Walkers: 1}, 5000, 500, 98},
+		{"SRW2CSS_k345_W2_ckpt", MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Walkers: 2}, 5000, 500, 250},
+		{"SRW3NB_k5_W2_ckpt", MultiConfig{Sizes: []int{5}, D: 3, NB: true, Walkers: 2}, 5000, 500, 167},
 	} {
 		t.Run(row.name, func(t *testing.T) {
+			encode := func(st *EnsembleState) { st.Encode() }
+			if row.every == 0 {
+				encode = nil
+			}
 			allocs := testing.AllocsPerRun(20, func() {
 				m, err := NewMultiEstimator(client, row.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.Run(500); err != nil {
+				if _, err := m.RunCheckpointsCtx(context.Background(), row.n, row.every, encode); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > row.max {
-				t.Errorf("%v allocs per 500-window job, want <= %v", allocs, row.max)
+				t.Errorf("%v allocs per %d-window job, want <= %v", allocs, row.n, row.max)
 			}
 		})
 	}

@@ -142,13 +142,6 @@ func (c *explodingClient) Neighbors(v int32) []int32 {
 	return c.Client.Neighbors(v)
 }
 
-func (c *explodingClient) Neighbor(v int32, i int) int32 {
-	if c.calls.Add(1) > c.limit {
-		panic("transport down")
-	}
-	return c.Client.Neighbor(v, i)
-}
-
 // A client panic inside a walker surfaces as an error for single- and
 // multi-walker ensembles alike (no walker-count-dependent crash).
 func TestWalkerPanicBecomesError(t *testing.T) {

@@ -44,11 +44,6 @@ func (c *countingClient) Neighbors(v int32) []int32 {
 	return c.Client.Neighbors(v)
 }
 
-func (c *countingClient) Neighbor(v int32, i int) int32 {
-	c.count()
-	return c.Client.Neighbor(v, i)
-}
-
 func (c *countingClient) HasEdge(u, v int32) bool {
 	c.count()
 	return c.Client.HasEdge(u, v)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/walk"
 )
 
 // TestMultiByteIdenticalPerSize is the work-sharing soundness proof: a
@@ -143,7 +144,8 @@ func TestMultiResumeAtFullBudget(t *testing.T) {
 
 // Restore copies the state into the walkers' own memory: overwriting every
 // slice of the restored EnsembleState afterwards must not reach the resumed
-// run, which stays bit-equal to the uninterrupted one.
+// run, which stays bit-equal to the uninterrupted one. (The walk position
+// is held as walk.State values, which cannot alias.)
 func TestRestoreDoesNotAliasState(t *testing.T) {
 	client := access.NewGraphClient(convGraph())
 	cfg := MultiConfig{Sizes: []int{3, 4, 5}, D: 2, CSS: true, Seed: 13, Walkers: 2}
@@ -176,10 +178,8 @@ func TestRestoreDoesNotAliasState(t *testing.T) {
 				a.TypeCounts[j] = -1
 			}
 		}
-		for _, nodes := range append(ws.Win, ws.Cur, ws.Prev) {
-			for j := range nodes {
-				nodes[j] = -1
-			}
+		for j := range ws.Win {
+			ws.Win[j] = walk.State{}
 		}
 		for j := range ws.Degs {
 			ws.Degs[j] = -1

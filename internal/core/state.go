@@ -2,12 +2,16 @@
 // complete position — per-walker RNG stream position, walk position, state
 // ring, and one accumulator per target size — is handed out at every
 // checkpoint target (the RunCheckpointsCtx callback; MultiEstimator.Snapshot
-// between runs, or Estimator.Snapshot for the one-size view), encoded to a compact versioned binary blob, and restored
-// into a fresh estimator (Restore) to continue the run. A resumed run is
-// byte-identical to an uninterrupted one at any GOMAXPROCS: the RNG stream
-// is reconstructed by seed + fast-forward, float64 fields round-trip as
-// IEEE-754 bits, and the ensemble's quota split is a pure function of the
-// window counts.
+// between runs, or Estimator.Snapshot for the one-size view), encoded to a
+// compact versioned binary blob, and restored into a fresh estimator
+// (Restore) to continue the run. The walk position and the ring are
+// walk.WalkState and walk.State values from the walker to the codec and
+// back: states are written as their sorted node lists, and the decoder
+// turns each list into a State (walk.ParseState) where the bytes enter. A
+// resumed run is byte-identical to an uninterrupted one at any GOMAXPROCS:
+// the RNG stream is reconstructed by seed + fast-forward, float64 fields
+// round-trip as IEEE-754 bits, and the ensemble's quota split is a pure
+// function of the window counts.
 //
 // There is one state type and one codec. The blob format is "GMST" version
 // 2; DecodeEnsembleState also reads the two formats older builds journaled —
@@ -48,15 +52,14 @@ type WalkerState struct {
 	Seeded bool
 	Primed bool
 
-	// Walk position (meaningful when Seeded).
-	Steps   int64 // transitions taken, burn-in included
-	HasPrev bool
-	Cur     []int32
-	Prev    []int32
+	// WalkState is the walk position (meaningful when Seeded): Steps counts
+	// transitions taken, burn-in included, and Prev is the zero State unless
+	// HasPrev.
+	walk.WalkState
 
 	// State ring in walk order, oldest first — the last
 	// min(Steps-BurnIn+1, max l_k) states (meaningful when Primed).
-	Win  [][]int32
+	Win  []walk.State
 	Degs []int
 
 	// Accs holds one accumulator per target size, in MultiConfig.Sizes order.
@@ -200,11 +203,11 @@ func (w *WalkerState) encode(buf []byte, stars bool) []byte {
 	buf = binary.AppendUvarint(buf, w.RNGPos)
 	buf = append(buf, wire.PackBools(w.Seeded, w.Primed, w.HasPrev))
 	buf = binary.AppendVarint(buf, w.Steps)
-	buf = appendNodes(buf, w.Cur)
-	buf = appendNodes(buf, w.Prev)
+	buf = appendState(buf, w.Cur)
+	buf = appendState(buf, w.Prev)
 	buf = binary.AppendUvarint(buf, uint64(len(w.Win)))
 	for _, s := range w.Win {
-		buf = appendNodes(buf, s)
+		buf = appendState(buf, s)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(w.Degs)))
 	for _, d := range w.Degs {
@@ -230,10 +233,12 @@ func (w *WalkerState) encode(buf []byte, stars bool) []byte {
 	return buf
 }
 
-func appendNodes(buf []byte, nodes []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
-	for _, v := range nodes {
-		buf = binary.AppendVarint(buf, int64(v))
+// appendState writes a state as its node count and its nodes, ascending; the
+// zero State is a count of 0.
+func appendState(buf []byte, s walk.State) []byte {
+	buf = binary.AppendUvarint(buf, uint64(s.Len()))
+	for i := range s.Len() {
+		buf = binary.AppendVarint(buf, int64(s.Node(i)))
 	}
 	return buf
 }
@@ -290,16 +295,16 @@ func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
 	w.RNGPos = d.Uvarint()
 	w.Seeded, w.Primed, w.HasPrev = d.Bools(3)
 	w.Steps = d.Varint()
-	w.Cur = readNodes(d)
-	w.Prev = readNodes(d)
+	w.Cur = readState(d)
+	w.Prev = readState(d)
 	nWin := d.Uvarint()
 	if d.Err == nil && nWin > maxStateWindow {
 		d.Fail("ring length %d exceeds cap", nWin)
 	}
 	if d.Err == nil && nWin > 0 {
-		w.Win = make([][]int32, nWin)
+		w.Win = make([]walk.State, nWin)
 		for i := range w.Win {
-			w.Win[i] = readNodes(d)
+			w.Win[i] = readState(d)
 		}
 	}
 	nDeg := d.Uvarint()
@@ -372,40 +377,25 @@ func readFloat64(d *wire.Cursor) float64 {
 	return f
 }
 
-// readNodes reads a node list, bounding its length by the walk-state maximum.
-func readNodes(d *wire.Cursor) []int32 {
+// readState reads a state written by appendState (a count of 0 is the zero
+// State). The node list becomes a State here, through walk.ParseState, so a
+// list too long or with a repeated node fails the decode.
+func readState(d *wire.Cursor) walk.State {
 	n := d.Uvarint()
 	if d.Err != nil || n == 0 {
-		return nil
+		return walk.State{}
 	}
 	if n > walk.MaxD {
 		d.Fail("state of %d nodes exceeds walk.MaxD", n)
-		return nil
+		return walk.State{}
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.Varint())
+	var nodes [walk.MaxD]int32
+	for i := range n {
+		nodes[i] = int32(d.Varint())
 	}
-	return out
-}
-
-// stateOf validates a decoded node list as a walk state with exactly want
-// nodes (walk.StateOf panics on duplicates, which decode-side validation
-// must turn into errors).
-func stateOf(nodes []int32, want int) (walk.State, error) {
-	if len(nodes) != want {
-		return walk.State{}, fmt.Errorf("core: state has %d nodes, want %d", len(nodes), want)
+	s, err := walk.ParseState(nodes[:n])
+	if err != nil {
+		d.Fail("%v", err)
 	}
-	sorted := append([]int32(nil), nodes...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return walk.State{}, fmt.Errorf("core: state has duplicate node %d", sorted[i])
-		}
-	}
-	return walk.StateOf(sorted...), nil
+	return s
 }

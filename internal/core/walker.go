@@ -357,24 +357,15 @@ func (wk *walker) snapshot() WalkerState {
 		st.Accs[i] = a
 	}
 	if wk.seeded {
-		ws := wk.w.State()
-		st.Steps = ws.Steps
-		st.HasPrev = ws.HasPrev
-		st.Cur = ws.Cur.Nodes(nil)
-		if ws.HasPrev {
-			st.Prev = ws.Prev.Nodes(nil)
-		}
+		st.WalkState = wk.w.State()
 	}
 	if wk.primed {
 		// The ring holds the last min(pushed, maxL) states; export them
 		// oldest-first so restore can re-place state j at slot j % maxL.
 		n := min(wk.pushed, wk.maxL)
 		states, degs := wk.window(wk.pushed-n, n)
-		st.Win = make([][]int32, n)
+		st.Win = append([]walk.State(nil), states...)
 		st.Degs = append([]int(nil), degs...)
-		for i, s := range states {
-			st.Win[i] = s.Nodes(nil)
-		}
 	}
 	return st
 }
@@ -419,15 +410,14 @@ func (wk *walker) restore(st WalkerState) error {
 		wk.w = walk.Walk{}
 		return nil
 	}
-	ws := walk.WalkState{Steps: st.Steps, HasPrev: st.HasPrev}
-	var err error
-	if ws.Cur, err = stateOf(st.Cur, wk.cfg.D); err != nil {
-		return fmt.Errorf("core: restore current state: %w", err)
+	ws := st.WalkState
+	if ws.Cur.Len() != wk.cfg.D {
+		return fmt.Errorf("core: restore: current state has %d nodes, want %d", ws.Cur.Len(), wk.cfg.D)
 	}
-	if st.HasPrev {
-		if ws.Prev, err = stateOf(st.Prev, wk.cfg.D); err != nil {
-			return fmt.Errorf("core: restore previous state: %w", err)
-		}
+	if !ws.HasPrev {
+		ws.Prev = walk.State{} // unread by the walk; kept zero so snapshots re-encode alike
+	} else if ws.Prev.Len() != wk.cfg.D {
+		return fmt.Errorf("core: restore: previous state has %d nodes, want %d", ws.Prev.Len(), wk.cfg.D)
 	}
 	wk.w.Resume(wk.space, ws, wk.cfg.NB, &wk.rng.Rand)
 	if !st.Primed {
@@ -447,9 +437,9 @@ func (wk *walker) restore(st WalkerState) error {
 			len(st.Win), len(st.Degs), n)
 	}
 	for i := 0; i < n; i++ {
-		s, err := stateOf(st.Win[i], wk.cfg.D)
-		if err != nil {
-			return fmt.Errorf("core: restore ring[%d]: %w", i, err)
+		s := st.Win[i]
+		if s.Len() != wk.cfg.D {
+			return fmt.Errorf("core: restore: ring[%d] has %d nodes, want %d", i, s.Len(), wk.cfg.D)
 		}
 		if st.Degs[i] < 0 {
 			return fmt.Errorf("core: restore: negative degree %d", st.Degs[i])

@@ -76,14 +76,6 @@ func (g *Graph) Neighbors(v int32) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }
 
-// Neighbor returns the i-th neighbor of v (0-based, sorted order).
-func (g *Graph) Neighbor(v int32, i int) int32 {
-	if g.blocks != nil {
-		return g.blocks.row(v)[i]
-	}
-	return g.adj[g.off[v]+int64(i)]
-}
-
 // HasEdge reports whether the undirected edge (u, v) exists. Self loops never
 // exist in a simple graph. The probe is one bit test when either endpoint is
 // a hub, and a binary search of the smaller adjacency list otherwise.
@@ -208,7 +200,7 @@ func (g *Graph) RandomNeighbor(v int32, rng *rand.Rand) (int32, bool) {
 	if d == 0 {
 		return -1, false
 	}
-	return g.Neighbor(v, rng.Intn(d)), true
+	return g.Neighbors(v)[rng.Intn(d)], true
 }
 
 // Edges calls fn for every undirected edge (u < v). Iteration stops early if

@@ -12,53 +12,27 @@ package graph
 // storage for graphs opened with OpenMapped.
 func LargestComponent(g *Graph) (*Graph, []int32) {
 	n := g.NumNodes()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var (
-		bestID   int32 = -1
-		bestSize       = 0
-		queue    []int32
-		next     int32
-	)
-	for s := int32(0); s < int32(n); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := next
-		next++
-		size := 0
-		queue = append(queue[:0], s)
-		comp[s] = id
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			size++
-			for _, u := range g.Neighbors(v) {
-				if comp[u] < 0 {
-					comp[u] = id
-					queue = append(queue, u)
-				}
-			}
-		}
-		if size > bestSize {
-			bestSize = size
-			bestID = id
-		}
-	}
+	comp, sizes := components(g)
 	// Connected (or empty) graph: hand it back unchanged with the identity
 	// mapping — the single labeling pass doubles as the connectivity check.
-	if next <= 1 {
+	if len(sizes) <= 1 {
 		toOld := make([]int32, n)
 		for v := range toOld {
 			toOld[v] = int32(v)
 		}
 		return g, toOld
 	}
+	// The first of the largest components (components are numbered in order
+	// of their smallest node).
+	bestID := int32(0)
+	for id, size := range sizes {
+		if size > sizes[bestID] {
+			bestID = int32(id)
+		}
+	}
 	// Renumber nodes of the best component.
 	newID := make([]int32, n)
-	toOld := make([]int32, 0, bestSize)
+	toOld := make([]int32, 0, sizes[bestID])
 	for v := 0; v < n; v++ {
 		if comp[v] == bestID {
 			newID[v] = int32(len(toOld))
@@ -73,7 +47,7 @@ func LargestComponent(g *Graph) (*Graph, []int32) {
 	for _, old := range toOld {
 		arcs += int64(g.Degree(old))
 	}
-	lcc := &Graph{off: make([]int64, 1, bestSize+1), adj: make([]int32, 0, arcs), m: arcs / 2}
+	lcc := &Graph{off: make([]int64, 1, len(toOld)+1), adj: make([]int32, 0, arcs), m: arcs / 2}
 	for _, old := range toOld {
 		row := g.Neighbors(old)
 		for _, u := range row {
@@ -95,51 +69,47 @@ func LargestComponent(g *Graph) (*Graph, []int32) {
 // IsConnected reports whether g is connected (an empty graph counts as
 // connected; a single node does too).
 func IsConnected(g *Graph) bool {
-	n := g.NumNodes()
-	if n <= 1 {
-		return true
-	}
-	seen := make([]bool, n)
-	queue := []int32{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, u := range g.Neighbors(v) {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				queue = append(queue, u)
-			}
-		}
-	}
-	return count == n
+	_, sizes := components(g)
+	return len(sizes) <= 1
 }
 
 // NumComponents returns the number of connected components.
 func NumComponents(g *Graph) int {
+	_, sizes := components(g)
+	return len(sizes)
+}
+
+// components labels every node of g with its connected component, numbered
+// in order of each component's smallest node, and returns the labels and
+// the component sizes. It is the one component search behind
+// LargestComponent, IsConnected and NumComponents.
+func components(g *Graph) (comp []int32, sizes []int) {
 	n := g.NumNodes()
-	seen := make([]bool, n)
-	var queue []int32
-	comps := 0
+	comp = make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	var stack []int32
 	for s := int32(0); s < int32(n); s++ {
-		if seen[s] {
+		if comp[s] >= 0 {
 			continue
 		}
-		comps++
-		seen[s] = true
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		id := int32(len(sizes))
+		size := 0
+		stack = append(stack[:0], s)
+		comp[s] = id
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
 			for _, u := range g.Neighbors(v) {
-				if !seen[u] {
-					seen[u] = true
-					queue = append(queue, u)
+				if comp[u] < 0 {
+					comp[u] = id
+					stack = append(stack, u)
 				}
 			}
 		}
+		sizes = append(sizes, size)
 	}
-	return comps
+	return comp, sizes
 }

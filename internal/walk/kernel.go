@@ -371,21 +371,27 @@ func (g *groupScan) next() (y int32, mask uint8, ok bool) {
 	return min, mask, true
 }
 
+// nextNeighbor advances the merge to the next connected candidate that is
+// not one of st's members — the group's next G(d) neighbor — returning it
+// with its membership mask, or (_, 0, false) when the group is exhausted.
+func (g *groupScan) nextNeighbor() (y int32, mask uint8, ok bool) {
+	for {
+		y, mask, ok = g.next()
+		if !ok || !g.st.Contains(y) && g.connected(mask) {
+			return y, mask, ok
+		}
+	}
+}
+
 // count scans the whole group and returns the number of connected candidates
 // — the degree contribution of this dropped node. No states are built.
 func (g *groupScan) count() int32 {
 	var cnt int32
 	for {
-		y, mask, ok := g.next()
-		if !ok {
+		if _, _, ok := g.nextNeighbor(); !ok {
 			return cnt
 		}
-		if g.st.Contains(y) {
-			continue
-		}
-		if g.connected(mask) {
-			cnt++
-		}
+		cnt++
 	}
 }
 
@@ -397,21 +403,14 @@ func (g *groupScan) nth(r, n int32) (y int32, mask uint8) {
 		// qualifies, with two the candidate must sit in both.
 		return selectNth(g.rows[0], g.rows[1], g.st, g.nc == 2, int(r), int(n))
 	}
-	for {
-		y, mask, ok := g.next()
+	for ; ; r-- {
+		y, mask, ok := g.nextNeighbor()
 		if !ok {
 			panic("walk: group exhausted before the selected neighbor")
-		}
-		if g.st.Contains(y) {
-			continue
-		}
-		if !g.connected(mask) {
-			continue
 		}
 		if r == 0 {
 			return y, mask
 		}
-		r--
 	}
 }
 
@@ -581,16 +580,11 @@ func gallopBack(b []int32, x int32) int {
 // use it; walk transitions never do.
 func (g *groupScan) appendGroup(dst []State) []State {
 	for {
-		y, mask, ok := g.next()
+		y, _, ok := g.nextNeighbor()
 		if !ok {
 			return dst
 		}
-		if g.st.Contains(y) {
-			continue
-		}
-		if g.connected(mask) {
-			dst = append(dst, stateInsert(g.rem[:g.n], y))
-		}
+		dst = append(dst, stateInsert(g.rem[:g.n], y))
 	}
 }
 

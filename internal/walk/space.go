@@ -76,7 +76,7 @@ func (s *space1) RandomNeighbor(st State, rng *rand.Rand) State {
 	if d == 0 {
 		return st
 	}
-	return StateOf(s.c.Neighbor(v, rng.Intn(d)))
+	return StateOf(s.c.Neighbors(v)[rng.Intn(d)])
 }
 
 func (s *space1) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
@@ -86,11 +86,11 @@ func (s *space1) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 	case 0:
 		return st
 	case 1:
-		return StateOf(s.c.Neighbor(v, 0))
+		return StateOf(s.c.Neighbors(v)[0])
 	}
 	p := prev.Node(0)
 	for {
-		w := s.c.Neighbor(v, rng.Intn(d))
+		w := s.c.Neighbors(v)[rng.Intn(d)]
 		if w != p {
 			return StateOf(w)
 		}
@@ -112,7 +112,7 @@ func (s *space2) RandomState(rng *rand.Rand) State {
 		if d == 0 {
 			continue
 		}
-		return StateOf(v, s.c.Neighbor(v, rng.Intn(d)))
+		return StateOf(v, s.c.Neighbors(v)[rng.Intn(d)])
 	}
 }
 
@@ -138,7 +138,7 @@ func (s *space2) RandomNeighbor(st State, rng *rand.Rand) State {
 		if rng.Intn(du+dv) >= du {
 			base, other = v, u
 		}
-		w := s.c.Neighbor(base, rng.Intn(s.c.Degree(base)))
+		w := s.c.Neighbors(base)[rng.Intn(s.c.Degree(base))]
 		if w != other {
 			return StateOf(base, w)
 		}
@@ -201,7 +201,7 @@ func (s *spaceD) RandomState(rng *rand.Rand) State {
 			// Add a random neighbor of a random already-chosen node.
 			base := nodes[rng.Intn(len(nodes))]
 			db := s.c.Degree(base)
-			w := s.c.Neighbor(base, rng.Intn(db))
+			w := s.c.Neighbors(base)[rng.Intn(db)]
 			dup := false
 			for _, x := range nodes {
 				if x == w {

@@ -24,11 +24,25 @@ type State struct {
 	n uint8
 }
 
-// StateOf builds a state from the given nodes (sorted internally; duplicates
-// are a bug and panic).
+// StateOf builds a state from the given nodes, for callers whose nodes are
+// known to form one (ParseState's errors are bugs here, and panic).
 func StateOf(nodes ...int32) State {
+	s, err := ParseState(nodes)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// ParseState checks a node list as a state: 1..MaxD distinct nodes, in any
+// order (they are sorted into the state). StateOf and the checkpoint
+// decoder both check node lists through it; the decoder calls it where the
+// bytes enter, so a malformed list is an error there, never a panic later.
+// Connectivity is not checked — it is a property of the graph, not of the
+// list.
+func ParseState(nodes []int32) (State, error) {
 	if len(nodes) == 0 || len(nodes) > MaxD {
-		panic(fmt.Sprintf("walk: StateOf: %d nodes", len(nodes)))
+		return State{}, fmt.Errorf("walk: state of %d nodes, want 1..%d", len(nodes), MaxD)
 	}
 	var s State
 	s.n = uint8(len(nodes))
@@ -41,10 +55,10 @@ func StateOf(nodes ...int32) State {
 	}
 	for i := 1; i < len(nodes); i++ {
 		if s.v[i] == s.v[i-1] {
-			panic(fmt.Sprintf("walk: StateOf: duplicate node %d", s.v[i]))
+			return State{}, fmt.Errorf("walk: state has duplicate node %d", s.v[i])
 		}
 	}
-	return s
+	return s, nil
 }
 
 // Len returns the number of nodes in the state.
