@@ -15,11 +15,11 @@ import (
 // change on the step path that moves an operation count shows here on every
 // run, where a timing needs many paired benchmark runs to resolve.
 //
-// The raw rows count Neighbors and HasEdge calls on an access.Counting over
-// the in-memory client (BA(2000,4,21), seed 5, one walker) as the difference
-// between a 4 000-window and a 2 000-window run of the same seed, so the
-// seed draw and the start state cancel and each pin is the cost of 2 000
-// windows. valid is the valid-sample count over the same windows, per size.
+// The raw rows count Neighbors, HasEdge and Degree calls on an
+// access.Counting over the in-memory client (BA(2000,4,21), seed 5, one
+// walker) as the difference between a 4 000-window and a 2 000-window run of
+// the same seed, so the seed draw and the start state cancel and each pin is
+// the cost of 2 000 windows. valid is the valid-sample count over the same windows, per size.
 // The memo rows count the unique rows a 2 000-window run fetches through
 // access.Memo on BA(200k,4,21): the paper's cost currency, calls to a
 // rate-limited neighbor API. There SRW3CSS fetches exactly the rows SRW3
@@ -63,54 +63,54 @@ func rawCallsPerWindow(t *testing.T) {
 		return counting.Stats(), valid
 	}
 	for _, row := range []struct {
-		sizes              []int
-		d                  int
-		css, nb            bool
-		neighbors, hasEdge int64
-		valid              []int
+		sizes                      []int
+		d                          int
+		css, nb                    bool
+		neighbors, hasEdge, degree int64
+		valid                      []int
 	}{
 		// k = 3
-		{[]int{3}, 1, false, false, 2000, 1764, []int{1764}},
-		{[]int{3}, 1, false, true, 2284, 2000, []int{2000}},
-		{[]int{3}, 1, true, false, 2000, 1764, []int{1764}},
-		{[]int{3}, 1, true, true, 2284, 2000, []int{2000}},
-		{[]int{3}, 2, false, false, 2089, 2000, []int{2000}},
-		{[]int{3}, 2, false, true, 2156, 2000, []int{2000}},
-		{[]int{3}, 3, false, false, 12000, 0, []int{2000}},
-		{[]int{3}, 3, false, true, 12030, 0, []int{2000}},
+		{[]int{3}, 1, false, false, 2000, 1764, 4000, []int{1764}},
+		{[]int{3}, 1, false, true, 2284, 2000, 4000, []int{2000}},
+		{[]int{3}, 1, true, false, 2000, 1764, 5828, []int{1764}},
+		{[]int{3}, 1, true, true, 2284, 2000, 6088, []int{2000}},
+		{[]int{3}, 2, false, false, 2089, 2000, 10089, []int{2000}},
+		{[]int{3}, 2, false, true, 2156, 2000, 14252, []int{2000}},
+		{[]int{3}, 3, false, false, 12000, 0, 0, []int{2000}},
+		{[]int{3}, 3, false, true, 12030, 0, 0, []int{2000}},
 		// k = 4
-		{[]int{4}, 1, false, false, 2000, 4671, []int{1557}},
-		{[]int{4}, 1, false, true, 2283, 5997, []int{1999}},
-		{[]int{4}, 1, true, false, 2000, 4671, []int{1557}},
-		{[]int{4}, 1, true, true, 2283, 5997, []int{1999}},
-		{[]int{4}, 2, false, false, 2089, 5838, []int{1946}},
-		{[]int{4}, 2, false, true, 2156, 5997, []int{1999}},
-		{[]int{4}, 2, true, false, 2089, 5838, []int{1946}},
-		{[]int{4}, 2, true, true, 2156, 5997, []int{1999}},
-		{[]int{4}, 3, false, false, 12000, 2000, []int{2000}},
-		{[]int{4}, 3, false, true, 12030, 2000, []int{2000}},
-		{[]int{4}, 4, false, false, 24000, 0, []int{2000}},
-		{[]int{4}, 4, false, true, 24036, 0, []int{2000}},
+		{[]int{4}, 1, false, false, 2000, 4671, 4000, []int{1557}},
+		{[]int{4}, 1, false, true, 2283, 5997, 4000, []int{1999}},
+		{[]int{4}, 1, true, false, 2000, 4671, 7229, []int{1557}},
+		{[]int{4}, 1, true, true, 2283, 5997, 8158, []int{1999}},
+		{[]int{4}, 2, false, false, 2089, 5838, 10089, []int{1946}},
+		{[]int{4}, 2, false, true, 2156, 5997, 14252, []int{1999}},
+		{[]int{4}, 2, true, false, 2089, 5838, 19975, []int{1946}},
+		{[]int{4}, 2, true, true, 2156, 5997, 24286, []int{1999}},
+		{[]int{4}, 3, false, false, 12000, 2000, 0, []int{2000}},
+		{[]int{4}, 3, false, true, 12030, 2000, 0, []int{2000}},
+		{[]int{4}, 4, false, false, 24000, 0, 0, []int{2000}},
+		{[]int{4}, 4, false, true, 24036, 0, 0, []int{2000}},
 		// k = 5
-		{[]int{5}, 1, false, false, 2000, 8268, []int{1378}},
-		{[]int{5}, 1, false, true, 2283, 11970, []int{1995}},
-		{[]int{5}, 1, true, false, 2000, 8268, []int{1378}},
-		{[]int{5}, 1, true, true, 2283, 11970, []int{1995}},
-		{[]int{5}, 2, false, false, 2089, 11202, []int{1867}},
-		{[]int{5}, 2, false, true, 2155, 11790, []int{1965}},
-		{[]int{5}, 2, true, false, 2089, 11202, []int{1867}},
-		{[]int{5}, 2, true, true, 2155, 11790, []int{1965}},
-		{[]int{5}, 3, false, false, 12000, 5928, []int{1976}},
-		{[]int{5}, 3, false, true, 12030, 5979, []int{1993}},
-		{[]int{5}, 3, true, false, 29922, 14889, []int{1976}},
-		{[]int{5}, 3, true, true, 29418, 14673, []int{1993}},
-		{[]int{5}, 4, false, false, 24000, 2000, []int{2000}},
-		{[]int{5}, 4, false, true, 24036, 2000, []int{2000}},
-		{[]int{5}, 5, false, false, 40000, 0, []int{2000}},
-		{[]int{5}, 5, false, true, 40016, 0, []int{2000}},
+		{[]int{5}, 1, false, false, 2000, 8268, 4000, []int{1378}},
+		{[]int{5}, 1, false, true, 2283, 11970, 4000, []int{1995}},
+		{[]int{5}, 1, true, false, 2000, 8268, 8271, []int{1378}},
+		{[]int{5}, 1, true, true, 2283, 11970, 10186, []int{1995}},
+		{[]int{5}, 2, false, false, 2089, 11202, 10089, []int{1867}},
+		{[]int{5}, 2, false, true, 2155, 11790, 14251, []int{1965}},
+		{[]int{5}, 2, true, false, 2089, 11202, 23527, []int{1867}},
+		{[]int{5}, 2, true, true, 2155, 11790, 28199, []int{1965}},
+		{[]int{5}, 3, false, false, 12000, 5928, 0, []int{1976}},
+		{[]int{5}, 3, false, true, 12030, 5979, 0, []int{1993}},
+		{[]int{5}, 3, true, false, 29922, 14889, 0, []int{1976}},
+		{[]int{5}, 3, true, true, 29418, 14673, 0, []int{1993}},
+		{[]int{5}, 4, false, false, 24000, 2000, 0, []int{2000}},
+		{[]int{5}, 4, false, true, 24036, 2000, 0, []int{2000}},
+		{[]int{5}, 5, false, false, 40000, 0, 0, []int{2000}},
+		{[]int{5}, 5, false, true, 40016, 0, 0, []int{2000}},
 		// one walk, three sizes
-		{[]int{3, 4, 5}, 2, true, false, 2089, 19040, []int{2000, 1946, 1867}},
-		{[]int{3, 4, 5}, 3, true, false, 29922, 16889, []int{2000, 2000, 1976}},
+		{[]int{3, 4, 5}, 2, true, false, 2089, 19040, 33413, []int{2000, 1946, 1867}},
+		{[]int{3, 4, 5}, 3, true, false, 29922, 16889, 0, []int{2000, 2000, 1976}},
 	} {
 		cfg := MultiConfig{Sizes: row.sizes, D: row.d, CSS: row.css, NB: row.nb, Seed: 5}
 		name := fmt.Sprintf("%s k%v", cfg.MethodName(), row.sizes)
@@ -120,9 +120,10 @@ func rawCallsPerWindow(t *testing.T) {
 			vl[i] -= v[i]
 		}
 		neighbors, hasEdge := l.NeighborCalls-s.NeighborCalls, l.EdgeProbes-s.EdgeProbes
-		if neighbors != row.neighbors || hasEdge != row.hasEdge || !slices.Equal(vl, row.valid) {
-			t.Errorf("%s: %d Neighbors, %d HasEdge, valid %v over %d windows; pinned %d, %d, %v",
-				name, neighbors, hasEdge, vl, long-short, row.neighbors, row.hasEdge, row.valid)
+		degree := l.DegreeCalls - s.DegreeCalls
+		if neighbors != row.neighbors || hasEdge != row.hasEdge || degree != row.degree || !slices.Equal(vl, row.valid) {
+			t.Errorf("%s: %d Neighbors, %d HasEdge, %d Degree, valid %v over %d windows; pinned %d, %d, %d, %v",
+				name, neighbors, hasEdge, degree, vl, long-short, row.neighbors, row.hasEdge, row.degree, row.valid)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -158,9 +159,97 @@ func TestEstimatorUnbiasedExactly(t *testing.T) {
 		oracleRow{name: "hk12/SRW2CSS_k345", g: hk, sizes: []int{3, 4, 5}, d: 2, css: true},
 		oracleRow{name: "ba11/SRW4_k5_published", g: ba, sizes: []int{5}, d: 4, published: true},
 	)
+	// The same hk12 rows again over the graph read back from disk: as a v1
+	// file through the mapping, and as a v2 file of one-row blocks through a
+	// decode cache that holds one page, so every row read evicts.
+	for _, lp := range openHK12(t, hk) {
+		for _, row := range rows {
+			if row.g == hk {
+				row.name = lp.name + "/" + row.name
+				row.g = lp.g
+				rows = append(rows, row)
+			}
+		}
+	}
+	rows = append(rows, wheelRows()...)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) { checkUnbiased(t, row) })
 	}
+}
+
+// openHK12 saves hk as a v1 and as a v2 .gcsr file and opens them back,
+// mapped; the graphs are closed when the test ends.
+func openHK12(t *testing.T, hk *graph.Graph) []struct {
+	name string
+	g    *graph.Graph
+} {
+	t.Helper()
+	dir := t.TempDir()
+	v1, v2 := filepath.Join(dir, "hk12.gcsr"), filepath.Join(dir, "hk12.v2.gcsr")
+	if err := graph.Save(v1, hk); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.SaveOpts(v2, hk, graph.SaveOptions{Version: 2, BlockBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	g1, err := graph.OpenMapped(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g1.Close() })
+	g2, err := graph.OpenMappedOpts(v2, graph.OpenOptions{BlockCacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g2.Close() })
+	if !g2.BlockCompressed() {
+		t.Fatal("the v2 file did not open block-compressed")
+	}
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{{"hk12v1", g1}, {"hk12v2", g2}}
+}
+
+// wheelRows are the oracle rows on a wheel: hub 0 joined to a 70-node rim,
+// plus 10 chords (r, r+2) that close rim triangles into 4-cliques with the
+// hub. The hub's degree (70) reaches the graph layer's hub bitset rows, so
+// every HasEdge against the hub is a bitset probe. The rows are every
+// (CSS, NB) row with k <= 4 at d <= 2, the star row and the k = 5, d = 1
+// rows; k = 5 at d = 2 enumerates too many windows for tier-1.
+func wheelRows() []oracleRow {
+	const rim = 70
+	b := graph.NewBuilder(rim + 1)
+	for i := int32(1); i <= rim; i++ {
+		b.AddEdge(0, i)
+		b.AddEdge(i, i%rim+1)
+	}
+	for r := int32(1); r < rim; r += 7 {
+		b.AddEdge(r, r+2)
+	}
+	wheel := b.Build()
+	var rows []oracleRow
+	for k := 3; k <= graphlet.MaxK; k++ {
+		dMax := 2
+		if k == 5 {
+			dMax = 1
+		}
+		for d := 1; d <= dMax; d++ {
+			for _, css := range []bool{false, true} {
+				if css && k-d+1 <= 2 {
+					continue
+				}
+				for _, nb := range []bool{false, true} {
+					cfg := MultiConfig{Sizes: []int{k}, D: d, CSS: css, NB: nb}
+					rows = append(rows, oracleRow{
+						name: fmt.Sprintf("wheel71/%s_k%d", cfg.MethodName(), k),
+						g:    wheel, sizes: []int{k}, d: d, css: css, nb: nb,
+					})
+				}
+			}
+		}
+	}
+	return append(rows, oracleRow{name: "wheel71/SRW1_k4_stars", g: wheel, sizes: []int{4}, d: 1, recoverStars: true})
 }
 
 func checkUnbiased(t *testing.T, row oracleRow) {
