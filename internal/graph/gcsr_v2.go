@@ -376,21 +376,6 @@ func checkBlockCRC(got uint32, bm blockMeta) error {
 	return nil
 }
 
-// decodeV2Block decodes one block's rows into freshly allocated local
-// off/adj arrays, verifying the CRC and every structural invariant the walk
-// depends on (see decodeRow).
-func decodeV2Block(data []byte, bm blockMeta, n int64) (off, adj []int32, err error) {
-	if err := checkBlockCRC(crc32.Checksum(data, castagnoli), bm); err != nil {
-		return nil, nil, err
-	}
-	off = make([]int32, bm.count+1)
-	adj = make([]int32, bm.arcs)
-	if err := decodeRows(data, bm.first, n, off, adj, nil); err != nil {
-		return nil, nil, err
-	}
-	return off, adj, nil
-}
-
 // decodeRow is the one row decoder: it decodes node v's row starting at
 // data[pos] — a degree, which must not exceed len(dst), and that many
 // neighbors into dst — and returns the degree and the offset just past the

@@ -952,6 +952,22 @@ func FuzzGCSRRead(f *testing.F) {
 	})
 }
 
+// decodeV2Block decodes one block's rows into freshly allocated local
+// off/adj arrays, verifying the CRC and every structural invariant the walk
+// depends on (see decodeRow). It is the whole-block reference the page
+// decode is fuzzed against.
+func decodeV2Block(data []byte, bm blockMeta, n int64) (off, adj []int32, err error) {
+	if err := checkBlockCRC(crc32.Checksum(data, castagnoli), bm); err != nil {
+		return nil, nil, err
+	}
+	off = make([]int32, bm.count+1)
+	adj = make([]int32, bm.arcs)
+	if err := decodeRows(data, bm.first, n, off, adj, nil); err != nil {
+		return nil, nil, err
+	}
+	return off, adj, nil
+}
+
 // FuzzGCSRV2Block fuzzes the row decoder directly with adversarial index
 // metadata: whatever the mutated count/arc claims, it must stay in bounds
 // and reject inconsistencies instead of panicking. An accepted block is then

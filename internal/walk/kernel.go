@@ -52,8 +52,8 @@ import (
 // The canonical neighbor order (dropped nodes in state order, candidates
 // ascending within each group) is exactly the order the naive
 // gather→sort→dedup emitted, so RNG draw sequences — and therefore estimates
-// — are byte-identical to the historical kernel. referenceNeighbors below
-// retains the naive implementation as the equivalence oracle for tests.
+// — are byte-identical to the historical kernel. referenceNeighbors (in the
+// tests) retains the naive implementation as the equivalence oracle.
 
 // AdjMask is the internal adjacency of a state's nodes: bit j of entry i is
 // set iff Node(i) and Node(j) are adjacent in G. Entries beyond the state's
