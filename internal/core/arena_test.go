@@ -38,12 +38,10 @@ func checkArenas(t *testing.T, when string, ws []*walker) {
 		arena := spanOf(wk)
 		arenas[i] = arena
 		views := map[string]span{
-			"walk":  spanOf(&wk.w),
-			"rng":   spanOf(&wk.rng), // the draw counter is held by value inside it
-			"ring":  spanOf(&wk.win),
-			"degs":  spanOf(&wk.degs),
-			"nodes": spanOf(&wk.nodes),
-			"accs":  sliceSpan(wk.accs),
+			"walk": spanOf(&wk.w),
+			"rng":  spanOf(&wk.rng),  // the draw counter is held by value inside it
+			"ring": spanOf(&wk.ring), // states, degrees, slots, masks, scratch
+			"accs": sliceSpan(wk.accs),
 		}
 		for j := range wk.accs {
 			views[fmt.Sprintf("weights[%d]", j)] = sliceSpan(wk.accs[j].Weights)
@@ -123,21 +121,23 @@ func TestWalkersShareNoCacheLine(t *testing.T) {
 	}
 }
 
-// A window's node collection stops at k+1 distinct nodes, so it stays in the
-// caller's fixed scratch even over a ring no walk could produce — a restored
-// state is not checked for adjacency, and three disjoint d=3 states would
-// otherwise gather 9 nodes.
+// A window's node collection stops at k+1 distinct nodes, and the ring's
+// slots hold every node of its states even over a ring no walk could produce
+// — a restored state is not checked for adjacency, and three disjoint d=3
+// states hold 9 nodes — so classifying it stays in the ring's fixed arrays.
 func TestWindowScratchBounded(t *testing.T) {
 	client := access.NewGraphClient(gen.BarabasiAlbert(200, 4, 21))
 	space := walk.NewSpace(client, 3)
 	s := newSizeParams(5, 3, false)
-	states := []walk.State{walk.StateOf(0, 1, 2), walk.StateOf(3, 4, 5), walk.StateOf(6, 7, 8)}
-	degs := make([]int, len(states))
-	nodes := make([]int32, 0, s.k+1)
+	r := ring{maxL: s.l, d: 3}
+	for j, st := range []walk.State{walk.StateOf(0, 1, 2), walk.StateOf(3, 4, 5), walk.StateOf(6, 7, 8)} {
+		r.place(j, st, 0)
+	}
+	r.pushed = s.l
 	typ := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
-		if typ, _, err = windowSample(client, space, &s, false, states, degs, nodes); err != nil {
+		if typ, _, err = r.windowSample(client, space, &s, false, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

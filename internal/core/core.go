@@ -31,8 +31,9 @@
 //     (AppendConfig / ReadConfig) is the one binary form of a MultiConfig.
 //
 // CSS weights on the step path are read from the per-(k, d) chain tables of
-// internal/graphlet (samplingProbabilityWith); the generic per-window
-// enumeration survives as the exported SamplingProbability, their oracle.
+// internal/graphlet (samplingProbabilityWith), with interior degrees from the
+// walker's ring (classify.go); the generic per-window enumeration survives as
+// the exported SamplingProbability, their oracle.
 package core
 
 import (
@@ -254,7 +255,11 @@ func enumeratedSamplingProbability(space walk.Space, k, d int, nb bool, nodes []
 		// Interior states only (indices 1..l-2); for l = 1 the weight is the
 		// state's degree, but CSS is never used with l <= 2.
 		for i := 1; i < len(chain)-1; i++ {
-			w *= 1 / float64(interiorDegree(space, nb, nodes, chain[i]))
+			deg := interiorDegree(space, nodes, chain[i])
+			if nb {
+				deg = nominal(deg)
+			}
+			w *= 1 / float64(deg)
 		}
 		total += w
 		return true
@@ -265,22 +270,27 @@ func enumeratedSamplingProbability(space walk.Space, k, d int, nb bool, nodes []
 // samplingProbabilityWith is the step-path form of SamplingProbability for a
 // window whose adjacency code is already known: the chains come from the
 // (k, d) table in internal/graphlet instead of a fresh enumeration, so no
-// HasEdge probe and no allocation happens here, and each distinct interior
-// state's degree is computed once per window. The table keeps
-// EnumerateChains' emission order and the factors are the same 1/float64(deg)
-// multiplied in the same order, so the result equals SamplingProbability's
-// bit for bit — which every byte-identity test of the engine relies on.
-func samplingProbabilityWith(space walk.Space, chains *graphlet.ChainTable, nb bool, nodes []int32, code uint16) float64 {
-	// inv[mask] caches 1/deg of the interior state with that node mask; a
-	// computed factor is never 0, so 0 marks "not computed yet".
-	var inv [1 << graphlet.MaxK]float64
+// HasEdge probe and no allocation happens here, and degree, the G(d) degree
+// of the interior state with the given node mask, is asked once per distinct
+// state per window; inv is the caller's scratch for the factors, so nothing
+// is zeroed per window. The table keeps EnumerateChains' emission order and
+// the factors are the same 1/float64(deg) multiplied in the same order, so
+// the result equals SamplingProbability's bit for bit — which every
+// byte-identity test of the engine relies on.
+func samplingProbabilityWith(chains *graphlet.ChainTable, nb bool, code uint16, inv *[1 << graphlet.MaxK]float64, degree func(mask uint8) int) float64 {
+	var have uint32 // masks whose inv entry this window computed
 	masks := chains.Interiors(code)
 	total := 0.0
 	for n := chains.Interior; len(masks) >= n; masks = masks[n:] {
 		w := 1.0
 		for _, m := range masks[:n] {
-			if inv[m] == 0 {
-				inv[m] = 1 / float64(interiorDegree(space, nb, nodes, m))
+			if have&(1<<m) == 0 {
+				d := degree(m)
+				if nb {
+					d = nominal(d)
+				}
+				inv[m] = 1 / float64(d)
+				have |= 1 << m
 			}
 			w *= inv[m]
 		}
@@ -289,9 +299,9 @@ func samplingProbabilityWith(space walk.Space, chains *graphlet.ChainTable, nb b
 	return total
 }
 
-// interiorDegree returns the G(d) degree (nominal under NB) of the chain
-// state holding the nodes selected by mask.
-func interiorDegree(space walk.Space, nb bool, nodes []int32, mask uint8) int {
+// interiorDegree returns the G(d) degree of the chain state holding the
+// nodes selected by mask.
+func interiorDegree(space walk.Space, nodes []int32, mask uint8) int {
 	var buf [graphlet.MaxK]int32
 	n := 0
 	for b, x := range nodes {
@@ -300,9 +310,5 @@ func interiorDegree(space walk.Space, nb bool, nodes []int32, mask uint8) int {
 			n++
 		}
 	}
-	deg := space.StateDegree(walk.StateOf(buf[:n]...))
-	if nb {
-		deg = nominal(deg)
-	}
-	return deg
+	return space.StateDegree(walk.StateOf(buf[:n]...))
 }

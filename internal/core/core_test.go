@@ -303,7 +303,8 @@ func TestCSSMatchesTable4K3(t *testing.T) {
 	space, chains := walk.NewSpace(client, 1), graphlet.Chains(3, 1)
 	pTilde := func(nodes []int32) float64 {
 		code := graphlet.CodeOf(3, func(i, j int) bool { return client.HasEdge(nodes[i], nodes[j]) })
-		return samplingProbabilityWith(space, chains, false, nodes, code)
+		var inv [1 << graphlet.MaxK]float64
+		return samplingProbabilityWith(chains, false, code, &inv, func(m uint8) int { return interiorDegree(space, nodes, m) })
 	}
 
 	// Triangle {0,1,2}: degrees 3,2,3 -> p̃ = 2(1/3+1/2+1/3).
@@ -323,8 +324,11 @@ func TestCSSMatchesTable4K3(t *testing.T) {
 
 // TestD1WindowsProbeOnlyUntraversedPairs: consecutive nodes of a d=1 window
 // are adjacent by construction, so classification may probe only the
-// C(k,2)-(k-1) pairs the walk did not traverse — exactly, on every valid
-// window, for the single-size and the shared-walk accumulators alike.
+// C(k,2)-(k-1) pairs the walk did not traverse — at most that many per valid
+// window, and fewer where the ring carries a pair an earlier window
+// resolved — for the single-size and the shared-walk accumulators alike. The
+// shared walk resolves a pair once for all its sizes, so it probes fewer
+// than its sizes' windows would one by one.
 func TestD1WindowsProbeOnlyUntraversedPairs(t *testing.T) {
 	g := convGraph()
 	counting := access.NewCounting(access.NewGraphClient(g), g.NumNodes())
@@ -338,8 +342,8 @@ func TestD1WindowsProbeOnlyUntraversedPairs(t *testing.T) {
 		counting.Reset()
 		res := runSize(t, counting, cfg, 3000)
 		k := cfg.Sizes[0]
-		if got, want := counting.Stats().EdgeProbes, int64(res.ValidSamples*untraversed(k)); got != want {
-			t.Errorf("%s k=%d: %d edge probes over %d valid windows, want %d", cfg.MethodName(), k, got, res.ValidSamples, want)
+		if got, most := counting.Stats().EdgeProbes, int64(res.ValidSamples*untraversed(k)); got > most || got == 0 {
+			t.Errorf("%s k=%d: %d edge probes over %d valid windows, want 1..%d", cfg.MethodName(), k, got, res.ValidSamples, most)
 		}
 	}
 	counting.Reset()
@@ -351,11 +355,11 @@ func TestD1WindowsProbeOnlyUntraversedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
+	var separate int64
 	for k, r := range res.Results {
-		want += int64(r.ValidSamples * untraversed(k))
+		separate += int64(r.ValidSamples * untraversed(k))
 	}
-	if got := counting.Stats().EdgeProbes; got != want {
-		t.Errorf("sizes 3,4,5 d=1: %d edge probes, want %d", got, want)
+	if got := counting.Stats().EdgeProbes; got >= separate || got == 0 {
+		t.Errorf("sizes 3,4,5 d=1: %d edge probes, want 1..%d", got, separate-1)
 	}
 }

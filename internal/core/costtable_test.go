@@ -70,47 +70,47 @@ func rawCallsPerWindow(t *testing.T) {
 		valid                      []int
 	}{
 		// k = 3
-		{[]int{3}, 1, false, false, 2000, 1764, 4000, []int{1764}},
-		{[]int{3}, 1, false, true, 2284, 2000, 4000, []int{2000}},
-		{[]int{3}, 1, true, false, 2000, 1764, 5828, []int{1764}},
-		{[]int{3}, 1, true, true, 2284, 2000, 6088, []int{2000}},
-		{[]int{3}, 2, false, false, 2089, 2000, 10089, []int{2000}},
-		{[]int{3}, 2, false, true, 2156, 2000, 14252, []int{2000}},
+		{[]int{3}, 1, false, false, 2000, 1763, 4000, []int{1764}},
+		{[]int{3}, 1, false, true, 2284, 1999, 4000, []int{2000}},
+		{[]int{3}, 1, true, false, 2000, 1763, 4000, []int{1764}},
+		{[]int{3}, 1, true, true, 2284, 1999, 4000, []int{2000}},
+		{[]int{3}, 2, false, false, 2089, 1946, 10089, []int{2000}},
+		{[]int{3}, 2, false, true, 2156, 1999, 14252, []int{2000}},
 		{[]int{3}, 3, false, false, 12000, 0, 0, []int{2000}},
 		{[]int{3}, 3, false, true, 12030, 0, 0, []int{2000}},
 		// k = 4
-		{[]int{4}, 1, false, false, 2000, 4671, 4000, []int{1557}},
-		{[]int{4}, 1, false, true, 2283, 5997, 4000, []int{1999}},
-		{[]int{4}, 1, true, false, 2000, 4671, 7229, []int{1557}},
-		{[]int{4}, 1, true, true, 2283, 5997, 8158, []int{1999}},
-		{[]int{4}, 2, false, false, 2089, 5838, 10089, []int{1946}},
-		{[]int{4}, 2, false, true, 2156, 5997, 14252, []int{1999}},
-		{[]int{4}, 2, true, false, 2089, 5838, 19975, []int{1946}},
-		{[]int{4}, 2, true, true, 2156, 5997, 24286, []int{1999}},
-		{[]int{4}, 3, false, false, 12000, 2000, 0, []int{2000}},
-		{[]int{4}, 3, false, true, 12030, 2000, 0, []int{2000}},
+		{[]int{4}, 1, false, false, 2000, 3267, 4000, []int{1557}},
+		{[]int{4}, 1, false, true, 2283, 3992, 4000, []int{1999}},
+		{[]int{4}, 1, true, false, 2000, 3267, 4000, []int{1557}},
+		{[]int{4}, 1, true, true, 2283, 3992, 4000, []int{1999}},
+		{[]int{4}, 2, false, false, 2089, 3840, 10089, []int{1946}},
+		{[]int{4}, 2, false, true, 2156, 3932, 14252, []int{1999}},
+		{[]int{4}, 2, true, false, 2089, 3840, 11995, []int{1946}},
+		{[]int{4}, 2, true, true, 2156, 3932, 16218, []int{1999}},
+		{[]int{4}, 3, false, false, 12000, 1976, 0, []int{2000}},
+		{[]int{4}, 3, false, true, 12030, 1993, 0, []int{2000}},
 		{[]int{4}, 4, false, false, 24000, 0, 0, []int{2000}},
 		{[]int{4}, 4, false, true, 24036, 0, 0, []int{2000}},
 		// k = 5
-		{[]int{5}, 1, false, false, 2000, 8268, 4000, []int{1378}},
-		{[]int{5}, 1, false, true, 2283, 11970, 4000, []int{1995}},
-		{[]int{5}, 1, true, false, 2000, 8268, 8271, []int{1378}},
-		{[]int{5}, 1, true, true, 2283, 11970, 10186, []int{1995}},
-		{[]int{5}, 2, false, false, 2089, 11202, 10089, []int{1867}},
-		{[]int{5}, 2, false, true, 2155, 11790, 14251, []int{1965}},
-		{[]int{5}, 2, true, false, 2089, 11202, 23527, []int{1867}},
-		{[]int{5}, 2, true, true, 2155, 11790, 28199, []int{1965}},
-		{[]int{5}, 3, false, false, 12000, 5928, 0, []int{1976}},
-		{[]int{5}, 3, false, true, 12030, 5979, 0, []int{1993}},
-		{[]int{5}, 3, true, false, 29922, 14889, 0, []int{1976}},
-		{[]int{5}, 3, true, true, 29418, 14673, 0, []int{1993}},
-		{[]int{5}, 4, false, false, 24000, 2000, 0, []int{2000}},
-		{[]int{5}, 4, false, true, 24036, 2000, 0, []int{2000}},
+		{[]int{5}, 1, false, false, 2000, 4587, 4000, []int{1378}},
+		{[]int{5}, 1, false, true, 2283, 5987, 4000, []int{1995}},
+		{[]int{5}, 1, true, false, 2000, 4587, 4000, []int{1378}},
+		{[]int{5}, 1, true, true, 2283, 5987, 4000, []int{1995}},
+		{[]int{5}, 2, false, false, 2089, 5653, 10089, []int{1867}},
+		{[]int{5}, 2, false, true, 2155, 5807, 14251, []int{1965}},
+		{[]int{5}, 2, true, false, 2089, 5653, 11975, []int{1867}},
+		{[]int{5}, 2, true, true, 2155, 5807, 16186, []int{1965}},
+		{[]int{5}, 3, false, false, 12000, 3934, 0, []int{1976}},
+		{[]int{5}, 3, false, true, 12030, 3930, 0, []int{1993}},
+		{[]int{5}, 3, true, false, 29922, 12895, 0, []int{1976}},
+		{[]int{5}, 3, true, true, 29418, 12624, 0, []int{1993}},
+		{[]int{5}, 4, false, false, 24000, 1990, 0, []int{2000}},
+		{[]int{5}, 4, false, true, 24036, 1990, 0, []int{2000}},
 		{[]int{5}, 5, false, false, 40000, 0, 0, []int{2000}},
 		{[]int{5}, 5, false, true, 40016, 0, 0, []int{2000}},
 		// one walk, three sizes
-		{[]int{3, 4, 5}, 2, true, false, 2089, 19040, 33413, []int{2000, 1946, 1867}},
-		{[]int{3, 4, 5}, 3, true, false, 29922, 16889, 0, []int{2000, 2000, 1976}},
+		{[]int{3, 4, 5}, 2, true, false, 2089, 5654, 11977, []int{2000, 1946, 1867}},
+		{[]int{3, 4, 5}, 3, true, false, 29922, 12895, 0, []int{2000, 2000, 1976}},
 	} {
 		cfg := MultiConfig{Sizes: row.sizes, D: row.d, CSS: row.css, NB: row.nb, Seed: 5}
 		name := fmt.Sprintf("%s k%v", cfg.MethodName(), row.sizes)

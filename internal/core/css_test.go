@@ -58,7 +58,8 @@ func TestSamplingProbabilityTableMatchesEnumerator(t *testing.T) {
 				}
 				for _, nb := range []bool{false, true} {
 					want := enumeratedSamplingProbability(space, k, d, nb, nodes, hasEdge)
-					got := samplingProbabilityWith(space, chains, nb, nodes, code)
+					var inv [1 << graphlet.MaxK]float64
+					got := samplingProbabilityWith(chains, nb, code, &inv, func(m uint8) int { return interiorDegree(space, nodes, m) })
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("k=%d d=%d nb=%v code=%#x: table %v (%#x), enumerator %v (%#x)",
 							k, d, nb, code, got, math.Float64bits(got), want, math.Float64bits(want))

@@ -275,18 +275,21 @@ func checkUnbiased(t *testing.T, row oracleRow) {
 		}
 	}
 	var star float64
-	states := make([]walk.State, maxL)
-	degs := make([]int, maxL)
-	nodes := make([]int32, 0, graphlet.MaxK+1)
-	// A shorter size's window is the prefix of the longest one: the prefix
-	// of a stationary window is itself stationary.
+	// Each path is pushed into a fresh ring, as a walk would push it, so the
+	// adjacency a window reads is what the pushes carried. A shorter size's
+	// window is the prefix of the longest one: the prefix of a stationary
+	// window is itself stationary.
+	r := ring{maxL: maxL, d: row.d}
 	sg.forEachWindow(maxL, row.nb, func(path []int, p float64) {
-		for i, x := range path {
-			states[i], degs[i] = sg.states[x], len(sg.adj[x])
+		r.reset()
+		from := walk.State{}
+		for _, x := range path {
+			r.push(space, sg.states[x], len(sg.adj[x]), from)
+			from = sg.states[x]
 		}
 		for i := range params {
 			s := &params[i]
-			typ, weight, err := windowSample(client, space, s, row.nb, states[:s.l], degs[:s.l], nodes)
+			typ, weight, err := r.windowSample(client, space, s, row.nb, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +298,7 @@ func checkUnbiased(t *testing.T, row oracleRow) {
 			}
 		}
 		if row.recoverStars {
-			star += p * starTerm(degs[maxL-1])
+			star += p * starTerm(len(sg.adj[path[maxL-1]]))
 		}
 	})
 
@@ -354,35 +357,38 @@ func TestRingWindows(t *testing.T) {
 		seq := []walk.State{wk.w.Current()}
 		check := func(when string, wk *walker) {
 			t.Helper()
+			r := &wk.ring
 			for _, s := range wk.sizes {
-				for j := max(0, wk.pushed-wk.maxL); j+s.l <= wk.pushed; j++ {
-					states, degs := wk.window(j, s.l)
+				for j := max(0, r.pushed-r.maxL); j+s.l <= r.pushed; j++ {
+					states, degs := r.window(j, s.l)
 					for i := range s.l {
 						if want := seq[j+i]; states[i] != want || degs[i] != space.StateDegree(want) {
 							t.Fatalf("maxL %d %s, %d pushed: size %d window %d state %d is %v (deg %d), want %v (deg %d)",
-								wk.maxL, when, wk.pushed, s.k, j, i, states[i], degs[i], want, space.StateDegree(want))
+								r.maxL, when, r.pushed, s.k, j, i, states[i], degs[i], want, space.StateDegree(want))
 						}
 					}
 				}
 			}
 		}
 		check("start", wk)
-		for range 3*wk.maxL + 2 {
+		for range 3*wk.ring.maxL + 2 {
+			from := wk.w.Current()
 			seq = append(seq, wk.w.Step())
-			wk.push(seq[len(seq)-1])
+			wk.push(seq[len(seq)-1], from)
 			check("push", wk)
 		}
 		for i, s := range wk.sizes {
-			wk.accs[i].Done = wk.pushed - s.l
+			wk.accs[i].Done = wk.ring.pushed - s.l
 		}
 		re := newWalker(client, cfg, 7)
 		if err := re.restore(wk.snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		check("restored", re)
-		for range 2*wk.maxL + 1 {
+		for range 2*wk.ring.maxL + 1 {
 			seq = append(seq, wk.w.Step())
-			re.push(re.w.Step())
+			from := re.w.Current()
+			re.push(re.w.Step(), from)
 			check("pushed after restore", re)
 		}
 	}

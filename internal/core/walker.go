@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/access"
 	"repro/internal/graphlet"
@@ -52,15 +51,10 @@ type walker struct {
 	w      walk.Walk // meaningful once seeded
 
 	sizes []sizeParams // per target size, in cfg.Sizes order
-	maxL  int
 
-	// Mirrored ring of the last maxL <= MaxK states and their G(d) degrees
-	// (place), so that every window is one slice of it (window).
-	win    [2 * graphlet.MaxK]walk.State
-	degs   [2 * graphlet.MaxK]int
-	pushed int // states pushed since reset/restore
-
-	nodes [graphlet.MaxK + 1]int32 // windowSample's node scratch
+	// ring holds the last maxL = max(l_k) states, their degrees and the
+	// adjacency of their nodes, carried across walk positions (classify.go).
+	ring ring
 
 	// accs are the walker-private accumulators, indexed like sizes and merged
 	// by the ensemble: a view of accBuf, each size's Weights and TypeCounts a
@@ -118,11 +112,12 @@ func newWalker(client access.Client, cfg MultiConfig, seed int64) *walker {
 		sizes:  make([]sizeParams, len(cfg.Sizes)),
 	}
 	wk.rng.InitAt(seed, 0)
+	wk.ring.d = cfg.D
 	wk.accs = wk.accBuf[:len(cfg.Sizes)]
 	off := 0
 	for i, k := range cfg.Sizes {
 		s := newSizeParams(k, cfg.D, cfg.CSS)
-		wk.maxL = max(wk.maxL, s.l)
+		wk.ring.maxL = max(wk.ring.maxL, s.l)
 		wk.sizes[i] = s
 		end := off + len(s.alpha)
 		wk.accs[i] = SizeAcc{Weights: wk.weightBuf[off:end:end], TypeCounts: wk.countBuf[off:end:end]}
@@ -143,7 +138,7 @@ func (wk *walker) reset() {
 	wk.starAcc = 0
 	wk.seeded = false
 	wk.primed = false
-	wk.pushed = 0
+	wk.ring.reset()
 }
 
 // ensureSeeded draws the walk's start state exactly once per reset. This is
@@ -169,8 +164,8 @@ func (wk *walker) start() {
 		return
 	}
 	wk.w.Burn(wk.cfg.BurnIn)
-	wk.pushed = 0
-	wk.push(wk.w.Current())
+	wk.ring.reset()
+	wk.push(wk.w.Current(), walk.State{})
 	wk.primed = true
 }
 
@@ -199,7 +194,7 @@ func (wk *walker) run(ctx context.Context, count int) error {
 			if a.Done >= target {
 				continue
 			}
-			if s := &wk.sizes[i]; a.Done+s.l <= wk.pushed {
+			if s := &wk.sizes[i]; a.Done+s.l <= wk.ring.pushed {
 				if err := wk.accumulate(s, a); err != nil {
 					return err
 				}
@@ -219,38 +214,26 @@ func (wk *walker) run(ctx context.Context, count int) error {
 			default:
 			}
 		}
-		wk.push(wk.w.Step())
+		from := wk.w.Current()
+		wk.push(wk.w.Step(), from)
 	}
 }
 
-func (wk *walker) push(s walk.State) {
-	wk.place(wk.pushed, s, wk.space.StateDegree(s))
-	wk.pushed++
-}
-
-// place stores state j and its degree at both of its mirrored ring slots.
-func (wk *walker) place(j int, s walk.State, deg int) {
-	slot := j % wk.maxL
-	wk.win[slot], wk.win[slot+wk.maxL] = s, s
-	wk.degs[slot], wk.degs[slot+wk.maxL] = deg, deg
-}
-
-// window returns states [j, j+l) and their degrees, oldest first, as views
-// of the ring; they must still be retained (j >= pushed-maxL).
-func (wk *walker) window(j, l int) ([]walk.State, []int) {
-	slot := j % wk.maxL
-	return wk.win[slot : slot+l], wk.degs[slot : slot+l]
+// push appends the walk's newest state, reached from state from, to the
+// ring.
+func (wk *walker) push(s, from walk.State) {
+	wk.ring.push(wk.space, s, wk.space.StateDegree(s), from)
 }
 
 // accumulate folds size s's next window (states [Done, Done+l-1]) into its
 // accumulator. A size's accumulator trajectory depends only on the walk,
 // never on which other sizes share it.
 func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
-	states, degs := wk.window(a.Done, s.l)
 	if wk.cfg.RecoverStars {
+		_, degs := wk.ring.window(a.Done, s.l)
 		wk.starAcc += starTerm(degs[s.l-1])
 	}
-	typ, weight, err := windowSample(wk.client, wk.space, s, wk.cfg.NB, states, degs, wk.nodes[:0])
+	typ, weight, err := wk.ring.windowSample(wk.client, wk.space, s, wk.cfg.NB, a.Done)
 	if err != nil || typ < 0 {
 		return err
 	}
@@ -266,77 +249,6 @@ func (wk *walker) accumulate(s *sizeParams, a *SizeAcc) error {
 func starTerm(deg int) float64 {
 	d := float64(deg)
 	return (d - 1) * (d - 2) / 6
-}
-
-// windowSample is the estimator on one window of l = k-d+1 consecutive walk
-// states (oldest first) and their G(d) degrees: if the states cover exactly
-// k distinct nodes, it classifies the induced subgraph and returns its type
-// with the re-weighted contribution 1/(α·π̃e), or 1/p̃ under CSS; otherwise
-// the sample is invalid (Figure 3) and the type is -1. A walk's window covers
-// at most k nodes, but a restored ring is not checked for adjacency, so
-// collection into nodes (capacity k+1) stops at the (k+1)-th distinct node.
-func windowSample(client access.Client, space walk.Space, s *sizeParams, nb bool, states []walk.State, degs []int, nodes []int32) (int, float64, error) {
-gather:
-	for _, st := range states {
-		for j := 0; j < st.Len(); j++ {
-			if x := st.Node(j); !slices.Contains(nodes, x) {
-				nodes = append(nodes, x)
-				if len(nodes) > s.k {
-					break gather
-				}
-			}
-		}
-	}
-	if len(nodes) != s.k {
-		return -1, 0, nil
-	}
-	code := windowCode(client, space, s.k, nodes, states)
-	typ := graphlet.ClassifyCode(s.k, code)
-	if typ < 0 {
-		return -1, 0, fmt.Errorf("core: window %v classified as disconnected", nodes)
-	}
-	if s.chains != nil {
-		p := samplingProbabilityWith(space, s.chains, nb, nodes, code)
-		if p <= 0 {
-			return -1, 0, fmt.Errorf("core: zero sampling probability for type g%d_%d", s.k, typ+1)
-		}
-		return typ, 1 / p, nil
-	}
-	if s.alpha[typ] == 0 {
-		return -1, 0, fmt.Errorf("core: walk produced type g%d_%d with alpha = 0 (d=%d)", s.k, typ+1, s.k-s.l+1)
-	}
-	return typ, 1 / (float64(s.alpha[typ]) * pieTilde(nb, degs)), nil
-}
-
-// pieTilde computes π̃e(X^(l)) = 2|R(d)|·πe for a window with the given
-// state degrees (Equation 2): deg(X_1) for l = 1, 1 for l = 2, and the
-// product of inverse degrees of the interior states for l > 2. Under NB,
-// nominal degrees are used (§4.2).
-func pieTilde(nb bool, degs []int) float64 {
-	switch len(degs) {
-	case 1:
-		// Marginal state probability d_X/2|R|; NB-SRW preserves it, so the
-		// actual degree is used even under NB.
-		return float64(degs[0])
-	case 2:
-		return 1
-	}
-	p := 1.0
-	for _, d := range degs[1 : len(degs)-1] {
-		if nb {
-			d = nominal(d)
-		}
-		p *= 1 / float64(d)
-	}
-	return p
-}
-
-// nominal maps a state degree to the NB-SRW nominal degree.
-func nominal(d int) int {
-	if d <= 1 {
-		return 1
-	}
-	return d - 1
 }
 
 // snapshot exports the walker's complete resumable state. Only safe on the
@@ -362,8 +274,8 @@ func (wk *walker) snapshot() WalkerState {
 	if wk.primed {
 		// The ring holds the last min(pushed, maxL) states; export them
 		// oldest-first so restore can re-place state j at slot j % maxL.
-		n := min(wk.pushed, wk.maxL)
-		states, degs := wk.window(wk.pushed-n, n)
+		n := min(wk.ring.pushed, wk.ring.maxL)
+		states, degs := wk.ring.window(wk.ring.pushed-n, n)
 		st.Win = append([]walk.State(nil), states...)
 		st.Degs = append([]int(nil), degs...)
 	}
@@ -405,7 +317,7 @@ func (wk *walker) restore(st WalkerState) error {
 	wk.space = walk.NewSpace(wk.client, wk.cfg.D)
 	wk.seeded = st.Seeded
 	wk.primed = st.Primed
-	wk.pushed = 0
+	wk.ring.reset()
 	if !st.Seeded {
 		wk.w = walk.Walk{}
 		return nil
@@ -427,11 +339,11 @@ func (wk *walker) restore(st WalkerState) error {
 	// pre-merge single-size walker (a GEST blob) stands one transition
 	// further than this walker would — it holds its next window already —
 	// which the same arithmetic covers: that window is simply ready.
-	wk.pushed = int(st.Steps) - wk.cfg.BurnIn + 1
-	if wk.pushed < 1 {
+	pushed := int(st.Steps) - wk.cfg.BurnIn + 1
+	if pushed < 1 {
 		return fmt.Errorf("core: restore: primed walker at %d steps is inside its %d-step burn-in", st.Steps, wk.cfg.BurnIn)
 	}
-	n := min(wk.pushed, wk.maxL)
+	n := min(pushed, wk.ring.maxL)
 	if len(st.Win) != n || len(st.Degs) != n {
 		return fmt.Errorf("core: restore: ring of %d states/%d degrees, want %d",
 			len(st.Win), len(st.Degs), n)
@@ -444,15 +356,16 @@ func (wk *walker) restore(st WalkerState) error {
 		if st.Degs[i] < 0 {
 			return fmt.Errorf("core: restore: negative degree %d", st.Degs[i])
 		}
-		wk.place(wk.pushed-n+i, s, st.Degs[i])
+		wk.ring.place(pushed-n+i, s, st.Degs[i])
 	}
+	wk.ring.pushed = pushed
 	// Every pending window must still be coverable by the ring: size i
 	// resumes at window Done, whose oldest state index must not precede
 	// pushed - n (the oldest retained state).
 	for i, s := range wk.sizes {
-		if wk.accs[i].Done < wk.pushed-n {
+		if wk.accs[i].Done < pushed-n {
 			return fmt.Errorf("core: restore: size %d window %d precedes retained ring (oldest state %d)",
-				s.k, wk.accs[i].Done, wk.pushed-n)
+				s.k, wk.accs[i].Done, pushed-n)
 		}
 	}
 	return nil

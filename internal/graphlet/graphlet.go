@@ -53,6 +53,11 @@ var infos [MaxK + 1]*kinfo
 func init() {
 	for k := 3; k <= MaxK; k++ {
 		infos[k] = buildKInfo(k)
+		for bit, p := range infos[k].pairs {
+			if p[1] == p[0]+1 {
+				rowBits[k][p[0]] = uint8(bit)
+			}
+		}
 	}
 }
 
@@ -100,6 +105,25 @@ func CodeOf(k int, hasEdge func(i, j int) bool) uint16 {
 		if hasEdge(p[0], p[1]) {
 			code |= 1 << uint(bit)
 		}
+	}
+	return code
+}
+
+// rowBits[k][i] is the code bit of pair (i, i+1) for size k. In the
+// lexicographic pair order row i's pairs (i, j), j > i, are consecutive bits
+// from there on.
+var rowBits [MaxK + 1][MaxK]uint8
+
+// CodeOfRows builds the adjacency code of k nodes from upper-triangular
+// adjacency rows: bit j of rows[i], for j > i, is set iff nodes i and j are
+// adjacent, and bits at or below i are ignored. Each row lands in the code
+// with one shift read from a per-k table. It equals CodeOf over the same
+// adjacency.
+func CodeOfRows(k int, rows *[MaxK]uint8) uint16 {
+	first := &rowBits[k]
+	var code uint16
+	for i := 0; i < k-1; i++ {
+		code |= uint16(rows[i]>>uint(i+1)) << first[i]
 	}
 	return code
 }

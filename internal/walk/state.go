@@ -61,6 +61,15 @@ func ParseState(nodes []int32) (State, error) {
 	return s, nil
 }
 
+// SortedState builds a state from 1..MaxD nodes that are already ascending
+// and distinct, which the caller guarantees: ParseState's sort and duplicate
+// check are skipped.
+func SortedState(nodes []int32) State {
+	var s State
+	s.n = uint8(copy(s.v[:], nodes))
+	return s
+}
+
 // Len returns the number of nodes in the state.
 func (s State) Len() int { return int(s.n) }
 
