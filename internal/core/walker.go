@@ -17,10 +17,10 @@ import (
 // sibling walkers — the only shared object is the access.Client, which is
 // required to be safe for concurrent use.
 //
-// The scheduling invariant is index-based: pushed counts the walk states
-// seen so far (state 0 is the first state after burn-in, so pushed == walk
-// steps - BurnIn + 1 once primed), state j lives in ring slots j % maxL and
-// j % maxL + maxL, and accs[i].Done counts the windows size i has
+// The scheduling invariant is index-based: ring.pushed counts the walk
+// states seen so far (state 0 is the first state after burn-in, so pushed ==
+// walk steps - BurnIn + 1 once primed), state j lives in ring positions
+// j % maxL and j % maxL + maxL, and accs[i].Done counts the windows size i has
 // accumulated — size i's next window covers states [Done, Done+l_i-1] and is
 // ready as soon as pushed >= Done+l_i. The walk is lazy: it takes a
 // transition only when some size still needs a state, so a run never steps
@@ -31,15 +31,16 @@ import (
 // A walker is its own arena, so that sibling walkers never write to a shared
 // cache line (the one-line rule, pinned by TestWalkersShareNoCacheLine):
 // everything the step path writes — the walk.Walk, the walk.Rand with its
-// draw counter, the state ring and its degrees, the accumulators with every
-// size's Weights and TypeCounts, and the window's node scratch — is held by
-// value in the one walker allocation, with the slices carved from its fixed
-// arrays, and a cacheLine pad at each end keeps neighboring allocations off
-// the lines those writes hit. Two written objects stay outside: spaceD
-// (d >= 3), which pads itself by a line at each end since its record ring is
-// written every step, and math/rand's 4872-byte generator state behind the
-// RNG, which is served from the 5376-byte size class, whose 64-aligned slots
-// share no line.
+// draw counter, the ring (its states and degrees, their nodes' slots and the
+// known/adj masks over them, the slot degrees, and the classified window's
+// slot, order and CSS-factor scratch), and the accumulators with every
+// size's Weights and TypeCounts — is held by value in the one walker
+// allocation, with the slices carved from its fixed arrays, and a cacheLine
+// pad at each end keeps neighboring allocations off the lines those writes
+// hit. Two written objects stay outside: spaceD (d >= 3), which pads itself
+// by a line at each end since its record ring is written every step, and
+// math/rand's 4872-byte generator state behind the RNG, which is served from
+// the 5376-byte size class, whose 64-aligned slots share no line.
 type walker struct {
 	_ [cacheLine]byte
 
