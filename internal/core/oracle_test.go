@@ -275,17 +275,30 @@ func checkUnbiased(t *testing.T, row oracleRow) {
 		}
 	}
 	var star float64
-	// Each path is pushed into a fresh ring, as a walk would push it, so the
-	// adjacency a window reads is what the pushes carried. A shorter size's
-	// window is the prefix of the longest one: the prefix of a stationary
-	// window is itself stationary.
+	// Each path is pushed into the ring as a walk would push it, so the
+	// adjacency a window reads is what the pushes carried. Paths come in
+	// depth-first order, so only the states after the prefix a path shares
+	// with the one before are pushed again: placing state j drops the nodes
+	// only later states of the old path held, and what the masks keep are
+	// answers about node pairs, true on any path. A shorter size's window is
+	// the prefix of the longest one: the prefix of a stationary window is
+	// itself stationary.
 	r := ring{maxL: maxL, d: row.d}
+	r.reset()
+	var last []int
 	sg.forEachWindow(maxL, row.nb, func(path []int, p float64) {
-		r.reset()
-		from := walk.State{}
-		for _, x := range path {
-			r.push(space, sg.states[x], len(sg.adj[x]), from)
-			from = sg.states[x]
+		j := 0
+		for j < len(last) && last[j] == path[j] {
+			j++
+		}
+		last = append(last[:0], path...)
+		r.pushed = j
+		for ; j < maxL; j++ {
+			from := walk.State{}
+			if j > 0 {
+				from = sg.states[path[j-1]]
+			}
+			r.push(space, sg.states[path[j]], len(sg.adj[path[j]]), from)
 		}
 		for i := range params {
 			s := &params[i]
