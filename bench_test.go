@@ -55,50 +55,53 @@ func BenchmarkTable5Exact(b *testing.B) {
 	}
 }
 
+// quickParams is small enough for the figure and table benchmarks.
+var quickParams = experiments.Params{Steps: 2000, Trials: 8}
+
 func BenchmarkFig4(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Fig4(io.Discard, p)
 	}
 }
 
 func BenchmarkFig5(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Fig5(io.Discard, p)
 	}
 }
 
 func BenchmarkFig6(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Fig6(io.Discard, p)
 	}
 }
 
 func BenchmarkTable6Timing(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Table6(io.Discard, p)
 	}
 }
 
 func BenchmarkFig7(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Fig7(io.Discard, p)
 	}
 }
 
 func BenchmarkFig8(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Fig8(io.Discard, p)
 	}
 }
 
 func BenchmarkTable7(b *testing.B) {
-	p := experiments.Quick()
+	p := quickParams
 	for i := 0; i < b.N; i++ {
 		experiments.Table7(io.Discard, p)
 	}

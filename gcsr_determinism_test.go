@@ -37,10 +37,15 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.gcsr")
-	if err := SaveGraph(path, built); err != nil {
+	if err := graph.Save(path, built); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := graph.Load(path)
+	// The file read into memory, the open path of hosts without mmap.
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := graph.FromImage(image, graph.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +59,6 @@ func TestEstimateByteIdenticalAcrossLoadPaths(t *testing.T) {
 	}
 	// The same image one byte off alignment: FromImage cannot alias its
 	// arrays and decodes them into heap copies, the one portable branch.
-	image, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	odd := make([]byte, len(image)+1)[1:]
 	copy(odd, image)
 	decoded, err := graph.FromImage(odd, graph.OpenOptions{})
@@ -298,7 +299,7 @@ func TestRepackUnderMappedReader(t *testing.T) {
 		if after := renderEstimate(t, reader, cfg); after != before {
 			t.Errorf("v%d: the open reader's estimate changed under a repack:\nbefore: %s\nafter:  %s", version, before, after)
 		}
-		fresh, err := OpenGraph(path)
+		fresh, err := graph.Open(path, graph.OpenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@
 //
 // Quick start:
 //
-//	g, _ := graphletrw.LoadGraph("graph.txt")         // or build one
+//	g, _ := graphletrw.OpenLCC("graph.txt")           // edge list or .gcsr
 //	client := graphletrw.NewClient(g)                  // restricted access
 //	res, _ := graphletrw.Estimate(client, graphletrw.Config{
 //		Sizes: []int{4}, D: 2, CSS: true, Seed: 1, Walkers: 8,
@@ -33,24 +33,16 @@
 package graphletrw
 
 import (
-	"io"
-	"math/rand"
-
 	"repro/internal/access"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/graphlet"
 	"repro/internal/kernel"
-	"repro/internal/stats"
 )
 
 // Graph is an immutable undirected simple graph with sorted adjacency.
 type Graph = graph.Graph
-
-// Builder accumulates edges into a Graph.
-type Builder = graph.Builder
 
 // Client is the restricted-access crawl interface used by all walks.
 type Client = access.Client
@@ -77,30 +69,11 @@ type EnsembleState = core.EnsembleState
 // Graphlet describes one of the catalog's subgraph patterns.
 type Graphlet = graphlet.Graphlet
 
-// NewBuilder returns a Builder for a graph with at least n nodes.
-func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// LoadGraph reads a whitespace-separated edge list from a file and returns
-// its graph (node IDs compacted; comments with '#'/'%' skipped).
-func LoadGraph(path string) (*Graph, error) { return graph.LoadEdgeList(path) }
-
-// ReadGraph parses an edge list from a reader.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
-
-// SaveGraph writes g to path in the .gcsr binary CSR format (magic/version
-// header, checksummed little-endian off/adj arrays). Packed graphs load in
-// milliseconds via OpenGraph — zero-copy mmap'd where the platform allows —
-// instead of re-parsing an edge list; cmd/graphlet-pack is the CLI wrapper.
-func SaveGraph(path string, g *Graph) error { return graph.Save(path, g) }
-
-// OpenGraph opens a graph file, detecting its encoding by extension, then
+// OpenLCC opens a graph file, detecting its encoding by extension, then
 // magic bytes: a .gcsr binary CSR file (opened zero-copy via mmap where
-// available) or a text edge list ("u v" lines). Call Close on the returned
-// graph when done with an mmap-backed one.
-func OpenGraph(path string) (*Graph, error) { return graph.Open(path, graph.OpenOptions{}) }
-
-// OpenLCC is OpenGraph followed by LargestComponent — the paper's
-// preprocessing, and what every command in cmd/ estimates over. A connected
+// available) or a text edge list ("u v" lines). It returns the largest
+// connected component — the paper's preprocessing, and what every command in
+// cmd/ estimates over. Call Close on the result when done. A connected
 // packed graph stays served from its mapping; the mapping of a disconnected
 // one is released once its component is rebuilt on the heap.
 func OpenLCC(path string) (*Graph, error) { return graph.OpenLCC(path, graph.OpenOptions{}) }
@@ -118,17 +91,6 @@ func NewClient(g *Graph) Client { return access.NewGraphClient(g) }
 func NewCountingClient(c Client, numNodes int) *CountingClient {
 	return access.NewCounting(c, numNodes)
 }
-
-// MemoClient is a concurrency-safe memoizing neighbor-cache decorator: an
-// ensemble of parallel walkers sharing one MemoClient fetches each
-// neighborhood from the inner client exactly once (per-node single flight).
-type MemoClient = access.Memo
-
-// NewMemoClient wraps c with the shared memoizing neighbor cache. Use it
-// when running Config.Walkers > 1 over an expensive boundary (the HTTP crawl
-// client, a latency-modeling wrapper) so concurrent walkers never re-fetch a
-// neighbor list.
-func NewMemoClient(c Client) *MemoClient { return access.NewMemo(c) }
 
 // NewEstimator builds a reusable estimator for the given method and sizes;
 // it can also checkpoint, snapshot and restore a run.
@@ -172,27 +134,6 @@ func ClusteringCoefficient(g *Graph) float64 { return exact.GlobalClusteringCoef
 // weights into unbiased count estimates (Equation 4).
 func TwoR(g *Graph, d int) float64 { return core.TwoR(g, d) }
 
-// NRMSE is the paper's accuracy metric over independent trial estimates.
-func NRMSE(estimates []float64, truth float64) float64 { return stats.NRMSE(estimates, truth) }
-
 // Similarity is the §6.4 graphlet-kernel similarity: the cosine of two
 // concentration vectors.
 func Similarity(c1, c2 []float64) float64 { return kernel.Cosine(c1, c2) }
-
-// WedgeSampler exposes the wedge-sampling baseline [32] (full access).
-type WedgeSampler = baseline.WedgeSampler
-
-// NewWedgeSampler preprocesses g for wedge sampling.
-func NewWedgeSampler(g *Graph) *WedgeSampler { return baseline.NewWedgeSampler(g) }
-
-// PathSampler exposes the 3-path-sampling baseline [14] (full access).
-type PathSampler = baseline.PathSampler
-
-// NewPathSampler preprocesses g for 3-path sampling.
-func NewPathSampler(g *Graph) *PathSampler { return baseline.NewPathSampler(g) }
-
-// NewWedgeMHRW starts the adapted wedge sampler of Algorithm 4 (restricted
-// access).
-func NewWedgeMHRW(c Client, rng *rand.Rand) *baseline.WedgeMHRW {
-	return baseline.NewWedgeMHRW(c, rng)
-}

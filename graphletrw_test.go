@@ -5,11 +5,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/apiserver"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func TestFacadeEstimateAgainstExact(t *testing.T) {
@@ -39,10 +42,15 @@ func TestFacadeCatalogAndAlpha(t *testing.T) {
 }
 
 func TestFacadeGraphIO(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader("0 1\n1 2\n2 0\n"))
+	path := filepath.Join(t.TempDir(), "triangle.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenLCC(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Close()
 	if g.NumNodes() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("parsed %v", g)
 	}
@@ -83,23 +91,15 @@ func TestFacadeSimilarity(t *testing.T) {
 	}
 }
 
-func TestFacadeBaselines(t *testing.T) {
+func TestFacadeTwoR(t *testing.T) {
 	g := gen.HolmeKim(500, 3, 0.6, 3)
-	ws := NewWedgeSampler(g)
-	if ws.TotalWedges <= 0 {
-		t.Error("wedge sampler has no wedges")
-	}
-	ps := NewPathSampler(g)
-	if ps.TotalPaths <= 0 {
-		t.Error("path sampler has no paths")
-	}
 	if TwoR(g, 1) != 2*float64(g.NumEdges()) {
 		t.Error("TwoR(1) wrong")
 	}
 }
 
 func TestFacadeBuilder(t *testing.T) {
-	b := NewBuilder(0)
+	b := graph.NewBuilder(0)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.Build()

@@ -43,6 +43,8 @@ type Memo struct {
 	inner  RowSource
 	shards [memoShards]memoShard
 
+	// lookups counts neighbor-list resolutions callers requested, fetches
+	// the lists fetched from inner: the de-duplicated crawl footprint.
 	lookups atomic.Int64
 	fetches atomic.Int64
 
@@ -91,29 +93,6 @@ func NewMemo(inner RowSource) *Memo {
 	}
 	c.hubBudget.Store(memoHubBudgetFloor)
 	return c
-}
-
-// MemoStats reports cache effectiveness.
-type MemoStats struct {
-	// Lookups counts neighbor-list resolutions requested by callers.
-	Lookups int64
-	// InnerFetches counts neighbor lists actually fetched from the inner
-	// client — the de-duplicated crawl footprint.
-	InnerFetches int64
-	// HubRows/HubBytes count the dense adjacency bitset rows built for hot
-	// crawled hubs (O(1) HasEdge) and the memory they occupy.
-	HubRows  int64
-	HubBytes int64
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *Memo) Stats() MemoStats {
-	return MemoStats{
-		Lookups:      c.lookups.Load(),
-		InnerFetches: c.fetches.Load(),
-		HubRows:      c.hubRows.Load(),
-		HubBytes:     c.hubBytes.Load(),
-	}
 }
 
 func (c *Memo) shard(v int32) *memoShard { return &c.shards[uint32(v)%memoShards] }

@@ -67,12 +67,11 @@ func TestMemoSingleFlight(t *testing.T) {
 	if st.NeighborCalls != nodes {
 		t.Errorf("inner fetched %d times, want exactly %d (one per node)", st.NeighborCalls, nodes)
 	}
-	ms := memo.Stats()
-	if ms.InnerFetches != nodes {
-		t.Errorf("memo reports %d inner fetches, want %d", ms.InnerFetches, nodes)
+	if got := memo.fetches.Load(); got != nodes {
+		t.Errorf("memo counts %d inner fetches, want %d", got, nodes)
 	}
-	if want := int64(goroutines * 50 * nodes * 2); ms.Lookups != want {
-		t.Errorf("memo reports %d lookups, want %d", ms.Lookups, want)
+	if got, want := memo.lookups.Load(), int64(goroutines*50*nodes*2); got != want {
+		t.Errorf("memo counts %d lookups, want %d", got, want)
 	}
 }
 
@@ -129,8 +128,8 @@ func TestMemoFetchPanicNotCached(t *testing.T) {
 	if len(ns) != 3 {
 		t.Fatalf("post-panic retry returned %v, want 3 neighbors", ns)
 	}
-	if st := m.Stats(); st.InnerFetches != 2 {
-		t.Errorf("inner fetches = %d, want 2 (failed + retry)", st.InnerFetches)
+	if got := m.fetches.Load(); got != 2 {
+		t.Errorf("inner fetches = %d, want 2 (failed + retry)", got)
 	}
 }
 
@@ -154,9 +153,8 @@ func TestMemoHubBitsetCorrect(t *testing.T) {
 		t.Fatal("fixture has no hub")
 	}
 	memo.Neighbors(hub)
-	st := memo.Stats()
-	if st.HubRows != 1 || st.HubBytes == 0 {
-		t.Fatalf("stats after crawling one hub: %+v", st)
+	if rows, bytes := memo.hubRows.Load(), memo.hubBytes.Load(); rows != 1 || bytes == 0 {
+		t.Fatalf("after crawling one hub: %d hub rows of %d bytes", rows, bytes)
 	}
 	e, ok := memo.cachedEntry(hub)
 	if !ok || e.bits == nil {

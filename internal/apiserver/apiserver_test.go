@@ -15,67 +15,81 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
 )
 
 // canonicalRow must pass conforming rows through untouched (same backing
-// array — no copy on the hot path) and repair unsorted or duplicated rows
-// from a nonconforming server into the strict access.Client contract.
+// array — no copy on the hot path) and repair unsorted, duplicated or
+// self-looped rows from a nonconforming server into the strict
+// access.Client contract.
 func TestCanonicalRow(t *testing.T) {
 	sorted := []int32{1, 3, 7}
-	if got := canonicalRow(sorted); &got[0] != &sorted[0] {
+	if got := canonicalRow(0, sorted); &got[0] != &sorted[0] {
 		t.Error("conforming row was copied")
 	}
-	for _, tc := range [][2][]int32{
-		{{7, 1, 3}, {1, 3, 7}},
-		{{1, 1, 3, 7, 7}, {1, 3, 7}},
-		{{5, 2, 5, 2}, {2, 5}},
-		{{4}, {4}},
+	for _, tc := range []struct {
+		v       int32
+		in, out []int32
+	}{
+		{0, []int32{7, 1, 3}, []int32{1, 3, 7}},
+		{0, []int32{1, 1, 3, 7, 7}, []int32{1, 3, 7}},
+		{0, []int32{5, 2, 5, 2}, []int32{2, 5}},
+		{0, []int32{4}, []int32{4}},
+		{3, []int32{1, 3, 7}, []int32{1, 7}},
+		{7, []int32{7, 1, 7, 3}, []int32{1, 3}},
+		{4, []int32{4}, []int32{}},
 	} {
-		got := canonicalRow(append([]int32(nil), tc[0]...))
-		if !reflect.DeepEqual(got, tc[1]) {
-			t.Errorf("canonicalRow(%v) = %v, want %v", tc[0], got, tc[1])
+		got := canonicalRow(tc.v, slices.Clone(tc.in))
+		if !reflect.DeepEqual(got, tc.out) {
+			t.Errorf("canonicalRow(%d, %v) = %v, want %v", tc.v, tc.in, got, tc.out)
 		}
 	}
 }
 
 // FuzzCanonicalRow holds canonicalRow to the row contract at the wire for
 // any row a server might send: the input is read as little-endian uint16
-// node IDs (a small range, so repeats and disorder are common). The output
-// must be strictly ascending and equal to the input's distinct values,
-// sorted; an input that is already canonical must come back as itself, not
-// a copy. Seeds are committed under testdata/fuzz/FuzzCanonicalRow.
+// node IDs (a small range, so repeats and disorder are common), the first
+// being the node whose row the rest is. The output must be strictly
+// ascending and equal to the row's distinct values other than the node,
+// sorted; a row that is already canonical must come back as itself, not a
+// copy. Seeds are committed under testdata/fuzz/FuzzCanonicalRow.
 func FuzzCanonicalRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := make([]int32, len(data)/2)
-		for i := range in {
-			in[i] = int32(binary.LittleEndian.Uint16(data[2*i:]))
+		if len(data) < 2 {
+			return
 		}
-		seen := make(map[int32]bool)
+		v := int32(binary.LittleEndian.Uint16(data))
+		in := make([]int32, len(data)/2-1)
+		for i := range in {
+			in[i] = int32(binary.LittleEndian.Uint16(data[2*i+2:]))
+		}
+		seen := map[int32]bool{v: true}
 		var want []int32
-		for _, v := range in {
-			if !seen[v] {
-				seen[v] = true
-				want = append(want, v)
+		for _, u := range in {
+			if !seen[u] {
+				seen[u] = true
+				want = append(want, u)
 			}
 		}
 		slices.Sort(want)
 		canonical := slices.Equal(in, want)
 
-		got := canonicalRow(slices.Clone(in))
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("canonicalRow(%v) = %v: not strictly ascending at %d", in, got, i)
+		got := canonicalRow(v, slices.Clone(in))
+		for i, u := range got {
+			if u == v {
+				t.Fatalf("canonicalRow(%d, %v) = %v: keeps the row's own node", v, in, got)
+			}
+			if i > 0 && u <= got[i-1] {
+				t.Fatalf("canonicalRow(%d, %v) = %v: not strictly ascending at %d", v, in, got, i)
 			}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("canonicalRow(%v) = %v, want %v", in, got, want)
+			t.Fatalf("canonicalRow(%d, %v) = %v, want %v", v, in, got, want)
 		}
 		if canonical && len(in) > 0 {
-			if got := canonicalRow(in); &got[0] != &in[0] || len(got) != len(in) {
+			if got := canonicalRow(v, in); &got[0] != &in[0] || len(got) != len(in) {
 				t.Fatalf("canonical row %v was copied or cut", in)
 			}
 		}
@@ -241,6 +255,46 @@ func TestClientWireBoundary(t *testing.T) {
 	c.Neighbors(8)
 }
 
+// TestCrawlDropsSelfLoops: a server whose every row also lists the node
+// itself must give the loop-free graph's estimate, bit for bit. Kept, the
+// loop would be a v → v step of a d = 1 walk, counted in the stationary
+// weights, and a one-node edge at d = 2.
+func TestCrawlDropsSelfLoops(t *testing.T) {
+	g := gen.HolmeKim(300, 3, 0.6, 7)
+	estimate := func(cfg core.MultiConfig, loops bool) *core.MultiResult {
+		h := NewHandler(g, 1)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var v int32
+			if _, err := fmt.Sscanf(r.URL.Path, "/v1/nodes/%d/neighbors", &v); !loops || err != nil {
+				h.ServeHTTP(w, r)
+				return
+			}
+			row := slices.Clone(g.Neighbors(v))
+			i, _ := slices.BinarySearch(row, v)
+			writeJSON(w, http.StatusOK, neighborsResponse{ID: v, Degree: len(row) + 1, Neighbors: slices.Insert(row, i, v)})
+		}))
+		defer srv.Close()
+		c, _ := NewClient(context.Background(), srv.URL, srv.Client())
+		est, err := core.NewMultiEstimator(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := est.Run(5000)
+		if err != nil {
+			t.Fatalf("d=%d loops=%v: %v", cfg.D, loops, err)
+		}
+		return res
+	}
+	for _, cfg := range []core.MultiConfig{
+		{Sizes: []int{3}, D: 1, Seed: 11, Walkers: 2},
+		{Sizes: []int{4}, D: 2, CSS: true, Seed: 11, Walkers: 2},
+	} {
+		if got, want := estimate(cfg, true), estimate(cfg, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("d=%d: the estimate over self-looped rows differs from the loop-free graph's", cfg.D)
+		}
+	}
+}
+
 // TestEstimateOverHTTP runs the full framework over the HTTP boundary and
 // checks it converges to the exact triangle concentration — the end-to-end
 // proof of the restricted-access design.
@@ -270,15 +324,14 @@ func TestEstimateOverHTTP(t *testing.T) {
 // boundary through one shared client (run with -race) on a graph with hubs.
 // The crawl must cost exactly one neighbors request per distinct node plus
 // the seed draws — the memo in front of the transport deduplicates every
-// fetch, whichever walker asks first — and crawled hubs must get bitset rows
-// over HTTP as they do in process. The merged result and the request counts
+// fetch, whichever walker asks first. The merged result and the request counts
 // are identical across repeated runs against identically-seeded servers,
 // because walker starts draw the server-side seeds in walker-index order.
 // Each run gets a fresh server so /v1/nodes/random replays the same stream.
 func TestParallelEstimateOverHTTP(t *testing.T) {
 	g := gen.HolmeKim(800, 6, 0.6, 7) // eleven nodes of degree >= 64
 	cfg := core.MultiConfig{Sizes: []int{3}, D: 1, CSS: true, Seed: 11, Walkers: 4}
-	run := func() (*core.MultiResult, access.MemoStats, map[string]int) {
+	run := func() (*core.MultiResult, map[string]int) {
 		var mu sync.Mutex
 		hits := make(map[string]int)
 		h := NewHandler(g, 1)
@@ -305,10 +358,10 @@ func TestParallelEstimateOverHTTP(t *testing.T) {
 		if int64(served) != api.RequestCount() {
 			t.Errorf("client counted %d requests, server served %d", api.RequestCount(), served)
 		}
-		return res, c.Stats(), hits
+		return res, hits
 	}
-	res1, st, hits1 := run()
-	res2, _, hits2 := run()
+	res1, hits1 := run()
+	res2, hits2 := run()
 	if !reflect.DeepEqual(res1, res2) {
 		t.Error("merged results differ across identical runs over HTTP")
 	}
@@ -325,12 +378,8 @@ func TestParallelEstimateOverHTTP(t *testing.T) {
 			t.Errorf("%s requested %d times, want once", path, n)
 		}
 	}
-	if int64(len(hits1)) != st.InnerFetches || len(hits1) > g.NumNodes() {
-		t.Errorf("%d distinct rows requested, memo reports %d fetches on a %d-node graph",
-			len(hits1), st.InnerFetches, g.NumNodes())
-	}
-	if st.HubRows == 0 {
-		t.Errorf("no hub rows built over HTTP: %+v", st)
+	if len(hits1) > g.NumNodes() {
+		t.Errorf("%d distinct rows requested on a %d-node graph", len(hits1), g.NumNodes())
 	}
 	want := exact.Concentrations(exact.ThreeNodeCounts(g))
 	got := res1.Results[3].Concentration()

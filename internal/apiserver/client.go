@@ -63,7 +63,7 @@ func (c *Client) RequestCount() int64 { return c.requests.Load() }
 func (c *Client) Neighbors(v int32) []int32 {
 	var resp neighborsResponse
 	c.get(fmt.Sprintf("%s/v1/nodes/%d/neighbors", c.base, v), &resp)
-	return canonicalRow(resp.Neighbors)
+	return canonicalRow(v, resp.Neighbors)
 }
 
 // RandomNode draws a walk seed from the server's seed endpoint. The local
@@ -75,16 +75,19 @@ func (c *Client) RandomNode(_ *rand.Rand) int32 {
 	return resp.ID
 }
 
-// canonicalRow re-establishes the access.RowSource row contract — strictly
-// ascending, no duplicates — at the wire boundary. The walk kernel's merge
-// iteration and the memo's binary-search and bitset HasEdge all depend on
-// it. Rows from this package's server are already canonical, so the common
-// case is one verification scan; a nonconforming third-party server costs a
-// sort+compact once per node (the memo keeps the repaired row).
-func canonicalRow(ns []int32) []int32 {
+// canonicalRow re-establishes the access.RowSource row contract for v's row
+// — strictly ascending, no duplicates, and not v itself — at the wire
+// boundary. The walk kernel's merge iteration and the memo's binary-search
+// and bitset HasEdge depend on order, and a kept self-loop would let a d = 1
+// walk step from v to v (biasing the estimate) and a d = 2 walk build a
+// one-node edge. Rows from this package's server are already canonical, so
+// the common case is one verification scan; a nonconforming third-party
+// server costs a sort+compact once per node (the memo keeps the repaired
+// row).
+func canonicalRow(v int32, ns []int32) []int32 {
 	strict := true
-	for i := 1; i < len(ns); i++ {
-		if ns[i] <= ns[i-1] {
+	for i, u := range ns {
+		if u == v || i > 0 && u <= ns[i-1] {
 			strict = false
 			break
 		}
@@ -93,7 +96,11 @@ func canonicalRow(ns []int32) []int32 {
 		return ns
 	}
 	slices.Sort(ns)
-	return slices.Compact(ns)
+	ns = slices.Compact(ns)
+	if i, ok := slices.BinarySearch(ns, v); ok {
+		ns = slices.Delete(ns, i, i+1)
+	}
+	return ns
 }
 
 func (c *Client) get(url string, out any) {

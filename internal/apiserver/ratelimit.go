@@ -36,11 +36,9 @@ func NewTokenBucket(qps float64, burst int) *TokenBucket {
 	}
 }
 
-// Wait blocks until one token is available and consumes it.
-func (tb *TokenBucket) Wait() { tb.WaitContext(context.Background()) }
-
-// WaitContext is Wait with an escape hatch: it reports whether a token was
-// obtained, returning false as soon as ctx is done. An abandoned wait
+// WaitContext blocks until one token is available and consumes it. It
+// reports whether a token was obtained, returning false as soon as ctx is
+// done. An abandoned wait
 // refunds its reservation, so disconnected clients do not eat into the
 // throughput of live ones.
 func (tb *TokenBucket) WaitContext(ctx context.Context) bool {

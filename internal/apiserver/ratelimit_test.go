@@ -18,7 +18,7 @@ func TestTokenBucketRate(t *testing.T) {
 	tb := NewTokenBucket(qps, burst)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		tb.Wait()
+		tb.WaitContext(context.Background())
 	}
 	elapsed := time.Since(start)
 	// n waits consume burst free tokens and n-burst refills. Allow 20% slack
@@ -40,7 +40,7 @@ func TestTokenBucketConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tb.Wait()
+			tb.WaitContext(context.Background())
 		}()
 	}
 	wg.Wait()
@@ -88,8 +88,8 @@ func TestRateLimitDisabled(t *testing.T) {
 // A cancelled context aborts a throttled wait immediately and refunds the
 // reservation to the bucket.
 func TestTokenBucketWaitContext(t *testing.T) {
-	tb := NewTokenBucket(0.5, 1) // one token, then 2s per refill
-	tb.Wait()                    // drain the burst
+	tb := NewTokenBucket(0.5, 1)         // one token, then 2s per refill
+	tb.WaitContext(context.Background()) // drain the burst
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
@@ -102,7 +102,7 @@ func TestTokenBucketWaitContext(t *testing.T) {
 	// The abandoned reservation was refunded: a fresh wait needs at most one
 	// refill interval, not two.
 	done := make(chan struct{})
-	go func() { tb.Wait(); close(done) }()
+	go func() { tb.WaitContext(context.Background()); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(3 * time.Second):

@@ -35,15 +35,9 @@ func TestWedgeSamplerTriangles(t *testing.T) {
 		if re := relErr(res.TriangleCount(), wantTri); re > 0.05 {
 			t.Errorf("%s: triangle estimate %.1f, want %.1f (re=%.3f)", name, res.TriangleCount(), wantTri, re)
 		}
-		counts := exact.ThreeNodeCounts(g)
-		conc := exact.Concentrations(counts)
-		got := res.Concentration()
-		if re := relErr(got[1], conc[1]); re > 0.05 {
-			t.Errorf("%s: c32 estimate %.4f, want %.4f", name, got[1], conc[1])
-		}
 		wantCC := exact.GlobalClusteringCoefficient(g)
-		if re := relErr(res.GlobalClustering(), wantCC); re > 0.05 {
-			t.Errorf("%s: clustering %.4f, want %.4f", name, res.GlobalClustering(), wantCC)
+		if cc := float64(res.Closed) / float64(res.Samples); relErr(cc, wantCC) > 0.05 {
+			t.Errorf("%s: closed fraction %.4f, want the clustering coefficient %.4f", name, cc, wantCC)
 		}
 	}
 }
@@ -59,19 +53,12 @@ func TestWedgeSamplerTotalWedges(t *testing.T) {
 	if res.Closed != 0 {
 		t.Errorf("star has closed wedges: %d", res.Closed)
 	}
-	if re := relErr(res.WedgeCount(), 36); re > 1e-9 {
-		t.Errorf("WedgeCount = %f, want 36", res.WedgeCount())
-	}
 }
 
 func TestWedgeResultEmpty(t *testing.T) {
 	var r WedgeResult
-	if r.TriangleCount() != 0 || r.WedgeCount() != 0 {
+	if r.TriangleCount() != 0 {
 		t.Error("empty result should be zero")
-	}
-	c := r.Concentration()
-	if c[0] != 0 || c[1] != 0 {
-		t.Error("empty concentration should be zeros")
 	}
 }
 
@@ -93,14 +80,6 @@ func TestPathSamplerCounts(t *testing.T) {
 			if re := relErr(got[i], float64(want[i])); re > 0.15 {
 				t.Errorf("%s type %d: got %.1f, want %d (re=%.3f)", name, i+1, got[i], want[i], re)
 			}
-		}
-		conc := res.Concentration()
-		sum := 0.0
-		for _, c := range conc {
-			sum += c
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("%s: concentration sums to %f", name, sum)
 		}
 	}
 }

@@ -80,22 +80,6 @@ func (r PathResult) Counts() []float64 {
 	return out
 }
 
-// Concentration normalizes Counts.
-func (r PathResult) Concentration() []float64 {
-	c := r.Counts()
-	sum := 0.0
-	for _, x := range c {
-		sum += x
-	}
-	if sum == 0 {
-		return c
-	}
-	for i := range c {
-		c[i] /= sum
-	}
-	return c
-}
-
 // Sample draws n independent 3-paths.
 func (s *PathSampler) Sample(n int, rng *rand.Rand) PathResult {
 	res := PathResult{Samples: n, TotalPaths: s.TotalPaths}

@@ -53,31 +53,6 @@ func (r WedgeResult) TriangleCount() float64 {
 	return float64(r.Closed) / float64(r.Samples) * r.TotalWedges / 3
 }
 
-// WedgeCount estimates the induced wedge count C³₁ = openFraction · W.
-func (r WedgeResult) WedgeCount() float64 {
-	if r.Samples == 0 {
-		return 0
-	}
-	return float64(r.Samples-r.Closed) / float64(r.Samples) * r.TotalWedges
-}
-
-// Concentration returns [ĉ³₁, ĉ³₂].
-func (r WedgeResult) Concentration() []float64 {
-	w, t := r.WedgeCount(), r.TriangleCount()
-	if w+t == 0 {
-		return []float64{0, 0}
-	}
-	return []float64{w / (w + t), t / (w + t)}
-}
-
-// GlobalClustering estimates 3C₂/(C₁+3C₂) — simply the closed fraction.
-func (r WedgeResult) GlobalClustering() float64 {
-	if r.Samples == 0 {
-		return 0
-	}
-	return float64(r.Closed) / float64(r.Samples)
-}
-
 // Sample draws n independent wedges.
 func (s *WedgeSampler) Sample(n int, rng *rand.Rand) WedgeResult {
 	res := WedgeResult{Samples: n, TotalWedges: s.TotalWedges}

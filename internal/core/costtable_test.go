@@ -144,15 +144,15 @@ func memoFetches(t *testing.T) {
 		{[]int{3, 4, 5}, 3, true, false, 1591},
 	} {
 		cfg := MultiConfig{Sizes: row.sizes, D: row.d, CSS: row.css, NB: row.nb, Seed: 5}
-		memo := access.NewMemo(access.NewGraphClient(big))
-		m, err := NewMultiEstimator(memo, cfg)
+		inner := access.NewCounting(access.NewGraphClient(big), big.NumNodes())
+		m, err := NewMultiEstimator(access.NewMemo(inner), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.Run(memoWindows); err != nil {
 			t.Fatal(err)
 		}
-		if got := memo.Stats().InnerFetches; got != row.fetches {
+		if got := inner.Stats().NeighborCalls; got != row.fetches {
 			t.Errorf("%s k%v behind Memo: %d unique rows fetched over %d windows; pinned %d",
 				cfg.MethodName(), row.sizes, got, memoWindows, row.fetches)
 		}

@@ -243,18 +243,19 @@ func FuzzDecodeEnsembleState(f *testing.F) {
 // The seekable RNG reproduces math/rand streams exactly and fast-forwards to
 // any position.
 func TestSeekableRand(t *testing.T) {
-	r := walk.NewRand(42)
+	var r, mid, ff walk.Rand
+	r.InitAt(42, 0)
 	var ref []int
 	for i := 0; i < 100; i++ {
 		ref = append(ref, r.Intn(1000))
 	}
-	mid := walk.NewRand(42)
+	mid.InitAt(42, 0)
 	for i := 0; i < 50; i++ {
 		if got := mid.Intn(1000); got != ref[i] {
 			t.Fatalf("draw %d: %d, want %d", i, got, ref[i])
 		}
 	}
-	ff := walk.NewRandAt(42, mid.Pos())
+	ff.InitAt(42, mid.Pos())
 	if ff.Pos() != mid.Pos() {
 		t.Fatalf("fast-forward position %d, want %d", ff.Pos(), mid.Pos())
 	}

@@ -27,11 +27,6 @@ func CountESU(g *graph.Graph, k int) []int64 {
 	return countESUWorkers(byDegree(g), k, runtime.GOMAXPROCS(0))
 }
 
-// CountESUSerial is the single-threaded variant (tests, determinism checks).
-func CountESUSerial(g *graph.Graph, k int) []int64 {
-	return countESUWorkers(byDegree(g), k, 1)
-}
-
 // byDegree relabels nodes in ascending-degree order (stable on ties).
 func byDegree(g *graph.Graph) *graph.Graph {
 	n := g.NumNodes()

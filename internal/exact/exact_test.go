@@ -65,10 +65,16 @@ func TestESUMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// countESUSerial is CountESU on one goroutine: the reference its split over
+// root nodes must match.
+func countESUSerial(g *graph.Graph, k int) []int64 {
+	return countESUWorkers(byDegree(g), k, 1)
+}
+
 func TestESUSerialMatchesParallel(t *testing.T) {
 	g := gen.BarabasiAlbert(80, 3, 7)
 	for k := 3; k <= 4; k++ {
-		s := CountESUSerial(g, k)
+		s := countESUSerial(g, k)
 		p := CountESU(g, k)
 		for i := range s {
 			if s[i] != p[i] {

@@ -59,9 +59,6 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Quick returns parameters small enough for smoke tests and benchmarks.
-func Quick() Params { return Params{Steps: 2000, Trials: 8} }
-
 // replicas is the one replica runner of every experiment: it runs n
 // independent replicas of cfg over g on the trial pool, replica t with
 // Seed = seed(t), and returns what row makes of each replica's fresh

@@ -50,7 +50,7 @@ func TestTable4AllVerified(t *testing.T) {
 
 func TestFig5Report(t *testing.T) {
 	var sb strings.Builder
-	Fig5(&sb, Quick())
+	Fig5(&sb, quick)
 	out := sb.String()
 	for _, want := range []string{"weighted concentration", "NRMSE", "SRW2CSS", "4-clique"} {
 		if !strings.Contains(out, want) {
@@ -78,7 +78,7 @@ func TestTable6Report(t *testing.T) {
 
 func TestTable7Report(t *testing.T) {
 	var sb strings.Builder
-	Table7(&sb, Quick())
+	Table7(&sb, quick)
 	out := sb.String()
 	for _, want := range []string{"facebook", "twitter", "SRW2CSS", "PSRW", "Exact"} {
 		if !strings.Contains(out, want) {
@@ -87,11 +87,10 @@ func TestTable7Report(t *testing.T) {
 	}
 }
 
-func TestQuickParams(t *testing.T) {
-	p := Quick()
-	if p.Steps <= 0 || p.Trials <= 0 {
-		t.Fatalf("Quick() = %+v", p)
-	}
+// quick is small enough for the report tests.
+var quick = Params{Steps: 2000, Trials: 8}
+
+func TestParamsDefaults(t *testing.T) {
 	def := Params{}.withDefaults()
 	if def.Steps != 20000 || def.Trials != 200 {
 		t.Fatalf("defaults = %+v", def)

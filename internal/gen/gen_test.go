@@ -52,7 +52,7 @@ func TestBarabasiAlbert(t *testing.T) {
 	if err := graph.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if !graph.IsConnected(g) {
+	if lcc, _ := graph.LargestComponent(g); lcc.NumNodes() != g.NumNodes() {
 		t.Error("BA graph should be connected")
 	}
 	// m0 clique + m edges per new node.
@@ -106,7 +106,7 @@ func TestHolmeKim(t *testing.T) {
 	if err := graph.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if !graph.IsConnected(g) {
+	if lcc, _ := graph.LargestComponent(g); lcc.NumNodes() != g.NumNodes() {
 		t.Error("Holme-Kim graph should be connected")
 	}
 	// Triad formation should yield clearly more triangles than plain BA.
@@ -194,7 +194,7 @@ func TestFixtures(t *testing.T) {
 		t.Errorf("figure 1 graph has %d triangles, want 2", tri(fig))
 	}
 	lol := Lollipop(5, 4)
-	if !graph.IsConnected(lol) || lol.NumNodes() != 9 || lol.NumEdges() != 14 {
+	if lcc, _ := graph.LargestComponent(lol); lcc.NumNodes() != 9 || lol.NumNodes() != 9 || lol.NumEdges() != 14 {
 		t.Errorf("lollipop wrong: %v", lol)
 	}
 	tt := TwoTriangles()

@@ -35,9 +35,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.edges = append(b.edges, edge{u, v})
 }
 
-// NumNodes returns the current node count.
-func (b *Builder) NumNodes() int { return int(b.n) }
-
 // Build produces the immutable Graph: every neighbor row sorted ascending and
 // free of duplicates, parallel edges counted once. It runs in O(n + m) plus
 // the row sorts: a degree count, one scatter of both directions of every

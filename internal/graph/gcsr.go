@@ -3,8 +3,8 @@ package graph
 // Binary CSR on-disk format (".gcsr"): the compact, load-instantly graph
 // store behind graphlet-pack, the service registry and the dataset cache.
 // An edge list is parsed once (pack time); afterwards the graph opens in
-// milliseconds. Every open — mapped (OpenMapped), read from a file (Load) or
-// from a stream (ReadBinary) — builds the graph from the file's byte image
+// milliseconds. Every open — mapped (OpenMapped) or read into memory
+// (FromImage) — builds the graph from the file's byte image
 // through one dispatcher (fromImage) and one builder per format version. A
 // version-1 graph's off/adj arrays alias the image on little-endian hosts,
 // which under OpenMapped means the page cache, shared across processes.
@@ -277,25 +277,8 @@ func checkOffsets(off []int64, h gcsrHeader) error {
 	return nil
 }
 
-// ReadBinary reads a whole .gcsr stream (either format version) into memory
-// and builds the graph over that image (FromImage), with the default page
-// cache for version 2.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("gcsr: reading: %w", err)
-	}
-	return FromImage(data, OpenOptions{})
-}
-
-// Load reads a .gcsr file (either format version) into memory and builds the
-// graph over that image (FromImage), with the default page cache for
-// version 2. Close on the result is a no-op.
-func Load(path string) (*Graph, error) {
-	return loadImage(path, OpenOptions{})
-}
-
-// loadImage is Load with read-path tuning.
+// loadImage reads a .gcsr file (either format version) into memory and
+// builds the graph over that image (FromImage).
 func loadImage(path string, o OpenOptions) (*Graph, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -322,8 +305,8 @@ func FromImage(data []byte, o OpenOptions) (*Graph, error) {
 }
 
 // fromImage is the one way .gcsr bytes become a Graph, whatever holds them: a
-// read-only mapping (OpenMappedOpts on unix), a file read into memory (Load,
-// and OpenMappedOpts elsewhere) or a stream read to its end (ReadBinary). It
+// read-only mapping (OpenMappedOpts on unix) or a file read into memory
+// (loadImage, which OpenMappedOpts calls elsewhere). It
 // dispatches on the format version to the one builder of each and returns
 // the graph and the image offset one past its keep-resident prefix (for
 // adviseMapped). A v1 graph's off/adj arrays alias data when the host allows

@@ -58,7 +58,7 @@ func TestGCSRRoundTrip(t *testing.T) {
 			if err := Save(path, tc.g); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := Load(path)
+			loaded, err := load(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestGCSRRoundTripProperty(t *testing.T) {
 			t.Logf("save: %v", err)
 			return false
 		}
-		for _, open := range []func(string) (*Graph, error){Load, OpenMapped} {
+		for _, open := range []func(string) (*Graph, error){load, OpenMapped} {
 			got, err := open(path)
 			if err != nil {
 				t.Logf("open: %v", err)
@@ -173,7 +173,7 @@ func TestGCSRWriteReadBinaryStream(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := FromImage(buf.Bytes(), OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestGCSRWriterPathsAgree(t *testing.T) {
 			t.Errorf("%s: image differs from the per-element path's", tc.name)
 		}
 	}
-	if _, err := ReadBinary(bytes.NewReader(encode(v2, hostLittleEndian()))); err != nil {
+	if _, err := FromImage(encode(v2, hostLittleEndian()), OpenOptions{}); err != nil {
 		t.Fatalf("v1 image of a v2 graph does not open: %v", err)
 	}
 }
@@ -270,7 +270,7 @@ func TestGCSRCorruption(t *testing.T) {
 			for _, open := range []struct {
 				name string
 				fn   func(string) (*Graph, error)
-			}{{"Load", Load}, {"OpenMapped", OpenMapped}} {
+			}{{"load", load}, {"OpenMapped", OpenMapped}} {
 				_, err := open.fn(path)
 				if err == nil {
 					t.Fatalf("%s accepted corrupted file (%s)", open.name, tc.name)
@@ -328,7 +328,7 @@ func TestGCSRRejectsInvalidAdjacency(t *testing.T) {
 			for _, open := range []struct {
 				name string
 				fn   func(string) (*Graph, error)
-			}{{"Load", Load}, {"OpenMapped", OpenMapped}} {
+			}{{"load", load}, {"OpenMapped", OpenMapped}} {
 				_, err := open.fn(path)
 				if err == nil {
 					t.Fatalf("%s accepted structurally invalid file", open.name)
@@ -386,8 +386,8 @@ func TestGCSRLyingHeader(t *testing.T) {
 	} {
 		b := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint64(b[16:24], m)
-		if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: ReadBinary accepted a lying header", name)
+		if _, err := FromImage(b, OpenOptions{}); err == nil {
+			t.Errorf("%s: FromImage accepted a lying header", name)
 		}
 	}
 }

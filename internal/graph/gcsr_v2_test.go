@@ -44,7 +44,7 @@ func TestGCSRV2RoundTrip(t *testing.T) {
 				name string
 				fn   func() (*Graph, error)
 			}{
-				{"load", func() (*Graph, error) { return Load(path) }},
+				{"load", func() (*Graph, error) { return load(path) }},
 				{"mapped", func() (*Graph, error) { return OpenMapped(path) }},
 				{"tinycache", func() (*Graph, error) {
 					return OpenMappedOpts(path, OpenOptions{BlockCacheBytes: 1})
@@ -60,7 +60,7 @@ func TestGCSRV2RoundTrip(t *testing.T) {
 					if err := Validate(got); err != nil {
 						t.Fatal(err)
 					}
-					if !got.BlockCompressed() {
+					if _, ok := got.BlockCacheStats(); !ok {
 						t.Fatal("v2 graph not served through the page cache")
 					}
 				})
@@ -113,7 +113,7 @@ func TestGCSRV2StatsAndProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if !got.BlockCompressed() {
+	if _, ok := got.BlockCacheStats(); !ok {
 		t.Fatal("v2 mapped graph not block-compressed")
 	}
 	if !got.IsHub(0) {
@@ -728,7 +728,7 @@ func TestGCSRV2Corruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := tc.mutate(append([]byte(nil), base...))
-			if _, err := ReadBinary(bytes.NewReader(img)); err == nil {
+			if _, err := FromImage(img, OpenOptions{}); err == nil {
 				t.Fatal("portable read accepted a corrupt v2 image")
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("portable read error %q does not mention %q", err, tc.wantSub)
@@ -761,7 +761,7 @@ func TestGCSRV2KeepIDsEmbedded(t *testing.T) {
 		name string
 		fn   func() (*Graph, error)
 	}{
-		{"load", func() (*Graph, error) { return Load(path) }},
+		{"load", func() (*Graph, error) { return load(path) }},
 		{"mapped", func() (*Graph, error) { return OpenMapped(path) }},
 	} {
 		t.Run(open.name, func(t *testing.T) {
@@ -869,8 +869,8 @@ func TestReadEdgeListKeepIDs(t *testing.T) {
 		}
 	}
 	// The plain reader still keeps no mapping.
-	if g, err := ReadEdgeList(strings.NewReader(in)); err != nil || g.HasOriginalIDs() {
-		t.Fatalf("ReadEdgeList: err %v, HasOriginalIDs %v", err, g.HasOriginalIDs())
+	if g, err := readEdgeList(strings.NewReader(in), false); err != nil || g.HasOriginalIDs() {
+		t.Fatalf("readEdgeList: err %v, HasOriginalIDs %v", err, g.HasOriginalIDs())
 	}
 }
 
@@ -898,7 +898,7 @@ func TestGCSRV2VersionDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g1.Close()
-	if g1.BlockCompressed() {
+	if _, ok := g1.BlockCacheStats(); ok {
 		t.Fatal("v1 open took the block-compressed path")
 	}
 	if _, ok := g1.BlockCacheStats(); ok {

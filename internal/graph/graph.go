@@ -5,7 +5,7 @@
 // and a binary CSR on-disk format (.gcsr) with a zero-copy mmap open path.
 //
 // Nodes are dense int32 identifiers in [0, N). Graphs are immutable once
-// built; construction goes through Builder, Load or OpenMapped.
+// built; construction goes through Builder, Open or FromImage.
 package graph
 
 import (
@@ -163,12 +163,6 @@ func (g *Graph) buildHubIndex() {
 	}
 }
 
-// IsHub reports whether v owns an adjacency bitset row (O(1) HasEdge
-// probes). Exposed for tests and benchmarks.
-func (g *Graph) IsHub(v int32) bool {
-	return g.hubIdx != nil && g.hubIdx[v] >= 0
-}
-
 // Mapped reports whether the graph's storage aliases an mmap'd file.
 func (g *Graph) Mapped() bool { return g.unmap != nil }
 
@@ -193,16 +187,6 @@ func (g *Graph) RandomNode(rng *rand.Rand) int32 {
 	return int32(rng.Intn(g.NumNodes()))
 }
 
-// RandomNeighbor returns a uniformly random neighbor of v, or (-1, false) if v
-// is isolated.
-func (g *Graph) RandomNeighbor(v int32, rng *rand.Rand) (int32, bool) {
-	d := g.Degree(v)
-	if d == 0 {
-		return -1, false
-	}
-	return g.Neighbors(v)[rng.Intn(d)], true
-}
-
 // Edges calls fn for every undirected edge (u < v). Iteration stops early if
 // fn returns false.
 func (g *Graph) Edges(fn func(u, v int32) bool) {
@@ -221,10 +205,6 @@ func (g *Graph) Edges(fn func(u, v int32) bool) {
 // MaxDegree returns the maximum degree in the graph (0 for an empty graph).
 // The value is cached at Build time, so the call is O(1).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
-
-// BlockCompressed reports whether neighbor rows are served from a
-// block-compressed (.gcsr v2) backing through the decode cache.
-func (g *Graph) BlockCompressed() bool { return g.blocks != nil }
 
 // BlockCacheStats returns a snapshot of the decoded-page cache. ok is
 // false for graphs without a block-compressed backing.

@@ -3,13 +3,29 @@ package graph
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// load reads a .gcsr file into memory and builds the graph over that image:
+// the open path of hosts without mmap (mmap_other.go).
+func load(path string) (*Graph, error) { return loadImage(path, OpenOptions{}) }
+
+// connected reports whether g has at most one component.
+func connected(g *Graph) bool {
+	_, sizes := components(g)
+	return len(sizes) <= 1
+}
+
+// IsHub reports whether v owns an adjacency bitset row (O(1) HasEdge
+// probes). It is declared in a test file, for this package's tests and its
+// external benchmarks.
+func (g *Graph) IsHub(v int32) bool {
+	return g.hubIdx != nil && g.hubIdx[v] >= 0
+}
 
 func k4() *Graph {
 	return FromEdgeList(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
@@ -88,18 +104,6 @@ func TestCommonNeighbors(t *testing.T) {
 	}
 }
 
-func TestRandomNeighbor(t *testing.T) {
-	g := FromEdgeList(3, [][2]int32{{0, 1}})
-	rng := rand.New(rand.NewSource(1))
-	if _, ok := g.RandomNeighbor(2, rng); ok {
-		t.Error("isolated node returned a neighbor")
-	}
-	v, ok := g.RandomNeighbor(0, rng)
-	if !ok || v != 1 {
-		t.Errorf("RandomNeighbor(0) = %d,%v", v, ok)
-	}
-}
-
 func TestEdgesIteration(t *testing.T) {
 	g := k4()
 	var got [][2]int32
@@ -140,29 +144,29 @@ func TestLargestComponent(t *testing.T) {
 			t.Fatalf("toOld maps to %v", old)
 		}
 	}
-	if !IsConnected(lcc) {
+	if !connected(lcc) {
 		t.Error("LCC not connected")
 	}
-	if NumComponents(g) != 3 {
-		t.Errorf("NumComponents = %d, want 3", NumComponents(g))
+	if _, sizes := components(g); len(sizes) != 3 {
+		t.Errorf("%d components, want 3", len(sizes))
 	}
 }
 
 func TestIsConnectedEdgeCases(t *testing.T) {
-	if !IsConnected(NewBuilder(0).Build()) {
+	if !connected(NewBuilder(0).Build()) {
 		t.Error("empty graph should be connected")
 	}
-	if !IsConnected(NewBuilder(1).Build()) {
+	if !connected(NewBuilder(1).Build()) {
 		t.Error("single node should be connected")
 	}
-	if IsConnected(NewBuilder(2).Build()) {
+	if connected(NewBuilder(2).Build()) {
 		t.Error("two isolated nodes should not be connected")
 	}
 }
 
 func TestReadWriteEdgeList(t *testing.T) {
 	in := "# comment\n% other comment\n0 1\n1 2\n\n2 0\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readEdgeList(strings.NewReader(in), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestReadWriteEdgeList(t *testing.T) {
 	if err := WriteEdgeList(&sb, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(strings.NewReader(sb.String()))
+	g2, err := readEdgeList(strings.NewReader(sb.String()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +187,10 @@ func TestReadWriteEdgeList(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	if _, err := ReadEdgeList(strings.NewReader("0\n")); err == nil {
+	if _, err := readEdgeList(strings.NewReader("0\n"), false); err == nil {
 		t.Error("expected error for single-field line")
 	}
-	if _, err := ReadEdgeList(strings.NewReader("a b\n")); err == nil {
+	if _, err := readEdgeList(strings.NewReader("a b\n"), false); err == nil {
 		t.Error("expected error for non-numeric fields")
 	}
 }
@@ -405,7 +409,7 @@ func TestLCCProperty(t *testing.T) {
 			t.Logf("component of %d nodes differs from the Builder's", lcc.NumNodes())
 			return false
 		}
-		return IsConnected(lcc) && lcc.NumNodes() >= 1
+		return connected(lcc) && lcc.NumNodes() >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -8,14 +8,17 @@ import (
 	"os"
 )
 
-// maxLineBytes is the longest edge-list line ReadEdgeList accepts. Anything
+// maxLineBytes is the longest edge-list line readEdgeList accepts. Anything
 // longer is almost certainly not a plain "u v" edge list.
 const maxLineBytes = 1 << 20
 
-// ReadEdgeList parses a whitespace-separated edge list ("u v" per line).
+// readEdgeList parses a whitespace-separated edge list ("u v" per line).
 // Lines starting with '#' or '%' are comments; fields beyond the first two
 // are ignored. Node IDs may be arbitrary non-negative integers; they are
-// compacted to a dense range in order of first appearance.
+// compacted to a dense range in order of first appearance. With keepIDs the
+// dense→source ID mapping is attached to the graph: OriginalID(v) is the
+// input ID that became dense node v, and LargestComponent carries it through
+// its renumbering (OpenOptions.KeepIDs).
 //
 // Self loops are dropped, but their ID still takes the next dense number.
 // An ID that occurs only in self loops therefore becomes an isolated node
@@ -25,12 +28,6 @@ const maxLineBytes = 1 << 20
 // The per-line scanning is allocation-free (manual field splitting and
 // integer parsing on the scanner's byte buffer), which is what keeps parsing
 // multi-million-edge lists I/O-bound.
-func ReadEdgeList(r io.Reader) (*Graph, error) { return readEdgeList(r, false) }
-
-// readEdgeList is ReadEdgeList, with keepIDs attaching the dense→source ID
-// mapping the compaction built to the graph: OriginalID(v) is the input ID
-// that became dense node v, and LargestComponent carries it through its
-// renumbering (OpenOptions.KeepIDs).
 func readEdgeList(r io.Reader, keepIDs bool) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
@@ -72,7 +69,7 @@ func readEdgeList(r io.Reader, keepIDs bool) (*Graph, error) {
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, fmt.Errorf("graph: line %d: line exceeds the %d-byte limit (%v); input is not a plain edge list — binary graphs use the .gcsr format (see graph.Load)", lineNo+1, maxLineBytes, err)
+			return nil, fmt.Errorf("graph: line %d: line exceeds the %d-byte limit (%v); input is not a plain edge list — binary graphs use the .gcsr format (see graph.Open)", lineNo+1, maxLineBytes, err)
 		}
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func TestReadEdgeListWhitespaceForms(t *testing.T) {
 		"   % indented comment",
 		"5 0\r", // CRLF line ending
 	}, "\n")
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readEdgeList(strings.NewReader(in), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReadEdgeListBadInput(t *testing.T) {
 		"int64 overflow": "99999999999999999999 1\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+		if _, err := readEdgeList(strings.NewReader(in), false); err == nil {
 			t.Errorf("%s: expected error for %q", name, in)
 		} else if !strings.Contains(err.Error(), "line 1") {
 			t.Errorf("%s: error %q does not name the line", name, err)
@@ -55,7 +55,7 @@ func TestReadEdgeListBadInput(t *testing.T) {
 // not a bare bufio.Scanner error.
 func TestReadEdgeListLineTooLong(t *testing.T) {
 	in := "0 1\n1 " + strings.Repeat("2", maxLineBytes+10) + "\n"
-	_, err := ReadEdgeList(strings.NewReader(in))
+	_, err := readEdgeList(strings.NewReader(in), false)
 	if err == nil {
 		t.Fatal("expected error for over-long line")
 	}
@@ -103,7 +103,7 @@ func TestScanInt(t *testing.T) {
 }
 
 // An ID seen only in self loops is a node iff a later line names a new ID
-// (see ReadEdgeList); with keepIDs every node, and only a node, has an ID.
+// (see readEdgeList); with keepIDs every node, and only a node, has an ID.
 func TestReadEdgeListSelfLoopOnlyID(t *testing.T) {
 	for _, c := range []struct {
 		in    string

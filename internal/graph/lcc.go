@@ -66,23 +66,9 @@ func LargestComponent(g *Graph) (*Graph, []int32) {
 	return lcc, toOld
 }
 
-// IsConnected reports whether g is connected (an empty graph counts as
-// connected; a single node does too).
-func IsConnected(g *Graph) bool {
-	_, sizes := components(g)
-	return len(sizes) <= 1
-}
-
-// NumComponents returns the number of connected components.
-func NumComponents(g *Graph) int {
-	_, sizes := components(g)
-	return len(sizes)
-}
-
 // components labels every node of g with its connected component, numbered
 // in order of each component's smallest node, and returns the labels and
-// the component sizes. It is the one component search behind
-// LargestComponent, IsConnected and NumComponents.
+// the component sizes. LargestComponent is built on it.
 func components(g *Graph) (comp []int32, sizes []int) {
 	n := g.NumNodes()
 	comp = make([]int32, n)

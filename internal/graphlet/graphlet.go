@@ -36,10 +36,6 @@ type Graphlet struct {
 	Alpha []int64
 }
 
-// HamiltonPaths returns the number of undirected Hamiltonian paths of the
-// graphlet, which equals Alpha[1]/2 (§3.2 of the paper).
-func (g *Graphlet) HamiltonPaths() int64 { return g.Alpha[1] / 2 }
-
 type kinfo struct {
 	k        int
 	pairs    [][2]int // lexicographic pair order; bit i of a code is pairs[i]

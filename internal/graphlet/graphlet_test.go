@@ -110,8 +110,8 @@ func TestAlphaSRW1IsHamiltonPaths(t *testing.T) {
 		{5, 21, 60}, // 5-clique: 5!/2
 	}
 	for _, c := range cases {
-		if got := ByID(c.k, c.id).HamiltonPaths(); got != c.paths {
-			t.Errorf("HamiltonPaths(g%d_%d) = %d, want %d", c.k, c.id, got, c.paths)
+		if got := ByID(c.k, c.id).Alpha[1]; got != 2*c.paths {
+			t.Errorf("alpha[d=1](g%d_%d) = %d, want 2 × %d Hamiltonian paths", c.k, c.id, got, c.paths)
 		}
 	}
 }

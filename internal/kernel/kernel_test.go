@@ -57,45 +57,3 @@ func clamp(v float64) float64 {
 	}
 	return v
 }
-
-func TestGram(t *testing.T) {
-	vs := [][]float64{{1, 0}, {0, 1}, {1, 1}}
-	g := Gram(vs)
-	if g[0][0] != 1 || g[1][1] != 1 || g[2][2] != 1 {
-		t.Error("diagonal should be 1")
-	}
-	if g[0][1] != 0 {
-		t.Error("orthogonal entry should be 0")
-	}
-	if math.Abs(g[0][2]-1/math.Sqrt2) > 1e-12 {
-		t.Errorf("g[0][2] = %f", g[0][2])
-	}
-	if g[0][2] != g[2][0] {
-		t.Error("Gram not symmetric")
-	}
-}
-
-// The mirrored Gram must match the brute-force full matrix exactly (same
-// Cosine calls, so equality is bitwise), with an exact-1 diagonal for nonzero
-// vectors and 0 rows/cols for zero vectors.
-func TestGramMatchesBruteForce(t *testing.T) {
-	vs := [][]float64{{1, 0, 2}, {0, 0, 0}, {0.3, 0.7, 0.1}, {1, 1, 1}, {2, 0, 4}}
-	g := Gram(vs)
-	for i := range vs {
-		for j := range vs {
-			want := Cosine(vs[i], vs[j])
-			if i == j && !isZero(vs[i]) {
-				want = 1 // exact, where Cosine(v,v) may round to 1±ulp
-			}
-			if g[i][j] != want {
-				t.Errorf("g[%d][%d] = %v, want %v", i, j, g[i][j], want)
-			}
-			if g[i][j] != g[j][i] {
-				t.Errorf("asymmetry at (%d,%d)", i, j)
-			}
-		}
-	}
-	if g[1][1] != 0 {
-		t.Errorf("zero-vector diagonal = %v, want 0", g[1][1])
-	}
-}

@@ -91,23 +91,6 @@ func (m *Manager) journalWriter() {
 	}
 }
 
-// syncJournal blocks until every journal operation enqueued before the call
-// has been written (and requested compactions have completed). Tests use it
-// to pin the on-disk log to a known state before simulating a crash; it is
-// not on any serving path.
-func (m *Manager) syncJournal() {
-	if m.jnl == nil {
-		return
-	}
-	ch := make(chan struct{})
-	m.mu.Lock()
-	queued := m.pushJournalLocked(jnlOp{barrier: ch})
-	m.mu.Unlock()
-	if queued {
-		<-ch
-	}
-}
-
 // compactJournal runs one compaction, from replay (before the writer
 // goroutine and worker pool exist) or on the writer goroutine. The keep
 // decision needs the job table and cache-owner set, which Manager.mu guards:

@@ -15,6 +15,22 @@ import (
 	"repro/internal/graph"
 )
 
+// syncJournal blocks until every journal operation enqueued before the call
+// has been written (and requested compactions have completed), pinning the
+// on-disk log to a known state before a test simulates a crash.
+func (m *Manager) syncJournal() {
+	if m.jnl == nil {
+		return
+	}
+	ch := make(chan struct{})
+	m.mu.Lock()
+	queued := m.pushJournalLocked(jnlOp{barrier: ch})
+	m.mu.Unlock()
+	if queued {
+		<-ch
+	}
+}
+
 // waitState polls the manager until the job reaches the wanted state.
 func waitState(t *testing.T, mgr *Manager, id string, want State) JobView {
 	t.Helper()

@@ -111,8 +111,9 @@ func (r *Registry) AddDataset(name string) error {
 	return r.Add(name, "dataset", d.Graph())
 }
 
-// AddFile loads a graph file from path, extracts its largest connected
-// component (the paper's preprocessing), and registers it under name. The
+// AddFileOpts loads a graph file from path with the given open tuning (v2
+// block-cache size), extracts its largest connected component (the paper's
+// preprocessing), and registers it under name. The
 // format is detected automatically: .gcsr binary CSR files (produced by
 // graphlet-pack) are opened via the mmap path — zero-copy for v1, the
 // bounded block-decode cache for v2 — so daemon start is near-instant and
@@ -121,11 +122,6 @@ func (r *Registry) AddDataset(name string) error {
 // (graphlet-pack's default -lcc output) is served directly from the
 // mapping; a disconnected one is rebuilt on the heap by the LCC extraction
 // (graph.OpenLCC).
-func (r *Registry) AddFile(name, path string) error {
-	return r.AddFileOpts(name, path, graph.OpenOptions{})
-}
-
-// AddFileOpts is AddFile with graph open tuning (v2 block-cache size).
 func (r *Registry) AddFileOpts(name, path string, o graph.OpenOptions) error {
 	g, err := graph.OpenLCC(path, o)
 	if err != nil {

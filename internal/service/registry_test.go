@@ -38,10 +38,10 @@ func TestRegistryGCSRFile(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	if err := reg.AddFile("text", txtPath); err != nil {
+	if err := reg.AddFileOpts("text", txtPath, graph.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddFile("packed", gcsrPath); err != nil {
+	if err := reg.AddFileOpts("packed", gcsrPath, graph.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestRegistryGCSRDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	if err := reg.AddFile("split", path); err != nil {
+	if err := reg.AddFileOpts("split", path, graph.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := reg.Info("split")
@@ -119,7 +119,7 @@ func TestRegistryRejectedAddReleasesMapping(t *testing.T) {
 		return strings.Count(string(maps), path)
 	}
 	reg := NewRegistry()
-	if err := reg.AddFile("star", path); err != nil {
+	if err := reg.AddFileOpts("star", path, graph.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	held := mappings()
@@ -127,8 +127,8 @@ func TestRegistryRejectedAddReleasesMapping(t *testing.T) {
 		t.Skip("graph files are not mmap'd on this platform")
 	}
 	for _, name := range []string{"star", "", "star"} {
-		if err := reg.AddFile(name, path); err == nil {
-			t.Fatalf("AddFile(%q) accepted a duplicate or empty name", name)
+		if err := reg.AddFileOpts(name, path, graph.OpenOptions{}); err == nil {
+			t.Fatalf("AddFileOpts(%q) accepted a duplicate or empty name", name)
 		}
 	}
 	if got := mappings(); got != held {

@@ -575,19 +575,6 @@ func gallopBack(b []int32, x int32) int {
 	return lo
 }
 
-// appendGroup scans the whole group appending every connected neighbor state
-// to dst. Only the list-materializing paths (tests, the neighbors oracle)
-// use it; walk transitions never do.
-func (g *groupScan) appendGroup(dst []State) []State {
-	for {
-		y, _, ok := g.nextNeighbor()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, stateInsert(g.rem[:g.n], y))
-	}
-}
-
 // stateInsert builds the state rem ∪ {y} directly: rem is already sorted, so
 // y is spliced into place without the re-sort (and escape) of StateOf.
 func stateInsert(rem []int32, y int32) State {

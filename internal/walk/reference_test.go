@@ -82,3 +82,51 @@ func referenceConnectedWith(c access.Client, rem []int32, y int32) bool {
 	}
 	return reach == uint8(1<<uint(n))-1
 }
+
+// neighbors materializes the full G(d) neighbor list of st in canonical
+// order through the production group scans, for comparison with
+// referenceNeighbors; the walk paths go through infoOf/pick/derive.
+func (s *spaceD) neighbors(st State) []State {
+	fi := s.infoOf(st)
+	out := make([]State, 0, fi.deg)
+	var g groupScan
+	for xi := 0; xi < st.Len(); xi++ {
+		g.prepare(s.c, st, xi, fi.adj)
+		out = g.appendGroup(out)
+	}
+	return out
+}
+
+// appendGroup scans the whole group appending every connected neighbor state
+// to dst.
+func (g *groupScan) appendGroup(dst []State) []State {
+	for {
+		y, _, ok := g.nextNeighbor()
+		if !ok {
+			return dst
+		}
+		dst = append(dst, stateInsert(g.rem[:g.n], y))
+	}
+}
+
+// Nodes appends the state's nodes to dst.
+func (s State) Nodes(dst []int32) []int32 { return append(dst, s.v[:s.n]...) }
+
+// Shared returns the number of nodes shared with t (both sorted: linear
+// merge).
+func (s State) Shared(t State) int {
+	i, j, c := 0, 0, 0
+	for i < int(s.n) && j < int(t.n) {
+		switch {
+		case s.v[i] < t.v[j]:
+			i++
+		case s.v[i] > t.v[j]:
+			j++
+		default:
+			c++
+			i++
+			j++
+		}
+	}
+	return c
+}

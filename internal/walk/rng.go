@@ -16,13 +16,12 @@ import "math/rand"
 //
 // The generator and its draw counter are held by value, so a Rand embedded
 // in a larger struct keeps the counter it writes on every draw inside that
-// struct: InitAt initializes such a Rand in place (NewRand and NewRandAt are
-// its allocating forms). The embedded rand.Rand draws through a pointer to
-// the counter, so a Rand must not be copied once initialized.
+// struct: InitAt initializes such a Rand in place. The embedded rand.Rand
+// draws through a pointer to the counter, so a Rand must not be copied once
+// initialized.
 type Rand struct {
 	rand.Rand
-	seed int64
-	src  countingSource
+	src countingSource
 }
 
 // countingSource wraps a rand.Source64, counting draws. Int63 and Uint64 both
@@ -49,20 +48,9 @@ func (c *countingSource) Seed(seed int64) {
 	c.n = 0
 }
 
-// NewRand returns a counted generator seeded with seed, at position 0.
-func NewRand(seed int64) *Rand { return NewRandAt(seed, 0) }
-
-// NewRandAt returns a counted generator seeded with seed and fast-forwarded
-// to position pos (InitAt).
-func NewRandAt(seed int64, pos uint64) *Rand {
-	r := new(Rand)
-	r.InitAt(seed, pos)
-	return r
-}
-
 // InitAt (re)initializes r in place, seeded with seed and fast-forwarded to
-// position pos: its future draws are identical to those of a NewRand(seed)
-// that already consumed pos draws. Cost is O(pos) cheap source transitions
+// position pos: its future draws are identical to those of a Rand
+// initialized at (seed, 0) that already consumed pos draws. Cost is O(pos) cheap source transitions
 // (tens of nanoseconds each), which bounds resume cost by the interrupted
 // run's length, not by any graph work.
 func (r *Rand) InitAt(seed int64, pos uint64) {
@@ -72,11 +60,7 @@ func (r *Rand) InitAt(seed int64, pos uint64) {
 	}
 	r.src.n = pos
 	r.Rand = *rand.New(&r.src)
-	r.seed = seed
 }
-
-// Seed returns the seed the stream was created with.
-func (r *Rand) Seed() int64 { return r.seed }
 
 // Pos returns the number of low-level draws consumed so far.
 func (r *Rand) Pos() uint64 { return r.src.n }

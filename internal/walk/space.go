@@ -11,8 +11,6 @@ import (
 // subgraph relationship graph G(d): initial states, uniform neighbor
 // sampling, and state degrees (used in the stationary-weight π̃e).
 type Space interface {
-	// D returns the walk order d.
-	D() int
 	// RandomState returns a valid starting state (a connected d-node
 	// subgraph). Start-state bias vanishes by the SLLN; only validity
 	// matters.
@@ -53,8 +51,6 @@ func NewSpace(c access.Client, d int) Space {
 type space1 struct {
 	c access.Client
 }
-
-func (s *space1) D() int { return 1 }
 
 func (s *space1) RandomState(rng *rand.Rand) State {
 	for {
@@ -102,8 +98,6 @@ type space2 struct {
 	c access.Client
 }
 
-func (s *space2) D() int { return 2 }
-
 func (s *space2) RandomState(rng *rand.Rand) State {
 	for {
 		v := s.c.RandomNode(rng)
@@ -139,7 +133,7 @@ func (s *space2) RandomNeighbor(st State, rng *rand.Rand) State {
 		}
 		w := s.c.Neighbors(base)[rng.Intn(s.c.Degree(base))]
 		if w != other {
-			return StateOf(base, w)
+			return edgeState(base, w)
 		}
 	}
 }
@@ -185,8 +179,6 @@ func newSpaceD(c access.Client, d int) *spaceD {
 	cc, _ := c.(access.CommonCounter)
 	return &spaceD{c: c, cc: cc, d: d}
 }
-
-func (s *spaceD) D() int { return s.d }
 
 func (s *spaceD) RandomState(rng *rand.Rand) State {
 	for {
@@ -253,18 +245,4 @@ func (s *spaceD) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 			return s.keep(next, s.derive(st, fi, xi, next, mask))
 		}
 	}
-}
-
-// neighbors materializes the full G(d) neighbor list of st in canonical
-// order through the production group scans. Only tests and verification
-// tooling call it; the walk paths go through infoOf/pick/derive.
-func (s *spaceD) neighbors(st State) []State {
-	fi := s.infoOf(st)
-	out := make([]State, 0, fi.deg)
-	var g groupScan
-	for xi := 0; xi < st.Len(); xi++ {
-		g.prepare(s.c, st, xi, fi.adj)
-		out = g.appendGroup(out)
-	}
-	return out
 }

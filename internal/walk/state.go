@@ -61,6 +61,19 @@ func ParseState(nodes []int32) (State, error) {
 	return s, nil
 }
 
+// edgeState is StateOf(u, v) with one comparison for the sort. Rows come
+// from outside the program (a .gcsr file, a crawl server), so an equal pair
+// still panics as StateOf does.
+func edgeState(u, v int32) State {
+	if u == v {
+		panic(fmt.Errorf("walk: state has duplicate node %d", u))
+	}
+	if u > v {
+		u, v = v, u
+	}
+	return State{v: [MaxD]int32{u, v}, n: 2}
+}
+
 // SortedState builds a state from 1..MaxD nodes that are already ascending
 // and distinct, which the caller guarantees: ParseState's sort and duplicate
 // check are skipped.
@@ -76,9 +89,6 @@ func (s State) Len() int { return int(s.n) }
 // Node returns the i-th node (sorted order).
 func (s State) Node(i int) int32 { return s.v[i] }
 
-// Nodes appends the state's nodes to dst.
-func (s State) Nodes(dst []int32) []int32 { return append(dst, s.v[:s.n]...) }
-
 // Contains reports whether x is one of the state's nodes.
 func (s State) Contains(x int32) bool {
 	for i := 0; i < int(s.n); i++ {
@@ -87,25 +97,6 @@ func (s State) Contains(x int32) bool {
 		}
 	}
 	return false
-}
-
-// Shared returns the number of nodes shared with t (both sorted: linear
-// merge).
-func (s State) Shared(t State) int {
-	i, j, c := 0, 0, 0
-	for i < int(s.n) && j < int(t.n) {
-		switch {
-		case s.v[i] < t.v[j]:
-			i++
-		case s.v[i] > t.v[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }
 
 // String renders the state as (v1,v2,...).

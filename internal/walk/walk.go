@@ -74,7 +74,7 @@ func (w *Walk) State() WalkState {
 
 // Resume places w in place at the given exported state. The caller is
 // responsible for supplying an rng positioned where the original walk's
-// stream was (NewRandAt); the space may be a fresh instance — its caches are
+// stream was (Rand.InitAt); the space may be a fresh instance — its caches are
 // derived state.
 func (w *Walk) Resume(space Space, st WalkState, nb bool, rng *rand.Rand) {
 	*w = Walk{

@@ -385,7 +385,8 @@ func TestWalkStateResume(t *testing.T) {
 	c := access.NewGraphClient(g)
 	for d := 1; d <= 4; d++ {
 		for _, nb := range []bool{false, true} {
-			rng := NewRand(int64(100*d) + 7)
+			var rng Rand
+			rng.InitAt(int64(100*d)+7, 0)
 			var w Walk
 			w.Start(NewSpace(c, d), nb, &rng.Rand)
 			for i := 0; i < 50; i++ {
@@ -399,7 +400,8 @@ func TestWalkStateResume(t *testing.T) {
 				ref = append(ref, w.Step())
 			}
 
-			rng2 := NewRandAt(int64(100*d)+7, pos)
+			var rng2 Rand
+			rng2.InitAt(int64(100*d)+7, pos)
 			var w2 Walk
 			w2.Resume(NewSpace(c, d), st, nb, &rng2.Rand)
 			if w2.State() != st || st.Steps != 50 {
