@@ -43,27 +43,27 @@ type CommonCounter interface {
 
 // GraphClient adapts an in-memory graph.Graph to the Client interface.
 type GraphClient struct {
-	G *graph.Graph
+	g *graph.Graph
 }
 
 // NewGraphClient wraps g.
-func NewGraphClient(g *graph.Graph) *GraphClient { return &GraphClient{G: g} }
+func NewGraphClient(g *graph.Graph) *GraphClient { return &GraphClient{g: g} }
 
 // Degree implements Client.
-func (c *GraphClient) Degree(v int32) int { return c.G.Degree(v) }
+func (c *GraphClient) Degree(v int32) int { return c.g.Degree(v) }
 
 // Neighbors implements Client.
-func (c *GraphClient) Neighbors(v int32) []int32 { return c.G.Neighbors(v) }
+func (c *GraphClient) Neighbors(v int32) []int32 { return c.g.Neighbors(v) }
 
 // HasEdge implements Client.
-func (c *GraphClient) HasEdge(u, v int32) bool { return c.G.HasEdge(u, v) }
+func (c *GraphClient) HasEdge(u, v int32) bool { return c.g.HasEdge(u, v) }
 
 // RandomNode implements Client.
-func (c *GraphClient) RandomNode(rng *rand.Rand) int32 { return c.G.RandomNode(rng) }
+func (c *GraphClient) RandomNode(rng *rand.Rand) int32 { return c.g.RandomNode(rng) }
 
 // CommonNeighborCount implements CommonCounter via the graph layer's
 // galloping intersection (O(min·log(max/min)) under degree skew).
-func (c *GraphClient) CommonNeighborCount(u, v int32) int { return c.G.CommonNeighbors(u, v) }
+func (c *GraphClient) CommonNeighborCount(u, v int32) int { return c.g.CommonNeighbors(u, v) }
 
 // Stats aggregates API-call counters.
 type Stats struct {

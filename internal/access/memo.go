@@ -43,16 +43,8 @@ type Memo struct {
 	inner  RowSource
 	shards [memoShards]memoShard
 
-	// lookups counts neighbor-list resolutions callers requested, fetches
-	// the lists fetched from inner: the de-duplicated crawl footprint.
-	lookups atomic.Int64
-	fetches atomic.Int64
-
-	// Hub bitset accounting: hubBudget is the bytes still available for
-	// dense adjacency rows, hubRows/hubBytes count what was built.
+	// hubBudget is the bytes still available for dense adjacency rows.
 	hubBudget atomic.Int64
-	hubRows   atomic.Int64
-	hubBytes  atomic.Int64
 }
 
 const memoShards = 64
@@ -104,7 +96,6 @@ func (c *Memo) shard(v int32) *memoShard { return &c.shards[uint32(v)%memoShards
 // coalesced onto the failed fetch panic too instead of mistaking the nil
 // slice for a degree-0 node.
 func (c *Memo) entry(v int32) *memoEntry {
-	c.lookups.Add(1)
 	sh := c.shard(v)
 	sh.mu.Lock()
 	e, ok := sh.m[v]
@@ -123,7 +114,6 @@ func (c *Memo) entry(v int32) *memoEntry {
 				sh.mu.Unlock()
 			}
 		}()
-		c.fetches.Add(1)
 		e.ns = c.inner.Neighbors(v)
 		// Every crawled list funds the hub-row budget, then high-degree
 		// nodes claim a dense bitset from it (graph.Graph's rule).
@@ -167,8 +157,6 @@ func (c *Memo) buildHubRow(ns []int32) []uint64 {
 	for _, u := range ns {
 		row[u>>6] |= 1 << (uint(u) & 63)
 	}
-	c.hubRows.Add(1)
-	c.hubBytes.Add(need)
 	return row
 }
 

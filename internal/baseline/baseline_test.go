@@ -45,8 +45,8 @@ func TestWedgeSamplerTriangles(t *testing.T) {
 func TestWedgeSamplerTotalWedges(t *testing.T) {
 	g := gen.Star(10) // C(9,2) = 36 wedges, all centered at 0
 	s := NewWedgeSampler(g)
-	if s.TotalWedges != 36 {
-		t.Errorf("TotalWedges = %f, want 36", s.TotalWedges)
+	if s.totalWedges != 36 {
+		t.Errorf("totalWedges = %f, want 36", s.totalWedges)
 	}
 	rng := rand.New(rand.NewSource(2))
 	res := s.Sample(1000, rng)
@@ -89,8 +89,8 @@ func TestPathSamplerTotalPaths(t *testing.T) {
 	// 1,2,2,1: τ(0,1)=(0)(1)=0, τ(1,2)=1, τ(2,3)=0 ⇒ W=1.
 	g := gen.Path(4)
 	s := NewPathSampler(g)
-	if s.TotalPaths != 1 {
-		t.Fatalf("TotalPaths = %f, want 1", s.TotalPaths)
+	if s.totalPaths != 1 {
+		t.Fatalf("totalPaths = %f, want 1", s.totalPaths)
 	}
 	rng := rand.New(rand.NewSource(6))
 	res := s.Sample(1000, rng)

@@ -19,8 +19,8 @@ type PathSampler struct {
 	g     *graph.Graph
 	edges [][2]int32
 	cum   []float64
-	// TotalPaths is W = Σ_e τ_e, the number of (centered) 3-path samples.
-	TotalPaths float64
+	// totalPaths is W = Σ_e τ_e, the number of (centered) 3-path samples.
+	totalPaths float64
 }
 
 // pathMult[i] is the number of non-induced 3-paths in 4-node graphlet type
@@ -41,7 +41,7 @@ func NewPathSampler(g *graph.Graph) *PathSampler {
 		}
 		return true
 	})
-	s.TotalPaths = total
+	s.totalPaths = total
 	return s
 }
 
@@ -82,7 +82,7 @@ func (r PathResult) Counts() []float64 {
 
 // Sample draws n independent 3-paths.
 func (s *PathSampler) Sample(n int, rng *rand.Rand) PathResult {
-	res := PathResult{Samples: n, TotalPaths: s.TotalPaths}
+	res := PathResult{Samples: n, TotalPaths: s.totalPaths}
 	for v := 0; v < s.g.NumNodes(); v++ {
 		d := float64(s.g.Degree(int32(v)))
 		res.NonInducedStars += d * (d - 1) * (d - 2) / 6
@@ -108,7 +108,7 @@ func (s *PathSampler) Sample(n int, rng *rand.Rand) PathResult {
 }
 
 func (s *PathSampler) sampleEdge(rng *rand.Rand) [2]int32 {
-	x := rng.Float64() * s.TotalPaths
+	x := rng.Float64() * s.totalPaths
 	i := sort.SearchFloat64s(s.cum, x)
 	if i >= len(s.edges) {
 		i = len(s.edges) - 1

@@ -20,8 +20,8 @@ import (
 type WedgeSampler struct {
 	g   *graph.Graph
 	cum []float64 // cumulative wedge weights per node
-	// TotalWedges is Σ_v C(d_v, 2) — the count of non-induced wedges.
-	TotalWedges float64
+	// totalWedges is Σ_v C(d_v, 2) — the count of non-induced wedges.
+	totalWedges float64
 }
 
 // NewWedgeSampler preprocesses g.
@@ -34,7 +34,7 @@ func NewWedgeSampler(g *graph.Graph) *WedgeSampler {
 		total += float64(d * (d - 1) / 2)
 		cum[v] = total
 	}
-	return &WedgeSampler{g: g, cum: cum, TotalWedges: total}
+	return &WedgeSampler{g: g, cum: cum, totalWedges: total}
 }
 
 // WedgeResult aggregates a wedge-sampling run.
@@ -55,7 +55,7 @@ func (r WedgeResult) TriangleCount() float64 {
 
 // Sample draws n independent wedges.
 func (s *WedgeSampler) Sample(n int, rng *rand.Rand) WedgeResult {
-	res := WedgeResult{Samples: n, TotalWedges: s.TotalWedges}
+	res := WedgeResult{Samples: n, TotalWedges: s.totalWedges}
 	for i := 0; i < n; i++ {
 		v := s.sampleCenter(rng)
 		d := s.g.Degree(v)
@@ -78,6 +78,6 @@ func (s *WedgeSampler) Sample(n int, rng *rand.Rand) WedgeResult {
 }
 
 func (s *WedgeSampler) sampleCenter(rng *rand.Rand) int32 {
-	x := rng.Float64() * s.TotalWedges
+	x := rng.Float64() * s.totalWedges
 	return int32(sort.SearchFloat64s(s.cum, x))
 }

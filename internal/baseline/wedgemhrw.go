@@ -33,7 +33,6 @@ func NewWedgeMHRW(c access.Client, rng *rand.Rand) *WedgeMHRW {
 
 // MHRWResult aggregates a run.
 type MHRWResult struct {
-	Steps  int
 	Open   int64 // Ĉ³₁ accumulator: sampled open wedges
 	Closed int64 // Ĉ³₂ accumulator: sampled closed wedges
 }
@@ -51,7 +50,6 @@ func (r MHRWResult) Concentration() []float64 {
 // Run advances n Metropolis-Hastings steps, sampling one wedge per step.
 func (w *WedgeMHRW) Run(n int) MHRWResult {
 	var res MHRWResult
-	res.Steps = n
 	for t := 0; t < n; t++ {
 		v := w.cur
 		dv := w.c.Degree(v)

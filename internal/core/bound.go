@@ -60,26 +60,17 @@ type BoundInput struct {
 	W      float64 // max over states of 1/πe (or 1/p under CSS)
 	Lambda float64 // min{α_i·C_i, α_min·C^k}
 	Tau    float64 // mixing time τ(1/8) of the walk
-	PhiPi  float64 // ‖φ‖_πe of the initial distribution (1 if started warm)
-	Xi     float64 // the theorem's constant ξ (default 1)
 }
 
 // SampleSizeBound evaluates Theorem 3: the number of consecutive-step
 // samples sufficient for ĉ to be within (1±ε)·c with probability 1-δ,
 //
-//	n >= ξ · (W/Λ) · τ/ε² · log(‖φ‖_πe/δ).
+//	n >= ξ · (W/Λ) · τ/ε² · log(‖φ‖_πe/δ),
 //
-// The constant ξ is universal but not computed by the paper; the returned
-// value is therefore meaningful up to that constant and is used to compare
-// methods (smaller W/Λ ⇒ fewer samples), mirroring the paper's discussion.
+// for a walk started warm (‖φ‖_πe = 1) and with ξ = 1. The constant ξ is
+// universal but not computed by the paper; the returned value is therefore
+// meaningful up to that constant and is used to compare methods (smaller
+// W/Λ ⇒ fewer samples), mirroring the paper's discussion.
 func SampleSizeBound(in BoundInput) float64 {
-	xi := in.Xi
-	if xi == 0 {
-		xi = 1
-	}
-	phi := in.PhiPi
-	if phi == 0 {
-		phi = 1
-	}
-	return xi * (in.W / in.Lambda) * in.Tau / (in.Eps * in.Eps) * math.Log(phi/in.Delta)
+	return (in.W / in.Lambda) * in.Tau / (in.Eps * in.Eps) * math.Log(1/in.Delta)
 }

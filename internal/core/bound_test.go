@@ -27,15 +27,6 @@ func TestSampleSizeBound(t *testing.T) {
 	if SampleSizeBound(in3) >= n {
 		t.Error("larger Lambda should shrink the bound")
 	}
-	// Explicit xi and phi.
-	in4 := in
-	in4.Xi = 2
-	in4.PhiPi = math.E * 0.05 // log(phi/delta) = 1
-	got := SampleSizeBound(in4)
-	want4 := 2 * (1000.0 / 10.0) * 50 / 0.01 * 1
-	if math.Abs(got-want4) > 1e-6*want4 {
-		t.Errorf("bound with xi/phi = %f, want %f", got, want4)
-	}
 }
 
 func TestWeightedConcentration(t *testing.T) {

@@ -34,8 +34,8 @@ const maxBodyBytes = 64 << 20
 // for an unknown graph, 409 for a graph whose fingerprint disagrees with the
 // assignment's.
 type Handler struct {
-	// Lookup resolves a graph name to a crawl client and the local
-	// fingerprint. The client must be safe for concurrent use by the
+	// Lookup, which must be set, resolves a graph name to a crawl client and
+	// the local fingerprint. The client must be safe for concurrent use by the
 	// partition's walkers (the registry's graph-backed clients are).
 	Lookup func(name string) (access.Client, GraphMeta, bool)
 
@@ -60,11 +60,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		h.count("rejected")
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if h.Lookup == nil {
-		h.count("rejected")
-		http.Error(w, "worker mode disabled", http.StatusNotFound)
 		return
 	}
 	client, meta, ok := h.Lookup(asn.Graph)

@@ -418,7 +418,6 @@ type BlockCacheStats struct {
 	Blocks         int    // total pages in the file
 	ResidentBlocks int64  // pages currently cached
 	ResidentBytes  int64  // charged size of resident pages: their indexes and the slabs their first reads opened
-	CapacityBytes  int64  // configured cache bound
 	Hits           uint64 // row reads served from the cache
 	Misses         uint64 // row reads that loaded a page
 	Evictions      uint64 // pages dropped by the clock hand
@@ -429,7 +428,6 @@ func (s *blockStore) stats() BlockCacheStats {
 		Blocks:         len(s.pages),
 		ResidentBlocks: s.resPages.Load(),
 		ResidentBytes:  s.resBytes.Load(),
-		CapacityBytes:  s.capBytes,
 		Misses:         s.misses.Load(),
 		Evictions:      s.evictions.Load(),
 	}

@@ -246,24 +246,15 @@ func WriteBinaryV2(w io.Writer, g *Graph, o SaveOptions) error {
 
 // appendEncodedRow appends one node's delta+varint row encoding to dst.
 func appendEncodedRow(dst []byte, row []int32) []byte {
-	dst = appendUvarint(dst, uint64(len(row)))
+	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	if len(row) == 0 {
 		return dst
 	}
-	dst = appendUvarint(dst, uint64(uint32(row[0])))
+	dst = binary.AppendUvarint(dst, uint64(uint32(row[0])))
 	for i := 1; i < len(row); i++ {
-		dst = appendUvarint(dst, uint64(uint32(row[i]-row[i-1]-1)))
+		dst = binary.AppendUvarint(dst, uint64(uint32(row[i]-row[i-1]-1)))
 	}
 	return dst
-}
-
-// appendUvarint is binary.AppendUvarint without the interface indirection.
-func appendUvarint(dst []byte, x uint64) []byte {
-	for x >= 0x80 {
-		dst = append(dst, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(dst, byte(x))
 }
 
 // parseV2Header decodes and sanity-checks the 48-byte version-2 header.

@@ -447,7 +447,7 @@ func TestGCSRV2CacheConcurrent(t *testing.T) {
 			if tc.cacheBytes >= 0 {
 				return
 			}
-			if err := withinBudget(); err != nil || st.ResidentBytes > st.CapacityBytes {
+			if err := withinBudget(); err != nil || st.ResidentBytes > got.blocks.capBytes {
 				t.Fatalf("after concurrent reads: %v; %+v", err, st)
 			}
 			rng := rand.New(rand.NewSource(99))

@@ -27,7 +27,6 @@ type Graphlet struct {
 	K      int    // number of nodes
 	ID     int    // paper ID, 1-based within size class (g^k_ID)
 	Name   string // human-readable name ("triangle", "4-path", ...)
-	Code   uint16 // canonical code
 	Edges  int    // number of edges
 	DegSeq []int  // degree sequence, ascending
 	Adj    [5][5]bool
@@ -188,7 +187,7 @@ func buildKInfo(k int) *kinfo {
 }
 
 func makeGraphlet(info *kinfo, code uint16) Graphlet {
-	g := Graphlet{K: info.k, Code: code}
+	g := Graphlet{K: info.k}
 	for bit, p := range info.pairs {
 		if code&(1<<uint(bit)) != 0 {
 			g.Adj[p[0]][p[1]] = true

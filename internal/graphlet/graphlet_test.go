@@ -14,6 +14,12 @@ func TestCatalogSizes(t *testing.T) {
 	}
 }
 
+// canonical is the adjacency code of g's catalog labeling: its canonical
+// code, which the catalog builds g from.
+func canonical(g Graphlet) uint16 {
+	return CodeOf(g.K, func(i, j int) bool { return g.Adj[i][j] })
+}
+
 func TestCatalogIDsAndSanity(t *testing.T) {
 	for k := 3; k <= 5; k++ {
 		seen := map[uint16]bool{}
@@ -24,10 +30,11 @@ func TestCatalogIDsAndSanity(t *testing.T) {
 			if g.K != k {
 				t.Errorf("k=%d id=%d has K=%d", k, g.ID, g.K)
 			}
-			if seen[g.Code] {
-				t.Errorf("k=%d id=%d duplicate canonical code %d", k, g.ID, g.Code)
+			code := canonical(g)
+			if seen[code] {
+				t.Errorf("k=%d id=%d duplicate canonical code %d", k, g.ID, code)
 			}
-			seen[g.Code] = true
+			seen[code] = true
 			if g.Edges < k-1 || g.Edges > k*(k-1)/2 {
 				t.Errorf("k=%d id=%d edge count %d out of range", k, g.ID, g.Edges)
 			}
@@ -166,9 +173,9 @@ func TestClassifyMatchesCanonical(t *testing.T) {
 				continue
 			}
 			cc := canonicalCode(info, uint16(code))
-			if cc != info.catalog[idx].Code {
+			if want := canonical(info.catalog[idx]); cc != want {
 				t.Fatalf("k=%d code=%d: classified as %s but canonical %d != %d",
-					k, code, info.catalog[idx].Name, cc, info.catalog[idx].Code)
+					k, code, info.catalog[idx].Name, cc, want)
 			}
 		}
 	}

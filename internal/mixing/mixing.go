@@ -14,18 +14,14 @@ import (
 
 // Result holds the spectral estimates for the simple random walk on a graph.
 type Result struct {
-	// Lambda2 is the second-largest eigenvalue (in absolute value) of the
-	// lazy-symmetrized transition operator — the quantity controlling
-	// convergence speed.
-	Lambda2 float64
-	// SpectralGap is 1 - Lambda2.
+	// SpectralGap is 1 - λ₂, where λ₂ is the second-largest eigenvalue (in
+	// absolute value) of the lazy-symmetrized transition operator — the
+	// quantity controlling convergence speed.
 	SpectralGap float64
 	// RelaxationTime is 1/SpectralGap.
 	RelaxationTime float64
 	// PiMin is the minimum stationary probability d_min/2|E|.
 	PiMin float64
-	// Iterations actually used by the power iteration.
-	Iterations int
 }
 
 // MixingTime bounds τ(eps) via τ(ε) ≤ t_rel · ln(1/(ε·π_min)).
@@ -81,7 +77,6 @@ func Estimate(g *graph.Graph, maxIter int, tol float64) Result {
 
 	lambda := 0.0
 	for it := 1; it <= maxIter; it++ {
-		res.Iterations = it
 		// y = (I + S)/2 · x with S = D^{-1/2} A D^{-1/2}.
 		for v := 0; v < n; v++ {
 			dv := float64(g.Degree(int32(v)))
@@ -115,7 +110,6 @@ func Estimate(g *graph.Graph, maxIter int, tol float64) Result {
 	// Undo the laziness: eigenvalue μ of lazy operator = (1+λ_orig)/2. The
 	// mixing bound uses the lazy chain's gap directly, which is what we
 	// report (conservative for the non-lazy walk).
-	res.Lambda2 = lambda
 	res.SpectralGap = 1 - lambda
 	if res.SpectralGap > 0 {
 		res.RelaxationTime = 1 / res.SpectralGap

@@ -12,8 +12,8 @@ func TestCompleteGraphGap(t *testing.T) {
 	// second eigenvalue is (1 - 1/(n-1))/2... for K5: orig λ2 = -1/4, all
 	// non-top eigenvalues equal -1/4, lazy: (1-1/4)/2 = 0.375.
 	r := Estimate(gen.Complete(5), 500, 1e-10)
-	if math.Abs(r.Lambda2-0.375) > 1e-6 {
-		t.Errorf("K5 lazy lambda2 = %f, want 0.375", r.Lambda2)
+	if math.Abs(r.SpectralGap-(1-0.375)) > 1e-6 {
+		t.Errorf("K5 lazy gap = %f, want 1 - 0.375", r.SpectralGap)
 	}
 	if math.Abs(r.PiMin-0.2) > 1e-12 {
 		t.Errorf("K5 piMin = %f, want 0.2", r.PiMin)
@@ -25,8 +25,8 @@ func TestCycleGapFormula(t *testing.T) {
 	n := 16
 	r := Estimate(gen.Cycle(n), 5000, 1e-12)
 	want := (1 + math.Cos(2*math.Pi/float64(n))) / 2
-	if math.Abs(r.Lambda2-want) > 1e-6 {
-		t.Errorf("C%d lazy lambda2 = %f, want %f", n, r.Lambda2, want)
+	if math.Abs(r.SpectralGap-(1-want)) > 1e-6 {
+		t.Errorf("C%d lazy gap = %f, want 1 - %f", n, r.SpectralGap, want)
 	}
 }
 

@@ -24,24 +24,15 @@ import "repro/internal/service/journal"
 // practice by job activity (records are a few KB; the writer drains at disk
 // speed).
 
-// jnlOp is one unit of the ordered append queue: a record append or a
-// barrier (close the channel once everything ahead of it has reached the
-// journal — tests use this to simulate crashes at known durability points).
-type jnlOp struct {
-	rec     journal.Record
-	barrier chan struct{}
-}
-
-// pushJournalLocked queues op for the writer and wakes it; it reports false
-// once the queue is closed (the op is dropped — the manager is shutting
-// down). Caller holds m.mu.
-func (m *Manager) pushJournalLocked(op jnlOp) bool {
+// pushJournalLocked queues rec for the writer and wakes it. Once the queue
+// is closed the record is dropped: the manager is shutting down. Caller
+// holds m.mu.
+func (m *Manager) pushJournalLocked(rec journal.Record) {
 	if m.jnlClosed {
-		return false
+		return
 	}
-	m.jops = append(m.jops, op)
+	m.jops = append(m.jops, rec)
 	m.jnlWake.Signal()
-	return true
 }
 
 // closeJournalQueue marks the append queue closed: the writer writes what is
@@ -68,19 +59,15 @@ func (m *Manager) journalWriter() {
 		}
 		// Nothing is queued after the close, so a batch taken closed is the
 		// last one.
-		ops, closed := m.jops, m.jnlClosed
+		recs, closed := m.jops, m.jnlClosed
 		m.jops = nil
 		m.mu.Unlock()
-		for _, op := range ops {
-			if op.barrier != nil {
-				close(op.barrier)
-				continue
-			}
+		for _, rec := range recs {
 			// The journal counts its own append failures
 			// (journal.Metrics.Errors); the daemon keeps serving from
 			// memory either way.
 			before := m.jnl.Segments()
-			_ = m.jnl.Append(op.rec)
+			_ = m.jnl.Append(rec)
 			if after := m.jnl.Segments(); after > before && after > m.opts.CompactSegments {
 				_ = m.compactJournal() // failures are counted; the daemon keeps serving from memory
 			}

@@ -154,8 +154,7 @@ func TestReplayedProgress(t *testing.T) {
 		crash.await(t, v.ID)
 		pre, _ := mgr1.Get(v.ID)
 		// Killed: what is queued reaches the journal, nothing after it does.
-		mgr1.closeJournalQueue()
-		mgr1.jnlWg.Wait()
+		mgr1.crashJournal()
 
 		mgr2, hold, got := restartHeld(t, dir, v.ID)
 		if !reflect.DeepEqual(got, pre.Progress) {

@@ -206,11 +206,9 @@ func crashCoordinator(t *testing.T, reg *Registry) (dir, id string, target int, 
 		t.Fatal(err)
 	}
 	crash.await(t, view.ID)
-	// Flush what is queued and stop the journal writer, as dead as a killed
-	// process: a frame still in flight when the fleet froze must not append
-	// to the log while the restarted coordinator reads it.
-	mgr.closeJournalQueue()
-	mgr.jnlWg.Wait()
+	// A frame still in flight when the fleet froze must not append to the
+	// log while the restarted coordinator reads it.
+	mgr.crashJournal()
 	ckpts := journaledCheckpoints(t, dir, view.ID)
 	if len(ckpts) == 0 || ckpts[len(ckpts)-1].Steps < at {
 		t.Fatalf("coordinator died after %d journaled syncs, want the last at %d or later", len(ckpts), at)

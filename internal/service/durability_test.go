@@ -15,20 +15,14 @@ import (
 	"repro/internal/graph"
 )
 
-// syncJournal blocks until every journal operation enqueued before the call
-// has been written (and requested compactions have completed), pinning the
-// on-disk log to a known state before a test simulates a crash.
-func (m *Manager) syncJournal() {
-	if m.jnl == nil {
-		return
-	}
-	ch := make(chan struct{})
-	m.mu.Lock()
-	queued := m.pushJournalLocked(jnlOp{barrier: ch})
-	m.mu.Unlock()
-	if queued {
-		<-ch
-	}
+// crashJournal is the journal's side of a simulated SIGKILL: every record
+// queued before the call is written (the page cache would survive a real
+// kill), requested compactions complete, the writer exits and later records
+// are dropped, so the abandoned manager cannot append while its successor
+// replays the same directory.
+func (m *Manager) crashJournal() {
+	m.closeJournalQueue()
+	m.jnlWg.Wait()
 }
 
 // waitState polls the manager until the job reaches the wanted state.
@@ -98,9 +92,9 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	// Crash: mgr1 is abandoned without Close, so no terminal records reach
 	// the journal for B or C — exactly the state a SIGKILL leaves behind.
-	// The barrier pins the async append queue to disk first: it stands in
-	// for the OS page cache, which survives a real SIGKILL.
-	mgr1.syncJournal()
+	// What is already queued reaches the disk first, as the OS page cache
+	// would survive a real SIGKILL.
+	mgr1.crashJournal()
 
 	mgr2 := newTestManager(t, reg, Options{Workers: 2, MaxWalkers: 2, DataDir: dir})
 	defer mgr2.Close()
@@ -224,7 +218,7 @@ func TestRestartRefusesRemappedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, mgr1, interrupted.ID, StateRunning)
-	mgr1.syncJournal() // flush the async queue, as the page cache would survive a SIGKILL
+	mgr1.crashJournal()
 	// Crash without Close, then restart with "g" bound to different topology.
 	regB := NewRegistry()
 	if err := regB.Add("g", "inline", gen.PowerLawConfiguration(500, 2.5, 2, 60, 12)); err != nil {

@@ -49,8 +49,9 @@ import (
 //
 // Operational endpoints (non-JSON unless noted):
 //
-//	GET    /metrics               -> Prometheus text exposition of the same
-//	                                 registry /v1/stats is derived from
+//	GET    /metrics               -> Prometheus text exposition of the
+//	                                 manager's registry (Options.Metrics),
+//	                                 the one /v1/stats is derived from
 //	GET    /healthz               -> liveness: 200 as soon as the listener
 //	                                 serves
 //	GET    /readyz                -> readiness: 200 once graph registration
@@ -59,10 +60,6 @@ type Server struct {
 	reg *Registry
 	mgr *Manager
 
-	// Metrics is the registry rendered at GET /metrics. NewServer defaults it
-	// to the manager's own registry; cmd/graphletd passes the same registry
-	// its HTTP middleware records into.
-	Metrics *obs.Registry
 	// Health gates GET /readyz. Nil reports ready (tests and embedded servers
 	// have no startup phase worth gating).
 	Health *obs.Health
@@ -74,7 +71,7 @@ type Server struct {
 
 // NewServer wires the registry and job manager into an HTTP handler.
 func NewServer(reg *Registry, mgr *Manager) *Server {
-	return &Server{reg: reg, mgr: mgr, Metrics: mgr.MetricsRegistry()}
+	return &Server{reg: reg, mgr: mgr}
 }
 
 // ServeHTTP implements http.Handler.
@@ -82,7 +79,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimSuffix(r.URL.Path, "/")
 	switch {
 	case path == "/metrics" && r.Method == http.MethodGet:
-		s.Metrics.Handler().ServeHTTP(w, r)
+		s.mgr.met.reg.Handler().ServeHTTP(w, r)
 	case path == "/healthz" && r.Method == http.MethodGet:
 		s.Health.ServeLive(w, r)
 	case path == "/readyz" && r.Method == http.MethodGet:
@@ -135,7 +132,7 @@ func (s *Server) graph(w http.ResponseWriter, r *http.Request, name string) {
 		purged := s.mgr.DropGraph(name)
 		writeJSON(w, http.StatusOK, map[string]any{"removed": name, "purged_results": purged})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		methodNotAllowed(w)
 	}
 }
 
@@ -189,8 +186,15 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		writeJSON(w, http.StatusOK, view)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		methodNotAllowed(w)
 	}
+}
+
+// methodNotAllowed answers a method that one graph or one job does not
+// support, naming the two that it does (RFC 9110 §15.5.6).
+func methodNotAllowed(w http.ResponseWriter) {
+	w.Header().Set("Allow", "GET, DELETE")
+	writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 }
 
 // events streams a job's lifecycle as server-sent events until the job

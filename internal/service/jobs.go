@@ -296,7 +296,7 @@ type Manager struct {
 	// jops is the ordered append queue between state transitions and the
 	// journal writer goroutine (asyncjournal.go), which jnlWake (on mu)
 	// wakes. jnlClosed is set once the workers have exited.
-	jops      []jnlOp
+	jops      []journal.Record
 	jnlWake   *sync.Cond
 	jnlClosed bool
 	jnlWg     sync.WaitGroup

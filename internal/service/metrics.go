@@ -172,14 +172,12 @@ func (m *Manager) installCollector() {
 		m.mu.Lock()
 		m.met.cacheEntries.Set(int64(m.cache.len()))
 		m.mu.Unlock()
-		if m.reg != nil {
-			st := m.reg.BlockCacheStats()
-			m.met.blockHits.Set(int64(st.Hits))
-			m.met.blockMisses.Set(int64(st.Misses))
-			m.met.blockEvictions.Set(int64(st.Evictions))
-			m.met.blockResBytes.Set(st.ResidentBytes)
-			m.met.blockResBlocks.Set(st.ResidentBlocks)
-		}
+		st := m.reg.BlockCacheStats()
+		m.met.blockHits.Set(int64(st.Hits))
+		m.met.blockMisses.Set(int64(st.Misses))
+		m.met.blockEvictions.Set(int64(st.Evictions))
+		m.met.blockResBytes.Set(st.ResidentBytes)
+		m.met.blockResBlocks.Set(st.ResidentBlocks)
 	})
 }
 
@@ -259,10 +257,4 @@ func (m *Manager) waitQuantilesLocked() map[string]QuantileSummary {
 		out[c] = m.waits[Priority(c)].summarize()
 	}
 	return out
-}
-
-// MetricsRegistry exposes the manager's metrics registry (the HTTP layer
-// serves it at GET /metrics).
-func (m *Manager) MetricsRegistry() *obs.Registry {
-	return m.met.reg
 }

@@ -173,7 +173,8 @@ func (r *Registry) instrument(g *obs.GaugeVec) {
 
 // BlockCacheStats aggregates the decoded-page cache counters of every
 // registered block-compressed (.gcsr v2) graph; raw-CSR graphs contribute
-// nothing. The metrics collector exposes the aggregate at scrape time.
+// nothing. The metrics collector exposes the aggregate at scrape time;
+// Blocks, which no metric exports, stays zero.
 func (r *Registry) BlockCacheStats() graph.BlockCacheStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -183,10 +184,8 @@ func (r *Registry) BlockCacheStats() graph.BlockCacheStats {
 		if !ok {
 			continue
 		}
-		agg.Blocks += st.Blocks
 		agg.ResidentBlocks += st.ResidentBlocks
 		agg.ResidentBytes += st.ResidentBytes
-		agg.CapacityBytes += st.CapacityBytes
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
 		agg.Evictions += st.Evictions

@@ -130,7 +130,7 @@ func TestCompactionPreservesResume(t *testing.T) {
 			t.Fatalf("filler job: %+v, %v", qv, err)
 		}
 	}
-	mgr1.syncJournal()
+	mgr1.crashJournal()
 	if st := mgr1.Stats(); st.JournalErrors != 0 || st.JournalSegments > 4 {
 		t.Fatalf("pre-crash journal state: %+v, want compacted and error-free", st)
 	}
@@ -239,7 +239,7 @@ func TestPromotionSurvivesRestart(t *testing.T) {
 	if boost.ID != shared.ID || boost.Spec.Priority != PriorityInteractive {
 		t.Fatalf("promotion did not happen: %+v", boost)
 	}
-	mgr1.syncJournal()
+	mgr1.crashJournal()
 	// Crash (no Close), restart: the shared job re-queues at its promoted
 	// class, not the background class of its first submitted record.
 	mgr2 := newTestManager(t, testRegistry(t), Options{Workers: 1, MaxWalkers: 2, DataDir: dir})

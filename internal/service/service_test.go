@@ -630,6 +630,12 @@ func TestServerRoutes(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type %q, want application/json", ct)
 			}
+			// A 405 names the methods the resource does support.
+			if tc.status == http.StatusMethodNotAllowed {
+				if allow := resp.Header.Get("Allow"); allow != "GET, DELETE" {
+					t.Errorf("Allow %q, want %q", allow, "GET, DELETE")
+				}
+			}
 			if tc.check != nil {
 				tc.check(t, body.Bytes())
 				return

@@ -167,9 +167,9 @@ func (m *Manager) journalAppendRawLocked(typ journal.Type, jobID string, body []
 	}
 	// Stamp the time at enqueue: the record's logical time is the state
 	// transition, not the (later) asynchronous write.
-	m.pushJournalLocked(jnlOp{rec: journal.Record{
+	m.pushJournalLocked(journal.Record{
 		Type: typ, Job: jobID, Time: time.Now().UnixNano(), Payload: body,
-	}})
+	})
 }
 
 // journalTerminalLocked records a job reaching its final state. Caller
