@@ -9,9 +9,8 @@
 package exact
 
 import (
+	"iter"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/graphlet"
@@ -27,77 +26,53 @@ func CountESU(g *graph.Graph, k int) []int64 {
 	return countESUWorkers(byDegree(g), k, runtime.GOMAXPROCS(0))
 }
 
-// byDegree relabels nodes in ascending-degree order (stable on ties).
+// byDegree relabels nodes by their degreeRanks.
 func byDegree(g *graph.Graph) *graph.Graph {
-	n := g.NumNodes()
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortByDegree(order, g)
-	newID := make([]int32, n)
-	for rank, v := range order {
-		newID[v] = int32(rank)
-	}
-	b := graph.NewBuilder(n)
+	rank := degreeRanks(g)
+	b := graph.NewBuilder(g.NumNodes())
 	g.Edges(func(u, v int32) bool {
-		b.AddEdge(newID[u], newID[v])
+		b.AddEdge(rank[u], rank[v])
 		return true
 	})
 	return b.Build()
 }
 
-func sortByDegree(order []int32, g *graph.Graph) {
-	// Counting sort by degree: O(n + maxDeg), deterministic.
-	maxd := g.MaxDegree()
-	buckets := make([][]int32, maxd+1)
-	for _, v := range order {
+// degreeRanks returns each node's position in ascending (degree, id) order,
+// by a counting sort: O(n + maxDeg), deterministic.
+func degreeRanks(g *graph.Graph) []int32 {
+	n := g.NumNodes()
+	next := make([]int32, g.MaxDegree()+2) // next[d]: next rank of degree d
+	for v := range int32(n) {
+		next[g.Degree(v)+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	rank := make([]int32, n)
+	for v := range int32(n) {
 		d := g.Degree(v)
-		buckets[d] = append(buckets[d], v)
+		rank[v] = next[d]
+		next[d]++
 	}
-	i := 0
-	for d := 0; d <= maxd; d++ {
-		for _, v := range buckets[d] {
-			order[i] = v
-			i++
-		}
-	}
+	return rank
 }
 
 func countESUWorkers(g *graph.Graph, k int, workers int) []int64 {
 	n := g.NumNodes()
 	types := graphlet.Count(k)
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([][]int64, workers)
-	var next int64
-	var wg sync.WaitGroup
-	const chunk = 64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e := newEnumerator(g, k, types)
-			for {
-				lo := atomic.AddInt64(&next, chunk) - chunk
-				if lo >= int64(n) {
-					break
-				}
-				hi := lo + chunk
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				for v := lo; v < hi; v++ {
-					e.enumerateRoot(int32(v))
-				}
+	results := make(chan []int64, workers)
+	parallelChunks(n, workers, func(chunks iter.Seq2[int32, int32]) {
+		e := newEnumerator(g, k, types)
+		for lo, hi := range chunks {
+			for v := lo; v < hi; v++ {
+				e.enumerateRoot(v)
 			}
-			results[w] = e.counts
-		}(w)
-	}
-	wg.Wait()
+		}
+		results <- e.counts
+	})
+	close(results)
 	total := make([]int64, types)
-	for _, r := range results {
+	for r := range results {
 		for i, c := range r {
 			total[i] += c
 		}

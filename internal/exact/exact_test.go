@@ -1,6 +1,8 @@
 package exact
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -204,5 +206,54 @@ func BenchmarkFourNodeFormulas(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FourNodeCounts(g)
+	}
+}
+
+// FuzzExactCounts builds a graph of at most 12 nodes from the fuzz bytes —
+// the first picks n, each following pair an edge — and checks the fast
+// counters against ESU. Small graphs have many equal degrees, so the
+// (degree, id) rank ties the forward orientation breaks are exercised.
+func FuzzExactCounts(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2})
+	f.Add([]byte{6, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4, 4, 5})
+	f.Add([]byte{12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 6, 7, 7, 8, 8, 6, 9, 10, 10, 11, 11, 9, 0, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int32(data[0]%12) + 1
+		b := graph.NewBuilder(int(n))
+		for i := 1; i+1 < len(data); i += 2 {
+			b.AddEdge(int32(data[i])%n, int32(data[i+1])%n)
+		}
+		g := b.Build()
+		want3, want4 := CountESU(g, 3), CountESU(g, 4)
+		if got := Triangles(g); got != want3[1] {
+			t.Errorf("Triangles = %d, ESU %d", got, want3[1])
+		}
+		if got := ThreeNodeCounts(g); !reflect.DeepEqual(got, want3) {
+			t.Errorf("ThreeNodeCounts = %v, ESU %v", got, want3)
+		}
+		if got := FourNodeCounts(g); !reflect.DeepEqual(got, want4) {
+			t.Errorf("FourNodeCounts = %v, ESU %v", got, want4)
+		}
+	})
+}
+
+// TestFastCountsConcurrentChunks runs the fast counters on a graph of many
+// node chunks per worker, with at least four workers, so the shared cursor
+// and the shared per-arc triangle array are used concurrently — under -race
+// in CI — and the result must still equal ESU's.
+func TestFastCountsConcurrentChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	g := gen.HolmeKim(3000, 4, 0.5, 11)
+	if chunks := g.NumNodes() / nodeChunk; chunks < 4*runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d chunks for %d workers: too few to share", chunks, runtime.GOMAXPROCS(0))
+	}
+	if got, want := ThreeNodeCounts(g), CountESU(g, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("ThreeNodeCounts = %v, ESU %v", got, want)
+	}
+	if got, want := FourNodeCounts(g), CountESU(g, 4); !reflect.DeepEqual(got, want) {
+		t.Errorf("FourNodeCounts = %v, ESU %v", got, want)
 	}
 }

@@ -305,43 +305,6 @@ func (g *Graph) CommonNeighbors(u, v int32) int {
 	return c
 }
 
-// CommonNeighborsInto appends the common neighbors of u and v to dst (in
-// ascending order) and returns the extended slice.
-func (g *Graph) CommonNeighborsInto(dst []int32, u, v int32) []int32 {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) >= gallopSkew*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo += GallopSearch(b[lo:], x)
-			if lo >= len(b) {
-				break
-			}
-			if b[lo] == x {
-				dst = append(dst, x)
-				lo++
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
 // GallopSearch returns the index of the first element of b >= x, probing
 // exponentially from the front and binary-searching the final window — O(log
 // k) where k is the returned index, which is what makes skewed intersections
