@@ -11,6 +11,7 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -134,21 +135,14 @@ func HolmeKim(n, m int, pt float64, seed int64) *graph.Graph {
 	b := graph.NewBuilder(n)
 	repeated := make([]int32, 0, 2*m*n)
 	adj := make([][]int32, n) // insertion-ordered adjacency for determinism
-	has := make(map[int64]struct{}, m*n)
-	key := func(u, v int32) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		return int64(u)<<32 | int64(v)
-	}
+	// The seed clique adds each pair once, and after it u is the node being
+	// added, whose row holds only the at most m edges added for it so far. So
+	// a scan of adj[u] finds every duplicate, as BarabasiAlbert's scan of its
+	// targets does.
 	addEdge := func(u, v int32) bool {
-		if u == v {
+		if u == v || slices.Contains(adj[u], v) {
 			return false
 		}
-		if _, dup := has[key(u, v)]; dup {
-			return false
-		}
-		has[key(u, v)] = struct{}{}
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
 		b.AddEdge(u, v)
