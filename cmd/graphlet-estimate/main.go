@@ -71,7 +71,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "graphlet-estimate: -exact and -counts need the whole graph, which a crawled API does not give")
 			os.Exit(2)
 		}
-		client, api = apiserver.NewClient(context.Background(), strings.TrimSuffix(*path, "/"), nil)
+		client, api = apiserver.NewClient(context.Background(), strings.TrimSuffix(*path, "/"))
 	} else {
 		var err error
 		if lcc, err = graphletrw.OpenLCC(*path); err != nil {

@@ -77,7 +77,7 @@ func TestFacadeEstimateOverDeadEndpoint(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	for _, walkers := range []int{1, 3} {
-		client, _ := apiserver.NewClient(context.Background(), dead.URL, nil)
+		client, _ := apiserver.NewClient(context.Background(), dead.URL)
 		_, err := Estimate(client, Config{Sizes: []int{3}, D: 1, Seed: 1, Walkers: walkers}, 500)
 		if err == nil || !strings.Contains(err.Error(), "apiserver client") {
 			t.Errorf("walkers=%d: err = %v, want the transport failure as an error", walkers, err)

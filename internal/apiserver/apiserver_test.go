@@ -148,7 +148,7 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 
 func TestClientImplementsAccess(t *testing.T) {
 	srv, h := newTestServer(t)
-	c, _ := NewClient(context.Background(), srv.URL, srv.Client())
+	c, _ := NewClient(context.Background(), srv.URL)
 	if c.Degree(0) != h.g.Degree(0) {
 		t.Errorf("Degree mismatch")
 	}
@@ -178,7 +178,7 @@ func TestClientImplementsAccess(t *testing.T) {
 // bare transport — revisiting a node must not issue another request.
 func TestClientCaching(t *testing.T) {
 	srv, _ := newTestServer(t)
-	c, api := NewClient(context.Background(), srv.URL, srv.Client())
+	c, api := NewClient(context.Background(), srv.URL)
 	c.Neighbors(3)
 	n := api.RequestCount()
 	c.Neighbors(3)
@@ -189,12 +189,12 @@ func TestClientCaching(t *testing.T) {
 	}
 }
 
-// TestClientDefaultTimeout: a nil http.Client must not silently become
+// TestClientDefaultTimeout: the client NewClient builds must not be
 // http.DefaultClient, whose zero timeout hangs forever on a dead server.
 func TestClientDefaultTimeout(t *testing.T) {
-	_, c := NewClient(context.Background(), "http://example.invalid", nil)
+	_, c := NewClient(context.Background(), "http://example.invalid")
 	if c.http == http.DefaultClient {
-		t.Fatal("nil http.Client fell back to http.DefaultClient")
+		t.Fatal("NewClient used http.DefaultClient")
 	}
 	if c.http.Timeout != DefaultTimeout {
 		t.Errorf("default client timeout = %v, want %v", c.http.Timeout, DefaultTimeout)
@@ -210,7 +210,7 @@ func TestClientContextDeadline(t *testing.T) {
 	t.Cleanup(hung.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	hc, _ := NewClient(ctx, hung.URL, hung.Client())
+	hc, _ := NewClient(ctx, hung.URL)
 
 	done := make(chan string, 1)
 	go func() {
@@ -240,7 +240,7 @@ func TestClientWireBoundary(t *testing.T) {
 		writeJSON(w, http.StatusOK, neighborsResponse{ID: 7, Degree: 5, Neighbors: []int32{9, 2, 5, 2, 9}})
 	}))
 	t.Cleanup(srv.Close)
-	c, _ := NewClient(context.Background(), srv.URL, srv.Client())
+	c, _ := NewClient(context.Background(), srv.URL)
 	if got, want := c.Neighbors(7), []int32{2, 5, 9}; !reflect.DeepEqual(got, want) {
 		t.Errorf("row from an unsorted server = %v, want %v", got, want)
 	}
@@ -274,7 +274,7 @@ func TestCrawlDropsSelfLoops(t *testing.T) {
 			writeJSON(w, http.StatusOK, neighborsResponse{ID: v, Degree: len(row) + 1, Neighbors: slices.Insert(row, i, v)})
 		}))
 		defer srv.Close()
-		c, _ := NewClient(context.Background(), srv.URL, srv.Client())
+		c, _ := NewClient(context.Background(), srv.URL)
 		est, err := core.NewMultiEstimator(c, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +300,7 @@ func TestCrawlDropsSelfLoops(t *testing.T) {
 // proof of the restricted-access design.
 func TestEstimateOverHTTP(t *testing.T) {
 	srv, h := newTestServer(t)
-	c, api := NewClient(context.Background(), srv.URL, srv.Client())
+	c, api := NewClient(context.Background(), srv.URL)
 	est, err := core.NewMultiEstimator(c, core.MultiConfig{Sizes: []int{3}, D: 1, CSS: true, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestParallelEstimateOverHTTP(t *testing.T) {
 			h.ServeHTTP(w, r)
 		}))
 		defer srv.Close()
-		c, api := NewClient(context.Background(), srv.URL, srv.Client())
+		c, api := NewClient(context.Background(), srv.URL)
 		est, err := core.NewMultiEstimator(c, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -31,11 +31,11 @@ type Client struct {
 
 var _ access.RowSource = (*Client)(nil)
 
-// DefaultTimeout bounds each HTTP round trip when NewClient is handed no
-// http.Client of its own. A remote graph API that stops answering must
-// surface as a walker error within this window, never as an indefinite hang
-// (a distributed worker stuck here would stall its coordinator until the
-// partition watchdog gives up on the whole node).
+// DefaultTimeout bounds each HTTP round trip of a NewClient. A remote graph
+// API that stops answering must surface as a walker error within this
+// window, never as an indefinite hang (a distributed worker stuck here
+// would stall its coordinator until the partition watchdog gives up on the
+// whole node).
 const DefaultTimeout = 30 * time.Second
 
 // NewClient crawls the API at base (e.g. "http://127.0.0.1:8080"): it
@@ -45,14 +45,11 @@ const DefaultTimeout = 30 * time.Second
 // from a bitset row — and the transport underneath it, whose RequestCount is
 // the crawl's HTTP cost. Every request runs under ctx: once it is canceled
 // or past its deadline, in-flight and later calls abort with the panic
-// convention instead of waiting out the transport. If hc is nil, a client
-// with DefaultTimeout per request is used — never http.DefaultClient, which
-// waits forever.
-func NewClient(ctx context.Context, base string, hc *http.Client) (*access.Memo, *Client) {
-	if hc == nil {
-		hc = &http.Client{Timeout: DefaultTimeout}
-	}
-	c := &Client{ctx: ctx, base: base, http: hc}
+// convention instead of waiting out the transport. Each request also has
+// DefaultTimeout — the client is never http.DefaultClient, which waits
+// forever.
+func NewClient(ctx context.Context, base string) (*access.Memo, *Client) {
+	c := &Client{ctx: ctx, base: base, http: &http.Client{Timeout: DefaultTimeout}}
 	return access.NewMemo(c), c
 }
 
