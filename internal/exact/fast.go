@@ -60,7 +60,7 @@ func GlobalClusteringCoefficient(g *graph.Graph) float64 {
 // and diamonds then follow from per-node and per-edge sums.
 func FourNodeCounts(g *graph.Graph) []int64 {
 	f := orient(g)
-	triArc := make([]int32, len(f.adj))
+	triArc := make([]atomic.Int32, len(f.adj))
 	t := f.census(triArc)
 
 	// Non-induced pattern counts: stars Σ C(d,3), paths Σ_(u,v)∈E
@@ -74,7 +74,7 @@ func FourNodeCounts(g *graph.Graph) []int64 {
 		nStar += du * (du - 1) * (du - 2) / 6
 		for k := f.off[u]; k < f.off[u+1]; k++ {
 			dv := int64(g.Degree(f.adj[k]))
-			c := int64(triArc[k])
+			c := int64(triArc[k].Load())
 			nPath += (du - 1) * (dv - 1)
 			tailedTwice += c * (du + dv - 4)
 			nDiamond += c * (c - 1) / 2
@@ -129,7 +129,7 @@ type tally struct{ tri, k4, cycles int64 }
 // counts triangles only; otherwise it also adds each triangle to its three
 // arcs' entries of triArc, one m-length array all workers share through
 // atomic adds, and counts 4-cliques and 4-cycles.
-func (f *forward) census(triArc []int32) tally {
+func (f *forward) census(triArc []atomic.Int32) tally {
 	n := f.g.NumNodes()
 	var total tally
 	var mu sync.Mutex
@@ -154,11 +154,11 @@ func (f *forward) census(triArc []int32) tally {
 					if triArc == nil || len(hits) == 0 {
 						continue
 					}
-					atomic.AddInt32(&triArc[f.off[u]+int64(i)], int32(len(hits)))
+					triArc[f.off[u]+int64(i)].Add(int32(len(hits)))
 					common = common[:0]
 					for _, h := range hits {
-						atomic.AddInt32(&triArc[f.off[u]+int64(h.i)], 1)
-						atomic.AddInt32(&triArc[f.off[v]+int64(h.j)], 1)
+						triArc[f.off[u]+int64(h.i)].Add(1)
+						triArc[f.off[v]+int64(h.j)].Add(1)
 						common = append(common, ou[h.i])
 					}
 					// A 4-clique u, v, w, x (ranked so) is the one pair w → x
