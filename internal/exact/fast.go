@@ -29,7 +29,10 @@ func ThreeNodeCounts(g *graph.Graph) []int64 {
 // corners. Out-rows of hubs hold only the few nodes of still higher degree,
 // so the merges cost O(m·α) overall, α the graph's arboricity, a log factor
 // more where two rows' lengths are skewed and the merge gallops (the
-// Chiba–Nishizeki bound, SIAM J. Comput. 1985).
+// Chiba–Nishizeki bound, SIAM J. Comput. 1985). All CPUs share the work,
+// taking nodes in small chunks from one cursor: preferential attachment
+// puts the hubs at the lowest ids, and a split into contiguous ranges would
+// give them all to one CPU.
 func Triangles(g *graph.Graph) int64 {
 	return orient(g).census(nil).tri
 }
@@ -128,7 +131,8 @@ type tally struct{ tri, k4, cycles int64 }
 // census runs the triangle kernel over every forward arc. With triArc nil it
 // counts triangles only; otherwise it also adds each triangle to its three
 // arcs' entries of triArc, one m-length array all workers share through
-// atomic adds, and counts 4-cliques and 4-cycles.
+// atomic adds, and counts 4-cliques and 4-cycles; each worker then holds an
+// n-length wedge counter, and none an m-length array of its own.
 func (f *forward) census(triArc []atomic.Int32) tally {
 	n := f.g.NumNodes()
 	var total tally
@@ -267,10 +271,8 @@ const nodeChunk = 64
 
 // parallelChunks runs work on workers goroutines. Each ranges over chunks,
 // which hands it [lo, hi) ranges of [0, n), nodeChunk nodes at a time, from
-// one shared cursor until none is left. A worker that drew cheap nodes so
-// takes more of them, and the hubs that preferential attachment puts at the
-// lowest ids do not all fall to one worker, as they would under a split
-// into contiguous halves. Scratch a worker allocates before its range loop
+// one shared cursor until none is left, so a worker that drew cheap nodes
+// takes more of them. Scratch a worker allocates before its range loop
 // serves all its chunks.
 func parallelChunks(n, workers int, work func(chunks iter.Seq2[int32, int32])) {
 	var cursor atomic.Int64
