@@ -281,23 +281,33 @@ func openHK12(t *testing.T, hk *graph.Graph) []struct {
 	}{{"hk12v1", g1}, {"hk12v2", g2}}
 }
 
-// wheelRows are the oracle rows on a wheel: hub 0 joined to a 70-node rim,
-// plus 10 chords (r, r+2) that close rim triangles into 4-cliques with the
-// hub. The hub's degree (70) reaches the graph layer's hub bitset rows, so
-// every HasEdge against the hub is a bitset probe. The rows are every
-// (CSS, NB) row with k <= 4 at d <= 2, the star row and the k = 5, d = 1
-// rows; k = 5 at d = 2 enumerates too many windows for tier-1.
-func wheelRows() []oracleRow {
-	const rim = 70
-	b := graph.NewBuilder(rim + 1)
+// wheel returns hub 0 joined to a rim of the given length, plus a chord
+// (r, r+2) every chordEvery rim nodes (none when chordEvery is 0); a chord
+// closes two rim triangles into a 4-clique with the hub.
+func wheel(rim, chordEvery int32) *graph.Graph {
+	b := graph.NewBuilder(int(rim) + 1)
 	for i := int32(1); i <= rim; i++ {
 		b.AddEdge(0, i)
 		b.AddEdge(i, i%rim+1)
 	}
-	for r := int32(1); r < rim; r += 7 {
+	for r := int32(1); chordEvery > 0 && r < rim; r += chordEvery {
 		b.AddEdge(r, r+2)
 	}
-	wheel := b.Build()
+	return b.Build()
+}
+
+// wheelRows are the oracle rows on two wheels. wheel71 is hub 0 joined to
+// a 70-node rim with 10 chords. The hub's degree (70) reaches the graph
+// layer's hub bitset rows, so every HasEdge against the hub is a bitset
+// probe, and every d = 3 draw from a state holding the hub reads the hub's
+// row through it. Its rows are every (CSS, NB) row with k <= 4 at d <= 2,
+// the star row, the k = 5, d = 1 rows and k = 4 at d = 3; k = 5 at d = 2
+// enumerates too many windows for tier-1. wheel49 is hub 0 joined to a
+// 48-node rim without chords: its hub's degree (48) stays below the hub
+// rows, so its k = 4, d = 3 rows draw by galloping the hub's row, and count
+// by galloping intersection (48 >= 16 times a rim node's degree).
+func wheelRows() []oracleRow {
+	wheel71, wheel49 := wheel(70, 7), wheel(48, 0)
 	var rows []oracleRow
 	for k := 3; k <= graphlet.MaxK; k++ {
 		dMax := 2
@@ -313,13 +323,26 @@ func wheelRows() []oracleRow {
 					cfg := MultiConfig{Sizes: []int{k}, D: d, CSS: css, NB: nb}
 					rows = append(rows, oracleRow{
 						name: fmt.Sprintf("wheel71/%s_k%d", cfg.MethodName(), k),
-						g:    wheel, sizes: []int{k}, d: d, css: css, nb: nb,
+						g:    wheel71, sizes: []int{k}, d: d, css: css, nb: nb,
 					})
 				}
 			}
 		}
 	}
-	return append(rows, oracleRow{name: "wheel71/SRW1_k4_stars", g: wheel, sizes: []int{4}, d: 1, recoverStars: true})
+	rows = append(rows, oracleRow{name: "wheel71/SRW1_k4_stars", g: wheel71, sizes: []int{4}, d: 1, recoverStars: true})
+	for _, w := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"wheel71", wheel71}, {"wheel49", wheel49}} {
+		for _, nb := range []bool{false, true} {
+			cfg := MultiConfig{Sizes: []int{4}, D: 3, NB: nb}
+			rows = append(rows, oracleRow{
+				name: fmt.Sprintf("%s/%s_k4", w.name, cfg.MethodName()),
+				g:    w.g, sizes: []int{4}, d: 3, nb: nb,
+			})
+		}
+	}
+	return rows
 }
 
 func checkUnbiased(t *testing.T, row oracleRow) {
