@@ -29,16 +29,21 @@ type Client interface {
 	HasEdge(u, v int32) bool
 }
 
-// CommonCounter is an optional Client capability: the number of common
-// neighbors of two nodes, computed without handing out the rows themselves.
-// Only clients whose access is free implement it (the in-memory
-// GraphClient, via the graph layer's galloping intersection); crawl-style
-// clients deliberately do not, so the walk kernel falls back to merging
-// fetched rows and the measured API cost stays faithful to what a real
-// crawler would pay.
+// CommonCounter is an optional Client capability: counts over neighbor rows
+// answered from the graph layer's in-memory indexes, without handing out the
+// rows themselves — the number of common neighbors of two nodes, and, through
+// a hub's bitset row and its rank directory, how many of a hub's neighbors
+// lie below a node and whether that node is one of them. Only clients whose
+// access is free implement it (the in-memory GraphClient); crawl-style
+// clients deliberately do not, so the walk kernel falls back to merging and
+// galloping fetched rows and the measured API cost stays faithful to what a
+// real crawler would pay.
 type CommonCounter interface {
 	// CommonNeighborCount returns |N(u) ∩ N(v)|.
 	CommonNeighborCount(u, v int32) int
+	// HubRow returns v's hub bitset row with its rank directory, or the
+	// zero graph.HubRow when v owns none.
+	HubRow(v int32) graph.HubRow
 }
 
 // GraphClient adapts an in-memory graph.Graph to the Client interface.
@@ -61,9 +66,13 @@ func (c *GraphClient) HasEdge(u, v int32) bool { return c.g.HasEdge(u, v) }
 // RandomNode implements Client.
 func (c *GraphClient) RandomNode(rng *rand.Rand) int32 { return c.g.RandomNode(rng) }
 
-// CommonNeighborCount implements CommonCounter via the graph layer's
-// galloping intersection (O(min·log(max/min)) under degree skew).
+// CommonNeighborCount implements CommonCounter via the graph layer's intersection:
+// a bit test per element of the shorter row against a hub's bitset row, else
+// a galloping intersection (O(min·log(max/min)) under degree skew).
 func (c *GraphClient) CommonNeighborCount(u, v int32) int { return c.g.CommonNeighbors(u, v) }
+
+// HubRow implements CommonCounter.
+func (c *GraphClient) HubRow(v int32) graph.HubRow { return c.g.HubRow(v) }
 
 // Stats aggregates API-call counters.
 type Stats struct {

@@ -241,7 +241,7 @@ func TestEstimatorUnbiasedExactly(t *testing.T) {
 			}
 		}
 	}
-	rows = append(rows, wheelRows()...)
+	rows = append(rows, wheelRows(t)...)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) { checkUnbiased(t, row) })
 	}
@@ -306,8 +306,11 @@ func wheel(rim, chordEvery int32) *graph.Graph {
 // 48-node rim without chords: its hub's degree (48) stays below the hub
 // rows, so its k = 4, d = 3 rows draw by galloping the hub's row, and count
 // by galloping intersection (48 >= 16 times a rim node's degree).
-func wheelRows() []oracleRow {
+func wheelRows(t *testing.T) []oracleRow {
 	wheel71, wheel49 := wheel(70, 7), wheel(48, 0)
+	if wheel71.HubRow(0).IsZero() || !wheel49.HubRow(0).IsZero() {
+		t.Fatal("wheel71's hub must own a hub row and wheel49's must not")
+	}
 	var rows []oracleRow
 	for k := 3; k <= graphlet.MaxK; k++ {
 		dMax := 2

@@ -134,7 +134,8 @@ func Validate(g *Graph) error {
 		return fmt.Errorf("cached MaxDegree %d != scanned max degree %d", g.MaxDegree(), maxDeg)
 	}
 	// Hub bitset rows, when present, must agree bit-for-bit with the
-	// adjacency lists (HasEdge answers from them).
+	// adjacency lists (HasEdge answers from them), and each rank directory
+	// entry must count its row's bits up to the middle of its pair of words.
 	if g.hubIdx != nil {
 		if len(g.hubIdx) != g.NumNodes() {
 			return fmt.Errorf("hub index length %d != %d nodes", len(g.hubIdx), g.NumNodes())
@@ -144,11 +145,15 @@ func Validate(g *Graph) error {
 			if r < 0 {
 				continue
 			}
-			row := g.hubRows[int(r)*g.hubStride : (int(r)+1)*g.hubStride]
+			h := g.hubRow(r)
+			row := h.bits
 			bits := 0
-			for _, w := range row {
+			for i, w := range row {
 				for ; w != 0; w &= w - 1 {
 					bits++
+				}
+				if i&1 == 0 && int(h.rank[i>>1]) != bits {
+					return fmt.Errorf("hub row of %d: rank entry %d is %d, the row has %d bits in words [0, %d)", v, i>>1, h.rank[i>>1], bits, i+1)
 				}
 			}
 			if bits != g.Degree(v) {

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -31,10 +32,17 @@ type Graph struct {
 
 	// Hub acceleration: the highest-degree nodes (within a memory budget,
 	// see buildHubIndex) get a dense adjacency bitset row, turning HasEdge
-	// probes against them into one bit test instead of a binary search.
-	// hubIdx[v] is the row of v, or -1; rows are hubStride words wide.
+	// probes against them into one bit test instead of a binary search, and
+	// a rank directory beside the row, which answers "how many of v's
+	// neighbors are below x" with one load and one popcount (HubRow.Rank).
+	// hubIdx[v] is the row of v, or -1; rows are hubStride words wide, and
+	// each row's directory holds one count per pair of words, hubStride/2
+	// rounded up: entry j counts the row's set bits in words [0, 2j+1), up
+	// to the middle of the pair, so either word of the pair reaches it with
+	// one popcount (added for the second word, subtracted for the first).
 	hubIdx    []int32
 	hubRows   []uint64
+	hubRank   []uint32
 	hubStride int
 
 	// blocks serves neighbor rows of a block-compressed (.gcsr v2) graph
@@ -103,23 +111,26 @@ func (g *Graph) HasEdge(u, v int32) bool {
 // binary search is only a handful of steps and a row would waste memory.
 const hubDegreeFloor = 64
 
-// buildHubIndex assigns dense adjacency bitset rows to the highest-degree
-// nodes, spending at most as many bytes on rows as the adj array itself
-// occupies (with a 1 MiB floor so small graphs index their hubs too). The
-// threshold is chosen from the degree histogram: the smallest degree t >=
-// hubDegreeFloor whose nodes all fit in the budget. Called once from every
-// construction path (Builder.Build and the .gcsr builders); the index is a
-// derived in-memory structure, never persisted.
+// buildHubIndex assigns dense adjacency bitset rows, each with its rank
+// directory, to the highest-degree nodes, spending at most as many bytes on
+// rows plus directories as the adj array itself occupies (with a 1 MiB floor
+// so small graphs index their hubs too); a directory costs a quarter of its
+// row. The threshold is chosen from the degree histogram: the smallest
+// degree t >= hubDegreeFloor whose nodes all fit in the budget. Called once
+// from every construction path (Builder.Build, LargestComponent and the
+// .gcsr builders), which fills each row and its directory in one pass; the
+// index is a derived in-memory structure, never persisted.
 func (g *Graph) buildHubIndex() {
 	n := g.NumNodes()
 	if n == 0 || g.maxDeg < hubDegreeFloor {
 		return
 	}
 	stride := (n + 63) >> 6
-	rowBytes := stride * 8
-	// Budget rows against the raw adjacency size (4 bytes/arc) whether the
-	// arcs are stored raw (v1) or block-compressed (v2) — the bitset value
-	// is the same either way.
+	rankStride := (stride + 1) >> 1
+	rowBytes := stride*8 + rankStride*4
+	// Budget rows and directories against the raw adjacency size (4
+	// bytes/arc) whether the arcs are stored raw (v1) or block-compressed
+	// (v2) — the bitset value is the same either way.
 	budget := int(2*g.m) * 4
 	if budget < 1<<20 {
 		budget = 1 << 20
@@ -147,6 +158,7 @@ func (g *Graph) buildHubIndex() {
 	}
 	g.hubStride = stride
 	g.hubRows = make([]uint64, rows*stride)
+	g.hubRank = make([]uint32, rows*rankStride)
 	g.hubIdx = make([]int32, n)
 	next := int32(0)
 	for v := 0; v < n; v++ {
@@ -155,12 +167,61 @@ func (g *Graph) buildHubIndex() {
 			continue
 		}
 		g.hubIdx[v] = next
-		row := g.hubRows[int(next)*stride : (int(next)+1)*stride]
+		h := g.hubRow(next)
 		for _, u := range g.Neighbors(int32(v)) {
-			row[u>>6] |= 1 << (uint(u) & 63)
+			h.bits[u>>6] |= 1 << (uint(u) & 63)
+		}
+		c := uint32(0)
+		for w, word := range h.bits {
+			c += uint32(bits.OnesCount64(word))
+			if w&1 == 0 {
+				h.rank[w>>1] = c
+			}
 		}
 		next++
 	}
+}
+
+// HubRow is a hub's adjacency bitset row with its rank directory (see
+// Graph.hubRank). The zero HubRow stands for a node that owns none.
+type HubRow struct {
+	bits []uint64
+	rank []uint32
+}
+
+// HubRow returns v's bitset row with its rank directory, or the zero HubRow
+// when v owns none.
+func (g *Graph) HubRow(v int32) HubRow {
+	if g.hubIdx == nil || g.hubIdx[v] < 0 {
+		return HubRow{}
+	}
+	return g.hubRow(g.hubIdx[v])
+}
+
+// hubRow returns hub row r.
+func (g *Graph) hubRow(r int32) HubRow {
+	stride, rankStride := g.hubStride, (g.hubStride+1)>>1
+	b, k := int(r)*stride, int(r)*rankStride
+	return HubRow{bits: g.hubRows[b : b+stride], rank: g.hubRank[k : k+rankStride]}
+}
+
+// IsZero reports whether h is the zero HubRow: its node owns no row.
+func (h HubRow) IsZero() bool { return h.bits == nil }
+
+// Rank returns how many of the row's nodes are below x — the index x has,
+// or would have, in the node's sorted Neighbors row — and whether x is one
+// of them. x must be a node of the graph. The count is the directory entry
+// of x's pair of words, corrected by one popcount of x's own word.
+func (h HubRow) Rank(x int32) (below int, in bool) {
+	w := uint(x) >> 6
+	word := h.bits[w]
+	lower := uint64(1)<<(uint(x)&63) - 1
+	second := uint64(w & 1) // 1 on the second word of its pair
+	// The entry counts through the pair's first word: on the second word add
+	// the bits below x, on the first subtract x's bit and the bits above it.
+	t := bits.OnesCount64(word & (lower ^ (second - 1)))
+	below = int(h.rank[w>>1]) + t*int(2*second) - t
+	return below, word>>(uint(x)&63)&1 != 0
 }
 
 // Mapped reports whether the graph's storage aliases an mmap'd file.
@@ -177,7 +238,7 @@ func (g *Graph) Close() error {
 	unmap := g.unmap
 	g.unmap = nil
 	g.off, g.adj = nil, nil
-	g.hubIdx, g.hubRows = nil, nil
+	g.hubIdx, g.hubRows, g.hubRank = nil, nil, nil
 	g.blocks, g.origIDs = nil, nil
 	return unmap()
 }
@@ -265,7 +326,7 @@ func (g *Graph) CommonNeighbors(u, v int32) int {
 	a := g.Neighbors(u)
 	if g.hubIdx != nil {
 		if r := g.hubIdx[v]; r >= 0 {
-			row := g.hubRows[int(r)*g.hubStride : (int(r)+1)*g.hubStride]
+			row := g.hubRow(r).bits
 			c := 0
 			for _, x := range a {
 				c += int(row[x>>6] >> (uint(x) & 63) & 1)

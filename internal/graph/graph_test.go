@@ -279,7 +279,7 @@ func buildMatchesReference(t testing.TB, b *Builder) error {
 		if !bytes.Equal(v1Image(t, g), want) {
 			return fmt.Errorf("build %d: .gcsr image differs from the reference's", i+1)
 		}
-		if !slices.Equal(g.hubIdx, ref.hubIdx) || !slices.Equal(g.hubRows, ref.hubRows) {
+		if !slices.Equal(g.hubIdx, ref.hubIdx) || !slices.Equal(g.hubRows, ref.hubRows) || !slices.Equal(g.hubRank, ref.hubRank) {
 			return fmt.Errorf("build %d: hub index differs from the reference's", i+1)
 		}
 	}

@@ -42,12 +42,17 @@ import (
 //     lately (the start state, a restored window, an interior last named a
 //     few windows ago) is counted again.
 //   - For d = 3 the draw is a selection, not a scan (selectNth): only the
-//     shorter of the two retained rows is iterated and the longer one — under
-//     the degree-proportional stationary distribution usually a hub's — is
-//     galloped, so the step costs O(short row) rather than a merge across
-//     ~1 000 hub-row entries. The selection starts from the end of the group
-//     nearer the drawn index, which halves the expected short-row scan. For
-//     d >= 4 the draw is the (d-1)-way merge stopped at the drawn candidate.
+//     shorter of the two retained rows is iterated, and the position of each
+//     of its elements in the longer one — under the degree-proportional
+//     stationary distribution usually a hub's — is looked up, not merged
+//     to, so the step costs O(short row) rather than a merge across ~1 000
+//     hub-row entries. On free-access clients a long row whose node owns a
+//     hub bitset row is looked up by rank (one directory load and one
+//     popcount per element, membership a bit test); any other long row, and
+//     every row a crawl client serves, is galloped. The selection starts
+//     from the end of the group nearer the drawn index, which halves the
+//     expected short-row scan. For d >= 4 the draw is the (d-1)-way merge
+//     stopped at the drawn candidate.
 //
 // The canonical neighbor order (dropped nodes in state order, candidates
 // ascending within each group) is exactly the order the naive
@@ -190,7 +195,7 @@ func (s *spaceD) pick(st State, fi stateInfo, i int32) (next State, xi int, mask
 		if i < fi.cnt[xi] {
 			var g groupScan
 			g.prepare(s.c, st, xi, fi.adj)
-			y, mask := g.nth(i, fi.cnt[xi])
+			y, mask := g.nth(i, fi.cnt[xi], s.cc)
 			return stateInsert(g.rem[:g.n], y), xi, mask
 		}
 		i -= fi.cnt[xi]
@@ -396,12 +401,22 @@ func (g *groupScan) count() int32 {
 }
 
 // nth scans to the r-th (0-based) connected candidate of the group, whose
-// size is n, and returns it with its membership mask. r must be below n.
-func (g *groupScan) nth(r, n int32) (y int32, mask uint8) {
+// size is n, and returns it with its membership mask. r must be below n. cc
+// is the client's CommonCounter capability, nil on crawl clients.
+func (g *groupScan) nth(r, n int32, cc access.CommonCounter) (y int32, mask uint8) {
 	if g.n == 2 {
 		// d = 3: with one rem component any candidate of either row
-		// qualifies, with two the candidate must sit in both.
-		return selectNth(g.rows[0], g.rows[1], g.st, g.nc == 2, int(r), int(n))
+		// qualifies, with two the candidate must sit in both. The longer row
+		// (the second on a tie) is selectNth's long row.
+		var hub graph.HubRow
+		if cc != nil {
+			long := g.rem[1]
+			if len(g.rows[0]) > len(g.rows[1]) {
+				long = g.rem[0]
+			}
+			hub = cc.HubRow(long)
+		}
+		return selectNth(g.rows[0], g.rows[1], hub, g.st, g.nc == 2, int(r), int(n))
 	}
 	for ; ; r-- {
 		y, mask, ok := g.nextNeighbor()
@@ -422,16 +437,20 @@ const (
 
 // selectNth returns the r-th (0-based, ascending) element y of (a ∪ b) \ st —
 // of (a ∩ b) \ st when both is set — for sorted rows a and b, with y's
-// membership (inA, inB). n is that set's size; r must be below it. Only the
-// shorter row is iterated. The longer one is galloped: between two
-// consecutive short-row elements it contributes a run whose candidate count
-// is a cursor difference, so reaching the drawn index costs
-// O(min·log(max/min)) comparisons instead of a merge step per element of a
-// hub row; st's members are excluded by their positions inside a run, not by
-// a test per element. With rows of similar length the gallop degenerates to
-// about two comparisons per element. The scan starts from the end nearer r:
+// membership (inA, inB). n is that set's size; r must be below it. hub is
+// the hub row of the longer row's node (b's on a tie), or zero when that
+// node owns none. Only the shorter row is iterated. Between two consecutive
+// short-row elements the longer row contributes a run whose candidate count
+// is a cursor difference, so reaching the drawn index costs one cursor
+// lookup per short-row element instead of a merge step per element of a hub
+// row; st's members are excluded by their positions inside a run, not by a
+// test per element. When hub is set a cursor is a rank off its directory
+// (HubRow.Rank: one load and one popcount) and a short-row element's
+// membership in the long row is its bit; otherwise a cursor is a gallop,
+// O(log(max/min)) comparisons (about two with rows of similar length), and
+// membership a load at the cursor. The scan starts from the end nearer r:
 // from the top, y is the (n-1-r)-th element counting down.
-func selectNth(a, b []int32, st State, both bool, r, n int) (int32, uint8) {
+func selectNth(a, b []int32, hub graph.HubRow, st State, both bool, r, n int) (int32, uint8) {
 	swapped := len(a) > len(b)
 	if swapped {
 		a, b = b, a
@@ -439,9 +458,9 @@ func selectNth(a, b []int32, st State, both bool, r, n int) (int32, uint8) {
 	var y int32
 	var in uint8
 	if 2*r >= n {
-		y, in = selectDown(a, b, st, both, n-1-r)
+		y, in = selectDown(a, b, hub, st, both, n-1-r)
 	} else {
-		y, in = selectUp(a, b, st, both, r)
+		y, in = selectUp(a, b, hub, st, both, r)
 	}
 	if swapped {
 		in = in>>1 | in<<1&inB
@@ -451,23 +470,40 @@ func selectNth(a, b []int32, st State, both bool, r, n int) (int32, uint8) {
 
 // selectUp is selectNth counting up from the bottom: it returns the r-th
 // smallest element. A run element lies in b only; an element of a lies in b
-// iff the gallop hit it.
-func selectUp(a, b []int32, st State, both bool, r int) (int32, uint8) {
+// iff its cursor hit it.
+func selectUp(a, b []int32, hub graph.HubRow, st State, both bool, r int) (int32, uint8) {
 	lo, mi := 0, 0 // cursors into b and into st's ascending members
 	for i := 0; i <= len(a); i++ {
 		// b[lo:hi) is the run of long-row elements between a[i-1] and s (past
-		// a's end, b's tail). No node ID reaches MaxInt32.
-		s, hi := int32(math.MaxInt32), len(b)
+		// a's end, b's tail); hit reports b[hi] == s. No node ID reaches
+		// MaxInt32. b's elements below lo are at most a[i-1], so s's rank is
+		// its cursor.
+		s, hi, hit := int32(math.MaxInt32), len(b), false
 		if i < len(a) {
 			s = a[i]
-			hi = lo + graph.GallopSearch(b[lo:], s)
+			if hub.IsZero() {
+				hi = lo + graph.GallopSearch(b[lo:], s)
+				hit = hi < len(b) && b[hi] == s
+			} else {
+				hi, hit = hub.Rank(s)
+			}
 		}
 		if !both {
 			for ; mi < st.Len() && st.Node(mi) < s; mi++ {
 				// A member inside the run splits it; the part below the
-				// member is all candidates.
+				// member is all candidates. A member's rank falls below lo
+				// only when it is a[i-1], which is not in the run.
 				m := st.Node(mi)
-				if q := lo + graph.GallopSearch(b[lo:hi], m); q < hi && b[q] == m {
+				var q int
+				var in bool
+				if hub.IsZero() {
+					q = lo + graph.GallopSearch(b[lo:hi], m)
+					in = q < hi && b[q] == m
+				} else {
+					q, in = hub.Rank(m)
+					in = in && q >= lo
+				}
+				if in {
 					if r < q-lo {
 						return b[lo+r], inB
 					}
@@ -484,8 +520,8 @@ func selectUp(a, b []int32, st State, both bool, r int) (int32, uint8) {
 			break
 		}
 		lo = hi
-		in := inA // and in b iff the gallop hit s
-		if lo < len(b) && b[lo] == s {
+		in := inA // and in b iff the cursor hit s
+		if hit {
 			lo++
 			in |= inB
 		}
@@ -502,22 +538,40 @@ func selectUp(a, b []int32, st State, both bool, r int) (int32, uint8) {
 
 // selectDown is selectUp's mirror, counting down from the top: it returns
 // the r-th largest element.
-func selectDown(a, b []int32, st State, both bool, r int) (int32, uint8) {
+func selectDown(a, b []int32, hub graph.HubRow, st State, both bool, r int) (int32, uint8) {
 	hi, mi := len(b), st.Len()-1 // cursors into b and into st's members, from the top
 	for i := len(a) - 1; i >= -1; i-- {
 		// b[lo:hi) is the run of long-row elements between s and a[i+1]
-		// (below a's start, b's head). No node ID is negative.
-		s, lo := int32(-1), 0
+		// (below a's start, b's head); hit reports b[lo-1] == s. No node ID
+		// is negative. b's elements from hi on are at least a[i+1], so the
+		// count of b's elements up to s is its cursor.
+		s, lo, hit := int32(-1), 0, false
 		if i >= 0 {
 			s = a[i]
-			lo = gallopBack(b[:hi], s)
+			if hub.IsZero() {
+				lo = gallopBack(b[:hi], s)
+				hit = lo > 0 && b[lo-1] == s
+			} else if lo, hit = hub.Rank(s); hit {
+				lo++
+			}
 		}
 		if !both {
 			for ; mi >= 0 && st.Node(mi) > s; mi-- {
 				// A member inside the run splits it; the part above the
-				// member is all candidates.
+				// member is all candidates. A member's count passes hi only
+				// when it is a[i+1], which is not in the run.
 				m := st.Node(mi)
-				if q := lo + gallopBack(b[lo:hi], m); q > lo && b[q-1] == m {
+				var q int
+				var in bool
+				if hub.IsZero() {
+					q = lo + gallopBack(b[lo:hi], m)
+					in = q > lo && b[q-1] == m
+				} else {
+					q, in = hub.Rank(m)
+					q++
+					in = in && q <= hi
+				}
+				if in {
 					if r < hi-q {
 						return b[hi-1-r], inB
 					}
@@ -534,8 +588,8 @@ func selectDown(a, b []int32, st State, both bool, r int) (int32, uint8) {
 			break
 		}
 		hi = lo
-		in := inA // and in b iff the gallop hit s
-		if hi > 0 && b[hi-1] == s {
+		in := inA // and in b iff the cursor hit s
+		if hit {
 			hi--
 			in |= inB
 		}

@@ -115,10 +115,10 @@ func TestKernelWithoutCommonCounter(t *testing.T) {
 
 // TestKernelMatchesReferenceOnHubs repeats the equivalence check where the
 // d=3 step actually spends its time: states visited by a stationary walk on
-// a hub-heavy graph (most hold a hub, so the selection gallops a long row and
-// the group counts read hub bitset rows), heap-built and served from a
-// block-compressed file. Checked against referenceNeighbors: StateDegree,
-// nthNeighbor at every index, and the non-backtracking draw.
+// a hub-heavy graph (most hold a hub, so the selection ranks into a hub's
+// long row and the group counts read hub bitset rows), heap-built and
+// served from a block-compressed file. Checked against referenceNeighbors:
+// StateDegree, nthNeighbor at every index, and the non-backtracking draw.
 func TestKernelMatchesReferenceOnHubs(t *testing.T) {
 	// Every node of degree 64 or more owns a hub bitset row on a graph this
 	// small: the graph layer's row budget has a 1 MiB floor.
@@ -178,10 +178,11 @@ func TestKernelMatchesReferenceOnHubs(t *testing.T) {
 
 // TestSelectNthMatchesMerge checks the short-row selection directly against
 // a materialized merge — element and membership, counting up and counting
-// down, either row first — for the union and the intersection, at every
-// index, over generated sorted rows (empty, disjoint, equal, nested,
-// interleaved, length ratios 1 to 1000) with the three state members placed
-// inside long runs, at run edges, in one row, in both and in neither.
+// down, either row first, the long row galloped and ranked through a hub
+// row — for the union and the intersection, at every index, over generated
+// sorted rows (empty, disjoint, equal, nested, interleaved, length ratios 1
+// to 1000) with the three state members placed inside long runs, at run
+// edges, in one row, in both and in neither.
 func TestSelectNthMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
 	// sample draws n distinct ascending values from [0, span).
@@ -246,11 +247,13 @@ func TestSelectNthMatchesMerge(t *testing.T) {
 		if pool[0] < 0 {
 			pool = pool[1:]
 		}
+		limit := pool[len(pool)-1] + 1
+		ha, hb := hubRowOf(t, a, limit), hubRowOf(t, b, limit)
 		for trial := 0; trial < 200; trial++ {
 			p := rng.Perm(len(pool))
 			st := StateOf(pool[p[0]], pool[p[1]], pool[p[2]])
 			for _, both := range []bool{false, true} {
-				checkSelect(t, name, a, b, st, both, -1)
+				checkSelect(t, name, a, b, ha, hb, st, both, -1)
 			}
 		}
 	}
@@ -287,14 +290,19 @@ func mergeSelect(a, b []int32, st State, both bool) (ys []int32, ins []uint8) {
 // checkSelect compares every way of selecting from a and b with mergeSelect,
 // at index only (or at every index when only is negative): counting up and
 // counting down with the shorter row iterated, as selectNth runs them, and
-// selectNth with either row first.
-func checkSelect(t testing.TB, name string, a, b []int32, st State, both bool, only int) {
+// selectNth with either row first — each with the long row galloped, and
+// ranked through its hub row (ha is a's, hb is b's; see hubRowOf).
+func checkSelect(t testing.TB, name string, a, b []int32, ha, hb graph.HubRow, st State, both bool, only int) {
 	t.Helper()
 	ys, ins := mergeSelect(a, b, st, both)
 	n := len(ys)
-	short, long, swapped := a, b, false
+	short, long, hubLong, swapped := a, b, hb, false
 	if len(a) > len(b) {
-		short, long, swapped = b, a, true
+		short, long, hubLong, swapped = b, a, ha, true
+	}
+	hubRev := ha // selectNth(b, a) takes a as its long row on a tie
+	if len(b) > len(a) {
+		hubRev = hb
 	}
 	swap := func(in uint8) uint8 { return in>>1 | in<<1&inB }
 	for r := range ys {
@@ -306,26 +314,53 @@ func checkSelect(t testing.TB, name string, a, b []int32, st State, both bool, o
 		if swapped {
 			inShort = swap(in)
 		}
-		upY, upIn := selectUp(short, long, st, both, r)
-		downY, downIn := selectDown(short, long, st, both, n-1-r)
-		nthY, nthIn := selectNth(a, b, st, both, r, n)
-		revY, revIn := selectNth(b, a, st, both, r, n)
-		for _, w := range []struct {
-			name   string
-			y      int32
-			in, ok uint8
-		}{
-			{"up", upY, upIn, inShort},
-			{"down", downY, downIn, inShort},
-			{"selectNth", nthY, nthIn, in},
-			{"selectNth reversed", revY, revIn, swap(in)},
-		} {
-			if w.y != y || w.in != w.ok {
-				t.Fatalf("%s st=%v both=%v r=%d of %d: %s = %d (membership %02b), want %d (%02b)",
-					name, st, both, r, n, w.name, w.y, w.in, y, w.ok)
+		for _, cursor := range []struct {
+			name      string
+			long, rev graph.HubRow
+		}{{"galloped", graph.HubRow{}, graph.HubRow{}}, {"ranked", hubLong, hubRev}} {
+			upY, upIn := selectUp(short, long, cursor.long, st, both, r)
+			downY, downIn := selectDown(short, long, cursor.long, st, both, n-1-r)
+			nthY, nthIn := selectNth(a, b, cursor.long, st, both, r, n)
+			revY, revIn := selectNth(b, a, cursor.rev, st, both, r, n)
+			for _, w := range []struct {
+				name   string
+				y      int32
+				in, ok uint8
+			}{
+				{"up", upY, upIn, inShort},
+				{"down", downY, downIn, inShort},
+				{"selectNth", nthY, nthIn, in},
+				{"selectNth reversed", revY, revIn, swap(in)},
+			} {
+				if w.y != y || w.in != w.ok {
+					t.Fatalf("%s st=%v both=%v r=%d of %d: %s %s = %d (membership %02b), want %d (%02b)",
+						name, st, both, r, n, cursor.name, w.name, w.y, w.in, y, w.ok)
+				}
 			}
 		}
 	}
+}
+
+// hubRowOf returns the hub row of a node whose neighbors are row's values
+// and 64 nodes past limit, on a graph of those nodes alone. row's values and
+// every value a selection looks up must lie below limit; there the row's
+// Rank answers for row alone. The 64 extra neighbors lift the node to the
+// hub-row degree floor, and a graph this small gives every node there a row.
+func hubRowOf(t testing.TB, row []int32, limit int32) graph.HubRow {
+	t.Helper()
+	hub := limit
+	b := graph.NewBuilder(int(hub) + 65)
+	for _, v := range row {
+		b.AddEdge(hub, v)
+	}
+	for v := hub + 1; v <= hub+64; v++ {
+		b.AddEdge(hub, v)
+	}
+	h := b.Build().HubRow(hub)
+	if h.IsZero() {
+		t.Fatalf("node %d of degree %d owns no hub row", hub, len(row)+64)
+	}
+	return h
 }
 
 // TestTransitionsMatchReference checks every transition a walk could take
@@ -440,11 +475,12 @@ func TestRecordRing(t *testing.T) {
 }
 
 // FuzzSelectNth compares both scan directions of the d=3 selection, and
-// selectNth with either row first, with a plain merge. The input is a flag
-// byte (bit 0: intersection), two bytes of r (taken modulo the set's size)
-// and a value stream: each byte advances the current value by 1 + byte>>3
-// and puts it in the first row (bit 0), the second row (bit 1) and among the
-// state's members (bit 2, up to three).
+// selectNth with either row first, with a plain merge, the long row galloped
+// and ranked through a hub row built from it. The input is a flag byte (bit
+// 0: intersection), two bytes of r (taken modulo the set's size) and a value
+// stream: each byte advances the current value by 1 + byte>>3 and puts it in
+// the first row (bit 0), the second row (bit 1) and among the state's
+// members (bit 2, up to three).
 func FuzzSelectNth(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{1, 0, 3, 3, 3, 10, 11, 3, 6, 7, 2, 2, 2})
@@ -478,6 +514,7 @@ func FuzzSelectNth(f *testing.F) {
 		if n == 0 {
 			return
 		}
-		checkSelect(t, "fuzz", a, b, st, both, r%n)
+		ha, hb := hubRowOf(t, a, v+1), hubRowOf(t, b, v+1)
+		checkSelect(t, "fuzz", a, b, ha, hb, st, both, r%n)
 	})
 }

@@ -155,13 +155,14 @@ func (s *space2) RandomNeighborAvoiding(st, prev State, rng *rand.Rand) State {
 // connectivity of rem ∪ {y} is decided from precomputed component masks plus
 // the merge's membership bitmask, and transitions never materialize neighbor
 // lists — a selection inside one dropped-node group (d = 3: over the shorter
-// row only, from the nearer end) yields the uniformly drawn neighbor, and its
-// record is derived from the current state's. Every record, derived or
-// counted from scratch, is kept in one fixed ring of the last ringCap
-// records (ring), which serves every degree and adjacency lookup. Each
-// walker owns its space, and sibling walkers' spaces are allocated back to
-// back; the ring is written every step, so a cache line of padding at each
-// end keeps one walker's writes off the line its neighbor reads.
+// row only, from the nearer end, ranked into a hub's row) yields the
+// uniformly drawn neighbor, and its record is derived from the current
+// state's. Every record, derived or counted from scratch, is kept in one
+// fixed ring of the last ringCap records (ring), which serves every degree
+// and adjacency lookup. Each walker owns its space, and sibling walkers'
+// spaces are allocated back to back; the ring is written every step, so a
+// cache line of padding at each end keeps one walker's writes off the line
+// its neighbor reads.
 type spaceD struct {
 	_      [cacheLine]byte
 	c      access.Client
