@@ -326,7 +326,7 @@ func (g *Graph) CommonNeighbors(u, v int32) int {
 	a := g.Neighbors(u)
 	if g.hubIdx != nil {
 		if r := g.hubIdx[v]; r >= 0 {
-			row := g.hubRow(r).bits
+			row := g.hubRows[int(r)*g.hubStride : (int(r)+1)*g.hubStride]
 			c := 0
 			for _, x := range a {
 				c += int(row[x>>6] >> (uint(x) & 63) & 1)
