@@ -2,21 +2,27 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/gen"
+	"repro/internal/walk"
 )
 
-// TestCheckpointStatesGolden pins, byte for byte, every state a checkpointed
-// run hands out: the SHA-256 over the Encode() of each state, in target
+// TestCheckpointStatesGolden pins the content of every state a checkpointed
+// run hands out: the SHA-256 over stateDigest of each state, in target
 // order, for every walker count, method and checkpoint spacing of the grid,
 // at GOMAXPROCS 1 and 2 alike. However the ensemble schedules its walkers
 // between checkpoints, a state at target t is the walkers' positions at
-// their quotas of t, and this hash is what says so.
+// their quotas of t, and this hash is what says so. It hashes the fields,
+// not Encode(), so a change of the blob format leaves the table alone and a
+// change of what the walkers hand out does not hide behind one.
 func TestCheckpointStatesGolden(t *testing.T) {
 	const n = 600
 	client := access.NewGraphClient(gen.HolmeKim(400, 3, 0.5, 11))
@@ -29,42 +35,42 @@ func TestCheckpointStatesGolden(t *testing.T) {
 		{"k5_d3_nb", MultiConfig{Sizes: []int{5}, D: 3, NB: true, Seed: 5}},
 	}
 	want := map[string]string{
-		"k4_d2_css/w1/every1":     "fcff08aa12285a84a87b310689a936d3985da5375cafae6d5410fa900ee453e4",
-		"k4_d2_css/w1/every7":     "3b25934fb377e860623d44b213b6a9b98ee6ad3e646be1da873123552aa3a72f",
-		"k4_d2_css/w1/every250":   "0cb9ebd6d8840550c18916649c3d241dc9411fede291afaf884add3b52662086",
-		"k4_d2_css/w2/every1":     "5f4b41f5a2212ca13d73f04e9a0f6c74ab7d4e6de2010c70967140e53934f001",
-		"k4_d2_css/w2/every7":     "4ada29e8e786d6524f877fce7605c62d7fe512566bfdbae1315c865bdeea8481",
-		"k4_d2_css/w2/every250":   "93b964d9edb800efc2a0d45ae05d64054043aefbd6f80a8b8ab748ca49d433a3",
-		"k4_d2_css/w3/every1":     "139e6dcc8cf330da704a9df304d420eaf24be239cc0378ac99cfff55949ac787",
-		"k4_d2_css/w3/every7":     "36c4393fa9e926b9b38c326bf2a2a9a7c2510531ee1d32365c421a4b255cf226",
-		"k4_d2_css/w3/every250":   "37d5131806e3b036df8885d6188e2878bc61f3c2d0f753e2aed2f112ed1e65c4",
-		"k4_d2_css/w8/every1":     "3ef62d90b8a3db813146bb69664912fb95b8be7e06a433d94dde9fa94e8d95d3",
-		"k4_d2_css/w8/every7":     "16d16dd605c6f6460f71254cb4a8451d348159e19a569c2c13fb43bdaeec3095",
-		"k4_d2_css/w8/every250":   "931bb98b9ee196f1afdd82f427e4b9abfd101f8f245dbd78f887581d4ccc9925",
-		"s345_d2_css/w1/every1":   "c65cd7870c0d496b26313dbe3eee4d47c5e0f6c3bc8133b8906102f7512db4f6",
-		"s345_d2_css/w1/every7":   "09416eb2021baf9015452acb110afd2096f15822067e17d6180da460edcc1b00",
-		"s345_d2_css/w1/every250": "7a76c4c76f0dd6a39ffef391cf73f95d10a783f0620f73d7d5bd653907fc0022",
-		"s345_d2_css/w2/every1":   "bff3b87c4d422b1662bdf47a0b4daebaf01b4df940d20c6e95951fae08206531",
-		"s345_d2_css/w2/every7":   "0309ec09cdfa1c686d355d5fe4aaec65270e540ab566d7cf9eca51a44ca57793",
-		"s345_d2_css/w2/every250": "02bb47c8fe922cf5459216a755e7a11b013496fec523ad1c024cad475ccce2cb",
-		"s345_d2_css/w3/every1":   "86a9a3e316e9b2b1e4f4f9f876df6d0a8141f4fdc2f68d9da91f5383534022d2",
-		"s345_d2_css/w3/every7":   "77e4061d6de47e5e1e82b259289c0ad3ab721787b8c50444587fd29a7af7ebd6",
-		"s345_d2_css/w3/every250": "5968933898354a9aabd8cfd92eeda01010af97a9872cc8d0503785692b6bccfc",
-		"s345_d2_css/w8/every1":   "d521dd77a7d101e5f2ef1767909dfd110c9bc7965f552461ef2732ed9f70de03",
-		"s345_d2_css/w8/every7":   "119f46712ecf005983128561174660f05d0776db31a6e6a5fb425dffa1f3a597",
-		"s345_d2_css/w8/every250": "662dd3b03f6804ce9b40f74c7f1a795fe0dd46205a3994869358e84715899c03",
-		"k5_d3_nb/w1/every1":      "5e54640c8f24294a47666cdf87b94a9dd50521ff9df4f648b7da8a1fec6fbc6a",
-		"k5_d3_nb/w1/every7":      "c3e6f6859d168cf208e766e421963bb0b52101e2e468408f575fc1b3678d98fd",
-		"k5_d3_nb/w1/every250":    "13c626ffdca0dba2a3c8a43ed36f28129f2e08216e5c06fe04098a04e2649d86",
-		"k5_d3_nb/w2/every1":      "6f992e97bd1b0237c0d1edbfe613b8b4a507610a22e8bfbee9579eac8d7629da",
-		"k5_d3_nb/w2/every7":      "56d0c471a118e1c90ac2029a5da8b166f176eb7ca122161a89e144be74001c97",
-		"k5_d3_nb/w2/every250":    "8e5789ffe84845a2556428f1e9a771dc44ec769687c8be4c59002503a3a9ec68",
-		"k5_d3_nb/w3/every1":      "5734289317431fea791973835fca611bed40ecac9db291e8bf353dab614c990d",
-		"k5_d3_nb/w3/every7":      "d93298847bb97f841126dda9878428c3250ec7637bfed3425ce84a8d9aa2a935",
-		"k5_d3_nb/w3/every250":    "a8b5b1b15e7c44c224feefd0f3b0f41a077c82b579e78678a300d089d7203fe4",
-		"k5_d3_nb/w8/every1":      "983c915d502fdf90be60867de5a6ae08d66cfea6ef0c39126acd0e0958348a8a",
-		"k5_d3_nb/w8/every7":      "9e7eb8bf1e7da93f1b731e74f7b8cb736ef22bc267a0b9d58e4c4975ec4237f4",
-		"k5_d3_nb/w8/every250":    "3ea206e5ae18c737aa26a789c1a9df0df641346edff92bc027a5db88bc469dbe",
+		"k4_d2_css/w1/every1":     "8d24bc169d61610cf9ee8cc753be7099e71c69a4c6ef8c0bd6834b0530921818",
+		"k4_d2_css/w1/every7":     "d2369d671a5b4df14e480706cc1c3efa0792057379ba6931fcb37ca4edec325c",
+		"k4_d2_css/w1/every250":   "844b19050717a32868d43207d587704aca390108811307eb571a1aade85dfdce",
+		"k4_d2_css/w2/every1":     "4fb1c4b1900930ed2898bcfa6d68118b782416c54bedda61d6527152dd322e6c",
+		"k4_d2_css/w2/every7":     "6d19a651bf09471275b48b7ef4617c539266109177acca1d8f479cf026725da4",
+		"k4_d2_css/w2/every250":   "aa3267a27e9aa32eb0d4f4deb1fb8a57f992b362c64ee110a17e833417943811",
+		"k4_d2_css/w3/every1":     "da369c5c4d2efc65f64966cbfb811486131cec2282beb0d16ab8559c60b13b38",
+		"k4_d2_css/w3/every7":     "0d98d8d3dae15eb30f5a1fb6decb1c5ba69e8171514aa2925eff21eade2ac0be",
+		"k4_d2_css/w3/every250":   "8d2a16520d6cbc9f0c4cf7b93bd7ecb20f9f9c94046ce7f5a063bd0e511c70cc",
+		"k4_d2_css/w8/every1":     "d10e66e739dc233216e7d18f15e965f5b193c2ccf19c1b102047cded050c7728",
+		"k4_d2_css/w8/every7":     "5c638c01b2cc881fbd1d7311cff1097e82c3f9815ab17f424f653e69d4af32c2",
+		"k4_d2_css/w8/every250":   "11dd15e0872aebfbf350c49e5de40012171b482ff54a860c0faafa8c5d45c997",
+		"s345_d2_css/w1/every1":   "549ea1ac39f5c6ef47527476331a170d0573c3aad8d5c1c1b8d788af8ac2c35f",
+		"s345_d2_css/w1/every7":   "990ec930ce6c9396d5d6fb8eb6ec8e5daf9ab571a4167bde7f5ade078ec9e5be",
+		"s345_d2_css/w1/every250": "7c93600e3950073ca7098cb7dd3bc584834116871d482c2ee31060797f27601c",
+		"s345_d2_css/w2/every1":   "4109c4788468eb2cec1e50af4319058166e147af48f11764ba9800bf026cf322",
+		"s345_d2_css/w2/every7":   "fb0dbb07dacfe268c1e916b023591adda1bd21517894da237ddbbf0951fd9e39",
+		"s345_d2_css/w2/every250": "c2cb1c2f95c12c1a9b0bc98bf8832bc83b5ebc89f3707075501a48b58bd94f5d",
+		"s345_d2_css/w3/every1":   "b484f7a0ac3ac428aa6ce89defc74784d6a27810b4e8827d4f29590ab26ee6ff",
+		"s345_d2_css/w3/every7":   "b8e16de7cc44632e8d3b2f5f2696048e99f4675857027ca27b56b0ce6f24f08d",
+		"s345_d2_css/w3/every250": "36b1db14a6f1edab63cf3d141659be647ef8f228023f78adc61b403145906958",
+		"s345_d2_css/w8/every1":   "d45df85612d8c0610b12ba5107ad504520201b8121ee2a039327273ff9c5dee0",
+		"s345_d2_css/w8/every7":   "d151bacad5e13fbf8f43065816fa5e4f233ddd5ddc89c6e2480592e5287eb3ad",
+		"s345_d2_css/w8/every250": "4ce115c9d794cf65d499646f316af05f1bb299c0ae3a91d11defea352c8e67e3",
+		"k5_d3_nb/w1/every1":      "cc7a2acf85f355883e9c2df06f2df73d569d60eeee8bfe9df4df2ce7fd560de6",
+		"k5_d3_nb/w1/every7":      "c0a891204f749ca4dea57a20d924b88f2a6d03cfe78a04bd29a7370505e674b6",
+		"k5_d3_nb/w1/every250":    "d508c782a3352ebaa41b95e918d29a623910eb0d263e0e9b96809581c4f652bc",
+		"k5_d3_nb/w2/every1":      "4d22b476f75cda05c286fc80fdbb840da16326c74794ee2e335a74fda01e05e8",
+		"k5_d3_nb/w2/every7":      "85a85e7601bab0cd5099b5a10e277b3d08075ab50b433de94100068ecea6df40",
+		"k5_d3_nb/w2/every250":    "ea80f19c7079c2d8781886e685cd3def5389c5379b7eda42c3b80df0e133b0df",
+		"k5_d3_nb/w3/every1":      "5efa9af00bad50d996d8cb038b1e3e84c04f0bc2b6bb7e5fa013a5fc49493147",
+		"k5_d3_nb/w3/every7":      "4dac35cd95b6d977f0de4db4e5694c11635e60b297e71c04a99bbf79add82942",
+		"k5_d3_nb/w3/every250":    "d8374b37d148c8ab3c8a29ca13f1d442f8188e4e94cf21b0eb34961f044d9bdc",
+		"k5_d3_nb/w8/every1":      "50621092127d744ccfd85461c2e626f83d2eeab113f40186960ff27c575d85e6",
+		"k5_d3_nb/w8/every7":      "ec324f63811540059078bacf657b8c85302d15157d8ac03f40bd3addb9f73f49",
+		"k5_d3_nb/w8/every250":    "3d4173f9a818008e283ffbdc7722d849125d41641413a27a1dcb8871692456a9",
 	}
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -85,7 +91,7 @@ func TestCheckpointStatesGolden(t *testing.T) {
 					}
 					h := sha256.New()
 					for _, st := range states {
-						h.Write(st.Encode())
+						stateDigest(h, st)
 					}
 					got := hex.EncodeToString(h.Sum(nil))
 					if got != want[name] {
@@ -95,4 +101,75 @@ func TestCheckpointStatesGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stateDigest writes every field of st to h in a fixed order, independent of
+// any blob format: each integer, flag and length as 8 little-endian bytes,
+// each float64 as its IEEE-754 bits, each walk state as its node count and
+// nodes.
+func stateDigest(h hash.Hash, st *EnsembleState) {
+	var buf []byte
+	u := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	i := func(v int64) { u(uint64(v)) }
+	b := func(v bool) {
+		if v {
+			u(1)
+		} else {
+			u(0)
+		}
+	}
+	f := func(v float64) { u(math.Float64bits(v)) }
+	state := func(s walk.State) {
+		u(uint64(s.Len()))
+		for j := range s.Len() {
+			i(int64(s.Node(j)))
+		}
+	}
+
+	c := st.Config
+	u(uint64(len(c.Sizes)))
+	for _, k := range c.Sizes {
+		i(int64(k))
+	}
+	i(int64(c.D))
+	b(c.CSS)
+	b(c.NB)
+	b(c.RecoverStars)
+	i(int64(c.BurnIn))
+	i(int64(c.Walkers))
+	i(c.Seed)
+	i(int64(st.WindowsDone))
+	u(uint64(len(st.Walkers)))
+	for _, w := range st.Walkers {
+		u(w.RNGPos)
+		b(w.Seeded)
+		b(w.Primed)
+		state(w.Cur)
+		state(w.Prev)
+		b(w.HasPrev)
+		i(w.Steps)
+		u(uint64(len(w.Win)))
+		for _, s := range w.Win {
+			state(s)
+		}
+		u(uint64(len(w.Degs)))
+		for _, d := range w.Degs {
+			i(int64(d))
+		}
+		u(uint64(len(w.Accs)))
+		for _, a := range w.Accs {
+			i(int64(a.Done))
+			i(int64(a.ValidSamples))
+			u(uint64(len(a.Weights)))
+			for _, x := range a.Weights {
+				f(x)
+			}
+			u(uint64(len(a.TypeCounts)))
+			for _, n := range a.TypeCounts {
+				i(n)
+			}
+		}
+		f(w.StarAcc)
+	}
+	h.Write(buf)
 }
