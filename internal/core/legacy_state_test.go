@@ -50,7 +50,7 @@ func TestLegacyStateFixtures(t *testing.T) {
 					st.Config, st.WindowsDone, len(st.Walkers), fx.cfg, at, fx.hi-fx.lo)
 			}
 			current := st.Encode()
-			if !bytes.HasPrefix(current, []byte(stateMagic+"\x02")) {
+			if !bytes.HasPrefix(current, append([]byte(stateMagic), stateVersion)) {
 				t.Errorf("re-encoded blob starts %q, want the current format", current[:5])
 			}
 			if back, err := DecodeEnsembleState(current); err != nil {

@@ -184,7 +184,8 @@ func TestEnsembleStateDecodeRobust(t *testing.T) {
 // decodes) with arbitrary bytes: the only acceptable failure mode is an
 // error return. It starts from a one-size and a three-size blob of the
 // current format; the committed corpus under testdata/fuzz adds the blobs
-// older builds wrote (GEST and GMST version 1).
+// older builds wrote (GEST version 1, GMST versions 1 and 2) and the GMST
+// version 3 fixtures.
 func FuzzDecodeEnsembleState(f *testing.F) {
 	client := access.NewGraphClient(convGraph())
 	var blobs [2][]byte

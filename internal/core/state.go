@@ -14,9 +14,10 @@
 // function of the window counts.
 //
 // There is one state type and one codec. The blob format is "GMST" version
-// 2; DecodeEnsembleState also reads the two formats older builds journaled —
-// GMST version 1 (multi-size runs) and "GEST" version 1 (single-size runs) —
-// and maps both onto the same EnsembleState, decode-only.
+// 3; DecodeEnsembleState also reads the three formats older builds journaled
+// — GMST version 2, GMST version 1 (multi-size runs) and "GEST" version 1
+// (single-size runs) — and maps them onto the same EnsembleState,
+// decode-only.
 
 package core
 
@@ -37,8 +38,10 @@ type SizeAcc struct {
 	// the walker's quota.
 	Done         int
 	ValidSamples int
-	Weights      []float64
-	TypeCounts   []int64
+	// Weights and TypeCounts are indexed by graphlet type and have the same
+	// length, the size's type count.
+	Weights    []float64
+	TypeCounts []int64
 }
 
 // WalkerState is the complete resumable state of one walker, captured by the
@@ -106,9 +109,23 @@ type EnsembleState struct {
 // GMST version 2 is version 1 plus BurnIn after the config flag byte, the
 // RecoverStars bit in that byte (which version 1 rejects), and — only under
 // that bit — StarAcc after each walker's accumulators.
+//
+// GMST version 3 is version 2 with two savings per walker, both lossless:
+//   - the walk position is elided where the ring already holds it: two more
+//     bits in the walker's flag byte say that Cur is the ring's last state
+//     and that Prev is its second-to-last, and a state under its bit is not
+//     written;
+//   - each accumulator is sparse: its type count once, then a presence
+//     bitmap of ceil(types/8) bytes (type t is bit t%8 of byte t/8), then the
+//     weight and count of each present type in type order. A type is present
+//     iff its weight's bits or its count are nonzero, so -0.0 round-trips.
+//
+// Most of a checkpoint's version 2 bytes were the weights of types the
+// walker had never sampled (8 zero bytes each) and a second spelling of the
+// ring's newest states.
 const (
 	stateMagic   = "GMST"
-	stateVersion = 2
+	stateVersion = 3
 
 	// legacyMagic is the pre-merge single-size format (version 1 only), whose
 	// walker carried one unnamed accumulator and always a StarAcc.
@@ -149,13 +166,14 @@ const (
 	// multi-size one): the size list, D, the flag byte with the RecoverStars
 	// bit refused, Walkers, Seed — no BurnIn.
 	ConfigGMST1
-	// ConfigGMST2 is the current section, the one AppendConfig writes: the
-	// size list, D, the CSS/NB/RecoverStars flag byte, BurnIn, Walkers, Seed.
+	// ConfigGMST2 is the current section, the one AppendConfig writes (GMST
+	// versions 2 and 3 share it): the size list, D, the CSS/NB/RecoverStars
+	// flag byte, BurnIn, Walkers, Seed.
 	ConfigGMST2
 )
 
 // AppendConfig appends c's canonical encoding — the config section of a GMST
-// version 2 state — to buf. Two configs are equal exactly when their
+// version 2 or 3 state — to buf. Two configs are equal exactly when their
 // encodings are.
 func AppendConfig(buf []byte, c MultiConfig) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(c.Sizes)))
@@ -200,12 +218,19 @@ func ReadConfig(d *wire.Cursor, layout ConfigLayout) MultiConfig {
 }
 
 func (w *WalkerState) encode(buf []byte, stars bool) []byte {
+	n := len(w.Win)
+	curInWin := n >= 1 && w.Cur == w.Win[n-1]
+	prevInWin := n >= 2 && w.Prev == w.Win[n-2]
 	buf = binary.AppendUvarint(buf, w.RNGPos)
-	buf = append(buf, wire.PackBools(w.Seeded, w.Primed, w.HasPrev))
+	buf = append(buf, wire.PackBools(w.Seeded, w.Primed, w.HasPrev, curInWin, prevInWin))
 	buf = binary.AppendVarint(buf, w.Steps)
-	buf = appendState(buf, w.Cur)
-	buf = appendState(buf, w.Prev)
-	buf = binary.AppendUvarint(buf, uint64(len(w.Win)))
+	if !curInWin {
+		buf = appendState(buf, w.Cur)
+	}
+	if !prevInWin {
+		buf = appendState(buf, w.Prev)
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, s := range w.Win {
 		buf = appendState(buf, s)
 	}
@@ -215,20 +240,29 @@ func (w *WalkerState) encode(buf []byte, stars bool) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(w.Accs)))
 	for i := range w.Accs {
-		a := &w.Accs[i]
-		buf = binary.AppendVarint(buf, int64(a.Done))
-		buf = binary.AppendVarint(buf, int64(a.ValidSamples))
-		buf = binary.AppendUvarint(buf, uint64(len(a.Weights)))
-		for _, f := range a.Weights {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(a.TypeCounts)))
-		for _, n := range a.TypeCounts {
-			buf = binary.AppendVarint(buf, n)
-		}
+		buf = w.Accs[i].encode(buf)
 	}
 	if stars {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.StarAcc))
+	}
+	return buf
+}
+
+// encode writes the accumulator in version 3's sparse form.
+func (a *SizeAcc) encode(buf []byte) []byte {
+	buf = binary.AppendVarint(buf, int64(a.Done))
+	buf = binary.AppendVarint(buf, int64(a.ValidSamples))
+	nt := len(a.Weights)
+	buf = binary.AppendUvarint(buf, uint64(nt))
+	bitmap := len(buf)
+	buf = append(buf, make([]byte, (nt+7)/8)...)
+	for t, f := range a.Weights {
+		if math.Float64bits(f) == 0 && a.TypeCounts[t] == 0 {
+			continue
+		}
+		buf[bitmap+t/8] |= 1 << (t % 8)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		buf = binary.AppendVarint(buf, a.TypeCounts[t])
 	}
 	return buf
 }
@@ -244,8 +278,8 @@ func appendState(buf []byte, s walk.State) []byte {
 }
 
 // DecodeEnsembleState parses a blob produced by Encode — or by the GMST
-// version 1 and GEST version 1 encoders of older builds, whose journals and
-// resume blobs must keep restoring. Every length and range is validated, so
+// version 2, GMST version 1 and GEST version 1 encoders of older builds,
+// whose journals and resume blobs must keep restoring. Every length and range is validated, so
 // arbitrary (truncated, corrupt, adversarial) input produces an error, never
 // a panic or an absurd allocation.
 func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
@@ -276,7 +310,7 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	if d.Err == nil {
 		st.Walkers = make([]WalkerState, n)
 		for i := range st.Walkers {
-			st.Walkers[i].decode(d, legacy, st.Config.RecoverStars)
+			st.Walkers[i].decode(d, legacy, version == stateVersion, st.Config.RecoverStars)
 		}
 	}
 	if d.Err != nil {
@@ -291,12 +325,24 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	return st, nil
 }
 
-func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
+// decode reads one walker; sparse selects version 3's elided walk position
+// and sparse accumulators.
+func (w *WalkerState) decode(d *wire.Cursor, legacy, sparse, stars bool) {
 	w.RNGPos = d.Uvarint()
-	w.Seeded, w.Primed, w.HasPrev = d.Bools(3)
+	nFlags := 3
+	if sparse {
+		nFlags = 5
+	}
+	flags := d.Flags(nFlags)
+	w.Seeded, w.Primed, w.HasPrev = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	curInWin, prevInWin := flags&8 != 0, flags&16 != 0
 	w.Steps = d.Varint()
-	w.Cur = readState(d)
-	w.Prev = readState(d)
+	if !curInWin {
+		w.Cur = readState(d)
+	}
+	if !prevInWin {
+		w.Prev = readState(d)
+	}
 	nWin := d.Uvarint()
 	if d.Err == nil && nWin > maxStateWindow {
 		d.Fail("ring length %d exceeds cap", nWin)
@@ -305,6 +351,20 @@ func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
 		w.Win = make([]walk.State, nWin)
 		for i := range w.Win {
 			w.Win[i] = readState(d)
+		}
+	}
+	if curInWin {
+		if len(w.Win) < 1 {
+			d.Fail("current state elided over a ring of %d states", len(w.Win))
+		} else {
+			w.Cur = w.Win[len(w.Win)-1]
+		}
+	}
+	if prevInWin {
+		if len(w.Win) < 2 {
+			d.Fail("previous state elided over a ring of %d states", len(w.Win))
+		} else {
+			w.Prev = w.Win[len(w.Win)-2]
 		}
 	}
 	nDeg := d.Uvarint()
@@ -321,7 +381,7 @@ func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
 		// A GEST walker is its one accumulator, unprefixed, then a StarAcc
 		// that is written even when unused (and is zero then).
 		w.Accs = make([]SizeAcc, 1)
-		w.Accs[0].decode(d)
+		w.Accs[0].decodeDense(d)
 		if star := readFloat64(d); stars {
 			w.StarAcc = star
 		}
@@ -334,7 +394,11 @@ func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
 	if d.Err == nil && nAcc > 0 {
 		w.Accs = make([]SizeAcc, nAcc)
 		for i := range w.Accs {
-			w.Accs[i].decode(d)
+			if sparse {
+				w.Accs[i].decodeSparse(d)
+			} else {
+				w.Accs[i].decodeDense(d)
+			}
 		}
 	}
 	if stars {
@@ -342,7 +406,45 @@ func (w *WalkerState) decode(d *wire.Cursor, legacy, stars bool) {
 	}
 }
 
-func (a *SizeAcc) decode(d *wire.Cursor) {
+// decodeSparse reads an accumulator written by encode. A bitmap bit at or
+// past the type count, or a present type whose weight and count are both
+// zero, is corruption: the encoder writes neither.
+func (a *SizeAcc) decodeSparse(d *wire.Cursor) {
+	a.Done = int(d.Varint())
+	a.ValidSamples = int(d.Varint())
+	nt := d.Uvarint()
+	if d.Err == nil && nt > maxStateTypes {
+		d.Fail("type count %d exceeds cap", nt)
+	}
+	if d.Err != nil || nt == 0 {
+		return
+	}
+	bitmap := d.Bytes(int(nt+7) / 8)
+	if d.Err != nil {
+		return
+	}
+	if pad := nt % 8; pad != 0 && bitmap[len(bitmap)-1]>>pad != 0 {
+		d.Fail("presence bit past type count %d", nt)
+		return
+	}
+	a.Weights = make([]float64, nt)
+	a.TypeCounts = make([]int64, nt)
+	for t := range a.Weights {
+		if bitmap[t/8]&(1<<(t%8)) == 0 {
+			continue
+		}
+		a.Weights[t] = readFloat64(d)
+		a.TypeCounts[t] = d.Varint()
+		if d.Err == nil && math.Float64bits(a.Weights[t]) == 0 && a.TypeCounts[t] == 0 {
+			d.Fail("type %d present with zero weight and count", t)
+		}
+	}
+}
+
+// decodeDense reads an accumulator of the formats before version 3: every
+// type's weight, then every type's count. The two lists must be equally
+// long, as they are in every state a walker hands out.
+func (a *SizeAcc) decodeDense(d *wire.Cursor) {
 	a.Done = int(d.Varint())
 	a.ValidSamples = int(d.Varint())
 	nW := d.Uvarint()
@@ -356,8 +458,8 @@ func (a *SizeAcc) decode(d *wire.Cursor) {
 		}
 	}
 	nT := d.Uvarint()
-	if d.Err == nil && nT > maxStateTypes {
-		d.Fail("type counts length %d exceeds cap", nT)
+	if d.Err == nil && nT != nW {
+		d.Fail("type counts length %d, weights length %d", nT, nW)
 	}
 	if d.Err == nil && nT > 0 {
 		a.TypeCounts = make([]int64, nT)

@@ -33,7 +33,7 @@
 // embedded resume/state blobs are core codecs, which additionally reject
 // NaN/Inf accumulator values.) An assignment's engine config is not spelled
 // here: it travels as core's config section (core.AppendConfig /
-// core.ReadConfig), the bytes a GMST version 2 state carries.
+// core.ReadConfig), the bytes a GMST version 2 or 3 state carries.
 package dist
 
 import (

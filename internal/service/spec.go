@@ -45,7 +45,7 @@ type Spec struct {
 
 // specKey is the comparable projection of a Spec: the graph, the step budget
 // and the engine config's canonical bytes (core.AppendConfig — the config
-// section a GMST version 2 state and a GDPA version 2 assignment carry), so
+// section a GMST version 2 or 3 state and a GDPA version 2 assignment carry), so
 // it holds exactly what determines the result bytes and cannot drift from
 // what runs. Priority and Nodes stay out. All cache and single-flight lookups
 // go through it, so an interactive re-ask of a background job's spec is a

@@ -76,10 +76,10 @@ type recCheckpoint struct {
 	// Concentrations is the multi-size counterpart of Concentration: one
 	// vector per requested size, keyed by k.
 	Concentrations map[int][]float64 `json:"concentrations,omitempty"`
-	// Snapshot is core.EnsembleState.Encode() at this checkpoint:
+	// Snapshot is core.EnsembleState.Encode() of the daemon that wrote it:
 	// GMST version 2, or the GEST version 1 (single-size) and GMST version 1
 	// (multi-size) blobs of the builds before the engines merged; the one
-	// decoder reads all three.
+	// decoder reads them all, and the current GMST version 3.
 	Snapshot []byte `json:"snapshot,omitempty"`
 }
 

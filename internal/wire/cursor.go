@@ -97,14 +97,20 @@ func (c *Cursor) Blob(limit int) []byte {
 
 func (c *Cursor) Str(limit int) string { return string(c.Blob(limit)) }
 
-// Bools reads a flag byte written by PackBools with n (at most 3) flags.
-// Higher bits are rejected: they would belong to a format this decoder does
-// not understand.
-func (c *Cursor) Bools(n int) (b0, b1, b2 bool) {
+// Flags reads a flag byte written by PackBools with n flags. Higher bits are
+// rejected: they would belong to a format this decoder does not understand.
+func (c *Cursor) Flags(n int) byte {
 	b := c.Byte()
 	if b>>uint(n) != 0 {
 		c.Fail("unknown flag bits 0x%02x", b)
 	}
+	return b
+}
+
+// Bools reads a flag byte of n (at most 3) flags, as Flags does, and unpacks
+// it.
+func (c *Cursor) Bools(n int) (b0, b1, b2 bool) {
+	b := c.Flags(n)
 	return b&1 != 0, b&2 != 0, b&4 != 0
 }
 
