@@ -92,10 +92,11 @@ func appendPages(pages []pageMeta, block int32, bm blockMeta, off, ends []int32,
 // resident page, and charged, through the slab it is carved from.
 //
 // The hot path (a warm hit) is lock-free and allocation-free: an atomic
-// pointer load, one atomic add on the page's own hit counter, which
-// doubles as its clock reference — no cache line is written by every
-// reader — an atomic load of the row's loc entry, which carries its decoded
-// bit, and loads of its slab and heap degree. Misses verify the owning
+// pointer load, one atomic add on the page's hit counter, which doubles as
+// its clock reference, an atomic load of the row's loc entry, which carries
+// its decoded bit, and loads of its slab and heap degree. The add is a
+// write on every hit, and hits is a dense array, so eight pages share a
+// cache line: walkers reading the same hub pages contend on it. Misses verify the owning
 // block's CRC and allocate the page's index outside the lock, and publish and
 // charge it under it; a row's first read decodes it under the page's own
 // mutex (see decodedPage.fill), and a slab it opens is charged under the

@@ -145,10 +145,12 @@ func (s *spaceD) countGroup(st State, adj AdjMask, xi int) int32 {
 // count3 is the closed-form group count for d = 3 on clients whose access is
 // free (access.CommonCounter): with rem = {a, b} the candidate set is
 // N(a) ∪ N(b) when a ~ b and N(a) ∩ N(b) otherwise, so the count follows
-// from degrees, one galloping intersection, and the st-member corrections
-// read off the internal adjacency masks — no row scan at all. Crawl-style
-// clients take the generic merge instead, which charges their Neighbors
-// fetches honestly.
+// from degrees, one intersection count, and the st-member corrections read
+// off the internal adjacency masks. The count (graph.CommonNeighbors) tests
+// the shorter row against the longer row's hub bitset row when it has one,
+// gallops once the longer row is 16 times the shorter, and otherwise merges
+// the two linearly. Crawl-style clients take the generic merge instead,
+// which charges their Neighbors fetches honestly.
 func (s *spaceD) count3(st State, adj AdjMask, xi int) int32 {
 	ia, ib := 0, 1
 	switch xi {
