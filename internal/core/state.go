@@ -119,10 +119,6 @@ type EnsembleState struct {
 //     bitmap of ceil(types/8) bytes (type t is bit t%8 of byte t/8), then the
 //     weight and count of each present type in type order. A type is present
 //     iff its weight's bits or its count are nonzero, so -0.0 round-trips.
-//
-// Most of a checkpoint's version 2 bytes were the weights of types the
-// walker had never sampled (8 zero bytes each) and a second spelling of the
-// ring's newest states.
 const (
 	stateMagic   = "GMST"
 	stateVersion = 3
@@ -279,9 +275,9 @@ func appendState(buf []byte, s walk.State) []byte {
 
 // DecodeEnsembleState parses a blob produced by Encode — or by the GMST
 // version 2, GMST version 1 and GEST version 1 encoders of older builds,
-// whose journals and resume blobs must keep restoring. Every length and range is validated, so
-// arbitrary (truncated, corrupt, adversarial) input produces an error, never
-// a panic or an absurd allocation.
+// whose journals and resume blobs must keep restoring. Every length and
+// range is validated, so arbitrary (truncated, corrupt, adversarial) input
+// produces an error, never a panic or an absurd allocation.
 func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 	d := &wire.Cursor{Data: data}
 	magic := string(d.Bytes(len(stateMagic)))
