@@ -234,7 +234,8 @@ func parseHeader(hdr []byte) (gcsrHeader, error) {
 // hub bitset build depend on. O(m), after a checksum pass that already
 // touched every payload byte, so a structurally invalid file from any writer
 // fails loudly at open time instead of skewing estimates or panicking later.
-func checkAdjacency(off []int64, adj []int32, h gcsrHeader) error {
+// Each row that passes is fed to f, unless f is nil.
+func checkAdjacency(off []int64, adj []int32, h gcsrHeader, f forest) error {
 	for v := int64(0); v < h.n; v++ {
 		row := adj[off[v]:off[v+1]]
 		for i, u := range row {
@@ -247,6 +248,9 @@ func checkAdjacency(off []int64, adj []int32, h gcsrHeader) error {
 			if i > 0 && row[i-1] >= u {
 				return fmt.Errorf("gcsr: node %d: neighbor row not strictly ascending at index %d", v, i)
 			}
+		}
+		if f != nil {
+			f.addRow(int32(v), row)
 		}
 	}
 	return nil
@@ -278,17 +282,18 @@ func checkOffsets(off []int64, h gcsrHeader) error {
 }
 
 // loadImage reads a .gcsr file (either format version) into memory and
-// builds the graph over that image (FromImage).
-func loadImage(path string, o OpenOptions) (*Graph, error) {
+// builds the graph over that image, with its union-find forest when label
+// is set (see fromImage).
+func loadImage(path string, o OpenOptions, label bool) (*Graph, forest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	g, err := FromImage(data, o)
+	g, _, f, err := fromImage(data, o, label)
 	if err != nil {
-		return nil, fmt.Errorf("graph: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
-	return g, nil
+	return g, f, nil
 }
 
 // OpenMapped is OpenMappedOpts with the default options.
@@ -300,7 +305,7 @@ func OpenMapped(path string) (*Graph, error) {
 // the checks every open makes. The graph may alias data (see fromImage), so
 // data must stay unchanged while the graph is in use.
 func FromImage(data []byte, o OpenOptions) (*Graph, error) {
-	g, _, err := fromImage(data, o)
+	g, _, _, err := fromImage(data, o, false)
 	return g, err
 }
 
@@ -311,55 +316,62 @@ func FromImage(data []byte, o OpenOptions) (*Graph, error) {
 // the graph and the image offset one past its keep-resident prefix (for
 // adviseMapped). A v1 graph's off/adj arrays alias data when the host allows
 // (see readInts); a v2 graph serves its rows and IDs from data through the
-// page cache.
-func fromImage(data []byte, o OpenOptions) (*Graph, int, error) {
+// page cache. When label is set, the builder also feeds every row its
+// validation pass reads to a union-find forest and returns it (OpenLCC's
+// component labels, see lcc.go); otherwise the forest is nil.
+func fromImage(data []byte, o OpenOptions, label bool) (*Graph, int, forest, error) {
 	if len(data) < 8 {
-		return nil, 0, fmt.Errorf("gcsr: file shorter than the %d-byte header", gcsrHeaderSize)
+		return nil, 0, nil, fmt.Errorf("gcsr: file shorter than the %d-byte header", gcsrHeaderSize)
 	}
 	if string(data[0:4]) != gcsrMagic {
-		return nil, 0, fmt.Errorf("gcsr: bad magic %q (not a .gcsr file)", data[0:4])
+		return nil, 0, nil, fmt.Errorf("gcsr: bad magic %q (not a .gcsr file)", data[0:4])
 	}
 	switch v := binary.LittleEndian.Uint32(data[4:8]); v {
 	case gcsrVersion:
-		return buildV1Graph(data)
+		return buildV1Graph(data, label)
 	case gcsrVersion2:
-		g, err := buildV2Graph(data, o)
+		g, f, err := buildV2Graph(data, o, label)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		h, _ := parseV2Header(data) // buildV2Graph accepted it
-		return g, int(h.blocksStart()), nil
+		return g, int(h.blocksStart()), f, nil
 	default:
-		return nil, 0, fmt.Errorf("gcsr: unsupported format version %d (want 1 or 2)", v)
+		return nil, 0, nil, fmt.Errorf("gcsr: unsupported format version %d (want 1 or 2)", v)
 	}
 }
 
 // buildV1Graph builds the graph over a version-1 image after checking its
-// header, size, payload checksum, offsets and rows.
-func buildV1Graph(data []byte) (*Graph, int, error) {
+// header, size, payload checksum, offsets and rows, labelling components
+// in the row check when label is set.
+func buildV1Graph(data []byte, label bool) (*Graph, int, forest, error) {
 	h, err := parseHeader(data)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	want := gcsrHeaderSize + h.offBytes() + h.adjBytes()
 	if int64(len(data)) != want {
-		return nil, 0, fmt.Errorf("gcsr: file size %d != expected %d (n=%d, m=%d)", len(data), want, h.n, h.m)
+		return nil, 0, nil, fmt.Errorf("gcsr: file size %d != expected %d (n=%d, m=%d)", len(data), want, h.n, h.m)
 	}
 	payload := data[gcsrHeaderSize:]
 	if got := crc32.Checksum(payload, castagnoli); got != h.crc {
-		return nil, 0, fmt.Errorf("gcsr: payload checksum %08x != stored %08x (file corrupted)", got, h.crc)
+		return nil, 0, nil, fmt.Errorf("gcsr: payload checksum %08x != stored %08x (file corrupted)", got, h.crc)
 	}
 	off := readInts[int64](payload[:h.offBytes()])
 	if err := checkOffsets(off, h); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	adj := readInts[int32](payload[h.offBytes():])
-	if err := checkAdjacency(off, adj, h); err != nil {
-		return nil, 0, err
+	var f forest
+	if label {
+		f = newForest(int(h.n))
+	}
+	if err := checkAdjacency(off, adj, h, f); err != nil {
+		return nil, 0, nil, err
 	}
 	g := &Graph{off: off, adj: adj, m: h.m, maxDeg: int(h.maxDeg)}
 	g.buildHubIndex()
-	return g, gcsrHeaderSize + int(h.offBytes()), nil
+	return g, gcsrHeaderSize + int(h.offBytes()), f, nil
 }
 
 // readInts reads raw as little-endian integers of type T. On a little-endian

@@ -90,7 +90,7 @@ func TestGCSRRoundTrip(t *testing.T) {
 			}
 			odd := make([]byte, len(image)+1)[1:]
 			copy(odd, image)
-			decoded, _, err := fromImage(odd, OpenOptions{})
+			decoded, _, _, err := fromImage(odd, OpenOptions{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

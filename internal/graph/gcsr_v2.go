@@ -472,11 +472,13 @@ func readUvarint(data []byte, pos int) (uint64, int, bool) {
 // largest block serves every block. It runs over whatever bytes it is given
 // — a mapping or a heap image — and the caller keeps them alive: the cache
 // reads its pages from them, and the IDs, when present, alias them where
-// readInts can.
-func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
+// readInts can. When label is set, each decoded row is also fed to a
+// union-find forest, which is returned (nil otherwise): the sweep is the one
+// pass over the rows OpenLCC labels components in.
+func buildV2Graph(data []byte, o OpenOptions, label bool) (*Graph, forest, error) {
 	lay, err := parseV2(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h := lay.h
 	maxRows, maxArcs := int32(0), int32(0)
@@ -491,25 +493,32 @@ func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 	off := make([]int64, h.n+1)
 	rowAt := make([]uint16, h.n)
 	var pages []pageMeta
+	var f forest
+	if label {
+		f = newForest(int(h.n))
+	}
 	maxDeg := int64(0)
 	for b, bm := range lay.metas {
 		enc := data[bm.off : bm.off+int64(bm.encLen)]
 		if err := checkBlockCRC(crc32.Checksum(enc, castagnoli), bm); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		boff, ends := boff[:bm.count+1], ends[:bm.count]
 		if err := decodeRows(enc, bm.first, h.n, boff, badj[:bm.arcs], ends); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		base := off[bm.first]
 		for i := int32(0); i < bm.count; i++ {
 			maxDeg = max(maxDeg, int64(boff[i+1]-boff[i]))
 			off[int64(bm.first)+int64(i)+1] = base + int64(boff[i+1])
+			if f != nil {
+				f.addRow(bm.first+i, badj[boff[i]:boff[i+1]])
+			}
 		}
 		pages = appendPages(pages, int32(b), bm, boff, ends, pageBytes, rowAt[bm.first:bm.first+bm.count])
 	}
 	if maxDeg != h.maxDeg {
-		return nil, fmt.Errorf("gcsr: stored max degree %d != scanned %d", h.maxDeg, maxDeg)
+		return nil, nil, fmt.Errorf("gcsr: stored max degree %d != scanned %d", h.maxDeg, maxDeg)
 	}
 	store := newBlockStore(data, lay, off, pages, rowAt, o.BlockCacheBytes)
 	g := &Graph{off: off, m: h.m, maxDeg: int(h.maxDeg), blocks: store}
@@ -517,5 +526,5 @@ func buildV2Graph(data []byte, o OpenOptions) (*Graph, error) {
 		g.origIDs = readInts[int64](data[h.idsStart():h.blocksStart()])
 	}
 	g.buildHubIndex()
-	return g, nil
+	return g, f, nil
 }

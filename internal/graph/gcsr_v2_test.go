@@ -501,7 +501,7 @@ func TestGCSRV2CorruptionAfterOpen(t *testing.T) {
 	}
 	t.Run("block-before-its-page-loads", func(t *testing.T) {
 		img := v2Image(t, g, SaveOptions{})
-		got, err := buildV2Graph(img, OpenOptions{BlockCacheBytes: 1})
+		got, _, err := buildV2Graph(img, OpenOptions{BlockCacheBytes: 1}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +519,7 @@ func TestGCSRV2CorruptionAfterOpen(t *testing.T) {
 	})
 	t.Run("unread-row-of-a-loaded-page", func(t *testing.T) {
 		img := v2Image(t, g, SaveOptions{})
-		got, err := buildV2Graph(img, OpenOptions{})
+		got, _, err := buildV2Graph(img, OpenOptions{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -909,7 +909,11 @@ func TestGCSRV2VersionDispatch(t *testing.T) {
 // FuzzGCSRRead feeds arbitrary images of either format version to
 // fromImage, the one builder every open goes through: it must never panic,
 // and anything it accepts must pass full structural validation (the same
-// accept-implies-valid property the GEST/GDPA codec fuzzers pin).
+// accept-implies-valid property the GEST/GDPA codec fuzzers pin). An
+// accepted image is therefore symmetric, so the component labels its open
+// pass makes must be referenceComponents', and the largest component, taken
+// from those labels as OpenLCC takes it or by LargestComponent, must be the
+// one LargestComponent takes from a Builder rebuild of the graph.
 func FuzzGCSRRead(f *testing.F) {
 	rng := rand.New(rand.NewSource(51))
 	g := randomTestGraph(rng, 60, 250)
@@ -942,12 +946,31 @@ func FuzzGCSRRead(f *testing.F) {
 		f.Add(v1.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, _, err := fromImage(data, OpenOptions{})
+		g, _, uf, err := fromImage(data, OpenOptions{}, true)
 		if err != nil {
 			return
 		}
 		if err := Validate(g); err != nil {
 			t.Fatalf("accepted image fails validation: %v", err)
+		}
+		comp, sizes := uf.labels()
+		refComp, refSizes := referenceComponents(g)
+		if (len(sizes) <= 1) != (len(refSizes) <= 1) || !slices.Equal(comp, refComp) || !slices.Equal(sizes, refSizes) {
+			t.Fatalf("open pass labels %v (sizes %v), reference %v (sizes %v)", comp, sizes, refComp, refSizes)
+		}
+		b := NewBuilder(g.NumNodes())
+		g.Edges(func(u, v int32) bool { b.AddEdge(u, v); return true })
+		ref, _ := LargestComponent(b.Build())
+		want := v1Image(t, ref)
+		got, _ := LargestComponent(g)
+		if !bytes.Equal(v1Image(t, got), want) {
+			t.Fatal("LargestComponent of the opened graph differs from the rebuild's")
+		}
+		if len(sizes) > 1 {
+			opened, _ := extractLargest(g, comp, sizes)
+			if !bytes.Equal(v1Image(t, opened), want) {
+				t.Fatal("the open pass's largest component differs from the rebuild's")
+			}
 		}
 	})
 }

@@ -12,7 +12,10 @@ import (
 
 // load reads a .gcsr file into memory and builds the graph over that image:
 // the open path of hosts without mmap (mmap_other.go).
-func load(path string) (*Graph, error) { return loadImage(path, OpenOptions{}) }
+func load(path string) (*Graph, error) {
+	g, _, err := loadImage(path, OpenOptions{}, false)
+	return g, err
+}
 
 // connected reports whether g has at most one component.
 func connected(g *Graph) bool {

@@ -202,3 +202,50 @@ func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// TestOpenLCCAddsNoPageCacheTraffic: on a connected v2 file, OpenLCC leaves
+// the page cache exactly as a plain open does — the same loads, evictions,
+// hits and resident bytes — at budgets from one page to the default, so
+// finding the graph connected reads no row through the cache.
+func TestOpenLCCAddsNoPageCacheTraffic(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	const n = 20000
+	b := NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge(int32(v), int32(rng.Intn(v)))
+	}
+	for range 3 * n {
+		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	for range 200 {
+		b.AddEdge(7, int32(rng.Intn(n)))
+	}
+	g := b.Build()
+	if _, sizes := referenceComponents(g); len(sizes) != 1 {
+		t.Fatalf("fixture has %d components", len(sizes))
+	}
+	path := saveV2(t, t.TempDir(), "connected", g, SaveOptions{})
+	for _, budget := range []int64{1, 64 << 10, 0} {
+		t.Run(fmt.Sprint(budget), func(t *testing.T) {
+			o := OpenOptions{BlockCacheBytes: budget}
+			plain, err := OpenMappedOpts(path, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plain.Close()
+			lcc, err := OpenLCC(path, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lcc.Close()
+			want, _ := plain.BlockCacheStats()
+			got, ok := lcc.BlockCacheStats()
+			if !ok || got != want {
+				t.Errorf("OpenLCC leaves the cache at %+v, a plain open at %+v", got, want)
+			}
+			if want.Blocks < 10 {
+				t.Errorf("fixture has %d pages, want a cache smaller than the file at every budget but the default", want.Blocks)
+			}
+		})
+	}
+}

@@ -7,5 +7,12 @@ package graph
 // is heap-backed, Close is a no-op, and a version-2 graph's page cache is
 // bounded by o.BlockCacheBytes as on every other host.
 func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
-	return loadImage(path, o)
+	g, _, err := openMapped(path, o, false)
+	return g, err
+}
+
+// openMapped is OpenMappedOpts that, when label is set, also returns the
+// union-find forest the validation pass fed (see fromImage).
+func openMapped(path string, o OpenOptions, label bool) (*Graph, forest, error) {
+	return loadImage(path, o, label)
 }

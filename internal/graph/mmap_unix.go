@@ -22,30 +22,37 @@ import (
 // served from the page cache on warm opens. Call Close on the returned graph
 // to release the mapping; the graph must not be used afterwards.
 func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
-	f, err := os.Open(path)
+	g, _, err := openMapped(path, o, false)
+	return g, err
+}
+
+// openMapped is OpenMappedOpts that, when label is set, also returns the
+// union-find forest the validation pass fed (see fromImage).
+func openMapped(path string, o OpenOptions, label bool) (*Graph, forest, error) {
+	file, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	defer file.Close()
+	st, err := file.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	size := st.Size()
 	if size < gcsrHeaderSize {
-		return nil, fmt.Errorf("graph: %s: gcsr: file shorter than the %d-byte header", path, gcsrHeaderSize)
+		return nil, nil, fmt.Errorf("graph: %s: gcsr: file shorter than the %d-byte header", path, gcsrHeaderSize)
 	}
 	if int64(int(size)) != size {
-		return nil, fmt.Errorf("graph: %s: %d bytes do not fit the address space", path, size)
+		return nil, nil, fmt.Errorf("graph: %s: %d bytes do not fit the address space", path, size)
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+	data, err := syscall.Mmap(int(file.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
+		return nil, nil, fmt.Errorf("graph: mmap %s: %w", path, err)
 	}
-	g, hotEnd, err := fromImage(data, o)
+	g, hotEnd, f, err := fromImage(data, o, label)
 	if err != nil {
 		syscall.Munmap(data)
-		return nil, fmt.Errorf("graph: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
 	// Advise after validation: the open-time checksum pass is sequential
 	// and benefits from default readahead; the accesses that follow are
@@ -53,5 +60,5 @@ func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
 	// prefix (v1 off array / v2 header+index+IDs).
 	adviseMapped(data, hotEnd)
 	g.unmap = func() error { return syscall.Munmap(data) }
-	return g, nil
+	return g, f, nil
 }

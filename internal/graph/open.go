@@ -41,36 +41,53 @@ func IsGCSR(path string) bool {
 // anything else is parsed as a text edge list. Call Close on the returned
 // graph when done with a mapped one.
 func Open(path string, o OpenOptions) (*Graph, error) {
+	g, _, err := open(path, o, false)
+	return g, err
+}
+
+// open is Open that, when label is set, also returns the graph's union-find
+// forest (see lcc.go): a .gcsr file's is fed by the open-time validation
+// pass, an edge list's by reading the parsed graph's rows.
+func open(path string, o OpenOptions, label bool) (*Graph, forest, error) {
 	if !IsGCSR(path) {
-		return loadEdgeList(path, o.KeepIDs)
+		g, err := loadEdgeList(path, o.KeepIDs)
+		if err != nil || !label {
+			return g, nil, err
+		}
+		return g, rowForest(g), nil
 	}
-	g, err := OpenMappedOpts(path, o)
+	g, f, err := openMapped(path, o, label)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !g.HasOriginalIDs() {
 		if err := attachSidecarIDs(g, path); err != nil {
 			g.Close()
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return g, nil
+	return g, f, nil
 }
 
 // OpenLCC opens the graph file at path and returns its largest connected
-// component, the paper's preprocessing. A connected input is returned as
-// opened, so a graph packed from its LCC (graphlet-pack's default) is served
-// straight from the mapping. A disconnected one is rebuilt on the heap with
-// its original IDs composed through the renumbering, and the mapping of the
-// full graph is released.
+// component, the paper's preprocessing. The components are labelled inside
+// the open's own pass over the rows (see lcc.go), so a connected input —
+// such as a graph packed from its LCC, graphlet-pack's default — is returned
+// as opened, at the cost of the open plus n × 4 transient bytes: served
+// straight from the mapping, with a v2 file's page cache as a plain open
+// leaves it. A disconnected one is copied out on the heap, reading the kept
+// rows once in node order, with its original IDs composed through the
+// renumbering, and the mapping of the full graph is released.
 func OpenLCC(path string, o OpenOptions) (*Graph, error) {
-	g, err := Open(path, o)
+	g, f, err := open(path, o, true)
 	if err != nil {
 		return nil, err
 	}
-	lcc, _ := LargestComponent(g)
-	if lcc != g {
-		g.Close()
+	comp, sizes := f.labels()
+	if len(sizes) <= 1 {
+		return g, nil
 	}
+	lcc, _ := extractLargest(g, comp, sizes)
+	g.Close()
 	return lcc, nil
 }
