@@ -76,7 +76,8 @@ func FuzzSubmitSpec(f *testing.F) {
 // arbitrary JSON payloads. Replay never panics: either it refuses the
 // journal with an error, or the job comes back in a defined state, its
 // views render without a 5xx, and replay allocated in proportion to the
-// records' length. The seed corpus (testdata/fuzz) holds the records a
+// records' length. A job that comes back queued or running holds a spec
+// checkSpec passes. The seed corpus (testdata/fuzz) holds the records a
 // daemon writes for a k and a sizes job, and malformed ones.
 func FuzzReplayRecords(f *testing.F) {
 	reg := testRegistry(f)
@@ -116,7 +117,11 @@ func FuzzReplayRecords(f *testing.F) {
 			t.Fatal("replay accepted the journal but the job did not come back")
 		}
 		switch v.State {
-		case StateQueued, StateRunning, StateDone, StateCanceled:
+		case StateQueued, StateRunning:
+			if err := checkSpec(v.Spec); err != nil {
+				t.Errorf("replay re-queued a spec admission refuses: %v", err)
+			}
+		case StateDone, StateCanceled:
 		case StateFailed:
 			if kind%4 != 2 && v.Error == "" {
 				t.Error("job failed without a message")
@@ -133,4 +138,65 @@ func FuzzReplayRecords(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplayFailsInvalidSpec: a journaled job left queued or running whose
+// spec admission would refuse on its own terms — the engine's config
+// checks, a positive step budget, the nodes range — fails at replay with
+// that refusal's error. It is not re-queued, so it never takes a worker.
+func TestReplayFailsInvalidSpec(t *testing.T) {
+	reg := testRegistry(t)
+	info, _ := reg.Info("hk")
+	for _, tc := range []struct {
+		name    string
+		spec    string
+		started bool
+	}{
+		{"size-and-steps", `{"graph":"hk","k":99,"steps":-1}`, false},
+		{"steps-and-walkers", `{"graph":"hk","k":3,"steps":-5,"walkers":-3}`, false},
+		{"size", `{"graph":"hk","k":99,"steps":100}`, true},
+		{"walkers", `{"graph":"hk","k":3,"d":1,"steps":100,"walkers":-3}`, false},
+		{"nodes", `{"graph":"hk","k":3,"d":1,"steps":100,"nodes":65}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var spec Spec
+			if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {
+				t.Fatal(err)
+			}
+			want := checkSpec(spec)
+			if want == nil {
+				t.Fatalf("spec %s passes checkSpec", tc.spec)
+			}
+			sub, err := json.Marshal(recSubmitted{Spec: spec, GraphMeta: &info})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := []journal.Record{{Type: journal.TypeSubmitted, Job: "j-1", Payload: sub}}
+			if tc.started {
+				recs = append(recs, journal.Record{Type: journal.TypeStarted, Job: "j-1"})
+			}
+			for _, rec := range recs {
+				if err := jnl.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := jnl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mgr := newTestManager(t, reg, Options{Workers: 1, MaxWalkers: 2, DataDir: dir, NewClient: refusingClients})
+			defer mgr.Close()
+			v, ok := mgr.Get("j-1")
+			if !ok || v.State != StateFailed || v.Error != want.Error() {
+				t.Fatalf("replayed job %+v (ok=%v), want failed with %q", v, ok, want)
+			}
+			if st := mgr.Stats(); st.RecoveredJobs != 0 {
+				t.Errorf("%d jobs re-queued, want 0", st.RecoveredJobs)
+			}
+		})
+	}
 }

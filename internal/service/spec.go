@@ -108,14 +108,8 @@ func (m *Manager) validate(spec Spec) error {
 	if _, ok := m.reg.Get(spec.Graph); !ok {
 		return fmt.Errorf("service: unknown graph %q", spec.Graph)
 	}
-	if spec.Steps <= 0 {
-		return fmt.Errorf("service: non-positive step budget %d", spec.Steps)
-	}
 	if spec.Walkers > m.opts.MaxWalkers {
 		return fmt.Errorf("service: walkers %d exceeds server cap %d", spec.Walkers, m.opts.MaxWalkers)
-	}
-	if spec.Nodes < 0 || spec.Nodes > maxFanout {
-		return fmt.Errorf("service: nodes %d out of range 0..%d", spec.Nodes, maxFanout)
 	}
 	if spec.multi() {
 		if spec.K != 0 {
@@ -126,6 +120,20 @@ func (m *Manager) validate(spec Spec) error {
 				return fmt.Errorf("service: size %d is not in the server's allowed sizes %v", k, m.opts.MultiSizes)
 			}
 		}
+	}
+	return checkSpec(spec)
+}
+
+// checkSpec is the part of admission that reads no server option: a spec
+// it refuses could never run, whatever the daemon's flags. Replay applies
+// it to every job it would re-queue, so a journaled spec no build would
+// admit fails there rather than taking a worker slot.
+func checkSpec(spec Spec) error {
+	if spec.Steps <= 0 {
+		return fmt.Errorf("service: non-positive step budget %d", spec.Steps)
+	}
+	if spec.Nodes < 0 || spec.Nodes > maxFanout {
+		return fmt.Errorf("service: nodes %d out of range 0..%d", spec.Nodes, maxFanout)
 	}
 	return spec.config().Validate()
 }

@@ -340,10 +340,18 @@ func (m *Manager) replay() error {
 			// scheduler will charge only the remaining steps, and the job's
 			// partitions restore their walkers from the snapshot at dispatch
 			// (which replaces the provisional resumed-step figure set here
-			// by what they actually restore).
+			// by what they actually restore). A spec checkSpec refuses (a
+			// corrupt or hand-edited journal) fails here with its error, as
+			// admission would have refused it, before it takes a slot.
 			if !sameBind(id, j.spec.Graph) {
 				j.state = StateFailed
 				j.errMsg = fmt.Sprintf("service: graph %q is not registered with the same topology it was submitted against; job not re-run", j.spec.Graph)
+				close(j.done)
+				continue
+			}
+			if err := checkSpec(j.spec); err != nil {
+				j.state = StateFailed
+				j.errMsg = err.Error()
 				close(j.done)
 				continue
 			}
