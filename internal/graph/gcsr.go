@@ -30,7 +30,10 @@ package graph
 // symmetry is the one invariant not checked at open — a per-arc reverse probe
 // would cost more than the open itself; a file written by graph.Save is
 // symmetric by construction, and Validate (run by graphlet-pack -verify)
-// audits it for files of unknown provenance.
+// audits it for files of unknown provenance. Under OpenLCC the same row
+// pass also labels the connected components (lcc.go): one union-find step
+// per arc and 4 transient bytes per node, and no row is read again unless
+// the graph turns out disconnected.
 
 import (
 	"bufio"
@@ -299,6 +302,21 @@ func loadImage(path string, o OpenOptions, label bool) (*Graph, forest, error) {
 // OpenMapped is OpenMappedOpts with the default options.
 func OpenMapped(path string) (*Graph, error) {
 	return OpenMappedOpts(path, OpenOptions{})
+}
+
+// OpenMappedOpts opens a .gcsr file (either format version) over a
+// read-only shared mapping where the platform has one (zero-copy for v1),
+// and over the file read into memory elsewhere. A version-2 graph serves
+// its rows through a bounded per-graph page cache sized by
+// o.BlockCacheBytes either way. Opening makes one sequential
+// checksum-and-validation pass over the raw bytes (see the format docs), so
+// open time is linear in file size but a large constant factor cheaper than
+// parsing an edge list — tens of milliseconds per hundred MB, served from
+// the page cache on warm opens. Call Close on the returned graph to release
+// the mapping; the graph must not be used afterwards.
+func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
+	g, _, err := openMapped(path, o, false)
+	return g, err
 }
 
 // FromImage builds a graph over a whole .gcsr image held in memory, through

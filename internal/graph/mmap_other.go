@@ -2,17 +2,9 @@
 
 package graph
 
-// OpenMappedOpts reads the file into memory on platforms without
-// syscall.Mmap and builds the graph over that image (FromImage); the graph
-// is heap-backed, Close is a no-op, and a version-2 graph's page cache is
-// bounded by o.BlockCacheBytes as on every other host.
-func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
-	g, _, err := openMapped(path, o, false)
-	return g, err
-}
-
-// openMapped is OpenMappedOpts that, when label is set, also returns the
-// union-find forest the validation pass fed (see fromImage).
+// openMapped reads the file into memory on platforms without syscall.Mmap
+// and builds the graph over that image (loadImage); the graph is
+// heap-backed and Close is a no-op.
 func openMapped(path string, o OpenOptions, label bool) (*Graph, forest, error) {
 	return loadImage(path, o, label)
 }

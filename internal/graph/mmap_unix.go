@@ -8,26 +8,13 @@ import (
 	"syscall"
 )
 
-// OpenMappedOpts opens a .gcsr file (either format version) via a read-only
-// shared mmap and builds the graph over the mapping (fromImage). For version
-// 1 on a little-endian host the off/adj arrays alias the page cache directly
-// (zero copy), so no per-element decode or heap copy is made and resident
-// memory is shared across processes mapping the same file; a big-endian host
-// decodes them into heap arrays. For version 2 the encoded blocks stay
-// mapped (shared, compressed) and decoded rows are served from a bounded
-// per-graph cache sized by o.BlockCacheBytes. Opening still makes one
-// sequential checksum-and-validation pass over the raw bytes (see the format
-// docs), so open time is linear in file size but a large constant factor
-// cheaper than parsing an edge list — tens of milliseconds per hundred MB,
-// served from the page cache on warm opens. Call Close on the returned graph
-// to release the mapping; the graph must not be used afterwards.
-func OpenMappedOpts(path string, o OpenOptions) (*Graph, error) {
-	g, _, err := openMapped(path, o, false)
-	return g, err
-}
-
-// openMapped is OpenMappedOpts that, when label is set, also returns the
-// union-find forest the validation pass fed (see fromImage).
+// openMapped maps a .gcsr file read-only and shared and builds the graph
+// over the mapping (fromImage), with its union-find forest when label is
+// set. For version 1 on a little-endian host the off/adj arrays alias the
+// page cache directly (zero copy), so no per-element decode or heap copy is
+// made and resident memory is shared across processes mapping the same
+// file; a big-endian host decodes them into heap arrays. For version 2 the
+// encoded blocks stay mapped (shared, compressed).
 func openMapped(path string, o OpenOptions, label bool) (*Graph, forest, error) {
 	file, err := os.Open(path)
 	if err != nil {

@@ -118,10 +118,13 @@ func (r *Registry) AddDataset(name string) error {
 // graphlet-pack) are opened via the mmap path — zero-copy for v1, the
 // bounded block-decode cache for v2 — so daemon start is near-instant and
 // resident pages are shared with other processes mapping the same file;
-// anything else is parsed as a text edge list. A pre-packed connected graph
-// (graphlet-pack's default -lcc output) is served directly from the
-// mapping; a disconnected one is rebuilt on the heap by the LCC extraction
-// (graph.OpenLCC).
+// anything else is parsed as a text edge list. The components are labelled
+// inside the open's own validation pass (graph.OpenLCC), so a pre-packed
+// connected graph (graphlet-pack's default -lcc output) costs the open
+// alone plus 4 transient bytes per node, is served directly from the
+// mapping, and starts with a v2 file's page cache as empty as a plain open
+// leaves it; a disconnected one is rebuilt on the heap by the LCC
+// extraction, which reads the kept rows once more, in node order.
 func (r *Registry) AddFileOpts(name, path string, o graph.OpenOptions) error {
 	g, err := graph.OpenLCC(path, o)
 	if err != nil {
