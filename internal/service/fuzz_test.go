@@ -71,6 +71,23 @@ func FuzzSubmitSpec(f *testing.F) {
 	})
 }
 
+// writeJournal writes recs as the journal of a manager with data dir dir.
+func writeJournal(t *testing.T, dir string, recs []journal.Record) {
+	t.Helper()
+	jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzReplayRecords replays a journal holding a submitted record and, by
 // the selector, no terminal record or a done, failed or canceled one, with
 // arbitrary JSON payloads. Replay never panics: either it refuses the
@@ -83,22 +100,11 @@ func FuzzReplayRecords(f *testing.F) {
 	reg := testRegistry(f)
 	f.Fuzz(func(t *testing.T, sub []byte, kind uint8, term []byte) {
 		dir := t.TempDir()
-		jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		recs := []journal.Record{{Type: journal.TypeSubmitted, Job: "j-1", Payload: sub}}
 		if tt := []journal.Type{0, journal.TypeDone, journal.TypeFailed, journal.TypeCanceled}[kind%4]; tt != 0 {
 			recs = append(recs, journal.Record{Type: tt, Job: "j-1", Payload: term})
 		}
-		for _, rec := range recs {
-			if err := jnl.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := jnl.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeJournal(t, dir, recs)
 
 		before := totalAlloc()
 		mgr, err := NewManager(reg, Options{Workers: 1, MaxWalkers: 2, DataDir: dir, NewClient: refusingClients})
@@ -172,22 +178,11 @@ func TestReplayFailsInvalidSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			recs := []journal.Record{{Type: journal.TypeSubmitted, Job: "j-1", Payload: sub}}
 			if tc.started {
 				recs = append(recs, journal.Record{Type: journal.TypeStarted, Job: "j-1"})
 			}
-			for _, rec := range recs {
-				if err := jnl.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := jnl.Close(); err != nil {
-				t.Fatal(err)
-			}
+			writeJournal(t, dir, recs)
 			mgr := newTestManager(t, reg, Options{Workers: 1, MaxWalkers: 2, DataDir: dir, NewClient: refusingClients})
 			defer mgr.Close()
 			v, ok := mgr.Get("j-1")
