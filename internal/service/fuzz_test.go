@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -74,18 +73,7 @@ func FuzzSubmitSpec(f *testing.F) {
 // writeJournal writes recs as the journal of a manager with data dir dir.
 func writeJournal(t *testing.T, dir string, recs []journal.Record) {
 	t.Helper()
-	jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := jnl.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeJournalWith(t, dir, journal.Options{}, recs)
 }
 
 // FuzzReplayRecords replays a journal holding a submitted record and, by
