@@ -214,12 +214,28 @@ func ReadConfig(d *wire.Cursor, layout ConfigLayout) MultiConfig {
 }
 
 func (w *WalkerState) encode(buf []byte, stars bool) []byte {
+	buf = binary.AppendUvarint(buf, w.RNGPos)
+	buf = w.appendWalk(buf, w.Steps)
+	buf = binary.AppendUvarint(buf, uint64(len(w.Accs)))
+	for i := range w.Accs {
+		buf = w.Accs[i].encode(buf)
+	}
+	if stars {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.StarAcc))
+	}
+	return buf
+}
+
+// appendWalk writes the walker's flag byte, then steps (its Steps, or a
+// delta's difference), then the walk position where the ring does not hold
+// it, the ring and the ring's degrees: version 3's walker between RNGPos and
+// the accumulators.
+func (w *WalkerState) appendWalk(buf []byte, steps int64) []byte {
 	n := len(w.Win)
 	curInWin := n >= 1 && w.Cur == w.Win[n-1]
 	prevInWin := n >= 2 && w.Prev == w.Win[n-2]
-	buf = binary.AppendUvarint(buf, w.RNGPos)
 	buf = append(buf, wire.PackBools(w.Seeded, w.Primed, w.HasPrev, curInWin, prevInWin))
-	buf = binary.AppendVarint(buf, w.Steps)
+	buf = binary.AppendVarint(buf, steps)
 	if !curInWin {
 		buf = appendState(buf, w.Cur)
 	}
@@ -233,13 +249,6 @@ func (w *WalkerState) encode(buf []byte, stars bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(w.Degs)))
 	for _, d := range w.Degs {
 		buf = binary.AppendVarint(buf, int64(d))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(w.Accs)))
-	for i := range w.Accs {
-		buf = w.Accs[i].encode(buf)
-	}
-	if stars {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.StarAcc))
 	}
 	return buf
 }
@@ -325,14 +334,48 @@ func DecodeEnsembleState(data []byte) (*EnsembleState, error) {
 // and sparse accumulators.
 func (w *WalkerState) decode(d *wire.Cursor, legacy, sparse, stars bool) {
 	w.RNGPos = d.Uvarint()
+	w.Steps = w.readWalk(d, sparse)
+	if legacy {
+		// A GEST walker is its one accumulator, unprefixed, then a StarAcc
+		// that is written even when unused (and is zero then).
+		w.Accs = make([]SizeAcc, 1)
+		w.Accs[0].decodeDense(d)
+		if star := readFloat64(d); stars {
+			w.StarAcc = star
+		}
+		return
+	}
+	nAcc := d.Uvarint()
+	if d.Err == nil && nAcc > maxStateSizes {
+		d.Fail("accumulator count %d exceeds cap", nAcc)
+	}
+	if d.Err == nil && nAcc > 0 {
+		w.Accs = make([]SizeAcc, nAcc)
+		for i := range w.Accs {
+			if sparse {
+				w.Accs[i].decodeSparse(d)
+			} else {
+				w.Accs[i].decodeDense(d)
+			}
+		}
+	}
+	if stars {
+		w.StarAcc = readFloat64(d)
+	}
+}
+
+// readWalk reads what appendWalk writes — with elide, version 3's five
+// flags; without, the three of the older formats, which write the walk
+// position in full — and returns the steps field it read.
+func (w *WalkerState) readWalk(d *wire.Cursor, elide bool) int64 {
 	nFlags := 3
-	if sparse {
+	if elide {
 		nFlags = 5
 	}
 	flags := d.Flags(nFlags)
 	w.Seeded, w.Primed, w.HasPrev = flags&1 != 0, flags&2 != 0, flags&4 != 0
 	curInWin, prevInWin := flags&8 != 0, flags&16 != 0
-	w.Steps = d.Varint()
+	steps := d.Varint()
 	if !curInWin {
 		w.Cur = readState(d)
 	}
@@ -373,33 +416,7 @@ func (w *WalkerState) decode(d *wire.Cursor, legacy, sparse, stars bool) {
 			w.Degs[i] = int(d.Varint())
 		}
 	}
-	if legacy {
-		// A GEST walker is its one accumulator, unprefixed, then a StarAcc
-		// that is written even when unused (and is zero then).
-		w.Accs = make([]SizeAcc, 1)
-		w.Accs[0].decodeDense(d)
-		if star := readFloat64(d); stars {
-			w.StarAcc = star
-		}
-		return
-	}
-	nAcc := d.Uvarint()
-	if d.Err == nil && nAcc > maxStateSizes {
-		d.Fail("accumulator count %d exceeds cap", nAcc)
-	}
-	if d.Err == nil && nAcc > 0 {
-		w.Accs = make([]SizeAcc, nAcc)
-		for i := range w.Accs {
-			if sparse {
-				w.Accs[i].decodeSparse(d)
-			} else {
-				w.Accs[i].decodeDense(d)
-			}
-		}
-	}
-	if stars {
-		w.StarAcc = readFloat64(d)
-	}
+	return steps
 }
 
 // decodeSparse reads an accumulator written by encode. A bitmap bit at or

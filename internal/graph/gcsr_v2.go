@@ -523,7 +523,13 @@ func buildV2Graph(data []byte, o OpenOptions, label bool) (*Graph, forest, error
 	store := newBlockStore(data, lay, off, pages, rowAt, o.BlockCacheBytes)
 	g := &Graph{off: off, m: h.m, maxDeg: int(h.maxDeg), blocks: store}
 	if h.flags&gcsrV2FlagIDs != 0 {
+		// A graph with no nodes has an empty section, which readInts reads
+		// as nil; the mapping is kept all the same, as an empty .gids
+		// sidecar keeps it for a v1 file.
 		g.origIDs = readInts[int64](data[h.idsStart():h.blocksStart()])
+		if g.origIDs == nil {
+			g.origIDs = []int64{}
+		}
 	}
 	g.buildHubIndex()
 	return g, f, nil

@@ -790,6 +790,32 @@ func TestGCSRV2KeepIDsEmbedded(t *testing.T) {
 	}
 }
 
+// A graph with no nodes packed with its (empty) ID mapping keeps it either
+// way: embedded in a v2 file or in a v1 file's .gids sidecar.
+func TestEmptyGraphKeptIDsAgree(t *testing.T) {
+	g := NewBuilder(0).Build()
+	dir := t.TempDir()
+	v2 := saveV2(t, dir, "empty-v2", g, SaveOptions{IDs: []int64{}})
+	v1 := filepath.Join(dir, "empty.gcsr")
+	if err := Save(v1, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveIDs(IDsSidecarPath(v1), []int64{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{v1, v2} {
+		got, err := Open(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.HasOriginalIDs() || got.NumNodes() != 0 || len(got.OriginalIDs()) != 0 {
+			t.Errorf("%s: HasOriginalIDs %v over %d nodes and %d IDs, want true, 0, 0",
+				filepath.Base(path), got.HasOriginalIDs(), got.NumNodes(), len(got.OriginalIDs()))
+		}
+		got.Close()
+	}
+}
+
 func TestGIDSSidecar(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := randomTestGraph(rng, 80, 300)

@@ -1,6 +1,9 @@
 package service
 
-import "repro/internal/service/journal"
+import (
+	"repro/internal/core"
+	"repro/internal/service/journal"
+)
 
 // The asynchronous journal pipeline: state transitions queue their records
 // under Manager.mu — which fixes the on-disk order to match the in-memory
@@ -110,19 +113,28 @@ func (m *Manager) compactJournal() error {
 // pair (so a restart re-warms the LRU even after the producing job was
 // pruned); jobs still in the table keep their submitted records, terminal
 // jobs their terminal record, and live jobs their started record plus their
-// *latest* checkpoint — the one carrying the resume snapshot replay would
-// pick anyway ("latest wins"); earlier checkpoints are superseded, and
-// keeping them would grow the log with run length instead of the job table.
-// Spotting the latest needs a pre-scan (the filter sees one record at a
-// time), which is safe because appends and compactions are serialized on
-// the journal writer goroutine — nothing lands between the scan and the
-// rewrite. The returned filter is single-use: it counts the checkpoints it
-// passes against the pre-scanned totals.
+// checkpoint chain from its last full record on — at most
+// fullCheckpointEvery records, which fold to the resume state replay would
+// pick anyway ("latest wins"). Earlier checkpoints are superseded, and
+// keeping them would grow the log with run length instead of the job table;
+// and because the kept copies start with a full record, a replay that sees
+// the old records and then the copies (a crash mid-compaction) folds to the
+// same state. Spotting the last full record needs a pre-scan (the filter
+// sees one record at a time), which is safe because appends and compactions
+// are serialized on the journal writer goroutine — nothing lands between the
+// scan and the rewrite. The returned filter is single-use: it counts the
+// checkpoints it passes against the pre-scanned positions.
 func (m *Manager) newKeepFunc(terminal, owners map[string]bool) (func(journal.Record) bool, error) {
 	ckptTotal := make(map[string]int)
+	// keepFrom is the 1-based position among the job's checkpoints of its
+	// last full record (a job without one keeps only its latest).
+	keepFrom := make(map[string]int)
 	if err := m.jnl.Replay(func(rec journal.Record) error {
 		if rec.Type == journal.TypeCheckpoint {
 			ckptTotal[rec.Job]++
+			if !core.IsCheckpointDelta(rec.Payload) {
+				keepFrom[rec.Job] = ckptTotal[rec.Job]
+			}
 		}
 		return nil
 	}); err != nil {
@@ -148,7 +160,11 @@ func (m *Manager) newKeepFunc(terminal, owners map[string]bool) (func(journal.Re
 		case journal.TypeStarted:
 			return !isTerminal
 		case journal.TypeCheckpoint:
-			return !isTerminal && ckptSeen[rec.Job] == ckptTotal[rec.Job]
+			from := keepFrom[rec.Job]
+			if from == 0 {
+				from = ckptTotal[rec.Job]
+			}
+			return !isTerminal && ckptSeen[rec.Job] >= from
 		}
 		return false
 	}, nil

@@ -17,9 +17,9 @@ import (
 
 // holdClient blocks every Degree call until release, and closes held the
 // first time a walker blocks. A resumed job that is held has been dispatched,
-// has decoded its snapshot and has walked nothing past it, so its progress is
-// still the one replay derived (less the provisional resumed-step figure,
-// which dispatch clears).
+// has folded its checkpoint chain and has walked nothing past it, so its
+// progress is still the one replay derived, with the restored windows as its
+// resumed-step figure.
 type holdClient struct {
 	gate, held chan struct{}
 	heldOnce   sync.Once
@@ -81,7 +81,10 @@ func legacyCheckpointPayload(t *testing.T, spec Spec, snap []byte) []byte {
 }
 
 // A checkpoint record is the encoded ensemble snapshot and nothing else: the
-// record adds zero bytes to the state it carries.
+// record adds zero bytes to the state it carries. The job's first record is
+// the full snapshot, byte for byte, and each record after it (the budget
+// spans fewer than 16 targets) a delta against the record before, which
+// folds to the state at its own target.
 func TestCheckpointPayloadIsSnapshot(t *testing.T) {
 	const budget, every = 3000, 500
 	dir := t.TempDir()
@@ -92,16 +95,25 @@ func TestCheckpointPayloadIsSnapshot(t *testing.T) {
 		t.Fatalf("job: %s (%s)", v.State, v.Error)
 	}
 	n := 0
+	var st *core.EnsembleState
 	for _, rec := range journalRecords(t, dir) {
 		if rec.Type != journal.TypeCheckpoint {
 			continue
 		}
 		n++
-		st, err := core.DecodeEnsembleState(rec.Payload)
+		if delta := core.IsCheckpointDelta(rec.Payload); delta != (n > 1) {
+			t.Fatalf("checkpoint %d: delta %v", n, delta)
+		}
+		var err error
+		if n == 1 {
+			st, err = core.DecodeEnsembleState(rec.Payload)
+		} else {
+			st, err = core.ApplyCheckpointDelta(st, rec.Payload)
+		}
 		if err != nil {
 			t.Fatalf("checkpoint %d: %v", n, err)
 		}
-		if enc := st.Encode(); len(rec.Payload) != len(enc) || !bytes.Equal(rec.Payload, enc) {
+		if enc := st.Encode(); n == 1 && !bytes.Equal(rec.Payload, enc) {
 			t.Errorf("checkpoint %d: payload of %d bytes, want exactly the %d-byte snapshot", n, len(rec.Payload), len(enc))
 		}
 		if st.WindowsDone != n*every {
@@ -156,9 +168,12 @@ func TestReplayedProgress(t *testing.T) {
 		// Killed: what is queued reaches the journal, nothing after it does.
 		mgr1.crashJournal()
 
+		// Dispatched, the resumed run shows the windows it restored.
+		want := pre.Progress
+		want.ResumedSteps = want.Steps
 		mgr2, hold, got := restartHeld(t, dir, v.ID)
-		if !reflect.DeepEqual(got, pre.Progress) {
-			t.Errorf("replayed progress %+v, want the pre-restart %+v", got, pre.Progress)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("replayed progress %+v, want the pre-restart %+v", got, want)
 		}
 		hold.release()
 		final := waitDone(t, mgr2, v.ID)
@@ -238,8 +253,9 @@ func TestReplayedProgress(t *testing.T) {
 		}
 
 		// The journal an upgrade leaves: the first checkpoint as the older
-		// daemon's JSON record, the second as a snapshot record (passed
-		// through cut), then the kill.
+		// daemon's JSON record, the second as the current record — a delta
+		// against the snapshot the JSON record carries — (passed through
+		// cut), then the kill.
 		upgraded := func(cut func([]byte) []byte) string {
 			dir := t.TempDir()
 			jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
@@ -269,6 +285,7 @@ func TestReplayedProgress(t *testing.T) {
 		}
 
 		mgr, hold, got := restartHeld(t, upgraded(func(b []byte) []byte { return b }), v.ID)
+		pre.ResumedSteps = pre.Steps // dispatched, the run shows what it restored
 		if !reflect.DeepEqual(got, pre) {
 			t.Errorf("replayed progress %+v, want the pre-restart %+v", got, pre)
 		}
@@ -298,10 +315,14 @@ func TestReplayedProgress(t *testing.T) {
 }
 
 // FuzzReplayCheckpoint replays a journal holding a submitted record, a
-// started record and one checkpoint record with an arbitrary payload: an
-// older daemon's JSON record, a snapshot record, or bytes that are neither.
-// Replay never panics and never fails: the job comes back re-queued —
-// resumable or from scratch — or failed with a message.
+// started record, the first lead records of a real checkpoint chain (a full
+// record, then deltas) and one checkpoint record with an arbitrary payload:
+// an older daemon's JSON record, a full or delta record, or bytes that are
+// neither. Replay never panics and never fails: the job comes back
+// re-queued — resumable or from scratch — or failed with a message. Besides
+// the committed corpus (lead 0), the seeds extend the chain with its next
+// delta, with a delta written against another target, with a delta cut
+// short, and start one with a delta.
 func FuzzReplayCheckpoint(f *testing.F) {
 	reg := testRegistry(f)
 	info, _ := reg.Info("hk")
@@ -310,24 +331,53 @@ func FuzzReplayCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		dir := t.TempDir()
+	// The chain: the spec's checkpoint records at 500 (full), 1000, 1500 and
+	// 2000 windows.
+	var chain [][]byte
+	{
+		dir := f.TempDir()
+		mgr, err := NewManager(reg, Options{SnapshotEvery: 500, DataDir: dir})
+		if err != nil {
+			f.Fatal(err)
+		}
+		v, err := mgr.Submit(spec)
+		if err == nil {
+			v, err = mgr.Wait(f.Context(), v.ID)
+		}
+		mgr.Close()
+		if err != nil || v.State != StateDone {
+			f.Fatalf("chain run: %+v, %v", v, err)
+		}
 		jnl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
 		if err != nil {
-			t.Fatal(err)
+			f.Fatal(err)
 		}
-		for _, rec := range []journal.Record{
+		err = jnl.Replay(func(rec journal.Record) error {
+			if rec.Type == journal.TypeCheckpoint {
+				chain = append(chain, rec.Payload)
+			}
+			return nil
+		})
+		jnl.Close()
+		if err != nil || len(chain) != 4 || core.IsCheckpointDelta(chain[0]) || !core.IsCheckpointDelta(chain[1]) {
+			f.Fatalf("chain run journaled %d checkpoints (%v)", len(chain), err)
+		}
+	}
+	f.Add(uint8(1), chain[1])
+	f.Add(uint8(3), chain[3])
+	f.Add(uint8(1), chain[2])
+	f.Add(uint8(2), chain[2][:len(chain[2])/2])
+	f.Add(uint8(0), chain[1])
+	f.Fuzz(func(t *testing.T, lead uint8, payload []byte) {
+		dir := t.TempDir()
+		recs := []journal.Record{
 			{Type: journal.TypeSubmitted, Job: "j-1", Payload: submitted},
 			{Type: journal.TypeStarted, Job: "j-1"},
-			{Type: journal.TypeCheckpoint, Job: "j-1", Payload: payload},
-		} {
-			if err := jnl.Append(rec); err != nil {
-				t.Fatal(err)
-			}
 		}
-		if err := jnl.Close(); err != nil {
-			t.Fatal(err)
+		for _, p := range chain[:int(lead)%(len(chain)+1)] {
+			recs = append(recs, journal.Record{Type: journal.TypeCheckpoint, Job: "j-1", Payload: p})
 		}
+		writeJournal(t, dir, append(recs, journal.Record{Type: journal.TypeCheckpoint, Job: "j-1", Payload: payload}))
 
 		mgr, err := NewManager(reg, Options{Workers: 1, MaxWalkers: 1, DataDir: dir})
 		if err != nil {

@@ -44,7 +44,9 @@ type Progress struct {
 	// ResumedSteps is the number of already-walked steps this job kept by
 	// restoring a snapshot instead of re-walking them: a journaled checkpoint
 	// after a crash, or a partition's last streamed frame after a worker
-	// failure. Each partition credits what it actually restored, once, as it
+	// failure. A run resumed from the journal shows the checkpoint's windows
+	// from its first progress event on; when the run ends the figure is what
+	// the partitions actually restored, each crediting its share once, as it
 	// completes (0 for jobs that never crashed — or whose snapshot could not
 	// be restored, in which case they restart from scratch).
 	ResumedSteps int `json:"resumed_steps,omitempty"`
@@ -69,11 +71,12 @@ type job struct {
 	done      chan struct{}   // closed on reaching a terminal state
 	subs      []chan JobEvent // live event streams (SSE); closed on finish
 
-	// resumeSnap/resumeSteps carry the latest journaled checkpoint snapshot
-	// of a recovery-re-queued job: runJob decodes it at dispatch and the
-	// job's partitions restore from it, and the scheduler charges only the
-	// remaining budget.
-	resumeSnap  []byte
+	// resumeChain/resumeSteps carry the latest journaled checkpoint of a
+	// recovery-re-queued job — the payloads of its last full checkpoint
+	// record and of the delta records after it, in log order: runJob folds
+	// them at dispatch and the job's partitions restore from the result, and
+	// the scheduler charges only the remaining budget.
+	resumeChain [][]byte
 	resumeSteps int
 }
 
@@ -531,7 +534,7 @@ func (m *Manager) finishLocked(j *job, state State, res *core.MultiResult, err e
 	if err != nil {
 		j.errMsg = err.Error()
 	}
-	j.resumeSnap, j.resumeSteps = nil, 0 // snapshots die with the run
+	j.resumeChain, j.resumeSteps = nil, 0 // snapshots die with the run
 	m.journalTerminalLocked(j)
 	// Terminal delivery is guaranteed even to slow subscribers: if a
 	// buffer is full, the oldest checkpoint is dropped to make room — all

@@ -34,14 +34,22 @@ func journalRecords(t *testing.T, dir string) []journal.Record {
 }
 
 // checkpointOf reads a checkpoint record's payload: an older daemon's JSON
-// record as it stands, a current one — the raw ensemble snapshot — as its
-// step count and snapshot bytes.
-func checkpointOf(t *testing.T, payload []byte) recCheckpoint {
+// record as it stands, a current one — the job's ensemble state, whole or as
+// a delta against the job's record before — as its step count and payload
+// bytes. chain is the job's checkpoint chain up to that record before (its
+// last full record and the deltas since), which the record extends; the
+// extended chain is folded for the step count.
+func checkpointOf(t *testing.T, chain *[][]byte, payload []byte) recCheckpoint {
 	t.Helper()
 	if p, ok := legacyCheckpoint(payload); ok {
 		return p
 	}
-	st, err := core.DecodeEnsembleState(payload)
+	if core.IsCheckpointDelta(payload) {
+		*chain = append(*chain, payload)
+	} else {
+		*chain = [][]byte{payload}
+	}
+	st, err := foldCheckpoints(*chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +61,10 @@ func checkpointOf(t *testing.T, payload []byte) recCheckpoint {
 func journaledCheckpoints(t *testing.T, dir, id string) []recCheckpoint {
 	t.Helper()
 	var out []recCheckpoint
+	var chain [][]byte
 	for _, rec := range journalRecords(t, dir) {
 		if rec.Type == journal.TypeCheckpoint && rec.Job == id {
-			out = append(out, checkpointOf(t, rec.Payload))
+			out = append(out, checkpointOf(t, &chain, rec.Payload))
 		}
 	}
 	return out
@@ -72,11 +81,18 @@ func journalPrefix(t *testing.T, src string, steps int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chains := make(map[string]*[][]byte)
 	for _, rec := range journalRecords(t, src) {
 		if err := jnl.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Type == journal.TypeCheckpoint && checkpointOf(t, rec.Payload).Steps == steps {
+		if rec.Type != journal.TypeCheckpoint {
+			continue
+		}
+		if chains[rec.Job] == nil {
+			chains[rec.Job] = new([][]byte)
+		}
+		if checkpointOf(t, chains[rec.Job], rec.Payload).Steps == steps {
 			break
 		}
 	}

@@ -38,17 +38,29 @@ func (m *Manager) worker() {
 		m.met.jobsActive.Inc()
 		m.met.runs.Inc()
 		m.recordDispatchLocked(j)
-		// Replay's resumed-step figure was provisional: the partitions credit
-		// what they actually restore, once, as they complete (OnResume).
-		j.progress.ResumedSteps = 0
 		m.journalAppendLocked(journal.TypeStarted, j.id, nil)
-		resumeSnap := j.resumeSnap
+		resumeChain := j.resumeChain
 		m.mu.Unlock()
-		res, err := m.runJob(ctx, j, resumeSnap)
+		res, err := m.runJob(ctx, j, resumeChain)
 		cancel()
 		m.mu.Lock()
 		m.settleLocked(j, res, err)
 	}
+}
+
+// fullCheckpointEvery spaces a job's full checkpoint records: the record at
+// every 16th checkpoint target, counting from the first, carries the whole
+// ensemble state, and the records between carry deltas against the record
+// before them. It bounds both what replay folds to resume a job (one full
+// record and at most 15 deltas) and what compaction keeps of a live job's
+// checkpoints (its records from the last full one on, at most 16).
+const fullCheckpointEvery = 16
+
+// fullCheckpoint reports whether the checkpoint at target, on a grid of
+// targets every windows apart (the last one the budget), is due a full
+// record by its index among the job's targets.
+func fullCheckpoint(target, every int) bool {
+	return ((target+every-1)/every-1)%fullCheckpointEvery == 0
 }
 
 // snapshotEvery derives the checkpoint spacing for a budget.
@@ -69,10 +81,10 @@ func (m *Manager) snapshotEvery(steps int) int {
 // peers are configured, otherwise the one partition [0, W) in this process,
 // on this goroutine. Where a walker runs cannot change a byte, so the two
 // differ in the partition count and the peer list and nothing else. ctx is
-// the job's (Cancel and Close cancel it) and resumeSnap its recovered
-// checkpoint snapshot, read when the worker started it. The worker settles
-// the returned result.
-func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.MultiResult, error) {
+// the job's (Cancel and Close cancel it) and resumeChain its recovered
+// checkpoint chain, read when the worker started it. The worker settles the
+// returned result.
+func (m *Manager) runJob(ctx context.Context, j *job, resumeChain [][]byte) (*core.MultiResult, error) {
 	spec := j.spec
 	g, ok := m.reg.Get(spec.Graph)
 	if !ok {
@@ -82,12 +94,13 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 		return nil, fmt.Errorf("service: graph %q was removed after this job was submitted", spec.Graph)
 	}
 	cfg := spec.config()
-	base := dist.Assignment{
+	every := m.snapshotEvery(spec.Steps)
+	asn := dist.Assignment{
 		Graph:  spec.Graph,
 		Meta:   distMeta(g),
 		Multi:  &cfg,
 		Budget: spec.Steps,
-		Every:  m.snapshotEvery(spec.Steps),
+		Every:  every,
 	}
 	if spec.multi() {
 		m.met.multiRuns.Inc()
@@ -99,23 +112,35 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 		nodes, peers = spec.Nodes, m.opts.Peers
 	}
 
-	// A recovered checkpoint snapshot is decoded here, outside m.mu.
-	// Resume is an optimization that must never be able to fail a job: a
-	// snapshot that does not decode — like a partition that cannot restore
-	// its share of one — degrades to running from scratch.
+	// A recovered checkpoint chain is folded here, outside m.mu. Resume is
+	// an optimization that must never be able to fail a job: a chain that
+	// does not fold — like a partition that cannot restore its share of the
+	// state — degrades to running from scratch.
 	var resume *core.EnsembleState
 	lastSteps := 0 // target of the last ensemble-wide checkpoint
-	if len(resumeSnap) > 0 {
-		if resume, _ = core.DecodeEnsembleState(resumeSnap); resume != nil {
+	// base is the state of the job's last checkpoint record, the one the
+	// next record may be a delta against (nil while this process holds
+	// none), and baseErrs the journal's failure count when it was queued.
+	var base *core.EnsembleState
+	var baseErrs int64
+	if len(resumeChain) > 0 {
+		resume, _ = foldCheckpoints(resumeChain)
+		m.mu.Lock()
+		if resume != nil {
 			lastSteps = resume.WindowsDone
+			base, baseErrs = resume, m.met.journal.Errors.Value()
+			// Shown from the first progress event on; the partitions' credits
+			// replace it when the run ends.
+			j.progress.ResumedSteps = resume.WindowsDone
 		} else {
 			// The replayed pre-crash progress no longer describes this
 			// (from-scratch) run.
-			m.mu.Lock()
 			j.progress = Progress{Total: spec.Steps}
-			m.mu.Unlock()
 		}
+		m.mu.Unlock()
 	}
+	// credited sums the windows the partitions restored (OnResume).
+	credited := 0
 	// synced is the merged result at that checkpoint: what progress, the
 	// journal and event streams last saw, and the job's partial result if it
 	// is interrupted. Both are touched only from OnSync, which the
@@ -129,10 +154,15 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 		// The one checkpoint handler. Every ensemble-wide checkpoint — on a
 		// fleet, the moment all partitions reach a common target — is
 		// recorded for its three consumers: restart-safe progress, the
-		// journal (whose record is the full-ensemble snapshot and nothing
-		// else, so an interrupted job resumes from it on any fleet, or none,
-		// and replay re-derives this progress from it; the write itself
-		// happens on the writer goroutine), and any live event streams.
+		// journal (whose record is the full-ensemble state and nothing else —
+		// whole, or as a delta against the job's previous record — so an
+		// interrupted job resumes from it on any fleet, or none, and replay
+		// re-derives this progress from it; the write itself happens on the
+		// writer goroutine), and any live event streams. A record is full at
+		// every fullCheckpointEvery-th target, when this process holds no
+		// previous record to code against (a fresh run's first target, or a
+		// run that fell back to scratch), and when the journal failed an
+		// append since the previous record, which may then be missing.
 		// Progress carries the per-size concentrations in the shape the
 		// job's spec calls for. Walk-engine metrics are
 		// recorded only here (a counter add is one atomic), never inside the
@@ -150,7 +180,14 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 			// nobody mutates), and only with a journal to append it to.
 			var snap []byte
 			if m.jnl != nil {
-				snap = combined.Encode()
+				errs := m.met.journal.Errors.Value()
+				if base != nil && errs == baseErrs && !fullCheckpoint(target, every) {
+					snap, _ = combined.EncodeDelta(base) // nil when the shapes differ
+				}
+				if snap == nil {
+					snap = combined.Encode()
+				}
+				base, baseErrs = combined, errs
 			}
 			m.mu.Lock()
 			defer m.mu.Unlock()
@@ -162,12 +199,16 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeSnap []byte) (*core.
 		OnResume: func(preserved int) {
 			m.met.walkResumed.Add(int64(preserved))
 			m.mu.Lock()
-			j.progress.ResumedSteps += preserved
+			credited += preserved
+			j.progress.ResumedSteps = max(j.progress.ResumedSteps, credited)
 			m.notifySubsLocked(j, "checkpoint")
 			m.mu.Unlock()
 		},
 	}
-	final, err := dist.Run(ctx, opts, dist.PartitionAssignments(base, nodes), resume)
+	final, err := dist.Run(ctx, opts, dist.PartitionAssignments(asn, nodes), resume)
+	m.mu.Lock()
+	j.progress.ResumedSteps = credited
+	m.mu.Unlock()
 	// The final sync already merged the final state; only a job resumed at
 	// its full budget completes without one.
 	if err == nil && (synced == nil || synced.Steps != final.WindowsDone) {

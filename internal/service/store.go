@@ -234,8 +234,14 @@ func (m *Manager) replay() error {
 		case journal.TypeCheckpoint:
 			p, legacy := legacyCheckpoint(rec.Payload)
 			if !legacy {
-				// The latest snapshot wins, and only the latest is decoded.
-				j.resumeSnap, j.resumeSteps = rec.Payload, 0
+				// A full record starts the job's chain and a delta extends
+				// it; nothing is decoded here. The chain's last record wins.
+				if core.IsCheckpointDelta(rec.Payload) {
+					j.resumeChain = append(j.resumeChain, rec.Payload)
+				} else {
+					j.resumeChain = [][]byte{rec.Payload}
+				}
+				j.resumeSteps = 0
 				snapped[j.id] = true
 				break
 			}
@@ -246,7 +252,7 @@ func (m *Manager) replay() error {
 			// The latest snapshot wins: if this job turns out interrupted,
 			// the requeue below resumes it from here instead of step 0.
 			if len(p.Snapshot) > 0 {
-				j.resumeSnap = p.Snapshot
+				j.resumeChain = [][]byte{p.Snapshot}
 				j.resumeSteps = p.Steps
 			}
 		case journal.TypeDone:
@@ -257,6 +263,9 @@ func (m *Manager) replay() error {
 			j.state = StateDone
 			j.finished = time.Unix(0, rec.Time)
 			j.result = p.result(j.spec)
+			// A done job shows its result: its chain is never folded.
+			j.resumeChain, j.resumeSteps = nil, 0
+			delete(snapped, j.id)
 		case journal.TypeFailed, journal.TypeCanceled:
 			var p recFailed
 			if err := json.Unmarshal(rec.Payload, &p); err != nil {
@@ -296,13 +305,13 @@ func (m *Manager) replay() error {
 		if n := jobIDNumber(id); n > m.nextID {
 			m.nextID = n
 		}
-		if snapped[id] && j.state != StateDone {
+		if snapped[id] {
 			// Re-queued, failed or canceled: the progress the job last
-			// showed is its latest snapshot's. A done job shows its result.
+			// showed is its latest snapshot's.
 			j.progressFromSnapshot()
 		}
 		if j.state.terminal() {
-			j.resumeSnap, j.resumeSteps = nil, 0 // snapshots die with the run
+			j.resumeChain, j.resumeSteps = nil, 0 // snapshots die with the run
 		}
 		switch {
 		case j.state == StateDone:
@@ -357,7 +366,7 @@ func (m *Manager) replay() error {
 			}
 			j.state = StateQueued
 			j.started = time.Time{}
-			if len(j.resumeSnap) > 0 {
+			if len(j.resumeChain) > 0 {
 				j.progress.Total = j.spec.Steps
 				j.progress.ResumedSteps = j.resumeSteps
 				m.met.resumable.Inc()
@@ -382,24 +391,46 @@ func (m *Manager) replay() error {
 }
 
 // progressFromSnapshot re-derives the progress of a replayed job from its
-// latest checkpoint snapshot, as runJob's OnSync derived it live: the steps
-// are the snapshot's WindowsDone, the concentrations those of its merged
-// result. A snapshot that does not decode (or merge) is dropped, so a
-// re-queued job runs from scratch.
+// latest checkpoint, as runJob's OnSync derived it live: the steps are the
+// folded chain's WindowsDone, the concentrations those of its merged result.
+// A chain that does not fold (or merge) is dropped, so a re-queued job runs
+// from scratch.
 func (j *job) progressFromSnapshot() {
-	st, err := core.DecodeEnsembleState(j.resumeSnap)
+	st, err := foldCheckpoints(j.resumeChain)
 	var res *core.MultiResult
 	if err == nil {
 		res, err = st.MergedResult()
 	}
 	if err != nil {
-		j.resumeSnap, j.resumeSteps = nil, 0
+		j.resumeChain, j.resumeSteps = nil, 0
 		j.progress = Progress{Total: j.spec.Steps}
 		return
 	}
 	j.resumeSteps = st.WindowsDone
 	j.progress.Steps = st.WindowsDone
 	j.progress.Concentration, j.progress.Concentrations = j.spec.shape(res.Concentrations())
+}
+
+// foldCheckpoints folds a job's checkpoint chain — the payload of a full
+// checkpoint record and those of the delta records after it, in log order —
+// into the state its last record stands for. A chain that does not fold is
+// an error, never a state: its head is not a full record, a delta was
+// written against another state, or a payload does not parse.
+func foldCheckpoints(chain [][]byte) (*core.EnsembleState, error) {
+	if len(chain) == 0 {
+		return nil, fmt.Errorf("service: no checkpoint to fold")
+	}
+	st, err := core.DecodeEnsembleState(chain[0])
+	for _, delta := range chain[1:] {
+		if err != nil {
+			return nil, err
+		}
+		st, err = core.ApplyCheckpointDelta(st, delta)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // jobIDNumber parses the numeric suffix of a "j-N" job ID (0 if malformed).
