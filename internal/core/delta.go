@@ -19,23 +19,31 @@ import (
 // Layout: magic "GMSD", format version, the base's WindowsDone, then the
 // difference to this state's WindowsDone and the walker count (the base's),
 // then each walker:
-//   - its RNGPos and Steps as differences to the base walker's, around the
-//     flag byte, walk position, ring and degrees exactly as version 3 writes
-//     them;
-//   - the accumulator count (the base's), then each accumulator: its Done and
-//     ValidSamples as differences, its type count (the base's), a change
-//     bitmap of ceil(types/8) bytes (type t is bit t%8 of byte t/8, set iff
-//     the type's weight bits or count differ from the base's), then for each
-//     changed type its weight as an XOR and its count as a difference;
-//   - under the config's RecoverStars bit, StarAcc as an XOR.
+//   - its RNGPos difference less its Steps difference, then the flag byte,
+//     the Steps difference, the walk position, ring and degrees, all exactly
+//     as version 3 writes them with Steps in the difference's place;
+//   - the accumulator count (the base's), then each accumulator: its Done
+//     difference less the Steps difference, its ValidSamples difference less
+//     the Done difference, its type count (the base's), a change bitmap of
+//     ceil(types/8) bytes (type t is bit t%8 of byte t/8, set iff the type's
+//     weight bits or count differ from the base's), then for each changed
+//     type a header byte, the count difference unless the header holds it,
+//     and the weight's XOR bytes;
+//   - under the config's RecoverStars bit, StarAcc's XOR byte count and its
+//     XOR bytes.
 //
 // Differences are zigzag varints of the two's-complement difference, so
-// they wrap exactly. An XOR is the weight's IEEE-754 bits XORed with the
-// base's, written as a byte n in 0..8 and the n low-order bytes of the XOR
-// (its high bytes are zero: nearby values share sign, exponent and leading
-// mantissa bits). The codec does no float arithmetic. The config section is
-// not written: a delta only folds onto a state of the same run, whose config
-// it takes.
+// they wrap exactly. The subtracted differences are predictions, not
+// constraints: a walker takes about one transition per window and draws
+// about one random number per transition, and most windows are valid
+// samples, so what is written is usually a byte. An XOR is the weight's
+// IEEE-754 bits XORed with the base's, written as its n low-order bytes
+// (its high 8-n bytes are zero: nearby values share sign, exponent and
+// leading mantissa bits). A changed type's header byte holds n in its low
+// nibble and the count difference in its high one when that is 0 to 14; a
+// high nibble of 15 says the difference follows as a varint. The codec does
+// no float arithmetic. The config section is not written: a delta only
+// folds onto a state of the same run, whose config it takes.
 const (
 	deltaMagic   = "GMSD"
 	deltaVersion = 1
@@ -62,14 +70,16 @@ func (st *EnsembleState) EncodeDelta(base *EnsembleState) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(st.Walkers)))
 	for i := range st.Walkers {
 		w, b := &st.Walkers[i], &base.Walkers[i]
-		buf = binary.AppendVarint(buf, int64(w.RNGPos-b.RNGPos))
-		buf = w.appendWalk(buf, w.Steps-b.Steps)
+		steps := w.Steps - b.Steps
+		buf = binary.AppendVarint(buf, int64(w.RNGPos-b.RNGPos)-steps)
+		buf = w.appendWalk(buf, steps)
 		buf = binary.AppendUvarint(buf, uint64(len(w.Accs)))
 		for j := range w.Accs {
-			buf = w.Accs[j].appendDelta(buf, &b.Accs[j])
+			buf = w.Accs[j].appendDelta(buf, &b.Accs[j], steps)
 		}
 		if st.Config.RecoverStars {
-			buf = appendXOR(buf, w.StarAcc, b.StarAcc)
+			x, n := xorBits(w.StarAcc, b.StarAcc)
+			buf = appendXOR(append(buf, byte(n)), x, n)
 		}
 	}
 	return buf, nil
@@ -97,31 +107,46 @@ func (st *EnsembleState) sameShape(base *EnsembleState) bool {
 }
 
 // appendDelta writes the accumulator as a delta against b, of the same type
-// count.
-func (a *SizeAcc) appendDelta(buf []byte, b *SizeAcc) []byte {
-	buf = binary.AppendVarint(buf, int64(a.Done-b.Done))
-	buf = binary.AppendVarint(buf, int64(a.ValidSamples-b.ValidSamples))
+// count; steps is the walker's Steps difference.
+func (a *SizeAcc) appendDelta(buf []byte, b *SizeAcc, steps int64) []byte {
+	done := int64(a.Done - b.Done)
+	buf = binary.AppendVarint(buf, done-steps)
+	buf = binary.AppendVarint(buf, int64(a.ValidSamples-b.ValidSamples)-done)
 	nt := len(a.Weights)
 	buf = binary.AppendUvarint(buf, uint64(nt))
 	bitmap := len(buf)
 	buf = append(buf, make([]byte, (nt+7)/8)...)
 	for t, f := range a.Weights {
-		if math.Float64bits(f) == math.Float64bits(b.Weights[t]) && a.TypeCounts[t] == b.TypeCounts[t] {
+		count := a.TypeCounts[t] - b.TypeCounts[t]
+		x, n := xorBits(f, b.Weights[t])
+		if x == 0 && count == 0 {
 			continue
 		}
 		buf[bitmap+t/8] |= 1 << (t % 8)
-		buf = appendXOR(buf, f, b.Weights[t])
-		buf = binary.AppendVarint(buf, a.TypeCounts[t]-b.TypeCounts[t])
+		if count >= 0 && count < countInHeader {
+			buf = append(buf, byte(n)|byte(count)<<4)
+		} else {
+			buf = binary.AppendVarint(append(buf, byte(n)|countInHeader<<4), count)
+		}
+		buf = appendXOR(buf, x, n)
 	}
 	return buf
 }
 
-// appendXOR writes f's bits XORed with base's: the count of significant
-// bytes, then those bytes, low-order first.
-func appendXOR(buf []byte, f, base float64) []byte {
+// countInHeader is the high-nibble value of a changed type's header byte
+// that says its count difference follows as a varint; smaller values are
+// the difference itself.
+const countInHeader = 15
+
+// xorBits returns f's bits XORed with base's and the count of its
+// significant bytes.
+func xorBits(f, base float64) (uint64, int) {
 	x := math.Float64bits(f) ^ math.Float64bits(base)
-	n := (bits.Len64(x) + 7) / 8
-	buf = append(buf, byte(n))
+	return x, (bits.Len64(x) + 7) / 8
+}
+
+// appendXOR writes the n low-order bytes of x, low-order first.
+func appendXOR(buf []byte, x uint64, n int) []byte {
 	for i := range n {
 		buf = append(buf, byte(x>>(8*i)))
 	}
@@ -175,8 +200,10 @@ func ApplyCheckpointDelta(base *EnsembleState, delta []byte) (*EnsembleState, er
 
 // applyDelta reads one walker's delta against b.
 func (w *WalkerState) applyDelta(d *wire.Cursor, b *WalkerState, stars bool) {
-	w.RNGPos = b.RNGPos + uint64(d.Varint())
-	w.Steps = b.Steps + w.readWalk(d, true)
+	rng := d.Varint()
+	steps := w.readWalk(d, true)
+	w.Steps = b.Steps + steps
+	w.RNGPos = b.RNGPos + uint64(rng+steps)
 	if n := d.Uvarint(); d.Err == nil && n != uint64(len(b.Accs)) {
 		d.Fail("%d accumulators, base has %d", n, len(b.Accs))
 	}
@@ -185,17 +212,19 @@ func (w *WalkerState) applyDelta(d *wire.Cursor, b *WalkerState, stars bool) {
 	}
 	w.Accs = make([]SizeAcc, len(b.Accs))
 	for j := range w.Accs {
-		w.Accs[j].applyDelta(d, &b.Accs[j])
+		w.Accs[j].applyDelta(d, &b.Accs[j], steps)
 	}
 	if stars {
-		w.StarAcc = readXOR(d, b.StarAcc)
+		w.StarAcc = readXOR(d, b.StarAcc, int(d.Byte()))
 	}
 }
 
-// applyDelta reads one accumulator's delta against b.
-func (a *SizeAcc) applyDelta(d *wire.Cursor, b *SizeAcc) {
-	a.Done = b.Done + int(d.Varint())
-	a.ValidSamples = b.ValidSamples + int(d.Varint())
+// applyDelta reads one accumulator's delta against b; steps is the walker's
+// Steps difference.
+func (a *SizeAcc) applyDelta(d *wire.Cursor, b *SizeAcc, steps int64) {
+	done := d.Varint() + steps
+	a.Done = b.Done + int(done)
+	a.ValidSamples = b.ValidSamples + int(d.Varint()+done)
 	nt := len(b.Weights)
 	if n := d.Uvarint(); d.Err == nil && (n != uint64(nt) || len(b.TypeCounts) != nt) {
 		d.Fail("type count %d, base has %d", n, nt)
@@ -217,15 +246,19 @@ func (a *SizeAcc) applyDelta(d *wire.Cursor, b *SizeAcc) {
 		if bitmap[t/8]&(1<<(t%8)) == 0 {
 			continue
 		}
-		a.Weights[t] = readXOR(d, b.Weights[t])
-		a.TypeCounts[t] += d.Varint()
+		h := d.Byte()
+		count := int64(h >> 4)
+		if count == countInHeader {
+			count = d.Varint()
+		}
+		a.Weights[t] = readXOR(d, b.Weights[t], int(h&15))
+		a.TypeCounts[t] += count
 	}
 }
 
-// readXOR reads an XOR written by appendXOR and applies it to base. The
-// result must be finite, as readFloat64 requires of a full blob.
-func readXOR(d *wire.Cursor, base float64) float64 {
-	n := int(d.Byte())
+// readXOR reads the n XOR bytes appendXOR writes and applies them to base.
+// The result must be finite, as readFloat64 requires of a full blob.
+func readXOR(d *wire.Cursor, base float64, n int) float64 {
 	if d.Err == nil && n > 8 {
 		d.Fail("XOR of %d bytes", n)
 	}
