@@ -16,15 +16,16 @@
 // ordered writer goroutine, so -fsync on a slow disk never stalls the API),
 // and a restart replays it — completed results are served from the warmed
 // cache without re-running, and jobs that were queued or running at the
-// crash re-queue and finish. A checkpoint record is the engine's raw
-// binary ensemble snapshot and nothing else, so an interrupted job resumes
-// from its last checkpoint instead of step 0 — the scheduler charges only
-// the remaining budget, and the job's resumed_steps (status, SSE,
-// /v1/stats) reports how much crawl work the resume preserved — and replay
-// re-derives the job's progress (steps and concentrations) from it. This
-// daemon still reads the JSON checkpoint records of older journals; an older
-// daemon refuses a journal holding raw snapshot records at replay, and says
-// so. Without -data-dir the job table is in-memory only (the pre-journal
+// crash re-queue and finish. A checkpoint record is the engine's binary
+// ensemble state and nothing else — the full snapshot at every 16th
+// checkpoint, a delta against the job's previous record between — so an
+// interrupted job resumes from its last checkpoint instead of step 0 — the
+// scheduler charges only the remaining budget, and the job's resumed_steps
+// (status, SSE, /v1/stats) reports how much crawl work the resume preserved
+// — and replay re-derives the job's progress (steps and concentrations) from
+// it. This daemon still reads the JSON checkpoint records of older journals;
+// an older daemon refuses a journal holding raw snapshot records at replay,
+// and says so. Without -data-dir the job table is in-memory only (the pre-journal
 // behavior).
 //
 // The daemon is observable end to end: GET /metrics serves a Prometheus

@@ -17,7 +17,13 @@
 // 3; DecodeEnsembleState also reads the three formats older builds journaled
 // — GMST version 2, GMST version 1 (multi-size runs) and "GEST" version 1
 // (single-size runs) — and maps them onto the same EnsembleState,
-// decode-only.
+// decode-only. Beside the full blob, a checkpoint may be written as a delta
+// ("GMSD", delta.go) against the run's previous checkpoint state:
+// EncodeDelta writes it and ApplyCheckpointDelta folds it back onto that
+// state, exactly. The service journals a full blob at every 16th checkpoint
+// target and deltas between; DecodeEnsembleState refuses a delta by its
+// magic, so a build without the fold treats one as a blob that does not
+// decode.
 
 package core
 

@@ -42,6 +42,17 @@
 // the removals, replay sees the old records followed by the compacted
 // copies — consumers must therefore apply records idempotently ("last
 // record per job wins"), which the service's replay state machine does.
+//
+// Payloads are opaque here. The service's checkpoint payloads come in two
+// kinds: a full ensemble snapshot, or a delta against the same job's
+// previous checkpoint record, which replay folds onto it. A job's record is
+// full at every 16th checkpoint target, when the writing process holds no
+// previous record for the job, and after a failed append; so a job's
+// checkpoints form chains of at most 16 records, each opened by a full one.
+// The service's compaction filter keeps a live job's chain from its last
+// full record on, so compacted copies open with a full record and the
+// crash-mid-compaction replay (old records, then copies) folds to the same
+// state.
 package journal
 
 import (
@@ -70,7 +81,8 @@ const (
 	// TypeStarted records a job leaving the queue for a worker.
 	TypeStarted Type = 2
 	// TypeCheckpoint records a checkpoint of a running job; the payload
-	// carries its ensemble snapshot.
+	// carries its ensemble state, whole or as a delta against the job's
+	// previous checkpoint record.
 	TypeCheckpoint Type = 3
 	// TypeDone records successful completion; the payload carries the result.
 	TypeDone Type = 4
@@ -103,9 +115,9 @@ func (t Type) valid() bool { return t >= TypeSubmitted && t <= TypeCanceled }
 
 // Record is one journal entry. The payload is an opaque, type-specific blob
 // owned by the caller. The service serializes specs, results and errors as
-// JSON, and writes a checkpoint as the raw binary ensemble snapshot (older
-// daemons wrote JSON checkpoints with the snapshot in base64), from which
-// replay re-derives the job's progress.
+// JSON, and writes a checkpoint as the binary ensemble snapshot or a delta
+// against the job's previous one (older daemons wrote JSON checkpoints with
+// the snapshot in base64), from which replay re-derives the job's progress.
 type Record struct {
 	Type    Type
 	Job     string

@@ -48,19 +48,21 @@ func (m *Manager) worker() {
 	}
 }
 
-// fullCheckpointEvery spaces a job's full checkpoint records: the record at
-// every 16th checkpoint target, counting from the first, carries the whole
-// ensemble state, and the records between carry deltas against the record
-// before them. It bounds both what replay folds to resume a job (one full
-// record and at most 15 deltas) and what compaction keeps of a live job's
-// checkpoints (its records from the last full one on, at most 16).
+// fullCheckpointEvery spaces a job's full checkpoint records: a job's
+// checkpoint targets fall into blocks of 16, counting from the first, and a
+// delta is only written against a record of the same block — so the first
+// record of each block (the 16th target's, in a run that syncs every
+// target) carries the whole ensemble state, and the records after it carry
+// deltas against the record before them. It bounds both what replay folds
+// to resume a job (one full record and at most 15 deltas) and what
+// compaction keeps of a live job's checkpoints (its records from the last
+// full one on, at most 16).
 const fullCheckpointEvery = 16
 
-// fullCheckpoint reports whether the checkpoint at target, on a grid of
-// targets every windows apart (the last one the budget), is due a full
-// record by its index among the job's targets.
-func fullCheckpoint(target, every int) bool {
-	return ((target+every-1)/every-1)%fullCheckpointEvery == 0
+// checkpointBlock returns the block of the checkpoint at target, on a grid
+// of targets every windows apart (the last one the budget).
+func checkpointBlock(target, every int) int {
+	return ((target+every-1)/every - 1) / fullCheckpointEvery
 }
 
 // snapshotEvery derives the checkpoint spacing for a budget.
@@ -158,11 +160,12 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeChain [][]byte) (*co
 		// whole, or as a delta against the job's previous record — so an
 		// interrupted job resumes from it on any fleet, or none, and replay
 		// re-derives this progress from it; the write itself happens on the
-		// writer goroutine), and any live event streams. A record is full at
-		// every fullCheckpointEvery-th target, when this process holds no
-		// previous record to code against (a fresh run's first target, or a
-		// run that fell back to scratch), and when the journal failed an
-		// append since the previous record, which may then be missing.
+		// writer goroutine), and any live event streams. A record is full
+		// when it opens a block of fullCheckpointEvery targets, when this
+		// process holds no previous record to code against (a fresh run's
+		// first target, or a run that fell back to scratch), and when the
+		// journal failed an append since the previous record, which may then
+		// be missing.
 		// Progress carries the per-size concentrations in the shape the
 		// job's spec calls for. Walk-engine metrics are
 		// recorded only here (a counter add is one atomic), never inside the
@@ -181,7 +184,7 @@ func (m *Manager) runJob(ctx context.Context, j *job, resumeChain [][]byte) (*co
 			var snap []byte
 			if m.jnl != nil {
 				errs := m.met.journal.Errors.Value()
-				if base != nil && errs == baseErrs && !fullCheckpoint(target, every) {
+				if base != nil && errs == baseErrs && checkpointBlock(target, every) == checkpointBlock(base.WindowsDone, every) {
 					snap, _ = combined.EncodeDelta(base) // nil when the shapes differ
 				}
 				if snap == nil {

@@ -20,26 +20,32 @@ import (
 // journal is the single source of truth; the in-memory job table is a
 // replayable view of it (the LogBase pattern).
 //
-// A checkpoint record's payload is the engine's serialized ensemble snapshot
-// itself — the bytes of core.EnsembleState.Encode(), nothing else — so an
-// interrupted job does not restart from step 0: replay re-queues it with the
-// latest snapshot and the job's partitions restore their walkers mid-budget,
-// preserving every step up to the last checkpoint (runJob's OnSync handler
-// is the one place a checkpoint is merged, encoded and appended). The
-// snapshot is the only fact the record holds: its step count is WindowsDone,
-// and the progress a checkpoint shows (steps and concentrations) is
-// re-derived from it on replay, exactly as OnSync derived it live.
+// A checkpoint record's payload is the engine's serialized ensemble state
+// itself, nothing else, in one of two forms: the bytes of
+// core.EnsembleState.Encode() (a full record), or those of EncodeDelta
+// against the job's previous checkpoint record (a delta record; runJob's
+// OnSync handler, the one place a checkpoint is merged, encoded and
+// appended, says which records are full). So an interrupted job does not
+// restart from step 0: replay keeps each job's chain — its last full record
+// and the deltas after it — and re-queues the job with it, and at dispatch
+// the chain is folded and the job's partitions restore their walkers
+// mid-budget, preserving every step up to the last checkpoint. The state is
+// the only fact the record holds: its step count is WindowsDone, and the
+// progress a checkpoint shows (steps and concentrations) is re-derived from
+// the folded chain on replay, exactly as OnSync derived it live. A chain
+// that does not fold is dropped, and its job re-runs from scratch.
 //
 // Every other record payload is JSON. encoding/json round-trips float64
 // exactly (shortest-representation encoding), so a result warmed from the
 // journal is byte-identical to the run that produced it — the same property
-// that makes the in-memory result cache sound. Replay tells the two
-// checkpoint forms apart by the first byte: a JSON object starts with '{', a
-// snapshot with its "GMST" magic. Journals of older daemons hold JSON
-// checkpoint records (recCheckpoint, with the snapshot in base64) and still
-// resume; an older daemon refuses a journal holding snapshot records at
-// replay, loudly, because the bytes are not JSON. Every snapshot, of either
-// form, is validated again by core.DecodeEnsembleState before any resume.
+// that makes the in-memory result cache sound. Replay tells the checkpoint
+// forms apart by their first bytes: a JSON object starts with '{', a full
+// snapshot with its "GMST" magic, a delta with its "GMSD" one. Journals of
+// older daemons hold JSON checkpoint records (recCheckpoint, with the
+// snapshot in base64) and still resume; an older daemon refuses a journal
+// holding snapshot records at replay, loudly, because the bytes are not
+// JSON. Every snapshot, of any form, is validated again by
+// core.DecodeEnsembleState and core.ApplyCheckpointDelta before any resume.
 
 // recSubmitted is the payload of a TypeSubmitted record.
 type recSubmitted struct {
